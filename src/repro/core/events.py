@@ -16,27 +16,23 @@ Two clock implementations are provided:
   must be measured (its measured durations are then replayed as virtual
   service times, see ``repro.sut.backend``).
 
-The event loop is intentionally small: a heap of ``(time, sequence,
-callback)`` entries.  The sequence number guarantees FIFO ordering among
-events scheduled for the same instant, which matters for reproducibility
-of query logs.
+The event loop is intentionally small: a heap of ``[time, sequence,
+callback, loop]`` lists, ordered by C list comparison.  The sequence
+number is unique, so the callback is never compared, and guarantees FIFO
+order among events scheduled for the same instant (reproducible logs).
 
-A loop built over a non-virtual clock (any :class:`Clock` that is not a
-:class:`VirtualClock`) runs in *realtime* mode: instead of teleporting
-the clock to the next event it sleeps until that event is due, and it
-accepts work from other threads through the thread-safe :meth:`EventLoop.post`
-- the mechanism the network subsystem's socket reader threads use to
-deliver completions back onto the run's single-threaded timeline.
+A loop built over any other :class:`Clock` runs in *realtime* mode: it
+sleeps until each event is due, and the network subsystem's socket reader
+threads deliver completions back onto the run's single-threaded timeline
+through the thread-safe :meth:`EventLoop.post`.
 """
 
 from __future__ import annotations
 
 import collections
 import heapq
-import itertools
 import threading
 import time as _time
-from dataclasses import dataclass, field
 from typing import Callable, Deque, List, Optional
 
 
@@ -85,35 +81,40 @@ class VirtualClock(Clock):
         """Move the clock forward to ``t``.  Time never runs backwards."""
         if t < self._now:
             raise ValueError(
-                f"clock cannot run backwards: now={self._now}, target={t}"
-            )
+                f"clock cannot run backwards: now={self._now}, target={t}")
         self._now = t
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+class EventHandle(list):
+    """Returned by :meth:`EventLoop.schedule`: the heap entry ``[time,
+    seq, callback, loop]`` itself.  Cancelling clears the callback; the
+    loop clears its own slot when it pops the entry, so an event that
+    fired is not "cancelled" and cancelling it later counts for nothing."""
 
-
-class EventHandle:
-    """Handle returned by :meth:`EventLoop.schedule`; allows cancellation."""
-
-    def __init__(self, event: _Event) -> None:
-        self._event = event
+    __slots__ = ()
 
     def cancel(self) -> None:
-        self._event.cancelled = True
+        callback, loop = self[2], self[3]
+        self[2] = None
+        if loop is not None and callback is not None:
+            loop._cancelled += 1
+            if loop._cancelled > 64 and 2 * loop._cancelled > len(loop._heap):
+                loop._compact()
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self[2] is None
 
     @property
     def time(self) -> float:
-        return self._event.time
+        return self[0]
+
+
+def _aborted(callback, when: float, exc: Exception) -> RunAbortedError:
+    origin = getattr(callback, "__qualname__", None) or repr(callback)
+    return RunAbortedError(
+        f"event callback raised at t={when:.6f}s (origin {origin}): {exc!r}",
+        time=when, origin=origin, cause=exc)
 
 
 class EventLoop:
@@ -121,47 +122,45 @@ class EventLoop:
 
     Events are callbacks scheduled at absolute virtual times.  ``run``
     drains the heap; each callback may schedule further events.  The loop
-    is single-threaded, which makes every benchmark run reproducible given
-    the same seeds.
+    is single-threaded, so every run is reproducible given the same seeds.
 
     Over a non-virtual clock the loop runs in *realtime* mode: ``run``
     sleeps until the next event is due instead of advancing the clock,
     and callbacks handed to :meth:`post` from other threads (socket
     readers, worker pools) wake the sleep and execute on the loop's
-    thread.  Everything else - ordering, cancellation, abort wrapping -
-    behaves identically, so scenario drivers work unmodified under
-    measured time.
+    thread.  Ordering, cancellation and abort wrapping are identical, so
+    scenario drivers work unmodified under measured time.
     """
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock if clock is not None else VirtualClock()
-        #: True when this loop runs against real time (sleeps) rather
-        #: than a virtual clock (teleports).
+        #: True over real time (the loop sleeps), False over a virtual clock.
         self.realtime = not isinstance(self.clock, VirtualClock)
-        self._heap: List[_Event] = []
-        self._seq = itertools.count()
+        self._heap: List[EventHandle] = []
+        self._seq = 0
+        self._cancelled = 0  #: cancelled entries still in the heap
         self._stopped = False
         self._posted: Deque[Callable[[], None]] = collections.deque()
         self._wakeup = threading.Condition()
 
     @property
     def now(self) -> float:
-        return self.clock.now()
+        return self.clock.now() if self.realtime else self.clock._now
 
     def schedule(self, when: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute time ``when`` (seconds)."""
-        if when < self.now:
+        now = self.clock.now() if self.realtime else self.clock._now  # self.now
+        if when < now:
             if not self.realtime:
                 raise ValueError(
-                    f"cannot schedule event in the past: now={self.now}, when={when}"
-                )
-            # Under measured time "the past" is routine - a deadline
-            # computed a microsecond ago has already slipped.  Run the
-            # callback as soon as possible instead of failing the run.
-            when = self.now
-        event = _Event(time=when, seq=next(self._seq), callback=callback)
-        heapq.heappush(self._heap, event)
-        return EventHandle(event)
+                    f"cannot schedule event in the past: now={now}, when={when}")
+            # Under measured time "the past" is routine (a deadline computed
+            # a microsecond ago has slipped): run as soon as possible.
+            when = now
+        entry = EventHandle((when, self._seq, callback, self))
+        self._seq += 1
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def post(self, callback: Callable[[], None]) -> None:
         """Hand ``callback`` to the loop from any thread.
@@ -189,8 +188,8 @@ class EventLoop:
         """Process events in time order.
 
         Runs until the heap is empty, ``stop`` is called, or the next
-        event would occur after ``until`` (in which case the clock is
-        advanced to ``until``).  Returns the final clock reading.
+        event would occur after ``until``; unless stopped, the clock is
+        then advanced to ``until``.  Returns the final clock reading.
 
         In realtime mode the loop sleeps (interruptibly - :meth:`post`
         wakes it) until the next event is due, and exits once both the
@@ -199,63 +198,64 @@ class EventLoop:
         in the heap so the loop stays alive to receive it.
         """
         self._stopped = False
+        heap, posted, wakeup = self._heap, self._posted, self._wakeup
+        clock, realtime, pop = self.clock, self.realtime, heapq.heappop
         while not self._stopped:
-            posted = self._next_posted()
-            if posted is not None:
-                self._execute(posted, self.now)
-                continue
-            while self._heap and self._heap[0].cancelled:
-                heapq.heappop(self._heap)
-            if not self._heap:
+            # Deque operations are atomic: an empty queue needs no lock.
+            if posted:
+                with wakeup:
+                    callback = posted.popleft()
+                when = self.now
+            elif not heap:
                 break
-            event = self._heap[0]
-            if until is not None and event.time > until:
-                break
-            if self.realtime:
-                delay = event.time - self.now
-                if delay > 0:
-                    with self._wakeup:
-                        if not self._posted:
-                            self._wakeup.wait(timeout=delay)
-                    continue  # re-check: a post may have arrived
-            heapq.heappop(self._heap)
-            if not self.realtime:
-                self.clock.advance_to(event.time)
-            self._execute(event.callback, event.time)
-        if until is not None and until > self.now and not self.realtime:
-            self.clock.advance_to(until)
+            else:
+                entry = heap[0]
+                when, callback = entry[0], entry[2]
+                if callback is None:
+                    pop(heap)
+                    self._cancelled -= 1
+                    continue
+                if until is not None and when > until:
+                    break
+                if realtime:
+                    delay = when - clock.now()
+                    if delay > 0:
+                        with wakeup:
+                            if not posted:
+                                wakeup.wait(timeout=delay)
+                        continue  # re-check: a post may have arrived
+                pop(heap)
+                entry[3] = None
+                if not realtime:
+                    if when < clock._now:
+                        clock.advance_to(when)  # raises: never backwards
+                    clock._now = when
+            try:
+                callback()
+            except RunAbortedError:
+                raise
+            except Exception as exc:
+                raise _aborted(callback, when, exc) from exc
+        # A stopped run may leave earlier events behind: the clock stays put.
+        if until is not None and not (realtime or self._stopped) and until > clock._now:
+            clock._now = until
         return self.now
 
-    def _next_posted(self) -> Optional[Callable[[], None]]:
-        with self._wakeup:
-            if self._posted:
-                return self._posted.popleft()
-        return None
-
-    def _execute(self, callback: Callable[[], None], when: float) -> None:
-        try:
-            callback()
-        except RunAbortedError:
-            raise
-        except Exception as exc:
-            origin = getattr(
-                callback, "__qualname__", None
-            ) or repr(callback)
-            raise RunAbortedError(
-                f"event callback raised at t={when:.6f}s "
-                f"(origin {origin}): {exc!r}",
-                time=when,
-                origin=origin,
-                cause=exc,
-            ) from exc
+    def _compact(self) -> None:
+        """Drop the cancelled entries (they outnumber the live ones), in
+        place because ``run`` holds the list; ``(time, seq)`` is a total
+        order, so pop order cannot change."""
+        self._heap[:] = [e for e in self._heap if e[2] is not None]
+        heapq.heapify(self._heap)
+        self._cancelled = 0
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return len(self._heap) - self._cancelled
 
     def next_event_time(self) -> Optional[float]:
         """Time of the earliest pending event, or ``None`` if idle."""
-        for event in sorted(self._heap):
-            if not event.cancelled:
-                return event.time
-        return None
+        while self._heap and self._heap[0][2] is None:
+            heapq.heappop(self._heap)
+            self._cancelled -= 1
+        return self._heap[0][0] if self._heap else None

@@ -242,6 +242,15 @@ class LoadGen:
         ``services`` attaches :class:`RunService` tickers - e.g. the
         ``repro.fleet`` autoscaler - started after the SUT is bound to
         the loop and stopped once the run has drained.
+
+        Once the loop has drained the driver lets go of ``sut`` and of
+        the log, so the run's record (log, records, queries) is freed by
+        reference counting as soon as the caller drops the result,
+        whether or not it keeps the SUT.  A wrapper SUT and its inner
+        SUT still reference each other (wrapper -> inner -> the
+        wrapper's bound completion method), so the stack itself, the
+        spent driver and the loop wait for a collection; unlinking those
+        is left to the ``WrapperSUT`` base in ROADMAP.md.
         """
         settings = self.settings
         if settings.mode is TestMode.ACCURACY:
@@ -349,6 +358,12 @@ class LoadGen:
             finally:
                 for service in started_services:
                     service.stop()
+                # The SUT stack holds the driver (``_responder`` is its
+                # bound method): with ``driver.sut`` that was a cycle,
+                # and a wrapper stack is one in itself, so whatever the
+                # driver still held waited for a gen-2 collection - or
+                # for as long as the caller kept the SUT.
+                driver.sut = driver.log = None
 
             if sampler is not None:
                 sampler.stop()

@@ -95,7 +95,8 @@ class QueryLog:
         record = self._records.get(query.id)
         if record is None:
             raise ValueError(f"completion for unknown query {query.id}")
-        if record.resolved:
+        if (record.completion_time is not None
+                or record.failure_reason is not None):
             raise ValueError(f"query {query.id} completed twice")
         if completion_time < record.issue_time:
             raise ValueError(
@@ -142,7 +143,8 @@ class QueryLog:
         if record is None:
             self.unsolicited_responses.append((query.id, completion_time))
             return "unsolicited"
-        if record.resolved:
+        if (record.completion_time is not None
+                or record.failure_reason is not None):
             self.duplicate_completions.append((query.id, completion_time))
             return "duplicate"
         if completion_time < record.issue_time:
@@ -201,7 +203,8 @@ class QueryLog:
         if record is None:
             self.unsolicited_responses.append((query.id, time))
             return "unsolicited"
-        if record.resolved:
+        if (record.completion_time is not None
+                or record.failure_reason is not None):
             self.stream_chunk_anomalies.append(
                 (query.id, time,
                  f"chunk seq {chunk.seq} arrived after the query resolved")
@@ -258,7 +261,8 @@ class QueryLog:
         if record is None:
             self.unsolicited_responses.append((query.id, time))
             return "unsolicited"
-        if record.resolved:
+        if (record.completion_time is not None
+                or record.failure_reason is not None):
             self.duplicate_completions.append((query.id, time))
             return "duplicate"
         record.failure_reason = reason
@@ -280,15 +284,17 @@ class QueryLog:
 
     def completed_records(self) -> List[QueryRecord]:
         """Cleanly completed records (failed queries are excluded)."""
-        return [r for r in self.records() if r.completed and not r.failed]
+        return [r for r in self.records() if r.completion_time is not None
+                and r.failure_reason is None]
 
     def failed_records(self) -> List[QueryRecord]:
         """Records that resolved as failures (malformed, retries spent)."""
-        return [r for r in self.records() if r.failed]
+        return [r for r in self.records() if r.failure_reason is not None]
 
     def outstanding_records(self) -> List[QueryRecord]:
         """Issued queries that never reached a terminal state."""
-        return [r for r in self.records() if not r.resolved]
+        return [r for r in self.records() if r.completion_time is None
+                and r.failure_reason is None]
 
     def latencies(self) -> List[float]:
         return [r.latency for r in self.completed_records()]

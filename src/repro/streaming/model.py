@@ -93,24 +93,24 @@ class StreamModel:
             np.random.SeedSequence((self.seed, query_id, _STREAM_TAG))
         )
         tokens = int(rng.integers(self.min_tokens, self.max_tokens + 1))
+        per_chunk, jitter = self.tokens_per_chunk, self.jitter
+        inter_token_delay = self.inter_token_delay
         chunks = []
         offset = 0.0
         emitted = 0
-        seq = 0
+        delay = self.first_token_delay
         while emitted < tokens:
-            count = min(self.tokens_per_chunk, tokens - emitted)
-            delay = (
-                self.first_token_delay
-                if seq == 0
-                else self.inter_token_delay * count
-            )
-            if self.jitter > 0.0:
-                delay += float(rng.uniform(-self.jitter, self.jitter))
-            offset += max(0.0, delay)
+            count = tokens - emitted
+            if count > per_chunk:
+                count = per_chunk
+            if emitted:  # every chunk after the first
+                delay = inter_token_delay * count
+            if jitter > 0.0:
+                delay += float(rng.uniform(-jitter, jitter))
+            if delay > 0.0:  # clamped: offsets never go backwards
+                offset += delay
             emitted += count
-            chunks.append(
-                ChunkEvent(offset=offset, token_count=count,
-                           last=emitted >= tokens)
-            )
-            seq += 1
+            # A ChunkEvent without its generated __new__'s Python frame.
+            chunks.append(tuple.__new__(
+                ChunkEvent, (offset, count, emitted >= tokens)))
         return StreamPlan(token_count=tokens, chunks=tuple(chunks))

@@ -4,9 +4,10 @@
 and an inner SUT.  Queries pass through unchanged; when the inner SUT
 completes one, the wrapper replays the answer as the query's seeded
 :class:`~repro.streaming.model.StreamPlan` - chunk events scheduled on
-the run's event loop - and delivers the original response list right
-after the final chunk.  Failures and chunks already produced by the
-inner SUT pass straight through, so streaming wrappers nest.
+the run's event loop, one per chunk - and delivers the original response
+list right after the final chunk, from the same loop event.  Failures
+and chunks already produced by the inner SUT pass straight through, so
+streaming wrappers nest.
 
 Because chunks ride the normal responder channel, everything downstream
 (retry wrappers, the TCP server, the fleet) needs no special casing to
@@ -24,6 +25,37 @@ from ..core.sut import Responder, SutBase, SystemUnderTest
 from .model import StreamModel
 
 
+class _ChunkDelivery:
+    """The loop event for one planned chunk.  A stream's last event also
+    delivers the terminal completion (``responses`` is set on it only),
+    so nothing can run between the final chunk and the completion.
+
+    A class, not a closure: it lives in this module (the benchmark's
+    tracer attributes loop events by the callback's module) and its repr
+    is free of object addresses (``RunAbortedError.origin`` falls back to
+    it, and a verdict must not differ between same-seed runs).
+    """
+
+    __slots__ = ("sut", "query", "chunk", "responses")
+
+    def __init__(self, sut: "StreamingSUT", query: Query, chunk: StreamChunk,
+                 responses: Optional[List[QuerySampleResponse]]) -> None:
+        self.sut = sut
+        self.query = query
+        self.chunk = chunk
+        self.responses = responses
+
+    def __call__(self) -> None:
+        sut = self.sut
+        sut._responder(self.query, self.chunk)
+        if self.responses is not None:
+            sut._active.pop(self.query.id, None)
+            sut._responder(self.query, self.responses)
+
+    def __repr__(self) -> str:
+        return f"<stream chunk {self.chunk.seq} of query {self.query.id}>"
+
+
 class StreamingSUT(SutBase):
     """Wraps ``inner`` and streams each of its answers as token chunks."""
 
@@ -36,8 +68,7 @@ class StreamingSUT(SutBase):
         super().__init__(name or f"streaming({inner.name})")
         self.inner = inner
         self.model = model if model is not None else StreamModel()
-        #: Streams currently being replayed (query id -> pending events),
-        #: so ``flush`` and late failures know what is still in flight.
+        #: Streams currently being replayed (query id -> query).
         self._active = {}
 
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
@@ -64,39 +95,15 @@ class StreamingSUT(SutBase):
     def _begin_stream(
         self, query: Query, responses: List[QuerySampleResponse]
     ) -> None:
-        plan = self.model.plan(query.id)
+        chunks = self.model.plan(query.id).chunks
         loop = self.loop
-        handles = []
-        for seq, event in enumerate(plan.chunks):
-            chunk = StreamChunk(
-                query_id=query.id,
-                seq=seq,
-                token_count=event.token_count,
-                last=event.last,
-            )
-            handles.append(
-                loop.schedule_after(
-                    event.offset, lambda q=query, c=chunk: self._emit(q, c)
-                )
-            )
-        # The terminal completion lands at the final chunk's offset;
-        # same-time events run FIFO, so the last chunk precedes it.
-        handles.append(
-            loop.schedule_after(
-                plan.duration,
-                lambda q=query, r=responses: self._finish(q, r),
-            )
-        )
-        self._active[query.id] = handles
-
-    def _emit(self, query: Query, chunk: StreamChunk) -> None:
-        self._responder(query, chunk)
-
-    def _finish(
-        self, query: Query, responses: List[QuerySampleResponse]
-    ) -> None:
-        self._active.pop(query.id, None)
-        self._responder(query, responses)
+        start = loop.now
+        final = len(chunks) - 1
+        self._active[query.id] = query
+        for seq, (offset, token_count, last) in enumerate(chunks):
+            chunk = StreamChunk(query.id, seq, token_count, last)
+            loop.schedule(start + offset, _ChunkDelivery(
+                self, query, chunk, responses if seq == final else None))
 
 
 def streaming_echo(

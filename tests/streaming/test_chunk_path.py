@@ -1,0 +1,137 @@
+"""The streamed-chunk fast path keeps the slow path's behaviour: the
+same plans bit for bit, one loop event per chunk, the completion riding
+the final chunk's event, and abort verdicts free of object addresses."""
+
+import numpy as np
+import pytest
+
+from repro.core import Scenario, TestSettings, run_benchmark
+from repro.core.events import EventLoop, VirtualClock
+from repro.core.query import Query, QuerySample, StreamChunk
+from repro.core.sut import SutBase
+from repro.streaming import StreamModel, StreamingSUT
+from repro.streaming.model import ChunkEvent, StreamPlan
+from repro.sut.echo import EchoSUT
+
+pytestmark = pytest.mark.streaming
+
+
+def reference_plan(model: StreamModel, query_id: int) -> StreamPlan:
+    """``StreamModel.plan`` as it was before the chunk-path rewrite,
+    kept as the specification of every draw and every float sum."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence((model.seed, query_id, 0x57EA4)))
+    tokens = int(rng.integers(model.min_tokens, model.max_tokens + 1))
+    chunks = []
+    offset = 0.0
+    emitted = 0
+    seq = 0
+    while emitted < tokens:
+        count = min(model.tokens_per_chunk, tokens - emitted)
+        delay = (model.first_token_delay if seq == 0
+                 else model.inter_token_delay * count)
+        if model.jitter > 0.0:
+            delay += float(rng.uniform(-model.jitter, model.jitter))
+        offset += max(0.0, delay)
+        emitted += count
+        chunks.append(ChunkEvent(offset=offset, token_count=count,
+                                 last=emitted >= tokens))
+        seq += 1
+    return StreamPlan(token_count=tokens, chunks=tuple(chunks))
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(),
+    dict(jitter=0.0004),
+    dict(jitter=0.01),  # larger than both delays: the clamp is live
+    dict(tokens_per_chunk=3),
+    dict(min_tokens=1, max_tokens=1),
+], ids=["default", "jitter", "clamped-jitter", "three-per-chunk", "one-token"])
+def test_plans_equal_the_reference_bit_for_bit(kwargs):
+    model = StreamModel(seed=11, **kwargs)
+    for query_id in range(200):
+        plan = model.plan(query_id)
+        assert plan == reference_plan(model, query_id)
+        assert all(type(chunk) is ChunkEvent for chunk in plan.chunks)
+
+
+def make_query(qid):
+    return Query(id=qid, samples=(QuerySample(id=100 + qid, index=qid),))
+
+
+def test_one_event_per_chunk_and_the_completion_rides_the_last():
+    model = StreamModel(seed=9)
+    sut = StreamingSUT(EchoSUT(latency=0.0), model=model)
+    loop = EventLoop(VirtualClock())
+    scheduled = []
+    schedule = loop.schedule
+    loop.schedule = lambda when, callback: (
+        scheduled.append(callback), schedule(when, callback))[1]
+    delivered = []
+    sut.start_run(loop, lambda q, r: delivered.append((loop.now, q.id, r)))
+    queries = [make_query(qid) for qid in range(25)]
+    for query in queries:
+        sut.issue_query(query)
+    assert set(sut._active) == set(range(25))
+    loop.run()
+
+    plans = {q.id: model.plan(q.id) for q in queries}
+    # EchoSUT(latency=0) completes inside issue_query, so every event on
+    # the loop is the streaming shim's: one per chunk, none on top.
+    assert len(scheduled) == sum(len(p.chunks) for p in plans.values())
+    assert {type(c).__module__ for c in scheduled} == {"repro.streaming.sut"}
+    assert sut._active == {}
+    for query in queries:
+        mine = [(t, r) for t, qid, r in delivered if qid == query.id]
+        chunks, (done_at, done) = mine[:-1], mine[-1]
+        assert [r.seq for _, r in chunks] == list(range(len(chunks)))
+        assert [t for t, _ in chunks] == \
+            [c.offset for c in plans[query.id].chunks]
+        assert chunks[-1][1].last
+        assert isinstance(done, list) and done_at == chunks[-1][0]
+    # Nothing runs between a stream's final chunk and its completion.
+    for index, (_, qid, response) in enumerate(delivered):
+        if isinstance(response, StreamChunk) and response.last:
+            assert delivered[index + 1][1] == qid
+            assert isinstance(delivered[index + 1][2], list)
+
+
+class ExplodingRelay(SutBase):
+    """Forwards to ``inner`` and raises inside one chunk's delivery."""
+
+    def __init__(self, inner, query_id, seq):
+        super().__init__("exploding-relay")
+        self.inner, self.target = inner, (query_id, seq)
+
+    def start_run(self, loop, responder):
+        super().start_run(loop, responder)
+        self.inner.start_run(loop, self._relay)
+
+    def issue_query(self, query):
+        self.inner.issue_query(query)
+
+    def flush(self):
+        self.inner.flush()
+
+    def _relay(self, query, response):
+        if (isinstance(response, StreamChunk)
+                and (query.id, response.seq) == self.target):
+            raise KeyError("relay lost its state")
+        self._responder(query, response)
+
+
+def test_abort_origin_names_the_chunk_without_an_address(echo_qsl):
+    settings = TestSettings(
+        scenario=Scenario.SERVER, server_target_qps=500.0,
+        server_latency_bound=1.0, min_query_count=50, min_duration=0.0,
+        seed=4)
+
+    def verdict():
+        sut = ExplodingRelay(
+            StreamingSUT(EchoSUT(latency=0.001), StreamModel(seed=4)), 7, 2)
+        return run_benchmark(sut, echo_qsl, settings).stats.aborted
+
+    first = verdict()
+    assert first is not None and first == verdict()
+    assert "0x" not in first
+    assert "stream chunk 2 of query 7" in first

@@ -76,16 +76,35 @@ def test_workload_catalog_names_every_doc_page():
     assert not missing, f"docs pages absent from the catalog: {missing}"
 
 
+#: Backticked repo paths a page cites as files: anything under docs/,
+#: tests/ or benchmarks/, and root-level ``BENCH_*.json`` records.  Not
+#: "`BENCH_fleet.json`-style" (a format) and not the
+#: ``--report BENCH_fleet.json`` CLI example (an output the user names).
+_CITED_PATH_RE = re.compile(
+    r"`((?:docs|tests|benchmarks)/[A-Za-z0-9_./-]+"
+    r"|BENCH_[A-Za-z0-9_]+\.json)`(?!-)")
+
+
 def test_workload_catalog_paths_exist():
     """Every backticked repo path the catalog cites (doc pages, smoke
-    tests, benchmark runners) must exist — the catalog's whole value is
-    that its pointers are live."""
-    catalog = INDEX.read_text()
-    cited = re.findall(r"`((?:docs|tests|benchmarks)/[A-Za-z0-9_./-]+)`",
-                       catalog)
+    tests, benchmark runners, benchmark records) must exist — the
+    catalog's whole value is that its pointers are live."""
+    cited = _CITED_PATH_RE.findall(INDEX.read_text())
     assert cited, "the catalog cites no doc or test paths at all"
     dangling = [ref for ref in cited if not (REPO / ref).exists()]
     assert not dangling, f"catalog cites missing paths: {dangling}"
+
+
+@pytest.mark.parametrize(
+    "page", sorted(p for p in (REPO / "docs").glob("*.md") if p != INDEX),
+    ids=lambda p: p.name,
+)
+def test_subsystem_pages_cite_paths_that_exist(page):
+    """The same lint for every other ``docs/`` page: a runner or record
+    that was retired must not live on in prose."""
+    dangling = [ref for ref in _CITED_PATH_RE.findall(page.read_text())
+                if not (REPO / ref).exists()]
+    assert not dangling, f"{page.name} cites missing paths: {dangling}"
 
 
 def test_workload_catalog_covers_every_tier1_smoke():
