@@ -92,6 +92,11 @@ class SutBase:
     """Convenience base class implementing the boring parts of the SUT
     protocol; concrete SUTs override :meth:`issue_query`."""
 
+    #: The SUTs this one wraps.  A wrapper sets it once and inherits the
+    #: forwarding of :meth:`flush` and :meth:`close` down the stack.
+    inners: Sequence["SystemUnderTest"] = ()
+    _closed = False
+
     def __init__(self, name: str) -> None:
         self._name = name
         self._loop: EventLoop = None
@@ -110,6 +115,7 @@ class SutBase:
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         self._loop = loop
         self._responder = responder
+        self._closed = False
 
     def complete(self, query: Query, responses: List[QuerySampleResponse]) -> None:
         """Report ``query`` finished with ``responses`` to the LoadGen."""
@@ -145,4 +151,18 @@ class SutBase:
         raise NotImplementedError
 
     def flush(self) -> None:
-        """Default: nothing buffered."""
+        """Nothing buffered here; pass the hint down the stack."""
+        for inner in self.inners:
+            inner.flush()
+
+    def close(self) -> None:
+        """Release what the wrapped SUTs own (worker pools, sockets).
+        Safe before ``start_run`` and more than once; a later
+        ``start_run`` makes the stack closable again."""
+        if self._closed:
+            return
+        self._closed = True
+        for inner in self.inners:
+            close = getattr(inner, "close", None)
+            if callable(close):
+                close()

@@ -11,8 +11,8 @@ or ``ParallelSUT``) and keeps the run alive through backend outages:
   primary;
 * with ``hedge_delay`` set, a query that the primary has not answered
   after that long is *hedged*: re-issued to the standby under the same
-  query id, first clean answer wins, the shared
-  :class:`~repro.faults.filtering.CompletionFilter` absorbs the loser;
+  query id, first clean answer wins, the shared attempt engine
+  (:class:`~repro.faults.filtering.AttemptSUT`) absorbs the loser;
 * a primary failure (``QueryFailure`` or malformed response set) fails
   over to the standby immediately instead of waiting out the deadline.
 
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..core.events import EventHandle, EventLoop
-from ..core.query import Query, StreamChunk
-from ..core.sut import Responder, SutBase, SystemUnderTest
-from ..faults.filtering import CompletionFilter
+from ..core.query import Query
+from ..core.sut import Responder, SystemUnderTest
+from ..faults.filtering import Attempt, AttemptSUT
 from ..metrics import MetricsRegistry
 from .breaker import STATE_CODES, BreakerPolicy, BreakerState, CircuitBreaker
 
@@ -94,32 +94,19 @@ class _BreakerInstruments:
             "Primary outcomes recorded as failures by the breaker")
 
 
-@dataclass
-class _Guarded:
-    """Per-query in-flight state."""
+class _Guarded(Attempt):
+    """Per-query in-flight state.  ``sources`` holds whichever of
+    "primary" and "standby" have been asked and have not yet answered
+    flawed; the query fails when the last of them does."""
 
-    query: Query
-    routed: str  # "primary" | "standby"
-    probe: bool = False
-    hedged: bool = False
-    primary_dead: bool = False
-    standby_dead: bool = False
-    #: Run time of admission - anchors the total budget when streaming
-    #: progress re-arms the deadline.
-    started: float = 0.0
-    deadline_timer: Optional[EventHandle] = None
+    sources = ("primary",)
+    probe = False
+    #: The standby was asked too (hedge or failover), or instead.
+    hedged = False
     hedge_timer: Optional[EventHandle] = None
 
-    def cancel_timers(self) -> None:
-        if self.deadline_timer is not None:
-            self.deadline_timer.cancel()
-            self.deadline_timer = None
-        if self.hedge_timer is not None:
-            self.hedge_timer.cancel()
-            self.hedge_timer = None
 
-
-class SelfHealingSUT(SutBase):
+class SelfHealingSUT(AttemptSUT):
     """Circuit breaker + hedged standby around a primary backend."""
 
     def __init__(
@@ -151,6 +138,7 @@ class SelfHealingSUT(SutBase):
                     f"{hedge_delay}")
         self.primary = primary
         self.standby = standby
+        self.inners = (primary,) if standby is None else (primary, standby)
         self.policy = policy if policy is not None else BreakerPolicy()
         self.attempt_timeout = attempt_timeout
         #: Hard per-query wall across failovers and hedges.  The healing
@@ -163,7 +151,6 @@ class SelfHealingSUT(SutBase):
         self.total_timeout = total_timeout
         self.hedge_delay = hedge_delay
         self.stats = HealingStats()
-        self._filter = CompletionFilter()
         self._breaker: Optional[CircuitBreaker] = None
         self._m = (
             _BreakerInstruments(registry, self._state_code)
@@ -186,13 +173,12 @@ class SelfHealingSUT(SutBase):
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         super().start_run(loop, responder)
         self.stats = HealingStats()
-        self._filter = CompletionFilter()
         self._breaker = CircuitBreaker(
             self.policy, clock=lambda: loop.now,
             on_transition=self._on_transition)
-        self.primary.start_run(loop, self._from_primary)
+        self.primary.start_run(loop, self._receiver("primary"))
         if self.standby is not None:
-            self.standby.start_run(loop, self._from_standby)
+            self.standby.start_run(loop, self._receiver("standby"))
 
     def _on_transition(self, time: float, source: BreakerState,
                        target: BreakerState) -> None:
@@ -208,11 +194,11 @@ class SelfHealingSUT(SutBase):
             if self.standby is not None:
                 # Shed *from the primary*: the standby carries the load
                 # while the breaker waits out the outage.
-                state = self._filter.admit(
-                    query, _Guarded(query=query, routed="standby",
-                                    started=self.loop.now))
+                state = self._inflight[query.id] = _Guarded(
+                    query, self._loop.now)
+                state.sources = ("standby",)
                 self.stats.standby_queries += 1
-                self._arm_deadline(state)
+                self._arm(state, self._timeout(state))
                 self.standby.issue_query(query)
             else:
                 self.stats.shed_queries += 1
@@ -220,152 +206,102 @@ class SelfHealingSUT(SutBase):
                     query,
                     "circuit breaker open: primary backend shedding load")
             return
-        state = self._filter.admit(
-            query,
-            _Guarded(query=query, routed="primary",
-                     probe=(verdict == "probe"), started=self.loop.now))
-        if state.probe:
+        state = self._inflight[query.id] = _Guarded(query, self._loop.now)
+        if verdict == "probe":
+            state.probe = True
             self.stats.probe_queries += 1
             if self._m:
                 self._m.probes.inc()
-        self._arm_deadline(state)
+        self._arm(state, self._timeout(state))
         if (self.hedge_delay is not None and self.standby is not None
                 and not state.probe):
-            state.hedge_timer = self.loop.schedule_after(
+            state.hedge_timer = self._loop.schedule_after(
                 self.hedge_delay, lambda: self._hedge(state))
         self.primary.issue_query(query)
 
-    def flush(self) -> None:
-        self.primary.flush()
-        if self.standby is not None:
-            self.standby.flush()
-
     # -- timers -----------------------------------------------------------------
 
-    def _arm_deadline(self, state: _Guarded) -> None:
-        deadline = self.attempt_timeout
-        if self.total_timeout is not None:
-            deadline = min(deadline, self.total_timeout)
-        state.deadline_timer = self.loop.schedule_after(
-            deadline, lambda: self._deadline(state))
-
-    def _deadline(self, state: _Guarded) -> None:
-        if self._filter.get(state.query.id) is not state:
-            return  # resolved in the meantime
-        state.cancel_timers()
-        self._filter.resolve(state.query.id)
-        if state.routed == "primary" and not state.primary_dead:
-            self.stats.primary_failures += 1
-            self.breaker.record_failure(probe=state.probe)
-            if self._m:
-                self._m.failures.inc()
-        self.stats.deadline_failures += 1
-        where = state.routed if not state.hedged else "primary or standby"
-        self.fail(
-            state.query,
-            f"no response from {where} within {self.attempt_timeout:g}s")
-
-    def _hedge(self, state: _Guarded) -> None:
-        if self._filter.get(state.query.id) is not state or state.hedged:
-            return
-        state.hedged = True
-        self.stats.hedged_queries += 1
-        if self._m:
-            self._m.hedges.inc()
-        assert self.standby is not None
-        # The standby's stream starts over at seq 0; both attempts draw
-        # the same per-query stream plan, so whichever source is ahead
-        # after the restart screens clean without double-counting.
-        self._filter.restart_stream(state.query.id)
-        self.standby.issue_query(state.query)
-
-    # -- completions ------------------------------------------------------------
-
-    def _from_primary(self, query: Query, responses) -> None:
-        self._on_completion("primary", query, responses)
-
-    def _from_standby(self, query: Query, responses) -> None:
-        self._on_completion("standby", query, responses)
-
-    def _on_chunk(self, source: str, query: Query,
-                  chunk: StreamChunk) -> None:
-        current = self._filter.get(query.id)
-        if current is not None and source == "primary" and current.primary_dead:
-            # A failed-over primary may keep streaming; drop its chunks
-            # *before* screening so they cannot advance the stream
-            # progress the standby's attempt is being screened against.
-            self.stats.filtered_completions += 1
-            return
-        screened = self._filter.screen_chunk(query, chunk)
-        if screened.stale or screened.flaw is not None:
-            self.stats.filtered_completions += 1
-            return
-        state: _Guarded = screened.state
-        # Streaming progress re-arms the deadline (the backend is
-        # alive), still bounded by the query's total budget.
-        if state.deadline_timer is not None:
-            state.deadline_timer.cancel()
+    def _timeout(self, state: _Guarded) -> float:
+        """The deadline from now, never past the query's total budget."""
         deadline = self.attempt_timeout
         if self.total_timeout is not None:
             deadline = max(
                 0.0,
                 min(deadline,
-                    self.total_timeout - (self.loop.now - state.started)),
+                    self.total_timeout - (self._loop.now - state.started)),
             )
-        state.deadline_timer = self.loop.schedule_after(
-            deadline, lambda: self._deadline(state))
-        self._responder(query, chunk)
+        return deadline
 
-    def _on_completion(self, source: str, query: Query, responses) -> None:
-        if isinstance(responses, StreamChunk):
-            self._on_chunk(source, query, responses)
-            return
-        screened = self._filter.screen(query, responses)
-        if screened.stale:
-            # Duplicate, hedge loser, or post-deadline straggler: the
-            # healing layer absorbs it so the referee never sees it.
-            self.stats.filtered_completions += 1
-            return
-        state: _Guarded = screened.state
-        if screened.flaw is not None:
-            self._on_flaw(source, state, screened.flaw)
-            return
-        state.cancel_timers()
-        self._filter.resolve(query.id)
+    #: Streaming progress re-arms the deadline (the backend is alive);
+    #: hedges and failovers never do.
+    _advanced = _timeout
+
+    def _resolve(self, state: _Guarded) -> None:
+        if state.hedge_timer is not None:
+            state.hedge_timer.cancel()
+        super()._resolve(state)
+
+    def _expired(self, state: _Guarded) -> None:
+        self._resolve(state)
+        if "primary" in state.sources:
+            self._primary_failed(state)
+        self.stats.deadline_failures += 1
+        where = "primary or standby" if state.hedged else state.sources[0]
+        self.fail(
+            state.query,
+            f"no response from {where} within {self.attempt_timeout:g}s")
+
+    def _primary_failed(self, state: _Guarded) -> None:
+        self.stats.primary_failures += 1
+        self.breaker.record_failure(probe=state.probe)
+        if self._m:
+            self._m.failures.inc()
+
+    def _ask_standby(self, state: _Guarded, sources) -> None:
+        state.hedged = True
+        if self._m:
+            self._m.hedges.inc()
+        # The standby's stream starts over at seq 0; both attempts draw
+        # the same per-query stream plan, so whichever source is ahead
+        # after the restart screens clean without double-counting.
+        self._restart(state, sources)
+        self.standby.issue_query(state.query)
+
+    def _hedge(self, state: _Guarded) -> None:
+        if self._live(state) and not state.hedged:
+            self.stats.hedged_queries += 1
+            self._ask_standby(state, ("primary", "standby"))
+
+    # -- completions ------------------------------------------------------------
+
+    def _absorbed(self, chunk: bool) -> None:
+        # Duplicate, hedge loser, post-deadline straggler, or anything
+        # more from a source that already answered flawed.
+        self.stats.filtered_completions += 1
+
+    def _clean(self, state: _Guarded, source: str, responses) -> None:
+        self._resolve(state)
         if source == "primary":
             self.breaker.record_success(probe=state.probe)
         else:
             self.stats.standby_completions += 1
             if self._m:
                 self._m.standby.inc()
-            if state.routed == "primary":
+            if state.hedged:
                 self.stats.hedge_wins += 1
-        self.complete(query, responses)
+        self.complete(state.query, responses)
 
-    def _on_flaw(self, source: str, state: _Guarded, flaw: str) -> None:
-        qid = state.query.id
+    def _flawed(self, state: _Guarded, source: str, reason: str,
+                failure) -> None:
+        state.sources = tuple(s for s in state.sources if s != source)
         if source == "primary":
-            state.primary_dead = True
-            self.stats.primary_failures += 1
-            self.breaker.record_failure(probe=state.probe)
-            if self._m:
-                self._m.failures.inc()
+            self._primary_failed(state)
             if self.standby is not None and not state.hedged:
                 # Fail over immediately rather than waiting out the
                 # deadline on a primary that already answered badly.
-                state.hedged = True
                 self.stats.failovers += 1
-                if self._m:
-                    self._m.hedges.inc()
-                self._filter.restart_stream(qid)
-                self.standby.issue_query(state.query)
+                self._ask_standby(state, ("standby",))
                 return
-            if self.standby is not None and not state.standby_dead:
-                return  # the standby attempt is still in flight
-        else:
-            state.standby_dead = True
-            if state.routed == "primary" and not state.primary_dead:
-                return  # the primary attempt is still in flight
-        state.cancel_timers()
-        self._filter.resolve(qid)
-        self.fail(state.query, flaw)
+        if not state.sources:  # nobody left who could still answer
+            self._resolve(state)
+            self.fail(state.query, reason)

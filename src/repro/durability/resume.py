@@ -85,6 +85,7 @@ class ReplaySUT(SutBase):
     ) -> None:
         super().__init__(f"replay[{inner.name}]")
         self.inner = inner
+        self.inners = (inner,)
         self._issued = dict(state.issued)
         self._completions = dict(state.completions)
         self._failures = dict(state.failures)
@@ -140,9 +141,6 @@ class ReplaySUT(SutBase):
         if self._m:
             self._m.recomputed.inc()
         self.inner.issue_query(query)
-
-    def flush(self) -> None:
-        self.inner.flush()
 
     @property
     def leftover(self) -> int:

@@ -20,7 +20,7 @@ from .chaos import (
     ChaosSchedule,
     ChaosWindow,
 )
-from .filtering import CompletionFilter, Screened, malformed_reason
+from .filtering import Attempt, AttemptSUT, malformed_reason
 from .plan import (
     TRANSIENT_FAULTS,
     FaultDecision,
@@ -34,6 +34,8 @@ from .sut import BrownoutSUT, DegradedSUT, FaultySUT, OutageSUT
 __all__ = [
     "CHAOS_KINDS",
     "TRANSIENT_FAULTS",
+    "Attempt",
+    "AttemptSUT",
     "BrownoutSUT",
     "BurstPlan",
     "BurstWindow",
@@ -42,7 +44,6 @@ __all__ = [
     "ChaosOrchestrator",
     "ChaosSchedule",
     "ChaosWindow",
-    "CompletionFilter",
     "DegradedSUT",
     "FaultDecision",
     "FaultInjector",
@@ -53,6 +54,5 @@ __all__ = [
     "ResilienceStats",
     "ResilientSUT",
     "RetryPolicy",
-    "Screened",
     "malformed_reason",
 ]

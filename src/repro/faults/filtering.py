@@ -1,27 +1,29 @@
-"""Response hygiene shared by every wrapper that re-issues work.
+"""The attempt engine: one machine for every wrapper that re-issues work.
 
-Both the retry wrapper (:class:`~repro.faults.resilient.ResilientSUT`)
-and the network client (:class:`~repro.network.client.NetworkSUT`) face
-the same problem: completions arrive from an unreliable source, so a
-completion may be a duplicate, a straggler that lost its deadline race,
-an answer to a query the wrapper never sent, or a malformed response
-set.  None of those may reach the referee - the wrapper either retries
-or reports a recorded failure.
+A wrapper that retries, hedges or reroutes hears from an unreliable
+source, so what comes back may be a duplicate, a straggler that lost its
+deadline race, an answer from an attempt the wrapper already gave up on,
+an answer to a query it never sent, a chunk out of sequence, or a
+malformed response set.  None of those may reach the referee (paper
+Fig. 3: every issued query completes exactly once) - the wrapper either
+tries again or reports a recorded failure.
 
-:class:`CompletionFilter` is that shared screen: an in-flight registry
-keyed by query id plus the classification logic.  Callers attach an
-opaque per-query state object at :meth:`~CompletionFilter.admit` time
-(retry counters, deadline timers, the connection a query went out on)
-and get it back from :meth:`~CompletionFilter.screen`.
+:class:`AttemptSUT` is that machine, written once: admit a query as an
+:class:`Attempt`, arm its one deadline, re-arm it on every clean chunk,
+screen each arrival, resolve.  ``ResilientSUT``, ``SelfHealingSUT``,
+``ReplicaSet`` and ``NetworkSUT`` subclass it and keep only policy - what
+happens next when an attempt is lost (back off and retry, hedge or fail
+over, reroute to another replica, resend on another connection).  The
+lifecycle is described in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, TypeVar
+from typing import Dict, Hashable, Optional, Tuple
 
+from ..core.events import EventHandle, EventLoop
 from ..core.query import Query, QueryFailure, StreamChunk
-
-S = TypeVar("S")
+from ..core.sut import Responder, SutBase
 
 
 def malformed_reason(query: Query, responses) -> Optional[str]:
@@ -46,133 +48,140 @@ def malformed_reason(query: Query, responses) -> Optional[str]:
     return None
 
 
-class Screened(NamedTuple):
-    """Outcome of screening one inner completion.
+class Attempt:
+    """One in-flight query, as the wrapper that admitted it sees it.
 
-    ``state`` is the object registered at admit time, or ``None`` when
-    the completion is stale (duplicate, straggler, or never admitted) and
-    must be swallowed.  ``flaw`` is set when the attempt resolved but its
-    payload cannot be used: a :class:`QueryFailure` from below, or a
-    malformed response set.
+    Wrappers subclass this for their own fields (the connection a query
+    went out on, whether it is a breaker probe).  Everything but the
+    query and its admission time is a class-level default, so admitting
+    a query costs one constructor frame.
     """
 
-    state: Optional[object]
-    flaw: Optional[str]
+    #: Attempts lost so far (the wrapper's policy counts them).
+    tries = 0
+    #: Who may still answer.  Arrivals from anyone else are absorbed; a
+    #: wrapper with one inner SUT leaves the single anonymous source.
+    sources: Tuple[Hashable, ...] = (None,)
+    #: The armed deadline, ``None`` while nothing is armed.
+    timer: Optional[EventHandle] = None
+    #: Where the live attempt's chunk stream has advanced to.
+    next_seq = 0
+    saw_last = False
 
-    @property
-    def stale(self) -> bool:
-        return self.state is None
-
-    @property
-    def usable(self) -> bool:
-        return self.state is not None and self.flaw is None
-
-
-class _StreamProgress:
-    """Where one in-flight query's chunk stream has advanced to."""
-
-    __slots__ = ("next_seq", "saw_last")
-
-    def __init__(self) -> None:
-        self.next_seq = 0
-        self.saw_last = False
+    def __init__(self, query: Query, started: float) -> None:
+        self.query = query
+        #: Run time of admission - the anchor of per-query budgets.
+        self.started = started
 
 
-class CompletionFilter:
-    """In-flight registry + duplicate/straggler/malformed screening."""
+class AttemptSUT(SutBase):
+    """Admit -> arm -> re-arm -> screen -> resolve, for subclasses to
+    steer through the hooks at the bottom of the class."""
 
-    def __init__(self) -> None:
-        self._inflight: Dict[int, object] = {}
-        #: Chunk-stream progress per in-flight query, kept in a side
-        #: table so non-streaming queries pay nothing.
-        self._streams: Dict[int, _StreamProgress] = {}
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        #: query id -> state, in admission order.  Subclasses admit with
+        #: a plain store and may iterate a snapshot of the values.
+        self._inflight: Dict[int, Attempt] = {}
 
-    def __len__(self) -> int:
-        return len(self._inflight)
+    def start_run(self, loop: EventLoop, responder: Responder) -> None:
+        super().start_run(loop, responder)
+        self._inflight = {}
 
-    def __contains__(self, query_id: int) -> bool:
-        return query_id in self._inflight
+    def _live(self, state: Attempt) -> bool:
+        """Still in flight?  The guard for timers that outlive a query."""
+        return self._inflight.get(state.query.id) is state
 
-    def admit(self, query: Query, state: S) -> S:
-        """Register ``query`` as in flight, carrying ``state``."""
-        self._inflight[query.id] = state
-        return state
+    def _arm(self, state: Attempt, timeout: float) -> None:
+        """(Re)start the one deadline: ``timeout`` seconds of silence."""
+        if state.timer is not None:
+            state.timer.cancel()
+        # A lambda, not functools.partial: RunAbortedError.origin names
+        # the callback and must not carry object addresses.
+        state.timer = self._loop.schedule_after(
+            timeout, lambda: self._fire(state))
 
-    def get(self, query_id: int) -> Optional[object]:
-        """The admitted state, or ``None`` if not in flight."""
-        return self._inflight.get(query_id)
+    def _fire(self, state: Attempt) -> None:
+        if self._live(state):
+            state.timer = None
+            self._expired(state)
 
-    def resolve(self, query_id: int) -> Optional[object]:
-        """Remove and return the state; later completions for this query
-        will screen as stale."""
-        self._streams.pop(query_id, None)
-        return self._inflight.pop(query_id, None)
+    def _restart(self, state: Attempt,
+                 sources: Tuple[Hashable, ...] = (None,)) -> None:
+        """A new attempt is about to be issued to ``sources``: its
+        stream starts over at seq 0, so the chunk progress of the
+        attempt it replaces is forgotten and stragglers screen out."""
+        state.sources = sources
+        state.next_seq = 0
+        state.saw_last = False
 
-    def restart_stream(self, query_id: int) -> None:
-        """Forget the query's chunk progress because the caller is about
-        to reissue it (retry, reroute, hedge).
+    def _resolve(self, state: Attempt) -> None:
+        """Out of the table; every later arrival for the query is stale."""
+        if state.timer is not None:
+            state.timer.cancel()
+        del self._inflight[state.query.id]
 
-        The next attempt's stream starts over at ``seq == 0``; without
-        this reset its chunks would collide with the dead attempt's
-        progress and either be double-counted or screened as flawed.
-        Stragglers from the old attempt instead screen as flawed chunks
-        and are silently dropped by the caller.
-        """
-        self._streams.pop(query_id, None)
+    def _receiver(self, source: Hashable = None) -> Responder:
+        """The responder to hand the inner SUT known as ``source``."""
+        return lambda query, arrival: self._deliver(source, query.id, arrival)
 
-    def states(self) -> List[object]:
-        """Snapshot of every in-flight state (admission order)."""
-        return list(self._inflight.values())
+    def _deliver(self, source: Hashable, query_id: int, arrival) -> None:
+        """Screen one arrival and route it to the hook it has earned."""
+        state = self._inflight.get(query_id)
+        chunk = isinstance(arrival, StreamChunk)
+        if state is None or source not in state.sources:
+            # Duplicate, unsolicited, post-resolution straggler, or an
+            # answer from an attempt the wrapper already moved on from.
+            self._absorbed(chunk)
+            return
+        if chunk:
+            if arrival.seq == 0 and state.next_seq > 0:
+                # A layer below reissued the query: a legitimate restart.
+                state.next_seq = 0
+                state.saw_last = False
+            if state.saw_last or arrival.seq != state.next_seq:
+                # Chunks are progress reports: one out of sequence says
+                # nothing about the live attempt, so it is dropped, never
+                # counted as a failed attempt.
+                self._absorbed(True)
+                return
+            state.next_seq += 1
+            if arrival.last:
+                state.saw_last = True
+            self._arm(state, self._advanced(state))
+            self._responder(state.query, arrival)
+        elif isinstance(arrival, QueryFailure):
+            self._flawed(state, source,
+                         f"attempt failed: {arrival.reason}", arrival)
+        else:
+            reason = malformed_reason(state.query, arrival)
+            if reason is None:
+                self._clean(state, source, arrival)
+            else:
+                self._flawed(state, source, reason, None)
 
-    def screen(self, query: Query, responses) -> Screened:
-        """Classify one completion arriving from the unreliable source.
+    # -- policy hooks -----------------------------------------------------------
 
-        Does *not* resolve the query - a flawed attempt stays in flight
-        so the caller can retry it; a clean one is resolved by the caller
-        once it has dealt with timers/stats.
-        """
-        state = self._inflight.get(query.id)
-        if state is None:
-            return Screened(state=None, flaw=None)
-        if isinstance(responses, QueryFailure):
-            return Screened(state=state, flaw=f"attempt failed: {responses.reason}")
-        return Screened(state=state, flaw=malformed_reason(query, responses))
+    def _advanced(self, state: Attempt) -> float:
+        """A clean chunk advanced the live attempt; return the seconds of
+        silence it has earned (the deadline meters inter-chunk gaps)."""
+        raise NotImplementedError
 
-    def screen_chunk(self, query: Query, chunk: StreamChunk) -> Screened:
-        """Classify one stream chunk arriving from the unreliable source.
+    def _expired(self, state: Attempt) -> None:
+        """The deadline fired on a live attempt (nothing is armed now)."""
+        raise NotImplementedError
 
-        A clean chunk (``flaw is None``) advances the query's stream
-        progress and should be forwarded upward; a flawed chunk
-        (out-of-sequence, duplicate, after the final chunk) must be
-        *dropped*, not treated as a failed attempt - chunks are
-        progress reports, and a straggler from a dead attempt says
-        nothing about the live one.  ``seq == 0`` after prior progress
-        is a legitimate stream restart (a lower layer reissued the
-        query) and resets progress.
-        """
-        state = self._inflight.get(query.id)
-        if state is None:
-            return Screened(state=None, flaw=None)
-        progress = self._streams.get(query.id)
-        if progress is None:
-            progress = self._streams[query.id] = _StreamProgress()
-        if chunk.seq == 0 and progress.next_seq > 0:
-            progress.next_seq = 0
-            progress.saw_last = False
-        if progress.saw_last:
-            return Screened(
-                state=state,
-                flaw=f"chunk seq {chunk.seq} after the final chunk",
-            )
-        if chunk.seq != progress.next_seq:
-            return Screened(
-                state=state,
-                flaw=(
-                    f"out-of-sequence chunk seq {chunk.seq} "
-                    f"(expected {progress.next_seq})"
-                ),
-            )
-        progress.next_seq += 1
-        if chunk.last:
-            progress.saw_last = True
-        return Screened(state=state, flaw=None)
+    def _flawed(self, state: Attempt, source: Hashable, reason: str,
+                failure: Optional[QueryFailure]) -> None:
+        """``source`` answered unusably: ``failure`` is the reported
+        :class:`QueryFailure`, or ``None`` for a malformed response set.
+        The query stays in flight and its deadline is left as it was."""
+        raise NotImplementedError
+
+    def _clean(self, state: Attempt, source: Hashable, responses) -> None:
+        """``source`` answered well; the hook resolves and completes."""
+        raise NotImplementedError
+
+    def _absorbed(self, chunk: bool) -> None:
+        """An arrival (a chunk, or a terminal outcome) was swallowed."""
+        raise NotImplementedError

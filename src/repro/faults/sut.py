@@ -48,6 +48,7 @@ class FaultySUT(SutBase):
     ) -> None:
         super().__init__(name or f"faulty[{inner.name}]")
         self.inner = inner
+        self.inners = (inner,)
         self.injector = (
             plan_or_injector
             if isinstance(plan_or_injector, FaultInjector)
@@ -190,6 +191,7 @@ class OutageSUT(SutBase):
             raise ValueError(
                 f"outage_duration must be >= 0, got {outage_duration}")
         self.inner = inner
+        self.inners = (inner,)
         self.outage_start = outage_start
         self.outage_duration = outage_duration
         #: Queries swallowed by the outage window.
@@ -209,9 +211,6 @@ class OutageSUT(SutBase):
             self.blackholed += 1
             return
         self.inner.issue_query(query)
-
-    def flush(self) -> None:
-        self.inner.flush()
 
     def _gate(self, query: Query, responses) -> None:
         # Completions are dropped during the window too: a down backend
@@ -251,6 +250,7 @@ class BrownoutSUT(SutBase):
             raise ValueError(
                 f"extra_latency must be positive, got {extra_latency}")
         self.inner = inner
+        self.inners = (inner,)
         self.brownout_start = brownout_start
         self.brownout_duration = brownout_duration
         self.extra_latency = extra_latency
@@ -268,9 +268,6 @@ class BrownoutSUT(SutBase):
 
     def issue_query(self, query: Query) -> None:
         self.inner.issue_query(query)
-
-    def flush(self) -> None:
-        self.inner.flush()
 
     def _gate(self, query: Query, responses) -> None:
         if self.in_brownout(self.loop.now):
@@ -316,6 +313,7 @@ class DegradedSUT(SutBase):
     ) -> None:
         super().__init__(name or f"degraded[{inner.name}]")
         self.inner = inner
+        self.inners = (inner,)
         self._factor = 1.0
         self._partitioned = False
         if factor != 1.0:
@@ -364,14 +362,6 @@ class DegradedSUT(SutBase):
     def issue_query(self, query: Query) -> None:
         self._issued_at[query.id] = self.loop.now
         self.inner.issue_query(query)
-
-    def flush(self) -> None:
-        self.inner.flush()
-
-    def close(self) -> None:
-        close = getattr(self.inner, "close", None)
-        if callable(close):
-            close()
 
     def _gate(self, query: Query, responses) -> None:
         terminal = not isinstance(responses, StreamChunk)

@@ -25,8 +25,9 @@ Failure handling is reroute-first:
   kill, zone outage, or ejection - *warms the survivor's prefix cache*
   with the rescued session's prefix before re-issuing the turn;
 * stragglers from superseded attempts are absorbed by the shared
-  :class:`~repro.faults.filtering.CompletionFilter` idiom, so the
-  referee sees exactly one terminal outcome per query.
+  attempt engine (:class:`~repro.faults.filtering.AttemptSUT`: only the
+  replica an attempt was dispatched to may answer it), so the referee
+  sees exactly one terminal outcome per query.
 
 Replicas live in **zones** (fault domains): ``zones=`` stripes or maps
 each factory index to a zone label, :meth:`ReplicaSet.kill_zone` /
@@ -68,16 +69,17 @@ rationale lives in ``docs/fleet.md``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.events import EventHandle, EventLoop
+from ..core.events import EventLoop
 from ..core.query import Query, StreamChunk
-from ..core.sut import Responder, SutBase, SystemUnderTest
+from ..core.sut import Responder, SystemUnderTest
 from ..durability.breaker import BreakerPolicy
-from ..faults.filtering import CompletionFilter
+from ..faults.filtering import Attempt, AttemptSUT
 from ..metrics import MetricsRegistry
 from .balancer import BalancerPolicy, make_policy
 from .replica import DEFAULT_LATENCY_WINDOW, Replica, ReplicaHealth
@@ -172,24 +174,17 @@ class _FleetInstruments:
             "Rescued session prefixes admitted into survivor caches")
 
 
-@dataclass
-class _Routed:
-    """Per-query in-flight state (current attempt only)."""
+class _Routed(Attempt):
+    """Per-query in-flight state.  ``sources`` is ``(index,)`` of the
+    replica holding the current attempt; ``tries`` counts the reroutes
+    charged to the query's own budget."""
 
-    query: Query
-    replica: int = -1
-    probe: bool = False
-    reroutes: int = 0
-    attempt_started: float = 0.0
-    deadline_timer: Optional[EventHandle] = None
-
-    def cancel_timer(self) -> None:
-        if self.deadline_timer is not None:
-            self.deadline_timer.cancel()
-            self.deadline_timer = None
+    sources = ()
+    probe = False
+    attempt_started = 0.0
 
 
-class ReplicaSet(SutBase):
+class ReplicaSet(AttemptSUT):
     """N replicas behind a pluggable, breaker-aware load balancer."""
 
     def __init__(
@@ -260,7 +255,6 @@ class ReplicaSet(SutBase):
         #: (empty when no factory was given).  Survives kills and
         #: drains: a revived replica keeps its warm cache.
         self.caches: Dict[int, SystemUnderTest] = {}
-        self._filter = CompletionFilter()
         #: Indices parked DOWN by a completed scale-down drain, in drain
         #: order - scale-up revives the most recently parked first.
         self._parked: List[int] = []
@@ -295,7 +289,6 @@ class ReplicaSet(SutBase):
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         super().start_run(loop, responder)
         self.stats = FleetStats()
-        self._filter = CompletionFilter()
         self.replicas = []
         self.caches = {}
         self._parked = []
@@ -319,24 +312,17 @@ class ReplicaSet(SutBase):
             latency_window=self.latency_window,
         )
         self.replicas.append(replica)
-        sut.start_run(
-            self.loop,
-            lambda query, responses, i=index: self._on_completion(
-                i, query, responses))
+        sut.start_run(self.loop, partial(self._from_replica, index))
         return replica
+
+    @property
+    def inners(self) -> List[SystemUnderTest]:
+        return [replica.sut for replica in self.replicas]
 
     def flush(self) -> None:
         for replica in self.replicas:
             if replica.health is not ReplicaHealth.DOWN:
                 replica.sut.flush()
-
-    def close(self) -> None:
-        """Release replica backends that own OS resources (worker pools,
-        sockets).  Safe to call before ``start_run`` and more than once."""
-        for replica in self.replicas:
-            close = getattr(replica.sut, "close", None)
-            if callable(close):
-                close()
 
     # -- fleet views ------------------------------------------------------------
 
@@ -361,7 +347,7 @@ class ReplicaSet(SutBase):
     # -- routing ----------------------------------------------------------------
 
     def issue_query(self, query: Query) -> None:
-        state = self._filter.admit(query, _Routed(query=query))
+        state = self._inflight[query.id] = _Routed(query, self._loop.now)
         if not self._dispatch(state, exclude=None):
             self._shed(state, "no replica available: every replica is "
                               "down, draining, or shedding load")
@@ -389,23 +375,20 @@ class ReplicaSet(SutBase):
                 self.stats.fallbacks += 1
                 if self._m:
                     self._m.fallbacks.inc()
-            state.replica = replica.index
             state.probe = verdict == "probe"
-            state.attempt_started = self.loop.now
+            state.attempt_started = self._loop.now
             replica.outstanding += 1
             replica.issued += 1
             self.stats.routed_queries += 1
             if self._m:
                 self._m.routed.labels(replica=replica.index).inc()
-            state.deadline_timer = self.loop.schedule_after(
-                self.attempt_timeout, lambda: self._deadline(state))
+            # Arm before issuing inward: the deadline's event must
+            # precede whatever the replica schedules for the same instant.
+            self._arm(state, self.attempt_timeout)
             if rescue:
                 self._warm_rescued_session(state.query, replica.index)
                 self.policy.notify_rescued(state.query, replica.index)
-            # A fresh attempt streams from seq 0; forget any chunk
-            # progress of the attempt this dispatch replaces so the
-            # restart screens clean without double-counting.
-            self._filter.restart_stream(state.query.id)
+            self._restart(state, (replica.index,))
             replica.sut.issue_query(state.query)
             return True
         return False
@@ -427,7 +410,7 @@ class ReplicaSet(SutBase):
             self._m.cache_warms.inc()
 
     def _shed(self, state: _Routed, reason: str) -> None:
-        self._filter.resolve(state.query.id)
+        self._resolve(state)
         self.stats.shed_queries += 1
         if self._m:
             self._m.shed.inc()
@@ -440,8 +423,8 @@ class ReplicaSet(SutBase):
                          reason: str) -> None:
         """After a lost attempt on replica ``exclude``: try elsewhere
         within the query's reroute budget, else fail it."""
-        if state.reroutes < self.max_reroutes:
-            state.reroutes += 1
+        if state.tries < self.max_reroutes:
+            state.tries += 1
             self.stats.reroutes += 1
             if self._m:
                 self._m.reroutes.inc()
@@ -449,13 +432,15 @@ class ReplicaSet(SutBase):
                 return
         self._shed(state, reason)
 
-    # -- timers -----------------------------------------------------------------
+    # -- attempt outcomes -------------------------------------------------------
 
-    def _deadline(self, state: _Routed) -> None:
-        if self._filter.get(state.query.id) is not state:
-            return  # resolved in the meantime
-        state.deadline_timer = None
-        index = state.replica
+    def _advanced(self, state: _Routed) -> float:
+        # Streaming progress re-arms the attempt deadline: the replica
+        # is alive, so the timeout meters inter-chunk gaps.
+        return self.attempt_timeout
+
+    def _expired(self, state: _Routed) -> None:
+        index, = state.sources
         replica = self.replicas[index]
         self._settle_attempt(replica, failed=True)
         replica.breaker.record_failure(probe=state.probe)
@@ -465,74 +450,42 @@ class ReplicaSet(SutBase):
             reason=(f"no response from replica {index} within "
                     f"{self.attempt_timeout:g}s"))
 
-    # -- completions ------------------------------------------------------------
-
-    def _on_chunk(self, source: int, query: Query,
-                  chunk: StreamChunk) -> None:
-        current = self._filter.get(query.id)
-        if current is None or current.replica != source:
-            # Chunk from a replica the query was rerouted away from (or
-            # for a resolved query): a straggler, dropped before it can
-            # touch the live attempt's stream progress.
-            self.stats.stragglers_absorbed += 1
-            if self._m:
-                self._m.stragglers.inc()
-            return
-        screened = self._filter.screen_chunk(query, chunk)
-        if screened.stale or screened.flaw is not None:
-            self.stats.stragglers_absorbed += 1
-            if self._m:
-                self._m.stragglers.inc()
-            return
-        state: _Routed = screened.state
-        # Streaming progress re-arms the attempt deadline: the replica
-        # is alive, so the timeout meters inter-chunk gaps.
-        if state.deadline_timer is not None:
-            state.deadline_timer.cancel()
-        state.deadline_timer = self.loop.schedule_after(
-            self.attempt_timeout, lambda: self._deadline(state))
-        self._responder(query, chunk)
-
-    def _on_completion(self, source: int, query: Query, responses) -> None:
+    def _from_replica(self, index: int, query: Query, arrival) -> None:
         if query.id in self._probes:
-            if isinstance(responses, StreamChunk):
-                return  # probes wait for their terminal outcome
-            self._probes.pop(query.id)(query, responses)
+            if not isinstance(arrival, StreamChunk):
+                # Probes wait for their terminal outcome.
+                self._probes.pop(query.id)(query, arrival)
             return
-        if isinstance(responses, StreamChunk):
-            self._on_chunk(source, query, responses)
-            return
-        screened = self._filter.screen(query, responses)
-        if screened.stale or screened.state.replica != source:
-            # Duplicate, post-resolution straggler, or an answer from a
-            # replica the query was already rerouted away from (its
-            # books were settled at reroute time).  Absorbed: the
-            # referee sees one terminal outcome per query.
-            self.stats.stragglers_absorbed += 1
-            if self._m:
-                self._m.stragglers.inc()
-            return
-        state: _Routed = screened.state
+        self._deliver(index, query.id, arrival)
+
+    def _absorbed(self, chunk: bool) -> None:
+        # Duplicate, post-resolution straggler, or an arrival from a
+        # replica the query was already rerouted away from (its books
+        # were settled at reroute time).
+        self.stats.stragglers_absorbed += 1
+        if self._m:
+            self._m.stragglers.inc()
+
+    def _flawed(self, state: _Routed, source: int, reason: str,
+                failure) -> None:
         replica = self.replicas[source]
-        if screened.flaw is not None:
-            state.cancel_timer()
-            self._settle_attempt(replica, failed=True)
-            replica.breaker.record_failure(probe=state.probe)
-            self.stats.flawed_attempts += 1
-            self._reroute_or_fail(state, exclude=source,
-                                  reason=screened.flaw)
-            return
-        state.cancel_timer()
-        self._filter.resolve(query.id)
+        self._settle_attempt(replica, failed=True)
+        replica.breaker.record_failure(probe=state.probe)
+        self.stats.flawed_attempts += 1
+        self._reroute_or_fail(state, exclude=source, reason=reason)
+
+    def _clean(self, state: _Routed, source: int, responses) -> None:
+        self._resolve(state)
+        replica = self.replicas[source]
         self._settle_attempt(replica, failed=False)
         replica.breaker.record_success(probe=state.probe)
-        replica.observe_latency(self.loop.now - state.attempt_started)
+        replica.observe_latency(self._loop.now - state.attempt_started)
         # Close the routing feedback loop: the policy learns which
         # replica *actually* served the query - through breaker
         # rejections, reroutes, and kill rescues - so its state (e.g.
         # session pins) tracks where the prefix really landed.
-        self.policy.notify_served(query, source)
-        self.complete(query, responses)
+        self.policy.notify_served(state.query, source)
+        self.complete(state.query, responses)
 
     def _settle_attempt(self, replica: Replica, *, failed: bool) -> None:
         replica.outstanding -= 1
@@ -551,10 +504,9 @@ class ReplicaSet(SutBase):
         fault).  Returns the number of rescued queries."""
         replica = self.replicas[index]
         rescued = 0
-        for state in list(self._filter.states()):
-            if state.replica != index:
+        for state in list(self._inflight.values()):
+            if state.sources != (index,):
                 continue
-            state.cancel_timer()
             replica.outstanding -= 1
             self.stats.reroutes += 1
             if self._m:

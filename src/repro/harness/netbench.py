@@ -229,16 +229,13 @@ def run_over_replicated_localhost(
     from ..fleet import ReplicaSet
 
     servers: list = []
-    clients: list = []
 
     def replica_factory(index: int) -> SystemUnderTest:
         server = InferenceServer(backend_factory(), server_config,
                                  registry=None)
         host, port = server.start()
         servers.append(server)
-        client = NetworkSUT((host, port), query_timeout=query_timeout)
-        clients.append(client)
-        return client
+        return NetworkSUT((host, port), query_timeout=query_timeout)
 
     fleet = ReplicaSet(
         replica_factory,
@@ -255,8 +252,6 @@ def run_over_replicated_localhost(
         return NetworkRunResult(result=result)
     finally:
         fleet.close()
-        for client in clients:
-            client.close()
         for server in servers:
             server.stop()
 

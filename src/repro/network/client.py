@@ -9,9 +9,9 @@ unchanged; everything network-specific stays inside this adapter:
 * a small **connection pool**, queries issued round-robin across it;
 * **per-attempt deadlines** and bounded retries, re-sending under the
   *same* query id so a straggling first answer and a retried second one
-  are de-duplicated by the shared
-  :class:`~repro.faults.filtering.CompletionFilter` - the exact hygiene
-  logic the in-process retry wrapper uses;
+  are de-duplicated by the shared attempt engine
+  (:class:`~repro.faults.filtering.AttemptSUT`) - the exact machine the
+  in-process retry wrapper runs;
 * **reconnect with backoff** when a connection drops, with the in-flight
   queries on it retried over surviving connections or reported through
   the failed-query machinery (never a hang);
@@ -32,14 +32,14 @@ import itertools
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..core.events import EventHandle, EventLoop
-from ..core.query import Query, QuerySampleResponse, StreamChunk
-from ..core.sut import Responder, SutBase
+from ..core.events import EventLoop
+from ..core.query import Query, QueryFailure, QuerySampleResponse
+from ..core.sut import Responder
 from ..core.trace import TransportTiming
-from ..faults.filtering import CompletionFilter, malformed_reason
+from ..faults.filtering import Attempt, AttemptSUT
 from . import protocol
 from .protocol import FrameReader, FrameType, ProtocolError
 
@@ -126,18 +126,17 @@ class _Connection:
             pass
 
 
-@dataclass
-class _Pending:
-    """Loop-thread state for one in-flight query."""
+class _Pending(Attempt):
+    """Loop-thread state for one in-flight query: ``started`` is its
+    first send, ``tries`` the resends so far."""
 
-    query: Query
-    connection: _Connection
-    send_time: float
-    attempt: int = 0
-    timer: Optional[EventHandle] = None
+    #: The pooled connection the current attempt went out on.
+    connection: Optional[_Connection] = None
+    #: (server_recv, server_send, recv_time) of its latest COMPLETE frame.
+    wire: Tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
-class NetworkSUT(SutBase):
+class NetworkSUT(AttemptSUT):
     """Drive a remote :class:`~repro.network.server.InferenceServer`.
 
     ``address`` is ``(host, port)`` or ``"host:port"``.  The pool is
@@ -175,10 +174,8 @@ class NetworkSUT(SutBase):
         self.transport_records: Dict[int, TransportTiming] = {}
         #: The server's final STATS payload, captured by :meth:`close`.
         self.server_stats: Optional[Dict[str, object]] = None
-        self._filter = CompletionFilter()
         self._pool: List[_Connection] = []
         self._rr = 0
-        self._closed = False
         self._stats_event = threading.Event()
         self._hello: Optional[Dict[str, object]] = None
 
@@ -194,8 +191,6 @@ class NetworkSUT(SutBase):
         super().start_run(loop, responder)
         self.stats = NetworkStats()
         self.transport_records = {}
-        self._filter = CompletionFilter()
-        self._closed = False
         self._pool = [self._connect() for _ in range(self.pool_size)]
         for conn in self._pool:
             self._start_reader(conn)
@@ -237,29 +232,20 @@ class NetworkSUT(SutBase):
             self.stats.gave_up_queries += 1
             self.fail(query, "no live connection to server")
             return
-        state = self._filter.admit(
-            query,
-            _Pending(query=query, connection=conn, send_time=self.loop.now),
-        )
+        state = self._inflight[query.id] = _Pending(query, self._loop.now)
+        state.connection = conn
         self._send_attempt(state)
-
-    def flush(self) -> None:
-        """Nothing is client-buffered; frames go out as queries arrive."""
 
     # -- issue path (loop thread) -----------------------------------------------
 
     def _send_attempt(self, state: _Pending) -> None:
-        state.timer = self.loop.schedule_after(
-            self.query_timeout, lambda: self._deadline(state)
-        )
+        self._arm(state, self.query_timeout)
         self.stats.queries_sent += 1
         if not self._send(state.connection, protocol.issue_frame(state.query)):
             # The write itself failed: this connection is gone.
             self._connection_lost(state.connection)
 
-    def _deadline(self, state: _Pending) -> None:
-        if self._filter.get(state.query.id) is not state:
-            return
+    def _expired(self, state: _Pending) -> None:
         self._attempt_lost(
             state,
             f"no response within {self.query_timeout}s deadline",
@@ -267,27 +253,19 @@ class NetworkSUT(SutBase):
 
     def _attempt_lost(self, state: _Pending, reason: str) -> None:
         """This attempt is dead; retry on a live connection or give up."""
-        qid = state.query.id
-        if self._filter.get(qid) is not state:
-            return
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
         conn = self._pick_connection()
-        if state.attempt + 1 < self.max_attempts and conn is not None:
-            state.attempt += 1
+        if state.tries + 1 < self.max_attempts and conn is not None:
+            state.tries += 1
             state.connection = conn
             self.stats.retries += 1
-            # The retried attempt streams from seq 0; forget the dead
-            # attempt's chunk progress so its restart screens clean.
-            self._filter.restart_stream(qid)
+            self._restart(state)
             self._send_attempt(state)
             return
-        self._filter.resolve(qid)
+        self._resolve(state)
         self.stats.gave_up_queries += 1
         self.fail(
             state.query,
-            f"{reason} (after {state.attempt + 1} attempt(s))",
+            f"{reason} (after {state.tries + 1} attempt(s))",
         )
 
     def _pick_connection(self) -> Optional[_Connection]:
@@ -313,62 +291,50 @@ class NetworkSUT(SutBase):
         server_send: float,
         recv_time: float,
     ) -> None:
-        state = self._filter.get(query_id)
-        if state is None:
-            # Duplicate or post-resolution straggler (e.g. the first
-            # attempt answering after a retry already completed).
+        state = self._inflight.get(query_id)
+        if state is not None:
+            state.wire = (server_recv, server_send, recv_time)
+        self._deliver(None, query_id, responses)
+
+    def _absorbed(self, chunk: bool) -> None:
+        # Stale, duplicate or out-of-sequence CHUNK frames are dropped,
+        # never retried: the terminal COMPLETE still carries the
+        # authoritative answer.  A stale terminal frame is typically the
+        # first attempt answering after a retry already completed.
+        if chunk:
+            self.stats.filtered_chunks += 1
+        else:
             self.stats.filtered_completions += 1
-            return
-        flaw = malformed_reason(state.query, responses)
-        if flaw is not None:
+
+    def _advanced(self, state: _Pending) -> float:
+        # A clean chunk is progress, so it re-arms the per-attempt
+        # deadline - a server mid-stream is not a server that timed out.
+        self.stats.chunks_received += 1
+        return self.query_timeout
+
+    def _flawed(self, state: _Pending, source, reason: str,
+                failure: Optional[QueryFailure]) -> None:
+        if failure is not None:
+            self.stats.server_failures += 1
+            reason = f"server failed the query: {failure.reason}"
+        else:
             self.stats.malformed_completions += 1
-            self._attempt_lost(state, f"malformed completion: {flaw}")
-            return
-        if state.timer is not None:
-            state.timer.cancel()
-        self._filter.resolve(query_id)
-        if state.attempt > 0:
+            reason = f"malformed completion: {reason}"
+        self._attempt_lost(state, reason)
+
+    def _clean(self, state: _Pending, source,
+               responses: List[QuerySampleResponse]) -> None:
+        self._resolve(state)
+        if state.tries > 0:
             self.stats.recovered_queries += 1
-        self.transport_records[query_id] = TransportTiming(
-            send_time=state.send_time,
+        server_recv, server_send, recv_time = state.wire
+        self.transport_records[state.query.id] = TransportTiming(
+            send_time=state.started,
             recv_time=recv_time,
             server_recv=server_recv,
             server_send=server_send,
         )
         self.complete(state.query, responses)
-
-    def _on_chunk(self, chunk: StreamChunk) -> None:
-        """Loop thread: screen one CHUNK frame and forward it upward.
-
-        A clean chunk is progress, so it re-arms the per-attempt
-        deadline - a server mid-stream is not a server that timed out.
-        Flawed chunks (stragglers from a superseded attempt, duplicates,
-        out-of-sequence arrivals) are dropped, never retried: the
-        terminal COMPLETE still carries the authoritative answer.
-        """
-        state = self._filter.get(chunk.query_id)
-        if state is None:
-            self.stats.filtered_chunks += 1
-            return
-        screened = self._filter.screen_chunk(state.query, chunk)
-        if screened.stale or screened.flaw is not None:
-            self.stats.filtered_chunks += 1
-            return
-        if state.timer is not None:
-            state.timer.cancel()
-        state.timer = self.loop.schedule_after(
-            self.query_timeout, lambda: self._deadline(state)
-        )
-        self.stats.chunks_received += 1
-        self.emit_chunk(state.query, chunk)
-
-    def _on_fail(self, query_id: int, reason: str) -> None:
-        state = self._filter.get(query_id)
-        if state is None:
-            self.stats.filtered_completions += 1
-            return
-        self.stats.server_failures += 1
-        self._attempt_lost(state, f"server failed the query: {reason}")
 
     def _connection_lost(self, conn: _Connection) -> None:
         """Runs on the loop thread once ``conn`` is known dead."""
@@ -380,8 +346,8 @@ class NetworkSUT(SutBase):
         self.stats.connections_lost += 1
         # Every in-flight query that went out on this connection lost its
         # attempt; retry elsewhere or surface a recorded failure.
-        for state in list(self._filter.states()):
-            if state.connection is conn:
+        for state in list(self._inflight.values()):
+            if state.connection is conn and self._live(state):
                 self._attempt_lost(state, "connection to server lost")
         if not self._closed:
             threading.Thread(
@@ -484,10 +450,12 @@ class NetworkSUT(SutBase):
             )
         elif ftype is FrameType.CHUNK:
             chunk = protocol.parse_chunk(payload)
-            self.loop.post(lambda: self._on_chunk(chunk))
+            self.loop.post(
+                lambda: self._deliver(None, chunk.query_id, chunk))
         elif ftype is FrameType.FAIL:
             query_id, reason = protocol.parse_fail(payload)
-            self.loop.post(lambda: self._on_fail(query_id, reason))
+            self.loop.post(lambda: self._deliver(
+                None, query_id, QueryFailure(reason)))
         elif ftype is FrameType.STATS:
             # Replies to LOAD and DRAIN; handled off-loop because close()
             # waits for the drain reply after the loop has finished.

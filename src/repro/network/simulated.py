@@ -146,6 +146,7 @@ class SimulatedChannelSUT(SutBase):
     ) -> None:
         super().__init__(name or f"channel[{inner.name}]")
         self.inner = inner
+        self.inners = (inner,)
         self.model = model if model is not None else ChannelModel()
         #: Restore chunk order client-side (what a real streaming client
         #: does).  Disable to let the referee see the raw reordered

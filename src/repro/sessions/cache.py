@@ -187,6 +187,7 @@ class PrefixCacheSUT(SutBase):
         if miss_latency_per_token < 0 or hit_latency_per_token < 0:
             raise ValueError("per-token latencies must be >= 0")
         self.inner = inner
+        self.inners = (inner,)
         self.model = _LruModel(capacity_tokens)
         self.miss_latency_per_token = miss_latency_per_token
         self.hit_latency_per_token = hit_latency_per_token
@@ -285,12 +286,6 @@ class PrefixCacheSUT(SutBase):
             self._flush_after_drain = True
         else:
             self.inner.flush()
-
-    def close(self) -> None:
-        """Release the inner backend if it owns OS resources."""
-        close = getattr(self.inner, "close", None)
-        if callable(close):
-            close()
 
     def _issue_inner(self, query: Query) -> None:
         self._pending_issues -= 1

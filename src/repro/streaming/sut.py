@@ -12,7 +12,8 @@ streaming wrappers nest.
 Because chunks ride the normal responder channel, everything downstream
 (retry wrappers, the TCP server, the fleet) needs no special casing to
 *tolerate* streams; they only need extra code to *forward* them, which
-is exactly what ``CompletionFilter.screen_chunk`` provides.
+is exactly what the attempt engine's chunk screen
+(``repro.faults.filtering.AttemptSUT``) provides.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ class StreamingSUT(SutBase):
     ) -> None:
         super().__init__(name or f"streaming({inner.name})")
         self.inner = inner
+        self.inners = (inner,)
         self.model = model if model is not None else StreamModel()
         #: Streams currently being replayed (query id -> query).
         self._active = {}
@@ -78,9 +80,6 @@ class StreamingSUT(SutBase):
 
     def issue_query(self, query: Query) -> None:
         self.inner.issue_query(query)
-
-    def flush(self) -> None:
-        self.inner.flush()
 
     # -- inner completions become streams --------------------------------------
 

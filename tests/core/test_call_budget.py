@@ -4,18 +4,38 @@ Python + C function calls per query (plain Server run) and per streamed
 chunk, counted by ``cProfile`` whose timings are ignored.  For a given
 seed the counts repeat exactly, so the ceilings sit ~10% above what the
 code does today and a change that adds a frame per event trips them.
-Re-baselining is described in CONTRIBUTING.md.
+The wrappers that run the attempt engine are gated on what they *add*
+over the bare run.  Re-baselining is described in CONTRIBUTING.md.
 """
 
 import cProfile
 
+import pytest
+
 from repro.core import Scenario, TestSettings, run_benchmark
+from repro.durability import SelfHealingSUT
+from repro.faults import ResilientSUT
+from repro.fleet import ReplicaSet
 from repro.streaming import StreamModel, StreamingSUT
 from repro.sut.echo import EchoSUT
+
+from tests.conftest import EchoQSL
 
 #: Measured 74.91 calls/query and 18.43 calls/chunk (python 3.11.7).
 PLAIN_CALLS_PER_QUERY = 82.5
 STREAM_CALLS_PER_CHUNK = 20.3
+
+#: wrapper -> (build it over a backend factory, ceiling on calls/query
+#: added over the bare echo, ceiling on calls/chunk added over the bare
+#: streamed echo).  Measured 26.77 / 30.16 / 43.24 calls/query and
+#: 13.46 / 12.66 / 13.32 calls/chunk (python 3.11.7).
+WRAPPER_BUDGETS = {
+    "resilient": (lambda backend: ResilientSUT(backend()), 29.5, 14.8),
+    "healing": (lambda backend: SelfHealingSUT(backend()), 33.2, 13.9),
+    "fleet-of-2": (
+        lambda backend: ReplicaSet(lambda index: backend(),
+                                   initial_replicas=2), 47.6, 14.7),
+}
 
 QUERIES = 500
 
@@ -38,19 +58,49 @@ def profiled_run(sut, qsl):
     return sum(entry.callcount for entry in profile.getstats()), result.log
 
 
+def plain_echo():
+    return EchoSUT(latency=0.5e-3)
+
+
+def streamed_echo():
+    model = StreamModel(first_token_delay=1e-3, inter_token_delay=1e-4, seed=0)
+    return StreamingSUT(plain_echo(), model=model)
+
+
 def test_plain_server_run_stays_inside_its_call_budget(echo_qsl):
-    calls, log = profiled_run(EchoSUT(latency=0.5e-3), echo_qsl)
+    calls, log = profiled_run(plain_echo(), echo_qsl)
     per_query = calls / log.query_count
     print(f"plain: {per_query:.2f} calls/query")
     assert per_query <= PLAIN_CALLS_PER_QUERY
 
 
 def test_streamed_server_run_stays_inside_its_call_budget(echo_qsl):
-    model = StreamModel(first_token_delay=1e-3, inter_token_delay=1e-4, seed=0)
-    calls, log = profiled_run(
-        StreamingSUT(EchoSUT(latency=0.5e-3), model=model), echo_qsl)
+    calls, log = profiled_run(streamed_echo(), echo_qsl)
     per_chunk = calls / log.stream_chunks
     print(f"streamed: {per_chunk:.2f} calls/chunk, "
           f"{log.stream_chunks / log.query_count:.1f} chunks/query")
     assert log.stream_chunks > 15 * QUERIES
     assert per_chunk <= STREAM_CALLS_PER_CHUNK
+
+
+@pytest.fixture(scope="module")
+def bare_runs():
+    """(calls, log) of the unwrapped plain and streamed runs."""
+    return (profiled_run(plain_echo(), EchoQSL()),
+            profiled_run(streamed_echo(), EchoQSL()))
+
+
+@pytest.mark.parametrize("wrapper", sorted(WRAPPER_BUDGETS))
+def test_wrapper_stays_inside_its_added_call_budget(
+        wrapper, bare_runs, echo_qsl):
+    wrap, per_query_ceiling, per_chunk_ceiling = WRAPPER_BUDGETS[wrapper]
+    (plain_calls, plain_log), (stream_calls, stream_log) = bare_runs
+    wrapped, _ = profiled_run(wrap(plain_echo), echo_qsl)
+    per_query = (wrapped - plain_calls) / plain_log.query_count
+    wrapped, wrapped_log = profiled_run(wrap(streamed_echo), echo_qsl)
+    assert wrapped_log.stream_chunks == stream_log.stream_chunks
+    per_chunk = (wrapped - stream_calls) / stream_log.stream_chunks
+    print(f"{wrapper}: +{per_query:.2f} calls/query, "
+          f"+{per_chunk:.2f} calls/chunk")
+    assert per_query <= per_query_ceiling
+    assert per_chunk <= per_chunk_ceiling

@@ -1,9 +1,9 @@
-"""CompletionFilter: the shared duplicate/straggler/malformed screen."""
+"""``malformed_reason``: the wrapper-side twin of the referee's response
+set checks.  The attempt engine that calls it is covered by
+``test_attempts.py``."""
 
-import pytest
-
-from repro.core.query import Query, QueryFailure, QuerySample, QuerySampleResponse
-from repro.faults.filtering import CompletionFilter, Screened, malformed_reason
+from repro.core.query import Query, QuerySample, QuerySampleResponse
+from repro.faults.filtering import malformed_reason
 
 
 def make_query(qid=1, sample_ids=(1, 2)):
@@ -35,69 +35,3 @@ class TestMalformedReason:
         query = make_query()
         reordered = list(reversed(responses_for(query)))
         assert malformed_reason(query, reordered) is None
-
-
-class TestCompletionFilter:
-    def test_admit_get_resolve_lifecycle(self):
-        filt = CompletionFilter()
-        query = make_query()
-        state = filt.admit(query, {"attempt": 0})
-        assert filt.get(query.id) is state
-        assert query.id in filt
-        assert len(filt) == 1
-        assert filt.resolve(query.id) is state
-        assert filt.get(query.id) is None
-        assert len(filt) == 0
-
-    def test_states_preserve_admission_order(self):
-        filt = CompletionFilter()
-        states = [filt.admit(make_query(qid=i), f"s{i}") for i in range(5)]
-        assert filt.states() == states
-
-    def test_screen_unknown_query_is_stale(self):
-        filt = CompletionFilter()
-        query = make_query()
-        screened = filt.screen(query, responses_for(query))
-        assert screened.stale
-        assert not screened.usable
-
-    def test_screen_after_resolve_is_stale(self):
-        """A duplicate completion - the whole point of the filter."""
-        filt = CompletionFilter()
-        query = make_query()
-        filt.admit(query, "state")
-        filt.resolve(query.id)
-        assert filt.screen(query, responses_for(query)).stale
-
-    def test_screen_clean_completion_is_usable(self):
-        filt = CompletionFilter()
-        query = make_query()
-        state = filt.admit(query, "state")
-        screened = filt.screen(query, responses_for(query))
-        assert screened.usable
-        assert screened.state is state
-        assert screened.flaw is None
-        # Screening must not resolve: the caller does that.
-        assert filt.get(query.id) is state
-
-    def test_screen_failure_carries_flaw(self):
-        filt = CompletionFilter()
-        query = make_query()
-        filt.admit(query, "state")
-        screened = filt.screen(query, QueryFailure("backend died"))
-        assert not screened.stale
-        assert not screened.usable
-        assert "backend died" in screened.flaw
-
-    def test_screen_malformed_carries_flaw(self):
-        filt = CompletionFilter()
-        query = make_query()
-        filt.admit(query, "state")
-        screened = filt.screen(query, responses_for(query)[:1])
-        assert not screened.usable
-        assert "expected 2 responses" in screened.flaw
-
-    def test_screened_namedtuple_semantics(self):
-        assert Screened(state=None, flaw=None).stale
-        assert Screened(state="s", flaw=None).usable
-        assert not Screened(state="s", flaw="bad").usable

@@ -19,7 +19,7 @@ Server run in milliseconds of wall time.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Scenario, TestSettings
@@ -70,7 +70,12 @@ def brownout_run(n, degraded, factor, fraction, seed):
         valves[index] = valve
         return valve
 
-    fleet = ReplicaSet(factory, initial_replicas=n, seed=seed)
+    # The latency window is count-based: at ~133 q/s per replica the
+    # default 128 samples would still hold pre-restore (gray) latencies
+    # ~1 s after RESTORE_AT, and a healthy replica could be ejected on
+    # the run's last tick with no time left for its probation.
+    fleet = ReplicaSet(factory, initial_replicas=n, seed=seed,
+                       latency_window=32)
     policy = OutlierPolicy(
         period=0.010, min_observations=8, ejection_duration=0.050,
         probe_timeout=0.008, max_ejection_fraction=fraction)
@@ -111,6 +116,7 @@ def max_simultaneous_quarantine(trace):
     fraction=st.sampled_from([0.2, 0.34, 0.5]),
     seed=st.integers(min_value=0, max_value=2**16),
 )
+@example(n=3, mask=3, factor=6.0, fraction=0.34, seed=0)
 @settings(max_examples=12, deadline=None)
 def test_ejections_stay_bounded_and_the_fleet_recovers(
         n, mask, factor, fraction, seed):

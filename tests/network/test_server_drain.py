@@ -129,7 +129,7 @@ class TestFilterComposition:
         """Satellite coverage for the faults x network x parallel stack:
         a fault layer duplicates completions and fabricates unsolicited
         ones *between* the LoadGen and a NetworkSUT backed by a parallel
-        InferenceServer.  The ResilientSUT's CompletionFilter must
+        InferenceServer.  The ResilientSUT's arrival screen must
         absorb every duplicate and phantom so the referee still reaches
         a VALID verdict."""
         backend = parallel_echo_backend(workers=2, compute_time=0.001)

@@ -1,5 +1,5 @@
-"""Chunk hygiene behind ``InferenceServer``: the client's
-``CompletionFilter`` over real sockets.
+"""Chunk hygiene behind ``InferenceServer``: the client's chunk screen
+(the attempt engine) over real sockets.
 
 The satellite case from the ISSUE: duplicate and out-of-order chunk
 delivery from a misbehaving streaming backend must be absorbed by
