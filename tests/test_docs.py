@@ -174,3 +174,48 @@ def test_readme_test_count_is_not_stale():
     assert match, "README no longer states the test-suite size"
     claimed = int(match.group(1).replace(",", ""))
     assert claimed >= 650, "the claim regressed below the historic floor"
+
+
+#: The pages that show CLI invocations to copy.
+CLI_DOC_FILES = [d for d in DOC_FILES
+                 if d.name not in ("EXPERIMENTS.md", "ROADMAP.md")]
+
+_CLI_LINE_RE = re.compile(r"^(?:\$ )?(?:python -m repro\.cli|repro) (\S.*)$")
+
+
+def cli_command_lines(path):
+    """Argument strings of every ``python -m repro.cli ...`` /
+    ``repro ...`` command line in ``path``: backslash continuations
+    joined, trailing ``# comment`` dropped."""
+    commands = []
+    lines = iter(path.read_text().splitlines())
+    for line in lines:
+        match = _CLI_LINE_RE.match(line.strip())
+        if not match:
+            continue
+        command = match.group(1)
+        while command.endswith("\\"):
+            command = command[:-1] + " " + next(lines).strip()
+        commands.append(command.split(" #")[0].strip())
+    return commands
+
+
+def test_documented_cli_commands_parse():
+    """Every command line the docs show must parse under the real
+    parser, so a dropped or renamed flag fails here and not in a
+    reader's terminal."""
+    import shlex
+
+    from repro.cli import _build_parser
+
+    parser = _build_parser()
+    commands = [(doc.name, command) for doc in CLI_DOC_FILES
+                for command in cli_command_lines(doc)]
+    assert len(commands) >= 31, "the docs lost their CLI examples"
+    rejected = []
+    for name, command in commands:
+        try:
+            parser.parse_args(shlex.split(command))
+        except SystemExit:
+            rejected.append(f"{name}: repro {command}")
+    assert not rejected, f"documented commands the CLI rejects: {rejected}"
