@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro.cli <command>``.
 
-Six commands cover the everyday workflows:
+Seven commands cover the everyday workflows:
 
 * ``tables``  - print the paper's normative tables (I-V) from the code.
 * ``run``     - measure one (task, scenario) on a parameterized
@@ -138,7 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="stream model delay to the first token")
     stream.add_argument("--inter-token-ms", type=float, default=0.5,
                         help="stream model delay between later tokens")
-    stream.add_argument("--seed", type=int, default=0)
+    stream.add_argument("--seed", type=int, default=0,
+                        help="seeds the traffic and every seeded layer of "
+                             "the stack; the tuned device search (--sut "
+                             "device without --stream) takes its settings, "
+                             "seed included, from harness.tuning")
     session = run.add_argument_group("session workload (--workload session)")
     session.add_argument("--sessions", type=int, default=64,
                          help="conversations to replay")
@@ -366,6 +370,12 @@ def _cmd_tables(args) -> int:
     return 0
 
 
+def _usage(message: str) -> int:
+    """Report a flag combination the parser cannot rule out; exit code 2."""
+    print(message, file=sys.stderr)
+    return 2
+
+
 def _stream_targets(args) -> dict:
     """``TestSettings`` overrides for the token-level SLO targets."""
     targets = {}
@@ -376,37 +386,50 @@ def _stream_targets(args) -> dict:
     return targets
 
 
-def _cmd_run_stream(args) -> int:
-    """``run --stream`` with the in-process device SUT: one direct
-    measured run of the streaming path on the virtual clock."""
+# -- flags -> settings + StackSpec (shared by run and sweep) ----------------
+
+def _session_settings(args, rate: float, **overrides):
+    """The session workload's settings; ``rate`` is sessions/s."""
     from .core.config import TestSettings
-    from .core.loadgen import run_benchmark
-    from .harness.netbench import SyntheticQSL
-    from .streaming import StreamModel, StreamingSUT
+
+    return TestSettings(
+        scenario=Scenario.SESSION,
+        server_target_qps=rate,
+        session_count=args.sessions,
+        session_turns_min=args.turns_min,
+        session_turns_max=args.turns_max,
+        session_think_time_mean=args.think_time_s,
+        min_duration=0.0,
+        seed=args.seed,
+        **overrides,
+    )
+
+
+def _fleet_spec(args, horizon: float, **fleet_options):
+    """``--replicas/--zones/--balancer/--chaos*`` as a ``FleetSpec``
+    (``None`` without ``--replicas``).  ``horizon`` is a rough run
+    length: all the chaos schedule needs, its windows are placed inside
+    the first 60% of it."""
+    from .faults import ChaosSchedule
+    from .harness.stack import FleetSpec
+
+    if args.replicas <= 0:
+        return None
+    chaos = None
+    if args.chaos:
+        chaos = ChaosSchedule.generate(
+            args.seed, duration=horizon, replicas=args.replicas,
+            zones=args.zones, events=args.chaos_events)
+    return FleetSpec(replicas=args.replicas, zones=args.zones,
+                     balancer=args.balancer, chaos=chaos, **fleet_options)
+
+
+def _device_backend(args):
+    """The ``--peak-gops ...`` device flags as a ``DeviceBackend``."""
+    from .harness.stack import DeviceBackend
     from .sut.device import DeviceModel, ProcessorType
     from .sut.fleet import task_workload
-    from .sut.simulated import SimulatedSUT
 
-    if args.task is None:
-        print("--stream with --sut device requires --task", file=sys.stderr)
-        return 2
-    scenario = _SCENARIOS[args.scenario]
-    task = _TASKS[args.task]
-    common = dict(
-        scenario=scenario, task=task,
-        min_duration=0.0, watchdog_timeout=300.0, seed=args.seed,
-        **_stream_targets(args),
-    )
-    if scenario is Scenario.SERVER:
-        settings = TestSettings(
-            server_target_qps=args.target_qps,
-            server_latency_bound=args.latency_bound_ms * 1e-3,
-            min_query_count=args.queries, **common)
-    elif scenario is Scenario.OFFLINE:
-        settings = TestSettings(
-            offline_sample_count=args.samples, min_query_count=1, **common)
-    else:
-        settings = TestSettings(min_query_count=args.queries, **common)
     device = DeviceModel(
         name="cli-device", processor=ProcessorType.GPU,
         peak_gops=args.peak_gops, base_utilization=args.base_utilization,
@@ -414,20 +437,8 @@ def _cmd_run_stream(args) -> int:
         overhead=args.overhead_ms * 1e-3, max_batch=args.max_batch,
         engines=args.engines,
     )
-    model = StreamModel(
-        first_token_delay=args.first_token_ms * 1e-3,
-        inter_token_delay=args.inter_token_ms * 1e-3,
-        min_tokens=args.min_tokens, max_tokens=args.max_tokens,
-        seed=args.seed,
-    )
-    sut = StreamingSUT(
-        SimulatedSUT(device, task_workload(task),
-                     batch_window=args.batch_window_ms * 1e-3),
-        model=model,
-    )
-    result = run_benchmark(sut, SyntheticQSL(), settings)
-    print(result.summary())
-    return 0 if result.valid else 1
+    return DeviceBackend(device, task_workload(_TASKS[args.task]),
+                         batch_window=args.batch_window_ms * 1e-3)
 
 
 def _cmd_run_network(args) -> int:
@@ -439,8 +450,7 @@ def _cmd_run_network(args) -> int:
     from .network.client import NetworkSUT
 
     if not args.addr:
-        print("--sut network requires --addr HOST:PORT", file=sys.stderr)
-        return 2
+        return _usage("--sut network requires --addr HOST:PORT")
     scenario = _SCENARIOS[args.scenario]
     settings = TestSettings(
         scenario=scenario,
@@ -450,6 +460,7 @@ def _cmd_run_network(args) -> int:
         min_query_count=args.queries,
         min_duration=0.0,
         watchdog_timeout=60.0,
+        seed=args.seed,
         **_stream_targets(args),
     )
     qsl = SyntheticQSL()
@@ -586,9 +597,7 @@ def _cmd_run_parallel(args) -> int:
 
     scenario = _SCENARIOS[args.scenario]
     if scenario not in (Scenario.OFFLINE, Scenario.SINGLE_STREAM):
-        print("--sut parallel supports offline and single-stream",
-              file=sys.stderr)
-        return 2
+        return _usage("--sut parallel supports offline and single-stream")
     dataset = SyntheticImageNet(size=args.samples, num_classes=8, seed=29)
     model = build_glyph_classifier(dataset, "light")
 
@@ -600,14 +609,14 @@ def _cmd_run_parallel(args) -> int:
     if scenario is Scenario.OFFLINE:
         settings = TestSettings(
             scenario=scenario, offline_sample_count=args.samples,
-            min_duration=0.0, min_query_count=1)
+            min_duration=0.0, min_query_count=1, seed=args.seed)
     else:
         settings = TestSettings(
             scenario=scenario, min_duration=0.0,
-            min_query_count=args.queries)
+            min_query_count=args.queries, seed=args.seed)
     qsl = DatasetQSL(dataset)
     sut = ParallelSUT(
-        classifier_factory, qsl, workers=args.workers, seed=0,
+        classifier_factory, qsl, workers=args.workers, seed=args.seed,
         policy=BatchingPolicy(max_batch_size=args.parallel_batch,
                               max_wait=0.0))
     try:
@@ -623,178 +632,11 @@ def _cmd_run_parallel(args) -> int:
     return 0 if result.valid else 1
 
 
-def _cmd_run_session(args) -> int:
-    """``run --workload session``: replay seeded conversations through
-    the prefix cache and report per-session percentiles plus the
-    audited cache hit rate (docs/sessions.md).  With ``--replicas N``
-    the conversations are balanced over a fleet with per-replica
-    caches; ``--chaos`` additionally drives a seeded fault schedule
-    against that fleet, with the gray-failure outlier detector
-    protecting it unless ``--no-detector`` (docs/chaos.md)."""
-    from .core.config import TestSettings
-    from .core.loadgen import run_benchmark
+def _cmd_run_tuned(args) -> int:
+    """``run --task T --scenario S``: search the device's capacity with
+    the paper's tuning procedure (``harness.tuning``)."""
     from .harness.netbench import SyntheticQSL
-    from .metrics import MetricsRegistry
-    from .sessions import (
-        CacheStats,
-        PrefixCacheSUT,
-        audit_cache_events,
-        audit_replica_caches,
-        per_replica_cache_factory,
-        replay_graph_from_settings,
-    )
-    from .sut.echo import EchoSUT
-
-    if args.chaos and args.replicas <= 0:
-        print("--chaos requires --replicas N", file=sys.stderr)
-        return 2
-    settings = TestSettings(
-        scenario=Scenario.SESSION,
-        task=_TASKS[args.task] if args.task else None,
-        server_target_qps=args.session_qps,
-        session_count=args.sessions,
-        session_turns_min=args.turns_min,
-        session_turns_max=args.turns_max,
-        session_think_time_mean=args.think_time_s,
-        min_duration=0.0,
-        watchdog_timeout=600.0,
-        seed=args.seed,
-        **_stream_targets(args),
-    )
-    registry = MetricsRegistry()
-    latency = args.backend_latency_ms * 1e-3
-
-    def wrap_stream(backend):
-        if args.stream:
-            from .streaming import StreamModel, StreamingSUT
-
-            return StreamingSUT(backend, model=StreamModel(seed=args.seed))
-        return backend
-
-    services = []
-    orchestrator = detector = None
-    if args.replicas > 0:
-        from .fleet import OutlierDetector, ReplicaSet
-
-        def make_backend(index):
-            return wrap_stream(
-                EchoSUT(latency=latency, name=f"replica-{index}"))
-
-        factory = make_backend
-        if args.chaos:
-            from .faults import ChaosOrchestrator, ChaosSchedule
-
-            # A rough run-length estimate is all the schedule needs:
-            # windows are placed inside the first 60% of it.
-            horizon = (args.sessions / args.session_qps
-                       + args.turns_max * args.think_time_s)
-            schedule = ChaosSchedule.generate(
-                args.seed, duration=horizon, replicas=args.replicas,
-                zones=args.zones, events=args.chaos_events)
-            orchestrator = ChaosOrchestrator(schedule, registry=registry)
-            factory = orchestrator.wrap_factory(factory)
-        sut = ReplicaSet(
-            factory,
-            initial_replicas=args.replicas,
-            max_replicas=args.replicas,
-            policy=args.balancer,
-            zones=args.zones,
-            seed=args.seed,
-            registry=registry,
-            cache_factory=per_replica_cache_factory(
-                capacity_tokens=args.cache_tokens, registry=registry),
-        )
-        if orchestrator is not None:
-            orchestrator.bind(sut)
-            services.append(orchestrator)
-            if not args.no_detector:
-                detector = OutlierDetector(sut, seed=args.seed,
-                                           registry=registry)
-                services.append(detector)
-    else:
-        sut = PrefixCacheSUT(
-            wrap_stream(EchoSUT(latency=latency)),
-            capacity_tokens=args.cache_tokens, registry=registry)
-    result = run_benchmark(sut, SyntheticQSL(), settings,
-                           registry=registry, services=services)
-    print(result.summary())
-    graph = replay_graph_from_settings(settings)
-    caches = getattr(sut, "caches", None)
-    if caches is not None:
-        stats = CacheStats.merged([c.stats for c in caches.values()])
-        problems = [p for trail in
-                    audit_replica_caches(caches, graph).values()
-                    for p in trail]
-        events = sum(len(c.events) for c in caches.values())
-        print(f"fleet             : {sut.stats.summary()}")
-    else:
-        stats = sut.stats
-        problems = audit_cache_events(sut.events, graph,
-                                      sut.capacity_tokens)
-        events = len(sut.events)
-    print(f"prefix cache      : {stats.hits} hits / "
-          f"{stats.partial_hits} partial / {stats.misses} misses "
-          f"({stats.evictions} evictions), "
-          f"hit rate {stats.hit_rate:.1%}, "
-          f"token hit rate {stats.token_hit_rate:.1%}")
-    if orchestrator is not None:
-        injected = sum(1 for d in orchestrator.trace
-                       if d.action == "inject")
-        recovered = sum(1 for d in orchestrator.trace
-                        if d.action == "recover")
-        print(f"chaos             : {injected} faults injected, "
-              f"{recovered} recovered over {len(orchestrator.trace)} "
-              f"ticks")
-        for window in orchestrator.windows:
-            closed = (f"{window.end:.3f}" if window.end is not None
-                      else "open")
-            print(f"  {window.kind:12s} {window.target:10s} "
-                  f"[{window.start:.3f} .. {closed}] s")
-    if detector is not None:
-        ejections = sum(1 for e in detector.trace if e.action == "eject")
-        readmits = sum(1 for e in detector.trace if e.action == "readmit")
-        print(f"outlier detector  : {ejections} ejections, "
-              f"{readmits} readmissions "
-              f"({len(detector.trace)} trail events)")
-    if getattr(args, "trace", None):
-        from .core.trace import write_chrome_trace
-
-        write_chrome_trace(
-            result.log, args.trace, snapshots=result.snapshots,
-            chaos=orchestrator.windows if orchestrator else None)
-        print(f"trace written to {args.trace}")
-    if problems:
-        print(f"cache audit       : FAILED ({len(problems)} discrepancies; "
-              f"first: {problems[0]})")
-        return 1
-    print(f"cache audit       : clean ({events} events replayed)")
-    return 0 if result.valid else 1
-
-
-def _cmd_run(args) -> int:
-    if args.workload == "session":
-        if args.sut != "device":
-            print("--workload session supports --sut device only",
-                  file=sys.stderr)
-            return 2
-        return _cmd_run_session(args)
-    if args.scenario is None:
-        print("run requires --scenario (unless --workload session)",
-              file=sys.stderr)
-        return 2
-    if args.sut == "network":
-        return _cmd_run_network(args)
-    if args.sut == "parallel":
-        if args.stream:
-            print("--stream supports --sut device and --sut network",
-                  file=sys.stderr)
-            return 2
-        return _cmd_run_parallel(args)
-    if args.stream:
-        return _cmd_run_stream(args)
-    if args.task is None:
-        print("--sut device requires --task", file=sys.stderr)
-        return 2
+    from .harness.stack import StackSpec, build
     from .harness.tuning import (
         QUICK_SCALE,
         find_max_multistream_n,
@@ -802,39 +644,14 @@ def _cmd_run(args) -> int:
         measure_offline,
         measure_single_stream,
     )
-    from .sut.device import DeviceModel, ProcessorType
-    from .sut.fleet import task_workload
-    from .sut.simulated import SimulatedSUT
-
-    class NullQSL:
-        name = "cli"
-        total_sample_count = 8192
-        performance_sample_count = 1024
-
-        def load_samples(self, indices):
-            pass
-
-        def unload_samples(self, indices):
-            pass
-
-        def get_sample(self, index):
-            return None
 
     task = _TASKS[args.task]
     scenario = _SCENARIOS[args.scenario]
-    device = DeviceModel(
-        name="cli-device", processor=ProcessorType.GPU,
-        peak_gops=args.peak_gops, base_utilization=args.base_utilization,
-        saturation_gops=args.saturation_gops,
-        overhead=args.overhead_ms * 1e-3, max_batch=args.max_batch,
-        engines=args.engines,
-    )
-    workload = task_workload(task)
-    qsl = NullQSL()
+    spec = StackSpec(backend=_device_backend(args))
+    qsl = SyntheticQSL(name="cli")
 
     def make_sut():
-        return SimulatedSUT(device, workload,
-                            batch_window=args.batch_window_ms * 1e-3)
+        return build(spec, args.seed).sut
 
     if scenario is Scenario.SINGLE_STREAM:
         result = measure_single_stream(make_sut, qsl, task, QUICK_SCALE)
@@ -858,6 +675,137 @@ def _cmd_run(args) -> int:
         print(f"max streams: {int(tuned.value)}")
         print(tuned.result.summary())
     return 0
+
+
+def _stream_run_settings(args):
+    """``run --stream`` on the device: one direct measured run at the
+    given load instead of a tuning search."""
+    from .core.config import TestSettings
+
+    scenario = _SCENARIOS[args.scenario]
+    if scenario is Scenario.SERVER:
+        load = dict(server_target_qps=args.target_qps,
+                    server_latency_bound=args.latency_bound_ms * 1e-3,
+                    min_query_count=args.queries)
+    elif scenario is Scenario.OFFLINE:
+        load = dict(offline_sample_count=args.samples, min_query_count=1)
+    else:
+        load = dict(min_query_count=args.queries)
+    return TestSettings(
+        scenario=scenario, task=_TASKS[args.task],
+        min_duration=0.0, watchdog_timeout=300.0, seed=args.seed,
+        **load, **_stream_targets(args))
+
+
+def _report_session(args, settings, stack, result) -> int:
+    """What a session run prints after the summary: fleet counters, the
+    audited cache hit rate, the chaos windows and the detector trail."""
+    from collections import Counter
+
+    from .sessions import replay_graph_from_settings
+
+    stats, problems, events = stack.cache_audit(
+        replay_graph_from_settings(settings))
+    orchestrator, detector = stack.orchestrator, stack.detector
+    if args.replicas > 0:
+        print(f"fleet             : {stack.sut.stats.summary()}")
+    print(f"prefix cache      : {stats.hits} hits / "
+          f"{stats.partial_hits} partial / {stats.misses} misses "
+          f"({stats.evictions} evictions), "
+          f"hit rate {stats.hit_rate:.1%}, "
+          f"token hit rate {stats.token_hit_rate:.1%}")
+    if orchestrator is not None:
+        did = Counter(d.action for d in orchestrator.trace)
+        print(f"chaos             : {did['inject']} faults injected, "
+              f"{did['recover']} recovered over {len(orchestrator.trace)} "
+              f"ticks")
+        for window in orchestrator.windows:
+            closed = (f"{window.end:.3f}" if window.end is not None
+                      else "open")
+            print(f"  {window.kind:12s} {window.target:10s} "
+                  f"[{window.start:.3f} .. {closed}] s")
+    if detector is not None:
+        did = Counter(e.action for e in detector.trace)
+        print(f"outlier detector  : {did['eject']} ejections, "
+              f"{did['readmit']} readmissions "
+              f"({len(detector.trace)} trail events)")
+    if args.trace:
+        from .core.trace import write_chrome_trace
+
+        write_chrome_trace(
+            result.log, args.trace, snapshots=result.snapshots,
+            chaos=orchestrator.windows if orchestrator else None)
+        print(f"trace written to {args.trace}")
+    if problems:
+        print(f"cache audit       : FAILED ({len(problems)} discrepancies; "
+              f"first: {problems[0]})")
+        return 1
+    print(f"cache audit       : clean ({events} events replayed)")
+    return 0 if result.valid else 1
+
+
+def _cmd_run(args) -> int:
+    """Flags -> settings + ``StackSpec`` -> ``build`` -> ``run_benchmark``
+    -> report, for the session workload and the streamed device run.
+    The socket and worker-pool SUTs own OS resources and the plain
+    device run is a search, so those three are functions of their own."""
+    session = args.workload == "session"
+    if session:
+        if args.sut != "device":
+            return _usage("--workload session supports --sut device only")
+        if args.chaos and args.replicas <= 0:
+            return _usage("--chaos requires --replicas N")
+    elif args.scenario is None:
+        return _usage("run requires --scenario (unless --workload session)")
+    elif args.sut == "network":
+        return _cmd_run_network(args)
+    elif args.sut == "parallel":
+        if args.stream:
+            return _usage("--stream supports --sut device and --sut network")
+        return _cmd_run_parallel(args)
+    elif args.task is None:
+        return _usage("--stream with --sut device requires --task"
+                      if args.stream else "--sut device requires --task")
+    elif not args.stream:
+        return _cmd_run_tuned(args)
+
+    from .core.loadgen import run_benchmark
+    from .harness.netbench import SyntheticQSL
+    from .harness.stack import EchoBackend, StackSpec, build
+    from .metrics import MetricsRegistry
+    from .streaming import StreamModel
+
+    if session:
+        settings = _session_settings(
+            args, args.session_qps,
+            task=_TASKS[args.task] if args.task else None,
+            watchdog_timeout=600.0, **_stream_targets(args))
+        horizon = (args.sessions / args.session_qps
+                   + args.turns_max * args.think_time_s)
+        spec = StackSpec(
+            backend=EchoBackend(args.backend_latency_ms * 1e-3),
+            stream=StreamModel() if args.stream else None,
+            cache_tokens=args.cache_tokens,
+            fleet=_fleet_spec(
+                args, horizon, max_replicas=args.replicas,
+                detector=args.chaos and not args.no_detector))
+        registry = MetricsRegistry()
+    else:
+        settings = _stream_run_settings(args)
+        spec = StackSpec(
+            backend=_device_backend(args),
+            stream=StreamModel(
+                first_token_delay=args.first_token_ms * 1e-3,
+                inter_token_delay=args.inter_token_ms * 1e-3,
+                min_tokens=args.min_tokens, max_tokens=args.max_tokens))
+        registry = None
+    stack = build(spec, args.seed, registry)
+    result = run_benchmark(stack.sut, SyntheticQSL(), settings,
+                           registry=registry, services=stack.services)
+    print(result.summary())
+    if session:
+        return _report_session(args, settings, stack, result)
+    return 0 if result.valid else 1
 
 
 def _cmd_fleet(args) -> int:
@@ -898,21 +846,22 @@ def _cmd_fleet(args) -> int:
 
 def _cmd_metrics(args) -> int:
     from .core.config import TestSettings
+    from .core.loadgen import run_benchmark
     from .core.trace import write_chrome_trace
-    from .faults.resilient import ResilientSUT, RetryPolicy
+    from .faults.resilient import RetryPolicy
     from .harness.netbench import SyntheticQSL
+    from .harness.stack import EchoBackend, StackSpec, build
     from .metrics import (
         MetricsRegistry,
         render_table,
         to_json,
         to_prometheus_text,
     )
-    from .network.simulated import ChannelModel, SimulatedChannelSUT
-    from .sut.echo import EchoSUT
+    from .network.simulated import ChannelModel
+    from .streaming import StreamModel
 
-    scenario = _SCENARIOS[args.scenario]
     settings = TestSettings(
-        scenario=scenario,
+        scenario=_SCENARIOS[args.scenario],
         server_target_qps=args.target_qps,
         server_latency_bound=0.1,
         min_query_count=args.queries,
@@ -920,49 +869,35 @@ def _cmd_metrics(args) -> int:
         watchdog_timeout=300.0,
         seed=args.seed,
     )
-    model = ChannelModel(
-        latency=args.net_latency_ms * 1e-3,
-        jitter=args.jitter_ms * 1e-3,
-        drop_rate=args.drop,
-        seed=args.seed,
-    )
-    registry = MetricsRegistry()
-    backend = EchoSUT(latency=args.latency_ms * 1e-3)
-    if args.stream:
-        from .streaming import StreamingSUT
-
-        backend = StreamingSUT(backend)
-    channel = SimulatedChannelSUT(backend, model)
-    sut = channel
-    if args.outage > 0:
-        from .faults import OutageSUT
-
-        sut = OutageSUT(sut, args.outage_start, args.outage)
-    if args.drop > 0:
+    echo = EchoBackend(args.latency_ms * 1e-3)
+    spec = StackSpec(
+        backend=echo,
+        stream=StreamModel() if args.stream else None,
+        channel=ChannelModel(
+            latency=args.net_latency_ms * 1e-3,
+            jitter=args.jitter_ms * 1e-3,
+            drop_rate=args.drop),
+        outage=(args.outage_start, args.outage) if args.outage > 0 else None,
         # A lossy channel needs the retry layer, which also lights up
         # the resilient_* counters in the registry.
-        sut = ResilientSUT(sut, RetryPolicy(attempt_timeout=0.200),
-                           registry=registry, seed=args.seed)
-    if args.breaker:
-        from .durability import SelfHealingSUT
-
+        retry=RetryPolicy(attempt_timeout=0.200) if args.drop > 0 else None,
         # The standby is a plain local echo: during a primary outage
         # the breaker trips, queries reroute, and the run survives.
-        standby = EchoSUT(latency=args.latency_ms * 1e-3, name="standby")
-        sut = SelfHealingSUT(sut, standby, registry=registry)
-    elif args.outage > 0:
+        standby=echo if args.breaker else None,
+    )
+    registry = MetricsRegistry()
+    stack = build(spec, args.seed, registry)
+    if args.outage > 0 and not args.breaker:
         print("note: --outage without --breaker leaves nothing to shed "
               "the load; expect recorded failures", file=sys.stderr)
-    from .core.loadgen import run_benchmark
 
     if args.resume:
         if not args.journal:
-            print("--resume requires --journal PATH", file=sys.stderr)
-            return 2
+            return _usage("--resume requires --journal PATH")
         from .durability import resume_run
 
         result = resume_run(
-            args.journal, sut, SyntheticQSL(),
+            args.journal, stack.sut, SyntheticQSL(),
             registry=registry,
             snapshot_period=args.snapshot_period_ms * 1e-3,
             fsync=args.fsync,
@@ -975,7 +910,7 @@ def _cmd_metrics(args) -> int:
             journal = RunJournal(args.journal, fsync=args.fsync,
                                  registry=registry)
         result = run_benchmark(
-            sut, SyntheticQSL(), settings,
+            stack.sut, SyntheticQSL(), settings,
             registry=registry,
             snapshot_period=args.snapshot_period_ms * 1e-3,
             journal=journal,
@@ -994,7 +929,7 @@ def _cmd_metrics(args) -> int:
               f"of virtual time")
     if args.trace:
         write_chrome_trace(result.log, args.trace,
-                           transport=channel.transport_records,
+                           transport=stack.channel.transport_records,
                            snapshots=result.snapshots)
         print(f"trace written to {args.trace}")
     return 0 if result.valid else 1
@@ -1005,189 +940,86 @@ def _cmd_sweep(args) -> int:
     from pathlib import Path
 
     from .core.config import TestSettings
-    from .fleet import (
-        Autoscaler,
-        OutlierDetector,
-        ReplicaSet,
-        SeriesSignal,
-        SweepConfig,
-        SweepHarness,
-    )
+    from .fleet import SweepConfig, SweepHarness
     from .harness.netbench import SyntheticQSL
+    from .harness.stack import EchoBackend, StackSpec, build
     from .metrics import MetricsRegistry
-    from .sut.echo import EchoSUT
+    from .sessions import replay_graph_from_settings
 
     session_workload = args.workload == "session"
+    if args.scale_signal == "cache-miss-rate" and not session_workload:
+        return _usage("--scale-signal cache-miss-rate requires --workload "
+                      "session (no prefix caches otherwise)")
+    if args.replicas <= 0 and (args.autoscale or args.chaos):
+        flag = "--autoscale" if args.autoscale else "--chaos"
+        return _usage(f"{flag} requires --replicas N")
+    bound = args.latency_bound_ms * 1e-3
     if session_workload:
         # The probed rate is the *session* arrival rate (sessions/s);
         # the latency bound applies per turn (docs/sessions.md).
-        settings = TestSettings(
-            scenario=Scenario.SESSION,
-            server_target_qps=args.qps_low,  # overridden per probe
-            server_latency_bound=args.latency_bound_ms * 1e-3,
-            session_count=args.sessions,
-            session_turns_min=args.turns_min,
-            session_turns_max=args.turns_max,
-            session_think_time_mean=args.think_time_s,
-            min_duration=0.0,
-            watchdog_timeout=300.0,
-            seed=args.seed,
-        )
+        settings = _session_settings(
+            args, args.qps_low,  # overridden per probe
+            server_latency_bound=bound, watchdog_timeout=300.0)
+        horizon = (args.sessions / args.qps_high
+                   + args.turns_max * args.think_time_s)
     else:
         settings = TestSettings(
             scenario=Scenario.SERVER,
             server_target_qps=args.qps_low,  # overridden per probe
-            server_latency_bound=args.latency_bound_ms * 1e-3,
+            server_latency_bound=bound,
             min_query_count=args.queries,
             min_duration=0.0,
             watchdog_timeout=300.0,
             seed=args.seed,
         )
-    latency = args.latency_ms * 1e-3
-    if args.scale_signal == "cache-miss-rate" and not session_workload:
-        print("--scale-signal cache-miss-rate requires --workload session "
-              "(no prefix caches otherwise)", file=sys.stderr)
-        return 2
-
-    def make_backend(index=None):
-        name = "echo" if index is None else f"replica-{index}"
-        return EchoSUT(latency=latency, name=name,
-                       concurrency=args.concurrency)
-
-    if args.replicas > 0:
-        from .sessions import per_replica_cache_factory
-
-        chaos_schedule = None
-        if args.chaos:
-            from .faults import ChaosSchedule
-
-            # Size the schedule to the *shortest* probe (the qps-high
-            # end of the bracket) so every probe run sees both the
-            # injection and the recovery side of each window.  One
-            # schedule, reused by every probe: the capacity verdicts
-            # stay comparable across rates.
-            if session_workload:
-                horizon = (args.sessions / args.qps_high
-                           + args.turns_max * args.think_time_s)
-            else:
-                horizon = args.queries / args.qps_high
-            chaos_schedule = ChaosSchedule.generate(
-                args.seed, duration=horizon, replicas=args.replicas,
-                zones=args.zones, events=args.chaos_events)
-
-        def make_sut():
-            # One registry per probe: live series feed the autoscaler's
-            # SeriesSignal and export per-replica prefix_cache_* families.
-            registry = MetricsRegistry()
-            factory = make_backend
-            orchestrator = None
-            if chaos_schedule is not None:
-                from .faults import ChaosOrchestrator
-
-                orchestrator = ChaosOrchestrator(
-                    chaos_schedule, registry=registry)
-                factory = orchestrator.wrap_factory(factory)
-            fleet = ReplicaSet(
-                factory,
-                initial_replicas=args.replicas,
-                max_replicas=max(args.replicas, 2 * args.replicas),
-                policy=args.balancer,
-                zones=args.zones,
-                attempt_timeout=4.0 * args.latency_bound_ms * 1e-3,
-                seed=args.seed,
-                registry=registry,
-                cache_factory=(per_replica_cache_factory(
-                    capacity_tokens=args.cache_tokens, registry=registry)
-                    if session_workload else None),
-            )
-            if orchestrator is not None:
-                orchestrator.bind(fleet)
-            fleet.sweep_registry = registry
-            fleet.chaos_orchestrator = orchestrator
-            return fleet
-
-        def services_factory(sut):
-            registry = sut.sweep_registry
-            services = []
-            if sut.chaos_orchestrator is not None:
-                services.append(sut.chaos_orchestrator)
-                services.append(OutlierDetector(
-                    sut, seed=args.seed, registry=registry))
-            if args.autoscale:
-                if args.scale_signal == "outstanding-series":
-                    signal = SeriesSignal(
-                        registry, "fleet_outstanding_queries",
-                        mode="level", window=4,
-                        per_available_replica=True)
-                elif args.scale_signal == "cache-miss-rate":
-                    signal = SeriesSignal(
-                        registry, "prefix_cache_tokens_missed_total",
-                        mode="rate", per_available_replica=True)
-                else:
-                    signal = None  # the stock in-process backlog
-                services.append(
-                    Autoscaler(sut, signal=signal, registry=registry))
-            return services
-
-        if not (args.autoscale or args.chaos):
-            services_factory = None
+        horizon = args.queries / args.qps_high
+    # The schedule is sized to the *shortest* probe (the qps-high end of
+    # the bracket) so every probe run sees both the injection and the
+    # recovery side of each window.  One schedule, reused by every
+    # probe: the capacity verdicts stay comparable across rates.
+    fleet = _fleet_spec(
+        args, horizon, max_replicas=2 * args.replicas,
+        attempt_timeout=4.0 * bound, detector=args.chaos,
+        autoscale=args.scale_signal if args.autoscale else None)
+    spec = StackSpec(
+        backend=EchoBackend(args.latency_ms * 1e-3, args.concurrency),
+        cache_tokens=args.cache_tokens if session_workload else None,
+        fleet=fleet)
+    if fleet is not None:
         probed = (f"{args.replicas}-replica echo fleet "
                   f"({args.balancer}"
                   f"{f', {args.zones} zones' if args.zones > 1 else ''}"
                   f"{f', autoscaled on {args.scale_signal}' if args.autoscale else ''}"
                   f"{f', chaos x{args.chaos_events}' if args.chaos else ''})")
     else:
-        if args.autoscale:
-            print("--autoscale requires --replicas N", file=sys.stderr)
-            return 2
-        if args.chaos:
-            print("--chaos requires --replicas N", file=sys.stderr)
-            return 2
-
-        def make_sut():
-            backend = make_backend()
-            if session_workload:
-                from .sessions import PrefixCacheSUT
-                return PrefixCacheSUT(
-                    backend, capacity_tokens=args.cache_tokens)
-            return backend
-        services_factory = None
         probed = "single echo backend"
     if session_workload:
         probed += " [session workload, per-replica prefix caches]"
 
+    probe_stack = []  # the stack of the probe in flight
+
+    def make_sut():
+        # One registry per fleet probe: live series feed the autoscaler's
+        # SeriesSignal and export per-replica prefix_cache_* families.
+        probe_stack[:] = [build(
+            spec, args.seed, MetricsRegistry() if fleet is not None else None)]
+        return probe_stack[0].sut
+
     cache_rows = []
     observe = None
     if session_workload:
-        from .sessions import (
-            CacheStats,
-            audit_cache_events,
-            audit_replica_caches,
-            replay_graph_from_settings,
-        )
-
         graph = replay_graph_from_settings(settings)
 
         def observe(sut, result, probe):
-            caches = getattr(sut, "caches", None)
-            if caches:
-                stats = CacheStats.merged(
-                    [c.stats for c in caches.values()])
-                dirty = sum(
-                    len(v) for v in
-                    audit_replica_caches(caches, graph).values())
-            else:
-                stats = sut.stats
-                dirty = len(audit_cache_events(
-                    sut.events, graph, sut.capacity_tokens))
-            cache_rows.append((stats, dirty))
+            stats, problems, _ = probe_stack[0].cache_audit(graph)
+            cache_rows.append((stats, len(problems)))
 
     harness = SweepHarness(
         make_sut, SyntheticQSL(), settings,
         SweepConfig(qps_low=args.qps_low, qps_high=args.qps_high,
                     resolution=args.resolution, mode=args.mode,
                     max_probes=args.max_probes),
-        services_factory=services_factory,
+        services_factory=lambda sut: probe_stack[0].services,
         probe_observer=observe,
     )
     result = harness.run()
@@ -1206,7 +1038,7 @@ def _cmd_sweep(args) -> int:
         print(line)
     print(result.summary())
     dirty_trails = sum(dirty for _, dirty in cache_rows)
-    if session_workload and dirty_trails:
+    if dirty_trails:
         print(f"prefix-cache audit FAILED: {dirty_trails} discrepancies "
               "across probe runs", file=sys.stderr)
     if args.report:
@@ -1215,8 +1047,7 @@ def _cmd_sweep(args) -> int:
         if args.chaos:
             report["chaos"] = {
                 "zones": args.zones,
-                "events": [event._asdict()
-                           for event in chaos_schedule.events],
+                "events": [event._asdict() for event in fleet.chaos.events],
             }
         if session_workload:
             report["probe_cache"] = [
@@ -1233,7 +1064,7 @@ def _cmd_sweep(args) -> int:
         path = Path(args.report)
         path.write_text(json.dumps(report, indent=2) + "\n")
         print(f"capacity report written to {path}")
-    if session_workload and dirty_trails:
+    if dirty_trails:
         return 1
     return 0 if result.max_qps is not None else 1
 

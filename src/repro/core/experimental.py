@@ -30,14 +30,12 @@ import numpy as np
 
 from .config import Scenario, Task, TestSettings, task_rules
 from .events import EventLoop, RunAbortedError, VirtualClock
-from .loadgen import LoadGenResult
+from .loadgen import LoadGenResult, judge
 from .logging import QueryLog
-from .metrics import compute_metrics, empty_metrics
 from .query import Query
 from .sampler import SampleSelector
 from .scenarios import PerformanceSource, ScenarioDriver
 from .sut import QuerySampleLibrary, SystemUnderTest
-from .validation import validate_run
 
 
 @dataclass(frozen=True)
@@ -148,14 +146,7 @@ def run_burst_benchmark(
             loop.run()
         except RunAbortedError as abort:
             driver.stats.aborted = str(abort)
-        if log.completed_records():
-            metrics = compute_metrics(log, settings)
-        else:
-            metrics = empty_metrics(log, settings)
-        validity = validate_run(log, settings, driver.stats)
-        return LoadGenResult(settings=settings, log=log, metrics=metrics,
-                             validity=validity, loaded_indices=loaded,
-                             stats=driver.stats)
+        return judge(settings, log, driver.stats, loaded)
     finally:
         qsl.unload_samples(loaded)
 

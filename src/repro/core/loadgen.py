@@ -137,22 +137,124 @@ _JANITOR_PERIOD = 0.010
 class RunService(Protocol):
     """A periodic participant clocked by the run's event loop.
 
-    The LoadGen already runs two built-in tickers - the snapshot sampler
-    and the journal checkpointer - that must stop rescheduling once the
-    run drains or a virtual loop would never finish.  ``RunService``
-    generalizes that contract so external machinery (the
-    ``repro.fleet`` autoscaler, custom controllers) can ride the same
-    clock: :meth:`start` receives the loop plus a ``keep_going``
-    predicate that turns false once the run has drained, and
-    :meth:`stop` is called after the loop exits (cancel pending ticks
-    here).  Services run on the loop thread, so they need no locking and
-    are deterministic under the virtual clock.
+    The LoadGen's own tickers - journal checkpointer, snapshot sampler,
+    watchdog, realtime janitor - and external machinery (the
+    ``repro.fleet`` autoscaler and outlier detector, the chaos
+    orchestrator, custom controllers) ride the run's clock under one
+    contract: :meth:`start` receives the loop plus a ``keep_going``
+    predicate that turns false once the run has drained (a ticker that
+    kept rescheduling past that point would never let a virtual loop
+    finish), and :meth:`stop` is called after the loop exits (cancel
+    pending ticks here).  Services run on the loop thread, so they need
+    no locking and are deterministic under the virtual clock.
     """
 
     def start(self, loop: EventLoop,
               keep_going: Callable[[], bool]) -> None: ...
 
     def stop(self) -> None: ...
+
+
+class _BuiltinService:
+    """What the LoadGen's own services share: the first event is due one
+    ``period`` after :meth:`start`, and :meth:`stop` cancels the latest
+    (a no-op once it has fired).  Each ``_tick`` must stay a function of
+    this module: ``benchmarks/perf`` leaves this module's callbacks out
+    of wall-clock call counts as time-driven, not per query."""
+
+    period: float
+    _timer = None
+
+    def start(self, loop: EventLoop, keep_going: Callable[[], bool]) -> None:
+        self.loop = loop
+        self.keep_going = keep_going
+        self._timer = loop.schedule_after(self.period, self._tick)
+
+    def stop(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+
+
+class _Checkpointer(_BuiltinService):
+    """Journals a checkpoint every ``journal.checkpoint_period`` seconds
+    of run time, the last one at the first tick after the run drained."""
+
+    def __init__(self, journal: "RunJournal", log: QueryLog) -> None:
+        self.journal = journal
+        self.log = log
+        self.period = journal.checkpoint_period
+
+    def _tick(self) -> None:
+        log = self.log
+        self.journal.checkpoint(
+            self.loop.now,
+            issued=log.query_count,
+            outstanding=log.outstanding,
+            issued_samples=log.issued_samples,
+        )
+        if self.keep_going():
+            self._timer = self.loop.schedule_after(self.period, self._tick)
+
+
+class _Watchdog(_BuiltinService):
+    """Stops a run that is still stuck ``settings.watchdog_timeout``
+    seconds in, and says so in the driver's stats for the referee."""
+
+    def __init__(self, timeout: float, driver) -> None:
+        self.period = timeout
+        self.driver = driver
+
+    def _tick(self) -> None:
+        driver, loop = self.driver, self.loop
+        finished = driver.log.outstanding == 0 and (
+            loop.pending() == 0 or not driver.issue_phase_open
+        )
+        if finished:
+            return  # run already finished; nothing is stuck
+        driver.stats.watchdog_fired = True
+        driver.stats.watchdog_time = loop.now
+        loop.stop()
+
+
+class _Janitor(_BuiltinService):
+    """A realtime loop cannot teleport past idle stretches, and
+    completions arrive asynchronously via ``post`` - so this tick keeps
+    the loop alive while queries are in flight and stops it as soon as
+    the run has drained (rather than sleeping out the watchdog)."""
+
+    period = _JANITOR_PERIOD
+
+    def _tick(self) -> None:
+        if self.keep_going():
+            self._timer = self.loop.schedule_after(self.period, self._tick)
+        else:
+            self.loop.stop()
+
+
+def judge(
+    settings: TestSettings,
+    log: QueryLog,
+    stats: DriverStats,
+    loaded: Sequence[int],
+    snapshots: Optional[List[Snapshot]] = None,
+) -> LoadGenResult:
+    """The referee's verdict on whatever ``log`` holds once the loop has
+    exited: the scenario's metrics, then the validity rules.  Every run
+    loop in the repo (this module's, the burst mode's, the multitenant
+    harness's) ends here."""
+    if log.completed_records():
+        metrics = compute_metrics(log, settings)
+    else:
+        metrics = empty_metrics(log, settings)
+    return LoadGenResult(
+        settings=settings,
+        log=log,
+        metrics=metrics,
+        validity=validate_run(log, settings, stats),
+        loaded_indices=list(loaded),
+        stats=stats,
+        snapshots=snapshots,
+    )
 
 
 class LoadGen:
@@ -212,7 +314,9 @@ class LoadGen:
         journal: Optional["RunJournal"] = None,
         services: Optional[Sequence[RunService]] = None,
     ) -> LoadGenResult:
-        """Execute one full run and return its result.
+        """Execute one full run and return its result: build (loop, log,
+        source, driver), start (built-in services, SUT, ``services``,
+        driver), loop, judge.
 
         ``log_sample_probability`` enables the accuracy-verification
         audit: in performance mode, each completed query's responses are
@@ -240,8 +344,11 @@ class LoadGen:
         ``repro.durability.resume_run`` (see ``docs/durability.md``).
 
         ``services`` attaches :class:`RunService` tickers - e.g. the
-        ``repro.fleet`` autoscaler - started after the SUT is bound to
-        the loop and stopped once the run has drained.
+        ``repro.fleet`` autoscaler - started in the order given after
+        the SUT is bound to the loop (a fleet service may scale the SUT
+        it controls) and before the first query.  Whatever was started,
+        built-in or given, is stopped once the loop exits - also when a
+        later ``start`` raises.
 
         Once the loop has drained the driver lets go of ``sut`` and of
         the log, so the run's record (log, records, queries) is freed by
@@ -269,6 +376,12 @@ class LoadGen:
             driver = make_driver(loop, settings, sut, source, log,
                                  registry=registry)
 
+            def busy() -> bool:
+                return driver.issue_phase_open or log.outstanding > 0
+
+            # Start order is part of every same-seed digest: the heap
+            # breaks time ties in scheduling order.
+            builtin: List[RunService] = []
             if journal is not None:
                 # Write-ahead: the header precedes the first query, and
                 # the QueryLog's observer appends each lifecycle event
@@ -281,74 +394,29 @@ class LoadGen:
                     log_sample_probability=log_sample_probability,
                 )
                 log.observer = journal.on_log_event
-                period = journal.checkpoint_period
-                if period is not None:
-                    def _checkpoint_tick() -> None:
-                        journal.checkpoint(
-                            loop.now,
-                            issued=log.query_count,
-                            outstanding=log.outstanding,
-                            issued_samples=log.issued_samples,
-                        )
-                        # Like the snapshot sampler, the tick must stop
-                        # rescheduling once the run has drained or a
-                        # virtual loop would never finish.
-                        if driver.issue_phase_open or log.outstanding > 0:
-                            loop.schedule_after(period, _checkpoint_tick)
-
-                    loop.schedule_after(period, _checkpoint_tick)
-
+                if journal.checkpoint_period is not None:
+                    builtin.append(_Checkpointer(journal, log))
             sampler: Optional[SnapshotSampler] = None
             if registry is not None and snapshot_period is not None:
-                sampler = SnapshotSampler(registry, loop, snapshot_period)
-                # The sampler's self-rescheduling tick would keep a
-                # virtual loop draining forever; it stops itself at the
-                # first tick after the run has drained.
-                sampler.start(keep_going=lambda: (
-                    driver.issue_phase_open or log.outstanding > 0
-                ))
-
-            watchdog = settings.watchdog_timeout
-            if watchdog is not None:
-                def _watchdog_fired() -> None:
-                    finished = log.outstanding == 0 and (
-                        loop.pending() == 0 or not driver.issue_phase_open
-                    )
-                    if finished:
-                        return  # run already finished; nothing is stuck
-                    driver.stats.watchdog_fired = True
-                    driver.stats.watchdog_time = loop.now
-                    loop.stop()
-
-                loop.schedule_after(watchdog, _watchdog_fired)
-
+                # Its baseline capture happens at start, before the SUT
+                # has touched the registry.
+                sampler = SnapshotSampler(registry, snapshot_period)
+                builtin.append(sampler)
+            if settings.watchdog_timeout is not None:
+                builtin.append(_Watchdog(settings.watchdog_timeout, driver))
             if loop.realtime:
-                # A realtime loop cannot teleport past idle stretches,
-                # and completions arrive asynchronously via ``post`` - so
-                # a janitor tick keeps the loop alive while queries are
-                # in flight and stops it as soon as the run has drained
-                # (rather than sleeping out the watchdog).
-                def _janitor() -> None:
-                    if not driver.issue_phase_open and log.outstanding == 0:
-                        loop.stop()
-                    else:
-                        loop.schedule_after(_JANITOR_PERIOD, _janitor)
+                builtin.append(_Janitor())
 
-                loop.schedule_after(_JANITOR_PERIOD, _janitor)
-
-            sut.start_run(loop, driver.handle_completion)
-            started_services: List[RunService] = []
-            if services:
-                # After the SUT is bound (a fleet service may need to
-                # scale the SUT it controls), before the first query.
-                keep_going = (
-                    lambda: driver.issue_phase_open or log.outstanding > 0
-                )
-                for service in services:
-                    service.start(loop, keep_going)
-                    started_services.append(service)
-            driver.start()
+            started: List[RunService] = []
             try:
+                for service in builtin:
+                    service.start(loop, busy)
+                    started.append(service)
+                sut.start_run(loop, driver.handle_completion)
+                for service in services or ():
+                    service.start(loop, busy)
+                    started.append(service)
+                driver.start()
                 loop.run()
             except RunAbortedError as abort:
                 # A callback blew up mid-run.  The referee's job is to
@@ -356,7 +424,7 @@ class LoadGen:
                 # context and judge whatever the log holds.
                 driver.stats.aborted = str(abort)
             finally:
-                for service in started_services:
+                for service in started:
                     service.stop()
                 # The SUT stack holds the driver (``_responder`` is its
                 # bound method): with ``driver.sut`` that was a cycle,
@@ -366,25 +434,11 @@ class LoadGen:
                 driver.sut = driver.log = None
 
             if sampler is not None:
-                sampler.stop()
                 # Close the series with the run's final state, stamped
                 # at the loop's terminal time.
                 sampler.sample_now()
-
-            if log.completed_records():
-                metrics = compute_metrics(log, settings)
-            else:
-                metrics = empty_metrics(log, settings)
-            validity = validate_run(log, settings, driver.stats)
-            result = LoadGenResult(
-                settings=settings,
-                log=log,
-                metrics=metrics,
-                validity=validity,
-                loaded_indices=list(loaded),
-                stats=driver.stats,
-                snapshots=sampler.snapshots if sampler is not None else None,
-            )
+            result = judge(settings, log, driver.stats, loaded,
+                           sampler.snapshots if sampler is not None else None)
             if journal is not None:
                 journal.finish(result)
             return result

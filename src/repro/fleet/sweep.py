@@ -144,8 +144,8 @@ class SweepHarness:
     searched the same way.
 
     ``make_sut`` builds a *fresh* SUT per probe (probe runs must not
-    share warm caches, breaker state, or worker pools), and any SUT
-    exposing ``close()`` is released after its probe.
+    share warm caches, breaker state, or worker pools) and closes it
+    after the probe.
     """
 
     #: Scenarios whose load is an arrival rate the sweep can bisect.
@@ -200,9 +200,7 @@ class SweepHarness:
             if self.probe_observer is not None:
                 self.probe_observer(sut, result, probe)
         finally:
-            close = getattr(sut, "close", None)
-            if callable(close):
-                close()
+            sut.close()
         return probe
 
     def run(self) -> SweepResult:

@@ -22,14 +22,12 @@ import numpy as np
 
 from ..core.config import TestMode, TestSettings
 from ..core.events import EventLoop, RunAbortedError, VirtualClock
-from ..core.loadgen import LoadGenResult
+from ..core.loadgen import LoadGenResult, judge
 from ..core.logging import QueryLog
-from ..core.metrics import compute_metrics, empty_metrics
 from ..core.query import Query, QuerySampleResponse
 from ..core.sampler import SampleSelector
 from ..core.scenarios import PerformanceSource, make_driver
 from ..core.sut import SutBase
-from ..core.validation import validate_run
 from ..sut.device import DeviceModel
 from ..sut.simulated import WorkloadProfile
 
@@ -169,20 +167,18 @@ def run_multitenant(
     loop = EventLoop(VirtualClock())
     pool = _SharedEnginePool(device, loop)
     drivers = []
-    logs: Dict[str, QueryLog] = {}
     for spec in tenants:
         if spec.settings.mode is not TestMode.PERFORMANCE:
             raise ValueError(
                 f"tenant {spec.name}: multitenant runs are performance-mode"
             )
         facade = _TenantFacade(spec.name, spec.workload, pool)
-        log = QueryLog()
         source = PerformanceSource(
             SampleSelector(range(pool_size), seed=spec.settings.seed))
-        driver = make_driver(loop, spec.settings, facade, source, log)
+        driver = make_driver(loop, spec.settings, facade, source,
+                             QueryLog())
         facade.start_run(loop, driver.handle_completion)
         drivers.append((spec, driver))
-        logs[spec.name] = log
 
     for _spec, driver in drivers:
         driver.start()
@@ -192,23 +188,11 @@ def run_multitenant(
         for _spec, driver in drivers:
             driver.stats.aborted = str(abort)
 
-    results: Dict[str, LoadGenResult] = {}
-    for spec, driver in drivers:
-        log = logs[spec.name]
-        metrics = (
-            compute_metrics(log, spec.settings)
-            if log.completed_records()
-            else empty_metrics(log, spec.settings)
-        )
-        results[spec.name] = LoadGenResult(
-            settings=spec.settings,
-            log=log,
-            metrics=metrics,
-            validity=validate_run(log, spec.settings, driver.stats),
-            loaded_indices=list(range(pool_size)),
-            stats=driver.stats,
-        )
-    return results
+    return {
+        spec.name: judge(spec.settings, driver.log, driver.stats,
+                         range(pool_size))
+        for spec, driver in drivers
+    }
 
 
 def all_tenants_valid(results: Dict[str, LoadGenResult]) -> bool:

@@ -11,10 +11,6 @@ Two symmetric ways to put a wire between the LoadGen and a backend:
   backend behind a :class:`~repro.network.simulated.SimulatedChannelSUT`
   on the virtual clock, for reproducible network-sensitivity sweeps.
 
-Plus the replicated variant: :func:`run_over_replicated_localhost`
-stands up N loopback servers and routes between them with the
-``repro.fleet`` balancer - multi-server client routing over real TCP.
-
 Both return a :class:`NetworkRunResult` bundling the LoadGen verdict
 with the transport-side accounting, so callers can separate "the SUT is
 too slow" from "the wire ate the latency budget".
@@ -201,59 +197,6 @@ def run_over_simulated_channel(
         channel_stats=channel.stats,
         transport=dict(channel.transport_records),
     )
-
-
-def run_over_replicated_localhost(
-    backend_factory: Callable[[], SystemUnderTest],
-    qsl: QuerySampleLibrary,
-    settings: TestSettings,
-    replicas: int = 2,
-    server_config: Optional[ServerConfig] = None,
-    policy: Optional[object] = None,
-    attempt_timeout: float = 2.0,
-    query_timeout: float = 2.0,
-    registry: Optional[MetricsRegistry] = None,
-    seed: int = 0,
-) -> NetworkRunResult:
-    """One measured run against N real loopback servers behind the fleet
-    balancer: multi-server client routing over actual TCP.
-
-    Each replica is its own :class:`~repro.network.server.InferenceServer`
-    (own port, own backend instance from ``backend_factory``) fronted by
-    a :class:`~repro.network.client.NetworkSUT`, and a
-    :class:`~repro.fleet.ReplicaSet` routes between them with the given
-    balancing ``policy``.  Runs on the wall clock, like
-    :func:`run_over_localhost`; every server is drained and stopped
-    afterwards whatever the verdict.
-    """
-    from ..fleet import ReplicaSet
-
-    servers: list = []
-
-    def replica_factory(index: int) -> SystemUnderTest:
-        server = InferenceServer(backend_factory(), server_config,
-                                 registry=None)
-        host, port = server.start()
-        servers.append(server)
-        return NetworkSUT((host, port), query_timeout=query_timeout)
-
-    fleet = ReplicaSet(
-        replica_factory,
-        initial_replicas=replicas,
-        max_replicas=max(replicas, 2),
-        policy=policy,
-        attempt_timeout=attempt_timeout,
-        seed=seed,
-        registry=registry,
-    )
-    try:
-        result = run_benchmark(fleet, qsl, settings, clock=WallClock(),
-                               registry=registry)
-        return NetworkRunResult(result=result)
-    finally:
-        fleet.close()
-        for server in servers:
-            server.stop()
 
 
 def latency_overhead(

@@ -88,14 +88,13 @@ class SnapshotSampler:
     def __init__(
         self,
         registry: MetricsRegistry,
-        loop,
         period: float,
         quantiles: Sequence[Tuple[str, float]] = DEFAULT_QUANTILES,
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
         self.registry = registry
-        self.loop = loop
+        self.loop = None  # set by start()
         self.period = period
         self.quantiles = tuple(quantiles)
         self.snapshots: List[Snapshot] = []
@@ -103,10 +102,13 @@ class SnapshotSampler:
         self._keep_going: Optional[Callable[[], bool]] = None
         self._running = False
 
-    def start(self, keep_going: Optional[Callable[[], bool]] = None) -> None:
-        """Take an immediate baseline snapshot and begin ticking."""
+    def start(self, loop,
+              keep_going: Optional[Callable[[], bool]] = None) -> None:
+        """Take an immediate baseline snapshot and begin ticking on
+        ``loop`` (the ``RunService`` shape of ``repro.core.loadgen``)."""
         if self._running:
             raise RuntimeError("sampler already started")
+        self.loop = loop
         self._running = True
         self._keep_going = keep_going
         self._capture()

@@ -92,3 +92,63 @@ def test_a_kept_wrapper_stack_does_not_pin_the_finished_run(echo_qsl):
         assert sut.inner.queries_served >= 300
     finally:
         gc.enable()
+
+
+class Recording:
+    """A RunService that only notes what the run did to it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def start(self, loop, keep_going):
+        self.calls.append("start")
+
+    def stop(self):
+        self.calls.append("stop")
+
+
+def test_a_failing_service_start_still_stops_the_ones_before_it(echo_qsl):
+    """An orchestrator that was never ``bind()``-ed refuses to start;
+    the service started before it must not be left running."""
+    import pytest
+
+    from repro.faults import ChaosOrchestrator, ChaosSchedule
+
+    first = Recording()
+    unbound = ChaosOrchestrator(ChaosSchedule(events=()))
+    with pytest.raises(ValueError, match="bind"):
+        run_benchmark(EchoSUT(latency=0.0005), echo_qsl,
+                      server_settings(10), services=[first, unbound])
+    assert first.calls == ["start", "stop"]
+
+
+def test_start_order_is_sampler_then_sut_then_services_as_given(echo_qsl):
+    """Same-time events fire in scheduling order, so the start order is
+    part of every same-seed digest; the sampler's baseline is taken
+    before the SUT has touched the registry."""
+    from repro.metrics import MetricsRegistry
+
+    order = []
+
+    class Noting(Recording):
+        def __init__(self, name):
+            super().__init__()
+            self.name = name
+
+        def start(self, loop, keep_going):
+            order.append(self.name)
+
+    class NotingSUT(EchoSUT):
+        def start_run(self, loop, responder):
+            order.append("sut")
+            super().start_run(loop, responder)
+
+    registry = MetricsRegistry()
+    registry.gauge("probe", "read at every snapshot",
+                   fn=lambda: float(order.append("snapshot") or 0))
+    result = run_benchmark(NotingSUT(latency=0.0005), echo_qsl,
+                           server_settings(10), registry=registry,
+                           snapshot_period=3600.0,
+                           services=[Noting("a"), Noting("b")])
+    assert result.valid
+    assert order[:4] == ["snapshot", "sut", "a", "b"]

@@ -122,6 +122,48 @@ class TestCheck:
         assert "REJECTED" in capsys.readouterr().out
 
 
+class TestSeedReachesEveryLayer:
+    """``--seed`` is passed once, to the settings and to every seeded
+    layer of the stack."""
+
+    def test_metrics_stream_seed_changes_the_token_plan(self, capsys):
+        import json
+
+        def streamed_tokens(seed):
+            assert main(["metrics", "--queries", "50", "--stream",
+                         "--format", "json", "--seed", str(seed)]) == 0
+            families = {family["name"]: family for family in
+                        json.loads(capsys.readouterr().out)["metrics"]}
+            (series,) = families["stream_tokens_total"]["series"]
+            return series["value"]
+
+        assert streamed_tokens(0) == streamed_tokens(0)
+        assert streamed_tokens(0) != streamed_tokens(4)
+
+    def test_parallel_seed_changes_the_sample_order(self, capsys,
+                                                    monkeypatch):
+        from repro.core import loadgen
+
+        results = []
+        run_benchmark = loadgen.run_benchmark
+
+        def spy(*args, **kwargs):
+            results.append(run_benchmark(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(loadgen, "run_benchmark", spy)
+
+        def sample_order(seed):
+            assert main(["run", "--sut", "parallel", "--scenario",
+                         "single-stream", "--workers", "1", "--samples",
+                         "64", "--queries", "12", "--seed", str(seed)]) == 0
+            return [sample.index for record in results[-1].log.records()
+                    for sample in record.query.samples]
+
+        assert sample_order(0) == sample_order(0)
+        assert sample_order(0) != sample_order(4)
+
+
 # -- the recorded contract ---------------------------------------------------
 #
 # Exit code, stdout and stderr of the CLI paths that build a SUT stack from

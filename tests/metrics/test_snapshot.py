@@ -47,7 +47,7 @@ class TestSampler:
         reg = MetricsRegistry()
         counter = reg.counter("ticks_total")
         loop = EventLoop(VirtualClock())
-        sampler = SnapshotSampler(reg, loop, period=0.5)
+        sampler = SnapshotSampler(reg, period=0.5)
 
         remaining = [6]
 
@@ -58,7 +58,7 @@ class TestSampler:
                 loop.schedule_after(0.4, work)
 
         loop.schedule_after(0.4, work)
-        sampler.start(keep_going=lambda: remaining[0] > 0)
+        sampler.start(loop, keep_going=lambda: remaining[0] > 0)
         loop.run()
 
         times = [s.time for s in sampler.snapshots]
@@ -72,8 +72,8 @@ class TestSampler:
         reg = MetricsRegistry()
         reg.counter("x_total")
         loop = EventLoop(VirtualClock())
-        sampler = SnapshotSampler(reg, loop, period=1.0)
-        sampler.start(keep_going=lambda: False)
+        sampler = SnapshotSampler(reg, period=1.0)
+        sampler.start(loop, keep_going=lambda: False)
         loop.run()
         # Baseline at t=0 plus the single tick at t=1 that observed the
         # stop condition; the loop then drains instead of running forever.
@@ -83,8 +83,8 @@ class TestSampler:
     def test_stop_cancels_pending_tick(self):
         reg = MetricsRegistry()
         loop = EventLoop(VirtualClock())
-        sampler = SnapshotSampler(reg, loop, period=1.0)
-        sampler.start()
+        sampler = SnapshotSampler(reg, period=1.0)
+        sampler.start(loop)
         sampler.stop()
         loop.run()
         assert [s.time for s in sampler.snapshots] == [0.0]
@@ -92,24 +92,23 @@ class TestSampler:
     def test_sample_now_appends(self):
         reg = MetricsRegistry()
         loop = EventLoop(VirtualClock())
-        sampler = SnapshotSampler(reg, loop, period=1.0)
-        sampler.start(keep_going=lambda: False)
+        sampler = SnapshotSampler(reg, period=1.0)
+        sampler.start(loop, keep_going=lambda: False)
         loop.run()
         before = len(sampler.snapshots)
         sampler.sample_now()
         assert len(sampler.snapshots) == before + 1
 
     def test_double_start_raises(self):
-        sampler = SnapshotSampler(
-            MetricsRegistry(), EventLoop(VirtualClock()), period=1.0)
-        sampler.start()
+        loop = EventLoop(VirtualClock())
+        sampler = SnapshotSampler(MetricsRegistry(), period=1.0)
+        sampler.start(loop)
         with pytest.raises(RuntimeError):
-            sampler.start()
+            sampler.start(loop)
 
     def test_nonpositive_period_rejected(self):
         with pytest.raises(ValueError):
-            SnapshotSampler(
-                MetricsRegistry(), EventLoop(VirtualClock()), period=0.0)
+            SnapshotSampler(MetricsRegistry(), period=0.0)
 
 
 class TestDeterminism:
