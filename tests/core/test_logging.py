@@ -143,3 +143,78 @@ def test_jsonl_serialization():
     assert entry["sample_indices"] == [4]
     assert entry["scheduled_time"] == 0.9
     assert entry["responses"] == [[1, 2]]
+
+
+# -- the tolerant referee path: one verdict per kind of misbehavior -----------
+
+def _ids(*sample_ids):
+    return [QuerySampleResponse(sample_id, None) for sample_id in sample_ids]
+
+
+@pytest.mark.parametrize("indices, responses, time, reason", [
+    # one-sample queries (Server, SingleStream): ids 100
+    ([4], _ids(999), 1.5,
+     "1 responses name sample ids that are not part of the query"),
+    ([4], _ids(100, 100), 1.5, "expected 1 responses, got 2"),
+    ([4], [], 1.5, "expected 1 responses, got 0"),
+    ([4], _ids(100), 0.5, "completed at 0.5 before issue at 1.0"),
+    # multi-sample queries (MultiStream, Offline): ids 100, 101, 102
+    ([4, 5, 6], _ids(100, 101, 999), 1.5,
+     "1 responses name sample ids that are not part of the query"),
+    ([4, 5, 6], _ids(997, 998, 999), 1.5,
+     "3 responses name sample ids that are not part of the query"),
+    # the right ids, but one answered twice and one never
+    ([4, 5, 6], _ids(100, 101, 101), 1.5,
+     "0 responses name sample ids that are not part of the query"),
+    ([4, 5, 6], _ids(100, 101), 1.5, "expected 3 responses, got 2"),
+])
+def test_malformed_completion_resolves_the_query_as_failed(
+        indices, responses, time, reason):
+    log = QueryLog()
+    query = _query(1, indices)
+    log.record_issue(query, 1.0)
+    status = log.observe_completion(query, time, responses,
+                                    keep_responses=False)
+    assert status == "failed"
+    record = log.record_for(1)
+    assert record.failure_reason == reason
+    assert record.failure_time == time
+    assert record.completion_time is None
+    assert log.outstanding == 0
+    assert log.completed_records() == []
+    assert log.failed_records() == [record]
+
+
+@pytest.mark.parametrize("indices", [[4], [4, 5, 6]])
+def test_clean_completion_in_any_response_order(indices):
+    log = QueryLog()
+    query = _query(1, indices)
+    log.record_issue(query, 1.0)
+    responses = list(reversed(_responses(query)))
+    assert log.observe_completion(
+        query, 1.5, responses, keep_responses=True) == "completed"
+    assert log.record_for(1).completion_time == 1.5
+    assert log.record_for(1).responses == responses
+    assert log.failed_records() == []
+
+
+def test_unsolicited_and_duplicate_outcomes_leave_the_records_alone():
+    log = QueryLog()
+    query = _query(1, [4])
+    stranger = _query(2, [5])
+    assert log.observe_completion(
+        stranger, 1.2, _responses(stranger),
+        keep_responses=False) == "unsolicited"
+    assert log.record_failure(stranger, 1.3, "lost") == "unsolicited"
+    log.record_issue(query, 1.0)
+    assert log.observe_completion(
+        query, 1.5, _responses(query), keep_responses=False) == "completed"
+    assert log.observe_completion(
+        query, 1.6, _responses(query), keep_responses=False) == "duplicate"
+    assert log.record_failure(query, 1.7, "late") == "duplicate"
+    assert log.unsolicited_responses == [(2, 1.2), (2, 1.3)]
+    assert log.duplicate_completions == [(1, 1.6), (1, 1.7)]
+    assert log.query_count == 1 and log.outstanding == 0
+    assert log.record_for(1).completion_time == 1.5
+    assert log.record_for(1).failure_reason is None
+    assert log.record_for(2) is None

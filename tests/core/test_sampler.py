@@ -1,7 +1,8 @@
 """Sample selection: with-replacement draws, determinism, chunking."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sampler import (
@@ -47,6 +48,37 @@ class TestSampleSelector:
     def test_draw_count_respected(self, count):
         selector = SampleSelector(range(10), seed=3)
         assert len(selector.draw(count)) == count
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        pool_size=st.integers(min_value=1, max_value=5000),
+        counts=st.lists(
+            st.one_of(
+                st.just(1),
+                st.integers(min_value=2, max_value=64),
+                st.sampled_from([24_576, 24_577, 30_000]),
+            ),
+            min_size=1, max_size=40),
+    )
+    def test_any_mix_of_draw_counts_is_one_bulk_draw(
+            self, seed, pool_size, counts):
+        """Every digest in the repo rests on this: however the draws are
+        sized (Server's 1, MultiStream's N, Offline's 24,576, in any
+        order), the selector hands out the seed's one sequence - the
+        pool indexed by a single ``integers`` draw of the total."""
+        # Not range(pool_size): the mapping through the pool must show.
+        pool = [7 + 3 * i for i in range(pool_size)]
+        selector = SampleSelector(pool, seed=seed)
+        drawn = []
+        for count in counts:
+            part = selector.draw(count)
+            assert len(part) == count
+            drawn.extend(part)
+        picks = np.random.default_rng(seed).integers(
+            0, pool_size, size=sum(counts))
+        assert drawn == np.asarray(pool)[picks].tolist()
+        assert all(type(index) is int for index in drawn[:100])
 
 
 class TestQueryFactory:

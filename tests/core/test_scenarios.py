@@ -306,3 +306,68 @@ class TestArrivalStreamIsolation:
         SampleSelector(range(64), seed=self.SETTINGS["seed"]).draw(500)
         second = self._arrivals()
         assert first == second
+
+
+class TestScheduledTimesAreTheArrivalStream:
+    """Pins *which* numbers the arrival stream yields, not only that it
+    is isolated: arrival ``i`` is scheduled at the running sum of the
+    first ``i`` gaps, each one ``exponential(1 / rate)`` from the spawn
+    child (0,) of the run seed, with the rate evaluated at the previous
+    arrival.  However a driver obtains its gaps, this is the sequence;
+    the runs are long enough to cross any block a driver might pre-draw.
+    """
+
+    QPS = 500.0
+    SEED = 41
+
+    def _reference(self, count, bursts=()):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(self.SEED).spawn(1)[0])
+        now, expected = 0.0, []
+        for _ in range(count):
+            rate = self.QPS
+            for start, duration, multiplier in bursts:
+                if start <= now < start + duration:
+                    rate *= multiplier
+            now = now + rng.exponential(1.0 / rate)
+            expected.append(now)
+        return expected
+
+    def _server_schedule(self, queries, **overrides):
+        settings = TestSettings(
+            scenario=Scenario.SERVER, server_target_qps=self.QPS,
+            server_latency_bound=1.0, min_query_count=queries,
+            min_duration=0.0, seed=self.SEED, **overrides)
+        log, _ = run_driver(settings, ScriptedSUT(latency=0.0001))
+        assert log.query_count == queries
+        return [r.scheduled_time for r in log.records()]
+
+    def test_server_schedule_is_the_running_sum_of_the_gaps(self):
+        scheduled = self._server_schedule(5000)
+        assert scheduled == self._reference(5000)
+        assert all(type(t) is float for t in scheduled)
+
+    def test_server_rate_bursts_rescale_the_same_gaps(self):
+        # Windows on both sides of the first thousand arrivals, one of
+        # them a lull, so the rate changes mid-run more than once.
+        bursts = ((0.5, 0.75, 4.0), (2.0, 1.5, 0.25), (6.0, 1.0, 8.0))
+        scheduled = self._server_schedule(5000, server_rate_bursts=bursts)
+        assert scheduled == self._reference(5000, bursts)
+        assert scheduled != self._reference(5000)
+
+    def test_session_arrivals_are_the_same_running_sum(self):
+        sessions = 1500
+        settings = TestSettings(
+            scenario=Scenario.SESSION, server_target_qps=self.QPS,
+            session_count=sessions, session_turns_min=1,
+            session_turns_max=2, session_think_time_mean=0.001,
+            min_duration=0.0, seed=self.SEED)
+        log, driver = run_driver(settings, ScriptedSUT(latency=0.0001))
+        assert driver.stats.sessions_completed == sessions
+        # Only a session's first turn is an arrival; later turns follow
+        # the previous answer and carry no scheduled time.
+        arrivals = [r.scheduled_time for r in log.records()
+                    if r.turn_index == 0]
+        assert arrivals == self._reference(sessions)
+        assert all(r.scheduled_time is None for r in log.records()
+                   if r.turn_index != 0)
