@@ -111,7 +111,10 @@ class EventHandle(list):
 
 
 def _aborted(callback, when: float, exc: Exception) -> RunAbortedError:
-    origin = getattr(callback, "__qualname__", None) or repr(callback)
+    # A functools.partial has no name of its own: name what it calls
+    # (its repr would print every bound argument - a whole query).
+    target = getattr(callback, "func", callback)
+    origin = getattr(target, "__qualname__", None) or repr(callback)
     return RunAbortedError(
         f"event callback raised at t={when:.6f}s (origin {origin}): {exc!r}",
         time=when, origin=origin, cause=exc)

@@ -114,12 +114,12 @@ class BurstDriver(ScenarioDriver):
                 self._close_issue_phase()
                 return
             self._issue(indices, scheduled_time=self.loop.now)
-        if self._should_issue_more():
+        if self._should_issue_more(self.loop.now):
             self._schedule_next_burst()
         else:
             self._close_issue_phase()
 
-    def on_completion(self, query: Query) -> None:
+    def on_completion(self, query: Query, now: float) -> None:
         """Burst queries are independent; nothing to do on completion."""
 
 

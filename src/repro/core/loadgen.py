@@ -242,7 +242,7 @@ def judge(
     exited: the scenario's metrics, then the validity rules.  Every run
     loop in the repo (this module's, the burst mode's, the multitenant
     harness's) ends here."""
-    if log.completed_records():
+    if log.has_completions():
         metrics = compute_metrics(log, settings)
     else:
         metrics = empty_metrics(log, settings)

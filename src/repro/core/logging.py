@@ -39,8 +39,9 @@ class QueryLog:
             raise ValueError(
                 f"log_sample_probability must be in [0, 1], got {log_sample_probability}"
             )
+        #: query id -> record; a dict keeps insertion order, which is
+        #: issue order.
         self._records: Dict[int, QueryRecord] = {}
-        self._order: List[int] = []
         #: Records that reached a terminal state (completed or failed),
         #: kept incrementally so :attr:`outstanding` is O(1) - it is
         #: polled per event by the janitor, the watchdog, the snapshot
@@ -78,10 +79,9 @@ class QueryLog:
         if query.id in self._records:
             raise ValueError(f"query {query.id} issued twice")
         self._records[query.id] = QueryRecord(
-            query=query, issue_time=issue_time, scheduled_time=scheduled_time
+            query, issue_time, scheduled_time=scheduled_time
         )
-        self._order.append(query.id)
-        self.issued_samples += query.sample_count
+        self.issued_samples += len(query.samples)
         if self.observer is not None:
             self.observer("issued", query, issue_time, None)
 
@@ -139,8 +139,9 @@ class QueryLog:
         * ``"unsolicited"`` - no such query was ever issued; noted in
           :attr:`unsolicited_responses`.
         """
-        record = self._records.get(query.id)
-        if record is None:
+        try:
+            record = self._records[query.id]
+        except KeyError:
             self.unsolicited_responses.append((query.id, completion_time))
             return "unsolicited"
         if (record.completion_time is not None
@@ -153,19 +154,25 @@ class QueryLog:
                 f"completed at {completion_time} before issue at "
                 f"{record.issue_time}",
             )
-        if len(responses) != query.sample_count:
+        samples = query.samples
+        expected = len(samples)
+        if len(responses) != expected:
             return self.record_failure(
                 query, completion_time,
-                f"expected {query.sample_count} responses, got {len(responses)}",
+                f"expected {expected} responses, got {len(responses)}",
             )
-        expected_ids = {s.id for s in query.samples}
-        got_ids = {r.sample_id for r in responses}
-        if got_ids != expected_ids:
-            return self.record_failure(
-                query, completion_time,
-                f"{len(got_ids - expected_ids)} responses name sample ids "
-                "that are not part of the query",
-            )
+        # One sample (Server, SingleStream) that names the right id is
+        # the whole check; anything else compares as sets - the order of
+        # a response set is free, its members are not.
+        if expected != 1 or responses[0].sample_id != samples[0].id:
+            expected_ids = {s.id for s in samples}
+            got_ids = {r.sample_id for r in responses}
+            if got_ids != expected_ids:
+                return self.record_failure(
+                    query, completion_time,
+                    f"{len(got_ids - expected_ids)} responses name sample "
+                    "ids that are not part of the query",
+                )
         if record.chunk_count > 0 and not record.stream_closed:
             # The stream never delivered its final chunk: a truncated
             # stream.  The completion is still recorded (the terminal
@@ -199,8 +206,9 @@ class QueryLog:
           noted in :attr:`stream_chunk_anomalies`;
         * ``"unsolicited"`` - chunk for a query never issued.
         """
-        record = self._records.get(query.id)
-        if record is None:
+        try:
+            record = self._records[query.id]
+        except KeyError:
             self.unsolicited_responses.append((query.id, time))
             return "unsolicited"
         if (record.completion_time is not None
@@ -257,8 +265,9 @@ class QueryLog:
         Classifies like :meth:`observe_completion`: failures for unknown
         or already-resolved queries are themselves anomalies.
         """
-        record = self._records.get(query.id)
-        if record is None:
+        try:
+            record = self._records[query.id]
+        except KeyError:
             self.unsolicited_responses.append((query.id, time))
             return "unsolicited"
         if (record.completion_time is not None
@@ -276,7 +285,7 @@ class QueryLog:
 
     def records(self) -> List[QueryRecord]:
         """All records in issue order."""
-        return [self._records[qid] for qid in self._order]
+        return list(self._records.values())
 
     def record_for(self, query_id: int) -> Optional[QueryRecord]:
         """The record for one query id, or None if never issued."""
@@ -284,24 +293,35 @@ class QueryLog:
 
     def completed_records(self) -> List[QueryRecord]:
         """Cleanly completed records (failed queries are excluded)."""
-        return [r for r in self.records() if r.completion_time is not None
+        return [r for r in self._records.values()
+                if r.completion_time is not None
                 and r.failure_reason is None]
 
     def failed_records(self) -> List[QueryRecord]:
         """Records that resolved as failures (malformed, retries spent)."""
-        return [r for r in self.records() if r.failure_reason is not None]
+        return [r for r in self._records.values()
+                if r.failure_reason is not None]
 
     def outstanding_records(self) -> List[QueryRecord]:
         """Issued queries that never reached a terminal state."""
-        return [r for r in self.records() if r.completion_time is None
-                and r.failure_reason is None]
+        return [r for r in self._records.values()
+                if r.completion_time is None and r.failure_reason is None]
+
+    def has_completions(self) -> bool:
+        """Whether any query completed cleanly (stops at the first)."""
+        for record in self._records.values():
+            if (record.completion_time is not None
+                    and record.failure_reason is None):
+                return True
+        return False
 
     def latencies(self) -> List[float]:
-        return [r.latency for r in self.completed_records()]
+        return [r.completion_time - r.issue_time
+                for r in self.completed_records()]
 
     @property
     def query_count(self) -> int:
-        return len(self._order)
+        return len(self._records)
 
     @property
     def outstanding(self) -> int:

@@ -10,17 +10,31 @@ Each scenario reports a different figure of merit:
 The functions here compute those metrics from a completed
 :class:`~repro.core.logging.QueryLog`; validity checking lives in
 ``repro.core.validation``.
+
+Finalize runs over every record of a 270,336-query log, so each consumer
+(:func:`compute_metrics`, ``validate_run``) takes the clean completions
+from the log once and hands that list to the ``*_of`` helpers, which
+read the record fields straight into lists - one pass per statistic and
+no call per record.  Nothing is memoised on the log: hand-built logs
+change between calls.  Every reported number stays an exact builtin
+``float`` / ``int`` (digests hash ``repr``s), and every mean stays
+``sum(values) / n`` over the values in issue order, which is what fixes
+its last bits.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import Scenario, TestSettings
 from .logging import QueryLog
 from .query import QueryRecord
-from .stats import percentile
+from .stats import percentiles
+
+#: The ranks every latency-like summary reports.
+_P50_P90_P99 = (0.50, 0.90, 0.99)
 
 
 @dataclass(frozen=True)
@@ -109,14 +123,18 @@ class ScenarioMetrics:
     session: Optional[SessionMetrics] = None
 
 
-def run_duration(log: QueryLog) -> float:
-    """Seconds from first issue to last completion."""
-    records = log.completed_records()
+def window_of(records: Sequence[QueryRecord]) -> float:
+    """Seconds from the first issue to the last completion of
+    ``records`` (clean completions), 0.0 when there are none."""
     if not records:
         return 0.0
-    first = min(r.issue_time for r in records)
-    last = max(r.completion_time for r in records)
-    return last - first
+    return (max([r.completion_time for r in records])
+            - min([r.issue_time for r in records]))
+
+
+def run_duration(log: QueryLog) -> float:
+    """Seconds from first issue to last completion."""
+    return window_of(log.completed_records())
 
 
 def scenario_metric_name(scenario: Scenario) -> str:
@@ -152,73 +170,97 @@ def empty_metrics(log: QueryLog, settings: TestSettings) -> ScenarioMetrics:
     )
 
 
+def effective_ttfts(records: Sequence[QueryRecord]) -> List[float]:
+    """TTFT of each clean completion, with the non-streamed fallback: a
+    query answered in one atomic completion delivered its whole answer
+    as its "first token"."""
+    return [
+        r.completion_time - r.issue_time if r.first_chunk_time is None
+        else r.first_chunk_time - r.issue_time
+        for r in records
+    ]
+
+
+def effective_tpots(records: Sequence[QueryRecord]) -> List[float]:
+    """TPOT of each record (``QueryRecord.tpot``), with the non-streamed
+    fallback: a single atomic answer has no inter-token interval, so it
+    contributes zero - as does a single-token stream."""
+    return [
+        0.0 if (r.first_chunk_time is None or r.last_chunk_time is None
+                or r.token_count <= 1)
+        else (r.last_chunk_time - r.first_chunk_time) / (r.token_count - 1)
+        for r in records
+    ]
+
+
 def effective_ttft(record: QueryRecord) -> float:
-    """TTFT with the non-streamed fallback: a query answered in one
-    atomic completion delivered its whole answer as its "first token"."""
-    ttft = record.ttft
-    return record.latency if ttft is None else ttft
+    """:func:`effective_ttfts` of one clean completion."""
+    return effective_ttfts((record,))[0]
 
 
 def effective_tpot(record: QueryRecord) -> float:
-    """TPOT with the non-streamed fallback (a single atomic answer has
-    no inter-token interval, so it contributes zero)."""
-    tpot = record.tpot
-    return 0.0 if tpot is None else tpot
+    """:func:`effective_tpots` of one record."""
+    return effective_tpots((record,))[0]
+
+
+def stream_slo_counts(
+    records: Sequence[QueryRecord], settings: TestSettings
+) -> Tuple[int, int, int]:
+    """``(TTFT violations, TPOT violations, compliant)`` over clean
+    completions: how many missed each configured token SLO and how many
+    met every one.  An unset target is never missed."""
+    ttft_target = settings.resolved_ttft_target
+    tpot_target = settings.resolved_tpot_target
+    late_first = (
+        [False] * len(records) if ttft_target is None
+        else [ttft > ttft_target for ttft in effective_ttfts(records)]
+    )
+    slow_tokens = (
+        [False] * len(records) if tpot_target is None
+        else [tpot > tpot_target for tpot in effective_tpots(records)]
+    )
+    missed_any = sum([a or b for a, b in zip(late_first, slow_tokens)])
+    return sum(late_first), sum(slow_tokens), len(records) - missed_any
 
 
 def record_meets_stream_slos(record: QueryRecord, settings: TestSettings) -> bool:
     """Did this clean completion meet every configured token SLO?"""
-    ttft_target = settings.resolved_ttft_target
-    if ttft_target is not None and effective_ttft(record) > ttft_target:
-        return False
-    tpot_target = settings.resolved_tpot_target
-    if tpot_target is not None and effective_tpot(record) > tpot_target:
-        return False
-    return True
+    return stream_slo_counts((record,), settings)[2] == 1
 
 
-def compute_stream_metrics(
-    log: QueryLog, settings: TestSettings
+def stream_metrics_of(
+    records: Sequence[QueryRecord], settings: TestSettings
 ) -> Optional[StreamMetrics]:
-    """Token-level metrics for a run, or None if nothing streamed."""
-    completed = log.completed_records()
-    streamed = [r for r in completed if r.streamed]
+    """Token-level metrics over clean completions, or None if none of
+    them streamed."""
+    streamed = [r for r in records if r.first_chunk_time is not None]
     if not streamed:
         return None
-    duration = run_duration(log)
+    duration = window_of(records)
     # SLO compliance is judged over *all* clean completions (a query
     # that never streamed still either met or missed the targets via
     # the fallback semantics); percentiles are reported over the
     # streamed population, which is what TTFT/TPOT describe.
-    ttfts = [effective_ttft(r) for r in streamed]
-    tpots = [effective_tpot(r) for r in streamed]
-    ttft_target = settings.resolved_ttft_target
-    tpot_target = settings.resolved_tpot_target
-    ttft_violations = (
-        sum(1 for r in completed if effective_ttft(r) > ttft_target)
-        if ttft_target is not None else 0
-    )
-    tpot_violations = (
-        sum(1 for r in completed if effective_tpot(r) > tpot_target)
-        if tpot_target is not None else 0
-    )
-    compliant = sum(
-        1 for r in completed if record_meets_stream_slos(r, settings)
-    )
+    ttfts = effective_ttfts(streamed)
+    tpots = effective_tpots(streamed)
+    ttft_violations, tpot_violations, compliant = stream_slo_counts(
+        records, settings)
+    ttft_p50, ttft_p90, ttft_p99 = percentiles(ttfts, _P50_P90_P99)
+    tpot_p50, tpot_p90, tpot_p99 = percentiles(tpots, _P50_P90_P99)
     n = len(streamed)
     return StreamMetrics(
         streamed_query_count=n,
-        chunk_count=sum(r.chunk_count for r in streamed),
-        token_count=sum(r.token_count for r in streamed),
-        restart_count=sum(r.stream_restarts for r in completed),
+        chunk_count=sum([r.chunk_count for r in streamed]),
+        token_count=sum([r.token_count for r in streamed]),
+        restart_count=sum([r.stream_restarts for r in records]),
         ttft_mean=sum(ttfts) / n,
-        ttft_p50=percentile(ttfts, 0.50),
-        ttft_p90=percentile(ttfts, 0.90),
-        ttft_p99=percentile(ttfts, 0.99),
+        ttft_p50=ttft_p50,
+        ttft_p90=ttft_p90,
+        ttft_p99=ttft_p99,
         tpot_mean=sum(tpots) / n,
-        tpot_p50=percentile(tpots, 0.50),
-        tpot_p90=percentile(tpots, 0.90),
-        tpot_p99=percentile(tpots, 0.99),
+        tpot_p50=tpot_p50,
+        tpot_p90=tpot_p90,
+        tpot_p99=tpot_p99,
         slo_compliant_count=compliant,
         ttft_violations=ttft_violations,
         tpot_violations=tpot_violations,
@@ -226,32 +268,42 @@ def compute_stream_metrics(
     )
 
 
-def compute_session_metrics(
+def compute_stream_metrics(
     log: QueryLog, settings: TestSettings
-) -> Optional[SessionMetrics]:
-    """Per-conversation metrics, or None if no query carried a session tag.
+) -> Optional[StreamMetrics]:
+    """Token-level metrics for a run, or None if nothing streamed."""
+    return stream_metrics_of(log.completed_records(), settings)
 
-    A session counts as *completed* when the log holds a clean
-    completion for every one of its planned turns (``turn_count`` from
-    the tag) - a referee-side reconstruction that never trusts the
-    driver's own counters.
+
+def session_metrics_of(
+    records: Sequence[QueryRecord]
+) -> Optional[SessionMetrics]:
+    """Per-conversation metrics over clean completions, or None if none
+    of them carried a session tag.
+
+    A session counts as *completed* when there is a clean completion
+    for every one of its planned turns (``turn_count`` from the tag) - a
+    referee-side reconstruction that never trusts the driver's own
+    counters.
     """
-    completed = log.completed_records()
-    tagged = [r for r in completed if r.query.session is not None]
+    tagged = [r for r in records if r.query.session is not None]
     if not tagged:
         return None
-    by_session: dict = {}
+    by_session: Dict[int, List[QueryRecord]] = defaultdict(list)
     for record in tagged:
-        by_session.setdefault(record.session_id, []).append(record)
+        by_session[record.query.session.session_id].append(record)
     completed_sessions = 0
     session_latencies = []
-    for records in by_session.values():
-        planned = records[0].query.session.turn_count
-        if len(records) == planned:
+    for turns in by_session.values():
+        if len(turns) == turns[0].query.session.turn_count:
             completed_sessions += 1
-        session_latencies.append(sum(r.latency for r in records))
-    duration = run_duration(log)
-    ttfts = [effective_ttft(r) for r in tagged]
+        session_latencies.append(
+            sum([r.completion_time - r.issue_time for r in turns]))
+    duration = window_of(records)
+    latency_p50, latency_p90, latency_p99 = percentiles(
+        session_latencies, _P50_P90_P99)
+    ttft_p50, ttft_p90, ttft_p99 = percentiles(
+        effective_ttfts(tagged), _P50_P90_P99)
     n = len(by_session)
     return SessionMetrics(
         session_count=n,
@@ -259,32 +311,46 @@ def compute_session_metrics(
         turn_count=len(tagged),
         turns_per_session_mean=len(tagged) / n,
         session_latency_mean=sum(session_latencies) / n,
-        session_latency_p50=percentile(session_latencies, 0.50),
-        session_latency_p90=percentile(session_latencies, 0.90),
-        session_latency_p99=percentile(session_latencies, 0.99),
-        turn_ttft_p50=percentile(ttfts, 0.50),
-        turn_ttft_p90=percentile(ttfts, 0.90),
-        turn_ttft_p99=percentile(ttfts, 0.99),
+        session_latency_p50=latency_p50,
+        session_latency_p90=latency_p90,
+        session_latency_p99=latency_p99,
+        turn_ttft_p50=ttft_p50,
+        turn_ttft_p90=ttft_p90,
+        turn_ttft_p99=ttft_p99,
         sessions_per_second=(
             completed_sessions / duration if duration > 0 else float("inf")
         ),
     )
 
 
+def compute_session_metrics(
+    log: QueryLog, settings: TestSettings
+) -> Optional[SessionMetrics]:
+    """Per-conversation metrics, or None if no query carried a session tag."""
+    return session_metrics_of(log.completed_records())
+
+
+def sample_count_of(records: Sequence[QueryRecord]) -> int:
+    """Samples carried by the queries of ``records``."""
+    return sum(map(len, [r.query.samples for r in records]))
+
+
 def compute_metrics(log: QueryLog, settings: TestSettings) -> ScenarioMetrics:
     """Compute the Table II metric (plus latency summary) for a run."""
-    latencies = log.latencies()
-    if not latencies:
+    records = log.completed_records()
+    if not records:
         raise ValueError("run completed no queries; cannot compute metrics")
-    duration = run_duration(log)
-    sample_count = sum(r.query.sample_count for r in log.completed_records())
+    latencies = [r.completion_time - r.issue_time for r in records]
+    latency_p50, latency_p90, latency_p99 = percentiles(
+        latencies, _P50_P90_P99)
+    duration = window_of(records)
+    sample_count = sample_count_of(records)
     throughput = sample_count / duration if duration > 0 else float("inf")
 
     scenario = settings.scenario
-    name = scenario_metric_name(scenario)
-    session = compute_session_metrics(log, settings)
+    session = session_metrics_of(records)
     if scenario is Scenario.SINGLE_STREAM:
-        primary = percentile(latencies, 0.90)
+        primary = latency_p90
     elif scenario is Scenario.MULTI_STREAM:
         primary = float(settings.multistream_samples_per_query)
     elif scenario is Scenario.SERVER:
@@ -296,19 +362,18 @@ def compute_metrics(log: QueryLog, settings: TestSettings) -> ScenarioMetrics:
     else:  # pragma: no cover - exhaustive over the enum
         raise ValueError(f"unknown scenario {scenario}")
 
-    n = len(latencies)
     return ScenarioMetrics(
         scenario=scenario,
         query_count=log.query_count,
         sample_count=sample_count,
         duration=duration,
-        latency_mean=sum(latencies) / n,
-        latency_p50=percentile(latencies, 0.50),
-        latency_p90=percentile(latencies, 0.90),
-        latency_p99=percentile(latencies, 0.99),
+        latency_mean=sum(latencies) / len(latencies),
+        latency_p50=latency_p50,
+        latency_p90=latency_p90,
+        latency_p99=latency_p99,
         primary_metric=primary,
-        primary_metric_name=name,
+        primary_metric_name=scenario_metric_name(scenario),
         throughput=throughput,
-        stream=compute_stream_metrics(log, settings),
+        stream=stream_metrics_of(records, settings),
         session=session,
     )

@@ -9,7 +9,6 @@ a single query containing the whole performance set (>= 24,576 samples).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 
@@ -53,27 +52,57 @@ class QuerySample(NamedTuple):
     index: int
 
 
-@dataclass
-class Query:
+class _Slotted:
+    """``repr`` and ``==`` over ``__slots__``, field by field in
+    declaration order - what ``@dataclass`` gave :class:`Query` and
+    :class:`QueryRecord` before they were slotted.  One of each is
+    allocated per issued query, so neither carries a ``__dict__``."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
+
+    __hash__ = None  # mutable, compared by value
+
+
+class Query(_Slotted):
     """A request for inference on one or more samples.
 
     ``contiguous`` records that the samples' data are adjacent in memory,
     which the multistream and offline rules guarantee so that SUTs need
     not copy samples into a contiguous region before starting inference.
+
+    ``session`` is set on session-workload queries: which conversation
+    turn this is.  ``None`` for the classic independent-query scenarios,
+    so nothing downstream pays for sessions it does not use.
     """
 
-    id: int
-    samples: Tuple[QuerySample, ...]
-    issue_time: float = 0.0
-    contiguous: bool = True
-    #: Set on session-workload queries: which conversation turn this is.
-    #: ``None`` for the classic independent-query scenarios, so nothing
-    #: downstream pays for sessions it does not use.
-    session: Optional[SessionTurn] = None
+    __slots__ = ("id", "samples", "issue_time", "contiguous", "session")
 
-    def __post_init__(self) -> None:
-        if not self.samples:
+    def __init__(
+        self,
+        id: int,
+        samples: Tuple[QuerySample, ...],
+        issue_time: float = 0.0,
+        contiguous: bool = True,
+        session: Optional[SessionTurn] = None,
+    ) -> None:
+        if not samples:
             raise ValueError("a query must contain at least one sample")
+        self.id = id
+        self.samples = samples
+        self.issue_time = issue_time
+        self.contiguous = contiguous
+        self.session = session
 
     @property
     def sample_count(self) -> int:
@@ -171,32 +200,59 @@ class QuerySampleResponse:
         )
 
 
-@dataclass
-class QueryRecord:
-    """Everything the LoadGen logs about one query's lifecycle."""
+class QueryRecord(_Slotted):
+    """Everything the LoadGen logs about one query's lifecycle.
 
-    query: Query
-    issue_time: float
-    completion_time: Optional[float] = None
-    responses: Optional[List[QuerySampleResponse]] = None
-    scheduled_time: Optional[float] = None
-    #: Set when the query resolved as a failure (malformed completion,
-    #: retry exhaustion, ...) rather than a clean response.
-    failure_reason: Optional[str] = None
-    failure_time: Optional[float] = None
-    #: Streaming lifecycle (all None/zero for non-streamed queries).
-    #: Chunk times are the *current attempt's*: a stream restart resets
-    #: them, so TTFT/TPOT reflect the attempt that actually answered.
-    first_chunk_time: Optional[float] = None
-    last_chunk_time: Optional[float] = None
-    chunk_count: int = 0
-    token_count: int = 0
-    #: True once a chunk with ``last=True`` arrived for the current
-    #: attempt; a streamed record completing without it is *truncated*.
-    stream_closed: bool = False
-    #: How many times the stream restarted at ``seq == 0`` (retries,
-    #: reroutes).  Informational, not misbehavior.
-    stream_restarts: int = 0
+    ``failure_reason`` / ``failure_time`` are set when the query
+    resolved as a failure (malformed completion, retry exhaustion, ...)
+    rather than a clean response.
+
+    The streaming lifecycle fields are all None/zero for non-streamed
+    queries.  Chunk times are the *current attempt's*: a stream restart
+    resets them, so TTFT/TPOT reflect the attempt that actually
+    answered.  ``stream_closed`` is True once a chunk with ``last=True``
+    arrived for the current attempt; a streamed record completing
+    without it is *truncated*.  ``stream_restarts`` counts how many
+    times the stream restarted at ``seq == 0`` (retries, reroutes) -
+    informational, not misbehavior.
+    """
+
+    __slots__ = (
+        "query", "issue_time", "completion_time", "responses",
+        "scheduled_time", "failure_reason", "failure_time",
+        "first_chunk_time", "last_chunk_time", "chunk_count",
+        "token_count", "stream_closed", "stream_restarts",
+    )
+
+    def __init__(
+        self,
+        query: Query,
+        issue_time: float,
+        completion_time: Optional[float] = None,
+        responses: Optional[List[QuerySampleResponse]] = None,
+        scheduled_time: Optional[float] = None,
+        failure_reason: Optional[str] = None,
+        failure_time: Optional[float] = None,
+        first_chunk_time: Optional[float] = None,
+        last_chunk_time: Optional[float] = None,
+        chunk_count: int = 0,
+        token_count: int = 0,
+        stream_closed: bool = False,
+        stream_restarts: int = 0,
+    ) -> None:
+        self.query = query
+        self.issue_time = issue_time
+        self.completion_time = completion_time
+        self.responses = responses
+        self.scheduled_time = scheduled_time
+        self.failure_reason = failure_reason
+        self.failure_time = failure_time
+        self.first_chunk_time = first_chunk_time
+        self.last_chunk_time = last_chunk_time
+        self.chunk_count = chunk_count
+        self.token_count = token_count
+        self.stream_closed = stream_closed
+        self.stream_restarts = stream_restarts
 
     @property
     def latency(self) -> float:

@@ -11,12 +11,19 @@ once so the accuracy script can evaluate the full benchmark data set.
 
 from __future__ import annotations
 
-import itertools
+from functools import partial
 from typing import Iterator, List, Sequence
 
 import numpy as np
 
 from .query import Query, QuerySample
+
+#: How many values the seeded streams on the issue path (sample picks
+#: here, arrival gaps in ``scenarios.ArrivalGaps``) draw from numpy at a
+#: time.  A ``Generator`` yields the same values however a request is
+#: split into calls, so this length changes no result - only how often
+#: numpy is entered (one ``integers(size=1)`` costs ~11 calls and ~3 us).
+DRAW_BLOCK = 1024
 
 
 class SampleSelector:
@@ -24,20 +31,56 @@ class SampleSelector:
 
     Performance mode draws uniformly *with replacement* - duplicate
     indices are expected and the caching-detection audit relies on them.
+
+    Picks are drawn :data:`DRAW_BLOCK` at a time and already mapped
+    through the loaded set; :meth:`draw` slices the block.  A draw that
+    outruns the block takes what is left of it first and then draws the
+    rest, so any mix of counts (Server's 1, MultiStream's N, Offline's
+    24,576) sees the one sequence ``integers(0, n, size=total)`` would
+    give - ``tests/core/test_sampler.py`` holds the property.
     """
 
     def __init__(self, loaded_indices: Sequence[int], seed: int) -> None:
-        if not loaded_indices:
+        if len(loaded_indices) == 0:
             raise ValueError("loaded_indices must not be empty")
         self._indices = np.asarray(loaded_indices, dtype=np.int64)
         self._rng = np.random.default_rng(seed)
+        #: Drawn but not yet handed out: ``_block[_pos:]``.  A block is
+        #: either empty (``_pos`` parked at the end) or full length, so
+        #: the hot path compares against the constant.
+        self._block: List[int] = []
+        self._pos = DRAW_BLOCK
+
+    def _take(self, count: int) -> List[int]:
+        picks = self._rng.integers(0, len(self._indices), size=count)
+        return self._indices[picks].tolist()
 
     def draw(self, count: int) -> List[int]:
         """Draw ``count`` indices with replacement."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        picks = self._rng.integers(0, len(self._indices), size=count)
-        return [int(self._indices[p]) for p in picks]
+        start = self._pos
+        end = start + count
+        if end <= DRAW_BLOCK:
+            self._pos = end
+            return self._block[start:end]
+        drawn = self._block[start:]
+        rest = count - len(drawn)
+        if rest >= DRAW_BLOCK:
+            # A bulk draw: exactly what it needs, nothing drawn ahead.
+            drawn += self._take(rest)
+            self._block, self._pos = [], DRAW_BLOCK
+        else:
+            self._block = self._take(DRAW_BLOCK)
+            drawn += self._block[:rest]
+            self._pos = rest
+        return drawn
+
+
+#: ``QuerySample(id, index)`` without the namedtuple's Python-level
+#: ``__new__``: one C call per sample, which is what an Offline query of
+#: 24,576 samples multiplies.
+_new_sample = partial(tuple.__new__, QuerySample)
 
 
 class QueryFactory:
@@ -45,19 +88,22 @@ class QueryFactory:
 
     Sample ids are unique per issued sample instance (two draws of data
     set index 7 get different ids), mirroring the real LoadGen's
-    ``QuerySampleId`` semantics.
+    ``QuerySampleId`` semantics.  Indices are stored as given: every
+    :class:`~repro.core.scenarios.SampleSource` yields Python ints.
     """
 
     def __init__(self) -> None:
-        self._query_ids = itertools.count(1)
-        self._sample_ids = itertools.count(1)
+        self._next_query_id = 1
+        self._next_sample_id = 1
 
     def make_query(self, sample_indices: Sequence[int], issue_time: float = 0.0) -> Query:
+        query_id = self._next_query_id
+        self._next_query_id = query_id + 1
+        first = self._next_sample_id
+        self._next_sample_id = end = first + len(sample_indices)
         samples = tuple(
-            QuerySample(id=next(self._sample_ids), index=int(idx))
-            for idx in sample_indices
-        )
-        return Query(id=next(self._query_ids), samples=samples, issue_time=issue_time)
+            map(_new_sample, zip(range(first, end), sample_indices)))
+        return Query(query_id, samples, issue_time)
 
 
 def accuracy_mode_indices(total_sample_count: int) -> List[int]:

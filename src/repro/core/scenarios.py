@@ -36,7 +36,7 @@ from .config import Scenario, TestMode, TestSettings
 from .events import EventLoop
 from .logging import QueryLog
 from .query import Query, QueryFailure, StreamChunk
-from .sampler import QueryFactory, SampleSelector
+from .sampler import DRAW_BLOCK, QueryFactory, SampleSelector
 from .sut import SystemUnderTest
 from ..metrics import MetricsRegistry
 
@@ -88,6 +88,41 @@ class AccuracySource(SampleSource):
     @property
     def remaining(self) -> int:
         return len(self._indices) - self._pos
+
+
+class ArrivalGaps:
+    """The run's Poisson arrival stream, as unit-rate exponential gaps.
+
+    A dedicated stream so the traffic pattern is a pure function of the
+    seed (Section V-B alternate-seed test).  The SeedSequence is
+    constructed fresh per instance, so back-to-back runs in one process
+    (retuning probes, the multitenant harness) replay identical arrivals
+    instead of continuing a shared stream; the spawn child (key (0,)) is
+    disjoint from both the loaded-set stream (child (1,) in LoadGen) and
+    the sample-selection stream (root entropy in SampleSelector).
+    ``tests/core/test_scenarios.py`` pins all three invariants.
+
+    ``exponential(scale)`` is ``scale * standard_exponential()`` bit for
+    bit, so the gaps are pre-drawn at unit rate, :data:`DRAW_BLOCK` at a
+    time, and the caller multiplies by ``1 / rate`` with the rate in
+    force when it asks - a rate burst rescales the same gaps.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(
+            np.random.SeedSequence(seed).spawn(1)[0]
+        )
+        self._block: List[float] = []
+        self._pos = DRAW_BLOCK
+
+    def next(self) -> float:
+        """The next gap of a rate-1 Poisson process."""
+        pos = self._pos
+        if pos == DRAW_BLOCK:
+            self._block = self._rng.standard_exponential(DRAW_BLOCK).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._block[pos]
 
 
 @dataclass
@@ -194,7 +229,16 @@ class _DriverInstruments:
 
 
 class ScenarioDriver:
-    """Common machinery for the four scenario drivers."""
+    """Common machinery for the four scenario drivers.
+
+    The issue and completion paths run once per query, so they decide
+    from plain attributes: what the settings and the source resolve to
+    is read once here (neither changes during a run), and an event reads
+    the clock once and hands that reading on - :meth:`_issue` stamps the
+    query, :meth:`handle_completion` the outcome.  Only a realtime
+    loop's clock moves inside an event; whoever decides something after
+    the SUT has run reads it again there.
+    """
 
     scenario: Scenario
 
@@ -216,6 +260,10 @@ class ScenarioDriver:
         self.stats = DriverStats()
         self._outstanding = 0
         self._issue_phase_open = True
+        self._finite = source.finite
+        self._min_queries = settings.resolved_min_query_count
+        self._min_duration = settings.resolved_min_duration
+        self._keep_responses = settings.mode is TestMode.ACCURACY
         self._metrics = (
             _DriverInstruments(registry, settings.scenario, log)
             if registry is not None else None
@@ -237,7 +285,7 @@ class ScenarioDriver:
     def _issue(self, indices: List[int], scheduled_time: Optional[float] = None,
                session=None) -> Query:
         now = self.loop.now
-        query = self.factory.make_query(indices, issue_time=now)
+        query = self.factory.make_query(indices, now)
         if session is not None:
             query.session = session
         self.log.record_issue(query, now, scheduled_time=scheduled_time)
@@ -259,27 +307,33 @@ class ScenarioDriver:
         must be able to invalidate a run, never to corrupt or crash it.
         """
         now = self.loop.now
-        if isinstance(responses, StreamChunk):
-            # Chunks are progress, not a terminal outcome: record the
-            # timing, bump the stream counters, and wait for the real
-            # completion that follows the last chunk.
-            status = self.log.record_chunk(query, now, responses)
-            metrics = self._metrics
-            if metrics is not None:
-                if status in ("chunk", "restart"):
-                    metrics.chunks.inc()
-                    metrics.tokens.inc(responses.token_count)
-                else:  # anomaly / late / unsolicited - cold path
-                    metrics.anomalies.labels(
-                        scenario=metrics.scenario, kind="stream_" + status
-                    ).inc()
-            return
-        if isinstance(responses, QueryFailure):
-            status = self.log.record_failure(query, now, responses.reason)
-        else:
-            keep = self.settings.mode is TestMode.ACCURACY
+        status = None
+        # A clean completion is a plain list on every hot path, so the
+        # exact type settles it; chunks, failures and any other response
+        # sequence take the isinstance route.
+        if type(responses) is not list:
+            if isinstance(responses, StreamChunk):
+                # Chunks are progress, not a terminal outcome: record
+                # the timing, bump the stream counters, and wait for the
+                # real completion that follows the last chunk.
+                status = self.log.record_chunk(query, now, responses)
+                metrics = self._metrics
+                if metrics is not None:
+                    if status in ("chunk", "restart"):
+                        metrics.chunks.inc()
+                        metrics.tokens.inc(responses.token_count)
+                    else:  # anomaly / late / unsolicited - cold path
+                        metrics.anomalies.labels(
+                            scenario=metrics.scenario,
+                            kind="stream_" + status
+                        ).inc()
+                return
+            if isinstance(responses, QueryFailure):
+                status = self.log.record_failure(
+                    query, now, responses.reason)
+        if status is None:
             status = self.log.observe_completion(
-                query, now, responses, keep_responses=keep
+                query, now, responses, keep_responses=self._keep_responses
             )
         metrics = self._metrics
         if metrics is not None:
@@ -300,19 +354,16 @@ class ScenarioDriver:
                 ).inc()
         if status in ("completed", "failed"):
             self._outstanding -= 1
-            self.on_completion(query)
+            self.on_completion(query, now)
 
-    def _performance_goals_met(self) -> bool:
-        elapsed = self.loop.now - self.stats.start_time
+    def _should_issue_more(self, now: float) -> bool:
+        """A finite source stops by returning None; an endless one once
+        both performance minimums (query count, duration) are met."""
         return (
-            self.stats.issued_queries >= self.settings.resolved_min_query_count
-            and elapsed >= self.settings.resolved_min_duration
+            self._finite
+            or self.stats.issued_queries < self._min_queries
+            or now - self.stats.start_time < self._min_duration
         )
-
-    def _should_issue_more(self) -> bool:
-        if self.source.finite:
-            return True  # finite sources stop by returning None
-        return not self._performance_goals_met()
 
     def _close_issue_phase(self) -> None:
         if self._issue_phase_open:
@@ -326,8 +377,8 @@ class ScenarioDriver:
         """Schedule the first query/queries.  Called once by the LoadGen."""
         raise NotImplementedError
 
-    def on_completion(self, query: Query) -> None:
-        """React to a completed query (scenario specific)."""
+    def on_completion(self, query: Query, now: float) -> None:
+        """React to a query that resolved at ``now`` (scenario specific)."""
         raise NotImplementedError
 
 
@@ -347,8 +398,8 @@ class SingleStreamDriver(ScenarioDriver):
             return
         self._issue(indices)
 
-    def on_completion(self, query: Query) -> None:
-        if self._should_issue_more():
+    def on_completion(self, query: Query, now: float) -> None:
+        if self._should_issue_more(now):
             self._issue_next()
         else:
             self._close_issue_phase()
@@ -361,23 +412,15 @@ class ServerDriver(ScenarioDriver):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # Dedicated stream for arrival times so the traffic pattern is a
-        # pure function of the seed (Section V-B alternate-seed test).
-        # The SeedSequence is constructed fresh per driver, so back-to-
-        # back runs in one process (retuning probes, the multitenant
-        # harness) replay identical arrivals instead of continuing a
-        # shared stream; the spawn child (key (0,)) is disjoint from
-        # both the loaded-set stream (child (1,) in LoadGen) and the
-        # sample-selection stream (root entropy in SampleSelector).
-        # tests/core/test_scenarios.py pins all three invariants.
-        self._arrival_rng = np.random.default_rng(
-            np.random.SeedSequence(self.settings.seed).spawn(1)[0]
-        )
+        self._gaps = ArrivalGaps(self.settings.seed)
         self._bursts = self.settings.server_rate_bursts or ()
+        #: When the pending arrival is due; one is pending at a time, so
+        #: ``_arrive`` goes on the loop as it is, with no closure.
+        self._due = 0.0
 
     def start(self) -> None:
-        self.stats.start_time = self.loop.now
-        self._schedule_next_arrival()
+        now = self.stats.start_time = self.loop.now
+        self._schedule_next_arrival(now)
 
     def _rate_multiplier(self, now: float) -> float:
         """Scheduled burst/lull factor at ``now`` (flash-crowd traffic).
@@ -391,26 +434,29 @@ class ServerDriver(ScenarioDriver):
                 return multiplier
         return 1.0
 
-    def _schedule_next_arrival(self) -> None:
+    def _schedule_next_arrival(self, now: float) -> None:
         rate = self.settings.server_target_qps
         if self._bursts:
-            rate *= self._rate_multiplier(self.loop.now)
-        gap = self._arrival_rng.exponential(1.0 / rate)
-        scheduled = self.loop.now + gap
-        self.loop.schedule(scheduled, lambda: self._arrive(scheduled))
+            rate *= self._rate_multiplier(now)
+        self._due = due = now + self._gaps.next() * (1.0 / rate)
+        self.loop.schedule(due, self._arrive)
 
-    def _arrive(self, scheduled: float) -> None:
+    def _arrive(self) -> None:
         indices = self.source.next(1)
         if indices is None:
             self._close_issue_phase()
             return
-        self._issue(indices, scheduled_time=scheduled)
-        if self._should_issue_more():
-            self._schedule_next_arrival()
+        query = self._issue(indices, scheduled_time=self._due)
+        loop = self.loop
+        # Virtual time stands still inside an event; measured time has
+        # moved while the SUT ran, and the next gap starts from there.
+        now = loop.now if loop.realtime else query.issue_time
+        if self._should_issue_more(now):
+            self._schedule_next_arrival(now)
         else:
             self._close_issue_phase()
 
-    def on_completion(self, query: Query) -> None:
+    def on_completion(self, query: Query, now: float) -> None:
         """Server queries are independent; nothing to do on completion."""
 
 
@@ -452,13 +498,16 @@ class MultiStreamDriver(ScenarioDriver):
         if indices is None:
             self._close_issue_phase()
             return
-        self._current_query = self._issue(indices, scheduled_time=self.loop.now)
-        if self._should_issue_more():
+        loop = self.loop
+        self._current_query = query = self._issue(
+            indices, scheduled_time=loop.now)
+        now = loop.now if loop.realtime else query.issue_time
+        if self._should_issue_more(now):
             self._schedule_tick()
         else:
             self._close_issue_phase()
 
-    def on_completion(self, query: Query) -> None:
+    def on_completion(self, query: Query, now: float) -> None:
         if self._current_query is not None and query.id == self._current_query.id:
             self._current_query = None
 
@@ -477,11 +526,11 @@ class OfflineDriver(ScenarioDriver):
     def start(self) -> None:
         self.stats.start_time = self.loop.now
         self._issue_batch()
-        if not self.source.finite:
+        if not self._finite:
             self._issue_batch()
 
     def _batch_size(self) -> int:
-        if self.source.finite:
+        if self._finite:
             remaining = getattr(self.source, "remaining", None)
             if remaining is not None:
                 return max(1, remaining)
@@ -496,11 +545,10 @@ class OfflineDriver(ScenarioDriver):
         self.stats.offline_queries += 1
         self.sut.flush()
 
-    def on_completion(self, query: Query) -> None:
-        elapsed = self.loop.now - self.stats.start_time
+    def on_completion(self, query: Query, now: float) -> None:
         if (
-            not self.source.finite
-            and elapsed < self.settings.resolved_min_duration
+            not self._finite
+            and now - self.stats.start_time < self._min_duration
         ):
             # Section III-D: run for at least 60 s, processing additional
             # queries/samples as required.

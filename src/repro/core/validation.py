@@ -33,12 +33,7 @@ from typing import Dict, List
 
 from .config import Scenario, TestMode, TestSettings
 from .logging import QueryLog
-from .metrics import (
-    compute_session_metrics,
-    effective_tpot,
-    effective_ttft,
-    record_meets_stream_slos,
-)
+from .metrics import sample_count_of, session_metrics_of, stream_slo_counts
 from .scenarios import DriverStats
 
 
@@ -77,7 +72,7 @@ def _check_misbehavior(
 
     if log.outstanding:
         stuck = log.outstanding_records()
-        issue_times = sorted(r.issue_time for r in stuck)
+        issue_times = sorted([r.issue_time for r in stuck])
         reasons.append(f"{log.outstanding} queries never completed")
         # Where the run stalled: the first/last stuck issue, plus a
         # sample of issue times for the report.
@@ -147,10 +142,10 @@ def validate_run(
 
     # Duration runs from the driver's start (the clock the 60 s rule is
     # written against) to the final completion.
-    duration = max(r.completion_time for r in records) - stats.start_time
+    duration = max([r.completion_time for r in records]) - stats.start_time
     details["duration"] = duration
     details["query_count"] = log.query_count
-    details["sample_count"] = sum(r.query.sample_count for r in records)
+    details["sample_count"] = sample_count_of(records)
 
     if settings.mode is TestMode.ACCURACY:
         # Accuracy runs are exempt from the performance minimums.
@@ -185,7 +180,8 @@ def validate_run(
             scenario is Scenario.SESSION
             and settings.server_latency_bound is not None):
         bound = settings.resolved_server_latency_bound
-        violations = sum(1 for r in records if r.latency > bound)
+        violations = sum(
+            [r.completion_time - r.issue_time > bound for r in records])
         fraction = violations / len(records)
         details["latency_bound"] = bound
         details["violation_fraction"] = fraction
@@ -203,11 +199,10 @@ def validate_run(
     tpot_target = settings.resolved_tpot_target
     if ttft_target is not None or tpot_target is not None:
         budget = settings.resolved_max_violation_fraction
+        ttft_violations, tpot_violations, compliant = stream_slo_counts(
+            records, settings)
         if ttft_target is not None:
-            violations = sum(
-                1 for r in records if effective_ttft(r) > ttft_target
-            )
-            fraction = violations / len(records)
+            fraction = ttft_violations / len(records)
             details["ttft_target"] = ttft_target
             details["ttft_violation_fraction"] = fraction
             if fraction > budget:
@@ -216,10 +211,7 @@ def validate_run(
                     f"{ttft_target * 1e3:.1f} ms (budget {budget:.0%})"
                 )
         if tpot_target is not None:
-            violations = sum(
-                1 for r in records if effective_tpot(r) > tpot_target
-            )
-            fraction = violations / len(records)
+            fraction = tpot_violations / len(records)
             details["tpot_target"] = tpot_target
             details["tpot_violation_fraction"] = fraction
             if fraction > budget:
@@ -227,9 +219,6 @@ def validate_run(
                     f"{fraction:.4%} of queries exceeded the TPOT target "
                     f"{tpot_target * 1e3:.1f} ms (budget {budget:.0%})"
                 )
-        compliant = sum(
-            1 for r in records if record_meets_stream_slos(r, settings)
-        )
         details["slo_compliant_queries"] = compliant
         details["goodput"] = (
             compliant / duration if duration > 0 else float("inf")
@@ -263,7 +252,7 @@ def validate_run(
                 f"completed {stats.sessions_completed} sessions, minimum is "
                 f"{required}"
             )
-        session = compute_session_metrics(log, settings)
+        session = session_metrics_of(records)
         if session is not None:
             details["session_latency_p50"] = session.session_latency_p50
             details["session_latency_p90"] = session.session_latency_p90
@@ -282,7 +271,7 @@ def validate_run(
                 )
 
     if scenario is Scenario.MULTI_STREAM:
-        offenders = sum(1 for v in stats.skipped_intervals.values() if v > 0)
+        offenders = sum([v > 0 for v in stats.skipped_intervals.values()])
         fraction = offenders / log.query_count if log.query_count else 0.0
         details["skipped_query_fraction"] = fraction
         details["total_skipped_ticks"] = stats.total_skipped_ticks

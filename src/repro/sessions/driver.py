@@ -21,11 +21,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..core.config import Scenario
 from ..core.query import Query
-from ..core.scenarios import ScenarioDriver
+from ..core.scenarios import ArrivalGaps, ScenarioDriver
 from .replay import ReplayGraph, SessionPlan, replay_graph_from_settings
 
 
@@ -54,13 +52,12 @@ class SessionDriver(ScenarioDriver):
         )
         self._active: Dict[int, _SessionState] = {}
         self._arrived = 0
-        # Same arrival-stream idiom as ServerDriver: a fresh spawn child
-        # of the run seed, disjoint from the loaded-set and sample-
-        # selection streams and from the per-user replay draws (which
-        # are keyed by (seed, user_id, 0x5E55) in replay.py).
-        self._arrival_rng = np.random.default_rng(
-            np.random.SeedSequence(self.settings.seed).spawn(1)[0]
-        )
+        # The Server scenario's arrival stream, here spacing sessions;
+        # also disjoint from the per-user replay draws (which are keyed
+        # by (seed, user_id, 0x5E55) in replay.py).
+        self._gaps = ArrivalGaps(self.settings.seed)
+        #: When the pending session arrival is due (one at a time).
+        self._due = 0.0
         if registry is not None:
             self._started = registry.counter(
                 "session_started_total",
@@ -104,12 +101,12 @@ class SessionDriver(ScenarioDriver):
         if self._arrived >= self.graph.session_count:
             self._maybe_close()
             return
-        gap = self._arrival_rng.exponential(
-            1.0 / self.settings.server_target_qps)
-        scheduled = self.loop.now + gap
-        self.loop.schedule(scheduled, lambda: self._arrive(scheduled))
+        gap = self._gaps.next() * (1.0 / self.settings.server_target_qps)
+        self._due = due = self.loop.now + gap
+        self.loop.schedule(due, self._arrive)
 
-    def _arrive(self, scheduled: float) -> None:
+    def _arrive(self) -> None:
+        scheduled = self._due
         user_id = self._arrived
         self._arrived += 1
         state = _SessionState(self.graph.plan(user_id), self.loop.now)
@@ -134,7 +131,7 @@ class SessionDriver(ScenarioDriver):
             self._turns.inc()
         self._issue(indices, scheduled_time=scheduled_time, session=tag)
 
-    def on_completion(self, query: Query) -> None:
+    def on_completion(self, query: Query, now: float) -> None:
         turn = query.session
         if turn is None:
             return

@@ -21,6 +21,7 @@ infinite-capacity behavior.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import List, Optional
 
 from ..core.query import Query, QuerySampleResponse
@@ -59,7 +60,7 @@ class EchoSUT(SutBase):
                 self.complete(query, responses)
             else:
                 self.loop.schedule_after(
-                    self.latency, lambda: self.complete(query, responses)
+                    self.latency, partial(self.complete, query, responses)
                 )
             return
         now = self.loop.now
@@ -76,5 +77,5 @@ class EchoSUT(SutBase):
             self.complete(query, responses)
         else:
             self.loop.schedule_after(
-                done - now, lambda: self.complete(query, responses)
+                done - now, partial(self.complete, query, responses)
             )

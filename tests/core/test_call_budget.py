@@ -5,10 +5,13 @@ chunk, counted by ``cProfile`` whose timings are ignored.  For a given
 seed the counts repeat exactly, so the ceilings sit ~10% above what the
 code does today and a change that adds a frame per event trips them.
 The wrappers that run the attempt engine are gated on what they *add*
-over the bare run.  Re-baselining is described in CONTRIBUTING.md.
+over the bare run.  A breach prints the ten most-called functions, so
+the regression names its frame.  Re-baselining is described in
+CONTRIBUTING.md.
 """
 
 import cProfile
+import os
 
 import pytest
 
@@ -21,9 +24,9 @@ from repro.sut.echo import EchoSUT
 
 from tests.conftest import EchoQSL
 
-#: Measured 74.91 calls/query and 18.43 calls/chunk (python 3.11.7).
-PLAIN_CALLS_PER_QUERY = 82.5
-STREAM_CALLS_PER_CHUNK = 20.3
+#: Measured 33.90 calls/query and 14.72 calls/chunk (python 3.11.7).
+PLAIN_CALLS_PER_QUERY = 37.3
+STREAM_CALLS_PER_CHUNK = 16.2
 
 #: wrapper -> (build it over a backend factory, ceiling on calls/query
 #: added over the bare echo, ceiling on calls/chunk added over the bare
@@ -55,7 +58,23 @@ def profiled_run(sut, qsl):
     finally:
         profile.disable()
     assert result.valid and result.log.query_count == QUERIES
-    return sum(entry.callcount for entry in profile.getstats()), result.log
+    stats = profile.getstats()
+    return sum(entry.callcount for entry in stats), result.log, stats
+
+
+def busiest(stats, per, what, top=10):
+    """The ``top`` most-called functions as calls per ``what``, one per
+    line: the message of a breached budget."""
+    def name(code):
+        if isinstance(code, str):
+            return code
+        return (f"{os.path.basename(code.co_filename)}:"
+                f"{code.co_firstlineno} {code.co_name}")
+
+    rows = sorted(stats, key=lambda entry: -entry.callcount)[:top]
+    return f"most calls per {what}:\n" + "\n".join(
+        f"  {entry.callcount / per:8.2f}  {name(entry.code)}"
+        for entry in rows)
 
 
 def plain_echo():
@@ -68,24 +87,26 @@ def streamed_echo():
 
 
 def test_plain_server_run_stays_inside_its_call_budget(echo_qsl):
-    calls, log = profiled_run(plain_echo(), echo_qsl)
+    calls, log, stats = profiled_run(plain_echo(), echo_qsl)
     per_query = calls / log.query_count
     print(f"plain: {per_query:.2f} calls/query")
-    assert per_query <= PLAIN_CALLS_PER_QUERY
+    assert per_query <= PLAIN_CALLS_PER_QUERY, busiest(
+        stats, log.query_count, "query")
 
 
 def test_streamed_server_run_stays_inside_its_call_budget(echo_qsl):
-    calls, log = profiled_run(streamed_echo(), echo_qsl)
+    calls, log, stats = profiled_run(streamed_echo(), echo_qsl)
     per_chunk = calls / log.stream_chunks
     print(f"streamed: {per_chunk:.2f} calls/chunk, "
           f"{log.stream_chunks / log.query_count:.1f} chunks/query")
     assert log.stream_chunks > 15 * QUERIES
-    assert per_chunk <= STREAM_CALLS_PER_CHUNK
+    assert per_chunk <= STREAM_CALLS_PER_CHUNK, busiest(
+        stats, log.stream_chunks, "chunk")
 
 
 @pytest.fixture(scope="module")
 def bare_runs():
-    """(calls, log) of the unwrapped plain and streamed runs."""
+    """(calls, log, stats) of the unwrapped plain and streamed runs."""
     return (profiled_run(plain_echo(), EchoQSL()),
             profiled_run(streamed_echo(), EchoQSL()))
 
@@ -94,13 +115,17 @@ def bare_runs():
 def test_wrapper_stays_inside_its_added_call_budget(
         wrapper, bare_runs, echo_qsl):
     wrap, per_query_ceiling, per_chunk_ceiling = WRAPPER_BUDGETS[wrapper]
-    (plain_calls, plain_log), (stream_calls, stream_log) = bare_runs
-    wrapped, _ = profiled_run(wrap(plain_echo), echo_qsl)
+    (plain_calls, plain_log, _), (stream_calls, stream_log, _) = bare_runs
+    wrapped, _, plain_stats = profiled_run(wrap(plain_echo), echo_qsl)
     per_query = (wrapped - plain_calls) / plain_log.query_count
-    wrapped, wrapped_log = profiled_run(wrap(streamed_echo), echo_qsl)
+    wrapped, wrapped_log, stream_stats = profiled_run(
+        wrap(streamed_echo), echo_qsl)
     assert wrapped_log.stream_chunks == stream_log.stream_chunks
     per_chunk = (wrapped - stream_calls) / stream_log.stream_chunks
     print(f"{wrapper}: +{per_query:.2f} calls/query, "
           f"+{per_chunk:.2f} calls/chunk")
-    assert per_query <= per_query_ceiling
-    assert per_chunk <= per_chunk_ceiling
+    # The wrapped run's busiest functions, bare run's share included.
+    assert per_query <= per_query_ceiling, busiest(
+        plain_stats, plain_log.query_count, "query")
+    assert per_chunk <= per_chunk_ceiling, busiest(
+        stream_stats, stream_log.stream_chunks, "chunk")

@@ -129,6 +129,24 @@ class TestRunAbortedError:
         assert isinstance(err.cause, KeyError)
         assert "t=2.500000s" in str(err)
 
+    def test_partial_callback_is_named_after_what_it_calls(self):
+        """A partial's repr prints its bound arguments (for a completion,
+        a whole query) and an object address, which would differ between
+        same-seed runs."""
+        import functools
+
+        class Relay:
+            def deliver(self, payload):
+                raise KeyError("boom")
+
+        loop = EventLoop()
+        loop.schedule(1.0, functools.partial(Relay().deliver, list(range(99))))
+        with pytest.raises(RunAbortedError) as excinfo:
+            loop.run()
+        assert excinfo.value.origin.endswith("Relay.deliver")
+        assert "0x" not in str(excinfo.value)
+        assert "98" not in excinfo.value.origin
+
     def test_existing_run_aborted_error_propagates_unwrapped(self):
         loop = EventLoop()
         original = RunAbortedError("inner abort", time=1.0, origin="x")

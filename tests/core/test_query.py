@@ -7,6 +7,7 @@ from repro.core.query import (
     QueryRecord,
     QuerySample,
     QuerySampleResponse,
+    StreamChunk,
 )
 
 
@@ -59,3 +60,32 @@ def test_record_latency_before_completion_raises():
     assert not record.completed
     with pytest.raises(ValueError):
         _ = record.latency
+
+
+def test_per_query_types_carry_no_instance_dict():
+    """One of each is allocated per query (a chunk per streamed token):
+    slots, not a dict, and no attribute can appear by typo."""
+    query = _query()
+    for instance in (query, QueryRecord(query=query, issue_time=0.0),
+                     QuerySampleResponse(1), StreamChunk(1, 0)):
+        assert not hasattr(instance, "__dict__"), type(instance).__name__
+    with pytest.raises(AttributeError):
+        query.isue_time = 1.0
+
+
+def test_query_and_record_compare_and_print_by_value():
+    assert _query() == _query()
+    assert _query() != _query(qid=2)
+    assert _query() != "query"
+    assert repr(_query(n=1)) == (
+        "Query(id=1, samples=(QuerySample(id=1, index=0),), "
+        "issue_time=0.0, contiguous=True, session=None)")
+    record = QueryRecord(query=_query(), issue_time=1.0, scheduled_time=0.5)
+    assert record == QueryRecord(_query(), 1.0, scheduled_time=0.5)
+    record.chunk_count = 3
+    assert record != QueryRecord(_query(), 1.0, scheduled_time=0.5)
+    assert repr(record).startswith("QueryRecord(query=Query(id=1, ")
+    assert "scheduled_time=0.5" in repr(record)
+    assert "chunk_count=3" in repr(record)
+    with pytest.raises(TypeError):
+        hash(record)

@@ -39,6 +39,17 @@ class TestSampleSelector:
         with pytest.raises(ValueError):
             SampleSelector([], seed=0)
 
+    def test_numpy_pool_accepted(self):
+        """``if not loaded_indices`` raised "truth value of an array is
+        ambiguous" here."""
+        from_array = SampleSelector(np.array([5, 9, 13]), seed=1).draw(50)
+        assert from_array == SampleSelector([5, 9, 13], seed=1).draw(50)
+        assert all(type(index) is int for index in from_array)
+
+    def test_empty_numpy_pool_rejected(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            SampleSelector(np.array([], dtype=np.int64), seed=0)
+
     def test_nonpositive_count_rejected(self):
         selector = SampleSelector([1], seed=0)
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from repro.core.stats import (
     margin_for_tail_latency,
     normal_cdf,
     percentile,
+    percentiles,
     queries_for_confidence,
     required_queries,
     round_up_to_unit,
@@ -158,3 +159,25 @@ class TestPercentile:
         # At least pct of values are <= result (nearest-rank definition).
         at_or_below = sum(1 for v in values if v <= result)
         assert at_or_below >= math.ceil(pct * len(values))
+
+    @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1,
+                    max_size=60),
+           st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1,
+                    max_size=5))
+    def test_percentiles_take_every_rank_from_one_sort(self, values, pcts):
+        """Few distinct values, so most ranks land inside a run of ties."""
+        results = percentiles(values, pcts)
+        assert results == [percentile(values, pct) for pct in pcts]
+        for pct, result in zip(pcts, results):
+            # The definition, not the implementation: the smallest
+            # member with at least ceil(pct * n) values at or below it.
+            need = math.ceil(pct * len(values))
+            assert sum(v <= result for v in values) >= need
+            assert all(sum(v <= smaller for v in values) < need
+                       for smaller in values if smaller < result)
+
+    def test_percentiles_reject_what_percentile_rejects(self):
+        with pytest.raises(ValueError):
+            percentiles([], (0.5, 0.9))
+        with pytest.raises(ValueError):
+            percentiles([1.0], (0.5, 1.5))

@@ -137,3 +137,20 @@ def test_restarts_are_counted_but_not_penalized():
     metrics = compute_stream_metrics(log2, settings())
     assert metrics.restart_count == 1
     assert log2.anomaly_count == 0
+
+
+def test_effective_values_agree_with_the_record_properties():
+    """``core.metrics`` computes TTFT/TPOT for whole record lists without
+    going through ``QueryRecord.ttft`` / ``.tpot``; the two spellings of
+    the formulas must not drift apart."""
+    log = QueryLog()
+    add_streamed(log, 1, issue=0.0, first=0.010, last=0.030, tokens=8)
+    add_streamed(log, 2, issue=0.1, first=0.105, last=0.105, tokens=1,
+                 chunks=1)
+    add_atomic(log, 3, issue=0.2, done=0.240)
+    for record in log.completed_records():
+        expected_ttft = (record.latency if record.ttft is None
+                         else record.ttft)
+        assert effective_ttft(record) == expected_ttft
+        assert effective_tpot(record) == (record.tpot or 0.0)
+    assert effective_tpot(log.record_for(1)) == pytest.approx(0.020 / 7)
