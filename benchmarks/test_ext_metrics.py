@@ -1,23 +1,19 @@
 """Extension: cost and fidelity of the live telemetry subsystem.
 
 The ISSUE's acceptance bar for ``repro.metrics`` is that observing the
-benchmark must not perturb it: instrumenting the LoadGen issue path may
-cost only a small, bounded share of the bare per-query processing time.
-The bar was **under 5%** when the bare path cost ~40 us/query and the
-four metric operations ~0.8 us; the operations still cost ~0.6 us, but
-the path they are compared with has since been cut to ~6-7 us, so the
-same instrumentation now reads ~8-10% and the bar is **under 15%**.
-Measuring that as a difference of two full-run wall times is hopeless on
-a shared machine - the difference of two ~30 ms numbers with
-percent-level scheduler noise swamps the effect - so the budget is
-checked the robust way:
+benchmark must not perturb it: instrumenting the LoadGen issue path has
+to cost **under 5%** of the bare per-query processing time.  Measuring
+that as a difference of two full-run wall times is hopeless on a shared
+machine - the difference of two ~100 ms numbers with percent-level
+scheduler noise swamps a 5% effect - so the budget is checked the
+robust way:
 
 * the **numerator** (what instrumentation adds per query: the exact
   counter/histogram operations the scenario driver performs) is timed
   in isolation, where it is deterministic to nanoseconds;
 * the **denominator** (the bare per-query issue-path cost) comes from a
   min-of-N uninstrumented run, where noise only perturbs the *ratio*
-  proportionally (5% noise on a 10% quantity is 0.5 pp);
+  proportionally (5% noise on a 4% quantity is 0.2 pp);
 * a full instrumented run still executes end to end as a coarse
   guardrail against wiring regressions the microbenchmark cannot see.
 
@@ -41,9 +37,6 @@ from repro.sut.echo import EchoSUT
 #: dominates fixed setup.
 QUERIES = 4000
 REPEATS = 5
-#: Share of the bare per-query cost the driver's instruments may add.
-ISSUE_PATH_BUDGET = 0.15
-#: Share of the run the snapshot sampler may add.
 OVERHEAD_BUDGET = 0.05
 SNAPSHOT_PERIOD = 0.010
 
@@ -114,9 +107,9 @@ class TestIssuePathOverhead:
         overhead = added / bare_per_query
         print(f"instrumentation: {added * 1e9:.0f} ns/query "
               f"= {overhead:.2%} of the issue path")
-        assert overhead < ISSUE_PATH_BUDGET, (
+        assert overhead < OVERHEAD_BUDGET, (
             f"instrumentation costs {overhead:.1%} of the issue path "
-            f"(budget {ISSUE_PATH_BUDGET:.0%})"
+            f"(budget {OVERHEAD_BUDGET:.0%})"
         )
 
     def test_snapshot_sampling_cost_under_budget(self, bare_per_query):
@@ -150,7 +143,7 @@ class TestIssuePathOverhead:
         print(f"\nend-to-end instrumented+sampled: {ratio:+.2%}")
         # 3x the budget: wide enough for scheduler noise, tight enough
         # to catch an accidental O(n) on the hot path.
-        assert ratio < 3 * ISSUE_PATH_BUDGET
+        assert ratio < 3 * OVERHEAD_BUDGET
 
 
 class TestPrimitiveCost:

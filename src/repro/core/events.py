@@ -30,6 +30,7 @@ through the thread-safe :meth:`EventLoop.post`.
 from __future__ import annotations
 
 import collections
+import functools
 import heapq
 import threading
 import time as _time
@@ -113,7 +114,8 @@ class EventHandle(list):
 def _aborted(callback, when: float, exc: Exception) -> RunAbortedError:
     # A functools.partial has no name of its own: name what it calls
     # (its repr would print every bound argument - a whole query).
-    target = getattr(callback, "func", callback)
+    target = (callback.func if isinstance(callback, functools.partial)
+              else callback)
     origin = getattr(target, "__qualname__", None) or repr(callback)
     return RunAbortedError(
         f"event callback raised at t={when:.6f}s (origin {origin}): {exc!r}",

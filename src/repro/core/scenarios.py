@@ -307,31 +307,31 @@ class ScenarioDriver:
         must be able to invalidate a run, never to corrupt or crash it.
         """
         now = self.loop.now
-        status = None
         # A clean completion is a plain list on every hot path, so the
         # exact type settles it; chunks, failures and any other response
         # sequence take the isinstance route.
-        if type(responses) is not list:
-            if isinstance(responses, StreamChunk):
-                # Chunks are progress, not a terminal outcome: record
-                # the timing, bump the stream counters, and wait for the
-                # real completion that follows the last chunk.
-                status = self.log.record_chunk(query, now, responses)
-                metrics = self._metrics
-                if metrics is not None:
-                    if status in ("chunk", "restart"):
-                        metrics.chunks.inc()
-                        metrics.tokens.inc(responses.token_count)
-                    else:  # anomaly / late / unsolicited - cold path
-                        metrics.anomalies.labels(
-                            scenario=metrics.scenario,
-                            kind="stream_" + status
-                        ).inc()
-                return
-            if isinstance(responses, QueryFailure):
-                status = self.log.record_failure(
-                    query, now, responses.reason)
-        if status is None:
+        if type(responses) is list:
+            status = self.log.observe_completion(
+                query, now, responses, keep_responses=self._keep_responses
+            )
+        elif isinstance(responses, StreamChunk):
+            # Chunks are progress, not a terminal outcome: record the
+            # timing, bump the stream counters, and wait for the real
+            # completion that follows the last chunk.
+            status = self.log.record_chunk(query, now, responses)
+            metrics = self._metrics
+            if metrics is not None:
+                if status in ("chunk", "restart"):
+                    metrics.chunks.inc()
+                    metrics.tokens.inc(responses.token_count)
+                else:  # anomaly / late / unsolicited - cold path
+                    metrics.anomalies.labels(
+                        scenario=metrics.scenario, kind="stream_" + status
+                    ).inc()
+            return
+        elif isinstance(responses, QueryFailure):
+            status = self.log.record_failure(query, now, responses.reason)
+        else:
             status = self.log.observe_completion(
                 query, now, responses, keep_responses=self._keep_responses
             )
@@ -399,6 +399,8 @@ class SingleStreamDriver(ScenarioDriver):
         self._issue(indices)
 
     def on_completion(self, query: Query, now: float) -> None:
+        if self.loop.realtime:
+            now = self.loop.now  # measured time moved while it was logged
         if self._should_issue_more(now):
             self._issue_next()
         else:
@@ -546,6 +548,8 @@ class OfflineDriver(ScenarioDriver):
         self.sut.flush()
 
     def on_completion(self, query: Query, now: float) -> None:
+        if self.loop.realtime:
+            now = self.loop.now  # measured time moved while it was logged
         if (
             not self._finite
             and now - self.stats.start_time < self._min_duration

@@ -147,6 +147,20 @@ class TestRunAbortedError:
         assert "0x" not in str(excinfo.value)
         assert "98" not in excinfo.value.origin
 
+    def test_only_a_partial_is_unwrapped(self):
+        """Any other callable that happens to carry a ``func`` attribute
+        keeps its own name."""
+
+        def deliver():
+            raise KeyError("boom")
+
+        deliver.func = print
+        loop = EventLoop()
+        loop.schedule(1.0, deliver)
+        with pytest.raises(RunAbortedError) as excinfo:
+            loop.run()
+        assert excinfo.value.origin.endswith("deliver")
+
     def test_existing_run_aborted_error_propagates_unwrapped(self):
         loop = EventLoop()
         original = RunAbortedError("inner abort", time=1.0, origin="x")

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.core import Scenario, TestSettings
-from repro.core.events import EventLoop, VirtualClock, WallClock
+from repro.core.events import Clock, EventLoop, VirtualClock, WallClock
 from repro.core.loadgen import run_benchmark
 
 
@@ -191,3 +191,66 @@ class TestMeasuredRunPath:
         assert not result.valid
         assert result.stats.watchdog_fired
         assert 0.4 <= elapsed < 5.0
+
+
+class SteppingClock(Clock):
+    """A measured clock that moves one second on every reading."""
+
+    def __init__(self):
+        self.reading = 0.0
+
+    def now(self):
+        self.reading += 1.0
+        return self.reading
+
+
+class HeldSUT:
+    """Holds each query until the test completes it by hand."""
+
+    name = "held"
+
+    def __init__(self):
+        self.queries = []
+
+    def issue_query(self, query):
+        self.queries.append(query)
+
+    def flush(self):
+        pass
+
+
+class TestCompletionDecidesOnAFreshReading:
+    """Under a realtime loop the clock moves while a completion is being
+    logged; whether to issue more is judged on a reading taken after
+    that, not on the one the completion was stamped with."""
+
+    @pytest.mark.parametrize("scenario", [Scenario.SINGLE_STREAM,
+                                          Scenario.OFFLINE])
+    def test_min_duration_sees_time_spent_logging(self, scenario):
+        from repro.core.logging import QueryLog
+        from repro.core.query import QuerySampleResponse
+        from repro.core.sampler import SampleSelector
+        from repro.core.scenarios import PerformanceSource, make_driver
+
+        # Readings: start 1, then single-stream issues at 2; offline
+        # issues two batches, each reading once for the scheduled time
+        # and once for the issue (2-3, 4-5).  The completion is next.
+        stamped = 6.0 if scenario is Scenario.OFFLINE else 3.0
+        settings = TestSettings(
+            scenario=scenario, min_query_count=1, offline_sample_count=2,
+            # Not yet met at the stamp, met one reading later.
+            min_duration=stamped - 1.0 + 0.5)
+        loop = EventLoop(SteppingClock())
+        sut = HeldSUT()
+        log = QueryLog()
+        driver = make_driver(
+            loop, settings, sut,
+            PerformanceSource(SampleSelector(range(8), seed=1)), log)
+        driver.start()
+        assert driver.stats.start_time == 1.0
+        issued = len(sut.queries)
+        query = sut.queries[0]
+        driver.handle_completion(
+            query, [QuerySampleResponse(s.id, None) for s in query.samples])
+        assert log.record_for(query.id).completion_time == stamped
+        assert len(sut.queries) == issued  # nothing more was issued
