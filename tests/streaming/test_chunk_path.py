@@ -2,6 +2,9 @@
 same plans bit for bit, one loop event per chunk, the completion riding
 the final chunk's event, and abort verdicts free of object addresses."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -55,8 +58,107 @@ def test_plans_equal_the_reference_bit_for_bit(kwargs):
         assert all(type(chunk) is ChunkEvent for chunk in plan.chunks)
 
 
+def test_interleaved_models_plan_like_the_reference_and_stay_values():
+    """Models asked in turn for the same ids share nothing they should
+    not - two jitter-free ones that differ only in their delays (or only
+    in chunking) draw the same token counts - and planning leaves a
+    model the frozen value it was: same ``==``, hash, repr, ``replace``
+    and pickle, nothing hung on the instance."""
+    fast = StreamModel(seed=11)
+    slow = StreamModel(seed=11, first_token_delay=0.004,
+                       inter_token_delay=0.001)
+    chunked = StreamModel(seed=11, tokens_per_chunk=3)
+    jittered = StreamModel(seed=11, jitter=0.0004)
+    models = (fast, slow, chunked, jittered)
+
+    def as_values():
+        return [(dataclasses.asdict(m), dict(vars(m)), hash(m), repr(m),
+                 pickle.dumps(m), dataclasses.replace(m, seed=12))
+                for m in models]
+
+    before = as_values()
+    for query_id in range(200):
+        for model in models:
+            plan = model.plan(query_id)
+            assert plan == reference_plan(model, query_id)
+            assert type(plan) is StreamPlan
+            assert all(type(chunk) is ChunkEvent for chunk in plan.chunks)
+            assert all(type(chunk.offset) is float for chunk in plan.chunks)
+    assert as_values() == before
+    assert len({fast, slow, chunked, jittered, StreamModel(seed=11)}) == 4
+    assert [f.name for f in dataclasses.fields(StreamModel)] == [
+        "first_token_delay", "inter_token_delay", "min_tokens",
+        "max_tokens", "tokens_per_chunk", "jitter", "seed"]
+    for model in models:
+        assert vars(model) == dataclasses.asdict(model)
+        thawed = pickle.loads(pickle.dumps(model))
+        assert thawed == model and thawed is not model
+        assert thawed.plan(3) == reference_plan(model, 3)
+        slower = dataclasses.replace(model, inter_token_delay=0.002)
+        assert slower.plan(3) == reference_plan(slower, 3)
+        assert slower.plan(3) != model.plan(3)
+
+
 def make_query(qid):
     return Query(id=qid, samples=(QuerySample(id=100 + qid, index=qid),))
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(first_token_delay=0.0, inter_token_delay=0.0),
+    dict(tokens_per_chunk=3),
+    dict(min_tokens=1, max_tokens=1),
+    dict(jitter=0.0004),
+], ids=["one-instant", "three-per-chunk", "one-token", "jitter"])
+def test_each_stream_replays_in_plan_order_one_chunk_per_event(kwargs):
+    """Seqs 0..n-1 in order, ``last`` on the final chunk only, the
+    completion from the final chunk's own event - also when every chunk
+    of a stream falls on one instant, and when one query id streams
+    twice back to back (a retry's second answer)."""
+    model = StreamModel(seed=5, **kwargs)
+    sut = StreamingSUT(EchoSUT(latency=0.0), model=model)
+    loop = EventLoop(VirtualClock())
+    fired = [0]
+    schedule = loop.schedule
+
+    def counting(when, callback):
+        def event():
+            fired[0] += 1
+            callback()
+        return schedule(when, event)
+
+    loop.schedule = counting
+    delivered = []
+    sut.start_run(loop, lambda q, r: delivered.append(
+        (fired[0], loop.now, q.id, r)))
+    issued = [make_query(qid) for qid in (0, 1, 2, 3, 3, 4)]
+    for query in issued:
+        sut.issue_query(query)  # EchoSUT(latency=0) answers inside
+    loop.run()
+    assert loop.pending() == 0
+
+    # One event per planned chunk; events of one instant fire in the
+    # order they were scheduled: stream by stream, chunk by chunk.
+    planned = []
+    for query in issued:
+        chunks = model.plan(query.id).chunks
+        for seq, chunk in enumerate(chunks):
+            planned.append((chunk.offset, len(planned), query.id, seq,
+                            chunk.token_count, seq == len(chunks) - 1))
+    planned.sort()
+    heard = iter(delivered)
+    for event, (when, _, qid, seq, tokens, last) in enumerate(planned, 1):
+        fired_in, at, heard_qid, chunk = next(heard)
+        assert (fired_in, at, heard_qid) == (event, when, qid)
+        assert type(chunk) is StreamChunk
+        assert (chunk.query_id, chunk.seq, chunk.token_count, chunk.last) \
+            == (qid, seq, tokens, last)
+        if last:
+            fired_in, at, heard_qid, responses = next(heard)
+            assert (fired_in, at, heard_qid) == (event, when, qid)
+            assert type(responses) is list
+            assert [r.sample_id for r in responses] == [100 + qid]
+    assert next(heard, None) is None
+    assert fired[0] == len(planned)
 
 
 def test_one_event_per_chunk_and_the_completion_rides_the_last():
@@ -135,3 +237,25 @@ def test_abort_origin_names_the_chunk_without_an_address(echo_qsl):
     assert first is not None and first == verdict()
     assert "0x" not in first
     assert "stream chunk 2 of query 7" in first
+
+
+def test_abort_origin_names_the_final_chunk_when_its_completion_raises(
+        echo_qsl):
+    """The completion rides the final chunk's event, so that chunk is
+    what the verdict names when the completion's delivery raises."""
+    class LosesCompletions(ExplodingRelay):
+        def _relay(self, query, response):
+            if isinstance(response, list) and query.id == self.target[0]:
+                raise KeyError("relay lost its state")
+            self._responder(query, response)
+
+    model = StreamModel(seed=4)
+    final = len(model.plan(7).chunks) - 1
+    sut = LosesCompletions(
+        StreamingSUT(EchoSUT(latency=0.001), model), 7, None)
+    aborted = run_benchmark(sut, echo_qsl, TestSettings(
+        scenario=Scenario.SERVER, server_target_qps=500.0,
+        server_latency_bound=1.0, min_query_count=50, min_duration=0.0,
+        seed=4)).stats.aborted
+    assert aborted is not None and "0x" not in aborted
+    assert f"stream chunk {final} of query 7" in aborted
