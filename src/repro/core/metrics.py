@@ -193,16 +193,6 @@ def effective_tpots(records: Sequence[QueryRecord]) -> List[float]:
     ]
 
 
-def effective_ttft(record: QueryRecord) -> float:
-    """:func:`effective_ttfts` of one clean completion."""
-    return effective_ttfts((record,))[0]
-
-
-def effective_tpot(record: QueryRecord) -> float:
-    """:func:`effective_tpots` of one record."""
-    return effective_tpots((record,))[0]
-
-
 def stream_slo_counts(
     records: Sequence[QueryRecord], settings: TestSettings
 ) -> Tuple[int, int, int]:
@@ -221,11 +211,6 @@ def stream_slo_counts(
     )
     missed_any = sum([a or b for a, b in zip(late_first, slow_tokens)])
     return sum(late_first), sum(slow_tokens), len(records) - missed_any
-
-
-def record_meets_stream_slos(record: QueryRecord, settings: TestSettings) -> bool:
-    """Did this clean completion meet every configured token SLO?"""
-    return stream_slo_counts((record,), settings)[2] == 1
 
 
 def stream_metrics_of(

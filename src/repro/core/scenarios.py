@@ -284,7 +284,9 @@ class ScenarioDriver:
 
     def _issue(self, indices: List[int], scheduled_time: Optional[float] = None,
                session=None) -> Query:
-        now = self.loop.now
+        loop = self.loop
+        # loop.now, read in place as EventLoop.schedule reads it.
+        now = loop.clock.now() if loop.realtime else loop.clock._now
         query = self.factory.make_query(indices, now)
         if session is not None:
             query.session = session
@@ -306,15 +308,18 @@ class ScenarioDriver:
         logged as anomalies and otherwise ignored - a misbehaving SUT
         must be able to invalidate a run, never to corrupt or crash it.
         """
-        now = self.loop.now
-        # A clean completion is a plain list on every hot path, so the
-        # exact type settles it; chunks, failures and any other response
-        # sequence take the isinstance route.
-        if type(responses) is list:
+        loop = self.loop
+        # loop.now, read in place as EventLoop.schedule reads it.
+        now = loop.clock.now() if loop.realtime else loop.clock._now
+        # Every hot path delivers a plain list or a plain StreamChunk,
+        # so the exact type settles those; subclasses, failures and any
+        # other response sequence take the isinstance route.
+        kind = type(responses)
+        if kind is list:
             status = self.log.observe_completion(
                 query, now, responses, keep_responses=self._keep_responses
             )
-        elif isinstance(responses, StreamChunk):
+        elif kind is StreamChunk or isinstance(responses, StreamChunk):
             # Chunks are progress, not a terminal outcome: record the
             # timing, bump the stream counters, and wait for the real
             # completion that follows the last chunk.

@@ -232,8 +232,8 @@ class SelfHealingSUT(AttemptSUT):
             )
         return deadline
 
-    #: Streaming progress re-arms the deadline (the backend is alive);
-    #: hedges and failovers never do.
+    #: Streaming progress pushes the deadline back (the backend is
+    #: alive); hedges and failovers never do.
     _advanced = _timeout
 
     def _resolve(self, state: _Guarded) -> None:

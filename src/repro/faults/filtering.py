@@ -9,8 +9,8 @@ Fig. 3: every issued query completes exactly once) - the wrapper either
 tries again or reports a recorded failure.
 
 :class:`AttemptSUT` is that machine, written once: admit a query as an
-:class:`Attempt`, arm its one deadline, re-arm it on every clean chunk,
-screen each arrival, resolve.  ``ResilientSUT``, ``SelfHealingSUT``,
+:class:`Attempt`, arm its one deadline, push it back on every clean
+chunk, screen each arrival, resolve.  ``ResilientSUT``, ``SelfHealingSUT``,
 ``ReplicaSet`` and ``NetworkSUT`` subclass it and keep only policy - what
 happens next when an attempt is lost (back off and retry, hedge or fail
 over, reroute to another replica, resend on another connection).  The
@@ -64,6 +64,10 @@ class Attempt:
     sources: Tuple[Hashable, ...] = (None,)
     #: The armed deadline, ``None`` while nothing is armed.
     timer: Optional[EventHandle] = None
+    #: Where clean chunks have pushed the deadline since it was armed:
+    #: ``timer`` still fires at its own time, finds this later instant
+    #: and moves there.  ``None`` until a chunk pushes.
+    due: Optional[float] = None
     #: Where the live attempt's chunk stream has advanced to.
     next_seq = 0
     saw_last = False
@@ -75,7 +79,7 @@ class Attempt:
 
 
 class AttemptSUT(SutBase):
-    """Admit -> arm -> re-arm -> screen -> resolve, for subclasses to
+    """Admit -> arm -> push -> screen -> resolve, for subclasses to
     steer through the hooks at the bottom of the class."""
 
     def __init__(self, name: str) -> None:
@@ -96,6 +100,7 @@ class AttemptSUT(SutBase):
         """(Re)start the one deadline: ``timeout`` seconds of silence."""
         if state.timer is not None:
             state.timer.cancel()
+        state.due = None
         # A lambda, not functools.partial: RunAbortedError.origin names
         # the callback and must not carry object addresses.
         state.timer = self._loop.schedule_after(
@@ -103,6 +108,13 @@ class AttemptSUT(SutBase):
 
     def _fire(self, state: Attempt) -> None:
         if self._live(state):
+            due = state.due
+            if due is not None and due > self._loop.now:
+                # Chunks pushed the deadline while this timer waited.
+                state.due = None
+                state.timer = self._loop.schedule(
+                    due, lambda: self._fire(state))
+                return
             state.timer = None
             self._expired(state)
 
@@ -128,7 +140,11 @@ class AttemptSUT(SutBase):
     def _deliver(self, source: Hashable, query_id: int, arrival) -> None:
         """Screen one arrival and route it to the hook it has earned."""
         state = self._inflight.get(query_id)
-        chunk = isinstance(arrival, StreamChunk)
+        # Plain lists and plain StreamChunks are what the hot paths
+        # deliver; the exact type settles them without a call.
+        kind = type(arrival)
+        chunk = kind is StreamChunk or (
+            kind is not list and isinstance(arrival, StreamChunk))
         if state is None or source not in state.sources:
             # Duplicate, unsolicited, post-resolution straggler, or an
             # answer from an attempt the wrapper already moved on from.
@@ -148,9 +164,20 @@ class AttemptSUT(SutBase):
             state.next_seq += 1
             if arrival.last:
                 state.saw_last = True
-            self._arm(state, self._advanced(state))
+            # The instant schedule_after would arm for.  A timer that
+            # fires no later (timer[0], its heap entry's time) is left
+            # where it is and moves there when it fires (_fire): a
+            # healthy stream costs the heap nothing.
+            timeout = self._advanced(state)
+            loop, timer = self._loop, state.timer
+            due = (loop.clock.now() if loop.realtime
+                   else loop.clock._now) + timeout
+            if timer is not None and timer[0] <= due:
+                state.due = due
+            else:  # nothing armed, or the policy shortened the window
+                self._arm(state, timeout)
             self._responder(state.query, arrival)
-        elif isinstance(arrival, QueryFailure):
+        elif kind is not list and isinstance(arrival, QueryFailure):
             self._flawed(state, source,
                          f"attempt failed: {arrival.reason}", arrival)
         else:

@@ -435,8 +435,8 @@ class ReplicaSet(AttemptSUT):
     # -- attempt outcomes -------------------------------------------------------
 
     def _advanced(self, state: _Routed) -> float:
-        # Streaming progress re-arms the attempt deadline: the replica
-        # is alive, so the timeout meters inter-chunk gaps.
+        # Streaming progress pushes the attempt deadline back: the
+        # replica is alive, so the timeout meters inter-chunk gaps.
         return self.attempt_timeout
 
     def _expired(self, state: _Routed) -> None:

@@ -307,8 +307,8 @@ class NetworkSUT(AttemptSUT):
             self.stats.filtered_completions += 1
 
     def _advanced(self, state: _Pending) -> float:
-        # A clean chunk is progress, so it re-arms the per-attempt
-        # deadline - a server mid-stream is not a server that timed out.
+        # A clean chunk is progress, so it pushes the per-attempt
+        # deadline back - a server mid-stream is not one that timed out.
         self.stats.chunks_received += 1
         return self.query_timeout
 

@@ -11,8 +11,9 @@ choice, fault plans).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -93,24 +94,44 @@ class StreamModel:
             np.random.SeedSequence((self.seed, query_id, _STREAM_TAG))
         )
         tokens = int(rng.integers(self.min_tokens, self.max_tokens + 1))
-        per_chunk, jitter = self.tokens_per_chunk, self.jitter
-        inter_token_delay = self.inter_token_delay
-        chunks = []
-        offset = 0.0
-        emitted = 0
-        delay = self.first_token_delay
-        while emitted < tokens:
-            count = tokens - emitted
-            if count > per_chunk:
-                count = per_chunk
-            if emitted:  # every chunk after the first
-                delay = inter_token_delay * count
-            if jitter > 0.0:
-                delay += float(rng.uniform(-jitter, jitter))
-            if delay > 0.0:  # clamped: offsets never go backwards
-                offset += delay
-            emitted += count
-            # A ChunkEvent without its generated __new__'s Python frame.
-            chunks.append(tuple.__new__(
-                ChunkEvent, (offset, count, emitted >= tokens)))
-        return StreamPlan(token_count=tokens, chunks=tuple(chunks))
+        if self.jitter > 0.0:
+            return _build_plan(
+                self.first_token_delay, self.inter_token_delay,
+                self.tokens_per_chunk, tokens, self.jitter, rng)
+        return _jitter_free_plan(
+            self.first_token_delay, self.inter_token_delay,
+            self.tokens_per_chunk, tokens)
+
+
+def _build_plan(first_token_delay: float, inter_token_delay: float,
+                per_chunk: int, tokens: int, jitter: float = 0.0,
+                rng: Optional[np.random.Generator] = None) -> StreamPlan:
+    """Lay ``tokens`` out as chunks; with ``jitter``, one uniform draw
+    from ``rng`` per chunk, in chunk order."""
+    chunks = []
+    offset = 0.0
+    emitted = 0
+    delay = first_token_delay
+    while emitted < tokens:
+        count = tokens - emitted
+        if count > per_chunk:
+            count = per_chunk
+        if emitted:  # every chunk after the first
+            delay = inter_token_delay * count
+        if jitter > 0.0:
+            delay += float(rng.uniform(-jitter, jitter))
+        if delay > 0.0:  # clamped: offsets never go backwards
+            offset += delay
+        emitted += count
+        # A ChunkEvent without its generated __new__'s Python frame.
+        chunks.append(tuple.__new__(
+            ChunkEvent, (offset, count, emitted >= tokens)))
+    return StreamPlan(token_count=tokens, chunks=tuple(chunks))
+
+
+#: Without jitter a plan is a pure function of these four numbers, and a
+#: model draws at most ``max_tokens - min_tokens + 1`` token counts, so
+#: the built plans (immutable tuples, safe to share) are kept.  Keyed by
+#: value *and* type, at module level: models stay plain frozen values,
+#: and two that differ in any of the four share nothing.
+_jitter_free_plan = functools.lru_cache(maxsize=1024, typed=True)(_build_plan)

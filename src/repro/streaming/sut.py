@@ -18,18 +18,19 @@ is exactly what the attempt engine's chunk screen
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..core.events import EventLoop
 from ..core.query import Query, QueryFailure, QuerySampleResponse, StreamChunk
 from ..core.sut import Responder, SutBase, SystemUnderTest
-from .model import StreamModel
+from .model import ChunkEvent, StreamModel
 
 
-class _ChunkDelivery:
-    """The loop event for one planned chunk.  A stream's last event also
-    delivers the terminal completion (``responses`` is set on it only),
-    so nothing can run between the final chunk and the completion.
+class _StreamReplay:
+    """One stream being replayed: the loop callback of every one of its
+    chunk events.  Each firing builds and delivers the chunk the cursor
+    is on; the final one also delivers the terminal completion, so
+    nothing can run between the last chunk and the completion.
 
     A class, not a closure: it lives in this module (the benchmark's
     tracer attributes loop events by the callback's module) and its repr
@@ -37,24 +38,29 @@ class _ChunkDelivery:
     it, and a verdict must not differ between same-seed runs).
     """
 
-    __slots__ = ("sut", "query", "chunk", "responses")
+    __slots__ = ("sut", "query", "chunks", "responses", "seq")
 
-    def __init__(self, sut: "StreamingSUT", query: Query, chunk: StreamChunk,
-                 responses: Optional[List[QuerySampleResponse]]) -> None:
+    def __init__(self, sut: "StreamingSUT", query: Query,
+                 chunks: Tuple[ChunkEvent, ...],
+                 responses: List[QuerySampleResponse]) -> None:
         self.sut = sut
         self.query = query
-        self.chunk = chunk
+        self.chunks = chunks
         self.responses = responses
+        #: The chunk the next firing delivers.
+        self.seq = 0
 
     def __call__(self) -> None:
-        sut = self.sut
-        sut._responder(self.query, self.chunk)
-        if self.responses is not None:
-            sut._active.pop(self.query.id, None)
-            sut._responder(self.query, self.responses)
+        seq, query, respond = self.seq, self.query, self.sut._responder
+        _, token_count, last = self.chunks[seq]
+        respond(query, StreamChunk(query.id, seq, token_count, last))
+        if last:
+            respond(query, self.responses)
+        # Only now: a delivery that raised is still the one repr names.
+        self.seq = seq + 1
 
     def __repr__(self) -> str:
-        return f"<stream chunk {self.chunk.seq} of query {self.query.id}>"
+        return f"<stream chunk {self.seq} of query {self.query.id}>"
 
 
 class StreamingSUT(SutBase):
@@ -70,12 +76,9 @@ class StreamingSUT(SutBase):
         self.inner = inner
         self.inners = (inner,)
         self.model = model if model is not None else StreamModel()
-        #: Streams currently being replayed (query id -> query).
-        self._active = {}
 
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         super().start_run(loop, responder)
-        self._active = {}
         self.inner.start_run(loop, self._on_inner_completion)
 
     def issue_query(self, query: Query) -> None:
@@ -97,12 +100,12 @@ class StreamingSUT(SutBase):
         chunks = self.model.plan(query.id).chunks
         loop = self.loop
         start = loop.now
-        final = len(chunks) - 1
-        self._active[query.id] = query
-        for seq, (offset, token_count, last) in enumerate(chunks):
-            chunk = StreamChunk(query.id, seq, token_count, last)
-            loop.schedule(start + offset, _ChunkDelivery(
-                self, query, chunk, responses if seq == final else None))
+        replay = _StreamReplay(self, query, chunks, responses)
+        # One schedule call per chunk, in plan order: the events take the
+        # sequence numbers, and so the place among same-instant events,
+        # that a callback per chunk would give them.
+        for event in chunks:
+            loop.schedule(start + event.offset, replay)
 
 
 def streaming_echo(

@@ -24,20 +24,20 @@ from repro.sut.echo import EchoSUT
 
 from tests.conftest import EchoQSL
 
-#: Measured 33.90 calls/query and 14.72 calls/chunk (python 3.11.7).
-PLAIN_CALLS_PER_QUERY = 37.3
-STREAM_CALLS_PER_CHUNK = 16.2
+#: Measured 31.90 calls/query and 9.51 calls/chunk (python 3.11.7).
+PLAIN_CALLS_PER_QUERY = 35.1
+STREAM_CALLS_PER_CHUNK = 10.5
 
 #: wrapper -> (build it over a backend factory, ceiling on calls/query
 #: added over the bare echo, ceiling on calls/chunk added over the bare
-#: streamed echo).  Measured 26.77 / 30.16 / 43.24 calls/query and
-#: 13.46 / 12.66 / 13.32 calls/chunk (python 3.11.7).
+#: streamed echo).  Measured 24.77 / 28.16 / 41.24 calls/query and
+#: 6.25 / 5.42 / 6.08 calls/chunk (python 3.11.7).
 WRAPPER_BUDGETS = {
-    "resilient": (lambda backend: ResilientSUT(backend()), 29.5, 14.8),
-    "healing": (lambda backend: SelfHealingSUT(backend()), 33.2, 13.9),
+    "resilient": (lambda backend: ResilientSUT(backend()), 27.3, 6.9),
+    "healing": (lambda backend: SelfHealingSUT(backend()), 31.0, 6.0),
     "fleet-of-2": (
         lambda backend: ReplicaSet(lambda index: backend(),
-                                   initial_replicas=2), 47.6, 14.7),
+                                   initial_replicas=2), 45.4, 6.7),
 }
 
 QUERIES = 500

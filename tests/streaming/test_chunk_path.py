@@ -174,7 +174,6 @@ def test_one_event_per_chunk_and_the_completion_rides_the_last():
     queries = [make_query(qid) for qid in range(25)]
     for query in queries:
         sut.issue_query(query)
-    assert set(sut._active) == set(range(25))
     loop.run()
 
     plans = {q.id: model.plan(q.id) for q in queries}
@@ -182,7 +181,7 @@ def test_one_event_per_chunk_and_the_completion_rides_the_last():
     # the loop is the streaming shim's: one per chunk, none on top.
     assert len(scheduled) == sum(len(p.chunks) for p in plans.values())
     assert {type(c).__module__ for c in scheduled} == {"repro.streaming.sut"}
-    assert sut._active == {}
+    assert loop.pending() == 0
     for query in queries:
         mine = [(t, r) for t, qid, r in delivered if qid == query.id]
         chunks, (done_at, done) = mine[:-1], mine[-1]

@@ -5,8 +5,8 @@ import pytest
 from repro.core import Scenario, TestSettings
 from repro.core.logging import QueryLog
 from repro.core.metrics import (
-    compute_stream_metrics, effective_ttft, effective_tpot,
-    record_meets_stream_slos,
+    compute_stream_metrics, effective_ttfts, effective_tpots,
+    stream_slo_counts,
 )
 from repro.core.query import (
     Query, QuerySample, QuerySampleResponse, StreamChunk,
@@ -61,23 +61,24 @@ def test_effective_ttft_falls_back_to_full_latency():
     add_atomic(log, 1, issue=0.0, done=0.040)
     record = log.record_for(1)
     assert record.ttft is None
-    assert effective_ttft(record) == pytest.approx(0.040)
-    assert effective_tpot(record) == 0.0
+    assert effective_ttfts([record]) == [pytest.approx(0.040)]
+    assert effective_tpots([record]) == [0.0]
 
 
 def test_slo_check_applies_both_targets():
     log = QueryLog()
     # TTFT 10 ms, TPOT (30-10)/(8-1) ~ 2.9 ms over 8 tokens.
     add_streamed(log, 1, issue=0.0, first=0.010, last=0.030, tokens=8)
-    record = log.record_for(1)
+    records = [log.record_for(1)]
+    # (TTFT violations, TPOT violations, compliant) over the one record.
     ok = settings(ttft_target_ns=20_000_000, tpot_target_ns=5_000_000)
-    assert record_meets_stream_slos(record, ok)
+    assert stream_slo_counts(records, ok) == (0, 0, 1)
     tight_ttft = settings(ttft_target_ns=5_000_000)
-    assert not record_meets_stream_slos(record, tight_ttft)
+    assert stream_slo_counts(records, tight_ttft) == (1, 0, 0)
     tight_tpot = settings(tpot_target_ns=1_000_000)
-    assert not record_meets_stream_slos(record, tight_tpot)
+    assert stream_slo_counts(records, tight_tpot) == (0, 1, 0)
     # No targets configured: everything complies.
-    assert record_meets_stream_slos(record, settings())
+    assert stream_slo_counts(records, settings()) == (0, 0, 1)
 
 
 def test_metrics_are_none_when_nothing_streamed():
@@ -148,9 +149,11 @@ def test_effective_values_agree_with_the_record_properties():
     add_streamed(log, 2, issue=0.1, first=0.105, last=0.105, tokens=1,
                  chunks=1)
     add_atomic(log, 3, issue=0.2, done=0.240)
-    for record in log.completed_records():
-        expected_ttft = (record.latency if record.ttft is None
-                         else record.ttft)
-        assert effective_ttft(record) == expected_ttft
-        assert effective_tpot(record) == (record.tpot or 0.0)
-    assert effective_tpot(log.record_for(1)) == pytest.approx(0.020 / 7)
+    records = log.completed_records()
+    assert effective_ttfts(records) == [
+        record.latency if record.ttft is None else record.ttft
+        for record in records]
+    assert effective_tpots(records) == [
+        record.tpot or 0.0 for record in records]
+    assert effective_tpots([log.record_for(1)]) == [
+        pytest.approx(0.020 / 7)]
