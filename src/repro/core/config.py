@@ -51,6 +51,13 @@ class Scenario(enum.Enum):
         }[self]
 
 
+#: The four scenarios of the paper's Table II, in enum order - what the
+#: paper's tables and figures enumerate (``Scenario`` also carries this
+#: repo's session extension, which they do not have).
+PAPER_SCENARIOS = (Scenario.SINGLE_STREAM, Scenario.MULTI_STREAM,
+                   Scenario.SERVER, Scenario.OFFLINE)
+
+
 class TestMode(enum.Enum):
     """LoadGen operating modes (Section IV-B)."""
 

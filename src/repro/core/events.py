@@ -183,7 +183,9 @@ class EventLoop:
         """Schedule ``callback`` ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.schedule(self.now + delay, callback)
+        clock = self.clock  # self.now, read in place as schedule reads it
+        return self.schedule(
+            (clock.now() if self.realtime else clock._now) + delay, callback)
 
     def stop(self) -> None:
         """Stop the loop after the currently executing event returns."""

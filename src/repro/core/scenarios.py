@@ -345,12 +345,13 @@ class ScenarioDriver:
             if status == "completed":
                 metrics.completed.inc()
                 metrics.latency.observe(now - query.issue_time)
-                record = self.log.record_for(query.id)
-                if record is not None and record.streamed:
-                    # Final-attempt timing: a restarted stream reset
-                    # these, so the histograms see what the client saw.
-                    metrics.ttft.observe(record.ttft)
-                    metrics.tpot.observe(record.tpot)
+                if self.log.stream_chunks:  # else nobody streamed
+                    record = self.log.record_for(query.id)
+                    if record is not None and record.streamed:
+                        # Final-attempt timing: a restarted stream reset
+                        # these, so the histograms see what the client saw.
+                        metrics.ttft.observe(record.ttft)
+                        metrics.tpot.observe(record.tpot)
             elif status == "failed":
                 metrics.failed.inc()
             else:  # duplicate / unsolicited - cold path, resolve labels

@@ -88,6 +88,30 @@ class SystemUnderTest(Protocol):
         ...
 
 
+_NEVER_STARTED = "start_run was never called on this SUT"
+
+
+class _Unstarted:
+    """What a SUT holds for its loop and its responder until
+    ``start_run``: reading anything off it, or calling it, raises.  Hot
+    paths therefore use ``self._loop`` and ``self._responder`` as they
+    are, with no check of their own, and misuse still fails loudly."""
+
+    def __call__(self, *args, **kwargs):
+        raise RuntimeError(_NEVER_STARTED)
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):  # copy, pickle and friends probing
+            raise AttributeError(name)
+        raise RuntimeError(_NEVER_STARTED)
+
+    def __reduce__(self) -> str:
+        return "_UNSTARTED"  # copies and pickles stay the one object
+
+
+_UNSTARTED = _Unstarted()
+
+
 class SutBase:
     """Convenience base class implementing the boring parts of the SUT
     protocol; concrete SUTs override :meth:`issue_query`."""
@@ -99,8 +123,8 @@ class SutBase:
 
     def __init__(self, name: str) -> None:
         self._name = name
-        self._loop: EventLoop = None
-        self._responder: Responder = None
+        self._loop: EventLoop = _UNSTARTED
+        self._responder: Responder = _UNSTARTED
 
     @property
     def name(self) -> str:
@@ -108,8 +132,8 @@ class SutBase:
 
     @property
     def loop(self) -> EventLoop:
-        if self._loop is None:
-            raise RuntimeError("start_run was never called on this SUT")
+        if self._loop is _UNSTARTED:
+            raise RuntimeError(_NEVER_STARTED)
         return self._loop
 
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
@@ -119,8 +143,6 @@ class SutBase:
 
     def complete(self, query: Query, responses: List[QuerySampleResponse]) -> None:
         """Report ``query`` finished with ``responses`` to the LoadGen."""
-        if self._responder is None:
-            raise RuntimeError("start_run was never called on this SUT")
         self._responder(query, responses)
 
     def fail(self, query: Query, reason: str) -> None:
@@ -130,8 +152,6 @@ class SutBase:
         "malformed responses" verdict) but keeps running - a misbehaving
         backend must not kill the harness.
         """
-        if self._responder is None:
-            raise RuntimeError("start_run was never called on this SUT")
         self._responder(query, QueryFailure(reason))
 
     def emit_chunk(self, query: Query, chunk: StreamChunk) -> None:
@@ -143,8 +163,6 @@ class SutBase:
         with a chunk marked ``last=True`` followed by the usual
         :meth:`complete` (or :meth:`fail`) call.
         """
-        if self._responder is None:
-            raise RuntimeError("start_run was never called on this SUT")
         self._responder(query, chunk)
 
     def issue_query(self, query: Query) -> None:

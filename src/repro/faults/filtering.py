@@ -34,17 +34,20 @@ def malformed_reason(query: Query, responses) -> Optional[str]:
     same response set the referee would record as a malformed-response
     failure is the one a wrapper should treat as a lost attempt.
     """
-    if len(responses) != query.sample_count:
-        return (
-            f"expected {query.sample_count} responses, got {len(responses)}"
-        )
-    expected = {s.id for s in query.samples}
-    got = {r.sample_id for r in responses}
-    if got != expected:
-        return (
-            f"{len(got - expected)} responses name sample ids that are "
-            "not part of the query"
-        )
+    samples = query.samples
+    count = len(samples)
+    if len(responses) != count:
+        return f"expected {count} responses, got {len(responses)}"
+    # One sample that names the right id is the whole check (as in the
+    # referee); anything else compares as sets.
+    if count != 1 or responses[0].sample_id != samples[0].id:
+        expected = {s.id for s in samples}
+        got = {r.sample_id for r in responses}
+        if got != expected:
+            return (
+                f"{len(got - expected)} responses name sample ids that "
+                "are not part of the query"
+            )
     return None
 
 

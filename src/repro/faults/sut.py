@@ -360,23 +360,36 @@ class DegradedSUT(SutBase):
         self.inner.start_run(loop, self._gate)
 
     def issue_query(self, query: Query) -> None:
-        self._issued_at[query.id] = self.loop.now
+        # The issue instant is recorded even while healthy: degrade() and
+        # partition() apply to queries already in flight, and the stretch
+        # is measured from when the valve saw the query.
+        loop = self._loop
+        self._issued_at[query.id] = (
+            loop.clock.now() if loop.realtime else loop.clock._now)
         self.inner.issue_query(query)
 
     def _gate(self, query: Query, responses) -> None:
-        terminal = not isinstance(responses, StreamChunk)
+        """Every delivery from the backend: drop it, hold it back, or
+        pass it on.  A healthy valve forwards without reading the clock
+        (its stretch is exactly zero); a degraded one reads it once for
+        both the stretch and a missing issue instant - under
+        ``loop.realtime`` that used to be two readings a moment apart,
+        on the virtual clock the two were always equal."""
+        issued_at = self._issued_at
+        if type(responses) is list or not isinstance(responses, StreamChunk):
+            since = issued_at.pop(query.id, None)  # terminal: forget it
+        else:
+            since = issued_at.get(query.id)
         if self._partitioned:
             self.blackholed += 1
-            if terminal:
-                self._issued_at.pop(query.id, None)
             return
-        issued_at = self._issued_at.get(query.id, self.loop.now)
-        if terminal:
-            self._issued_at.pop(query.id, None)
-        extra = (self._factor - 1.0) * (self.loop.now - issued_at)
-        if extra > 0:
-            self.slowed += 1
-            self.loop.schedule_after(
-                extra, lambda: self.complete(query, responses))
-            return
-        self.complete(query, responses)
+        if self._factor != 1.0 and since is not None:
+            loop = self._loop
+            now = loop.clock.now() if loop.realtime else loop.clock._now
+            extra = (self._factor - 1.0) * (now - since)
+            if extra > 0:
+                self.slowed += 1
+                loop.schedule_after(
+                    extra, lambda: self.complete(query, responses))
+                return
+        self._responder(query, responses)

@@ -38,6 +38,8 @@ See ``docs/fleet.md`` for guidance on choosing between them and
 
 from __future__ import annotations
 
+from itertools import zip_longest
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Type
 
 import numpy as np
@@ -47,6 +49,10 @@ from .replica import Replica
 #: Floor added to p99 estimates before inversion so an all-zero window
 #: (cold start) weighs every replica equally instead of dividing by zero.
 _P99_EPSILON = 1e-6
+
+#: Least-outstanding order, ties by index: a C key, so ranking a
+#: candidate set costs one sort and no Python frame per replica.
+_BY_LOAD = attrgetter("outstanding", "index")
 
 
 class BalancerPolicy:
@@ -138,7 +144,7 @@ class LeastOutstandingPolicy(BalancerPolicy):
     name = "least-outstanding"
 
     def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
-        return sorted(candidates, key=lambda r: (r.outstanding, r.index))
+        return sorted(candidates, key=_BY_LOAD)
 
 
 class WeightedP99Policy(BalancerPolicy):
@@ -207,7 +213,7 @@ class SessionAffinityPolicy(BalancerPolicy):
     def _least_outstanding(
         self, candidates: Sequence[Replica]
     ) -> List[Replica]:
-        return sorted(candidates, key=lambda r: (r.outstanding, r.index))
+        return sorted(candidates, key=_BY_LOAD)
 
     def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
         return self._least_outstanding(candidates)
@@ -262,25 +268,37 @@ def _zone_of(replica: Replica) -> str:
     return getattr(replica, "zone", "z0")
 
 
+def _zone_names(candidates: Sequence[Replica]) -> List[str]:
+    """The zones the candidates live in, sorted for determinism."""
+    try:
+        return sorted({r.zone for r in candidates})
+    except AttributeError:  # a zone-less double among them
+        return sorted({_zone_of(r) for r in candidates})
+
+
 def _interleave_zones(candidates: Sequence[Replica],
                       zone_order: Sequence[str]) -> List[Replica]:
     """Round-robin across zones (in ``zone_order``), least-outstanding
     within each zone - so consecutive ranking positions sit in
-    different fault domains wherever possible."""
-    queues = {
-        zone: sorted((r for r in candidates if _zone_of(r) == zone),
-                     key=lambda r: (r.outstanding, r.index))
-        for zone in zone_order
-    }
-    ranked: List[Replica] = []
-    depth = 0
-    while len(ranked) < len(candidates):
-        for zone in zone_order:
-            queue = queues[zone]
-            if depth < len(queue):
-                ranked.append(queue[depth])
-        depth += 1
-    return ranked
+    different fault domains wherever possible.
+
+    The ordering contract: position ``k`` of zone ``z``'s queue (its
+    candidates by ``(outstanding, index)``) ranks before position
+    ``k + 1`` of every zone, and within one round zones keep
+    ``zone_order``; a zone that runs out is skipped.  Candidates whose
+    zone is not in ``zone_order`` are left out.  One sort, one deal, one
+    pass per decision.
+    """
+    queues: Dict[str, List[Replica]] = {zone: [] for zone in zone_order}
+    for replica in sorted(candidates, key=_BY_LOAD):
+        try:
+            zone = replica.zone
+        except AttributeError:
+            zone = _zone_of(replica)
+        if zone in queues:
+            queues[zone].append(replica)
+    return [replica for round_ in zip_longest(*queues.values())
+            for replica in round_ if replica is not None]
 
 
 class ZoneSpreadPolicy(BalancerPolicy):
@@ -304,7 +322,7 @@ class ZoneSpreadPolicy(BalancerPolicy):
     def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
         if not candidates:
             return []
-        zones = sorted({_zone_of(r) for r in candidates})
+        zones = _zone_names(candidates)
         offset = self._cursor % len(zones)
         self._cursor += 1
         return _interleave_zones(candidates, zones[offset:] + zones[:offset])
@@ -327,14 +345,11 @@ class ZoneLocalPolicy(BalancerPolicy):
     def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
         if not candidates:
             return []
-        zones = sorted({_zone_of(r) for r in candidates})
+        zones = _zone_names(candidates)
         local = self.local_zone if self.local_zone in zones else zones[0]
-        local_first = sorted(
-            (r for r in candidates if _zone_of(r) == local),
-            key=lambda r: (r.outstanding, r.index))
-        spill = [r for r in candidates if _zone_of(r) != local]
-        remote = [z for z in zones if z != local]
-        return local_first + _interleave_zones(spill, remote)
+        zones.remove(local)
+        return (_interleave_zones(candidates, (local,))
+                + _interleave_zones(candidates, zones))
 
 
 _POLICIES: Dict[str, Type[BalancerPolicy]] = {

@@ -325,8 +325,10 @@ class OutlierDetector:
             deque(maxlen=self.policy.failure_window_ticks))
         window.append(
             (attempts_now - seen_attempts, failed_now - seen_failed))
-        attempts = sum(a for a, _ in window)
-        failures = sum(f for _, f in window)
+        attempts = failures = 0
+        for tick_attempts, tick_failures in window:
+            attempts += tick_attempts
+            failures += tick_failures
         return attempts, failures
 
     def _forget_administratively_dead(self) -> None:

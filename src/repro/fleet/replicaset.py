@@ -123,8 +123,8 @@ class FleetStats:
 class _FleetInstruments:
     """Live ``fleet_*``/``lb_*`` metric families for one replica set."""
 
-    __slots__ = ("routed", "fallbacks", "reroutes", "shed", "kills",
-                 "stragglers", "drained", "cache_warms")
+    __slots__ = ("routed", "routed_to", "fallbacks", "reroutes", "shed",
+                 "kills", "stragglers", "drained", "cache_warms")
 
     def __init__(self, registry: MetricsRegistry, fleet) -> None:
         registry.gauge(
@@ -151,6 +151,10 @@ class _FleetInstruments:
             "lb_routed_total",
             "Queries dispatched, by destination replica",
             labels=("replica",))
+        #: replica index -> its ``lb_routed_total`` child, resolved on
+        #: the first dispatch to that replica (the series appears in
+        #: snapshots from then on, not from the replica's creation).
+        self.routed_to: Dict[int, object] = {}
         self.fallbacks = registry.counter(
             "lb_fallbacks_total",
             "Dispatches that skipped breaker-rejecting higher choices")
@@ -347,7 +351,9 @@ class ReplicaSet(AttemptSUT):
     # -- routing ----------------------------------------------------------------
 
     def issue_query(self, query: Query) -> None:
-        state = self._inflight[query.id] = _Routed(query, self._loop.now)
+        loop = self._loop
+        state = self._inflight[query.id] = _Routed(
+            query, loop.clock.now() if loop.realtime else loop.clock._now)
         if not self._dispatch(state, exclude=None):
             self._shed(state, "no replica available: every replica is "
                               "down, draining, or shedding load")
@@ -362,26 +368,38 @@ class ReplicaSet(AttemptSUT):
         (kill, zone outage, ejection) additionally warms the chosen
         survivor's prefix cache with the rescued session's prefix and
         tells the policy where the session migrated.
+
+        One pass per decision: the candidates are the UP replicas minus
+        ``exclude``, in index order, and ``rank_for`` is looked up on
+        the policy per call (instrumentation wraps it per instance).
         """
+        up = ReplicaHealth.UP
         candidates = [
-            r for r in self.available_replicas if r.index != exclude
+            r for r in self.replicas if r.health is up and r.index != exclude
         ]
         ranking = self.policy.rank_for(state.query, candidates)
+        loop, m = self._loop, self._m
         for position, replica in enumerate(ranking):
             verdict = replica.breaker.admit()
             if verdict == "reject":
                 continue
             if position > 0:
                 self.stats.fallbacks += 1
-                if self._m:
-                    self._m.fallbacks.inc()
+                if m:
+                    m.fallbacks.inc()
             state.probe = verdict == "probe"
-            state.attempt_started = self._loop.now
+            state.attempt_started = (
+                loop.clock.now() if loop.realtime else loop.clock._now)
             replica.outstanding += 1
             replica.issued += 1
             self.stats.routed_queries += 1
-            if self._m:
-                self._m.routed.labels(replica=replica.index).inc()
+            if m:
+                try:
+                    m.routed_to[replica.index].inc()
+                except KeyError:
+                    routed = m.routed_to[replica.index] = m.routed.labels(
+                        replica=replica.index)
+                    routed.inc()
             # Arm before issuing inward: the deadline's event must
             # precede whatever the replica schedules for the same instant.
             self._arm(state, self.attempt_timeout)
@@ -479,7 +497,10 @@ class ReplicaSet(AttemptSUT):
         replica = self.replicas[source]
         self._settle_attempt(replica, failed=False)
         replica.breaker.record_success(probe=state.probe)
-        replica.observe_latency(self._loop.now - state.attempt_started)
+        loop = self._loop
+        replica.observe_latency(
+            (loop.clock.now() if loop.realtime else loop.clock._now)
+            - state.attempt_started)
         # Close the routing feedback loop: the policy learns which
         # replica *actually* served the query - through breaker
         # rejections, reroutes, and kill rescues - so its state (e.g.

@@ -51,7 +51,8 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
     lines: List[str] = []
     for family in registry.collect():
         if family.help:
-            lines.append(f"# HELP {family.name} {family.help}")
+            help_text = family.help.replace("\\", r"\\").replace("\n", r"\n")
+            lines.append(f"# HELP {family.name} {help_text}")
         lines.append(f"# TYPE {family.name} {family.kind}")
         for labels, child in family.series():
             key = series_key(family.name, labels)

@@ -324,12 +324,13 @@ class Histogram:
             else:
                 targets.append((rank, slot))
         targets.sort()
+        wanted = len(targets)
         pending = 0
         seen = 0
         for i, c in enumerate(self._counts):
             if not c:
                 continue
-            while pending < len(targets) and targets[pending][0] <= seen + c:
+            while pending < wanted and targets[pending][0] <= seen + c:
                 rank, slot = targets[pending]
                 lo = self.bucket_lower(i)
                 hi = self.bucket_upper(i)
@@ -339,7 +340,7 @@ class Histogram:
                 estimate = lo + (hi - lo) * frac
                 results[slot] = min(max(estimate, self._min), self._max)
                 pending += 1
-            if pending == len(targets):
+            if pending == wanted:
                 break
             seen += c
         return results

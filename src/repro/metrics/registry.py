@@ -48,15 +48,25 @@ _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 
+#: The exposition format's label-value escapes: without them a value
+#: holding a quote, a backslash or a newline yields a line no scraper
+#: can parse and a snapshot key that no longer splits.
+_LABEL_ESCAPES = str.maketrans({"\\": r"\\", '"': r'\"', "\n": r"\n"})
+
+
 def series_key(name: str, labels: Dict[str, str]) -> str:
-    """Canonical ``name{label="value",...}`` key for one series.
+    r"""Canonical ``name{label="value",...}`` key for one series.
 
     Label order follows the family's declared label names, so the key is
-    stable across runs - snapshot equality tests depend on that.
+    stable across runs - snapshot equality tests depend on that.  Values
+    are escaped as the Prometheus exposition format requires: a
+    backslash, a double quote and a newline become ``\\``, ``\"`` and
+    ``\n``.
     """
     if not labels:
         return name
-    inner = ",".join(f'{k}="{v}"' for k, v in labels.items())
+    inner = ",".join(
+        f'{k}="{str(v).translate(_LABEL_ESCAPES)}"' for k, v in labels.items())
     return f"{name}{{{inner}}}"
 
 
@@ -78,22 +88,37 @@ class MetricFamily:
         self.help = help
         self.label_names: Tuple[str, ...] = tuple(label_names)
         self._children: Dict[Tuple[str, ...], object] = {}
+        #: ``(series key, child)`` per child, in creation order: each
+        #: key is built once, when its child is, and this is what
+        #: :func:`~repro.metrics.snapshot.capture` walks.  Read-only.
+        self.keyed: List[Tuple[str, object]] = []
 
     def _make_child(self) -> object:
         raise NotImplementedError
 
-    def labels(self, **labels: object):
-        """Return (creating on first use) the child for these labels."""
+    def _label_values(self, labels: Dict[str, object]) -> Tuple[str, ...]:
         if set(labels) != set(self.label_names):
             raise ValueError(
                 f"metric {self.name!r} takes labels {self.label_names}, "
                 f"got {tuple(sorted(labels))}"
             )
-        key = tuple(str(labels[name]) for name in self.label_names)
-        child = self._children.get(key)
+        return tuple(str(labels[name]) for name in self.label_names)
+
+    def _series_key(self, values: Tuple[str, ...]) -> str:
+        return series_key(self.name, dict(zip(self.label_names, values)))
+
+    def _adopt(self, values: Tuple[str, ...], child):
+        """Store a new child under its label values and its series key."""
+        self._children[values] = child
+        self.keyed.append((self._series_key(values), child))
+        return child
+
+    def labels(self, **labels: object):
+        """Return (creating on first use) the child for these labels."""
+        values = self._label_values(labels)
+        child = self._children.get(values)
         if child is None:
-            child = self._make_child()
-            self._children[key] = child
+            child = self._adopt(values, self._make_child())
         return child
 
     def series(self) -> Iterator[Tuple[Dict[str, str], object]]:
@@ -153,19 +178,13 @@ class GaugeFamily(MetricFamily):
         replica 3's cache.  Binding the same label set twice returns the
         existing child; rebinding over a write-style child is an error.
         """
-        if set(labels) != set(self.label_names):
-            raise ValueError(
-                f"metric {self.name!r} takes labels {self.label_names}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        key = tuple(str(labels[name]) for name in self.label_names)
-        child = self._children.get(key)
+        values = self._label_values(labels)
+        child = self._children.get(values)
         if child is None:
-            child = Gauge(fn=fn)
-            self._children[key] = child
+            child = self._adopt(values, Gauge(fn=fn))
         elif child._fn is None:
             raise ValueError(
-                f"series {series_key(self.name, dict(zip(self.label_names, key)))!r} "
+                f"series {self._series_key(values)!r} "
                 "already exists as a write-style gauge; cannot rebind it "
                 "to a callback"
             )

@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .primitives import Histogram
-from .registry import MetricsRegistry, series_key
+from .registry import MetricsRegistry
 
 # NOTE: this module deliberately imports nothing from repro.core.  The
 # sampler duck-types its loop (anything with ``now`` and
@@ -58,19 +57,25 @@ def capture(
     time: float,
     quantiles: Sequence[Tuple[str, float]] = DEFAULT_QUANTILES,
 ) -> Snapshot:
-    """Flatten ``registry`` into a :class:`Snapshot` stamped ``time``."""
+    """Flatten ``registry`` into a :class:`Snapshot` stamped ``time``.
+
+    Walks each family's ``(series key, child)`` pairs - keys were built
+    when the children were - and asks the family, not each child, what
+    kind of series it holds.
+    """
     values: Dict[str, float] = {}
+    suffixes = [suffix for suffix, _ in quantiles]
+    qs = [q for _, q in quantiles]
     for family in registry.collect():
-        for labels, child in family.series():
-            key = series_key(family.name, labels)
-            if isinstance(child, Histogram):
+        if family.kind == "histogram":
+            for key, child in family.keyed:
                 values[f"{key}_count"] = float(child.count)
                 values[f"{key}_sum"] = child.sum
-                estimates = child.percentiles([q for _, q in quantiles])
-                for (suffix, _), estimate in zip(quantiles, estimates):
+                for suffix, estimate in zip(suffixes, child.percentiles(qs)):
                     values[f"{key}_{suffix}"] = estimate
-            else:
-                values[key] = child.value  # Counter or Gauge
+        else:  # counters and gauges
+            for key, child in family.keyed:
+                values[key] = child.value
     return Snapshot(time=time, values=values)
 
 

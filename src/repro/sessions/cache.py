@@ -23,6 +23,7 @@ and TTFT percentiles, not just in counters.  See ``docs/sessions.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
 
 from ..core.events import EventLoop
@@ -46,6 +47,11 @@ class CacheEvent(NamedTuple):
     session_id: int
     turn_index: int
     tokens: int
+
+
+#: ``CacheEvent((kind, session_id, turn_index, tokens))`` without the
+#: namedtuple's Python-level ``__new__``: every turn appends at least one.
+_new_event = partial(tuple.__new__, CacheEvent)
 
 
 @dataclass
@@ -92,7 +98,13 @@ class CacheStats:
 
 class _LruModel:
     """The reference LRU-by-session token cache, shared by the live SUT
-    and the offline audit so they cannot drift apart."""
+    and the offline audit so they cannot drift apart.
+
+    The resident total is kept as a running sum beside the table, so an
+    access costs O(1) plus its evictions however many sessions are
+    resident; ``tests/sessions/test_lru_model_contract.py`` holds it to
+    a reference that recounts on demand.
+    """
 
     def __init__(self, capacity_tokens: int) -> None:
         if capacity_tokens < 1:
@@ -101,10 +113,8 @@ class _LruModel:
         self.capacity_tokens = capacity_tokens
         #: session_id -> resident tokens, in LRU -> MRU insertion order.
         self._resident: Dict[int, int] = {}
-
-    @property
-    def resident_tokens(self) -> int:
-        return sum(self._resident.values())
+        #: Tokens resident across all sessions.
+        self.resident_tokens = 0
 
     @property
     def resident_sessions(self) -> int:
@@ -129,16 +139,9 @@ class _LruModel:
             kind = "partial"
         else:
             kind = "miss"
-        events = [CacheEvent(kind, session_id, turn_index, reused)]
-        self._resident[session_id] = (
-            prefix_tokens + new_tokens + response_tokens)
-        while (self.resident_tokens > self.capacity_tokens
-               and len(self._resident) > 1):
-            victim = next(iter(self._resident))
-            if victim == session_id:
-                break
-            events.append(CacheEvent(
-                "evict", victim, -1, self._resident.pop(victim)))
+        events = [_new_event((kind, session_id, turn_index, reused))]
+        self._seat(session_id, prefix_tokens + new_tokens + response_tokens,
+                   cached, events)
         return events
 
     def admit(self, session_id: int, tokens: int) -> List[CacheEvent]:
@@ -154,16 +157,28 @@ class _LruModel:
         """
         cached = self._resident.pop(session_id, 0)
         resident = max(cached, tokens)
-        self._resident[session_id] = resident
-        events = [CacheEvent("admit", session_id, -1, resident)]
-        while (self.resident_tokens > self.capacity_tokens
-               and len(self._resident) > 1):
-            victim = next(iter(self._resident))
+        events = [_new_event(("admit", session_id, -1, resident))]
+        self._seat(session_id, resident, cached, events)
+        return events
+
+    def _seat(self, session_id: int, tokens: int, cached: int,
+              events: List[CacheEvent]) -> None:
+        """Seat ``session_id`` (just popped holding ``cached``) at MRU
+        with ``tokens``, then evict LRU-first while over capacity,
+        appending to ``events``.  The walk stops at the session just
+        seated: it is never evicted, and it is the last one left."""
+        resident = self._resident
+        resident[session_id] = tokens
+        total = self.resident_tokens + tokens - cached
+        capacity = self.capacity_tokens
+        while total > capacity:
+            victim = next(iter(resident))
             if victim == session_id:
                 break
-            events.append(CacheEvent(
-                "evict", victim, -1, self._resident.pop(victim)))
-        return events
+            freed = resident.pop(victim)
+            total -= freed
+            events.append(_new_event(("evict", victim, -1, freed)))
+        self.resident_tokens = total
 
 
 class PrefixCacheSUT(SutBase):
@@ -203,11 +218,11 @@ class PrefixCacheSUT(SutBase):
         self._pending_issues = 0
         self._flush_after_drain = False
         if registry is not None:
-            labels = () if replica is None else ("replica",)
+            label = {} if replica is None else {"replica": replica}
+            labels = tuple(label)
 
             def _child(family):
-                return (family if replica is None
-                        else family.labels(replica=replica))
+                return family.labels(**label)
 
             self._m_hits = _child(registry.counter(
                 "prefix_cache_hits_total",
@@ -362,8 +377,8 @@ class PrefixCacheSUT(SutBase):
         )
         if delay > 0:
             self._pending_issues += 1
-            self.loop.schedule_after(
-                delay, lambda: self._issue_inner(query))
+            self._loop.schedule_after(
+                delay, partial(self._issue_inner, query))
         else:
             self.inner.issue_query(query)
 

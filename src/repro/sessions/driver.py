@@ -59,26 +59,28 @@ class SessionDriver(ScenarioDriver):
         #: When the pending session arrival is due (one at a time).
         self._due = 0.0
         if registry is not None:
+            # Label-free families: bind the one child each holds, so a
+            # turn costs the counter's add and no family lookup.
             self._started = registry.counter(
                 "session_started_total",
                 "Conversations the session driver has started",
-            )
+            ).labels()
             self._completed_sessions = registry.counter(
                 "session_completed_total",
                 "Conversations that finished every planned turn",
-            )
+            ).labels()
             self._aborted_sessions = registry.counter(
                 "session_aborted_total",
                 "Conversations abandoned after a failed turn",
-            )
+            ).labels()
             self._turns = registry.counter(
                 "session_turns_total",
                 "Conversation turns issued across all sessions",
-            )
+            ).labels()
             self._duration = registry.histogram(
                 "session_duration_seconds",
                 "Arrival-to-final-answer duration of completed conversations",
-            )
+            ).labels()
             registry.gauge(
                 "session_active",
                 "Conversations started but not yet completed or aborted",
@@ -143,10 +145,11 @@ class SessionDriver(ScenarioDriver):
             # The user's turn was lost for good; the conversation ends.
             self._abort_session(turn.session_id)
             return
-        if state.next_turn >= state.plan.turn_count:
+        turns = state.plan.turns
+        if state.next_turn >= len(turns):
             self._complete_session(turn.session_id)
             return
-        think = state.plan.turns[state.next_turn].think_time
+        think = turns[state.next_turn].think_time
         self.loop.schedule_after(think, lambda: self._issue_turn(state))
 
     def _complete_session(self, user_id: int) -> None:

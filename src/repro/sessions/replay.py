@@ -67,11 +67,12 @@ class SessionPlan(NamedTuple):
     def turn_tag(self, turn_index: int) -> SessionTurn:
         """The :class:`~repro.core.query.SessionTurn` tag the driver
         attaches to this turn's query."""
-        turn = self.turns[turn_index]
+        turns = self.turns
+        turn = turns[turn_index]
         return SessionTurn(
             session_id=self.user_id,
             turn_index=turn.turn_index,
-            turn_count=self.turn_count,
+            turn_count=len(turns),
             prefix_tokens=turn.prefix_tokens,
             new_tokens=turn.new_tokens,
             response_tokens=turn.response_tokens,

@@ -59,11 +59,14 @@ class EchoSUT(SutBase):
             if self.latency == 0:
                 self.complete(query, responses)
             else:
-                self.loop.schedule_after(
+                # partial(self.complete, ...), not the responder itself: a
+                # fleet's responder is a partial already, and an abort
+                # names its origin by unwrapping exactly one.
+                self._loop.schedule_after(
                     self.latency, partial(self.complete, query, responses)
                 )
             return
-        now = self.loop.now
+        now = self._loop.now
         # Queue for the earliest slot: pop its free time and replace it
         # with this query's completion, so the heap always holds each
         # slot's next-free time.
@@ -76,6 +79,6 @@ class EchoSUT(SutBase):
         if done <= now:
             self.complete(query, responses)
         else:
-            self.loop.schedule_after(
+            self._loop.schedule_after(
                 done - now, partial(self.complete, query, responses)
             )

@@ -5,9 +5,10 @@ chunk, counted by ``cProfile`` whose timings are ignored.  For a given
 seed the counts repeat exactly, so the ceilings sit ~10% above what the
 code does today and a change that adds a frame per event trips them.
 The wrappers that run the attempt engine are gated on what they *add*
-over the bare run.  A breach prints the ten most-called functions, so
-the regression names its frame.  Re-baselining is described in
-CONTRIBUTING.md.
+over the bare run; so are a zoned fleet's routing decision, and the
+telemetry (registry + 50 ms snapshot sampler) on top of that fleet.  A
+breach prints the ten most-called functions, so the regression names
+its frame.  Re-baselining is described in CONTRIBUTING.md.
 """
 
 import cProfile
@@ -19,42 +20,51 @@ from repro.core import Scenario, TestSettings, run_benchmark
 from repro.durability import SelfHealingSUT
 from repro.faults import ResilientSUT
 from repro.fleet import ReplicaSet
+from repro.metrics import MetricsRegistry
 from repro.streaming import StreamModel, StreamingSUT
 from repro.sut.echo import EchoSUT
 
 from tests.conftest import EchoQSL
 
-#: Measured 31.90 calls/query and 9.51 calls/chunk (python 3.11.7).
-PLAIN_CALLS_PER_QUERY = 35.1
-STREAM_CALLS_PER_CHUNK = 10.5
+#: Measured 29.90 calls/query and 9.41 calls/chunk (python 3.11.7).
+PLAIN_CALLS_PER_QUERY = 32.9
+STREAM_CALLS_PER_CHUNK = 10.4
 
 #: wrapper -> (build it over a backend factory, ceiling on calls/query
 #: added over the bare echo, ceiling on calls/chunk added over the bare
-#: streamed echo).  Measured 24.77 / 28.16 / 41.24 calls/query and
-#: 6.25 / 5.42 / 6.08 calls/chunk (python 3.11.7).
+#: streamed echo).  Measured 20.77 / 24.16 / 30.24 calls/query and
+#: 6.05 / 5.22 / 5.52 calls/chunk (python 3.11.7).
 WRAPPER_BUDGETS = {
-    "resilient": (lambda backend: ResilientSUT(backend()), 27.3, 6.9),
-    "healing": (lambda backend: SelfHealingSUT(backend()), 31.0, 6.0),
+    "resilient": (lambda backend: ResilientSUT(backend()), 22.9, 6.7),
+    "healing": (lambda backend: SelfHealingSUT(backend()), 26.6, 5.8),
     "fleet-of-2": (
         lambda backend: ReplicaSet(lambda index: backend(),
-                                   initial_replicas=2), 45.4, 6.7),
+                                   initial_replicas=2), 33.3, 6.1),
 }
+
+#: A zoned fleet (4 replicas, 2 zones, zone-spread): calls/query added
+#: over the bare echo.  Measured 42.31 (python 3.11.7).
+ZONED_FLEET_CALLS_PER_QUERY = 46.5
+#: Registry + 50 ms snapshot sampler on that fleet: calls/query added
+#: over the same fleet without them.  Measured 12.00 (python 3.11.7).
+TELEMETRY_CALLS_PER_QUERY = 13.2
 
 QUERIES = 500
 
 
-def profiled_run(sut, qsl):
+def profiled_run(sut, qsl, **telemetry):
     settings = TestSettings(
         scenario=Scenario.SERVER, server_target_qps=1000.0,
         server_latency_bound=10.0, min_query_count=QUERIES,
         min_duration=0.0, seed=0)
     # The first run in a process pays ~5,000 calls of lazy imports; keep
     # them out of the count.
-    run_benchmark(sut, qsl, settings.with_overrides(min_query_count=20))
+    run_benchmark(sut, qsl, settings.with_overrides(min_query_count=20),
+                  **telemetry)
     profile = cProfile.Profile()
     profile.enable()
     try:
-        result = run_benchmark(sut, qsl, settings)
+        result = run_benchmark(sut, qsl, settings, **telemetry)
     finally:
         profile.disable()
     assert result.valid and result.log.query_count == QUERIES
@@ -84,6 +94,11 @@ def plain_echo():
 def streamed_echo():
     model = StreamModel(first_token_delay=1e-3, inter_token_delay=1e-4, seed=0)
     return StreamingSUT(plain_echo(), model=model)
+
+
+def zoned_fleet(registry=None):
+    return ReplicaSet(lambda index: plain_echo(), initial_replicas=4,
+                      zones=2, policy="zone-spread", registry=registry)
 
 
 def test_plain_server_run_stays_inside_its_call_budget(echo_qsl):
@@ -129,3 +144,25 @@ def test_wrapper_stays_inside_its_added_call_budget(
         plain_stats, plain_log.query_count, "query")
     assert per_chunk <= per_chunk_ceiling, busiest(
         stream_stats, stream_log.stream_chunks, "chunk")
+
+
+def test_zoned_fleet_stays_inside_its_added_call_budget(bare_runs, echo_qsl):
+    (plain_calls, plain_log, _), _ = bare_runs
+    routed, _, stats = profiled_run(zoned_fleet(), echo_qsl)
+    per_query = (routed - plain_calls) / plain_log.query_count
+    print(f"zoned fleet: +{per_query:.2f} calls/query")
+    assert per_query <= ZONED_FLEET_CALLS_PER_QUERY, busiest(
+        stats, plain_log.query_count, "query")
+
+
+def test_telemetry_stays_inside_its_added_call_budget(echo_qsl):
+    bare, log, _ = profiled_run(zoned_fleet(), echo_qsl)
+    registry = MetricsRegistry()
+    wired, wired_log, stats = profiled_run(
+        zoned_fleet(registry), echo_qsl,
+        registry=registry, snapshot_period=0.05)
+    per_query = (wired - bare) / log.query_count
+    print(f"telemetry: +{per_query:.2f} calls/query")
+    # The instrumented run's busiest functions, the fleet's included.
+    assert per_query <= TELEMETRY_CALLS_PER_QUERY, busiest(
+        stats, wired_log.query_count, "query")
