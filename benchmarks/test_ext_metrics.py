@@ -11,9 +11,11 @@ the difference of two ~30 ms numbers with percent-level scheduler noise
 swamps a sub-microsecond effect - so the budget is checked the robust
 way:
 
-* **what instrumentation adds per query** (the exact counter/histogram
-  operations the scenario driver performs) is timed in isolation, where
-  it is deterministic to nanoseconds, and asserted as it is;
+* **what instrumentation adds per query** (the one histogram
+  observation the scenario driver still performs - its counters are
+  views of the query log and cost the event nothing) is timed in
+  isolation, where it is deterministic to nanoseconds, and asserted as
+  it is;
 * the **bare per-query issue-path cost** comes from a min-of-N
   uninstrumented run and is printed beside it as a share, for the
   reader;
@@ -41,8 +43,8 @@ from repro.sut.echo import EchoSUT
 #: dominates fixed setup.
 QUERIES = 4000
 REPEATS = 5
-#: Seconds per query the driver's four metric operations may cost
-#: (measured ~0.6 us).
+#: Seconds per query the driver's metric operation may cost (one
+#: latency observation; measured ~0.3 us).
 INSTRUMENTATION_BUDGET = 1e-6
 #: Share of a run the snapshot sampler may cost; three times this is
 #: the end-to-end guardrail.
@@ -85,26 +87,20 @@ def bare_per_query():
 def instrumented_ops_per_query():
     """Time exactly what ``_DriverInstruments`` adds per query.
 
-    Issue side: two counter increments (queries, samples).  Completion
-    side: one counter increment plus one latency observation.  The
-    ``is not None`` guard the driver takes is included.
+    Issue side: nothing - the issued/samples counters read the query
+    log when collected.  Completion side: one latency observation (the
+    completed counter is a view too).  The ``is not None`` guard the
+    driver takes is included.
     """
     registry = MetricsRegistry()
-    issued = registry.counter("q_total", labels=("s",)).labels(s="x")
-    samples = registry.counter("s_total", labels=("s",)).labels(s="x")
-    completed = registry.counter("c_total", labels=("s",)).labels(s="x")
     latency = registry.histogram("l_seconds", labels=("s",)).labels(s="x")
-    metrics = issued  # any non-None sentinel for the guard
+    metrics = latency  # any non-None sentinel for the guard
     n = 50_000
     best = float("inf")
     for _ in range(REPEATS):
         started = time.perf_counter()
         for i in range(n):
             if metrics is not None:
-                issued.inc()
-                samples.inc(1)
-            if metrics is not None:
-                completed.inc()
                 latency.observe(0.001 + i * 1e-9)
         best = min(best, time.perf_counter() - started)
     return best / n

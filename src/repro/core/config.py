@@ -83,10 +83,6 @@ class Task(enum.Enum):
             return "language"
         return "vision"
 
-    @property
-    def is_vision(self) -> bool:
-        return self.area == "vision"
-
 
 @dataclass(frozen=True)
 class TaskRules:
@@ -168,9 +164,6 @@ MIN_DURATION_SECONDS = 60.0
 
 #: Server scenario result is the minimum of this many runs (Section III-D).
 SERVER_REQUIRED_RUNS = 5
-
-#: Single-stream reported metric percentile (Table II).
-SINGLE_STREAM_REPORTED_PERCENTILE = 0.90
 
 #: Default LoadGen PRNG seed ("the traffic pattern is predetermined by the
 #: pseudorandom-number-generator seed", Section IV-A).
@@ -475,10 +468,6 @@ class TestSettings:
         if self.tpot_target_ns is None:
             return None
         return self.tpot_target_ns / 1e9
-
-    @property
-    def has_stream_slos(self) -> bool:
-        return self.ttft_target_ns is not None or self.tpot_target_ns is not None
 
     def with_overrides(self, **kwargs) -> "TestSettings":
         """Return a copy with the given fields replaced."""

@@ -47,6 +47,8 @@ class QueryLog:
         #: polled per event by the janitor, the watchdog, the snapshot
         #: sampler, and the ``loadgen_queries_outstanding`` gauge.
         self._resolved_count = 0
+        #: How many of those resolved as failures.
+        self.failed_count = 0
         self.log_sample_probability = log_sample_probability
         self._rng = np.random.default_rng(seed)
         #: Optional lifecycle tap, called as ``observer(event, query,
@@ -277,6 +279,7 @@ class QueryLog:
         record.failure_reason = reason
         record.failure_time = time
         self._resolved_count += 1
+        self.failed_count += 1
         if self.observer is not None:
             self.observer("failed", query, time, reason)
         return "failed"
@@ -327,9 +330,10 @@ class QueryLog:
     def outstanding(self) -> int:
         return len(self._records) - self._resolved_count
 
-    def streamed_records(self) -> List[QueryRecord]:
-        """Cleanly completed records that received at least one chunk."""
-        return [r for r in self.completed_records() if r.streamed]
+    @property
+    def completed_count(self) -> int:
+        """Queries that completed cleanly (resolved and not failed)."""
+        return self._resolved_count - self.failed_count
 
     @property
     def anomaly_count(self) -> int:

@@ -308,13 +308,6 @@ def session_metrics_of(
     )
 
 
-def compute_session_metrics(
-    log: QueryLog, settings: TestSettings
-) -> Optional[SessionMetrics]:
-    """Per-conversation metrics, or None if no query carried a session tag."""
-    return session_metrics_of(log.completed_records())
-
-
 def sample_count_of(records: Sequence[QueryRecord]) -> int:
     """Samples carried by the queries of ``records``."""
     return sum(map(len, [r.query.samples for r in records]))

@@ -38,7 +38,7 @@ from .logging import QueryLog
 from .query import Query, QueryFailure, StreamChunk
 from .sampler import DRAW_BLOCK, QueryFactory, SampleSelector
 from .sut import SystemUnderTest
-from ..metrics import MetricsRegistry
+from ..metrics import MetricsRegistry, exported
 
 
 class SampleSource:
@@ -141,10 +141,17 @@ class DriverStats:
     offline_queries: int = 0
     #: Session scenario: conversation lifecycle counts.  Stalled
     #: sessions (started minus completed minus aborted at run end) are
-    #: how the validator tells a lost turn from a drained run.
-    sessions_started: int = 0
-    sessions_completed: int = 0
-    sessions_aborted: int = 0
+    #: how the validator tells a lost turn from a drained run.  The
+    #: session driver exports them (no other driver does).
+    sessions_started: int = exported(
+        "session_started_total",
+        "Conversations the session driver has started")
+    sessions_completed: int = exported(
+        "session_completed_total",
+        "Conversations that finished every planned turn")
+    sessions_aborted: int = exported(
+        "session_aborted_total",
+        "Conversations abandoned after a failed turn")
     #: Watchdog: set when the overall-run timeout terminated the run.
     watchdog_fired: bool = False
     watchdog_time: float = 0.0
@@ -154,77 +161,78 @@ class DriverStats:
 
 
 class _DriverInstruments:
-    """Pre-resolved metric children for the driver's hot path.
+    """What the driver writes to the registry, children bound once.
 
-    Children are bound once here so issuing a query costs two unlocked
-    counter adds and completing one costs a counter add plus a histogram
-    observe - no name lookups or label formatting per event.  The
-    outstanding-queries gauge is callback-backed (pulled from the log at
-    collection time), so the issue path does not pay for it at all.
+    The log is the driver's ledger: the ``loadgen_*`` and ``stream_*``
+    counters and the outstanding-queries gauge are callbacks that read
+    its totals at collection time, so issuing a query costs the registry
+    nothing.  What the log cannot hold is written here - one latency
+    observation per clean completion (plus TTFT/TPOT when it streamed)
+    and the anomalies, which are labelled by a kind known only when one
+    happens.
     """
 
-    __slots__ = ("issued", "samples", "completed", "failed", "latency",
-                 "anomalies", "scenario", "chunks", "tokens", "ttft",
-                 "tpot")
+    __slots__ = ("latency", "anomalies", "scenario", "ttft", "tpot")
 
     def __init__(self, registry: MetricsRegistry, scenario: Scenario,
                  log: QueryLog) -> None:
         self.scenario = scenario.value
         label = {"scenario": self.scenario}
-        self.issued = registry.counter(
+        by_scenario = ("scenario",)
+        registry.counter(
             "loadgen_queries_issued_total",
             "Queries the LoadGen has issued to the SUT",
-            labels=("scenario",),
-        ).labels(**label)
-        self.samples = registry.counter(
+            labels=by_scenario,
+        ).labels_fn(lambda: log.query_count, **label)
+        registry.counter(
             "loadgen_samples_issued_total",
             "Samples carried by issued queries",
-            labels=("scenario",),
-        ).labels(**label)
-        self.completed = registry.counter(
+            labels=by_scenario,
+        ).labels_fn(lambda: log.issued_samples, **label)
+        registry.counter(
             "loadgen_queries_completed_total",
             "Queries that completed cleanly",
-            labels=("scenario",),
-        ).labels(**label)
-        self.failed = registry.counter(
+            labels=by_scenario,
+        ).labels_fn(lambda: log.completed_count, **label)
+        registry.counter(
             "loadgen_queries_failed_total",
             "Queries that resolved as recorded failures",
-            labels=("scenario",),
-        ).labels(**label)
+            labels=by_scenario,
+        ).labels_fn(lambda: log.failed_count, **label)
+        registry.counter(
+            "stream_chunks_total",
+            "Accepted in-sequence stream chunks",
+            labels=by_scenario,
+        ).labels_fn(lambda: log.stream_chunks, **label)
+        registry.counter(
+            "stream_tokens_total",
+            "Output tokens carried by accepted stream chunks",
+            labels=by_scenario,
+        ).labels_fn(lambda: log.stream_tokens, **label)
+        registry.gauge(
+            "loadgen_queries_outstanding",
+            "Issued queries that have not yet reached a terminal state",
+            fn=lambda: log.outstanding,
+        )
         self.latency = registry.histogram(
             "loadgen_query_latency_seconds",
             "Issue-to-completion latency of clean queries",
-            labels=("scenario",),
+            labels=by_scenario,
         ).labels(**label)
         self.anomalies = registry.counter(
             "loadgen_anomalies_total",
             "Duplicate and unsolicited completions observed by the referee",
             labels=("scenario", "kind"),
         )
-        registry.gauge(
-            "loadgen_queries_outstanding",
-            "Issued queries that have not yet reached a terminal state",
-            fn=lambda: log.outstanding,
-        )
-        self.chunks = registry.counter(
-            "stream_chunks_total",
-            "Accepted in-sequence stream chunks",
-            labels=("scenario",),
-        ).labels(**label)
-        self.tokens = registry.counter(
-            "stream_tokens_total",
-            "Output tokens carried by accepted stream chunks",
-            labels=("scenario",),
-        ).labels(**label)
         self.ttft = registry.histogram(
             "stream_ttft_seconds",
             "Time to first token (issue to first chunk) of streamed queries",
-            labels=("scenario",),
+            labels=by_scenario,
         ).labels(**label)
         self.tpot = registry.histogram(
             "stream_tpot_seconds",
             "Mean inter-token interval after the first token, per query",
-            labels=("scenario",),
+            labels=by_scenario,
         ).labels(**label)
 
 
@@ -293,10 +301,6 @@ class ScenarioDriver:
         self.log.record_issue(query, now, scheduled_time=scheduled_time)
         self.stats.issued_queries += 1
         self._outstanding += 1
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.issued.inc()
-            metrics.samples.inc(len(indices))
         self.sut.issue_query(query)
         return query
 
@@ -320,19 +324,16 @@ class ScenarioDriver:
                 query, now, responses, keep_responses=self._keep_responses
             )
         elif kind is StreamChunk or isinstance(responses, StreamChunk):
-            # Chunks are progress, not a terminal outcome: record the
-            # timing, bump the stream counters, and wait for the real
-            # completion that follows the last chunk.
+            # Chunks are progress, not a terminal outcome: the log
+            # records the timing and the stream totals, and the real
+            # completion follows the last chunk.
             status = self.log.record_chunk(query, now, responses)
             metrics = self._metrics
-            if metrics is not None:
-                if status in ("chunk", "restart"):
-                    metrics.chunks.inc()
-                    metrics.tokens.inc(responses.token_count)
-                else:  # anomaly / late / unsolicited - cold path
-                    metrics.anomalies.labels(
-                        scenario=metrics.scenario, kind="stream_" + status
-                    ).inc()
+            if metrics is not None and status not in ("chunk", "restart"):
+                # anomaly / late / unsolicited - cold path
+                metrics.anomalies.labels(
+                    scenario=metrics.scenario, kind="stream_" + status
+                ).inc()
             return
         elif isinstance(responses, QueryFailure):
             status = self.log.record_failure(query, now, responses.reason)
@@ -343,7 +344,6 @@ class ScenarioDriver:
         metrics = self._metrics
         if metrics is not None:
             if status == "completed":
-                metrics.completed.inc()
                 metrics.latency.observe(now - query.issue_time)
                 if self.log.stream_chunks:  # else nobody streamed
                     record = self.log.record_for(query.id)
@@ -352,9 +352,8 @@ class ScenarioDriver:
                         # these, so the histograms see what the client saw.
                         metrics.ttft.observe(record.ttft)
                         metrics.tpot.observe(record.tpot)
-            elif status == "failed":
-                metrics.failed.inc()
-            else:  # duplicate / unsolicited - cold path, resolve labels
+            elif status != "failed":
+                # duplicate / unsolicited - cold path, resolve labels
                 metrics.anomalies.labels(
                     scenario=metrics.scenario, kind=status
                 ).inc()

@@ -4,7 +4,7 @@ from .base import Dataset
 from .coco import GroundTruthObject, SyntheticCoco
 from .imagenet import SyntheticImageNet
 from .qsl import DatasetQSL
-from .wmt import BOS_ID, EOS_ID, FIRST_WORD_ID, PAD_ID, SyntheticWmt
+from .wmt import BOS_ID, EOS_ID, FIRST_WORD_ID, SyntheticWmt
 
 __all__ = [
     "BOS_ID",
@@ -13,7 +13,6 @@ __all__ = [
     "EOS_ID",
     "FIRST_WORD_ID",
     "GroundTruthObject",
-    "PAD_ID",
     "SyntheticCoco",
     "SyntheticImageNet",
     "SyntheticWmt",

@@ -21,8 +21,7 @@ import numpy as np
 
 from .base import Dataset
 
-#: Special token ids.
-PAD_ID = 0
+#: Special token ids (0 is left for padding; nothing here pads).
 BOS_ID = 1
 EOS_ID = 2
 FIRST_WORD_ID = 3
@@ -67,10 +66,6 @@ class SyntheticWmt(Dataset):
 
     def __len__(self) -> int:
         return self._size
-
-    @property
-    def num_words(self) -> int:
-        return self.vocab_size - FIRST_WORD_ID
 
     def _rng_for(self, index: int) -> np.random.Generator:
         return np.random.default_rng(

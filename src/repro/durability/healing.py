@@ -32,7 +32,7 @@ from ..core.events import EventHandle, EventLoop
 from ..core.query import Query
 from ..core.sut import Responder, SystemUnderTest
 from ..faults.filtering import Attempt, AttemptSUT
-from ..metrics import MetricsRegistry
+from ..metrics import MetricsRegistry, export_ledger, exported
 from .breaker import STATE_CODES, BreakerPolicy, BreakerState, CircuitBreaker
 
 
@@ -45,11 +45,17 @@ class HealingStats:
     hedged_queries: int = 0
     failovers: int = 0
     hedge_wins: int = 0
-    standby_completions: int = 0
-    primary_failures: int = 0
+    standby_completions: int = exported(
+        "breaker_standby_completions_total",
+        "Queries answered by the standby backend")
+    primary_failures: int = exported(
+        "breaker_recorded_failures_total",
+        "Primary outcomes recorded as failures by the breaker")
     deadline_failures: int = 0
     filtered_completions: int = 0
-    probe_queries: int = 0
+    probe_queries: int = exported(
+        "breaker_probe_queries_total",
+        "Half-open trial queries admitted to the primary")
 
     def summary(self) -> str:
         return (
@@ -59,39 +65,6 @@ class HealingStats:
             f"primary_failures={self.primary_failures} "
             f"deadlines={self.deadline_failures}"
         )
-
-
-class _BreakerInstruments:
-    """Live ``breaker_*`` metric families for one healing layer."""
-
-    __slots__ = ("transitions", "rejected", "probes", "hedges",
-                 "standby", "failures")
-
-    def __init__(self, registry: MetricsRegistry,
-                 state_fn) -> None:
-        registry.gauge(
-            "breaker_state",
-            "Circuit breaker state (0=closed, 1=open, 2=half_open)",
-            fn=state_fn)
-        self.transitions = registry.counter(
-            "breaker_transitions_total",
-            "Circuit breaker state transitions",
-            labels=("source", "target"))
-        self.rejected = registry.counter(
-            "breaker_rejected_queries_total",
-            "Queries rejected fast (shed or rerouted) while open")
-        self.probes = registry.counter(
-            "breaker_probe_queries_total",
-            "Half-open trial queries admitted to the primary")
-        self.hedges = registry.counter(
-            "breaker_hedged_queries_total",
-            "Queries hedged or failed over to the standby backend")
-        self.standby = registry.counter(
-            "breaker_standby_completions_total",
-            "Queries answered by the standby backend")
-        self.failures = registry.counter(
-            "breaker_recorded_failures_total",
-            "Primary outcomes recorded as failures by the breaker")
 
 
 class _Guarded(Attempt):
@@ -152,10 +125,33 @@ class SelfHealingSUT(AttemptSUT):
         self.hedge_delay = hedge_delay
         self.stats = HealingStats()
         self._breaker: Optional[CircuitBreaker] = None
-        self._m = (
-            _BreakerInstruments(registry, self._state_code)
-            if registry is not None else None
-        )
+        #: ``breaker_transitions_total{source,target}``: the one thing
+        #: the ledger cannot hold (``None``: no registry).
+        self._transitions = None
+        if registry is not None:
+            self._export(registry)
+
+    def _export(self, registry: MetricsRegistry) -> None:
+        """The ``breaker_*`` families: the ledger's own fields, the two
+        totals that are each the sum of two of them, the state gauge
+        and the labelled transition counter."""
+        export_ledger(registry, lambda: self.stats)
+        registry.counter(
+            "breaker_rejected_queries_total",
+            "Queries rejected fast (shed or rerouted) while open",
+            fn=lambda: self.stats.shed_queries + self.stats.standby_queries)
+        registry.counter(
+            "breaker_hedged_queries_total",
+            "Queries hedged or failed over to the standby backend",
+            fn=lambda: self.stats.hedged_queries + self.stats.failovers)
+        registry.gauge(
+            "breaker_state",
+            "Circuit breaker state (0=closed, 1=open, 2=half_open)",
+            fn=self._state_code)
+        self._transitions = registry.counter(
+            "breaker_transitions_total",
+            "Circuit breaker state transitions",
+            labels=("source", "target"))
 
     def _state_code(self) -> float:
         if self._breaker is None:
@@ -182,15 +178,13 @@ class SelfHealingSUT(AttemptSUT):
 
     def _on_transition(self, time: float, source: BreakerState,
                        target: BreakerState) -> None:
-        if self._m:
-            self._m.transitions.labels(
+        if self._transitions is not None:
+            self._transitions.labels(
                 source=source.value, target=target.value).inc()
 
     def issue_query(self, query: Query) -> None:
         verdict = self.breaker.admit()
         if verdict == "reject":
-            if self._m:
-                self._m.rejected.inc()
             if self.standby is not None:
                 # Shed *from the primary*: the standby carries the load
                 # while the breaker waits out the outage.
@@ -210,8 +204,6 @@ class SelfHealingSUT(AttemptSUT):
         if verdict == "probe":
             state.probe = True
             self.stats.probe_queries += 1
-            if self._m:
-                self._m.probes.inc()
         self._arm(state, self._timeout(state))
         if (self.hedge_delay is not None and self.standby is not None
                 and not state.probe):
@@ -254,13 +246,9 @@ class SelfHealingSUT(AttemptSUT):
     def _primary_failed(self, state: _Guarded) -> None:
         self.stats.primary_failures += 1
         self.breaker.record_failure(probe=state.probe)
-        if self._m:
-            self._m.failures.inc()
 
     def _ask_standby(self, state: _Guarded, sources) -> None:
         state.hedged = True
-        if self._m:
-            self._m.hedges.inc()
         # The standby's stream starts over at seq 0; both attempts draw
         # the same per-query stream plan, so whichever source is ahead
         # after the restart screens clean without double-counting.
@@ -285,8 +273,6 @@ class SelfHealingSUT(AttemptSUT):
             self.breaker.record_success(probe=state.probe)
         else:
             self.stats.standby_completions += 1
-            if self._m:
-                self._m.standby.inc()
             if state.hedged:
                 self.stats.hedge_wins += 1
         self.complete(state.query, responses)

@@ -48,7 +48,7 @@ import numpy as np
 
 from ..core.config import TestSettings
 from ..core.query import Query
-from ..metrics import MetricsRegistry
+from ..metrics import MetricsRegistry, export_ledger, exported
 
 #: First bytes of every journal file; bumping the trailing digit is a
 #: format version change (readers refuse unknown magics loudly).
@@ -101,31 +101,17 @@ class JournalStats:
     """Cumulative writer-side accounting."""
 
     records: int = 0
-    bytes: int = 0
-    fsyncs: int = 0
+    bytes: int = exported(
+        "durability_journal_bytes_total",
+        "Bytes appended to the run journal (frames + payloads)")
+    fsyncs: int = exported(
+        "durability_journal_fsyncs_total",
+        "Times the journal was forced to the disk platter")
     #: Events skipped because the journal already holds them (resume).
     skipped: int = 0
-    checkpoints: int = 0
-
-
-class _JournalInstruments:
-    """Live ``durability_*`` counters mirroring :class:`JournalStats`."""
-
-    __slots__ = ("records", "bytes", "fsyncs", "checkpoints")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.records = registry.counter(
-            "durability_journal_records_total",
-            "Frames appended to the run journal", labels=("kind",))
-        self.bytes = registry.counter(
-            "durability_journal_bytes_total",
-            "Bytes appended to the run journal (frames + payloads)")
-        self.fsyncs = registry.counter(
-            "durability_journal_fsyncs_total",
-            "Times the journal was forced to the disk platter")
-        self.checkpoints = registry.counter(
-            "durability_checkpoints_total",
-            "Periodic scenario-state checkpoints written")
+    checkpoints: int = exported(
+        "durability_checkpoints_total",
+        "Periodic scenario-state checkpoints written")
 
 
 class JournalWriter:
@@ -395,8 +381,6 @@ class RunJournal:
         self.fsync_interval = fsync_interval
         self.checkpoint_period = checkpoint_period
         self.on_append = on_append
-        self._m = (_JournalInstruments(registry)
-                   if registry is not None else None)
         self._writer: Optional[JournalWriter] = None
         self._keep_payloads = False
         #: Query ids whose ``issued`` record is already on disk.
@@ -405,6 +389,14 @@ class RunJournal:
         self._known_resolved: Set[int] = set()
         self._resuming = False
         self._truncate_to: Optional[int] = None
+        #: ``durability_journal_records_total{kind}``: the writer's
+        #: ledger has the total, not the split (``None``: no registry).
+        self._records = None
+        if registry is not None:
+            export_ledger(registry, lambda: self.stats)
+            self._records = registry.counter(
+                "durability_journal_records_total",
+                "Frames appended to the run journal", labels=("kind",))
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -445,14 +437,9 @@ class RunJournal:
 
     def _append(self, kind: str, fields: dict) -> None:
         assert self._writer is not None
-        stats = self._writer.stats
-        before_bytes, before_fsyncs = stats.bytes, stats.fsyncs
         self._writer.append(kind, fields)
-        if self._m:
-            self._m.records.labels(kind=kind).inc()
-            self._m.bytes.inc(stats.bytes - before_bytes)
-            if stats.fsyncs > before_fsyncs:
-                self._m.fsyncs.inc(stats.fsyncs - before_fsyncs)
+        if self._records is not None:
+            self._records.labels(kind=kind).inc()
 
     # -- the QueryLog observer hook --------------------------------------------
 
@@ -497,8 +484,6 @@ class RunJournal:
             return
         self._append("checkpoint", {"t": time, **progress})
         self._writer.stats.checkpoints += 1
-        if self._m:
-            self._m.checkpoints.inc()
 
     def finish(self, result: object) -> None:
         """Seal the journal with an ``end`` record and close the file."""

@@ -36,7 +36,7 @@ from ..core.events import EventLoop
 from ..core.loadgen import LoadGenResult, run_benchmark
 from ..core.query import Query, QuerySampleResponse
 from ..core.sut import QuerySampleLibrary, Responder, SutBase, SystemUnderTest
-from ..metrics import MetricsRegistry
+from ..metrics import MetricsRegistry, export_ledger, exported
 from .journal import (
     FsyncPolicy,
     JournalState,
@@ -51,27 +51,16 @@ from .journal import (
 class ReplayStats:
     """What the replay layer did during one resumed run."""
 
-    replayed_completions: int = 0
-    replayed_failures: int = 0
-    recomputed_queries: int = 0
+    replayed_completions: int = exported(
+        "durability_replayed_completions_total",
+        "Completions replayed from the journal instead of the SUT")
+    replayed_failures: int = exported(
+        "durability_replayed_failures_total",
+        "Recorded failures replayed from the journal")
+    recomputed_queries: int = exported(
+        "durability_recomputed_queries_total",
+        "Queries the interrupted run never resolved, re-sent to the SUT")
     divergence: Optional[str] = None
-
-
-class _ReplayInstruments:
-    """Live ``durability_*`` counters for the replay layer."""
-
-    __slots__ = ("completions", "failures", "recomputed")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.completions = registry.counter(
-            "durability_replayed_completions_total",
-            "Completions replayed from the journal instead of the SUT")
-        self.failures = registry.counter(
-            "durability_replayed_failures_total",
-            "Recorded failures replayed from the journal")
-        self.recomputed = registry.counter(
-            "durability_recomputed_queries_total",
-            "Queries the interrupted run never resolved, re-sent to the SUT")
 
 
 class ReplaySUT(SutBase):
@@ -90,8 +79,8 @@ class ReplaySUT(SutBase):
         self._completions = dict(state.completions)
         self._failures = dict(state.failures)
         self.stats = ReplayStats()
-        self._m = (_ReplayInstruments(registry)
-                   if registry is not None else None)
+        if registry is not None:
+            export_ledger(registry, lambda: self.stats)
 
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         super().start_run(loop, responder)
@@ -124,8 +113,6 @@ class ReplaySUT(SutBase):
                 max(time, self.loop.now),
                 lambda q=query, r=responses: self.complete(q, r))
             self.stats.replayed_completions += 1
-            if self._m:
-                self._m.completions.inc()
             return
         failure = self._failures.pop(query.id, None)
         if failure is not None:
@@ -134,12 +121,8 @@ class ReplaySUT(SutBase):
                 max(time, self.loop.now),
                 lambda q=query, msg=reason: self.fail(q, msg))
             self.stats.replayed_failures += 1
-            if self._m:
-                self._m.failures.inc()
             return
         self.stats.recomputed_queries += 1
-        if self._m:
-            self._m.recomputed.inc()
         self.inner.issue_query(query)
 
     @property

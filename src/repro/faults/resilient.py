@@ -29,7 +29,7 @@ import numpy as np
 from ..core.events import EventLoop
 from ..core.query import Query
 from ..core.sut import Responder, SystemUnderTest
-from ..metrics import MetricsRegistry
+from ..metrics import MetricsRegistry, export_ledger, exported
 from .filtering import Attempt, AttemptSUT
 
 #: Domain-separation tag mixed into the backoff-jitter seed stream so it
@@ -158,13 +158,24 @@ class RetryPolicy:
 
 @dataclass
 class ResilienceStats:
-    """What the wrapper did during one run."""
+    """What the wrapper did during one run; every field is exported as
+    the ``resilient_*`` counter it names."""
 
-    retries: int = 0
-    recovered_queries: int = 0
-    gave_up_queries: int = 0
-    filtered_completions: int = 0
-    malformed_attempts: int = 0
+    retries: int = exported(
+        "resilient_retries_total",
+        "Attempts re-issued after a lost or malformed attempt")
+    recovered_queries: int = exported(
+        "resilient_recovered_queries_total",
+        "Queries that succeeded only after at least one retry")
+    gave_up_queries: int = exported(
+        "resilient_gave_up_queries_total",
+        "Queries reported as failures after exhausting all attempts")
+    filtered_completions: int = exported(
+        "resilient_filtered_completions_total",
+        "Duplicate/straggler/unsolicited completions absorbed")
+    malformed_attempts: int = exported(
+        "resilient_malformed_attempts_total",
+        "Attempts whose response set was unusable")
 
     def summary(self) -> str:
         return (
@@ -173,30 +184,6 @@ class ResilienceStats:
             f"filtered={self.filtered_completions} "
             f"malformed={self.malformed_attempts}"
         )
-
-
-class _ResilienceInstruments:
-    """Live counters mirroring :class:`ResilienceStats` (same run loop,
-    single writer, so unlocked increments are safe)."""
-
-    __slots__ = ("retries", "recovered", "gave_up", "filtered", "malformed")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.retries = registry.counter(
-            "resilient_retries_total",
-            "Attempts re-issued after a lost or malformed attempt")
-        self.recovered = registry.counter(
-            "resilient_recovered_queries_total",
-            "Queries that succeeded only after at least one retry")
-        self.gave_up = registry.counter(
-            "resilient_gave_up_queries_total",
-            "Queries reported as failures after exhausting all attempts")
-        self.filtered = registry.counter(
-            "resilient_filtered_completions_total",
-            "Duplicate/straggler/unsolicited completions absorbed")
-        self.malformed = registry.counter(
-            "resilient_malformed_attempts_total",
-            "Attempts whose response set was unusable")
 
 
 class ResilientSUT(AttemptSUT):
@@ -216,10 +203,8 @@ class ResilientSUT(AttemptSUT):
         self.policy = policy if policy is not None else RetryPolicy()
         self.seed = seed
         self.stats = ResilienceStats()
-        self._m = (
-            _ResilienceInstruments(registry) if registry is not None
-            else None
-        )
+        if registry is not None:
+            export_ledger(registry, lambda: self.stats)
 
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         super().start_run(loop, responder)
@@ -254,8 +239,6 @@ class ResilientSUT(AttemptSUT):
     def _give_up(self, state: Attempt, reason: str) -> None:
         self._resolve(state)
         self.stats.gave_up_queries += 1
-        if self._m:
-            self._m.gave_up.inc()
         self.fail(state.query, reason)
 
     def _attempt(self, state: Attempt) -> None:
@@ -298,8 +281,6 @@ class ResilientSUT(AttemptSUT):
                 max(0.0, remaining - self.policy.attempt_timeout))
         state.tries += 1
         self.stats.retries += 1
-        if self._m:
-            self._m.retries.inc()
         self._loop.schedule_after(backoff, lambda: self._reissue(state))
 
     def _reissue(self, state: Attempt) -> None:
@@ -312,15 +293,11 @@ class ResilientSUT(AttemptSUT):
     def _absorbed(self, chunk: bool) -> None:
         # The resilience layer swallows it so the referee never sees it.
         self.stats.filtered_completions += 1
-        if self._m:
-            self._m.filtered.inc()
 
     def _flawed(self, state: Attempt, source, reason: str, failure) -> None:
         # A bad attempt is a lost attempt; retry now rather than waiting
         # out the deadline (which must not fire into the backoff).
         self.stats.malformed_attempts += 1
-        if self._m:
-            self._m.malformed.inc()
         if state.timer is not None:
             state.timer.cancel()
             state.timer = None
@@ -330,6 +307,4 @@ class ResilientSUT(AttemptSUT):
         self._resolve(state)
         if state.tries > 0:
             self.stats.recovered_queries += 1
-            if self._m:
-                self._m.recovered.inc()
         self.complete(state.query, responses)

@@ -329,10 +329,6 @@ class DegradedSUT(SutBase):
         return self._factor
 
     @property
-    def partitioned(self) -> bool:
-        return self._partitioned
-
-    @property
     def healthy(self) -> bool:
         return self._factor == 1.0 and not self._partitioned
 

@@ -80,7 +80,7 @@ from ..core.query import Query, StreamChunk
 from ..core.sut import Responder, SystemUnderTest
 from ..durability.breaker import BreakerPolicy
 from ..faults.filtering import Attempt, AttemptSUT
-from ..metrics import MetricsRegistry
+from ..metrics import MetricsRegistry, export_ledger, exported
 from .balancer import BalancerPolicy, make_policy
 from .replica import DEFAULT_LATENCY_WINDOW, Replica, ReplicaHealth
 
@@ -95,19 +95,33 @@ class FleetStats:
     """What the replica set did during one run."""
 
     routed_queries: int = 0
-    fallbacks: int = 0
-    reroutes: int = 0
-    shed_queries: int = 0
+    fallbacks: int = exported(
+        "lb_fallbacks_total",
+        "Dispatches that skipped breaker-rejecting higher choices")
+    reroutes: int = exported(
+        "fleet_reroutes_total",
+        "Attempts re-dispatched to a different replica")
+    shed_queries: int = exported(
+        "fleet_queries_shed_total",
+        "Queries failed because no replica could take them")
     deadline_failures: int = 0
     flawed_attempts: int = 0
-    stragglers_absorbed: int = 0
-    kills: int = 0
+    stragglers_absorbed: int = exported(
+        "fleet_stragglers_absorbed_total",
+        "Late completions from superseded attempts, absorbed")
+    kills: int = exported(
+        "fleet_replica_kills_total",
+        "Replicas administratively killed mid-run")
     zone_kills: int = 0
     ejections: int = 0
     readmissions: int = 0
     rescued_queries: int = 0
-    cache_warms: int = 0
-    drained_replicas: int = 0
+    cache_warms: int = exported(
+        "fleet_cache_warms_total",
+        "Rescued session prefixes admitted into survivor caches")
+    drained_replicas: int = exported(
+        "fleet_replicas_drained_total",
+        "Scale-down drains that completed (replica parked DOWN)")
 
     def summary(self) -> str:
         return (
@@ -121,12 +135,15 @@ class FleetStats:
 
 
 class _FleetInstruments:
-    """Live ``fleet_*``/``lb_*`` metric families for one replica set."""
+    """What one replica set writes to the registry: the live fleet
+    gauges and ``lb_routed_total``, which is labelled by the replica a
+    dispatch picked.  Everything else the fleet counts is a
+    :class:`FleetStats` field exported as it stands."""
 
-    __slots__ = ("routed", "routed_to", "fallbacks", "reroutes", "shed",
-                 "kills", "stragglers", "drained", "cache_warms")
+    __slots__ = ("routed", "routed_to")
 
     def __init__(self, registry: MetricsRegistry, fleet) -> None:
+        export_ledger(registry, lambda: fleet.stats)
         registry.gauge(
             "fleet_replicas",
             "Replicas that are administratively alive (not DOWN)",
@@ -155,27 +172,6 @@ class _FleetInstruments:
         #: the first dispatch to that replica (the series appears in
         #: snapshots from then on, not from the replica's creation).
         self.routed_to: Dict[int, object] = {}
-        self.fallbacks = registry.counter(
-            "lb_fallbacks_total",
-            "Dispatches that skipped breaker-rejecting higher choices")
-        self.reroutes = registry.counter(
-            "fleet_reroutes_total",
-            "Attempts re-dispatched to a different replica")
-        self.shed = registry.counter(
-            "fleet_queries_shed_total",
-            "Queries failed because no replica could take them")
-        self.kills = registry.counter(
-            "fleet_replica_kills_total",
-            "Replicas administratively killed mid-run")
-        self.stragglers = registry.counter(
-            "fleet_stragglers_absorbed_total",
-            "Late completions from superseded attempts, absorbed")
-        self.drained = registry.counter(
-            "fleet_replicas_drained_total",
-            "Scale-down drains that completed (replica parked DOWN)")
-        self.cache_warms = registry.counter(
-            "fleet_cache_warms_total",
-            "Rescued session prefixes admitted into survivor caches")
 
 
 class _Routed(Attempt):
@@ -385,8 +381,6 @@ class ReplicaSet(AttemptSUT):
                 continue
             if position > 0:
                 self.stats.fallbacks += 1
-                if m:
-                    m.fallbacks.inc()
             state.probe = verdict == "probe"
             state.attempt_started = (
                 loop.clock.now() if loop.realtime else loop.clock._now)
@@ -424,14 +418,10 @@ class ReplicaSet(AttemptSUT):
             return
         admit(turn.session_id, turn.prefix_tokens)
         self.stats.cache_warms += 1
-        if self._m:
-            self._m.cache_warms.inc()
 
     def _shed(self, state: _Routed, reason: str) -> None:
         self._resolve(state)
         self.stats.shed_queries += 1
-        if self._m:
-            self._m.shed.inc()
         # No replica served it; stateful policies (session affinity)
         # drop their routing state - a failed turn aborts its session.
         self.policy.notify_failed(state.query)
@@ -444,8 +434,6 @@ class ReplicaSet(AttemptSUT):
         if state.tries < self.max_reroutes:
             state.tries += 1
             self.stats.reroutes += 1
-            if self._m:
-                self._m.reroutes.inc()
             if self._dispatch(state, exclude=exclude):
                 return
         self._shed(state, reason)
@@ -481,8 +469,6 @@ class ReplicaSet(AttemptSUT):
         # replica the query was already rerouted away from (its books
         # were settled at reroute time).
         self.stats.stragglers_absorbed += 1
-        if self._m:
-            self._m.stragglers.inc()
 
     def _flawed(self, state: _Routed, source: int, reason: str,
                 failure) -> None:
@@ -530,8 +516,6 @@ class ReplicaSet(AttemptSUT):
                 continue
             replica.outstanding -= 1
             self.stats.reroutes += 1
-            if self._m:
-                self._m.reroutes.inc()
             if self._dispatch(state, exclude=index, rescue=True):
                 rescued += 1
             else:
@@ -553,8 +537,6 @@ class ReplicaSet(AttemptSUT):
             return 0
         replica.health = ReplicaHealth.DOWN
         self.stats.kills += 1
-        if self._m:
-            self._m.kills.inc()
         return self._rescue_inflight(index, cause="killed")
 
     def kill_zone(self, zone: str) -> int:
@@ -571,8 +553,6 @@ class ReplicaSet(AttemptSUT):
         for replica in targets:
             replica.health = ReplicaHealth.DOWN
             self.stats.kills += 1
-            if self._m:
-                self._m.kills.inc()
         self.stats.zone_kills += 1
         rescued = 0
         for replica in targets:
@@ -709,5 +689,3 @@ class ReplicaSet(AttemptSUT):
             replica.health = ReplicaHealth.DOWN
             self._parked.append(replica.index)
             self.stats.drained_replicas += 1
-            if self._m:
-                self._m.drained.inc()

@@ -12,9 +12,13 @@ wall clock), and Prometheus-text / JSON / terminal exporters.
 Layering: ``repro.metrics`` imports nothing from the rest of the repo,
 so every layer - LoadGen drivers, the network server, the fault
 wrappers, the harness - can depend on it.  Instrumented code takes an
-*optional* registry; with ``registry=None`` the hot paths skip
-telemetry entirely, so an un-observed run pays one predicate test per
-query and nothing more.
+*optional* registry.  Most of what it exports it never writes: a layer
+counts an event once, in its own ``*Stats`` ledger, and
+:func:`export_ledger` publishes the :func:`exported` fields as callback
+counters the registry reads when collected.  What is written at the
+event (a histogram observation, a counter labelled by the event) sits
+behind one predicate test, so an un-observed run pays that test and
+nothing more.
 
 See ``docs/observability.md`` for the metric catalog (every name, type,
 label, and emitting code path) and worked examples.
@@ -26,6 +30,7 @@ from .export import (
     to_json,
     to_prometheus_text,
 )
+from .ledger import export_ledger, exported
 from .primitives import (
     DEFAULT_BASE,
     DEFAULT_BUCKETS,
@@ -60,6 +65,8 @@ __all__ = [
     "Snapshot",
     "SnapshotSampler",
     "capture",
+    "export_ledger",
+    "exported",
     "render_histogram",
     "render_table",
     "series_key",

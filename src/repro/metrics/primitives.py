@@ -8,8 +8,8 @@ design rules keep them cheap enough to sit on the LoadGen issue path:
   it with plain attribute arithmetic.  Concurrency is handled the way
   the paper's LoadGen handles logging - per-thread instruments that are
   :meth:`~Histogram.merge`-d at collection time - or by updating inside
-  a lock the caller already holds (the network server bumps its metrics
-  inside the same critical sections that guard ``ServerStats``).
+  a lock the caller already holds (the network server observes its
+  histograms inside the critical sections that guard ``ServerStats``).
 * **No time reads.**  A primitive never looks at a clock; observations
   are pure values.  That is what keeps the virtual-time path bit-exact
   reproducible: a metric can only reflect what the (deterministic) run
@@ -49,26 +49,38 @@ class Counter:
 
     Single-writer by design (see the module docstring); cross-thread
     aggregation goes through :meth:`merge` or per-thread label children.
+
+    Like a gauge, a counter may instead be backed by a zero-argument
+    callable (``Counter(fn=...)``): :attr:`value` then reads the count
+    from wherever the owning layer already keeps it (a ``*Stats``
+    field, the query log) and the counter rejects writes.
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_fn")
 
-    def __init__(self) -> None:
+    def __init__(self, fn: Optional[Callable[[], float]] = None) -> None:
         self._value = 0.0
+        self._fn = fn
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be >= 0) to the counter."""
+        if self._fn is not None:
+            raise ValueError("cannot inc a callback-backed counter")
         if amount < 0:
             raise ValueError(f"counters only go up; inc({amount})")
         self._value += amount
 
     @property
     def value(self) -> float:
+        if self._fn is not None:
+            return float(self._fn())
         return self._value
 
     def merge(self, other: "Counter") -> None:
         """Fold another counter's count into this one."""
-        self._value += other._value
+        if self._fn is not None:
+            raise ValueError("cannot merge into a callback-backed counter")
+        self._value += other.value
 
 
 class Gauge:

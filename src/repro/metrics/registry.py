@@ -8,17 +8,28 @@ is idempotent (asking for an existing name returns the existing family)
 but re-registering a name with a different type or label set is a
 programming error and raises.
 
-The intended pattern for hot paths is to resolve the child **once**::
+Most counters are not written at all.  A layer counts an event once,
+in its own ledger (a ``*Stats`` field, the query log), and registers a
+**callback** counter that reads it - ``registry.counter(name, help,
+fn=...)``, or ``family.labels_fn(fn, **labels)`` for one labeled series;
+:mod:`repro.metrics.ledger` does it for a whole ``*Stats`` dataclass.
+The event then costs the registry nothing, and a callback registered
+for a series that already has one takes it over, so the series follows
+its current owner.
 
-    issued = registry.counter(
-        "loadgen_queries_issued_total", "Queries issued by the LoadGen",
+What a ledger cannot hold is written at the event - a histogram
+observation, or a counter broken down by a label value known only then
+- and there the pattern is to resolve the child **once**::
+
+    latency = registry.histogram(
+        "loadgen_query_latency_seconds", "Issue-to-completion latency",
         labels=("scenario",),
     ).labels(scenario="server")
     ...
-    issued.inc()          # per-query cost: one attribute add
+    latency.observe(now - issued)   # per-query cost: one method call
 
-so the per-event cost is a single unlocked attribute update, never a
-dictionary lookup or string formatting.
+so the per-event cost is a single unlocked update, never a dictionary
+lookup or string formatting.
 """
 
 from __future__ import annotations
@@ -76,7 +87,8 @@ class MetricFamily:
     kind = "untyped"
 
     def __init__(self, name: str, help: str,
-                 label_names: Sequence[str] = ()) -> None:
+                 label_names: Sequence[str] = (),
+                 fn: Optional[Callable[[], float]] = None) -> None:
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         for label in label_names:
@@ -84,16 +96,23 @@ class MetricFamily:
                 raise ValueError(f"invalid label name {label!r}")
         if len(set(label_names)) != len(label_names):
             raise ValueError(f"duplicate label names in {label_names!r}")
+        if fn is not None and label_names:
+            raise ValueError(
+                "a labeled family cannot take a family-wide callback; "
+                "bind one callback per labeled child via labels_fn(...)"
+            )
         self.name = name
         self.help = help
         self.label_names: Tuple[str, ...] = tuple(label_names)
+        #: The callback behind a label-free callback family's one child.
+        self._fn = fn
         self._children: Dict[Tuple[str, ...], object] = {}
         #: ``(series key, child)`` per child, in creation order: each
         #: key is built once, when its child is, and this is what
         #: :func:`~repro.metrics.snapshot.capture` walks.  Read-only.
         self.keyed: List[Tuple[str, object]] = []
 
-    def _make_child(self) -> object:
+    def _make_child(self, fn: Optional[Callable[[], float]] = None):
         raise NotImplementedError
 
     def _label_values(self, labels: Dict[str, object]) -> Tuple[str, ...]:
@@ -118,7 +137,31 @@ class MetricFamily:
         values = self._label_values(labels)
         child = self._children.get(values)
         if child is None:
-            child = self._adopt(values, self._make_child())
+            child = self._adopt(values, self._make_child(self._fn))
+        return child
+
+    def labels_fn(self, fn: Callable[[], float], **labels: object):
+        """Bind a callback-backed counter or gauge child for these labels.
+
+        Labeled families cannot carry a single family-wide callback (each
+        series needs its own live state to pull from), so per-series
+        callbacks are bound here instead: one call per label combination,
+        e.g. ``prefix_cache_resident_tokens{replica="3"}`` pulling from
+        replica 3's cache.  Binding a label set that already has a
+        callback child hands that child the newer callback - the series
+        follows its current owner (a fleet builds fresh caches every
+        run); rebinding over a write-style child is an error.
+        """
+        values = self._label_values(labels)
+        child = self._children.get(values)
+        if child is None:
+            return self._adopt(values, self._make_child(fn))
+        if child._fn is None:
+            raise ValueError(
+                f"series {self._series_key(values)!r} already exists as a "
+                f"write-style {self.kind}; cannot rebind it to a callback"
+            )
+        child._fn = fn
         return child
 
     def series(self) -> Iterator[Tuple[Dict[str, str], object]]:
@@ -139,8 +182,8 @@ class MetricFamily:
 class CounterFamily(MetricFamily):
     kind = "counter"
 
-    def _make_child(self) -> Counter:
-        return Counter()
+    def _make_child(self, fn=None) -> Counter:
+        return Counter(fn=fn)
 
     # Label-free convenience: the family acts as its single child.
     def inc(self, amount: float = 1.0) -> None:
@@ -154,41 +197,8 @@ class CounterFamily(MetricFamily):
 class GaugeFamily(MetricFamily):
     kind = "gauge"
 
-    def __init__(self, name: str, help: str,
-                 label_names: Sequence[str] = (),
-                 fn: Optional[Callable[[], float]] = None) -> None:
-        super().__init__(name, help, label_names)
-        self._fn = fn
-        if fn is not None and label_names:
-            raise ValueError(
-                "callback gauges cannot take a family-wide callback; "
-                "bind one callback per labeled child via labels_fn(...)"
-            )
-
-    def _make_child(self) -> Gauge:
-        return Gauge(fn=self._fn)
-
-    def labels_fn(self, fn: Callable[[], float], **labels: object) -> Gauge:
-        """Bind a callback-backed child for these labels.
-
-        Labeled families cannot carry a single family-wide callback (each
-        series needs its own live state to pull from), so per-series
-        callbacks are bound here instead: one call per label combination,
-        e.g. ``prefix_cache_resident_tokens{replica="3"}`` pulling from
-        replica 3's cache.  Binding the same label set twice returns the
-        existing child; rebinding over a write-style child is an error.
-        """
-        values = self._label_values(labels)
-        child = self._children.get(values)
-        if child is None:
-            child = self._adopt(values, Gauge(fn=fn))
-        elif child._fn is None:
-            raise ValueError(
-                f"series {self._series_key(values)!r} "
-                "already exists as a write-style gauge; cannot rebind it "
-                "to a callback"
-            )
-        return child
+    def _make_child(self, fn=None) -> Gauge:
+        return Gauge(fn=fn)
 
     def set(self, value: float) -> None:
         self._default().set(value)
@@ -217,7 +227,10 @@ class HistogramFamily(MetricFamily):
         self.growth = growth
         self.buckets = buckets
 
-    def _make_child(self) -> Histogram:
+    def _make_child(self, fn=None) -> Histogram:
+        if fn is not None:
+            raise ValueError(
+                f"histogram {self.name!r} cannot be callback-backed")
         return Histogram(base=self.base, growth=self.growth,
                          buckets=self.buckets)
 
@@ -268,13 +281,26 @@ class MetricsRegistry:
             family.labels()
         return family
 
+    def _scalar(self, family: MetricFamily):
+        """Register a counter or gauge family.  A callback handed to a
+        name that already has one goes to the existing child: the series
+        follows its newest owner (this run's log, not the last run's)."""
+        registered = self._register(family)
+        if family._fn is not None and registered is not family:
+            registered.labels_fn(family._fn)
+        return registered
+
     def counter(self, name: str, help: str = "",
-                labels: Sequence[str] = ()) -> CounterFamily:
-        """Register (or fetch) a counter family."""
-        family = self._register(
-            CounterFamily(self._full_name(name), help, labels))
-        assert isinstance(family, CounterFamily)
-        return family
+                labels: Sequence[str] = (),
+                fn: Optional[Callable[[], float]] = None) -> CounterFamily:
+        """Register (or fetch) a counter family.
+
+        With ``fn`` the counter is callback-backed: its value is read
+        from ``fn()`` at collection time - the count some ledger already
+        keeps - and writes are rejected.
+        """
+        return self._scalar(
+            CounterFamily(self._full_name(name), help, labels, fn=fn))
 
     def gauge(self, name: str, help: str = "",
               labels: Sequence[str] = (),
@@ -284,10 +310,8 @@ class MetricsRegistry:
         With ``fn`` the gauge is callback-backed: its value is pulled
         from ``fn()`` at collection time and writes are rejected.
         """
-        family = self._register(
+        return self._scalar(
             GaugeFamily(self._full_name(name), help, labels, fn=fn))
-        assert isinstance(family, GaugeFamily)
-        return family
 
     def histogram(self, name: str, help: str = "",
                   labels: Sequence[str] = (),

@@ -44,7 +44,7 @@ import itertools
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from ..core.events import EventLoop, WallClock
@@ -52,7 +52,7 @@ from ..core.query import (
     Query, QueryFailure, QuerySample, QuerySampleResponse, StreamChunk,
 )
 from ..core.sut import QuerySampleLibrary, SystemUnderTest
-from ..metrics import MetricsRegistry
+from ..metrics import MetricsRegistry, export_ledger, exported
 from . import protocol
 from .protocol import FrameReader, FrameType, ProtocolError
 
@@ -139,70 +139,53 @@ def _classify_bind_error(error: OSError) -> str:
 
 @dataclass
 class ServerStats:
-    """Counters one server accumulates across its lifetime."""
+    """Counters one server accumulates across its lifetime; the ones
+    that name a ``server_*`` counter are exported as it."""
 
-    connections: int = 0
-    queries_received: int = 0
-    completed: int = 0
-    failed: int = 0
-    #: Stream chunks forwarded to clients ahead of their COMPLETE.
-    chunks: int = 0
-    #: ISSUEs shed because the admission queue was full.
-    rejected: int = 0
-    protocol_errors: int = 0
-    batches: int = 0
+    connections: int = exported(
+        "server_connections_total", "Connections accepted")
+    queries_received: int = exported(
+        "server_queries_received_total", "ISSUE frames received")
+    completed: int = exported(
+        "server_queries_completed_total", "Queries answered COMPLETE")
+    failed: int = exported(
+        "server_queries_failed_total", "Queries answered FAIL")
+    chunks: int = exported(
+        "server_stream_chunks_total",
+        "Stream chunks forwarded ahead of COMPLETE")
+    rejected: int = exported(
+        "server_queries_rejected_total",
+        "ISSUEs shed because the admission queue was full")
+    protocol_errors: int = exported(
+        "server_protocol_errors_total",
+        "Connections poisoned by a protocol violation")
+    batches: int = exported(
+        "server_batches_total", "Batches dispatched to workers")
     batched_samples: int = 0
     queue_high_water: int = 0
     loads: int = 0
 
     def snapshot(self) -> Dict[str, object]:
-        return {
-            "connections": self.connections,
-            "queries_received": self.queries_received,
-            "completed": self.completed,
-            "failed": self.failed,
-            "chunks": self.chunks,
-            "rejected": self.rejected,
-            "protocol_errors": self.protocol_errors,
-            "batches": self.batches,
-            "batched_samples": self.batched_samples,
-            "queue_high_water": self.queue_high_water,
-            "loads": self.loads,
-        }
+        """Every field by name, in declaration order (the ``STATS``
+        frame's payload)."""
+        return asdict(self)
 
 
 class _ServerInstruments:
-    """The server's live telemetry (see ``docs/observability.md``).
+    """What the server writes to the registry (``docs/observability.md``).
 
-    Counters are bumped inside the same critical sections that already
-    guard :class:`ServerStats` (or from a single owning thread), so they
-    need no locking of their own.  Queue depth and active sessions are
-    callback gauges pulled from live state at collection time; worker
-    business is a per-slot flag array summed by a callback, so worker
-    threads never contend on a shared gauge.
+    The event counts are :class:`ServerStats` fields, exported as they
+    stand.  Left to write are the two distributions, observed inside the
+    critical section that already guards the stats, and worker business:
+    busy seconds per worker, and a per-slot flag array summed by a
+    callback gauge so worker threads never contend on a shared gauge.
+    Queue depth and active sessions are callback gauges pulled from live
+    state at collection time.
     """
 
     def __init__(self, registry: MetricsRegistry,
                  server: "InferenceServer") -> None:
-        self.connections = registry.counter(
-            "server_connections_total", "Connections accepted")
-        self.received = registry.counter(
-            "server_queries_received_total", "ISSUE frames received")
-        self.completed = registry.counter(
-            "server_queries_completed_total", "Queries answered COMPLETE")
-        self.failed = registry.counter(
-            "server_queries_failed_total", "Queries answered FAIL")
-        self.chunks = registry.counter(
-            "server_stream_chunks_total",
-            "Stream chunks forwarded ahead of COMPLETE")
-        self.rejected = registry.counter(
-            "server_queries_rejected_total",
-            "ISSUEs shed because the admission queue was full")
-        self.protocol_errors = registry.counter(
-            "server_protocol_errors_total",
-            "Connections poisoned by a protocol violation")
-        self.batches = registry.counter(
-            "server_batches_total", "Batches dispatched to workers")
+        export_ledger(registry, lambda: server.stats)
         self.batch_size = registry.histogram(
             "server_batch_size_samples",
             "Samples merged into each dispatched batch",
@@ -660,8 +643,6 @@ class InferenceServer:
                 self._sessions.append(session)
             with self._stats_lock:
                 self.stats.connections += 1
-                if self._m:
-                    self._m.connections.inc()
             if not self._spawn(lambda s=session: self._session_loop(s),
                                f"session-{session.id}"):
                 session.close()
@@ -687,8 +668,6 @@ class InferenceServer:
             # Corrupt stream: count it and poison only this connection.
             with self._stats_lock:
                 self.stats.protocol_errors += 1
-                if self._m:
-                    self._m.protocol_errors.inc()
         finally:
             session.close()
             with self._sessions_lock:
@@ -732,8 +711,6 @@ class InferenceServer:
         query_id, samples = protocol.parse_issue(payload)
         with self._stats_lock:
             self.stats.queries_received += 1
-            if self._m:
-                self._m.received.inc()
         if session.draining:
             self._send_fail(session, query_id, "session is draining")
             return
@@ -756,8 +733,6 @@ class InferenceServer:
                 session.inflight -= 1
             with self._stats_lock:
                 self.stats.rejected += 1
-                if self._m:
-                    self._m.rejected.inc()
             self._send_fail(session, query_id, "server request queue is full")
 
     # -- batching + dispatch ----------------------------------------------------
@@ -778,7 +753,6 @@ class InferenceServer:
                     self.stats.queue_high_water, self._queue.high_water
                 )
                 if self._m:
-                    self._m.batches.inc()
                     self._m.batch_size.observe(
                         sum(r.sample_count for r in batch))
                     dispatch_time = time.monotonic()
@@ -896,8 +870,6 @@ class InferenceServer:
             )
         with self._stats_lock:
             self.stats.chunks += 1
-            if self._m:
-                self._m.chunks.inc()
         request.session.send(frame)
 
     def _send_complete(
@@ -922,8 +894,6 @@ class InferenceServer:
         # and immediately asks for STATS must see its query counted.
         with self._stats_lock:
             self.stats.completed += 1
-            if self._m:
-                self._m.completed.inc()
         request.session.send(frame)
         self._request_done(request.session)
 
@@ -931,8 +901,6 @@ class InferenceServer:
         # Same ordering as _send_complete: counted, then visible.
         with self._stats_lock:
             self.stats.failed += 1
-            if self._m:
-                self._m.failed.inc()
         session.send(protocol.fail_frame(query_id, reason))
 
     def _request_done(self, session: _Session) -> None:

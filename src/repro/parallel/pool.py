@@ -33,6 +33,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ..metrics import exported
 from .shm import ArenaCache, ArraySpec, ShmArena, as_arrays, packed_size
 
 #: Seconds between liveness polls while waiting on a worker reply.
@@ -71,14 +72,19 @@ class _Worker:
 
 @dataclass
 class PoolStats:
-    """Cumulative transfer accounting, read by the SUT's instruments."""
+    """Cumulative pool accounting; worker deaths and respawns are
+    exported by :class:`~repro.parallel.sut.ParallelSUT` as they stand."""
 
     bytes_in: int = 0
     bytes_out: int = 0
     shm_dispatches: int = 0
     pickle_dispatches: int = 0
-    restarts: int = 0
-    crashes: int = 0
+    restarts: int = exported(
+        "parallel_worker_restarts_total",
+        "Dead workers respawned before a dispatch")
+    crashes: int = exported(
+        "parallel_worker_crashes_total",
+        "Worker deaths observed mid-batch")
     per_worker_jobs: dict = field(default_factory=dict)
 
 

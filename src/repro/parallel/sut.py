@@ -36,19 +36,23 @@ from ..core.query import Query, QuerySampleResponse
 from ..core.sut import QuerySampleLibrary, Responder, SutBase
 from ..core.events import EventLoop
 from ..faults.plan import FaultInjector, FaultPlan, FaultType
-from ..metrics import MetricsRegistry
+from ..metrics import MetricsRegistry, export_ledger
 from .batching import BatchingPolicy, DynamicBatcher
 from .pool import WorkerCrashed, WorkerPool, shard_evenly
 
 
 class _ParallelInstruments:
-    """``parallel_*`` metric families (see ``docs/observability.md``).
+    """What the SUT writes to the registry per dispatch (see
+    ``docs/observability.md``); worker deaths and respawns are
+    :class:`~repro.parallel.pool.PoolStats` fields the SUT exports.
 
     All counters are bumped from the loop thread that runs dispatches,
     satisfying the registry's single-writer contract.
     """
 
-    def __init__(self, registry: MetricsRegistry, workers: int) -> None:
+    def __init__(self, registry: MetricsRegistry, pool: WorkerPool) -> None:
+        export_ledger(registry, lambda: pool.stats)
+        workers = pool.workers
         self.dispatches = registry.counter(
             "parallel_dispatches_total",
             "Batches fanned out across the worker pool")
@@ -73,12 +77,6 @@ class _ParallelInstruments:
             "parallel_worker_busy_seconds_total",
             "Self-reported compute seconds per worker",
             labels=("worker",))
-        self.crashes = registry.counter(
-            "parallel_worker_crashes_total",
-            "Worker deaths observed mid-batch")
-        self.restarts = registry.counter(
-            "parallel_worker_restarts_total",
-            "Dead workers respawned before a dispatch")
         # Pre-resolve per-worker children: dispatch is the hot path.
         self._in = self.transfer_bytes.labels(direction="in")
         self._out = self.transfer_bytes.labels(direction="out")
@@ -131,7 +129,7 @@ class ParallelSUT(SutBase):
             job_timeout=job_timeout)
         self._service_time_fn = service_time_fn
         self._batcher: Optional[DynamicBatcher] = None
-        self._m = (_ParallelInstruments(registry, workers)
+        self._m = (_ParallelInstruments(registry, self.pool)
                    if registry is not None else None)
         if isinstance(crash_plan, FaultPlan):
             crash_plan = FaultInjector(crash_plan)
@@ -184,7 +182,7 @@ class ParallelSUT(SutBase):
             self._qsl.get_sample(sample.index)
             for query in queries for sample in query.samples
         ]
-        restarted = self.pool.ensure_alive()
+        self.pool.ensure_alive()
         self._inject_crashes(queries)
         shards = shard_evenly(samples, self.pool.workers)
         started = time.perf_counter()
@@ -194,7 +192,7 @@ class ParallelSUT(SutBase):
             self._complete_batch(
                 batch, outputs=None, shards=shards,
                 elapsed=time.perf_counter() - started,
-                failure=str(crash), restarted=restarted)
+                failure=str(crash))
             return
         outputs: List[object] = []
         for outcome in outcomes:
@@ -202,7 +200,7 @@ class ParallelSUT(SutBase):
         self._complete_batch(
             batch, outputs=outputs, shards=shards,
             elapsed=time.perf_counter() - started,
-            failure=None, restarted=restarted, outcomes=outcomes)
+            failure=None, outcomes=outcomes)
 
     def _duration(self, shards: Sequence[Sequence[object]],
                   elapsed: float) -> float:
@@ -215,7 +213,7 @@ class ParallelSUT(SutBase):
         return 0.0 if self.loop.realtime else elapsed
 
     def _complete_batch(self, batch, *, outputs, shards, elapsed,
-                        failure, restarted, outcomes=()) -> None:
+                        failure, outcomes=()) -> None:
         duration = self._duration(shards, elapsed)
         position = 0
         # Completions are scheduled query by query in issue order at one
@@ -242,10 +240,9 @@ class ParallelSUT(SutBase):
             self.loop.schedule_after(
                 duration,
                 lambda q=query, r=responses: self.complete(q, r))
-        self._record(batch, shards, elapsed, failure, restarted, outcomes)
+        self._record(batch, elapsed, outcomes)
 
-    def _record(self, batch, shards, elapsed, failure, restarted,
-                outcomes) -> None:
+    def _record(self, batch, elapsed, outcomes) -> None:
         m = self._m
         if m is None:
             return
@@ -254,11 +251,8 @@ class ParallelSUT(SutBase):
         for _query, wait in batch:
             m.batch_wait.observe(wait)
         m.dispatch_seconds.observe(elapsed)
-        if restarted:
-            m.restarts.inc(restarted)
-        if failure is not None:
-            m.crashes.inc()
-            return
+        # A crashed dispatch has no outcomes: what it shipped is not
+        # counted as transferred.
         for index, outcome in enumerate(outcomes):
             if outcome.outputs:
                 m._samples[index].inc(len(outcome.outputs))

@@ -22,13 +22,14 @@ and TTFT percentiles, not just in counters.  See ``docs/sessions.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
 
 from ..core.events import EventLoop
 from ..core.query import Query
 from ..core.sut import Responder, SutBase, SystemUnderTest
+from ..metrics import export_ledger, exported
 from .replay import ReplayGraph
 
 
@@ -56,15 +57,30 @@ _new_event = partial(tuple.__new__, CacheEvent)
 
 @dataclass
 class CacheStats:
-    """Aggregate cache behavior over one run."""
+    """Aggregate cache behavior over one run; every field is exported
+    as the ``prefix_cache_*`` counter it names."""
 
-    hits: int = 0
-    partial_hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    admissions: int = 0
-    tokens_reused: int = 0
-    tokens_missed: int = 0
+    hits: int = exported(
+        "prefix_cache_hits_total",
+        "Session turns whose full prefix was resident")
+    partial_hits: int = exported(
+        "prefix_cache_partial_hits_total",
+        "Session turns that reused part of their prefix")
+    misses: int = exported(
+        "prefix_cache_misses_total",
+        "Session turns that reused no prefix tokens")
+    evictions: int = exported(
+        "prefix_cache_evictions_total",
+        "Sessions evicted LRU-first to fit the token capacity")
+    admissions: int = exported(
+        "prefix_cache_admissions_total",
+        "Migrated session prefixes admitted on fleet rescue")
+    tokens_reused: int = exported(
+        "prefix_cache_tokens_reused_total",
+        "Prefix tokens served from cache")
+    tokens_missed: int = exported(
+        "prefix_cache_tokens_missed_total",
+        "Prefix tokens recomputed because they were not resident")
 
     @property
     def accesses(self) -> int:
@@ -84,16 +100,9 @@ class CacheStats:
     @classmethod
     def merged(cls, parts: "List[CacheStats]") -> "CacheStats":
         """Aggregate several caches' stats (a fleet's per-replica view)."""
-        total = cls()
-        for part in parts:
-            total.hits += part.hits
-            total.partial_hits += part.partial_hits
-            total.misses += part.misses
-            total.evictions += part.evictions
-            total.admissions += part.admissions
-            total.tokens_reused += part.tokens_reused
-            total.tokens_missed += part.tokens_missed
-        return total
+        return cls(**{
+            spec.name: sum(getattr(part, spec.name) for part in parts)
+            for spec in fields(cls)})
 
 
 class _LruModel:
@@ -219,60 +228,17 @@ class PrefixCacheSUT(SutBase):
         self._flush_after_drain = False
         if registry is not None:
             label = {} if replica is None else {"replica": replica}
-            labels = tuple(label)
-
-            def _child(family):
-                return family.labels(**label)
-
-            self._m_hits = _child(registry.counter(
-                "prefix_cache_hits_total",
-                "Session turns whose full prefix was resident",
-                labels=labels,
-            ))
-            self._m_partial = _child(registry.counter(
-                "prefix_cache_partial_hits_total",
-                "Session turns that reused part of their prefix",
-                labels=labels,
-            ))
-            self._m_misses = _child(registry.counter(
-                "prefix_cache_misses_total",
-                "Session turns that reused no prefix tokens",
-                labels=labels,
-            ))
-            self._m_evictions = _child(registry.counter(
-                "prefix_cache_evictions_total",
-                "Sessions evicted LRU-first to fit the token capacity",
-                labels=labels,
-            ))
-            self._m_reused = _child(registry.counter(
-                "prefix_cache_tokens_reused_total",
-                "Prefix tokens served from cache",
-                labels=labels,
-            ))
-            self._m_missed = _child(registry.counter(
-                "prefix_cache_tokens_missed_total",
-                "Prefix tokens recomputed because they were not resident",
-                labels=labels,
-            ))
-            self._m_admissions = _child(registry.counter(
-                "prefix_cache_admissions_total",
-                "Migrated session prefixes admitted on fleet rescue",
-                labels=labels,
-            ))
+            export_ledger(registry, lambda: self.stats, **label)
             resident = registry.gauge(
                 "prefix_cache_resident_tokens",
                 "Tokens currently held by the prefix cache",
-                labels=labels,
+                labels=tuple(label),
                 fn=(lambda: self.model.resident_tokens)
                 if replica is None else None,
             )
             if replica is not None:
                 resident.labels_fn(
                     lambda: self.model.resident_tokens, replica=replica)
-        else:
-            self._m_hits = self._m_partial = self._m_misses = None
-            self._m_evictions = self._m_reused = self._m_missed = None
-            self._m_admissions = None
 
     @property
     def capacity_tokens(self) -> int:
@@ -326,13 +292,9 @@ class PrefixCacheSUT(SutBase):
         events = self.model.admit(session_id, tokens)
         self.events.extend(events)
         self.stats.admissions += 1
-        if self._m_admissions is not None:
-            self._m_admissions.inc()
         evictions = len(events) - 1
         if evictions:
             self.stats.evictions += evictions
-            if self._m_evictions is not None:
-                self._m_evictions.inc(evictions)
 
     def issue_query(self, query: Query) -> None:
         turn = query.session
@@ -350,24 +312,13 @@ class PrefixCacheSUT(SutBase):
         self.stats.tokens_missed += missed
         if access.kind == "hit":
             self.stats.hits += 1
-            if self._m_hits is not None:
-                self._m_hits.inc()
         elif access.kind == "partial":
             self.stats.partial_hits += 1
-            if self._m_partial is not None:
-                self._m_partial.inc()
         else:
             self.stats.misses += 1
-            if self._m_misses is not None:
-                self._m_misses.inc()
         evictions = len(events) - 1
         if evictions:
             self.stats.evictions += evictions
-            if self._m_evictions is not None:
-                self._m_evictions.inc(evictions)
-        if self._m_reused is not None:
-            self._m_reused.inc(reused)
-            self._m_missed.inc(missed)
         # Prefill: recompute what missed (plus the fresh prompt), skim
         # what hit.  This is the delay that makes cache effectiveness
         # visible in latency and TTFT percentiles.

@@ -11,8 +11,9 @@ watchdog classifies instead of letting the run wedge - the
 multi-turn-hang regression test pins this.
 
 Bookkeeping the referee can audit: ``DriverStats`` gains
-``sessions_started/completed/aborted`` and the ``session_*`` metric
-family tracks the same lifecycle live (see ``docs/observability.md``).
+``sessions_started/completed/aborted``, and with a registry those
+fields are what the ``session_*`` counters read (see
+``docs/observability.md``).
 The replay graph itself comes from :mod:`repro.sessions.replay` and is
 a pure function of the seed.  See ``docs/sessions.md``.
 """
@@ -24,6 +25,7 @@ from typing import Dict, Optional
 from ..core.config import Scenario
 from ..core.query import Query
 from ..core.scenarios import ArrivalGaps, ScenarioDriver
+from ..metrics import export_ledger
 from .replay import ReplayGraph, SessionPlan, replay_graph_from_settings
 
 
@@ -58,25 +60,15 @@ class SessionDriver(ScenarioDriver):
         self._gaps = ArrivalGaps(self.settings.seed)
         #: When the pending session arrival is due (one at a time).
         self._due = 0.0
+        #: Durations of completed conversations (``None``: no registry).
+        self._duration = None
         if registry is not None:
-            # Label-free families: bind the one child each holds, so a
-            # turn costs the counter's add and no family lookup.
-            self._started = registry.counter(
-                "session_started_total",
-                "Conversations the session driver has started",
-            ).labels()
-            self._completed_sessions = registry.counter(
-                "session_completed_total",
-                "Conversations that finished every planned turn",
-            ).labels()
-            self._aborted_sessions = registry.counter(
-                "session_aborted_total",
-                "Conversations abandoned after a failed turn",
-            ).labels()
-            self._turns = registry.counter(
+            export_ledger(registry, lambda: self.stats)
+            registry.counter(
                 "session_turns_total",
                 "Conversation turns issued across all sessions",
-            ).labels()
+                fn=lambda: self.stats.issued_queries,  # every query is a turn
+            )
             self._duration = registry.histogram(
                 "session_duration_seconds",
                 "Arrival-to-final-answer duration of completed conversations",
@@ -86,12 +78,6 @@ class SessionDriver(ScenarioDriver):
                 "Conversations started but not yet completed or aborted",
                 fn=lambda: len(self._active),
             )
-        else:
-            self._started = None
-            self._completed_sessions = None
-            self._aborted_sessions = None
-            self._turns = None
-            self._duration = None
 
     # -- arrivals ------------------------------------------------------------
 
@@ -114,8 +100,6 @@ class SessionDriver(ScenarioDriver):
         state = _SessionState(self.graph.plan(user_id), self.loop.now)
         self._active[user_id] = state
         self.stats.sessions_started += 1
-        if self._started is not None:
-            self._started.inc()
         self._issue_turn(state, scheduled_time=scheduled)
         self._schedule_next_arrival()
 
@@ -129,8 +113,6 @@ class SessionDriver(ScenarioDriver):
             return
         tag = state.plan.turn_tag(state.next_turn)
         state.next_turn += 1
-        if self._turns is not None:
-            self._turns.inc()
         self._issue(indices, scheduled_time=scheduled_time, session=tag)
 
     def on_completion(self, query: Query, now: float) -> None:
@@ -155,16 +137,13 @@ class SessionDriver(ScenarioDriver):
     def _complete_session(self, user_id: int) -> None:
         state = self._active.pop(user_id)
         self.stats.sessions_completed += 1
-        if self._completed_sessions is not None:
-            self._completed_sessions.inc()
+        if self._duration is not None:
             self._duration.observe(self.loop.now - state.arrival_time)
         self._maybe_close()
 
     def _abort_session(self, user_id: int) -> None:
         self._active.pop(user_id, None)
         self.stats.sessions_aborted += 1
-        if self._aborted_sessions is not None:
-            self._aborted_sessions.inc()
         self._maybe_close()
 
     def _maybe_close(self) -> None:

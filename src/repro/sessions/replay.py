@@ -60,10 +60,6 @@ class SessionPlan(NamedTuple):
     def turn_count(self) -> int:
         return len(self.turns)
 
-    @property
-    def total_think_time(self) -> float:
-        return sum(t.think_time for t in self.turns)
-
     def turn_tag(self, turn_index: int) -> SessionTurn:
         """The :class:`~repro.core.query.SessionTurn` tag the driver
         attaches to this turn's query."""
@@ -185,11 +181,6 @@ class ReplayGraph:
         if cached is None:
             cached = self._plans[user_id] = self.profile.plan(user_id)
         return cached
-
-    @property
-    def total_turns(self) -> int:
-        return sum(
-            self.plan(uid).turn_count for uid in range(self.session_count))
 
     def fingerprint(self) -> tuple:
         """Order-stable digest of every user's full plan."""

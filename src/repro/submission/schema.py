@@ -89,9 +89,6 @@ class Submission:
     #: Open-division submissions must document their deviations.
     open_deviations: Optional[str] = None
 
-    def add_result(self, result: BenchmarkResult) -> None:
-        self.results.append(result)
-
     def result_for(self, task: Task, scenario: Scenario
                    ) -> Optional[BenchmarkResult]:
         for result in self.results:

@@ -306,6 +306,19 @@ class TestRunJournal:
         assert registry.get("durability_journal_fsyncs_total").value == 4
         assert registry.get("durability_checkpoints_total").value == 1
 
+    def test_the_fsync_at_close_is_counted(self, tmp_path):
+        """``interval`` leaves records pending; ``close`` forces them
+        out, and the exported total is the writer's, close included."""
+        registry = MetricsRegistry()
+        j = RunJournal(tmp_path / "c.rjnl", fsync=FsyncPolicy.INTERVAL,
+                       fsync_interval=64, registry=registry)
+        j.begin(settings(), keep_payloads=False, log_sample_probability=0.0)
+        j.on_log_event("issued", query(1), 0.0, None)
+        assert registry.get("durability_journal_fsyncs_total").value == 0
+        j.close()
+        assert j.stats.fsyncs == 1
+        assert registry.get("durability_journal_fsyncs_total").value == 1
+
     def test_checkpoint_period_validation(self, tmp_path):
         with pytest.raises(ValueError):
             RunJournal(tmp_path / "x.rjnl", checkpoint_period=0.0)

@@ -34,6 +34,21 @@ class TestCounter:
         assert a.value == 7.0
         assert b.value == 4.0  # merge does not drain the source
 
+    def test_callback_counter_reads_a_float_and_rejects_writes(self):
+        ledger = {"retries": 3}
+        c = Counter(fn=lambda: ledger["retries"])
+        assert c.value == 3.0 and type(c.value) is float
+        ledger["retries"] = 5
+        assert c.value == 5.0
+        with pytest.raises(ValueError):
+            c.inc()
+        with pytest.raises(ValueError):
+            c.merge(Counter())
+        # Reading one into a write-style counter is still a merge.
+        total = Counter()
+        total.merge(c)
+        assert total.value == 5.0
+
 
 class TestGauge:
     def test_set_inc_dec(self):

@@ -7,7 +7,9 @@ from repro.metrics import (
     GaugeFamily,
     HistogramFamily,
     MetricsRegistry,
+    capture,
     series_key,
+    to_prometheus_text,
 )
 
 
@@ -79,6 +81,13 @@ class TestFamilies:
     def test_callback_gauge_cannot_be_labeled(self):
         with pytest.raises(ValueError):
             GaugeFamily("g", "", label_names=("x",), fn=lambda: 0)
+        with pytest.raises(ValueError):
+            CounterFamily("c_total", "", label_names=("x",), fn=lambda: 0)
+
+    def test_a_histogram_has_no_callback_form(self):
+        fam = HistogramFamily("sizes", "", label_names=("x",))
+        with pytest.raises(ValueError):
+            fam.labels_fn(lambda: 0, x=1)
 
     def test_histogram_family_custom_bucketing(self):
         fam = HistogramFamily("sizes", "", base=1.0, growth=2.0, buckets=8)
@@ -137,6 +146,49 @@ class TestRegistry:
         }
         assert series["never_bumped_total"].value == 0.0
         assert series["live_depth"].value == 42.0
+
+    def test_callback_counters_export_as_counters(self):
+        ledger = {"plain": 2, "r0": 5}
+        reg = MetricsRegistry()
+        reg.counter("plain_total", "read, not written",
+                    fn=lambda: ledger["plain"])
+        reg.counter("by_replica_total", labels=("replica",)).labels_fn(
+            lambda: ledger["r0"], replica=0)
+        assert reg.get("plain_total").value == 2.0
+        with pytest.raises(ValueError):
+            reg.get("plain_total").inc()
+        text = to_prometheus_text(reg)
+        assert "# TYPE plain_total counter\nplain_total 2\n" in text
+        assert ("# TYPE by_replica_total counter\n"
+                'by_replica_total{replica="0"} 5\n') in text
+        assert capture(reg, 0.0).values == {
+            'by_replica_total{replica="0"}': 5.0, "plain_total": 2.0}
+
+    @pytest.mark.parametrize("kind", ["counter", "gauge"])
+    def test_a_newer_callback_takes_over_the_series(self, kind):
+        reg = MetricsRegistry()
+        register = getattr(reg, kind)
+        first = register("owned", fn=lambda: 1)
+        assert register("owned", fn=lambda: 2) is first
+        assert first.value == 2.0
+        by_label = register("owned_by", labels=("replica",))
+        child = by_label.labels_fn(lambda: 10, replica=3)
+        assert by_label.labels_fn(lambda: 20, replica=3) is child
+        assert child.value == 20.0
+        # Fetching the family without a callback leaves the binding be.
+        assert register("owned").value == 2.0
+
+    @pytest.mark.parametrize("kind", ["counter", "gauge"])
+    def test_a_written_series_cannot_become_a_callback(self, kind):
+        reg = MetricsRegistry()
+        register = getattr(reg, kind)
+        register("written").inc()
+        with pytest.raises(ValueError):
+            register("written", fn=lambda: 0)
+        by_label = register("written_by", labels=("replica",))
+        by_label.labels(replica=1).inc()
+        with pytest.raises(ValueError):
+            by_label.labels_fn(lambda: 0, replica=1)
 
     def test_labeled_families_start_empty(self):
         reg = MetricsRegistry()

@@ -136,12 +136,13 @@ def test_a_child_created_between_two_captures_appears_in_the_second():
     # their family's older children.
     assert [k for k in after.values if k in before.values] == list(
         before.values)
-    # Asking again for an existing child creates nothing.
+    # Asking again for an existing child creates nothing; a callback
+    # child follows the newest callback bound to it.
     family.labels(zone="c", kind="z").inc()
     gauge.labels_fn(lambda: 18, replica=9)
     again = assert_capture_matches(reg)
     assert list(again.values) == list(after.values)
-    assert again.values['resident{replica="9"}'] == 17.0
+    assert again.values['resident{replica="9"}'] == 18.0
     assert again.values['by_kind_total{zone="c",kind="z"}'] == 5.0
 
 

@@ -1,6 +1,6 @@
 """Documentation lint: links resolve, public modules are documented.
 
-Three cheap invariants that rot silently otherwise:
+Cheap invariants that rot silently otherwise:
 
 * every intra-repo link in the markdown docs points at a file that
   exists (renames and deletions break docs without failing any test);
@@ -9,7 +9,9 @@ Three cheap invariants that rot silently otherwise:
   themselves);
 * the workload catalog (``docs/index.md``) stays live: it names every
   ``docs/`` page and every tier-1 smoke test, and every path it cites
-  exists.
+  exists;
+* the metric catalog (``docs/observability.md``) names exactly the
+  families ``src/repro`` registers.
 """
 
 import ast
@@ -219,3 +221,53 @@ def test_documented_cli_commands_parse():
         except SystemExit:
             rejected.append(f"{name}: repro {command}")
     assert not rejected, f"documented commands the CLI rejects: {rejected}"
+
+
+# -- the metric catalog ------------------------------------------------------------
+
+OBSERVABILITY = REPO / "docs" / "observability.md"
+_CATALOG_ROW_RE = re.compile(r"^\| `([a-z][a-z0-9_]*)` \|")
+
+
+def registered_metric_names():
+    """Every family name ``src/repro`` registers under a literal name:
+    the first argument of ``exported("...", help)`` on a ledger field
+    and of ``<registry>.counter/gauge/histogram("...", ...)``."""
+    names = {}
+    for path in sorted(SRC.rglob("*.py")):
+        if SRC / "metrics" in path.parents:
+            continue  # the mechanism registers nothing of its own
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "exported"
+                    or isinstance(func, ast.Attribute)
+                    and func.attr in ("counter", "gauge", "histogram")):
+                names.setdefault(node.args[0].value,
+                                 str(path.relative_to(REPO)))
+    return names
+
+
+def catalogued_metric_names():
+    """First-column names of the catalog tables in
+    ``docs/observability.md`` (from "Metrics catalog" to "Snapshots")."""
+    text = OBSERVABILITY.read_text()
+    catalog = text[text.index("## Metrics catalog"):text.index("## Snapshots")]
+    return {match.group(1) for line in catalog.splitlines()
+            if (match := _CATALOG_ROW_RE.match(line))}
+
+
+def test_metric_catalog_matches_what_src_registers():
+    """CONTRIBUTING asks that a new metric be added to the catalog;
+    this is what checks it, both ways."""
+    registered = registered_metric_names()
+    catalogued = catalogued_metric_names()
+    assert len(registered) >= 91, "the walk lost sight of the registrations"
+    missing = {name: where for name, where in registered.items()
+               if name not in catalogued}
+    assert not missing, f"registered but not in the catalog: {missing}"
+    stale = sorted(catalogued - set(registered))
+    assert not stale, f"catalogued but registered nowhere in src/: {stale}"
