@@ -940,7 +940,8 @@ def _cmd_sweep(args) -> int:
     from pathlib import Path
 
     from .core.config import TestSettings
-    from .fleet import SweepConfig, SweepHarness
+    from .core.loadgen import run_benchmark
+    from .fleet import SweepConfig, SweepHarness, SweepProbe
     from .harness.netbench import SyntheticQSL
     from .harness.stack import EchoBackend, StackSpec, build
     from .metrics import MetricsRegistry
@@ -996,33 +997,34 @@ def _cmd_sweep(args) -> int:
     if session_workload:
         probed += " [session workload, per-replica prefix caches]"
 
-    probe_stack = []  # the stack of the probe in flight
+    qsl = SyntheticQSL()
+    graph = replay_graph_from_settings(settings) if session_workload else None
+    cache_rows = []
 
-    def make_sut():
+    def probe_at(qps):
         # One registry per fleet probe: live series feed the autoscaler's
         # SeriesSignal and export per-replica prefix_cache_* families.
-        probe_stack[:] = [build(
-            spec, args.seed, MetricsRegistry() if fleet is not None else None)]
-        return probe_stack[0].sut
+        stack = build(
+            spec, args.seed, MetricsRegistry() if fleet is not None else None)
+        try:
+            result = run_benchmark(
+                stack.sut, qsl,
+                settings.with_overrides(server_target_qps=qps),
+                services=stack.services)
+            if session_workload:
+                stats, problems, _ = stack.cache_audit(graph)
+                cache_rows.append((stats, len(problems)))
+            return SweepProbe.judged(qps, result)
+        finally:
+            stack.close()
 
-    cache_rows = []
-    observe = None
-    if session_workload:
-        graph = replay_graph_from_settings(settings)
-
-        def observe(sut, result, probe):
-            stats, problems, _ = probe_stack[0].cache_audit(graph)
-            cache_rows.append((stats, len(problems)))
-
-    harness = SweepHarness(
-        make_sut, SyntheticQSL(), settings,
+    result = SweepHarness(
+        None, None, settings,
         SweepConfig(qps_low=args.qps_low, qps_high=args.qps_high,
                     resolution=args.resolution, mode=args.mode,
                     max_probes=args.max_probes),
-        services_factory=lambda sut: probe_stack[0].services,
-        probe_observer=observe,
-    )
-    result = harness.run()
+        probe=probe_at,
+    ).run()
     unit = "sessions/s" if session_workload else "qps"
     print(f"probed: {probed} ({args.latency_ms} ms service time)")
     for position, probe in enumerate(result.probes):

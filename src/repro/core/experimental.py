@@ -10,9 +10,10 @@ This module implements burst mode: bursts of ``burst_size`` single-
 sample queries arrive back to back, with burst *start* times drawn from
 a Poisson process - the traffic shape of, say, a camera trap or a
 scroll-triggered feed ranker.  The metric mirrors the server scenario
-(sustainable burst rate under the task's QoS bound), and the same
-validity machinery applies: bursty traffic at an equal average sample
-rate is strictly harder than smooth Poisson arrivals, which the
+(sustainable burst rate under the task's QoS bound, found by the same
+:func:`repro.core.search.max_valid`), and the same validity machinery
+applies: bursty traffic at an equal average sample rate is strictly
+harder than smooth Poisson arrivals, which the
 ``benchmarks/test_ext_burst_mode.py`` ablation quantifies.
 
 Multitenancy lives in ``repro.harness.multitenant`` (it composes
@@ -22,8 +23,7 @@ new arrival process).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,6 +35,7 @@ from .logging import QueryLog
 from .query import Query
 from .sampler import SampleSelector
 from .scenarios import PerformanceSource, ScenarioDriver
+from .search import geometric, max_valid
 from .sut import QuerySampleLibrary, SystemUnderTest
 
 
@@ -161,49 +162,12 @@ def find_max_burst_rate(
 ) -> Optional[float]:
     """Highest average QPS (as ``burst_size`` x bursts/s) that stays valid.
 
-    Returns ``None`` when no rate down to ``min_rate`` qualifies.
+    Returns ``None`` when no rate down to ``min_rate`` qualifies, and
+    the last rate probed when none within ``max_probes`` fails.
     """
-    probes = 0
-
-    def valid_at(bursts_per_second: float) -> bool:
-        nonlocal probes
-        probes += 1
-        probe = BurstSettings(
-            task=burst.task, burst_size=burst.burst_size,
-            bursts_per_second=bursts_per_second,
-            latency_bound=burst.latency_bound,
-            min_query_count=burst.min_query_count,
-            min_duration=burst.min_duration, seed=burst.seed,
-        )
-        return run_burst_benchmark(sut_factory(), qsl, probe).valid
-
-    rate = burst.bursts_per_second
-    if valid_at(rate):
-        lo = rate
-        hi = rate
-        while probes < max_probes:
-            hi *= 4.0
-            if not valid_at(hi):
-                break
-            lo = hi
-        else:
-            return lo * burst.burst_size
-    else:
-        hi = rate
-        lo = None
-        while probes < max_probes and hi / 4.0 >= min_rate:
-            candidate = hi / 4.0
-            if valid_at(candidate):
-                lo = candidate
-                break
-            hi = candidate
-        if lo is None:
-            return None
-
-    while hi / lo > 1.0 + relative_tolerance and probes < max_probes:
-        mid = math.sqrt(lo * hi)
-        if valid_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo * burst.burst_size
+    found = max_valid(
+        lambda rate: run_burst_benchmark(
+            sut_factory(), qsl, replace(burst, bursts_per_second=rate)).valid,
+        burst.bursts_per_second, geometric(4.0, relative_tolerance),
+        floor=min_rate, max_probes=max_probes)
+    return None if found.value is None else found.value * burst.burst_size

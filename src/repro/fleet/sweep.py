@@ -11,12 +11,14 @@ validity rules.
 
 Two search modes:
 
-* ``"binary"`` - bracket ``[qps_low, qps_high]`` and bisect on the
-  run verdict down to ``resolution``.  Sound whenever validity is
-  monotone in the arrival rate (true for capacity-limited SUTs; the
-  benchmark study checks the found rate against a dense step scan).
+* ``"binary"`` - :func:`repro.core.search.max_valid` over the bracket
+  ``[qps_low, qps_high]`` on a linear axis, down to ``resolution``.
+  Sound whenever validity is monotone in the arrival rate (true for
+  capacity-limited SUTs; the benchmark study checks the found rate
+  against a dense step scan).
 * ``"step"`` - walk upward in ``resolution`` increments until the first
-  invalid run; exact by construction, linear in the range.
+  invalid run; exact by construction, linear in the range, and the
+  reference the binary mode is tested against.
 
 The result is a :class:`SweepResult` whose :meth:`~SweepResult.report`
 is a ``BENCH_fleet.json``-style capacity document (the ``repro sweep``
@@ -33,8 +35,8 @@ from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from ..core.config import Scenario, TestSettings
-from ..core.events import Clock
-from ..core.loadgen import run_benchmark
+from ..core.loadgen import LoadGenResult, run_benchmark
+from ..core.search import linear, max_valid
 from ..core.sut import QuerySampleLibrary, SystemUnderTest
 
 
@@ -78,6 +80,17 @@ class SweepProbe(NamedTuple):
     latency_p99: float
     completed: int
     reasons: Tuple[str, ...]
+
+    @classmethod
+    def judged(cls, qps: float, result: LoadGenResult) -> "SweepProbe":
+        """The probe row of a finished run at ``qps``."""
+        return cls(
+            qps=qps,
+            valid=result.valid,
+            latency_p99=result.metrics.latency_p99,
+            completed=len(result.log.completed_records()),
+            reasons=tuple(result.validity.reasons),
+        )
 
 
 @dataclass
@@ -143,9 +156,11 @@ class SweepHarness:
     with per-replica prefix caches can have its *conversation* capacity
     searched the same way.
 
-    ``make_sut`` builds a *fresh* SUT per probe (probe runs must not
-    share warm caches, breaker state, or worker pools) and closes it
-    after the probe.
+    A probe is a function ``qps -> SweepProbe``.  The default runs
+    ``settings`` at that rate over ``qsl`` against a *fresh* SUT from
+    ``make_sut`` (probe runs must not share warm caches, breaker state,
+    or worker pools) and closes it; a caller whose probe needs more
+    passes its own as ``probe``, and ``None`` for ``make_sut`` and ``qsl``.
     """
 
     #: Scenarios whose load is an arrival rate the sweep can bisect.
@@ -153,55 +168,29 @@ class SweepHarness:
 
     def __init__(
         self,
-        make_sut: Callable[[], SystemUnderTest],
-        qsl: QuerySampleLibrary,
+        make_sut: Optional[Callable[[], SystemUnderTest]],
+        qsl: Optional[QuerySampleLibrary],
         settings: TestSettings,
         config: Optional[SweepConfig] = None,
         *,
-        clock: Optional[Clock] = None,
-        services_factory: Optional[Callable[[SystemUnderTest], list]] = None,
-        probe_observer: Optional[Callable[..., None]] = None,
+        probe: Optional[Callable[[float], SweepProbe]] = None,
     ) -> None:
         if settings.scenario not in self._RATE_SCENARIOS:
             raise ValueError(
                 "capacity sweeps are a Server/session-scenario tool; got "
                 f"{settings.scenario}")
-        self.make_sut = make_sut
-        self.qsl = qsl
+        if probe is None:
+            def probe(qps: float) -> SweepProbe:
+                sut = make_sut()
+                try:
+                    return SweepProbe.judged(qps, run_benchmark(
+                        sut, qsl,
+                        settings.with_overrides(server_target_qps=qps)))
+                finally:
+                    sut.close()
         self.settings = settings
         self.config = config if config is not None else SweepConfig()
-        self.clock = clock
-        #: Per-probe :class:`~repro.core.loadgen.RunService` builder
-        #: (e.g. a fresh Autoscaler around the probe's fresh fleet);
-        #: called with the probe's SUT, returns the run's services.
-        self.services_factory = services_factory
-        #: Called as ``probe_observer(sut, result, probe)`` after each
-        #: probe run, *before* the SUT is closed - the hook that lets a
-        #: caller audit per-replica cache trails or collect hit rates
-        #: while the probe's state is still alive.
-        self.probe_observer = probe_observer
-
-    def probe(self, qps: float) -> SweepProbe:
-        """One full run at arrival rate ``qps``, judged by the referee."""
-        settings = self.settings.with_overrides(server_target_qps=qps)
-        sut = self.make_sut()
-        services = (self.services_factory(sut)
-                    if self.services_factory is not None else None)
-        try:
-            result = run_benchmark(sut, self.qsl, settings,
-                                   clock=self.clock, services=services)
-            probe = SweepProbe(
-                qps=qps,
-                valid=result.valid,
-                latency_p99=result.metrics.latency_p99,
-                completed=len(result.log.completed_records()),
-                reasons=tuple(result.validity.reasons),
-            )
-            if self.probe_observer is not None:
-                self.probe_observer(sut, result, probe)
-        finally:
-            sut.close()
-        return probe
+        self.probe = probe
 
     def run(self) -> SweepResult:
         try:
@@ -230,23 +219,10 @@ class SweepHarness:
 
     def _binary(self, result: SweepResult) -> None:
         cfg = self.config
-        low = self._probe_into(result, cfg.qps_low)
-        if not low.valid:
-            result.max_qps = None
-            return
-        high = self._probe_into(result, cfg.qps_high)
-        if high.valid:
-            result.max_qps = cfg.qps_high
-            return
-        lo, hi = cfg.qps_low, cfg.qps_high
-        while (hi - lo > cfg.resolution
-               and len(result.probes) < cfg.max_probes):
-            mid = (lo + hi) / 2.0
-            if self._probe_into(result, mid).valid:
-                lo = mid
-            else:
-                hi = mid
-        result.max_qps = lo
+        result.max_qps = max_valid(
+            lambda qps: self._probe_into(result, qps).valid,
+            cfg.qps_low, linear(cfg.resolution), hi=cfg.qps_high,
+            max_probes=cfg.max_probes).value
 
     def _step(self, result: SweepResult) -> None:
         cfg = self.config

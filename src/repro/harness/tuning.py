@@ -2,9 +2,9 @@
 
 The server and multistream metrics are *capacities*: the highest Poisson
 rate (resp. stream count N) at which the run is still valid.  Real
-submitters tune these by repeated runs; this module automates that with
-geometric bracketing plus bisection, re-running the LoadGen at each
-probe.
+submitters tune these by repeated runs; this module automates that:
+each search here is a probe - one LoadGen run, or ``server_runs`` of
+them - handed to :func:`repro.core.search.max_valid`.
 
 ``RunScale`` lets experiments trade statistical weight for wall time:
 ``full`` applies the paper's exact Table IV/V minimums (270,336 queries
@@ -15,9 +15,8 @@ sweeps, which probe dozens of (system, task, scenario) combos.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from ..core.config import (
     SERVER_REQUIRED_RUNS,
@@ -27,6 +26,7 @@ from ..core.config import (
     TestSettings,
 )
 from ..core.loadgen import LoadGenResult, run_benchmark
+from ..core.search import INTEGER, geometric, max_valid
 from ..core.sut import QuerySampleLibrary, SystemUnderTest
 
 #: Factory producing a fresh SUT for every probe run (state isolation).
@@ -78,6 +78,16 @@ class TunedResult:
     probes: int
 
 
+def _performance_settings(scenario: Scenario, task: Task, scale: RunScale,
+                          seed: Optional[int]) -> TestSettings:
+    """The scaled performance-mode settings every probe run starts from."""
+    settings = TestSettings(scenario=scenario, task=task,
+                            mode=TestMode.PERFORMANCE)
+    if seed is not None:
+        settings = settings.with_overrides(seed=seed)
+    return scale.apply(settings)
+
+
 def _is_stationary(result: LoadGenResult, bound: float) -> bool:
     """Reject runs whose latency is still ramping (overloaded queue).
 
@@ -97,29 +107,6 @@ def _is_stationary(result: LoadGenResult, bound: float) -> bool:
     return last <= 2.0 * first + 0.05 * bound
 
 
-def _probe_server(sut_factory: SutFactory, qsl: QuerySampleLibrary,
-                  settings: TestSettings, qps: float,
-                  runs: int) -> Optional[LoadGenResult]:
-    """Run the server scenario ``runs`` times at ``qps``.
-
-    Section III-D: the reported server result is the minimum of five
-    runs; a probe passes only if every run is valid.  Returns the result
-    of the last run, or ``None`` if any run was invalid.
-    """
-    last: Optional[LoadGenResult] = None
-    bound = settings.resolved_server_latency_bound
-    for run_index in range(runs):
-        probe_settings = settings.with_overrides(
-            server_target_qps=qps,
-            seed=settings.seed + run_index,
-        )
-        result = run_benchmark(sut_factory(), qsl, probe_settings)
-        if not result.valid or not _is_stationary(result, bound):
-            return None
-        last = result
-    return last
-
-
 def find_max_server_qps(
     sut_factory: SutFactory,
     qsl: QuerySampleLibrary,
@@ -137,55 +124,27 @@ def find_max_server_qps(
     system cannot meet the task's QoS bound at all and simply would not
     submit this scenario (cf. the sparse columns of Table VI).
     """
-    settings = TestSettings(scenario=Scenario.SERVER, task=task,
-                            mode=TestMode.PERFORMANCE)
-    if seed is not None:
-        settings = settings.with_overrides(seed=seed)
-    settings = scale.apply(settings)
+    settings = _performance_settings(Scenario.SERVER, task, scale, seed)
+    bound = settings.resolved_server_latency_bound
 
-    probes = 0
+    def run_at(qps: float) -> Optional[LoadGenResult]:
+        # Section III-D: the reported server result is the minimum of
+        # five runs, so a rate passes only if every run at it is valid.
+        result = None
+        for run_index in range(scale.server_runs):
+            result = run_benchmark(sut_factory(), qsl, settings.with_overrides(
+                server_target_qps=qps, seed=settings.seed + run_index))
+            if not result.valid or not _is_stationary(result, bound):
+                return None
+        return result
 
-    def valid_at(qps: float) -> Optional[LoadGenResult]:
-        nonlocal probes
-        probes += 1
-        return _probe_server(sut_factory, qsl, settings, qps,
-                             scale.server_runs)
-
-    # Bracket: grow until invalid, shrink until valid.
-    lo_result = valid_at(start_qps)
-    if lo_result is None:
-        hi = start_qps
-        lo = None
-        while probes < max_probes and hi / 4.0 >= min_qps:
-            candidate = hi / 4.0
-            result = valid_at(candidate)
-            if result is not None:
-                lo, lo_result = candidate, result
-                break
-            hi = candidate
-        if lo is None:
-            return None
-    else:
-        lo = start_qps
-        hi = start_qps
-        while probes < max_probes:
-            hi = hi * 4.0
-            result = valid_at(hi)
-            if result is None:
-                break
-            lo, lo_result = hi, result
-        else:
-            raise RuntimeError("server rate search did not bracket a failure")
-
-    # Bisect [lo valid, hi invalid].
-    while hi / lo > 1.0 + relative_tolerance and probes < max_probes:
-        mid = math.sqrt(lo * hi)
-        result = valid_at(mid)
-        if result is None:
-            hi = mid
-        else:
-            lo, lo_result = mid, result
-    return TunedResult(value=lo, result=lo_result, probes=probes)
+    found = max_valid(run_at, start_qps, geometric(4.0, relative_tolerance),
+                      floor=min_qps, max_probes=max_probes)
+    if found.value is None:
+        return None
+    if found.open:
+        raise RuntimeError("server rate search did not bracket a failure")
+    return TunedResult(found.value, found.outcome, len(found.trail))
 
 
 def find_max_multistream_n(
@@ -202,53 +161,19 @@ def find_max_multistream_n(
     with the arrival interval at all - such systems simply do not submit
     multistream results, cf. the sparse MS column of Table VI).
     """
-    settings = TestSettings(scenario=Scenario.MULTI_STREAM, task=task,
-                            mode=TestMode.PERFORMANCE)
-    if seed is not None:
-        settings = settings.with_overrides(seed=seed)
-    settings = scale.apply(settings)
-
-    probes = 0
+    settings = _performance_settings(Scenario.MULTI_STREAM, task, scale, seed)
 
     def run_at(n: int) -> Optional[LoadGenResult]:
-        nonlocal probes
-        probes += 1
         result = run_benchmark(
             sut_factory(), qsl,
             settings.with_overrides(multistream_samples_per_query=n),
         )
         return result if result.valid else None
 
-    best: Optional[Tuple[int, LoadGenResult]] = None
-    lo = 1
-    result = run_at(lo)
-    if result is None:
+    found = max_valid(run_at, 1, INTEGER, ceiling=max_n)
+    if found.value is None:
         return None
-    best = (lo, result)
-
-    hi = 2
-    while hi <= max_n:
-        result = run_at(hi)
-        if result is None:
-            break
-        best = (hi, result)
-        lo = hi
-        hi *= 2
-    else:
-        return TunedResult(value=float(best[0]), result=best[1],
-                           probes=probes)
-
-    # Bisect integers in (lo valid, hi invalid).
-    low, high = lo, hi
-    while high - low > 1:
-        mid = (low + high) // 2
-        result = run_at(mid)
-        if result is None:
-            high = mid
-        else:
-            low = mid
-            best = (mid, result)
-    return TunedResult(value=float(best[0]), result=best[1], probes=probes)
+    return TunedResult(float(found.value), found.outcome, len(found.trail))
 
 
 def measure_offline(
@@ -259,11 +184,8 @@ def measure_offline(
     seed: int = None,
 ) -> LoadGenResult:
     """One offline run; the metric is its measured throughput."""
-    settings = TestSettings(scenario=Scenario.OFFLINE, task=task,
-                            mode=TestMode.PERFORMANCE)
-    if seed is not None:
-        settings = settings.with_overrides(seed=seed)
-    return run_benchmark(sut_factory(), qsl, scale.apply(settings))
+    return run_benchmark(sut_factory(), qsl, _performance_settings(
+        Scenario.OFFLINE, task, scale, seed))
 
 
 def measure_single_stream(
@@ -274,8 +196,5 @@ def measure_single_stream(
     seed: int = None,
 ) -> LoadGenResult:
     """One single-stream run; the metric is its 90th-pct latency."""
-    settings = TestSettings(scenario=Scenario.SINGLE_STREAM, task=task,
-                            mode=TestMode.PERFORMANCE)
-    if seed is not None:
-        settings = settings.with_overrides(seed=seed)
-    return run_benchmark(sut_factory(), qsl, scale.apply(settings))
+    return run_benchmark(sut_factory(), qsl, _performance_settings(
+        Scenario.SINGLE_STREAM, task, scale, seed))
