@@ -48,6 +48,26 @@ def test_parse_address():
         parse_address("no-port")
 
 
+def test_round_robin_skips_dead_connections_and_holds_its_turn():
+    """The pool rotation, pinned ahead of the per-query trim: live
+    connections in pool order, a lost-but-not-yet-reaped one skipped,
+    and no turn consumed while nothing is live."""
+    from types import SimpleNamespace
+
+    sut = NetworkSUT(("127.0.0.1", 1), connections=3)
+    a, b, c = (SimpleNamespace(alive=True) for _ in range(3))
+    sut._pool = [a, b, c]
+    assert [sut._pick_connection() for _ in range(4)] == [b, c, a, b]
+    b.alive = False
+    assert [sut._pick_connection() for _ in range(2)] == [c, a]
+    a.alive = c.alive = False
+    assert sut._pick_connection() is None
+    a.alive = b.alive = c.alive = True
+    assert sut._pick_connection() is b
+    sut._pool = []
+    assert sut._pick_connection() is None
+
+
 def test_server_scenario_run_is_valid_over_localhost():
     qsl = SyntheticQSL(total=256, performance=64)
     bundle = run_over_localhost(

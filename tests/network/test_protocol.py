@@ -1,7 +1,19 @@
-"""Wire protocol: codec round trips, incremental framing, strictness."""
+"""Wire protocol: codec round trips, incremental framing, strictness.
+
+The second half is the codec's contract, pinned ahead of its rewrite:
+the recursive encoder the protocol shipped with is kept here verbatim as
+the oracle every generated payload is compared against, one frame of
+each type is held as literal bytes, and truncated or header-mutated
+frames may only ever complete, wait, or raise ``ProtocolError``.
+"""
+
+import enum
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.query import Query, QuerySample, QuerySampleResponse
 from repro.network import protocol
@@ -191,3 +203,328 @@ class TestMessages:
     def test_load_roundtrip(self):
         (_, payload), = FrameReader().feed(protocol.load_frame([3, 1, 4]))
         assert protocol.parse_load(payload) == [3, 1, 4]
+
+
+# -- the codec contract ----------------------------------------------------------
+#
+# ``oracle_encode`` is the recursive encoder of protocol version 1 as it
+# shipped, copied verbatim (only the struct names are local).  Whatever
+# encodes payloads in ``src/`` must produce these bytes.
+
+_I64 = struct.Struct(">q")
+_F64 = struct.Struct(">d")
+_U32 = struct.Struct(">I")
+_U16 = struct.Struct(">H")
+
+
+def oracle_encode(value):
+    if value is None:
+        return b"Z"
+    if value is True:
+        return b"T"
+    if value is False:
+        return b"F"
+    if isinstance(value, (int, np.integer)):
+        return b"I" + _I64.pack(int(value))
+    if isinstance(value, (float, np.floating)):
+        return b"D" + _F64.pack(float(value))
+    if isinstance(value, str):
+        raw = value.encode("utf-8")
+        return b"S" + _U32.pack(len(raw)) + raw
+    if isinstance(value, (bytes, bytearray)):
+        return b"B" + _U32.pack(len(value)) + bytes(value)
+    if isinstance(value, np.ndarray):
+        if value.dtype.hasobject:
+            raise TypeError("object-dtype ndarrays are not wire-encodable")
+        # (ascontiguousarray would promote 0-d arrays to 1-d)
+        data = (value if value.flags["C_CONTIGUOUS"]
+                else np.ascontiguousarray(value))
+        dtype = data.dtype.str.encode("ascii")
+        out = [b"N", _U16.pack(len(dtype)), dtype, _U16.pack(data.ndim)]
+        for dim in data.shape:
+            out.append(_U32.pack(dim))
+        out.append(data.tobytes())
+        return b"".join(out)
+    if isinstance(value, (list, tuple)):
+        out = [b"L", _U32.pack(len(value))]
+        out.extend(oracle_encode(item) for item in value)
+        return b"".join(out)
+    if isinstance(value, dict):
+        out = [b"M", _U32.pack(len(value))]
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"payload dict keys must be str, got {key!r}")
+            out.append(oracle_encode(key))
+            out.append(oracle_encode(item))
+        return b"".join(out)
+    raise TypeError(f"value of type {type(value).__name__} is not wire-encodable")
+
+
+def oracle_frame(ftype, payload):
+    body = oracle_encode(payload)
+    return protocol._HEADER.pack(MAGIC, VERSION, int(ftype), len(body)) + body
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    DEEP = -(2 ** 40)
+
+
+INT64 = st.integers(-(2 ** 63), 2 ** 63 - 1)
+ARRAY_DTYPES = ["<f4", "<f8", ">f4", "<i2", ">i4", "<i8", "<u1", "<u8",
+                "?", "<c8", "S3", "<U2"]
+
+
+def _strided(array):
+    """The same elements behind a non-contiguous view, where one exists."""
+    if array.ndim >= 2:
+        return array.T
+    if array.ndim == 1:
+        return np.repeat(array, 2)[::2]
+    return array
+
+
+ARRAYS = st.sampled_from(ARRAY_DTYPES).flatmap(lambda dtype: hnp.arrays(
+    dtype=np.dtype(dtype),
+    shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)))
+SCALARS = st.one_of(
+    st.none(), st.booleans(), INT64, st.floats(), st.text(max_size=12),
+    st.binary(max_size=12), st.binary(max_size=6).map(bytearray),
+    st.sampled_from(list(FrameType) + list(Colour)),
+    st.integers(-128, 127).map(np.int8), st.integers(0, 2 ** 16 - 1).map(np.uint16),
+    st.integers(-(2 ** 31), 2 ** 31 - 1).map(np.int32), INT64.map(np.int64),
+    st.integers(0, 2 ** 63 - 1).map(np.uint64),
+    st.floats(width=16).map(np.float16), st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    ARRAYS, ARRAYS.map(_strided),
+)
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12)
+
+
+def same(decoded, sent) -> bool:
+    """``decoded`` is what ``sent`` should come back as: tuples as lists,
+    enums and numpy scalars as plain numbers, arrays element for element
+    (NaNs included, hence the byte comparison)."""
+    if isinstance(sent, np.ndarray):
+        return (isinstance(decoded, np.ndarray)
+                and decoded.dtype == sent.dtype
+                and decoded.shape == sent.shape
+                and decoded.tobytes() == np.ascontiguousarray(sent).tobytes()
+                and decoded.flags["WRITEABLE"])
+    if isinstance(sent, (list, tuple)):
+        return (type(decoded) is list and len(decoded) == len(sent)
+                and all(same(d, s) for d, s in zip(decoded, sent)))
+    if isinstance(sent, dict):
+        return (type(decoded) is dict and list(decoded) == list(sent)
+                and all(same(decoded[k], sent[k]) for k in sent))
+    if isinstance(sent, bool) or sent is None:
+        return decoded is sent
+    if isinstance(sent, (int, np.integer)):
+        return type(decoded) is int and decoded == int(sent)
+    if isinstance(sent, (float, np.floating)):
+        return (type(decoded) is float
+                and _F64.pack(decoded) == _F64.pack(float(sent)))
+    if isinstance(sent, (bytes, bytearray)):
+        return type(decoded) is bytes and decoded == bytes(sent)
+    return type(decoded) is str and decoded == sent
+
+
+class TestCodecContract:
+    @settings(max_examples=300, deadline=None)
+    @given(PAYLOADS)
+    def test_encoder_matches_the_recursive_oracle(self, value):
+        assert encode_value(value) == oracle_encode(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(PAYLOADS)
+    def test_decode_inverts_encode(self, value):
+        assert same(decode_value(encode_value(value)), value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(list(FrameType)), PAYLOADS)
+    def test_frame_is_header_plus_oracle_payload(self, ftype, value):
+        assert encode_frame(ftype, value) == oracle_frame(ftype, value)
+
+
+IDS = st.one_of(st.integers(0, 2 ** 63 - 1),
+                st.integers(0, 2 ** 31 - 1).map(np.int32))
+
+
+class TestMessageHelpersMatchTheirDictForm:
+    """The per-query builders send exactly the mapping they document."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(IDS, st.lists(st.tuples(IDS, IDS), min_size=1, max_size=5))
+    def test_issue(self, query_id, pairs):
+        query = Query(id=query_id, samples=tuple(
+            QuerySample(id=i, index=x) for i, x in pairs))
+        assert protocol.issue_frame(query) == oracle_frame(FrameType.ISSUE, {
+            "query_id": query_id,
+            "samples": [[i, x] for i, x in pairs]})
+
+    @settings(max_examples=100, deadline=None)
+    @given(IDS, st.lists(st.tuples(IDS, PAYLOADS), max_size=4),
+           st.floats(), st.one_of(st.floats(), st.integers(0, 10)))
+    def test_complete(self, query_id, answers, recv, send):
+        frame = protocol.complete_frame(
+            query_id, [QuerySampleResponse(i, d) for i, d in answers],
+            server_recv=recv, server_send=send)
+        assert frame == oracle_frame(FrameType.COMPLETE, {
+            "query_id": query_id,
+            "responses": [[i, d] for i, d in answers],
+            "server_recv": recv, "server_send": send})
+
+    @settings(max_examples=100, deadline=None)
+    @given(IDS, IDS, IDS, st.one_of(st.booleans(), st.integers(0, 2)),
+           PAYLOADS)
+    def test_chunk(self, query_id, seq, tokens, last, data):
+        frame = protocol.chunk_frame(query_id, seq, tokens, last, data)
+        assert frame == oracle_frame(FrameType.CHUNK, {
+            "query_id": query_id, "seq": seq, "tokens": tokens,
+            "last": bool(last), "data": data})
+
+
+def fed(data, step):
+    """Feed ``data`` to a fresh reader ``step`` bytes at a time; returns
+    (frames completed, whether the stream was found corrupt).  Anything
+    but ``ProtocolError`` propagates and fails the test."""
+    reader, frames = FrameReader(), []
+    try:
+        for start in range(0, len(data), step):
+            frames.extend(reader.feed(data[start:start + step]))
+    except ProtocolError:
+        return frames, True
+    return frames, False
+
+
+def fed_both_ways(data):
+    """In one piece and byte at a time; the two must agree on whether
+    the stream is corrupt, and on the frames of a clean one."""
+    whole, whole_corrupt = fed(data, max(1, len(data)))
+    single, single_corrupt = fed(data, 1)
+    assert whole_corrupt == single_corrupt
+    if not whole_corrupt:
+        assert len(whole) == len(single)
+    return single, whole_corrupt
+
+
+FRAMES = st.builds(encode_frame, st.sampled_from(list(FrameType)), PAYLOADS)
+
+
+class TestReaderContract:
+    @settings(max_examples=60, deadline=None)
+    @given(FRAMES, st.data())
+    def test_a_cut_stream_waits_and_never_raises(self, frame, data):
+        cut = data.draw(st.integers(0, len(frame) - 1))
+        for step in (cut or 1, 1):
+            reader = FrameReader()
+            for start in range(0, cut, step):
+                assert reader.feed(frame[start:start + step]) == []
+            assert reader.pending_bytes == cut
+            (ftype, _), = reader.feed(frame[cut:])
+            assert ftype == frame[3] and reader.pending_bytes == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(FRAMES, st.data())
+    def test_a_cut_payload_is_a_protocol_error(self, frame, data):
+        # The codec is self-delimiting: no proper prefix of a value is a
+        # value, so a payload cut anywhere (header resealed) is corrupt.
+        body = frame[8:]
+        cut = data.draw(st.integers(0, len(body) - 1))
+        resealed = protocol._HEADER.pack(
+            MAGIC, VERSION, frame[3], cut) + body[:cut]
+        frames, corrupt = fed_both_ways(resealed + frame)
+        assert corrupt and frames == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(FRAMES, st.integers(0, 7), st.integers(0, 255))
+    def test_a_mutated_header_completes_waits_or_is_a_protocol_error(
+            self, frame, offset, byte):
+        mutated = bytearray(frame)
+        mutated[offset] = byte
+        frames, corrupt = fed_both_ways(bytes(mutated) + frame)
+        if bytes(mutated) == frame:
+            assert not corrupt and len(frames) == 2
+        elif offset < 3:  # magic or version
+            assert corrupt and frames == []
+
+
+#: One frame of each type, as protocol version 1 has always sent it.
+GOLDEN_FRAMES = {
+    FrameType.HELLO: (
+        lambda: protocol.hello_frame("loadgen-1", "loadgen"),
+        b"MI\x01\x01\x00\x00\x00FM\x00\x00\x00\x03"
+        b"S\x00\x00\x00\x04nameS\x00\x00\x00\tloadgen-1"
+        b"S\x00\x00\x00\x04roleS\x00\x00\x00\x07loadgen"
+        b"S\x00\x00\x00\x07versionI\x00\x00\x00\x00\x00\x00\x00\x01"),
+    FrameType.LOAD: (
+        lambda: protocol.load_frame([3, 1, 4]),
+        b"MI\x01\x02\x00\x00\x001M\x00\x00\x00\x01"
+        b"S\x00\x00\x00\x07indicesL\x00\x00\x00\x03"
+        b"I\x00\x00\x00\x00\x00\x00\x00\x03I\x00\x00\x00\x00\x00\x00\x00\x01"
+        b"I\x00\x00\x00\x00\x00\x00\x00\x04"),
+    FrameType.ISSUE: (
+        lambda: protocol.issue_frame(Query(id=7, samples=(
+            QuerySample(id=1, index=10), QuerySample(id=2, index=11)))),
+        b"MI\x01\x03\x00\x00\x00ZM\x00\x00\x00\x02"
+        b"S\x00\x00\x00\x08query_idI\x00\x00\x00\x00\x00\x00\x00\x07"
+        b"S\x00\x00\x00\x07samplesL\x00\x00\x00\x02"
+        b"L\x00\x00\x00\x02I\x00\x00\x00\x00\x00\x00\x00\x01"
+        b"I\x00\x00\x00\x00\x00\x00\x00\n"
+        b"L\x00\x00\x00\x02I\x00\x00\x00\x00\x00\x00\x00\x02"
+        b"I\x00\x00\x00\x00\x00\x00\x00\x0b"),
+    FrameType.COMPLETE: (
+        lambda: protocol.complete_frame(
+            5, [QuerySampleResponse(1, np.arange(3, dtype="<f4")),
+                QuerySampleResponse(2, None)],
+            server_recv=1.5, server_send=2.25),
+        b"MI\x01\x04\x00\x00\x00\x95M\x00\x00\x00\x04"
+        b"S\x00\x00\x00\x08query_idI\x00\x00\x00\x00\x00\x00\x00\x05"
+        b"S\x00\x00\x00\tresponsesL\x00\x00\x00\x02"
+        b"L\x00\x00\x00\x02I\x00\x00\x00\x00\x00\x00\x00\x01"
+        b"N\x00\x03<f4\x00\x01\x00\x00\x00\x03"
+        b"\x00\x00\x00\x00\x00\x00\x80?\x00\x00\x00@"
+        b"L\x00\x00\x00\x02I\x00\x00\x00\x00\x00\x00\x00\x02Z"
+        b"S\x00\x00\x00\x0bserver_recvD?\xf8\x00\x00\x00\x00\x00\x00"
+        b"S\x00\x00\x00\x0bserver_sendD@\x02\x00\x00\x00\x00\x00\x00"),
+    FrameType.FAIL: (
+        lambda: protocol.fail_frame(3, "nope"),
+        b"MI\x01\x05\x00\x00\x00/M\x00\x00\x00\x02"
+        b"S\x00\x00\x00\x08query_idI\x00\x00\x00\x00\x00\x00\x00\x03"
+        b"S\x00\x00\x00\x06reasonS\x00\x00\x00\x04nope"),
+    FrameType.DRAIN: (
+        protocol.drain_frame,
+        b"MI\x01\x06\x00\x00\x00\x05M\x00\x00\x00\x00"),
+    FrameType.STATS: (
+        lambda: protocol.stats_frame({"completed": 12, "drained": True}),
+        b"MI\x01\x07\x00\x00\x00)M\x00\x00\x00\x02"
+        b"S\x00\x00\x00\tcompletedI\x00\x00\x00\x00\x00\x00\x00\x0c"
+        b"S\x00\x00\x00\x07drainedT"),
+    FrameType.CHUNK: (
+        lambda: protocol.chunk_frame(9, 2, 5, True, b"tok"),
+        b"MI\x01\x08\x00\x00\x00[M\x00\x00\x00\x05"
+        b"S\x00\x00\x00\x08query_idI\x00\x00\x00\x00\x00\x00\x00\t"
+        b"S\x00\x00\x00\x03seqI\x00\x00\x00\x00\x00\x00\x00\x02"
+        b"S\x00\x00\x00\x06tokensI\x00\x00\x00\x00\x00\x00\x00\x05"
+        b"S\x00\x00\x00\x04lastTS\x00\x00\x00\x04dataB\x00\x00\x00\x03tok"),
+}
+
+
+class TestGoldenFrames:
+    def test_version_is_still_one(self):
+        assert (MAGIC, VERSION) == (b"MI", 1)
+        assert sorted(GOLDEN_FRAMES) == sorted(FrameType)
+
+    @pytest.mark.parametrize("ftype", list(FrameType), ids=lambda t: t.name)
+    def test_frame_bytes(self, ftype):
+        build, golden = GOLDEN_FRAMES[ftype]
+        frame = build()
+        assert frame == golden
+        (got, payload), = FrameReader().feed(frame)
+        assert got is ftype and isinstance(payload, dict)

@@ -144,3 +144,38 @@ class TestLossAndRecovery:
         assert result.valid, result.validity.reasons
         assert sut.stats.retries > 0
         assert sut.stats.recovered_queries > 0
+
+
+class TestFrameSizesAreTheWireEncodings:
+    """Serialization delay is charged per byte of the real frame, so the
+    byte totals and the completion instants they produce under a
+    bandwidth cap are a contract on the codec: pinned from the recursive
+    encoder, they must survive any rewrite of it."""
+
+    @staticmethod
+    def capped_run(backend):
+        import hashlib
+
+        channel = SimulatedChannelSUT(backend, ChannelModel(
+            latency=0.001, bandwidth=1_000_000, seed=5))
+        result = run_benchmark(channel, SyntheticQSL(), server_settings())
+        assert result.valid, result.validity.reasons
+        instants = repr([(r.query.id, r.completion_time)
+                         for r in result.log.completed_records()])
+        return channel.stats, hashlib.sha256(
+            instants.encode()).hexdigest()[:16]
+
+    def test_plain_answers(self):
+        stats, instants = self.capped_run(EchoSUT(latency=0.002))
+        assert (stats.bytes_forward, stats.bytes_reverse) == (4500, 7620)
+        assert instants == "80c2c0884f1fbab7"
+
+    def test_streamed_answers(self):
+        from repro.streaming import StreamModel, StreamingSUT
+
+        stats, instants = self.capped_run(StreamingSUT(
+            EchoSUT(latency=0.002), model=StreamModel(
+                first_token_delay=1e-3, inter_token_delay=1e-4, seed=0)))
+        assert stats.chunks_forwarded == 1313
+        assert (stats.bytes_forward, stats.bytes_reverse) == (4500, 128416)
+        assert instants == "749dd1406ed90560"
