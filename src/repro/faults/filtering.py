@@ -99,15 +99,20 @@ class AttemptSUT(SutBase):
         """Still in flight?  The guard for timers that outlive a query."""
         return self._inflight.get(state.query.id) is state
 
-    def _arm(self, state: Attempt, timeout: float) -> None:
-        """(Re)start the one deadline: ``timeout`` seconds of silence."""
+    def _arm(self, state: Attempt, timeout: float,
+             now: Optional[float] = None) -> None:
+        """(Re)start the one deadline: ``timeout`` seconds of silence
+        from ``now`` - pass it when the loop's clock was just read (a
+        wall-clock reading is not free), else it is read here."""
         if state.timer is not None:
             state.timer.cancel()
         state.due = None
+        loop = self._loop
+        if now is None:
+            now = loop.clock.now() if loop.realtime else loop.clock._now
         # A lambda, not functools.partial: RunAbortedError.origin names
         # the callback and must not carry object addresses.
-        state.timer = self._loop.schedule_after(
-            timeout, lambda: self._fire(state))
+        state.timer = loop.schedule(now + timeout, lambda: self._fire(state))
 
     def _fire(self, state: Attempt) -> None:
         if self._live(state):

@@ -100,6 +100,10 @@ class _Connection:
         self.sock = sock
         self.id = next(self._ids)
         self.alive = True
+        #: Everything received on ``sock`` goes through this one parser,
+        #: the HELLO exchange included: a partial frame that arrives with
+        #: the greeting is still there when the reader thread takes over.
+        self.frames = FrameReader()
         self.reader: Optional[threading.Thread] = None
         self._send_lock = threading.Lock()
 
@@ -132,8 +136,6 @@ class _Pending(Attempt):
 
     #: The pooled connection the current attempt went out on.
     connection: Optional[_Connection] = None
-    #: (server_recv, server_send, recv_time) of its latest COMPLETE frame.
-    wire: Tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
 class NetworkSUT(AttemptSUT):
@@ -176,6 +178,9 @@ class NetworkSUT(AttemptSUT):
         self.server_stats: Optional[Dict[str, object]] = None
         self._pool: List[_Connection] = []
         self._rr = 0
+        #: (server_recv, server_send, recv_time) of the COMPLETE frame
+        #: being delivered; ``_clean`` runs inside that delivery.
+        self._wire: Tuple[float, float, float] = (0.0, 0.0, 0.0)
         self._stats_event = threading.Event()
         self._hello: Optional[Dict[str, object]] = None
 
@@ -232,14 +237,17 @@ class NetworkSUT(AttemptSUT):
             self.stats.gave_up_queries += 1
             self.fail(query, "no live connection to server")
             return
-        state = self._inflight[query.id] = _Pending(query, self._loop.now)
+        # One clock reading serves the admission time and the deadline.
+        now = self._loop.clock.now()
+        state = self._inflight[query.id] = _Pending(query, now)
         state.connection = conn
-        self._send_attempt(state)
+        self._send_attempt(state, now)
 
     # -- issue path (loop thread) -----------------------------------------------
 
-    def _send_attempt(self, state: _Pending) -> None:
-        self._arm(state, self.query_timeout)
+    def _send_attempt(self, state: _Pending,
+                      now: Optional[float] = None) -> None:
+        self._arm(state, self.query_timeout, now)
         self.stats.queries_sent += 1
         if not self._send(state.connection, protocol.issue_frame(state.query)):
             # The write itself failed: this connection is gone.
@@ -269,7 +277,11 @@ class NetworkSUT(AttemptSUT):
         )
 
     def _pick_connection(self) -> Optional[_Connection]:
-        live = [c for c in self._pool if c.alive]
+        live = self._pool
+        for conn in live:
+            if not conn.alive:  # lost, not yet reaped by _connection_lost
+                live = [c for c in live if c.alive]
+                break
         if not live:
             return None
         self._rr += 1
@@ -291,9 +303,7 @@ class NetworkSUT(AttemptSUT):
         server_send: float,
         recv_time: float,
     ) -> None:
-        state = self._inflight.get(query_id)
-        if state is not None:
-            state.wire = (server_recv, server_send, recv_time)
+        self._wire = (server_recv, server_send, recv_time)
         self._deliver(None, query_id, responses)
 
     def _absorbed(self, chunk: bool) -> None:
@@ -327,7 +337,7 @@ class NetworkSUT(AttemptSUT):
         self._resolve(state)
         if state.tries > 0:
             self.stats.recovered_queries += 1
-        server_recv, server_send, recv_time = state.wire
+        server_recv, server_send, recv_time = self._wire
         self.transport_records[state.query.id] = TransportTiming(
             send_time=state.started,
             recv_time=recv_time,
@@ -364,7 +374,7 @@ class NetworkSUT(AttemptSUT):
             backoff = min(backoff * 2, 1.0)
             try:
                 conn = self._connect()
-            except OSError:
+            except (OSError, ProtocolError):
                 continue
             self._start_reader(conn)
 
@@ -384,23 +394,30 @@ class NetworkSUT(AttemptSUT):
         sock = socket.create_connection(self.address, timeout=5.0)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = _Connection(sock)
-        hello = protocol.hello_frame(self.name, "loadgen")
-        sock.sendall(hello)
-        self.stats.bytes_sent += len(hello)
-        # Blocking HELLO exchange: read until the server's greeting.
-        reader = FrameReader()
-        frames: List = []
-        while not frames:
-            data = sock.recv(_RECV_CHUNK)
-            if not data:
-                raise ConnectionError("server closed during HELLO exchange")
-            self.stats.bytes_received += len(data)
-            frames = reader.feed(data)
-        ftype, payload = frames[0]
-        if ftype is not FrameType.HELLO:
-            raise ProtocolError(f"expected HELLO, got {ftype.name}")
-        self._hello = protocol.parse_hello(payload)
-        conn._leftover = frames[1:]
+        try:
+            hello = protocol.hello_frame(self.name, "loadgen")
+            sock.sendall(hello)
+            self.stats.bytes_sent += len(hello)
+            # Blocking HELLO exchange: read until the server's greeting.
+            frames: List = []
+            while not frames:
+                data = sock.recv(_RECV_CHUNK)
+                if not data:
+                    raise ConnectionError(
+                        "server closed during HELLO exchange")
+                self.stats.bytes_received += len(data)
+                frames = conn.frames.feed(data)
+            ftype, payload = frames[0]
+            if ftype is not FrameType.HELLO:
+                raise ProtocolError(f"expected HELLO, got {ftype.name}")
+            self._hello = protocol.parse_hello(payload)
+            # Whole frames that rode in with the greeting; a partial one
+            # stays in conn.frames for the reader thread.
+            for ftype, payload in frames[1:]:
+                self._dispatch_frame(conn, ftype, payload)
+        except BaseException:
+            conn.close()
+            raise
         sock.settimeout(_POLL)
         return conn
 
@@ -413,9 +430,6 @@ class NetworkSUT(AttemptSUT):
         conn.reader.start()
 
     def _reader_loop(self, conn: _Connection) -> None:
-        reader = FrameReader()
-        for frame in getattr(conn, "_leftover", []):
-            self._dispatch_frame(conn, *frame)
         try:
             while conn.alive and not self._closed:
                 try:
@@ -427,7 +441,7 @@ class NetworkSUT(AttemptSUT):
                 if not data:
                     break
                 self.stats.bytes_received += len(data)
-                for ftype, payload in reader.feed(data):
+                for ftype, payload in conn.frames.feed(data):
                     self._dispatch_frame(conn, ftype, payload)
         except ProtocolError:
             # Corrupt stream from the server: poison this connection.

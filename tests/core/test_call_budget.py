@@ -6,9 +6,11 @@ seed the counts repeat exactly, so the ceilings sit ~10% above what the
 code does today and a change that adds a frame per event trips them.
 The wrappers that run the attempt engine are gated on what they *add*
 over the bare run; so are a zoned fleet's routing decision, and the
-telemetry (registry + 50 ms snapshot sampler) on top of that fleet.  A
-breach prints the ten most-called functions, so the regression names
-its frame.  Re-baselining is described in CONTRIBUTING.md.
+telemetry (registry + 50 ms snapshot sampler) on top of that fleet.  The
+wire codec is gated without sockets: one ISSUE frame built, one COMPLETE
+frame read, and what a simulated channel adds per query.  A breach
+prints the ten most-called functions, so the regression names its
+frame.  Re-baselining is described in CONTRIBUTING.md.
 """
 
 import cProfile
@@ -17,10 +19,13 @@ import os
 import pytest
 
 from repro.core import Scenario, TestSettings, run_benchmark
+from repro.core.query import Query, QuerySample, QuerySampleResponse
 from repro.durability import SelfHealingSUT
 from repro.faults import ResilientSUT
 from repro.fleet import ReplicaSet
 from repro.metrics import MetricsRegistry
+from repro.network import protocol
+from repro.network.simulated import ChannelModel, SimulatedChannelSUT
 from repro.streaming import StreamModel, StreamingSUT
 from repro.sut.echo import EchoSUT
 
@@ -32,19 +37,19 @@ STREAM_CALLS_PER_CHUNK = 10.4
 
 #: wrapper -> (build it over a backend factory, ceiling on calls/query
 #: added over the bare echo, ceiling on calls/chunk added over the bare
-#: streamed echo).  Measured 20.77 / 24.16 / 30.24 calls/query and
-#: 6.05 / 5.22 / 5.52 calls/chunk (python 3.11.7).
+#: streamed echo).  Measured 19.77 / 23.16 / 29.24 calls/query and
+#: 6.00 / 5.16 / 5.47 calls/chunk (python 3.11.7).
 WRAPPER_BUDGETS = {
-    "resilient": (lambda backend: ResilientSUT(backend()), 22.9, 6.7),
-    "healing": (lambda backend: SelfHealingSUT(backend()), 26.6, 5.8),
+    "resilient": (lambda backend: ResilientSUT(backend()), 21.7, 6.6),
+    "healing": (lambda backend: SelfHealingSUT(backend()), 25.5, 5.7),
     "fleet-of-2": (
         lambda backend: ReplicaSet(lambda index: backend(),
-                                   initial_replicas=2), 33.3, 6.1),
+                                   initial_replicas=2), 32.2, 6.0),
 }
 
 #: A zoned fleet (4 replicas, 2 zones, zone-spread): calls/query added
-#: over the bare echo.  Measured 42.31 (python 3.11.7).
-ZONED_FLEET_CALLS_PER_QUERY = 46.5
+#: over the bare echo.  Measured 41.31 (python 3.11.7).
+ZONED_FLEET_CALLS_PER_QUERY = 45.4
 #: Registry + 50 ms snapshot sampler on that fleet: calls/query added
 #: over the same fleet without them - per query the latency observation
 #: and ``lb_routed_total{replica}``, the rest is the captures reading
@@ -168,3 +173,68 @@ def test_telemetry_stays_inside_its_added_call_budget(echo_qsl):
     # The instrumented run's busiest functions, the fleet's included.
     assert per_query <= TELEMETRY_CALLS_PER_QUERY, busiest(
         stats, wired_log.query_count, "query")
+
+
+# -- the wire codec, without sockets ---------------------------------------------
+
+#: One ISSUE frame of a one-sample query through ``issue_frame``, and
+#: one COMPLETE frame (one echoed sample) through ``FrameReader.feed`` +
+#: ``parse_complete`` - the per-frame entry points of the tcp path, on
+#: the loop thread and on the reader thread.  Measured 14.01 and 41.01
+#: calls, the test's own wrapper frame included (python 3.11.7); the
+#: recursive codec they replaced measured 75.01 and 114.01.
+ISSUE_FRAME_CALLS = 15.4
+COMPLETE_FRAME_CALLS = 45.1
+#: ``SimulatedChannelSUT`` over the echo: calls/query added over the
+#: bare run.  It builds an ISSUE and a COMPLETE frame per query to
+#: charge their real lengths, so it moves with the codec.  Measured
+#: 78.05 (python 3.11.7; 224.05 with the recursive codec).
+CHANNEL_CALLS_PER_QUERY = 85.9
+
+FRAMES = 100
+
+
+def profiled_frames(work):
+    """``work()`` under cProfile, ``FRAMES`` times: (calls/frame, stats)."""
+    work()  # type-table misses and lazy imports stay out of the count
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        for _ in range(FRAMES):
+            work()
+    finally:
+        profile.disable()
+    stats = profile.getstats()
+    return sum(entry.callcount for entry in stats) / FRAMES, stats
+
+
+def test_issue_frame_stays_inside_its_call_budget():
+    query = Query(id=7, samples=(QuerySample(id=70, index=3),))
+    per_frame, stats = profiled_frames(lambda: protocol.issue_frame(query))
+    print(f"issue_frame: {per_frame:.2f} calls/frame")
+    assert per_frame <= ISSUE_FRAME_CALLS, busiest(stats, FRAMES, "frame")
+
+
+def test_complete_frame_decode_stays_inside_its_call_budget():
+    frame = protocol.complete_frame(
+        7, [QuerySampleResponse(70, 3)], server_recv=1.5, server_send=2.5)
+    reader = protocol.FrameReader()
+
+    def receive():
+        (_, payload), = reader.feed(frame)
+        protocol.parse_complete(payload)
+
+    per_frame, stats = profiled_frames(receive)
+    print(f"feed + parse_complete: {per_frame:.2f} calls/frame")
+    assert per_frame <= COMPLETE_FRAME_CALLS, busiest(stats, FRAMES, "frame")
+
+
+def test_simulated_channel_stays_inside_its_added_call_budget(
+        bare_runs, echo_qsl):
+    (plain_calls, plain_log, _), _ = bare_runs
+    channel = SimulatedChannelSUT(plain_echo(), ChannelModel(latency=1e-4))
+    wrapped, _, stats = profiled_run(channel, echo_qsl)
+    per_query = (wrapped - plain_calls) / plain_log.query_count
+    print(f"simulated channel: +{per_query:.2f} calls/query")
+    assert per_query <= CHANNEL_CALLS_PER_QUERY, busiest(
+        stats, plain_log.query_count, "query")

@@ -68,6 +68,55 @@ def test_round_robin_skips_dead_connections_and_holds_its_turn():
     assert sut._pick_connection() is None
 
 
+def test_frame_split_across_the_hello_exchange_is_not_lost():
+    """A server whose first ``send`` carries its HELLO, a whole STATS
+    frame and the first half of another: the half used to be dropped
+    with the handshake's throwaway parser, so the reader thread started
+    mid-frame, called the rest a bad magic and lost the connection."""
+    import socket
+
+    from repro.core.events import EventLoop
+    from repro.network import protocol
+    from repro.network.protocol import FrameReader
+
+    whole = protocol.stats_frame({"drained": True, "marker": 1})
+    split = protocol.stats_frame({"drained": True, "marker": 2})
+    listener = socket.create_server(("127.0.0.1", 0))
+    release = threading.Event()
+
+    def serve():
+        peer, _ = listener.accept()
+        with peer:
+            reader = FrameReader()
+            while not reader.feed(peer.recv(65536)):
+                pass  # the client's HELLO
+            peer.sendall(protocol.hello_frame("split", "server")
+                         + whole + split[:len(split) // 2])
+            release.wait(5.0)
+            peer.sendall(split[len(split) // 2:])
+            peer.recv(65536)  # hold the connection until the client goes
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    sut = NetworkSUT(listener.getsockname()[:2], connections=1)
+    try:
+        sut.start_run(EventLoop(WallClock()), lambda query, responses: None)
+        # The whole frame that rode in with the greeting was dispatched.
+        assert sut.server_stats == {"drained": True, "marker": 1}
+        sut._stats_event.clear()
+        release.set()
+        assert sut._stats_event.wait(5.0)
+        assert sut.server_stats == {"drained": True, "marker": 2}
+        assert sut.stats.protocol_errors == 0
+        assert sut.stats.bytes_received == len(
+            protocol.hello_frame("split", "server") + whole + split)
+    finally:
+        release.set()
+        sut.close(timeout=0.2)
+        listener.close()
+        server.join(5.0)
+
+
 def test_server_scenario_run_is_valid_over_localhost():
     qsl = SyntheticQSL(total=256, performance=64)
     bundle = run_over_localhost(

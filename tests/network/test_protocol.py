@@ -455,6 +455,175 @@ class TestReaderContract:
             assert corrupt and frames == []
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(FRAMES, st.data())
+    def test_any_byte_mutation_completes_waits_or_is_a_protocol_error(
+            self, frame, data):
+        mutated = bytearray(frame)
+        for _ in range(data.draw(st.integers(1, 4))):
+            mutated[data.draw(st.integers(0, len(frame) - 1))] = data.draw(
+                st.integers(0, 255))
+        fed_both_ways(bytes(mutated) + frame)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_any_bytes_decode_or_are_a_protocol_error(self, blob):
+        try:
+            decode_value(blob)
+        except ProtocolError:
+            pass
+
+
+def ndarray_blob(dtype: bytes, dims, data=b""):
+    return (b"N" + _U16.pack(len(dtype)) + dtype + _U16.pack(len(dims))
+            + b"".join(_U32.pack(d) for d in dims) + data)
+
+
+class TestTheTwoErrorContracts:
+    """``TypeError`` out of the encoder, ``ProtocolError`` out of the
+    decoder, nothing else: senders catch the first to fail one query,
+    reader threads catch the second to poison one connection."""
+
+    @pytest.mark.parametrize("value", [
+        2 ** 63, -(2 ** 63) - 1, 2 ** 70, np.uint64(2 ** 64 - 1),
+        "lone \ud800 surrogate", {"k\udfff": 1}, [1, [2, [2 ** 64]]],
+        {"a": {"b": "\ud800"}}, np.bool_(True), 1 + 2j, {1, 2},
+        memoryview(b"x"), np.array(["a", None], dtype=object),
+    ], ids=repr)
+    def test_unencodable_values_are_type_errors(self, value):
+        with pytest.raises(TypeError, match="wire-encodable"):
+            encode_value(value)
+        with pytest.raises(TypeError, match="wire-encodable"):
+            encode_frame(FrameType.STATS, {"value": value})
+        with pytest.raises(TypeError, match="wire-encodable"):
+            protocol.complete_frame(1, [QuerySampleResponse(1, value)], 0.0, 0.0)
+        with pytest.raises(TypeError, match="wire-encodable"):
+            protocol.chunk_frame(1, 0, 1, True, value)
+
+    def test_unencodable_ids_are_type_errors(self):
+        query = Query(id=2 ** 63, samples=(QuerySample(id=1, index=2),))
+        with pytest.raises(TypeError, match="wire-encodable"):
+            protocol.issue_frame(query)
+        query = Query(id=1, samples=(QuerySample(id=1, index="x\ud800"),))
+        with pytest.raises(TypeError, match="wire-encodable"):
+            protocol.issue_frame(query)
+
+    def test_a_frame_over_the_cap_is_a_type_error(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)
+        assert len(encode_frame(FrameType.STATS, {"blob": b"x" * 45})) == 72
+        for build in (
+            lambda: encode_frame(FrameType.STATS, {"blob": b"x" * 46}),
+            lambda: protocol.complete_frame(
+                1, [QuerySampleResponse(1, b"x" * 64)], 0.0, 0.0),
+        ):
+            with pytest.raises(TypeError, match="frame cap"):
+                build()
+
+    def test_int64_bounds_still_encode(self):
+        for value in (2 ** 63 - 1, -(2 ** 63), np.uint64(2 ** 63 - 1)):
+            assert roundtrip(value) == int(value)
+
+    def test_nesting_is_capped_in_both_directions(self):
+        def nested(depth, leaf=7):
+            value = leaf
+            for _ in range(depth):
+                value = [value]
+            return value
+
+        deepest = nested(protocol.MAX_DEPTH)
+        assert roundtrip(deepest) == deepest
+        assert encode_value(deepest) == oracle_encode(deepest)
+        with pytest.raises(TypeError, match="nested deeper"):
+            encode_value(nested(protocol.MAX_DEPTH + 1))
+        with pytest.raises(TypeError, match="nested deeper"):
+            encode_value(nested(5000))
+        with pytest.raises(ProtocolError, match="nested deeper"):
+            decode_value(oracle_encode(nested(protocol.MAX_DEPTH + 1)))
+        with pytest.raises(ProtocolError, match="nested deeper"):
+            decode_value(b"L\x00\x00\x00\x01" * 5000 + b"Z")
+        with pytest.raises(ProtocolError, match="nested deeper"):
+            decode_value(b"M\x00\x00\x00\x01S\x00\x00\x00\x01k" * 5000 + b"Z")
+
+    def test_what_a_message_builder_accepts_its_peer_can_decode(self):
+        # The builders nest user data three containers down.
+        def nested(depth):
+            value = None
+            for _ in range(depth):
+                value = [value]
+            return value
+
+        fits = nested(protocol.MAX_DEPTH - 3)
+        frame = protocol.complete_frame(
+            1, [QuerySampleResponse(1, fits)], 0.0, 0.0)
+        (_, payload), = FrameReader().feed(frame)
+        assert protocol.parse_complete(payload)[1][0].data == fits
+        with pytest.raises(TypeError, match="nested deeper"):
+            protocol.complete_frame(
+                1, [QuerySampleResponse(1, [fits])], 0.0, 0.0)
+
+    @pytest.mark.parametrize("blob", [
+        ndarray_blob(b"V0", [3]),
+        ndarray_blob(b"<U0", [2, 2]),
+        ndarray_blob(b"|O", [1], b"\x00" * 8),
+        ndarray_blob(b"garbage", [1], b"\x00" * 8),
+        ndarray_blob(b"f4,(", [1], b"\x00" * 8),
+        ndarray_blob(b"\xff\xfe", [1], b"\x00" * 8),
+        ndarray_blob(b"{'names':['a'],'formats':['O']}", [1], b"\x00" * 8),
+        ndarray_blob(b"(" * 3000 + b"f4", [1], b"\x00" * 4),
+        # 2**16 * 2**16 * 2**32 wraps int64 to 0: "no data needed".
+        ndarray_blob(b"<f4", [2 ** 16, 2 ** 16, 2 ** 32 - 1, 2]),
+        ndarray_blob(b"<f4", [2 ** 32 - 1] * 4),
+        ndarray_blob(b"<f4", [0, 2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1]),
+        ndarray_blob(b"<f4", [1] * 100, b"\x00" * 4),
+        ndarray_blob(b"<f4", [3], b"\x00" * 11),
+        b"N\x00\x03<f4\xff\xff",
+        b"N\xff\xff<f4",
+        b"N",
+    ], ids=lambda blob: repr(blob[:24]))
+    def test_malformed_ndarrays_are_protocol_errors(self, blob):
+        with pytest.raises(ProtocolError):
+            decode_value(blob)
+        frame = protocol._HEADER.pack(
+            MAGIC, VERSION, int(FrameType.COMPLETE), len(blob)) + blob
+        assert fed_both_ways(frame) == ([], True)
+
+    def test_zero_size_arrays_still_cross(self):
+        for shape in [(0,), (2, 0, 3), (0, 0)]:
+            array = np.zeros(shape, dtype="<f8")
+            assert same(roundtrip(array), array)
+        assert same(decode_value(ndarray_blob(b"f4", [2], b"\x00" * 8)),
+                    np.zeros(2, dtype="<f4"))  # a non-canonical spelling
+
+    @pytest.mark.parametrize("parse,payload", [
+        (protocol.parse_complete, {"query_id": None, "responses": [],
+                                   "server_recv": 0.0, "server_send": 0.0}),
+        (protocol.parse_complete, {"query_id": float("nan"), "responses": [],
+                                   "server_recv": 0.0, "server_send": 0.0}),
+        (protocol.parse_complete, {"query_id": 1, "responses": [],
+                                   "server_recv": "soon", "server_send": 0.0}),
+        (protocol.parse_complete, {"query_id": 1, "responses": [[None, 1]],
+                                   "server_recv": 0.0, "server_send": 0.0}),
+        (protocol.parse_complete, {"query_id": 1, "responses": ["ab"],
+                                   "server_recv": 0.0, "server_send": 0.0}),
+        (protocol.parse_issue, {"query_id": "x", "samples": [[1, 2]]}),
+        (protocol.parse_issue, {"query_id": 1, "samples": [[1, float("inf")]]}),
+        (protocol.parse_issue, {"query_id": 1, "samples": [[1, b"2"], 3]}),
+        (protocol.parse_chunk, {"query_id": 1, "seq": None, "tokens": 1,
+                                "last": True}),
+        (protocol.parse_chunk, {"query_id": [], "seq": 0, "tokens": 1,
+                                "last": True}),
+        (protocol.parse_fail, {"query_id": {}, "reason": "x"}),
+        (protocol.parse_load, {"indices": [1, "two"]}),
+        (protocol.parse_load, {"indices": [float("nan")]}),
+    ], ids=lambda arg: getattr(arg, "__name__", None))
+    def test_well_framed_messages_with_wrong_field_types(self, parse, payload):
+        # Decodable as a payload, so the frame arrives - and its parser,
+        # which runs on the same reader thread, must refuse it the same way.
+        assert decode_value(encode_value(payload)) is not None
+        with pytest.raises(ProtocolError):
+            parse(payload)
+
+
 #: One frame of each type, as protocol version 1 has always sent it.
 GOLDEN_FRAMES = {
     FrameType.HELLO: (

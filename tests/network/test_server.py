@@ -236,6 +236,83 @@ def test_non_encodable_backend_payload_is_failed():
         client.close()
 
 
+@pytest.mark.parametrize("poison", [
+    2 ** 70, "np.uint64(2 ** 64 - 1)", "lone \ud800 surrogate",
+    "nested"], ids=["int-past-int64", "uint64-max", "surrogate", "depth"])
+def test_unencodable_value_fails_its_query_and_spares_the_worker(poison):
+    """An answer the codec refuses for its *value* (not its type) used
+    to escape as struct.error / UnicodeEncodeError / RecursionError and
+    kill the only worker with the request still in flight: the session
+    never drained and every later query timed out."""
+    import numpy as np
+
+    from repro.core.sut import SutBase
+    from repro.core.query import QuerySampleResponse
+
+    if poison == "np.uint64(2 ** 64 - 1)":
+        poison = np.uint64(2 ** 64 - 1)
+    elif poison == "nested":
+        for _ in range(5000):
+            poison = [poison]
+
+    class PoisonOnceSUT(SutBase):
+        def __init__(self):
+            super().__init__("poison-once")
+            self.served = 0
+
+        def issue_query(self, query):
+            self.served += 1
+            data = poison if self.served == 1 else "fine"
+            self.complete(query, [
+                QuerySampleResponse(s.id, data) for s in query.samples])
+
+    config = ServerConfig(port=0, workers=1, max_batch=1)
+    with InferenceServer(PoisonOnceSUT, config) as server:
+        client = RawClient(server.address)
+        issue(client, query_id=1, sample_ids=[1])
+        ftype, payload = client.recv()
+        assert ftype is FrameType.FAIL
+        query_id, reason = protocol.parse_fail(payload)
+        assert query_id == 1 and "wire-encodable" in reason
+        # The one worker is still there for the next query ...
+        issue(client, query_id=2, sample_ids=[2])
+        ftype, payload = client.recv()
+        assert ftype is FrameType.COMPLETE
+        query_id, responses, _, _ = protocol.parse_complete(payload)
+        assert query_id == 2 and responses[0].data == "fine"
+        # ... the failure was recorded once, and nothing is left in flight.
+        assert (server.stats.failed, server.stats.completed) == (1, 1)
+        assert server.drain(timeout=5.0) is True
+        client.close()
+
+
+def test_unencodable_chunk_payload_is_sent_bare_and_spares_the_worker():
+    from repro.core.sut import SutBase
+    from repro.core.query import QuerySampleResponse, StreamChunk
+
+    class PoisonStreamSUT(SutBase):
+        def __init__(self):
+            super().__init__("poison-stream")
+
+        def issue_query(self, query):
+            self.emit_chunk(query, StreamChunk(
+                query_id=query.id, seq=0, token_count=1, last=True,
+                data=2 ** 70))
+            self.complete(query, [
+                QuerySampleResponse(s.id, None) for s in query.samples])
+
+    config = ServerConfig(port=0, workers=1, max_batch=1)
+    with InferenceServer(PoisonStreamSUT, config) as server:
+        client = RawClient(server.address)
+        issue(client, query_id=1, sample_ids=[1])
+        ftype, payload = client.recv()
+        assert ftype is FrameType.CHUNK
+        assert protocol.parse_chunk(payload).data is None
+        assert client.recv()[0] is FrameType.COMPLETE
+        assert server.drain(timeout=5.0) is True
+        client.close()
+
+
 def test_shared_backend_instance_is_serialized():
     backend = EchoSUT(latency=0.001)
     config = ServerConfig(port=0, workers=3, max_batch=1)
