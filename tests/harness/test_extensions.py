@@ -1,5 +1,7 @@
 """Experimental extensions: burst mode and multitenancy."""
 
+import hashlib
+
 import pytest
 
 from repro.core import Scenario, Task, TestMode, TestSettings
@@ -8,6 +10,8 @@ from repro.core.experimental import (
     find_max_burst_rate,
     run_burst_benchmark,
 )
+from repro.durability.resume import run_fingerprint
+from repro.harness import multitenant
 from repro.harness.multitenant import (
     TenantSpec,
     all_tenants_valid,
@@ -201,6 +205,50 @@ class TestMultiTenant:
         )
         with pytest.raises(ValueError):
             run_multitenant(make_device(), [spec])
+
+
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+class TestMultiTenantPinned:
+    """Two tenants on one two-engine device, as literals: what every
+    tenant's log says and what the shared pool dispatched, in order.
+    GNMT's variable cost makes the pool draw from its generator and
+    split nothing; the 96-sample multistream tenant is chunked."""
+
+    def test_fingerprints_and_dispatch_trace(self, monkeypatch):
+        pools = []
+
+        class RecordedPool(multitenant._SharedEnginePool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(multitenant, "_SharedEnginePool", RecordedPool)
+        chunked = TenantSpec(
+            name="mobilenet",
+            workload=task_workload(Task.IMAGE_CLASSIFICATION_LIGHT),
+            settings=TestSettings(
+                scenario=Scenario.MULTI_STREAM,
+                task=Task.IMAGE_CLASSIFICATION_LIGHT,
+                multistream_samples_per_query=96, min_query_count=40,
+                min_duration=1.0, seed=5))
+        results = run_multitenant(make_device(max_batch=40, engines=2), [
+            tenant("gnmt", Task.MACHINE_TRANSLATION, 300.0, seed=9),
+            chunked,
+        ])
+        (pool,) = pools
+        trace = pool.dispatch_trace
+        assert {name: digest(run_fingerprint(result))
+                for name, result in results.items()} == {
+            "gnmt": "32400faac42db457",
+            "mobilenet": "88dc4768358334ac",
+        }
+        assert (len(trace), digest(trace)) == (670, "5f972c1e6d99ea0f")
+        assert [trace.count(kind) for kind in (
+            ("gnmt", 1), ("gnmt", 3), ("mobilenet", 40), ("mobilenet", 16),
+        )] == [412, 37, 80, 40]
 
 
 class TestMultiTenantSeedIsolation:

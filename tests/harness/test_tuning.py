@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.core import Scenario, Task, TestSettings
+from repro.core import Scenario, Task, TestSettings, run_benchmark
+from repro.core.query import QuerySampleResponse
+from repro.core.sut import SutBase
 from repro.harness.tuning import (
     FULL_SCALE,
     QUICK_SCALE,
     RunScale,
+    _is_stationary,
     find_max_multistream_n,
     find_max_server_qps,
     measure_offline,
@@ -136,3 +139,56 @@ class TestMultiStreamSearch:
             sut_factory(fast), EchoQSL(),
             Task.IMAGE_CLASSIFICATION_HEAVY, QUICK_SCALE, max_n=16)
         assert tuned.value == 16
+
+
+class SeesawSUT(SutBase):
+    """Even queries take ``slow`` seconds, odd ones ``fast``: at any
+    arrival rate above ``1 / slow`` completions overtake each other.
+    ``ramp`` adds that much latency per query issued - a growing queue."""
+
+    def __init__(self, slow=0.020, fast=0.001, ramp=0.0):
+        super().__init__("seesaw")
+        self.slow, self.fast, self.ramp = slow, fast, ramp
+
+    def issue_query(self, query):
+        delay = self.fast if query.id % 2 else self.slow
+        delay += self.ramp * query.id
+        responses = [QuerySampleResponse(s.id, None) for s in query.samples]
+        self.loop.schedule_after(
+            delay, lambda: self.complete(query, responses))
+
+
+class TestStationarity:
+    SETTINGS = TestSettings(
+        scenario=Scenario.SERVER, server_target_qps=2_000.0,
+        server_latency_bound=10.0, min_query_count=400, min_duration=0.0)
+
+    def test_completed_records_are_issue_ordered(self):
+        """``_is_stationary`` takes its first and last deciles by issue
+        order straight from the log."""
+        result = run_benchmark(SeesawSUT(), EchoQSL(), self.SETTINGS)
+        records = result.log.completed_records()
+        completions = [r.completion_time for r in records]
+        assert completions != sorted(completions)  # they did overtake
+        issues = [r.issue_time for r in records]
+        assert issues == sorted(issues)
+        assert [r.query.id for r in records] == sorted(
+            r.query.id for r in records)
+
+    @pytest.mark.parametrize("ramp, verdict", [(0.0, True), (1e-4, False)])
+    def test_verdict_compares_first_and_last_issue_deciles(
+            self, ramp, verdict):
+        result = run_benchmark(SeesawSUT(ramp=ramp), EchoQSL(), self.SETTINGS)
+        assert _is_stationary(result, bound=0.015) is verdict
+        # The rule, spelled out over an explicit sort by issue time.
+        records = sorted(result.log.completed_records(),
+                         key=lambda r: r.issue_time)
+        first = sum(r.latency for r in records[:40]) / 40
+        last = sum(r.latency for r in records[-40:]) / 40
+        assert (last <= 2.0 * first + 0.05 * 0.015) is verdict
+
+    def test_short_runs_are_taken_as_stationary(self):
+        result = run_benchmark(
+            SeesawSUT(ramp=1e-3), EchoQSL(),
+            self.SETTINGS.with_overrides(min_query_count=99))
+        assert _is_stationary(result, bound=0.015)

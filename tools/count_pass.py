@@ -10,32 +10,42 @@ loop callbacks only on the wall clock) and prints it per function:
     python tools/count_pass.py tcp_server
     python tools/count_pass.py stream_server --seed 3 --callers 'isinstance|len'
     python tools/count_pass.py tcp_server --root /root/scratch/parent
+    python tools/count_pass.py paper_sweep --against /root/scratch/parent
 
 ``--callers PATTERN`` (a regex over the names as printed) adds, for
 every matching function, who called it and how often per query.
 ``--root`` points at another checkout (a clone of the parent commit) so
-both sides of a change are counted by the same tool.  It imports
+both sides of a change are counted by the same tool; ``--against ROOT``
+counts both and prints the per-function difference (calls/query here,
+there, here minus there, largest saving first), with functions matched
+by qualified name because line numbers move.  It imports
 ``benchmarks/perf`` read-only and writes nothing.
 """
 
 import argparse
+import collections
 import cProfile
+import json
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
 
-def name_of(code) -> str:
-    """``module:line function`` for Python code, the bare name for C."""
+def name_of(code, line: bool = True) -> str:
+    """``module:line function`` for Python code, the bare name for C;
+    ``module qualified.name`` when the line is not wanted."""
     if isinstance(code, str):
-        return code
+        return code if line else re.sub(r" at 0x[0-9a-f]+", "", code)
     path = code.co_filename
     cut = path.rfind(os.sep + "repro" + os.sep)
     short = path[cut + 1:] if cut >= 0 else os.path.basename(path)
-    return f"{short}:{code.co_firstlineno} {code.co_name}"
+    if line:
+        return f"{short}:{code.co_firstlineno} {code.co_name}"
+    return f"{short} {code.co_qualname}"
 
 
 def counted_profile(workload, spans):
@@ -53,6 +63,39 @@ def counted_profile(workload, spans):
     return profile, queries
 
 
+def calls_by_name(stats) -> dict:
+    """Call counts keyed by line-free name (same-named lambdas add up)."""
+    calls = collections.Counter()
+    for entry in stats:
+        calls[name_of(entry.code, line=False)] += entry.callcount
+    return calls
+
+
+def counted_elsewhere(args) -> tuple:
+    """The same count in a child process over ``--against``'s checkout:
+    two checkouts' ``repro`` cannot share one interpreter."""
+    child = subprocess.run(
+        [sys.executable, __file__, args.workload, "--seed", str(args.seed),
+         "--root", str(args.against), "--dump"],
+        check=True, capture_output=True, text=True)
+    dumped = json.loads(child.stdout)
+    return dumped["calls"], dumped["queries"]
+
+
+def print_delta(args, here: dict, queries: int) -> None:
+    there, their_queries = counted_elsewhere(args)
+    print(f"against {args.against.resolve()} ({their_queries} queries), "
+          "calls/query here, there, difference:")
+    rows = [(here.get(name, 0) / queries, there.get(name, 0) / their_queries,
+             name) for name in set(here) | set(there)]
+    changed = sorted((row for row in rows if row[0] != row[1]),
+                     key=lambda row: (row[0] - row[1], row[2]))
+    ours, theirs = (sum(row[side] for row in rows) for side in (0, 1))
+    for row in changed[:args.top] + [(ours, theirs, "total")]:
+        print(f"  {row[0]:8.2f} {row[1]:8.2f} {row[0] - row[1]:+8.2f}  "
+              f"{row[2]}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload")
@@ -62,6 +105,11 @@ def main(argv=None) -> int:
     parser.add_argument("--top", type=int, default=40)
     parser.add_argument("--root", type=Path, default=REPO,
                         help="checkout to count (default: this one)")
+    parser.add_argument("--against", type=Path, metavar="ROOT",
+                        help="also count this checkout and print the "
+                             "per-function difference")
+    parser.add_argument("--dump", action="store_true",
+                        help=argparse.SUPPRESS)  # --against's child
     args = parser.parse_args(argv)
 
     sys.dont_write_bytecode = True
@@ -82,6 +130,10 @@ def main(argv=None) -> int:
         workload.close()
 
     stats = profile.getstats()
+    if args.dump:
+        json.dump({"queries": queries, "calls": calls_by_name(stats)},
+                  sys.stdout)
+        return 0
     total = sum(entry.callcount for entry in stats)
     print(f"{args.workload} seed {args.seed}: {total / queries:.2f} "
           f"calls/query over {queries} queries ({root})")
@@ -95,6 +147,8 @@ def main(argv=None) -> int:
                  if pattern.search(name_of(sub.code))]
         for count, callee, caller in sorted(edges, reverse=True):
             print(f"  {count / queries:8.2f}  {callee}  <-  {caller}")
+    if args.against:
+        print_delta(args, calls_by_name(stats), queries)
     return 0
 
 
