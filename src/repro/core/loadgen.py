@@ -293,7 +293,7 @@ class LoadGen:
             np.random.SeedSequence(self.settings.seed).spawn(2)[1]
         )
         picks = rng.choice(total, size=budget, replace=False)
-        return sorted(int(p) for p in picks)
+        return sorted(picks.tolist())
 
     def _make_source(self, loaded: Sequence[int]) -> SampleSource:
         if self.settings.mode is TestMode.ACCURACY:

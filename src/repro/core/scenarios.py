@@ -280,10 +280,6 @@ class ScenarioDriver:
     # -- helpers ---------------------------------------------------------------
 
     @property
-    def samples_per_query(self) -> int:
-        return 1
-
-    @property
     def issue_phase_open(self) -> bool:
         """True while the driver may still issue queries (the LoadGen's
         realtime janitor and watchdog use this to tell a drained run
@@ -468,51 +464,51 @@ class ServerDriver(ScenarioDriver):
 
 
 class MultiStreamDriver(ScenarioDriver):
-    """Fixed arrival interval; busy SUT skips (and delays) intervals."""
+    """Fixed arrival interval; busy SUT skips (and delays) intervals.
+
+    Each tick is scheduled one interval after the last one was *due*,
+    so under measured time the cadence does not drift by however late
+    the loop ran a tick.
+    """
 
     scenario = Scenario.MULTI_STREAM
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._interval = self.settings.resolved_multistream_interval
-        self._tick_index = 0
+        self._samples_per_query = self.settings.multistream_samples_per_query
+        #: When the pending tick is due; one is pending at a time, so
+        #: ``_tick`` goes on the loop as it is, at ``_due + _interval``.
+        self._due = 0.0
         self._current_query: Optional[Query] = None
 
-    @property
-    def samples_per_query(self) -> int:
-        return self.settings.multistream_samples_per_query
-
     def start(self) -> None:
-        self.stats.start_time = self.loop.now
-        self._schedule_tick()
-
-    def _schedule_tick(self) -> None:
-        self._tick_index += 1
-        self.loop.schedule_after(self._interval, self._tick)
+        now = self.stats.start_time = self.loop.now
+        self._due = due = now + self._interval
+        self.loop.schedule(due, self._tick)
 
     def _tick(self) -> None:
-        if self._current_query is not None:
+        current = self._current_query
+        if current is not None:
             # SUT still busy: this interval is skipped; the in-flight
             # query is charged with producing it.
-            qid = self._current_query.id
-            self.stats.skipped_intervals[qid] = (
-                self.stats.skipped_intervals.get(qid, 0) + 1
-            )
+            skipped = self.stats.skipped_intervals
+            skipped[current.id] = skipped.get(current.id, 0) + 1
             self.stats.total_skipped_ticks += 1
-            self._schedule_tick()
-            return
-        indices = self.source.next(self.samples_per_query)
-        if indices is None:
-            self._close_issue_phase()
-            return
-        loop = self.loop
-        self._current_query = query = self._issue(
-            indices, scheduled_time=loop.now)
-        now = loop.now if loop.realtime else query.issue_time
-        if self._should_issue_more(now):
-            self._schedule_tick()
         else:
-            self._close_issue_phase()
+            indices = self.source.next(self._samples_per_query)
+            if indices is None:
+                self._close_issue_phase()
+                return
+            loop = self.loop
+            self._current_query = query = self._issue(
+                indices, scheduled_time=self._due)
+            now = loop.now if loop.realtime else query.issue_time
+            if not self._should_issue_more(now):
+                self._close_issue_phase()
+                return
+        self._due = due = self._due + self._interval
+        self.loop.schedule(due, self._tick)
 
     def on_completion(self, query: Query, now: float) -> None:
         if self._current_query is not None and query.id == self._current_query.id:

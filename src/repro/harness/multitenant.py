@@ -29,7 +29,7 @@ from ..core.sampler import SampleSelector
 from ..core.scenarios import PerformanceSource, make_driver
 from ..core.sut import SutBase
 from ..sut.device import DeviceModel
-from ..sut.simulated import WorkloadProfile
+from ..sut.simulated import WorkloadProfile, chunk_costs
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,9 @@ class TenantSpec:
     settings: TestSettings
 
 
-@dataclass
-class _TenantChunk:
-    tenant: "_TenantFacade"
-    query: Query
-    sample_count: int
-    max_multiplier: float
-    arrival: float
+#: One dispatchable slice of a tenant's query, as the pool queues it:
+#: (tenant, query, samples, worst cost multiplier).
+_TenantChunk = Tuple["_TenantFacade", Query, int, float]
 
 
 class _SharedEnginePool:
@@ -69,23 +65,11 @@ class _SharedEnginePool:
         self.dispatch_trace: List[Tuple[str, int]] = []
 
     def submit(self, tenant: "_TenantFacade", query: Query) -> None:
-        workload = tenant.workload
-        if workload.variability > 0.0:
-            sigma = workload.variability
-            draws = self._rng.lognormal(0.0, sigma, query.sample_count)
-            multipliers = np.sort(draws / np.exp(sigma * sigma / 2.0))
-        else:
-            multipliers = np.ones(query.sample_count)
-        max_batch = self.device.max_batch
-        chunks = 0
-        for start in range(0, query.sample_count, max_batch):
-            part = multipliers[start:start + max_batch]
-            self._queue.append(_TenantChunk(
-                tenant=tenant, query=query, sample_count=len(part),
-                max_multiplier=float(part[-1]), arrival=self.loop.now,
-            ))
-            chunks += 1
-        tenant.pending_chunks[query.id] = chunks
+        chunks = chunk_costs(len(query.samples), self.device.max_batch,
+                             tenant.workload.variability, self._rng)
+        for samples, worst in chunks:
+            self._queue.append((tenant, query, samples, worst))
+        tenant.pending_chunks[query.id] = len(chunks)
         self._try_dispatch()
 
     def _try_dispatch(self) -> None:
@@ -94,33 +78,31 @@ class _SharedEnginePool:
 
     def _dispatch(self) -> None:
         head = self._queue.pop(0)
+        tenant, _, samples, worst = head
         batch = [head]
-        capacity = self.device.max_batch - head.sample_count
+        capacity = self.device.max_batch - samples
         remaining: List[_TenantChunk] = []
         for chunk in self._queue:
-            if (chunk.tenant is head.tenant
-                    and chunk.sample_count <= capacity):
+            if chunk[0] is tenant and chunk[2] <= capacity:
                 batch.append(chunk)
-                capacity -= chunk.sample_count
+                capacity -= chunk[2]
+                samples += chunk[2]
+                worst = max(worst, chunk[3])
             else:
                 remaining.append(chunk)
         self._queue = remaining
 
-        samples = sum(c.sample_count for c in batch)
-        worst = max(c.max_multiplier for c in batch)
-        workload = head.tenant.workload
-        duration = self.device.service_time(
+        workload = tenant.workload
+        duration, _ = self.device.dispatch_cost(
             workload.gops_per_sample * worst, samples, workload.motif)
         self._idle_engines -= 1
-        self.dispatch_trace.append((head.tenant.name, samples))
+        self.dispatch_trace.append((tenant.name, samples))
         self.loop.schedule_after(
             duration, lambda batch=batch: self._finish(batch))
 
     def _finish(self, batch: List[_TenantChunk]) -> None:
         self._idle_engines += 1
-        for chunk in batch:
-            tenant = chunk.tenant
-            query = chunk.query
+        for tenant, query, _, _ in batch:
             tenant.pending_chunks[query.id] -= 1
             if tenant.pending_chunks[query.id] == 0:
                 del tenant.pending_chunks[query.id]

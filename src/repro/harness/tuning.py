@@ -97,13 +97,13 @@ def _is_stationary(result: LoadGenResult, bound: float) -> bool:
     in steady state they agree, under overload the last decile is far
     larger.
     """
-    records = result.log.completed_records()
+    records = result.log.completed_records()  # in issue order
     if len(records) < 100:
         return True
-    records = sorted(records, key=lambda r: r.issue_time)
-    decile = max(len(records) // 10, 1)
-    first = sum(r.latency for r in records[:decile]) / decile
-    last = sum(r.latency for r in records[-decile:]) / decile
+    decile = len(records) // 10
+    first, last = (
+        sum([r.completion_time - r.issue_time for r in part]) / decile
+        for part in (records[:decile], records[-decile:]))
     return last <= 2.0 * first + 0.05 * bound
 
 

@@ -21,8 +21,9 @@ direct architectural meaning:
   utilize hardware far better than depthwise/pointwise mixtures.  The
   per-(device, motif) efficiency table expresses exactly that.
 
-``service_time`` composes these into the latency of one batched
-dispatch; everything downstream (scenario behaviour, Figs 6 and 8) is
+``dispatch_cost`` composes these into the latency and energy of one
+batched dispatch (``service_time`` and ``dispatch_energy`` are its two
+halves); everything downstream (scenario behaviour, Figs 6 and 8) is
 emergent.
 """
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 
 class ProcessorType(enum.Enum):
@@ -123,9 +124,11 @@ class DeviceModel:
     def motif_efficiency(self, motif: ComputeMotif) -> float:
         return self.structure_efficiency.get(motif, 1.0)
 
-    def service_time(self, gops_per_sample: float, batch: int,
-                     motif: ComputeMotif = ComputeMotif.DENSE_CNN) -> float:
-        """Seconds to process one dispatch of ``batch`` samples."""
+    def dispatch_cost(self, gops_per_sample: float, batch: int,
+                      motif: ComputeMotif = ComputeMotif.DENSE_CNN
+                      ) -> Tuple[float, float]:
+        """(seconds, Joules) of one dispatch of ``batch`` samples: the
+        one body of the cost formula, utilization read once."""
         if gops_per_sample <= 0:
             raise ValueError(
                 f"gops_per_sample must be positive, got {gops_per_sample}"
@@ -133,12 +136,20 @@ class DeviceModel:
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
         work = batch * gops_per_sample
+        utilization = self.utilization(work)
         effective = (
-            self.peak_gops
-            * self.utilization(work)
-            * self.motif_efficiency(motif)
+            self.peak_gops * utilization * self.motif_efficiency(motif)
         )
-        return self.overhead + work / effective
+        duration = self.overhead + work / effective
+        return duration, duration * (
+            self.idle_watts
+            + (self.peak_watts - self.idle_watts) * utilization
+        )
+
+    def service_time(self, gops_per_sample: float, batch: int,
+                     motif: ComputeMotif = ComputeMotif.DENSE_CNN) -> float:
+        """Seconds to process one dispatch of ``batch`` samples."""
+        return self.dispatch_cost(gops_per_sample, batch, motif)[0]
 
     def throughput_at_batch(self, gops_per_sample: float, batch: int,
                             motif: ComputeMotif = ComputeMotif.DENSE_CNN
@@ -184,8 +195,7 @@ class DeviceModel:
                         motif: ComputeMotif = ComputeMotif.DENSE_CNN
                         ) -> float:
         """Joules consumed by one dispatch (active power x duration)."""
-        duration = self.service_time(gops_per_sample, batch, motif)
-        return duration * self.power_at(batch * gops_per_sample)
+        return self.dispatch_cost(gops_per_sample, batch, motif)[1]
 
     def energy_per_sample(self, gops_per_sample: float, batch: int,
                           motif: ComputeMotif = ComputeMotif.DENSE_CNN

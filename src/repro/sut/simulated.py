@@ -33,7 +33,7 @@ benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,18 +59,46 @@ class WorkloadProfile:
             raise ValueError("variability must be >= 0")
 
 
-@dataclass
-class _Chunk:
-    """A dispatchable slice of one query."""
+def chunk_costs(count: int, max_batch: int, variability: float,
+                rng: np.random.Generator) -> List[Tuple[int, float]]:
+    """(samples, worst cost multiplier) of each dispatchable slice of a
+    ``count``-sample query, at most ``max_batch`` samples a slice.
 
-    query: Query
-    sample_count: int
-    max_multiplier: float
-    arrival: float
+    A fixed-cost workload (``variability == 0``) never touches ``rng``.
+    Otherwise one lognormal draw per query, normalized so the *mean*
+    cost equals ``gops_per_sample`` and sorted: reordering within a
+    query is explicitly allowed, and sorted samples make the slices
+    homogeneous (minimal padding waste).
+    """
+    if variability == 0.0 and count <= max_batch:
+        return [(count, 1.0)]  # the common query: nothing to split or draw
+    sizes = [max_batch] * (count // max_batch)
+    if count % max_batch:
+        sizes.append(count % max_batch)
+    if variability == 0.0:
+        return [(size, 1.0) for size in sizes]
+    draws = rng.lognormal(mean=0.0, sigma=variability, size=count)
+    draws /= np.exp(variability * variability / 2.0)
+    draws.sort()
+    # Each slice pays its last (largest) sample's multiplier.
+    worst = draws[max_batch - 1::max_batch].tolist()
+    if len(worst) < len(sizes):
+        worst.append(float(draws[-1]))
+    return list(zip(sizes, worst))
+
+
+#: A dispatchable slice of one query, as queued: (query, samples, worst
+#: cost multiplier, arrival time).
+_QueuedChunk = Tuple[Query, int, float, float]
 
 
 class SimulatedSUT(SutBase):
-    """A device model serving queries on the event loop."""
+    """A device model serving queries on the event loop.
+
+    The queue holds plain tuples in arrival order and is only ever
+    consumed from its head, so its first entry is the oldest;
+    ``_queued`` is its running sample total.
+    """
 
     def __init__(
         self,
@@ -84,6 +112,9 @@ class SimulatedSUT(SutBase):
         super().__init__(name or device.name)
         if batch_window < 0:
             raise ValueError(f"batch_window must be >= 0, got {batch_window}")
+        if preferred_batch is not None and preferred_batch < 1:
+            raise ValueError(
+                f"preferred_batch must be >= 1, got {preferred_batch}")
         self.device = device
         self.workload = workload
         self.batch_window = batch_window
@@ -94,7 +125,8 @@ class SimulatedSUT(SutBase):
         )
         self._seed = seed
         self._rng = np.random.default_rng(seed)
-        self._queue: List[_Chunk] = []
+        self._queue: List[_QueuedChunk] = []
+        self._queued = 0
         self._pending_chunks: Dict[int, int] = {}
         self._idle_engines = device.engines
         self._window_event: Optional[EventHandle] = None
@@ -107,6 +139,7 @@ class SimulatedSUT(SutBase):
         super().start_run(loop, responder)
         self._rng = np.random.default_rng(self._seed)
         self._queue = []
+        self._queued = 0
         self._pending_chunks = {}
         self._idle_engines = self.device.engines
         self._window_event = None
@@ -115,32 +148,16 @@ class SimulatedSUT(SutBase):
 
     # -- query intake -----------------------------------------------------------
 
-    def _sample_multipliers(self, count: int) -> np.ndarray:
-        if self.workload.variability == 0.0:
-            return np.ones(count)
-        sigma = self.workload.variability
-        draws = self._rng.lognormal(mean=0.0, sigma=sigma, size=count)
-        # Normalize so the *mean* cost equals gops_per_sample.
-        return draws / np.exp(sigma * sigma / 2.0)
-
     def issue_query(self, query: Query) -> None:
-        multipliers = self._sample_multipliers(query.sample_count)
-        # Reordering within a query is explicitly allowed: sort samples
-        # by cost so chunks are homogeneous (minimal padding waste).
-        multipliers = np.sort(multipliers)
-        max_batch = self.device.max_batch
-        chunks = 0
-        now = self.loop.now
-        for start in range(0, query.sample_count, max_batch):
-            part = multipliers[start:start + max_batch]
-            self._queue.append(_Chunk(
-                query=query,
-                sample_count=len(part),
-                max_multiplier=float(part[-1]),
-                arrival=now,
-            ))
-            chunks += 1
-        self._pending_chunks[query.id] = chunks
+        count = len(query.samples)
+        now = self._loop.now
+        chunks = chunk_costs(count, self.device.max_batch,
+                             self.workload.variability, self._rng)
+        queue = self._queue
+        for samples, worst in chunks:
+            queue.append((query, samples, worst, now))
+        self._queued += count
+        self._pending_chunks[query.id] = len(chunks)
         self._try_dispatch()
 
     def flush(self) -> None:
@@ -151,23 +168,17 @@ class SimulatedSUT(SutBase):
 
     # -- batching ---------------------------------------------------------------
 
-    def _queued_samples(self) -> int:
-        return sum(c.sample_count for c in self._queue)
-
-    def _oldest_arrival(self) -> float:
-        return min(c.arrival for c in self._queue)
-
     def _try_dispatch(self) -> None:
-        while self._queue and self._idle_engines > 0:
-            if (
-                self.batch_window > 0.0
-                and self._queued_samples() < self.preferred_batch
-            ):
-                deadline = self._oldest_arrival() + self.batch_window
-                if self.loop.now < deadline:
+        queue, window = self._queue, self.batch_window
+        while queue and self._idle_engines > 0:
+            if window > 0.0 and self._queued < self.preferred_batch:
+                # FIFO, and the clock is monotone: the head is the oldest.
+                deadline = queue[0][3] + window
+                if self._loop.now < deadline:
                     self._arm_window(deadline)
                     return
-            self._cancel_window()
+            if self._window_event is not None:
+                self._cancel_window()
             self._dispatch_now()
 
     def _arm_window(self, deadline: float) -> None:
@@ -175,7 +186,7 @@ class SimulatedSUT(SutBase):
             if self._window_event.time <= deadline:
                 return
             self._window_event.cancel()
-        self._window_event = self.loop.schedule(deadline, self._window_fired)
+        self._window_event = self._loop.schedule(deadline, self._window_fired)
 
     def _cancel_window(self) -> None:
         if self._window_event is not None:
@@ -188,8 +199,9 @@ class SimulatedSUT(SutBase):
             self._dispatch_now()
             self._try_dispatch()
 
-    def _assemble_batch(self) -> List[_Chunk]:
-        """FIFO batch assembly up to ``max_batch`` samples.
+    def _dispatch_now(self) -> None:
+        """Serve the head of the queue: FIFO batch assembly up to
+        ``max_batch`` samples, one walk that also totals the batch.
 
         Arrival-order service: a live server cannot bucket by cost
         without delaying someone past the QoS bound, so mixed-cost
@@ -199,52 +211,43 @@ class SimulatedSUT(SutBase):
         homogeneous - the asymmetry behind the paper's 39-55% NMT
         server-throughput loss (Section VI-B).
         """
-        batch: List[_Chunk] = [self._queue[0]]
-        capacity = self.device.max_batch - self._queue[0].sample_count
-        taken = 1
-        for chunk in self._queue[1:]:
-            if chunk.sample_count > capacity:
+        queue, device, workload = self._queue, self.device, self.workload
+        capacity, samples, worst, taken = device.max_batch, 0, 0.0, 0
+        for chunk in queue:
+            if chunk[1] > capacity:  # never the head: a chunk fits a batch
                 break
-            batch.append(chunk)
-            capacity -= chunk.sample_count
+            capacity -= chunk[1]
+            samples += chunk[1]
+            if chunk[2] > worst:
+                worst = chunk[2]
             taken += 1
-        del self._queue[:taken]
-        return batch
-
-    def _dispatch_now(self) -> None:
-        if not self._queue:
-            return
-        batch = self._assemble_batch()
-        samples = sum(c.sample_count for c in batch)
-        worst = max(c.max_multiplier for c in batch)
+        batch = queue[:taken]
+        del queue[:taken]
+        self._queued -= samples
         self._idle_engines -= 1
         self.dispatch_batches.append(samples)
-        duration = self.device.service_time(
-            self.workload.gops_per_sample * worst,
-            samples,
-            self.workload.motif,
-        )
+        duration, joules = device.dispatch_cost(
+            workload.gops_per_sample * worst, samples, workload.motif)
+        self.energy_joules += joules
+        loop = self._loop
         # DVFS/thermal state: a cold device runs faster than equilibrium
         # (Section III-D's motivation for the 60 s minimum duration).
-        duration /= self.device.speed_multiplier(self.loop.now)
-        self.energy_joules += self.device.dispatch_energy(
-            self.workload.gops_per_sample * worst, samples,
-            self.workload.motif,
-        )
-        self.loop.schedule_after(
-            duration, lambda batch=batch: self._finish(batch)
-        )
+        loop.schedule_after(
+            duration / device.speed_multiplier(loop.now),
+            lambda: self._finish(batch))
 
-    def _finish(self, batch: List[_Chunk]) -> None:
+    def _finish(self, batch: List[_QueuedChunk]) -> None:
         self._idle_engines += 1
-        for chunk in batch:
-            query = chunk.query
-            self._pending_chunks[query.id] -= 1
-            if self._pending_chunks[query.id] == 0:
-                del self._pending_chunks[query.id]
-                responses = [
+        pending = self._pending_chunks
+        for query, _, _, _ in batch:
+            left = pending[query.id] - 1
+            if left:
+                pending[query.id] = left
+            else:
+                del pending[query.id]
+                self.complete(query, [
                     QuerySampleResponse(sample.id, None)
                     for sample in query.samples
-                ]
-                self.complete(query, responses)
-        self._try_dispatch()
+                ])
+        if self._queue:
+            self._try_dispatch()

@@ -254,3 +254,36 @@ class TestCompletionDecidesOnAFreshReading:
             query, [QuerySampleResponse(s.id, None) for s in query.samples])
         assert log.record_for(query.id).completion_time == stamped
         assert len(sut.queries) == issued  # nothing more was issued
+
+
+class TestMultiStreamKeepsItsCadence:
+    """The arrival interval is fixed (Table III): under measured time
+    the next tick is due one interval after the last one was *due*, not
+    after whenever the loop got round to it, and a query's scheduled
+    time is the tick's due time."""
+
+    def test_ticks_are_due_on_multiples_of_the_interval(self):
+        from repro.core.logging import QueryLog
+        from repro.core.sampler import SampleSelector
+        from repro.core.scenarios import PerformanceSource, make_driver
+
+        settings = TestSettings(
+            scenario=Scenario.MULTI_STREAM, multistream_interval=10.0,
+            multistream_samples_per_query=3, min_query_count=5,
+            min_duration=0.0)
+        loop = EventLoop(SteppingClock())
+        sut, log = HeldSUT(), QueryLog()
+        driver = make_driver(
+            loop, settings, sut,
+            PerformanceSource(SampleSelector(range(8), seed=1)), log)
+        driver.start()
+        assert driver.stats.start_time == 1.0
+        assert loop.next_event_time() == 11.0
+        driver._tick()  # by hand: this clock would make run() sleep
+        (query,) = sut.queries
+        assert query.sample_count == 3
+        assert log.record_for(query.id).scheduled_time == 11.0
+        driver._tick()  # the held query is still in flight: a skip
+        assert driver.stats.total_skipped_ticks == 1
+        assert sorted(event.time for event in loop._heap) == [
+            11.0, 21.0, 31.0]

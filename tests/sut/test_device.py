@@ -92,6 +92,43 @@ class TestServiceTime:
             d.service_time(1.0, 0)
 
 
+class TestDispatchCost:
+    """``dispatch_cost`` is the one body of the cost formula;
+    ``service_time`` and ``dispatch_energy`` are its two halves."""
+
+    @given(gops=st.floats(1e-6, 1e6), batch=st.integers(1, 4096),
+           motif=st.sampled_from(list(ComputeMotif)),
+           base=st.floats(0.05, 1.0), saturation=st.floats(0.5, 500.0),
+           overhead=st.floats(0.0, 5e-3), idle=st.floats(0.0, 40.0),
+           swing=st.floats(0.0, 300.0))
+    def test_equals_its_two_fronts_bit_for_bit(
+            self, gops, batch, motif, base, saturation, overhead, idle,
+            swing):
+        d = device(base_utilization=base, saturation_gops=saturation,
+                   overhead=overhead, idle_watts=idle,
+                   peak_watts=idle + swing,
+                   structure_efficiency={ComputeMotif.RNN: 0.37})
+        assert d.dispatch_cost(gops, batch, motif) == (
+            d.service_time(gops, batch, motif),
+            d.dispatch_energy(gops, batch, motif))
+
+    def test_energy_is_duration_times_power(self):
+        d = device(idle_watts=3.0, peak_watts=40.0)
+        seconds, joules = d.dispatch_cost(2.5, 6)
+        assert joules == seconds * d.power_at(6 * 2.5)
+
+    @pytest.mark.parametrize("gops, batch", [(0.0, 1), (-2.0, 3), (1.0, 0),
+                                             (1.0, -1)])
+    def test_raises_what_its_fronts_raise(self, gops, batch):
+        d = device()
+        messages = []
+        for method in (d.dispatch_cost, d.service_time, d.dispatch_energy):
+            with pytest.raises(ValueError) as raised:
+                method(gops, batch)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1] == messages[2]
+
+
 class TestThroughput:
     def test_best_offline_picks_a_good_batch(self):
         d = device(base_utilization=0.05, saturation_gops=100.0)

@@ -6,7 +6,7 @@ import pytest
 from repro.core.events import EventLoop
 from repro.core.sampler import QueryFactory
 from repro.sut.device import ComputeMotif, DeviceModel, ProcessorType
-from repro.sut.simulated import SimulatedSUT, WorkloadProfile
+from repro.sut.simulated import SimulatedSUT, WorkloadProfile, chunk_costs
 
 
 def make_device(**kwargs):
@@ -152,6 +152,33 @@ class TestBatchWindow:
             SimulatedSUT(make_device(), WorkloadProfile(1.0),
                          batch_window=-1.0)
 
+    @pytest.mark.parametrize("preferred", [0, -5])
+    def test_preferred_batch_below_one_rejected(self, preferred):
+        """It used to be stored as it came: ``queued < -5`` is never
+        true, so the window silently never held anything back."""
+        with pytest.raises(ValueError, match="preferred_batch"):
+            SimulatedSUT(make_device(), WorkloadProfile(1.0),
+                         batch_window=0.010, preferred_batch=preferred)
+
+    def test_preferred_batch_is_capped_at_max_batch(self):
+        sut = SimulatedSUT(make_device(max_batch=8), WorkloadProfile(1.0),
+                           batch_window=0.010, preferred_batch=100)
+        assert sut.preferred_batch == 8
+
+    def test_window_is_measured_from_the_oldest_queued_chunk(self):
+        """Later arrivals join the held batch; they do not restart it."""
+        device = make_device(max_batch=8)
+        sut = SimulatedSUT(device, WorkloadProfile(1.0),
+                           batch_window=0.010, preferred_batch=8)
+        h = Harness(sut)
+        for at in (0.0, 0.004, 0.008):
+            h.issue(1, at=at)
+        h.loop.run()
+        assert sut.dispatch_batches == [3]
+        done = 0.010 + device.service_time(1.0, 3)
+        assert [when for when, _, _ in h.completions] == [
+            pytest.approx(done)] * 3
+
 
 class TestVariability:
     def test_zero_variability_is_deterministic(self):
@@ -194,6 +221,25 @@ class TestVariability:
         draws = rng.lognormal(0.0, 1.0, 64) / np.exp(0.5)
         worst = 8 * device.service_time(1.0 * draws.max(), 8)
         assert done < 0.8 * worst
+
+    @pytest.mark.parametrize("variability", [0.0, 0.6])
+    @pytest.mark.parametrize("count, max_batch", [
+        (1, 8), (8, 8), (9, 8), (16, 8), (30, 8), (5, 1), (1, 1)])
+    def test_chunk_costs_equal_sorted_slices(self, count, max_batch,
+                                             variability):
+        """Each chunk is a ``max_batch`` slice of the query's sorted
+        multipliers and pays the slice's largest."""
+        chunks = chunk_costs(count, max_batch, variability,
+                             np.random.default_rng(11))
+        if variability:
+            draws = np.random.default_rng(11).lognormal(
+                mean=0.0, sigma=variability, size=count)
+            multipliers = np.sort(draws / np.exp(variability ** 2 / 2.0))
+        else:
+            multipliers = np.ones(count)
+        slices = [multipliers[start:start + max_batch]
+                  for start in range(0, count, max_batch)]
+        assert chunks == [(len(part), float(part[-1])) for part in slices]
 
     def test_invalid_profile_rejected(self):
         with pytest.raises(ValueError):
