@@ -253,7 +253,11 @@ class TestDeadline:
         sut._arm(state, TIMEOUT)
         sut.loop.run()
         assert sut.hooks == [("expired", 1, TIMEOUT)]
-        assert state.timer is None
+        # Nothing is left armed: more time brings no second expiry.
+        assert sut.loop.pending() == 0
+        sut.loop.run(until=10 * TIMEOUT)
+        assert sut.hooks == [("expired", 1, TIMEOUT)]
+        assert sut._live(state)  # expiry leaves resolving to the hook
 
     def test_clean_chunk_rearms(self):
         sut = Recorder()
@@ -289,13 +293,24 @@ class TestDeadline:
         query = make_query()
         state = sut.admit(query)
         sut._arm(state, TIMEOUT)
-        del sut._inflight[query.id]  # gone, but its timer still ticks
+        del sut._inflight[query.id]  # gone, whatever was armed for it
         sut.loop.run()
-        assert sut.hooks == []
-        # ...and it does not speak for a later admission under the id.
-        sut.admit(query)
-        sut._fire(state)
-        assert sut.hooks == []
+        assert sut.hooks == [] and sut.loop.pending() == 0
+
+    def test_a_dead_deadline_does_not_speak_for_a_readmission(self):
+        sut = Recorder()
+        query = make_query()
+        sut._arm(sut.admit(query), TIMEOUT)
+        del sut._inflight[query.id]
+        # Admitted again under the same id before that instant, with a
+        # longer window: only its own deadline may expire it.
+        later = sut.admit(query)
+        sut._arm(later, 3 * TIMEOUT)
+        sut.loop.run(until=2 * TIMEOUT)
+        assert sut.hooks == [] and sut._live(later)
+        sut.loop.run()
+        assert sut.hooks == [("expired", 1, 3 * TIMEOUT)]
+        assert sut.loop.pending() == 0
 
 
 class FlawedThenClean(SutBase):

@@ -11,6 +11,7 @@ loop callbacks only on the wall clock) and prints it per function:
     python tools/count_pass.py stream_server --seed 3 --callers 'isinstance|len'
     python tools/count_pass.py tcp_server --root /root/scratch/parent
     python tools/count_pass.py paper_sweep --against /root/scratch/parent
+    python tools/count_pass.py tcp_server --seeds 0,7 --against /root/scratch/parent
 
 ``--callers PATTERN`` (a regex over the names as printed) adds, for
 every matching function, who called it and how often per query.
@@ -18,7 +19,11 @@ every matching function, who called it and how often per query.
 both sides of a change are counted by the same tool; ``--against ROOT``
 counts both and prints the per-function difference (calls/query here,
 there, here minus there, largest saving first), with functions matched
-by qualified name because line numbers move.  It imports
+by qualified name because line numbers move.  ``--seeds A,B,...`` counts
+once per seed (each in a child process) and prints one total per seed;
+with ``--against`` it prints both totals and their difference per seed
+and exits non-zero when the difference changes sign between seeds - a
+saving that holds at one seed only is not a saving.  It imports
 ``benchmarks/perf`` read-only and writes nothing.
 """
 
@@ -71,19 +76,47 @@ def calls_by_name(stats) -> dict:
     return calls
 
 
-def counted_elsewhere(args) -> tuple:
-    """The same count in a child process over ``--against``'s checkout:
-    two checkouts' ``repro`` cannot share one interpreter."""
+def counted_in_child(workload: str, seed: int, root: Path) -> tuple:
+    """The count in a child process over ``root``'s checkout: two
+    checkouts' ``repro`` cannot share one interpreter, and a workload is
+    built for one seed."""
     child = subprocess.run(
-        [sys.executable, __file__, args.workload, "--seed", str(args.seed),
-         "--root", str(args.against), "--dump"],
+        [sys.executable, __file__, workload, "--seed", str(seed),
+         "--root", str(root), "--dump"],
         check=True, capture_output=True, text=True)
     dumped = json.loads(child.stdout)
     return dumped["calls"], dumped["queries"]
 
 
+def per_query(counted: tuple) -> float:
+    calls, queries = counted
+    return sum(calls.values()) / queries
+
+
+def count_each_seed(args) -> int:
+    """``--seeds``: one total per seed; with ``--against``, both totals
+    and their difference, failing when its sign differs between seeds."""
+    signs = set()
+    for seed in args.seeds:
+        here = per_query(counted_in_child(args.workload, seed, args.root))
+        line = f"{args.workload} seed {seed}: {here:.2f} calls/query"
+        if args.against:
+            there = per_query(
+                counted_in_child(args.workload, seed, args.against))
+            delta = round(here - there, 2)
+            signs.add((delta > 0) - (delta < 0))
+            line += f", against {there:.2f}, difference {delta:+.2f}"
+        print(line)
+    if len(signs) > 1:
+        print(f"the difference against {args.against.resolve()} changes "
+              "sign between seeds", file=sys.stderr)
+        return 1
+    return 0
+
+
 def print_delta(args, here: dict, queries: int) -> None:
-    there, their_queries = counted_elsewhere(args)
+    there, their_queries = counted_in_child(
+        args.workload, args.seed, args.against)
     print(f"against {args.against.resolve()} ({their_queries} queries), "
           "calls/query here, there, difference:")
     rows = [(here.get(name, 0) / queries, there.get(name, 0) / their_queries,
@@ -100,6 +133,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seeds", metavar="A,B,...",
+                        type=lambda text: [int(s) for s in text.split(",")],
+                        help="count once per seed and print the totals")
     parser.add_argument("--callers", metavar="PATTERN",
                         help="also print the callers of matching functions")
     parser.add_argument("--top", type=int, default=40)
@@ -111,6 +147,8 @@ def main(argv=None) -> int:
     parser.add_argument("--dump", action="store_true",
                         help=argparse.SUPPRESS)  # --against's child
     args = parser.parse_args(argv)
+    if args.seeds:
+        return count_each_seed(args)
 
     sys.dont_write_bytecode = True
     root = args.root.resolve()
