@@ -155,7 +155,7 @@ class EventLoop:
     def schedule(self, when: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute time ``when`` (seconds)."""
         now = self.clock.now() if self.realtime else self.clock._now  # self.now
-        if when < now:
+        if not when >= now:  # the past, or NaN (which would corrupt the heap)
             if not self.realtime:
                 raise ValueError(
                     f"cannot schedule event in the past: now={now}, when={when}")
@@ -181,7 +181,7 @@ class EventLoop:
 
     def schedule_after(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # negative or NaN
             raise ValueError(f"delay must be non-negative, got {delay}")
         clock = self.clock  # self.now, read in place as schedule reads it
         return self.schedule(

@@ -26,6 +26,7 @@ the ``breaker_*`` metric families; see ``docs/durability.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 from ..core.events import EventHandle, EventLoop
@@ -95,10 +96,10 @@ class SelfHealingSUT(AttemptSUT):
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(name or f"healing[{primary.name}]")
-        if attempt_timeout <= 0:
+        if not 0 < attempt_timeout < inf:  # NaN included
             raise ValueError(
                 f"attempt_timeout must be positive, got {attempt_timeout}")
-        if total_timeout is not None and total_timeout < attempt_timeout:
+        if total_timeout is not None and not total_timeout >= attempt_timeout:
             raise ValueError(
                 "total_timeout must be >= attempt_timeout, got "
                 f"{total_timeout} < {attempt_timeout}")

@@ -9,17 +9,18 @@ Fig. 3: every issued query completes exactly once) - the wrapper either
 tries again or reports a recorded failure.
 
 :class:`AttemptSUT` is that machine, written once: admit a query as an
-:class:`Attempt`, arm its one deadline, push it back on every clean
-chunk, screen each arrival, resolve.  ``ResilientSUT``, ``SelfHealingSUT``,
-``ReplicaSet`` and ``NetworkSUT`` subclass it and keep only policy - what
-happens next when an attempt is lost (back off and retry, hedge or fail
-over, reroute to another replica, resend on another connection).  The
-lifecycle is described in ``docs/architecture.md``.
+:class:`Attempt`, arm its deadline (a float on the attempt: the engine
+keeps one loop event, at the earliest of them), push it back on every
+clean chunk, screen each arrival, resolve.  ``ResilientSUT``,
+``SelfHealingSUT``, ``ReplicaSet`` and ``NetworkSUT`` keep only policy -
+what happens when an attempt is lost (back off and retry, hedge or fail
+over, reroute, resend).  The lifecycle: ``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
+from math import inf
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..core.events import EventHandle, EventLoop
 from ..core.query import Query, QueryFailure, StreamChunk
@@ -65,12 +66,11 @@ class Attempt:
     #: Who may still answer.  Arrivals from anyone else are absorbed; a
     #: wrapper with one inner SUT leaves the single anonymous source.
     sources: Tuple[Hashable, ...] = (None,)
-    #: The armed deadline, ``None`` while nothing is armed.
-    timer: Optional[EventHandle] = None
-    #: Where clean chunks have pushed the deadline since it was armed:
-    #: ``timer`` still fires at its own time, finds this later instant
-    #: and moves there.  ``None`` until a chunk pushes.
-    due: Optional[float] = None
+    #: The instant the attempt is lost unless something is heard first
+    #: (``inf``: nothing armed), and which ``_arm`` call of the run set
+    #: it: deadlines reached together expire in the order they were armed.
+    deadline = inf
+    order = 0
     #: Where the live attempt's chunk stream has advanced to.
     next_seq = 0
     saw_last = False
@@ -85,6 +85,11 @@ class AttemptSUT(SutBase):
     """Admit -> arm -> push -> screen -> resolve, for subclasses to
     steer through the hooks at the bottom of the class."""
 
+    #: The one loop event, never later than the earliest deadline in the
+    #: table; arms so far; drain mode; the last instant a tick yielded in.
+    _timer: Optional[EventHandle] = None
+    _arms, _draining, _yielded = 0, False, -inf
+
     def __init__(self, name: str) -> None:
         super().__init__(name)
         #: query id -> state, in admission order.  Subclasses admit with
@@ -93,7 +98,12 @@ class AttemptSUT(SutBase):
 
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         super().start_run(loop, responder)
-        self._inflight = {}
+        self._inflight, self._timer = {}, None
+        self._arms, self._draining, self._yielded = 0, False, -inf
+
+    def flush(self) -> None:
+        self._drain()
+        super().flush()
 
     def _live(self, state: Attempt) -> bool:
         """Still in flight?  The guard for timers that outlive a query."""
@@ -104,27 +114,45 @@ class AttemptSUT(SutBase):
         """(Re)start the one deadline: ``timeout`` seconds of silence
         from ``now`` - pass it when the loop's clock was just read (a
         wall-clock reading is not free), else it is read here."""
-        if state.timer is not None:
-            state.timer.cancel()
-        state.due = None
         loop = self._loop
         if now is None:
             now = loop.clock.now() if loop.realtime else loop.clock._now
-        # A lambda, not functools.partial: RunAbortedError.origin names
-        # the callback and must not carry object addresses.
-        state.timer = loop.schedule(now + timeout, lambda: self._fire(state))
+        state.deadline = deadline = now + timeout
+        self._arms = state.order = self._arms + 1
+        timer = self._timer
+        if timer is None or deadline < timer[0]:
+            if timer is not None:
+                timer.cancel()
+            self._timer = loop.schedule(deadline, self._tick)
 
-    def _fire(self, state: Attempt) -> None:
-        if self._live(state):
-            due = state.due
-            if due is not None and due > self._loop.now:
-                # Chunks pushed the deadline while this timer waited.
-                state.due = None
-                state.timer = self._loop.schedule(
-                    due, lambda: self._fire(state))
-                return
-            state.timer = None
-            self._expired(state)
+    def _tick(self) -> None:
+        """Lose what has reached its deadline; wait for the next one."""
+        loop = self._loop
+        now = loop.clock.now() if loop.realtime else loop.clock._now
+        if not loop.realtime and self._yielded != now:
+            # Once per instant, yield to what else is queued for it.
+            self._yielded = now
+            self._timer = loop.schedule(now, self._tick)
+            return
+        due, earliest = [], inf
+        for state in self._inflight.values():
+            deadline = state.deadline
+            if deadline <= now:
+                due.append(state)
+            elif deadline < earliest:
+                earliest = deadline
+        self._timer = (
+            loop.schedule(earliest, self._tick) if earliest < inf else None)
+        self._lose(due, now)
+
+    def _lose(self, due: List[Attempt], now: float) -> None:
+        """Expire ``due`` in deadline order, arm order breaking ties."""
+        due.sort(key=lambda state: (state.deadline, state.order))
+        for state in due:
+            # An earlier hook may have resolved or re-armed this one.
+            if state.deadline <= now and self._live(state):
+                state.deadline = inf
+                self._expired(state)
 
     def _restart(self, state: Attempt,
                  sources: Tuple[Hashable, ...] = (None,)) -> None:
@@ -137,9 +165,16 @@ class AttemptSUT(SutBase):
 
     def _resolve(self, state: Attempt) -> None:
         """Out of the table; every later arrival for the query is stale."""
-        if state.timer is not None:
-            state.timer.cancel()
         del self._inflight[state.query.id]
+        if self._draining:
+            self._drain()
+
+    def _drain(self) -> None:
+        """Enter (or stay in) drain mode; with the table empty, disarm."""
+        self._draining = True
+        if self._timer is not None and not self._inflight:
+            self._timer.cancel()
+            self._timer = None
 
     def _receiver(self, source: Hashable = None) -> Responder:
         """The responder to hand the inner SUT known as ``source``."""
@@ -158,6 +193,15 @@ class AttemptSUT(SutBase):
             # answer from an attempt the wrapper already moved on from.
             self._absorbed(chunk)
             return
+        loop = self._loop
+        if not loop.realtime and state.deadline <= loop.clock._now:
+            # A deadline, armed before the inner SUT was issued to, beats
+            # what lands on its instant; so do those armed before it.
+            now, last = loop.clock._now, state.order
+            self._lose([s for s in self._inflight.values()
+                        if s.deadline <= now and s.order <= last], now)
+            self._deliver(source, query_id, arrival)
+            return
         if chunk:
             if arrival.seq == 0 and state.next_seq > 0:
                 # A layer below reissued the query: a legitimate restart.
@@ -172,18 +216,14 @@ class AttemptSUT(SutBase):
             state.next_seq += 1
             if arrival.last:
                 state.saw_last = True
-            # The instant schedule_after would arm for.  A timer that
-            # fires no later (timer[0], its heap entry's time) is left
-            # where it is and moves there when it fires (_fire): a
-            # healthy stream costs the heap nothing.
+            # A later deadline is a store (the tick will find it); only
+            # nothing armed, or a window the policy shortened, arms.
             timeout = self._advanced(state)
-            loop, timer = self._loop, state.timer
-            due = (loop.clock.now() if loop.realtime
-                   else loop.clock._now) + timeout
-            if timer is not None and timer[0] <= due:
-                state.due = due
-            else:  # nothing armed, or the policy shortened the window
-                self._arm(state, timeout)
+            now = loop.clock.now() if loop.realtime else loop.clock._now
+            if state.deadline <= now + timeout:
+                state.deadline = now + timeout
+            else:
+                self._arm(state, timeout, now)
             self._responder(state.query, arrival)
         elif kind is not list and isinstance(arrival, QueryFailure):
             self._flawed(state, source,

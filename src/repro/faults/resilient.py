@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from dataclasses import replace as dataclasses_replace
+from math import inf
 from typing import Optional
 
 import numpy as np
@@ -66,7 +67,7 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.attempt_timeout <= 0:
+        if not 0 < self.attempt_timeout < inf:  # NaN included
             raise ValueError(
                 f"attempt_timeout must be positive, got {self.attempt_timeout}"
             )
@@ -81,7 +82,7 @@ class RetryPolicy:
                 f"jitter must be 'full' or 'none', got {self.jitter!r}"
             )
         if (self.total_timeout is not None
-                and self.total_timeout < self.attempt_timeout):
+                and not self.total_timeout >= self.attempt_timeout):
             raise ValueError(
                 "total_timeout must be >= attempt_timeout (one attempt "
                 f"must fit), got {self.total_timeout} < "
@@ -298,9 +299,7 @@ class ResilientSUT(AttemptSUT):
         # A bad attempt is a lost attempt; retry now rather than waiting
         # out the deadline (which must not fire into the backoff).
         self.stats.malformed_attempts += 1
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
+        state.deadline = inf
         self._expired(state)
 
     def _clean(self, state: Attempt, source, responses) -> None:

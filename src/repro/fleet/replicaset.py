@@ -71,6 +71,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from math import inf
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -216,7 +217,7 @@ class ReplicaSet(AttemptSUT):
                 "initial_replicas must lie in [min_replicas, max_replicas]"
                 f", got {initial_replicas} outside "
                 f"[{min_replicas}, {max_replicas}]")
-        if attempt_timeout <= 0:
+        if not 0 < attempt_timeout < inf:  # NaN included
             raise ValueError(
                 f"attempt_timeout must be positive, got {attempt_timeout}")
         if max_reroutes < 0:
@@ -320,6 +321,7 @@ class ReplicaSet(AttemptSUT):
         return [replica.sut for replica in self.replicas]
 
     def flush(self) -> None:
+        self._drain()
         for replica in self.replicas:
             if replica.health is not ReplicaHealth.DOWN:
                 replica.sut.flush()

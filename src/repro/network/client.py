@@ -29,6 +29,7 @@ sockets do not speak virtual time; for deterministic experiments use
 from __future__ import annotations
 
 import itertools
+import math
 import socket
 import threading
 import time
@@ -160,7 +161,7 @@ class NetworkSUT(AttemptSUT):
         super().__init__(name or f"network[{host}:{port}]")
         if connections < 1:
             raise ValueError(f"connections must be >= 1, got {connections}")
-        if query_timeout <= 0:
+        if not 0 < query_timeout < math.inf:  # NaN included
             raise ValueError(
                 f"query_timeout must be positive, got {query_timeout}"
             )

@@ -5,7 +5,8 @@ chunk, counted by ``cProfile`` whose timings are ignored.  For a given
 seed the counts repeat exactly, so the ceilings sit ~10% above what the
 code does today and a change that adds a frame per event trips them.
 The wrappers that run the attempt engine are gated on what they *add*
-over the bare run; so are a zoned fleet's routing decision, and the
+over the bare run - in calls, in heap events (none per query) and in
+heap size; so are a zoned fleet's routing decision, and the
 telemetry (registry + 50 ms snapshot sampler) on top of that fleet.  The
 wire codec is gated without sockets: one ISSUE frame built, one COMPLETE
 frame read, and what a simulated channel adds per query.  A breach
@@ -39,19 +40,22 @@ STREAM_CALLS_PER_CHUNK = 10.4
 
 #: wrapper -> (build it over a backend factory, ceiling on calls/query
 #: added over the bare echo, ceiling on calls/chunk added over the bare
-#: streamed echo).  Measured 19.77 / 23.16 / 29.24 calls/query and
-#: 6.00 / 5.16 / 5.47 calls/chunk (python 3.11.7).
+#: streamed echo).  Measured 16.22 / 20.12 / 26.19 calls/query and
+#: 5.82 / 5.01 / 5.32 calls/chunk (python 3.11.7); with a heap event, a
+#: closure and a cancel per attempt they were 19.77 / 23.16 / 29.24 and
+#: 6.00 / 5.16 / 5.47.
 WRAPPER_BUDGETS = {
-    "resilient": (lambda backend: ResilientSUT(backend()), 21.7, 6.6),
-    "healing": (lambda backend: SelfHealingSUT(backend()), 25.5, 5.7),
+    "resilient": (lambda backend: ResilientSUT(backend()), 17.8, 6.4),
+    "healing": (lambda backend: SelfHealingSUT(backend()), 22.1, 5.5),
     "fleet-of-2": (
         lambda backend: ReplicaSet(lambda index: backend(),
-                                   initial_replicas=2), 32.2, 6.0),
+                                   initial_replicas=2), 28.8, 5.8),
 }
 
 #: A zoned fleet (4 replicas, 2 zones, zone-spread): calls/query added
-#: over the bare echo.  Measured 41.31 (python 3.11.7).
-ZONED_FLEET_CALLS_PER_QUERY = 45.4
+#: over the bare echo.  Measured 38.26 (python 3.11.7; 41.31 with the
+#: per-attempt heap event).
+ZONED_FLEET_CALLS_PER_QUERY = 42.0
 #: Registry + 50 ms snapshot sampler on that fleet: calls/query added
 #: over the same fleet without them - per query the latency observation
 #: and ``lb_routed_total{replica}``, the rest is the captures reading
@@ -155,6 +159,56 @@ def test_wrapper_stays_inside_its_added_call_budget(
         plain_stats, plain_log.query_count, "query")
     assert per_chunk <= per_chunk_ceiling, busiest(
         stream_stats, stream_log.stream_chunks, "chunk")
+
+
+def scheduled(stats):
+    """How many times the run called ``EventLoop.schedule``."""
+    return sum(entry.callcount for entry in stats
+               if getattr(entry.code, "co_qualname", "") == "EventLoop.schedule")
+
+
+@pytest.mark.parametrize("wrapper", sorted(WRAPPER_BUDGETS))
+def test_a_healthy_wrapper_schedules_no_heap_event_per_query(
+        wrapper, bare_runs, echo_qsl):
+    """A deadline is a float on the attempt: what the engine schedules is
+    its one timer, twice per timeout interval (the tick, and its step
+    behind the instant's arrivals) - nothing that grows with the load."""
+    wrap, _, _ = WRAPPER_BUDGETS[wrapper]
+    (_, plain_log, bare_stats), _ = bare_runs
+    sut = wrap(plain_echo)
+    _, log, stats = profiled_run(sut, echo_qsl)
+    extra = scheduled(stats) - scheduled(bare_stats)
+    timeout = getattr(sut, "attempt_timeout", None) \
+        or sut.policy.attempt_timeout
+    intervals = max(r.completion_time for r in log.records()) / timeout
+    print(f"{wrapper}: {extra} schedule calls over the bare run's "
+          f"{scheduled(bare_stats)}, {intervals:.1f} timeout intervals")
+    assert scheduled(bare_stats) >= 2 * plain_log.query_count
+    assert 0 < extra <= 2 * (intervals + 1)
+    assert extra / log.query_count < 0.1
+
+
+class HeapWatcher(EchoSUT):
+    """An echo that notes the loop's heap size each time it is issued to."""
+
+    peak = 0
+
+    def issue_query(self, query):
+        self.peak = max(self.peak, len(self._loop._heap))
+        super().issue_query(query)
+
+
+def test_deadlines_do_not_pile_up_in_the_heap(echo_qsl):
+    """5,000 queries at 1,000 qps, ~1 in flight: the heap holds the next
+    arrival, the echo's completions and the engine's one timer.  With an
+    entry per attempt, cancelled but not yet compacted, it peaked at 75."""
+    backend = HeapWatcher(latency=0.5e-3)
+    result = run_benchmark(
+        ResilientSUT(backend), echo_qsl,
+        SERVER.with_overrides(min_query_count=5000))
+    assert result.valid and result.log.query_count == 5000
+    print(f"heap high-water mark: {backend.peak}")
+    assert backend.peak <= 16
 
 
 def test_zoned_fleet_stays_inside_its_added_call_budget(bare_runs, echo_qsl):

@@ -1,5 +1,7 @@
 """Event loop and clock behaviour."""
 
+import math
+
 import pytest
 
 from repro.core.events import EventLoop, RunAbortedError, VirtualClock, WallClock
@@ -79,6 +81,33 @@ def test_schedule_after_negative_delay_rejected():
     loop = EventLoop()
     with pytest.raises(ValueError):
         loop.schedule_after(-0.1, lambda: None)
+
+
+def test_a_nan_time_is_rejected_where_it_is_scheduled():
+    """``nan < now`` is false, so a NaN used to get into the heap, break
+    its order (events at 2.0, NaN, 1.0, 0.5 popped 1.0 before 0.5) and
+    kill the run later with "clock cannot run backwards"."""
+    loop = EventLoop()
+    seen = []
+    loop.schedule(2.0, lambda: seen.append(2.0))
+    with pytest.raises(ValueError, match="in the past.*when=nan"):
+        loop.schedule(float("nan"), lambda: seen.append("nan"))
+    with pytest.raises(ValueError, match="non-negative, got nan"):
+        loop.schedule_after(float("nan"), lambda: seen.append("nan"))
+    loop.schedule(1.0, lambda: seen.append(1.0))
+    loop.schedule(0.5, lambda: seen.append(0.5))
+    loop.run()
+    assert seen == [0.5, 1.0, 2.0]
+
+
+def test_a_nan_time_under_measured_time_runs_as_soon_as_possible():
+    # The measured clock's past-time branch, which NaN now takes too.
+    loop = EventLoop(WallClock())
+    seen = []
+    handle = loop.schedule(float("nan"), lambda: seen.append("ran"))
+    assert not math.isnan(handle.time)
+    loop.run()
+    assert seen == ["ran"]
 
 
 def test_cancelled_event_does_not_fire():

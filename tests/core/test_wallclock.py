@@ -15,6 +15,8 @@ import pytest
 from repro.core import Scenario, TestSettings
 from repro.core.events import Clock, EventLoop, VirtualClock, WallClock
 from repro.core.loadgen import run_benchmark
+from repro.core.query import Query, QuerySample, QuerySampleResponse
+from repro.faults import ResilientSUT, RetryPolicy
 
 
 class TestWallClock:
@@ -287,3 +289,79 @@ class TestMultiStreamKeepsItsCadence:
         assert driver.stats.total_skipped_ticks == 1
         assert sorted(event.time for event in loop._heap) == [
             11.0, 21.0, 31.0]
+
+
+class AnswersFromAThread:
+    """An inner SUT the way ``NetworkSUT``'s reader is one: it schedules
+    nothing, and each answer arrives ``delay`` later from another thread
+    through ``loop.post``."""
+
+    name = "threaded"
+
+    def __init__(self, delay):
+        self.delay = delay
+        self.timers = []
+
+    def start_run(self, loop, responder):
+        self.loop = loop
+        self.responder = responder
+
+    def issue_query(self, query):
+        responses = [QuerySampleResponse(s.id, s.index) for s in query.samples]
+        timer = threading.Timer(self.delay, lambda: self.loop.post(
+            lambda: self.responder(query, responses)))
+        timer.daemon = True
+        self.timers.append(timer)
+        timer.start()
+
+    def flush(self):
+        pass
+
+
+class TestOneDeadlineTimerUnderMeasuredTime:
+    """The attempt engine keeps one loop event for all its deadlines; a
+    realtime loop exits when heap and posted queue are empty, so that
+    event is what keeps it listening for answers from other threads."""
+
+    def test_an_armed_deadline_keeps_a_bare_loop_alive_for_the_answer(self):
+        loop = EventLoop(WallClock())
+        heard = []
+        inner = AnswersFromAThread(0.05)
+        sut = ResilientSUT(inner, RetryPolicy(attempt_timeout=5.0))
+        sut.start_run(loop, lambda q, a: heard.append((time.monotonic(), a)))
+        query = Query(id=1, samples=(QuerySample(id=1, index=7),))
+        started = time.monotonic()
+        loop.schedule_after(0.0, lambda: sut.issue_query(query))
+        # The driver's "no more queries": once the table is empty the
+        # timer goes too, and the loop has nothing left to wait for.
+        loop.schedule_after(0.0, sut.flush)
+        loop.run()
+        ended = time.monotonic()
+        (when, answer), = heard
+        assert [r.data for r in answer] == [7]
+        assert when - started >= 0.05
+        assert ended - when < 1.0  # not the five seconds of the deadline
+        assert loop.pending() == 0
+        for timer in inner.timers:
+            timer.join(timeout=1.0)
+
+    def test_a_wrapped_wall_run_ends_a_janitor_period_after_it_drains(
+            self, echo_qsl):
+        inner = AnswersFromAThread(0.004)
+        sut = ResilientSUT(inner, RetryPolicy(attempt_timeout=5.0))
+        settings = TestSettings(
+            scenario=Scenario.SINGLE_STREAM, min_query_count=10,
+            min_duration=0.0, watchdog_timeout=20.0)
+        clock = WallClock()
+        result = run_benchmark(sut, echo_qsl, settings, clock=clock)
+        ended = clock.now()
+        assert result.valid, result.validity.reasons
+        assert result.metrics.query_count == 10
+        assert sut.stats.retries == 0
+        drained = max(r.completion_time
+                      for r in result.log.completed_records())
+        # One 10 ms janitor period (plus scheduling slack), not the five
+        # seconds a deadline left ticking would hold the loop for.
+        assert ended - drained < 0.5
+        for timer in inner.timers:
+            timer.join(timeout=1.0)

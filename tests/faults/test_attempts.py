@@ -5,6 +5,8 @@ hook each arrival reached, on a bare virtual-time loop - no LoadGen, so
 every arrival and every instant is the test's own.
 """
 
+import math
+
 import pytest
 
 from repro.core import Scenario, TestSettings, run_benchmark
@@ -18,7 +20,10 @@ from repro.core.query import (
 )
 from repro.core.sut import SutBase
 from repro.durability import BreakerPolicy, SelfHealingSUT
+from repro.faults import RetryPolicy
 from repro.faults.filtering import Attempt, AttemptSUT
+from repro.fleet import ReplicaSet
+from repro.network.client import NetworkSUT
 from repro.streaming import StreamModel, StreamingSUT
 
 from tests.conftest import EchoQSL, FixedLatencySUT
@@ -311,6 +316,104 @@ class TestDeadline:
         sut.loop.run()
         assert sut.hooks == [("expired", 1, 3 * TIMEOUT)]
         assert sut.loop.pending() == 0
+
+
+class TestOneTimer:
+    """The deadline is a float on the attempt; the engine keeps one loop
+    event however many attempts are armed."""
+
+    def test_many_armed_attempts_are_one_pending_event(self):
+        sut = Recorder()
+        for qid in range(1, 21):
+            sut._arm(sut.admit(make_query(qid)), TIMEOUT * qid)
+        assert sut.loop.pending() == 1
+        sut.loop.run()
+        assert sut.hooks == [("expired", qid, TIMEOUT * qid)
+                             for qid in range(1, 21)]
+        assert sut.loop.pending() == 0
+
+    def test_resolving_is_a_table_delete(self):
+        sut = Recorder()
+        state = sut.admit(make_query())
+        sut._arm(state, TIMEOUT)
+        sut._resolve(state)
+        # Before flush a leftover tick stays (it finds nothing to do)...
+        assert sut.loop.pending() == 1
+        sut.loop.run()
+        assert sut.hooks == [] and sut.loop.now == TIMEOUT
+
+    def test_after_flush_an_empty_table_disarms(self):
+        sut = Recorder()
+        state = sut.admit(make_query())
+        sut._arm(state, TIMEOUT)
+        sut.flush()
+        assert sut.loop.pending() == 1  # still in flight: still armed
+        sut._resolve(state)
+        assert sut.loop.pending() == 0
+        sut.loop.run()
+        assert sut.loop.now == 0.0  # ...so nothing moves the run's end
+        # A straggler admitted after the hint is armed and disarmed alike.
+        late = sut.admit(make_query(2))
+        sut._arm(late, TIMEOUT)
+        assert sut.loop.pending() == 1
+        sut._resolve(late)
+        assert sut.loop.pending() == 0
+
+    def test_flush_with_nothing_in_flight_disarms_at_once(self):
+        sut = Recorder()
+        state = sut.admit(make_query())
+        sut._arm(state, TIMEOUT)
+        sut._resolve(state)
+        sut.flush()
+        assert sut.loop.pending() == 0
+
+    def test_a_disarmed_attempt_is_not_expired(self):
+        sut = Recorder()
+        state = sut.admit(make_query())
+        sut._arm(state, TIMEOUT)
+        state.deadline = float("inf")  # what ResilientSUT._flawed does
+        sut.loop.run()
+        assert sut.hooks == [] and sut._live(state)
+
+    def test_a_chunk_on_the_instant_chunks_pushed_the_deadline_to_is_late(
+            self):
+        """The one tie-order change: a pushed deadline beats an arrival
+        on its instant, as an armed one always did.  (The old engine
+        sequenced a pushed deadline when it moved, behind the stream's
+        own events, so there the chunk won.)"""
+        sut = Recorder()
+        query = make_query()
+        sut._arm(sut.admit(query), TIMEOUT)
+        for seq, when in enumerate((0.004, 0.004 + TIMEOUT)):
+            sut.loop.schedule(when, lambda seq=seq: sut._deliver(
+                None, query.id, chunk(query, seq)))
+        sut.loop.run(until=0.004 + TIMEOUT)
+        assert sut.hooks == [
+            ("advanced", 1, 0.004), ("expired", 1, 0.004 + TIMEOUT),
+            # still in flight (the hook did not resolve), so it is heard
+            ("advanced", 1, 0.004 + TIMEOUT)]
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
+def test_timeouts_must_be_positive_and_finite(timeout):
+    """A NaN passed every ``<= 0`` check; as a float-compared deadline it
+    would never expire."""
+    backend = FixedLatencySUT()
+    with pytest.raises(ValueError, match="attempt_timeout must be positive"):
+        RetryPolicy(attempt_timeout=timeout)
+    with pytest.raises(ValueError, match="attempt_timeout must be positive"):
+        SelfHealingSUT(backend, attempt_timeout=timeout)
+    with pytest.raises(ValueError, match="attempt_timeout must be positive"):
+        ReplicaSet(lambda index: backend, attempt_timeout=timeout)
+    with pytest.raises(ValueError, match="query_timeout must be positive"):
+        NetworkSUT("localhost:1", query_timeout=timeout)
+    if math.isnan(timeout):  # a NaN budget compared false with everything
+        with pytest.raises(ValueError, match="total_timeout must be >="):
+            RetryPolicy(total_timeout=timeout)
+        with pytest.raises(ValueError, match="total_timeout must be >="):
+            SelfHealingSUT(backend, total_timeout=timeout)
+        with pytest.raises(ValueError, match="hedge_delay must be in"):
+            SelfHealingSUT(backend, backend, hedge_delay=timeout)
 
 
 class FlawedThenClean(SutBase):
