@@ -134,13 +134,14 @@ class TestReplicaKill:
         assert hit.metrics.latency_p99 <= 4 * base.metrics.latency_p99
 
     def test_slow_replica_brownout_is_routed_around(self):
-        from repro.faults import BrownoutSUT
+        from repro.faults import Window, WindowedSUT
 
         def factory(index):
             backend = FixedLatencySUT(SERVICE_TIME)
             if index == 0:
-                return BrownoutSUT(backend, 0.5, 1.0,
-                                   extra_latency=0.150)
+                # 30 ms answers held back 5x their time: 150 ms more.
+                return WindowedSUT(
+                    backend, (Window(0.5, 1.5, "stretch", 6.0),))
             return backend
 
         fleet = ReplicaSet(factory, initial_replicas=4,

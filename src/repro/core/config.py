@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from math import inf
 from typing import Dict, Optional
 
 
@@ -172,6 +173,38 @@ DEFAULT_SEED = 0x5EED_2019
 #: Default conversations replayed by the session scenario when
 #: ``TestSettings.session_count`` is unset (``docs/sessions.md``).
 DEFAULT_SESSION_COUNT = 64
+
+
+def check_rate_bursts(bursts) -> tuple:
+    """``bursts`` as a tuple of ``(start, duration, multiplier)``
+    tuples, or ``ValueError`` naming the first bad one: every value
+    finite (NaN included), the start >= 0, the duration and the
+    multiplier positive, the windows sorted and non-overlapping.  The
+    one check behind ``TestSettings.server_rate_bursts`` and
+    ``repro.faults.BurstPlan``."""
+    windows = tuple(tuple(w) for w in bursts)
+    for window in windows:
+        if len(window) != 3:
+            raise ValueError(
+                "each rate burst must be (start, duration, "
+                f"multiplier), got {window!r}"
+            )
+        start, duration, multiplier = window
+        if not 0 <= start < inf:
+            raise ValueError(f"burst start must be >= 0, got {start}")
+        if not 0 < duration < inf:
+            raise ValueError(
+                f"burst duration must be positive, got {duration}")
+        if not 0 < multiplier < inf:
+            raise ValueError(
+                f"burst multiplier must be positive, got {multiplier}")
+    for earlier, later in zip(windows, windows[1:]):
+        if earlier[0] + earlier[1] > later[0]:
+            raise ValueError(
+                "rate bursts must be sorted and non-overlapping: "
+                f"{earlier!r} overlaps {later!r}"
+            )
+    return windows
 
 
 @dataclass
@@ -353,30 +386,8 @@ class TestSettings:
                 f"{self.session_new_tokens_min}"
             )
         if self.server_rate_bursts is not None:
-            windows = tuple(tuple(w) for w in self.server_rate_bursts)
-            for window in windows:
-                if len(window) != 3:
-                    raise ValueError(
-                        "each rate burst must be (start, duration, "
-                        f"multiplier), got {window!r}"
-                    )
-                start, duration, multiplier = window
-                if start < 0:
-                    raise ValueError(
-                        f"burst start must be >= 0, got {start}")
-                if duration <= 0:
-                    raise ValueError(
-                        f"burst duration must be positive, got {duration}")
-                if multiplier <= 0:
-                    raise ValueError(
-                        f"burst multiplier must be positive, got {multiplier}")
-            for earlier, later in zip(windows, windows[1:]):
-                if earlier[0] + earlier[1] > later[0]:
-                    raise ValueError(
-                        "rate bursts must be sorted and non-overlapping: "
-                        f"{earlier!r} overlaps {later!r}"
-                    )
-            self.server_rate_bursts = windows
+            self.server_rate_bursts = check_rate_bursts(
+                self.server_rate_bursts)
 
     # -- resolved rule values -------------------------------------------------
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
+from ..core.config import check_rate_bursts
+
 
 class BurstWindow(NamedTuple):
     """One span of modified arrival rate on the run clock."""
@@ -40,24 +42,9 @@ class BurstPlan:
     windows: Tuple[BurstWindow, ...]
 
     def __post_init__(self) -> None:
-        # TestSettings performs the same validation; doing it here too
-        # means a bad plan fails at construction, next to the mistake.
-        previous_end = None
-        for window in self.windows:
-            if window.start < 0:
-                raise ValueError(
-                    f"burst start must be >= 0, got {window.start}")
-            if window.duration <= 0:
-                raise ValueError(
-                    f"burst duration must be positive, got {window.duration}")
-            if window.multiplier <= 0:
-                raise ValueError(
-                    "burst multiplier must be positive, got "
-                    f"{window.multiplier}")
-            if previous_end is not None and window.start < previous_end:
-                raise ValueError(
-                    "burst windows must be sorted and non-overlapping")
-            previous_end = window.start + window.duration
+        # TestSettings' own check: a bad plan fails at construction,
+        # next to the mistake, with the message the settings would give.
+        check_rate_bursts(self.windows)
 
     @classmethod
     def flash_crowd(cls, start: float, duration: float,

@@ -17,12 +17,17 @@ Scenario vocabulary (one :class:`ChaosEvent` each, see
   once (:meth:`~repro.fleet.replicaset.ReplicaSet.kill_zone`; in-flight
   queries rescued onto survivors, session prefixes warmed into the
   rescue caches) and restored when the window closes;
-* ``"gray-failure"`` - the target replica's :class:`DegradedSUT` valve
-  stretches every delivery by the event's ``severity`` factor: alive,
-  answering, breakers closed, p99 ruined - the outlier detector's
-  quarry;
-* ``"partition"`` - the target replica's valve goes asymmetric: issues
-  still reach the backend, deliveries are dropped.
+* ``"gray-failure"`` - a ``stretch`` window on the target replica's
+  valve stretches every delivery by the event's ``severity`` factor:
+  alive, answering, breakers closed, p99 ruined - the outlier
+  detector's quarry;
+* ``"partition"`` - a ``partition`` window on the target replica's
+  valve: issues still reach the backend, deliveries are dropped.
+
+Each event is one window of its own: overlapping events on one replica
+stack on its valve (a partition wins over a stretch, the larger stretch
+wins over the smaller) and each recovery closes only its own window; a
+zone comes back when the last outage open on it closes.
 
 The orchestrator ticks every ``period`` seconds of run time and applies
 whatever transitions are due, emitting one :class:`ChaosDecision` per
@@ -37,6 +42,7 @@ Chrome trace (``repro.core.trace.to_chrome_trace(chaos=...)``) and as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,14 +50,19 @@ import numpy as np
 from ..core.events import EventHandle, EventLoop
 from ..core.sut import SystemUnderTest
 from ..metrics import MetricsRegistry
-from .sut import DegradedSUT
+from .sut import DegradedSUT, Window
 
 #: Domain-separation tag for the chaos schedule RNG (mixed with the run
 #: seed), disjoint from the balancer/jitter/session/probe streams.
 CHAOS_TAG = 0xC4A05
 
+#: Each kind's window effect (a zone outage is checked as one, and
+#: acted out by the fleet's own zone verbs).
+_VALVE_EFFECT = {"zone-outage": "outage", "gray-failure": "stretch",
+                 "partition": "partition"}
+
 #: The scenario vocabulary.
-CHAOS_KINDS = ("zone-outage", "gray-failure", "partition")
+CHAOS_KINDS = tuple(_VALVE_EFFECT)
 
 
 class ChaosEvent(NamedTuple):
@@ -107,16 +118,19 @@ class ChaosSchedule:
                 raise ValueError(
                     f"unknown chaos kind {event.kind!r}; "
                     f"known: {', '.join(CHAOS_KINDS)}")
-            if event.duration <= 0:
+            if not 0 < event.duration < inf:  # NaN included
                 raise ValueError(
                     f"event duration must be positive, got {event}")
-            if event.kind == "gray-failure" and event.severity < 1.0:
+            if event.kind == "gray-failure" and not event.severity >= 1.0:
                 raise ValueError(
                     f"gray-failure severity must be >= 1, got {event}")
             if (event.kind != "zone-outage"
                     and _replica_target(event.target) is None):
                 raise ValueError(
                     f"{event.kind} target must be 'replica:N', got {event}")
+            # The valve's check: a finite time and severity.
+            Window(event.time, event.time + event.duration,
+                   _VALVE_EFFECT[event.kind], event.severity)
         object.__setattr__(
             self, "events", tuple(sorted(self.events)))
 
@@ -203,9 +217,10 @@ class ChaosOrchestrator:
     :meth:`wrap_factory` slips a :class:`DegradedSUT` valve between each
     replica's backend and the fleet (inside any ``cache_factory``
     wrapper, so prefill delays are stretched too), and records the
-    handles the per-replica scenarios actuate.  Zone scenarios drive
-    the fleet's own :meth:`~repro.fleet.replicaset.ReplicaSet.kill_zone`
-    / ``restore_zone`` primitives.
+    handles the per-replica scenarios open and close windows on.  Zone
+    scenarios drive the fleet's own
+    :meth:`~repro.fleet.replicaset.ReplicaSet.kill_zone` /
+    ``restore_zone`` primitives.
     """
 
     def __init__(
@@ -234,9 +249,11 @@ class ChaosOrchestrator:
         self._loop: Optional[EventLoop] = None
         self._keep_going: Callable[[], bool] = lambda: False
         self._timer: Optional[EventHandle] = None
-        #: (time, order, action, event) transitions still due.
+        #: (time, event index, action, event) transitions still due.
         self._pending: List[Tuple[float, int, str, ChaosEvent]] = []
-        self._open: Dict[Tuple[str, str], ChaosWindow] = {}
+        #: event index -> its applied window and, for a per-replica
+        #: kind, the valve window that applies it.
+        self._open: Dict[int, Tuple[ChaosWindow, Optional[Window]]] = {}
 
     @property
     def active_faults(self) -> int:
@@ -292,7 +309,7 @@ class ChaosOrchestrator:
             self._timer.cancel()
             self._timer = None
         if self._loop is not None:
-            for window in self._open.values():
+            for window, _ in self._open.values():
                 window.end = self._loop.now
             self._open = {}
 
@@ -303,44 +320,41 @@ class ChaosOrchestrator:
         now = loop.now
         applied = 0
         while self._pending and self._pending[0][0] <= now:
-            _, _, action, event = self._pending.pop(0)
+            _, index, action, event = self._pending.pop(0)
             if action == "inject":
-                self._inject(event, now)
+                self._inject(index, event, now)
             else:
-                self._recover(event, now)
+                self._recover(index, event, now)
             applied += 1
             self.trace.append(ChaosDecision(
-                now, event.kind, event.target, action, self.active_faults))
+                now, event.kind, event.target, action, len(self._open)))
         if not applied:
             self.trace.append(
-                ChaosDecision(now, "", "", "hold", self.active_faults))
+                ChaosDecision(now, "", "", "hold", len(self._open)))
         if self._keep_going():
             self._timer = loop.schedule_after(self.period, self._tick)
 
     # -- scenario actuation -----------------------------------------------------
 
-    def _inject(self, event: ChaosEvent, now: float) -> None:
+    def _inject(self, index: int, event: ChaosEvent, now: float) -> None:
+        lever = None
         if event.kind == "zone-outage":
             self._fleet.kill_zone(event.target)
         else:
-            valve = self.degraded[_replica_target(event.target)]
-            if event.kind == "gray-failure":
-                valve.degrade(event.severity)
-            else:
-                valve.partition()
+            lever = self.degraded[_replica_target(event.target)].open_window(
+                _VALVE_EFFECT[event.kind], event.severity or 1.0)
         window = ChaosWindow(event.kind, event.target, start=now)
         self.windows.append(window)
-        self._open[(event.kind, event.target)] = window
+        self._open[index] = (window, lever)
         if self._m:
             self._m.injections.labels(kind=event.kind).inc()
 
-    def _recover(self, event: ChaosEvent, now: float) -> None:
-        if event.kind == "zone-outage":
-            self._fleet.restore_zone(event.target)
-        else:
-            self.degraded[_replica_target(event.target)].restore()
-        window = self._open.pop((event.kind, event.target), None)
-        if window is not None:
-            window.end = now
+    def _recover(self, index: int, event: ChaosEvent, now: float) -> None:
+        window, lever = self._open.pop(index)
+        window.end = now
+        if lever is not None:
+            self.degraded[_replica_target(event.target)].close_window(lever)
+        elif all(w.target != event.target for w, _ in self._open.values()):
+            self._fleet.restore_zone(event.target)  # its last outage closed
         if self._m:
             self._m.recoveries.labels(kind=event.kind).inc()

@@ -1,4 +1,4 @@
-"""A fault-injecting wrapper around any :class:`SystemUnderTest`.
+"""Fault-injecting wrappers around any :class:`SystemUnderTest`.
 
 ``FaultySUT`` sits between the LoadGen and a real SUT on the event loop
 and perturbs the completion stream according to a deterministic
@@ -8,12 +8,19 @@ completions, completions for phantom queries, mis-sized and corrupted
 response sets, latency spikes, and a full SUT crash.  The wrapped SUT is
 never told it is being sabotaged - like a real flaky runtime, it does
 its work and the failures happen on the wire.
+
+``WindowedSUT`` is the other kind of fault: not a draw per query but a
+time window - an outage, a one-way partition, a proportional stretch -
+over everything that passes.  ``OutageSUT`` and ``DegradedSUT`` are two
+ways of building one.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass, replace
+from math import inf
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.query import (Query, QueryFailure, QuerySample,
                           QuerySampleResponse, StreamChunk)
@@ -166,18 +173,154 @@ class FaultySUT(SutBase):
         return list(responses) + [QuerySampleResponse(extra_id, None)]
 
 
-class OutageSUT(SutBase):
-    """Total backend outage for a scheduled time window.
+#: What a :class:`Window` does while it is in force.
+EFFECTS = ("outage", "partition", "stretch")
 
-    Unlike :class:`FaultySUT`'s probabilistic per-query faults, this
-    wrapper models the failure the circuit breaker exists for: the
-    backend is perfectly healthy, then answers *nothing* for
-    ``[outage_start, outage_start + outage_duration)`` on the run clock,
-    then is healthy again.  Queries issued during the window are
-    swallowed (their completions never happen), so only a deadline or
-    breaker above can save the run.  Used by the self-healing tests and
-    the ``benchmarks/test_ext_durability.py`` outage study.
+
+@dataclass(frozen=True)
+class Window:
+    """A fault in force for ``start <= now < end`` on the run clock
+    (``end = inf`` while open-ended).  An ``"outage"`` refuses the issue
+    and drops the delivery, a ``"partition"`` (one-way) drops the
+    delivery only, a ``"stretch"`` holds each delivery back by
+    ``(factor - 1)`` times the time since the valve saw its issue - the
+    proportional thermal-throttling signature MLPerf Mobile describes.
     """
+
+    start: float
+    end: float
+    effect: str
+    factor: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.effect not in EFFECTS:
+            raise ValueError(
+                f"unknown window effect {self.effect!r}; "
+                f"known: {', '.join(EFFECTS)}")
+        if self.effect == "stretch" and not 1.0 <= self.factor < inf:
+            raise ValueError(f"factor must be >= 1, got {self.factor}")
+        if not -inf < self.start < inf:
+            raise ValueError(f"window start must be finite, got {self.start}")
+        if not self.start <= self.end:  # NaN included
+            raise ValueError(
+                f"window end must be >= its start, got {self.end}")
+
+
+class WindowedSUT(SutBase):
+    """The one fault valve: :class:`Window` s applied at issue and at
+    delivery.  ``windows`` are back in place at every ``start_run``;
+    :meth:`open_window` / :meth:`close_window` add and end one mid-run.
+    A dropping window wins, else the largest stretch applies, to
+    deliveries from that instant on, in-flight queries included - so
+    every forwarded issue is stamped.  A valve with nothing in force and
+    nothing ahead forwards deliveries without reading the clock.
+    """
+
+    def __init__(
+        self,
+        inner: SystemUnderTest,
+        windows: Sequence[Window] = (),
+        name: Optional[str] = None,
+    ) -> None:
+        super().__init__(name or f"windowed[{inner.name}]")
+        self.inner = inner
+        self.inners = (inner,)
+        self._fixed = tuple(windows)
+        #: The windows in force or ahead (an ended one is forgotten the
+        #: next time the valve reads the clock).
+        self.windows: List[Window] = list(self._fixed)
+        #: Deliveries held back by a stretch.
+        self.slowed = 0
+        #: Issues refused and deliveries dropped.
+        self.blackholed = 0
+        self._issued_at: Dict[int, float] = {}
+
+    @property
+    def healthy(self) -> bool:
+        """Nothing in force right now."""
+        now = self.loop.now
+        return not any(w.start <= now < w.end for w in self.windows)
+
+    def open_window(self, effect: str, factor: float = 1.0) -> Window:
+        """Put a window in force from now until :meth:`close_window`."""
+        # Checked before the clock is read: a bad value is named even
+        # on a valve that never started.
+        window = replace(Window(0.0, inf, effect, factor),
+                         start=self.loop.now)
+        self.windows.append(window)
+        self._settle(window.start)
+        return window
+
+    def close_window(self, window: Window) -> None:
+        """End ``window`` now; one the valve no longer holds is ignored."""
+        if window in self.windows:
+            self.windows.remove(window)
+            self._settle(self.loop.now)
+
+    def _settle(self, now: float) -> None:
+        """Forget ended windows; note what is in force at ``now`` and
+        when that next changes, which is all the hot paths read."""
+        self.windows = live = [w for w in self.windows if w.end > now]
+        force = [w.effect for w in live if w.start <= now]
+        self._refuse = "outage" in force
+        self._drop = self._refuse or "partition" in force
+        self._stretch = max([w.factor for w in live if w.start <= now
+                             and w.effect == "stretch"], default=1.0)
+        self._until = min([w.start if w.start > now else w.end
+                           for w in live], default=inf)
+
+    def start_run(self, loop: EventLoop, responder: Responder) -> None:
+        super().start_run(loop, responder)
+        self.windows = list(self._fixed)
+        self._settle(loop.now)
+        self.slowed = 0
+        self.blackholed = 0
+        self._issued_at = {}
+        self.inner.start_run(loop, self._gate)
+
+    def issue_query(self, query: Query) -> None:
+        loop = self._loop
+        now = loop.clock.now() if loop.realtime else loop.clock._now
+        if now >= self._until:
+            self._settle(now)
+        if self._refuse:
+            self.blackholed += 1
+            return
+        self._issued_at[query.id] = now
+        self.inner.issue_query(query)
+
+    def _gate(self, query: Query, responses) -> None:
+        """Every delivery from the backend: drop it, hold it back, or
+        pass it on."""
+        issued_at = self._issued_at
+        if type(responses) is list or not isinstance(responses, StreamChunk):
+            since = issued_at.pop(query.id, None)  # terminal: forget it
+        else:
+            since = issued_at.get(query.id)
+        if self.windows:
+            loop = self._loop
+            now = loop.clock.now() if loop.realtime else loop.clock._now
+            if now >= self._until:
+                self._settle(now)
+            if self._drop:
+                self.blackholed += 1
+                return
+            if self._stretch != 1.0 and since is not None:
+                extra = (self._stretch - 1.0) * (now - since)
+                if extra > 0:
+                    self.slowed += 1
+                    loop.schedule_after(
+                        extra, lambda: self.complete(query, responses))
+                    return
+        self._responder(query, responses)
+
+
+class OutageSUT(WindowedSUT):
+    """A backend that answers *nothing* - issues refused, deliveries
+    dropped - for ``[outage_start, outage_start + outage_duration)`` on
+    the run clock (an infinite duration is permanent): the failure a
+    deadline or breaker above exists for (``StackSpec.outage``, the
+    ``benchmarks/test_ext_durability.py`` outage study)."""
 
     def __init__(
         self,
@@ -186,206 +329,36 @@ class OutageSUT(SutBase):
         outage_duration: float,
         name: Optional[str] = None,
     ) -> None:
-        super().__init__(name or f"outage[{inner.name}]")
-        if outage_duration < 0:
+        if not outage_duration >= 0:  # NaN included
             raise ValueError(
                 f"outage_duration must be >= 0, got {outage_duration}")
-        self.inner = inner
-        self.inners = (inner,)
-        self.outage_start = outage_start
-        self.outage_duration = outage_duration
-        #: Queries swallowed by the outage window.
-        self.blackholed = 0
-
-    def in_outage(self, time: float) -> bool:
-        return (self.outage_start <= time
-                < self.outage_start + self.outage_duration)
-
-    def start_run(self, loop: EventLoop, responder: Responder) -> None:
-        super().start_run(loop, responder)
-        self.blackholed = 0
-        self.inner.start_run(loop, self._gate)
-
-    def issue_query(self, query: Query) -> None:
-        if self.in_outage(self.loop.now):
-            self.blackholed += 1
-            return
-        self.inner.issue_query(query)
-
-    def _gate(self, query: Query, responses) -> None:
-        # Completions are dropped during the window too: a down backend
-        # does not deliver answers for work it accepted just before.
-        if self.in_outage(self.loop.now):
-            self.blackholed += 1
-            return
-        self.complete(query, responses)
+        window = Window(outage_start, outage_start + outage_duration, "outage")
+        super().__init__(inner, (window,), name or f"outage[{inner.name}]")
 
 
-class BrownoutSUT(SutBase):
-    """A slow-replica brownout: alive but degraded for a time window.
+class DegradedSUT(WindowedSUT):
+    """A valve with no window of its own, flipped by hand or by the
+    chaos orchestrator: a degraded replica is sick, not dead - breakers
+    stay closed while its stretched latency beats the attempt deadline,
+    so only a latency-aware outlier detector sees it."""
 
-    The gray-failure counterpart of :class:`OutageSUT`: during
-    ``[brownout_start, brownout_start + brownout_duration)`` on the run
-    clock every completion is held back an extra ``extra_latency``
-    seconds before being delivered.  The backend still answers - health
-    checks that only test liveness stay green - which is exactly the
-    failure mode latency-aware balancing policies
-    (``repro.fleet.WeightedP99Policy``) and per-replica deadlines exist
-    to contain.
-    """
-
-    def __init__(
-        self,
-        inner: SystemUnderTest,
-        brownout_start: float,
-        brownout_duration: float,
-        extra_latency: float,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(name or f"brownout[{inner.name}]")
-        if brownout_duration < 0:
-            raise ValueError(
-                f"brownout_duration must be >= 0, got {brownout_duration}")
-        if extra_latency <= 0:
-            raise ValueError(
-                f"extra_latency must be positive, got {extra_latency}")
-        self.inner = inner
-        self.inners = (inner,)
-        self.brownout_start = brownout_start
-        self.brownout_duration = brownout_duration
-        self.extra_latency = extra_latency
-        #: Completions delayed by the brownout window.
-        self.slowed = 0
-
-    def in_brownout(self, time: float) -> bool:
-        return (self.brownout_start <= time
-                < self.brownout_start + self.brownout_duration)
-
-    def start_run(self, loop: EventLoop, responder: Responder) -> None:
-        super().start_run(loop, responder)
-        self.slowed = 0
-        self.inner.start_run(loop, self._gate)
-
-    def issue_query(self, query: Query) -> None:
-        self.inner.issue_query(query)
-
-    def _gate(self, query: Query, responses) -> None:
-        if self.in_brownout(self.loop.now):
-            self.slowed += 1
-            self.loop.schedule_after(
-                self.extra_latency,
-                lambda: self.complete(query, responses))
-            return
-        self.complete(query, responses)
-
-
-class DegradedSUT(SutBase):
-    """A controllable gray-failure valve around one replica backend.
-
-    Where :class:`OutageSUT` / :class:`BrownoutSUT` carry their own
-    fixed time window, this wrapper is *driven*: the chaos orchestrator
-    (:mod:`repro.faults.chaos`) flips it between three modes at
-    scheduled virtual times -
-
-    * **healthy** (the default, and what :meth:`restore` returns to):
-      transparent pass-through;
-    * **degraded** (:meth:`degrade`): every delivery - chunks included -
-      is held back by ``(factor - 1)`` times the time the query has
-      already spent in the backend, so a 10x factor turns a 2ms replica
-      into a 20ms one *proportionally*, the thermal-throttling /
-      background-load signature MLPerf Mobile describes.  Breakers stay
-      closed as long as the stretched latency still beats the attempt
-      deadline: the replica is sick, not dead - only a latency-aware
-      outlier detector can see it;
-    * **partitioned** (:meth:`partition`): the asymmetric failure -
-      issues still reach the backend (the forward path is fine) but
-      every delivery is dropped, modelling a one-way network partition.
-
-    Mode changes apply to deliveries from that moment on, in-flight
-    queries included.
-    """
-
-    def __init__(
-        self,
-        inner: SystemUnderTest,
-        factor: float = 1.0,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(name or f"degraded[{inner.name}]")
-        self.inner = inner
-        self.inners = (inner,)
-        self._factor = 1.0
-        self._partitioned = False
-        if factor != 1.0:
-            self.degrade(factor)
-        #: Deliveries held back by the latency multiplier.
-        self.slowed = 0
-        #: Deliveries dropped by the partition.
-        self.blackholed = 0
-        self._issued_at: Dict[int, float] = {}
-
-    @property
-    def factor(self) -> float:
-        return self._factor
-
-    @property
-    def healthy(self) -> bool:
-        return self._factor == 1.0 and not self._partitioned
+    def __init__(self, inner: SystemUnderTest,
+                 name: Optional[str] = None) -> None:
+        super().__init__(inner, name=name or f"degraded[{inner.name}]")
 
     def degrade(self, factor: float) -> None:
-        """Stretch every delivery to ``factor`` times its backend time."""
-        if factor < 1.0:
-            raise ValueError(f"factor must be >= 1, got {factor}")
-        self._factor = factor
+        """Stretch every delivery to ``factor`` times its backend time,
+        in place of any earlier degrade."""
+        stale = [w for w in self.windows if w.effect == "stretch"]
+        self.open_window("stretch", factor)
+        for window in stale:
+            self.close_window(window)
 
     def partition(self) -> None:
         """Drop deliveries while still accepting issues (asymmetric)."""
-        self._partitioned = True
+        self.open_window("partition")
 
     def restore(self) -> None:
-        """Back to healthy pass-through (clears both failure modes)."""
-        self._factor = 1.0
-        self._partitioned = False
-
-    def start_run(self, loop: EventLoop, responder: Responder) -> None:
-        super().start_run(loop, responder)
-        self.restore()
-        self.slowed = 0
-        self.blackholed = 0
-        self._issued_at = {}
-        self.inner.start_run(loop, self._gate)
-
-    def issue_query(self, query: Query) -> None:
-        # The issue instant is recorded even while healthy: degrade() and
-        # partition() apply to queries already in flight, and the stretch
-        # is measured from when the valve saw the query.
-        loop = self._loop
-        self._issued_at[query.id] = (
-            loop.clock.now() if loop.realtime else loop.clock._now)
-        self.inner.issue_query(query)
-
-    def _gate(self, query: Query, responses) -> None:
-        """Every delivery from the backend: drop it, hold it back, or
-        pass it on.  A healthy valve forwards without reading the clock
-        (its stretch is exactly zero); a degraded one reads it once for
-        both the stretch and a missing issue instant - under
-        ``loop.realtime`` that used to be two readings a moment apart,
-        on the virtual clock the two were always equal."""
-        issued_at = self._issued_at
-        if type(responses) is list or not isinstance(responses, StreamChunk):
-            since = issued_at.pop(query.id, None)  # terminal: forget it
-        else:
-            since = issued_at.get(query.id)
-        if self._partitioned:
-            self.blackholed += 1
-            return
-        if self._factor != 1.0 and since is not None:
-            loop = self._loop
-            now = loop.clock.now() if loop.realtime else loop.clock._now
-            extra = (self._factor - 1.0) * (now - since)
-            if extra > 0:
-                self.slowed += 1
-                loop.schedule_after(
-                    extra, lambda: self.complete(query, responses))
-                return
-        self._responder(query, responses)
+        """Back to healthy pass-through (closes every window)."""
+        for window in tuple(self.windows):
+            self.close_window(window)

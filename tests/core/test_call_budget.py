@@ -6,8 +6,9 @@ seed the counts repeat exactly, so the ceilings sit ~10% above what the
 code does today and a change that adds a frame per event trips them.
 The wrappers that run the attempt engine are gated on what they *add*
 over the bare run - in calls, in heap events (none per query) and in
-heap size; so are a zoned fleet's routing decision, and the
-telemetry (registry + 50 ms snapshot sampler) on top of that fleet.  The
+heap size; so are the fault valve with nothing in force, a zoned
+fleet's routing decision, and the telemetry (registry + 50 ms snapshot
+sampler) on top of that fleet.  The
 wire codec is gated without sockets: one ISSUE frame built, one COMPLETE
 frame read, and what a simulated channel adds per query.  A breach
 prints the ten most-called functions, so the regression names its
@@ -22,7 +23,7 @@ import pytest
 from repro.core import Scenario, TestSettings, run_benchmark
 from repro.core.query import Query, QuerySample, QuerySampleResponse
 from repro.durability import SelfHealingSUT
-from repro.faults import ResilientSUT
+from repro.faults import DegradedSUT, OutageSUT, ResilientSUT
 from repro.fleet import ReplicaSet
 from repro.metrics import MetricsRegistry
 from repro.network import protocol
@@ -61,6 +62,20 @@ ZONED_FLEET_CALLS_PER_QUERY = 42.0
 #: and ``lb_routed_total{replica}``, the rest is the captures reading
 #: the ledgers.  Measured 8.72 (python 3.11.7).
 TELEMETRY_CALLS_PER_QUERY = 9.6
+
+#: The one fault valve over the echo with nothing in force - healthy,
+#: and with its fixed window still ahead (the run ends before 10 s):
+#: calls/query and calls/chunk added over the bare runs, and no heap
+#: event of its own.  Measured 3.02 / 3.15 both (python 3.11.7, the
+#: whole file); the three valves it replaced measured 3.01 / 3.10
+#: (healthy DegradedSUT), 9.01 / 5.41 (OutageSUT outside its window)
+#: and 6.01 / 5.26 (BrownoutSUT).
+VALVES = {
+    "healthy": lambda backend: DegradedSUT(backend()),
+    "window-ahead": lambda backend: OutageSUT(backend(), 10.0, 1.0),
+}
+VALVE_CALLS_PER_QUERY = 3.3
+VALVE_CALLS_PER_CHUNK = 3.4
 
 QUERIES = 500
 
@@ -186,6 +201,27 @@ def test_a_healthy_wrapper_schedules_no_heap_event_per_query(
     assert scheduled(bare_stats) >= 2 * plain_log.query_count
     assert 0 < extra <= 2 * (intervals + 1)
     assert extra / log.query_count < 0.1
+
+
+@pytest.mark.parametrize("valve", sorted(VALVES))
+def test_a_quiet_valve_stays_inside_its_added_call_budget(
+        valve, bare_runs, echo_qsl):
+    ((plain_calls, plain_log, plain_bare),
+     (stream_calls, stream_log, stream_bare)) = bare_runs
+    wrapped, _, plain_stats = profiled_run(VALVES[valve](plain_echo),
+                                           echo_qsl)
+    per_query = (wrapped - plain_calls) / plain_log.query_count
+    streamed, _, stream_stats = profiled_run(VALVES[valve](streamed_echo),
+                                             echo_qsl)
+    per_chunk = (streamed - stream_calls) / stream_log.stream_chunks
+    print(f"{valve} valve: +{per_query:.2f} calls/query, "
+          f"+{per_chunk:.2f} calls/chunk")
+    assert per_query <= VALVE_CALLS_PER_QUERY, busiest(
+        plain_stats, plain_log.query_count, "query")
+    assert per_chunk <= VALVE_CALLS_PER_CHUNK, busiest(
+        stream_stats, stream_log.stream_chunks, "chunk")
+    assert scheduled(plain_stats) == scheduled(plain_bare)
+    assert scheduled(stream_stats) == scheduled(stream_bare)
 
 
 class HeapWatcher(EchoSUT):
