@@ -46,9 +46,11 @@ REPEATS = 5
 #: Seconds per query the driver's metric operation may cost (one
 #: latency observation; measured ~0.3 us).
 INSTRUMENTATION_BUDGET = 1e-6
-#: Share of a run the snapshot sampler may cost; three times this is
-#: the end-to-end guardrail.
+#: Share of a run the snapshot sampler may cost.
 OVERHEAD_BUDGET = 0.05
+#: Seconds per query a full instrumented + sampled run may add over a
+#: bare one (the end-to-end guardrail; measured 0.7-1.1 us).
+END_TO_END_BUDGET = 2e-6
 SNAPSHOT_PERIOD = 0.010
 
 
@@ -135,22 +137,33 @@ class TestIssuePathOverhead:
         assert overhead < OVERHEAD_BUDGET
 
     def test_end_to_end_guardrail(self):
-        """Coarse full-system check: an instrumented + sampled run must
-        not blow past the budget by more than wall-clock noise allows
-        (the precise budget is asserted microbenchmark-side above).
-        Bare and instrumented runs alternate, so a machine that slows
-        down between them slows both."""
+        """Coarse full-system check: what an instrumented + sampled run
+        adds per query, (min-of-N instrumented - min-of-N bare) /
+        queries, stays under ``END_TO_END_BUDGET`` (the precise budgets
+        are asserted microbenchmark-side above).  Bare and instrumented
+        runs alternate, so a machine that slows down between them slows
+        both.
+
+        Stated in us/query, like the issue-path budget, and for the same
+        reason: it used to be a share (< 15%) of a ~7 us/query bare run,
+        which a cheaper bare path turns red with the instrumentation
+        unchanged - it read +9-16%, i.e. 0.7-1.1 us/query.  The bound
+        is twice that: the one latency observation (~0.3 us) plus the
+        sampler's captures spread over the run, with room for scheduler
+        noise, while an accidental O(n) on the hot path still costs more.
+        """
         timed_run()  # warm-up
         bare = best = float("inf")
         for _ in range(REPEATS):
             bare = min(bare, timed_run()[0])
             best = min(
                 best, timed_run(MetricsRegistry(), SNAPSHOT_PERIOD)[0])
-        ratio = best / bare - 1.0
-        print(f"\nend-to-end instrumented+sampled: {ratio:+.2%}")
-        # 3x the budget: wide enough for scheduler noise, tight enough
-        # to catch an accidental O(n) on the hot path.
-        assert ratio < 3 * OVERHEAD_BUDGET
+        added = (best - bare) / QUERIES
+        print(f"\nend-to-end instrumented+sampled: {added * 1e6:+.2f} "
+              f"us/query ({best / bare - 1.0:+.2%})")
+        assert added < END_TO_END_BUDGET, (
+            f"instrumented+sampled adds {added * 1e6:.2f} us/query "
+            f"(budget {END_TO_END_BUDGET * 1e6:.0f} us)")
 
 
 class TestPrimitiveCost:

@@ -1,25 +1,27 @@
 """A TCP inference server hosting any SUT behind the wire protocol.
 
 :class:`InferenceServer` is the submitter side of the Network division:
-it owns the listening socket, a bounded admission queue, an edge
-batcher, and a worker pool that drives the hosted backend.  The request
-path is::
+it owns the listening socket, a bounded admission queue, and a worker
+pool that takes its batches straight from that queue and drives the
+hosted backend.  The request path is::
 
-    reader thread --> admission queue --> batcher --> worker pool
-    (per session)     (bounded; full =     (merges     (runs backend,
-                       immediate FAIL)      requests)    replies)
+    reader thread --> admission queue --> worker pool
+    (per session)     (bounded; full =     (takes a batch, runs
+                       immediate FAIL)      the backend, replies)
 
 Design points:
 
 * **Bounded admission.**  A server under overload must shed load, not
   buffer without limit: an ISSUE that finds the queue full is answered
   with an immediate FAIL frame, which the client surfaces through the
-  LoadGen's failed-query machinery.
-* **Dynamic batching at the edge.**  The batcher merges whole requests
-  (never splitting one) up to ``max_batch`` samples, waiting at most
-  ``batch_window`` seconds for stragglers - the same latency/throughput
-  trade the paper's server scenario exists to measure, now applied at
-  the serving boundary.
+  LoadGen's failed-query machinery.  The queue is the only place a
+  request waits, so its bound is the backlog's.
+* **Dynamic batching at the edge.**  A free worker merges whole queued
+  requests (never splitting one) up to ``max_batch`` samples, waiting at
+  most ``batch_window`` seconds for stragglers - the same
+  latency/throughput trade the paper's server scenario exists to
+  measure, now applied at the serving boundary.  One worker assembles at
+  a time, so a window merges everything that arrives during it.
 * **Per-connection sessions.**  Each connection speaks HELLO first, can
   preload samples (LOAD), issue queries, ask for STATS, and end with a
   graceful DRAIN that flushes its in-flight queries before the final
@@ -75,7 +77,7 @@ class ServerConfig:
     max_queue: int = 256
     #: Edge-batching cap, in samples.
     max_batch: int = 8
-    #: How long the batcher holds a non-full batch open, seconds.
+    #: How long a worker holds a non-full batch open, seconds.
     batch_window: float = 0.0
     #: Extra bind attempts after a transient port-in-use failure (a
     #: previous server instance still in TIME_WAIT, a slow releaser).
@@ -289,12 +291,13 @@ class _PendingRequest:
 
 
 class _RequestQueue:
-    """Bounded FIFO with batch-assembling consumption."""
+    """Bounded FIFO that workers take whole batches from."""
 
     def __init__(self, max_queue: int) -> None:
         self._items: Deque[_PendingRequest] = collections.deque()
         self._max = max_queue
         self._cond = threading.Condition()
+        self._take_lock = threading.Lock()
         self._closed = False
         self.high_water = 0
 
@@ -308,9 +311,12 @@ class _RequestQueue:
             self._cond.notify()
             return True
 
-    def close(self) -> None:
+    def close(self, discard: bool = False) -> None:
+        """Refuse further offers; ``discard`` also drops what is queued."""
         with self._cond:
             self._closed = True
+            if discard:
+                self._items.clear()
             self._cond.notify_all()
 
     @property
@@ -325,9 +331,10 @@ class _RequestQueue:
 
         Requests are merged whole, FIFO, up to ``max_samples``; an
         oversized request ships alone.  With a window, the batch is held
-        open up to ``window`` seconds hoping to fill.
+        open up to ``window`` seconds hoping to fill.  One caller
+        assembles at a time, so concurrent takers never split a window.
         """
-        with self._cond:
+        with self._take_lock, self._cond:
             while not self._items:
                 if self._closed:
                     return None
@@ -422,10 +429,6 @@ class InferenceServer:
             # runner (its lock serializes dispatches).
             self._runners = [_BackendRunner(backend)] * self.config.workers
         self._queue = _RequestQueue(self.config.max_queue)
-        self._dispatch: "collections.deque[Optional[List[_PendingRequest]]]" = (
-            collections.deque()
-        )
-        self._dispatch_cond = threading.Condition()
         self._sample_ids = itertools.count(1)
         self._batch_ids = itertools.count(1)
         self._sessions: List[_Session] = []
@@ -470,7 +473,6 @@ class InferenceServer:
         self._running = True
         self._draining = False
         self._spawn(self._accept_loop, "accept")
-        self._spawn(self._batch_loop, "batcher")
         for index in range(self.config.workers):
             self._spawn(lambda i=index: self._worker_loop(i), f"worker-{index}")
         return self.address
@@ -505,18 +507,18 @@ class InferenceServer:
         """Enter graceful drain: stop accepting work, keep completing.
 
         New ISSUE frames are refused with ``"server is draining"``;
-        everything already admitted flows through the batcher and the
-        workers as usual.  Call :meth:`drain` to also wait for the
-        in-flight work, then :meth:`stop` to tear down.
+        everything already admitted flows through the workers as usual.
+        Call :meth:`drain` to also wait for the in-flight work, then
+        :meth:`stop` to tear down.
         """
         self._draining = True
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Gracefully drain: refuse new queries, flush in-flight ones.
 
-        Returns ``True`` when the admission queue, the dispatch queue,
-        and every session's in-flight count reached zero within
-        ``timeout`` seconds; ``False`` if the deadline expired first.
+        Returns ``True`` when the admission queue and every session's
+        in-flight count reached zero within ``timeout`` seconds;
+        ``False`` if the deadline expired first.
         The server keeps serving STATS/DRAIN frames either way — follow
         with :meth:`stop` to tear down.  This is the SIGTERM path of
         ``repro serve`` (see ``docs/durability.md``).
@@ -528,14 +530,14 @@ class InferenceServer:
         while time.monotonic() < deadline:
             with self._sessions_lock:
                 inflight = sum(s.inflight for s in self._sessions)
-            if (self._queue.depth == 0 and not self._dispatch
-                    and inflight == 0):
+            if self._queue.depth == 0 and inflight == 0:
                 return True
             time.sleep(0.005)
         return False
 
     def stop(self, drain: bool = True, timeout: float = 10.0) -> None:
-        """Shut down; with ``drain`` the admitted queue finishes first.
+        """Shut down; with ``drain``, :meth:`drain` runs first, so every
+        admitted query is answered before its session closes.
 
         The teardown order makes outliving threads impossible rather
         than merely unlikely: the running flag flips under the thread
@@ -550,25 +552,16 @@ class InferenceServer:
         if not self._running:
             return
         if drain:
-            deadline = time.monotonic() + timeout
-            while self._queue.depth > 0 and time.monotonic() < deadline:
-                time.sleep(0.005)
+            self.drain(timeout)
         with self._threads_lock:
             if not self._running:
                 return
             self._running = False
-        self._queue.close()
-        with self._dispatch_cond:
-            if not drain:
-                # An abandoned run must not make workers chew through
-                # every queued batch (at full backend latency each)
-                # before they can see their stop sentinel: the sessions
-                # are about to be closed, so nobody could receive the
-                # answers anyway.
-                self._dispatch.clear()
-            for _ in range(self.config.workers):
-                self._dispatch.append(None)
-            self._dispatch_cond.notify_all()
+        # Workers finish the batch in hand and stop at the closed queue.
+        # An abandoned run drops the backlog rather than working through
+        # it at full backend latency: the sessions are about to be
+        # closed, so nobody could receive the answers anyway.
+        self._queue.close(discard=not drain)
         if self._listener is not None:
             try:
                 self._listener.close()
@@ -737,44 +730,27 @@ class InferenceServer:
 
     # -- batching + dispatch ----------------------------------------------------
 
-    def _batch_loop(self) -> None:
-        while True:
-            batch = self._queue.take_batch(
-                self.config.max_batch, self.config.batch_window
-            )
-            if batch is None:
-                return
-            with self._stats_lock:
-                self.stats.batches += 1
-                self.stats.batched_samples += sum(
-                    r.sample_count for r in batch
-                )
-                self.stats.queue_high_water = max(
-                    self.stats.queue_high_water, self._queue.high_water
-                )
-                if self._m:
-                    self._m.batch_size.observe(
-                        sum(r.sample_count for r in batch))
-                    dispatch_time = time.monotonic()
-                    for request in batch:
-                        self._m.queue_wait.observe(
-                            dispatch_time - request.recv_time)
-            with self._dispatch_cond:
-                self._dispatch.append(batch)
-                self._dispatch_cond.notify()
-
     def _worker_loop(self, index: int) -> None:
         runner = self._runners[index]
         busy_seconds = (
             self._m.worker_busy_child(index) if self._m else None
         )
         while True:
-            with self._dispatch_cond:
-                while not self._dispatch:
-                    self._dispatch_cond.wait(_POLL)
-                batch = self._dispatch.popleft()
+            batch = self._queue.take_batch(
+                self.config.max_batch, self.config.batch_window
+            )
             if batch is None:
-                return
+                return  # closed, and nothing left to take
+            samples = sum(r.sample_count for r in batch)
+            with self._stats_lock:
+                self.stats.batches += 1
+                self.stats.batched_samples += samples
+                self.stats.queue_high_water = self._queue.high_water
+                if self._m:
+                    self._m.batch_size.observe(samples)
+                    taken = time.monotonic()
+                    for request in batch:
+                        self._m.queue_wait.observe(taken - request.recv_time)
             if busy_seconds is None:
                 self._execute_batch(runner, batch)
                 continue

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import signal
 import socket as _socket
+import threading
+import time
 
 import pytest
 
@@ -62,11 +64,28 @@ class FixedLatencySUT(SutBase):
 _LOOPBACK_HOSTS = {"127.0.0.1", "localhost", "::1"}
 
 
+#: How long a thread a socket test started may outlive the test.
+THREAD_GRACE = 2.0
+
+
+def _leaked_threads(before):
+    """Threads not in ``before`` still alive after ``THREAD_GRACE``."""
+    deadline = time.monotonic() + THREAD_GRACE
+    while True:
+        leaked = [t for t in threading.enumerate()
+                  if t not in before and t.is_alive()]
+        if not leaked or time.monotonic() >= deadline:
+            return leaked
+        leaked[0].join(timeout=max(deadline - time.monotonic(), 0.0))
+
+
 @pytest.fixture(autouse=True)
 def _socket_test_guard(request):
     """Keep real-socket tests bounded: a hard per-test timeout (so a
     wedged server/reader thread fails the test instead of hanging the
-    suite) and a localhost-only restriction on outbound connects.
+    suite), a localhost-only restriction on outbound connects, and no
+    leaked threads - a thread the test started that is still alive
+    ``THREAD_GRACE`` seconds after it ends fails it, by name.
 
     Activated by ``@pytest.mark.socket`` (override the default 20 s via
     ``@pytest.mark.socket(timeout=...)``).  The timeout uses SIGALRM, so
@@ -77,6 +96,7 @@ def _socket_test_guard(request):
         yield
         return
     timeout = float(marker.kwargs.get("timeout", 20.0))
+    threads_before = set(threading.enumerate())
 
     real_connect = _socket.socket.connect
 
@@ -106,6 +126,12 @@ def _socket_test_guard(request):
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, old_handler)
         _socket.socket.connect = real_connect
+    leaked = _leaked_threads(threads_before)
+    if leaked:
+        pytest.fail(
+            f"socket test left {len(leaked)} thread(s) alive "
+            f"{THREAD_GRACE:g}s after it ended: "
+            f"{sorted(t.name for t in leaked)}", pytrace=False)
 
 
 @pytest.fixture

@@ -254,7 +254,7 @@ def test_a_loopback_server_exports_its_ledger():
                                clock=WallClock())
         assert result.valid, result.validity.reasons
         # Eight ISSUEs in one write against a one-deep queue: the
-        # session thread offers them faster than the batcher drains.
+        # session thread offers them faster than the worker takes them.
         burst = RawClient(address)
         burst.sock.sendall(b"".join(
             protocol.encode_frame(FrameType.ISSUE, {

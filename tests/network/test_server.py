@@ -132,6 +132,106 @@ def test_queue_full_is_immediate_fail_not_a_hang():
         client.close()
 
 
+def test_paced_overload_is_shed_not_buffered():
+    """Admission is the only queue: a request leaves it only when a
+    worker takes it, so a paced overload is answered at the backend's
+    rate plus what fits in the queue, and the rest is refused at once.
+    (Moved to an unbounded dispatch deque by a batcher thread, 36 of
+    these 40 were answered.)"""
+    latency, workers, max_queue = 0.02, 1, 4
+    config = ServerConfig(port=0, workers=workers, max_queue=max_queue,
+                          max_batch=1)
+    with InferenceServer(lambda: EchoSUT(latency=latency), config) as server:
+        client = RawClient(server.address)
+        first = time.monotonic()
+        for qid in range(40):
+            if qid:
+                time.sleep(0.002)
+            issue(client, query_id=qid, sample_ids=[qid])
+        span = time.monotonic() - first
+        reasons = []
+        for _ in range(40):
+            ftype, payload = client.recv(timeout=10.0)
+            if ftype is FrameType.FAIL:
+                reasons.append(protocol.parse_fail(payload)[1])
+            else:
+                assert ftype is FrameType.COMPLETE
+        answered = 40 - len(reasons)
+        assert answered <= max_queue + workers + span / latency + 1, (
+            f"{answered} answered over a {span * 1e3:.0f} ms burst")
+        assert set(reasons) == {"server request queue is full"}
+        assert server.stats.rejected == len(reasons)
+        client.close()
+
+
+def test_a_freed_worker_takes_the_backlog_as_one_batch():
+    """Requests wait in the admission queue until a worker is free, and
+    that worker takes up to ``max_batch`` of them at once - with no
+    window at all.  (A batcher thread that sealed each arrival into its
+    own batch behind a busy worker made these eight batches.)"""
+    config = ServerConfig(port=0, workers=1, max_queue=16, max_batch=8)
+    with InferenceServer(lambda: EchoSUT(latency=0.05), config) as server:
+        client = RawClient(server.address)
+        issue(client, query_id=0, sample_ids=[0])
+        deadline = time.monotonic() + 5.0
+        while server.stats.batches < 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        for qid in range(1, 8):
+            time.sleep(0.005)
+            issue(client, query_id=qid, sample_ids=[qid])
+        for _ in range(8):
+            assert client.recv()[0] is FrameType.COMPLETE
+        assert server.stats.batches == 2
+        assert server.stats.batched_samples == 8
+        client.close()
+
+
+def test_workers_taking_from_one_queue_lose_no_request_and_no_count():
+    """More workers than cores and a tiny switch interval: every request
+    is answered exactly once, and the batch ledger the workers share adds
+    up to what the backends ran."""
+    import os
+    import sys
+
+    backends = []
+
+    def backend():
+        backends.append(EchoSUT(latency=0.0))
+        return backends[-1]
+
+    workers = (os.cpu_count() or 1) + 2
+    config = ServerConfig(port=0, workers=workers, max_queue=512,
+                          max_batch=4)
+    sizes = [1 + qid % 2 for qid in range(300)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with InferenceServer(backend, config) as server:
+            client = RawClient(server.address)
+            first, frames = 0, []
+            for qid, size in enumerate(sizes):
+                frames.append(protocol.encode_frame(FrameType.ISSUE, {
+                    "query_id": qid,
+                    "samples": [[s, s] for s in range(first, first + size)]}))
+                first += size
+            client.send_bytes(b"".join(frames))
+            answered = []
+            for _ in sizes:
+                ftype, payload = client.recv(timeout=10.0)
+                assert ftype is FrameType.COMPLETE
+                qid, responses, _, _ = protocol.parse_complete(payload)
+                assert len(responses) == sizes[qid]
+                answered.append(qid)
+            client.close()
+    finally:
+        sys.setswitchinterval(interval)
+    stats = server.stats
+    assert sorted(answered) == list(range(len(sizes)))
+    assert stats.batched_samples == sum(sizes)
+    assert stats.batches == sum(b.queries_served for b in backends)
+    assert (stats.completed, stats.rejected) == (len(sizes), 0)
+
+
 def test_edge_batching_merges_requests():
     config = ServerConfig(
         port=0, workers=1, max_queue=64, max_batch=8, batch_window=0.05)
@@ -353,6 +453,34 @@ def test_stop_joins_every_thread_including_blocked_readers():
     ]
     assert leftovers == []
     assert srv._threads == []
+    for client in clients:
+        client.close()
+
+
+def test_a_server_runs_its_workers_the_accept_loop_and_one_per_session():
+    """``1 + workers`` threads, plus one reader per session: workers take
+    their batches from the admission queue, no batcher thread between."""
+    config = ServerConfig(port=0, workers=3, name="thread-count-probe")
+    srv = InferenceServer(lambda: EchoSUT(latency=0.001), config)
+    srv.start()
+    name_prefix = f"{srv.config.name}-"
+
+    def serving_threads():
+        return sorted(t.name[len(name_prefix):] for t in threading.enumerate()
+                      if t.name.startswith(name_prefix) and t.is_alive())
+
+    clients = []
+    try:
+        assert serving_threads() == [
+            "accept", "worker-0", "worker-1", "worker-2"]
+        clients = [RawClient(srv.address) for _ in range(2)]
+        deadline = time.monotonic() + 5.0
+        while len(srv._sessions) < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert len(serving_threads()) == 1 + 3 + 2
+    finally:
+        srv.stop()
+    assert serving_threads() == []
     for client in clients:
         client.close()
 

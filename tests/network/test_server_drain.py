@@ -58,9 +58,39 @@ class TestDrain:
             assert srv.drain(timeout=5.0) is True
             client.close()
 
+    def test_stop_delivers_what_it_drains(self):
+        """``stop()`` drains before it closes the sessions, so every
+        admitted query's answer reaches its client.  (Waiting only for
+        the admission queue to empty, it once closed them while the
+        answers were still being worked: ``stats.completed`` read 4 and
+        the client received none.)"""
+        config = ServerConfig(port=0, workers=1, max_queue=8, max_batch=1)
+        srv = InferenceServer(lambda: EchoSUT(latency=0.05), config)
+        srv.start()
+        client = RawClient(srv.address)
+        try:
+            for qid in range(4):
+                issue(client, query_id=qid, sample_ids=[qid])
+            deadline = time.monotonic() + 5.0
+            while (srv.stats.queries_received < 4
+                   and time.monotonic() < deadline):
+                time.sleep(0.002)
+            srv.stop()
+            assert client.expect_closed()
+        finally:
+            srv.stop(drain=False)
+            client.close()
+        completed = [protocol.parse_complete(payload)[0]
+                     for ftype, payload in client.frames
+                     if ftype is FrameType.COMPLETE]
+        assert completed == [0, 1, 2, 3]
+        assert srv.stats.completed == 4
+
     def test_drain_times_out_when_inflight_never_finishes(self):
         config = ServerConfig(port=0, workers=1, max_queue=4, max_batch=1)
-        slow = lambda: EchoSUT(latency=30.0)  # noqa: E731
+        # Five times the drain deadline, and short enough that stop()
+        # joins the worker instead of leaving it behind.
+        slow = lambda: EchoSUT(latency=1.0)  # noqa: E731
         srv = InferenceServer(slow, config)
         srv.start()
         try:
