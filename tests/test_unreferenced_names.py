@@ -1,26 +1,67 @@
-"""Dead-name lint: what ``src/repro`` defines, something must use.
+"""Dead-name lint: what ``src/repro`` defines, the program must use.
 
 An ``ast`` walk collects every module-level function, class and
 constant and every method or property defined in ``src/repro``, then
-every identifier the code in ``src/``, ``tests/``, ``benchmarks/`` and
-``examples/`` reads: a bare name, an attribute, a keyword argument, an
-imported name, the string handed to ``getattr``.  A definition that
-nothing reads is dead; dunders are exempt (the interpreter calls them),
-and ``Protocol`` members need no exemption, each is read where it is
-called.  Re-export does not count as use - neither the
+every identifier the code in ``src/``, ``benchmarks/``, ``examples/``,
+``tools/`` (the program) and ``tests/`` reads: a bare name, an
+attribute, a keyword argument, an imported name, a string handed to a
+call as a positional argument (``getattr(obj, "name")``, or a profiler
+patching ``"name"`` on a class).  Dunders are exempt (the interpreter
+calls them), and ``Protocol`` members need no exemption, each is read
+where it is called.  Re-export does not count as use - neither the
 ``from .x import name`` of a package ``__init__`` nor a string in
-``__all__`` - and a name used only by its own unit test passes: that is
-a judgement for a reader (``tools/function_coverage.py`` says which
-functions the suite enters), not for a lint.
+``__all__``.
+
+Two rules:
+
+* A definition that nothing reads is dead.
+* A definition that only ``tests/`` reads is code a reader has to
+  understand and nothing runs: it gets a caller in the program or goes,
+  with the tests that only exercise it.  The exceptions are ``KEEP``,
+  each with the reason it stays.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
-READERS = [REPO / "src", REPO / "tests", REPO / "benchmarks",
-           REPO / "examples"]
+PROGRAM = [REPO / "src", REPO / "benchmarks", REPO / "examples",
+           REPO / "tools"]
+TESTS = [REPO / "tests"]
+
+#: Names in ``src/repro`` that only tests read, and why each stays.
+KEEP = {
+    "_index": "the reference the inlined Histogram.observe is compared "
+              "against",
+    "decode_value": "encode_value's inverse, the round trip the wire "
+                    "codec's byte oracle is checked through",
+    "emit_chunk": "documented SUT-author API: how a streaming SUT sends "
+                  "a chunk down the responder channel",
+    "ideal_translation": "the noiseless cipher, the reference the "
+                         "translator tests compare against",
+    "numerical_gradient": "the central-difference reference the "
+                          "backprop tests compare analytic gradients "
+                          "against",
+}
+
+#: Test-only names still to be given a caller or deleted.
+PENDING = {
+    "DetectorSUT", "Flatten", "Softmax", "TinyGNMT", "TranslatorSUT",
+    "ZoneBacklogSignal", "active_pins", "alive_workers", "bits",
+    "build_glyph_detector", "chunk_indices", "compute_stream_metrics",
+    "evaluate_detector", "fingerprint", "fit_device_model", "for_deadline",
+    "is_transient_only", "layer_report", "loaded_count",
+    "macs_per_sentence", "map_at_50", "merge", "next_event_time",
+    "normal_cdf", "open_streams", "pending_bytes", "pending_samples",
+    "pinned_replica", "planned_matrix", "power_at", "resident_sessions",
+    "result_for", "run_custom_dataset_test", "run_duration",
+    "sample_index_of", "sentence_bleu", "sequence_log_prob",
+    "summary_score", "topk_accuracy", "total_rate", "train_classifier",
+    "translate_beam", "with_nms", "write_submission", "zone_names",
+    "zone_replicas",
+}
 
 
 def definitions(tree):
@@ -61,23 +102,52 @@ def names_read(tree, reexports):
         elif isinstance(node, ast.ImportFrom) and not reexports:
             for alias in node.names:
                 yield alias.name
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id in ("getattr", "hasattr")
-              and len(node.args) > 1
-              and isinstance(node.args[1], ast.Constant)):
-            yield node.args[1].value
+        elif isinstance(node, ast.Call):
+            for arg in node.args:
+                if isinstance(arg, ast.Constant) and isinstance(arg.value,
+                                                                str):
+                    yield arg.value
 
 
-def test_everything_src_defines_is_read_somewhere():
+@functools.lru_cache(maxsize=None)
+def _read_by(roots):
     read = set()
-    for root in READERS:
+    for root in roots:
         for path in root.rglob("*.py"):
             read.update(names_read(ast.parse(path.read_text()),
                                    reexports=path.name == "__init__.py"))
-    dead = []
+    return frozenset(read)
+
+
+def _defined():
+    """``("path:lineno", name)`` of every non-dunder definition."""
     for path in sorted(SRC.rglob("*.py")):
         for name, lineno in definitions(ast.parse(path.read_text())):
-            if name.startswith("__") and name.endswith("__") or name in read:
-                continue
-            dead.append(f"{path.relative_to(REPO)}:{lineno} {name}")
+            if not (name.startswith("__") and name.endswith("__")):
+                yield f"{path.relative_to(REPO)}:{lineno}", name
+
+
+def test_a_name_handed_over_as_a_string_is_read():
+    snippet = 'span(QueryLog, "record_completion", "core.logging", "record", 1)'
+    assert "record_completion" in set(names_read(ast.parse(snippet), False))
+
+
+def test_everything_src_defines_is_read_somewhere():
+    read = _read_by(tuple(PROGRAM)) | _read_by(tuple(TESTS))
+    dead = [f"{where} {name}" for where, name in _defined()
+            if name not in read]
     assert not dead, "defined in src/repro, read nowhere:\n" + "\n".join(dead)
+
+
+def test_nothing_src_defines_is_read_only_by_tests():
+    program, tests = _read_by(tuple(PROGRAM)), _read_by(tuple(TESTS))
+    test_only = [(where, name) for where, name in _defined()
+                 if name in tests and name not in program]
+    stale = (set(KEEP) | PENDING) - {name for _, name in test_only}
+    assert not stale, ("KEEP / PENDING names no longer read only by "
+                       "tests:\n" + "\n".join(sorted(stale)))
+    unexcused = [f"{where} {name}" for where, name in test_only
+                 if name not in KEEP and name not in PENDING]
+    assert not unexcused, (
+        "defined in src/repro, read only by tests/ (give it a caller, "
+        "delete it, or KEEP it with a reason):\n" + "\n".join(unexcused))
