@@ -18,7 +18,6 @@ import pytest
 
 from repro.core import Scenario, TestSettings, run_benchmark
 from repro.durability import run_fingerprint
-from repro.faults import BurstPlan
 from repro.fleet import (
     Autoscaler,
     AutoscalerPolicy,
@@ -161,9 +160,8 @@ class TestDeterminism:
 
     def test_autoscaler_trace_bit_identical_under_flash_crowd(
             self, benchmark):
-        plan = BurstPlan.flash_crowd(0.8, 0.6, multiplier=3.0)
         settings = SETTINGS.with_overrides(
-            server_rate_bursts=plan.as_settings())
+            server_rate_bursts=((0.8, 0.6, 3.0),))
 
         def one_run():
             fleet = fleet_of(2, max_replicas=8, seed=23)

@@ -11,7 +11,11 @@ majority.
 import pytest
 
 from repro.accuracy.checker import AccuracyReport
-from repro.audit import run_accuracy_verification, run_caching_detection
+from repro.audit import (
+    run_accuracy_verification,
+    run_caching_detection,
+    run_custom_dataset_test,
+)
 from repro.core import Scenario, Task, TestSettings, run_benchmark
 from repro.datasets import DatasetQSL, SyntheticImageNet
 from repro.models.quantization import NumericFormat
@@ -111,4 +115,25 @@ def test_sec5b_caching_detection_cost(benchmark, audit_setup):
     report = benchmark.pedantic(
         lambda: run_caching_detection(factory, qsl, settings),
         rounds=1, iterations=1)
+    assert report.passed
+
+
+def test_sec5b_custom_dataset_cost(benchmark, audit_setup):
+    """The submitter's recipe on a data set it has never seen: the glyph
+    model built for the new set keeps its quality (a system replaying
+    results memorized from the reference set would not)."""
+    _factory, qsl, settings = audit_setup
+    custom = SyntheticImageNet(size=200, seed=777)
+
+    def sut_for(audit_qsl):
+        model = build_glyph_classifier(audit_qsl.dataset, "heavy")
+        return ClassifierSUT(model, audit_qsl,
+                             service_time_fn=lambda n: 0.002 * n)
+
+    report = benchmark.pedantic(
+        lambda: run_custom_dataset_test(
+            sut_for, qsl.dataset, custom, settings,
+            task_type="classification", max_relative_drop=0.10),
+        rounds=1, iterations=1)
+    print("\n  " + report.summary())
     assert report.passed

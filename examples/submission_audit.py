@@ -2,11 +2,16 @@
 
 Assembles a complete closed-division submission (performance run,
 accuracy run, system description), pushes it through the submission
-checker, then runs the audit suite against both the honest system and a
-result-caching cheater - which the on-the-fly caching detection catches.
+checker, writes it out as the on-disk artifacts a submitter uploads and
+checks that directory the way ``repro check`` does, then runs the audit
+suite against both the honest system and a result-caching cheater -
+which the on-the-fly caching detection catches.
 
 Run:  python examples/submission_audit.py   (~20 seconds)
 """
+
+import sys
+import tempfile
 
 from repro.accuracy import check_accuracy
 from repro.audit import (
@@ -28,7 +33,9 @@ from repro.submission import (
     Submission,
     SystemDescription,
     check_submission,
+    check_submission_dir,
     format_submission,
+    write_submission,
 )
 from repro.sut import ClassifierSUT
 
@@ -58,7 +65,7 @@ class CachingCheater(SutBase):
             duration, lambda: self.complete(query, responses))
 
 
-def main() -> None:
+def main() -> int:
     dataset = SyntheticImageNet(size=400)
     qsl = DatasetQSL(dataset)
     model = build_glyph_classifier(dataset, variant="heavy")
@@ -102,6 +109,16 @@ def main() -> None:
     for issue in report.issues:
         print(" ", issue)
 
+    # ---- the artifacts, as uploaded for peer review (Section V-A) -------
+    with tempfile.TemporaryDirectory() as directory:
+        root = write_submission(submission, directory)
+        on_disk = check_submission_dir(root)
+        print(f"\nsubmission directory (repro check): "
+              f"{'CLEARED' if on_disk.passed else 'REJECTED'} "
+              f"({len(on_disk.issues)} issues)")
+        for issue in on_disk.issues:
+            print(" ", issue)
+
     # ---- the Section V-B audits ------------------------------------------
     audit_settings = TestSettings(scenario=Scenario.SINGLE_STREAM,
                                   min_query_count=200, min_duration=0.5)
@@ -116,7 +133,8 @@ def main() -> None:
     cheat = run_caching_detection(
         lambda: CachingCheater(qsl, model), qsl, audit_settings)
     print(" ", cheat.summary())
+    return 0 if report.passed and on_disk.passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,6 +1,6 @@
 """Quality metrics and the accuracy script."""
 
-from .bleu import corpus_bleu, sentence_bleu
+from .bleu import corpus_bleu
 from .checker import (
     AccuracyReport,
     check_accuracy,
@@ -8,8 +8,8 @@ from .checker import (
     check_detection,
     check_translation,
 )
-from .map import COCO_IOU_THRESHOLDS, map_at_50, mean_average_precision
-from .topk import top1_accuracy, topk_accuracy
+from .map import COCO_IOU_THRESHOLDS, mean_average_precision
+from .topk import top1_accuracy
 
 __all__ = [
     "AccuracyReport",
@@ -19,9 +19,6 @@ __all__ = [
     "check_detection",
     "check_translation",
     "corpus_bleu",
-    "map_at_50",
     "mean_average_precision",
-    "sentence_bleu",
     "top1_accuracy",
-    "topk_accuracy",
 ]

@@ -88,9 +88,3 @@ def corpus_bleu(
     else:
         brevity_penalty = math.exp(1.0 - ref_length / hyp_length)
     return 100.0 * brevity_penalty * geo_mean
-
-
-def sentence_bleu(hypothesis: Sequence, reference: Sequence,
-                  max_order: int = MAX_NGRAM_ORDER) -> float:
-    """Single-sentence BLEU with exponential smoothing."""
-    return corpus_bleu([hypothesis], [reference], max_order=max_order)

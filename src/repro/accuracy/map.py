@@ -119,11 +119,3 @@ def mean_average_precision(
     if not aps:
         raise ValueError("no class had any ground truth")
     return float(np.mean(aps))
-
-
-def map_at_50(
-    detections: Sequence[Sequence[Detection]],
-    truths: Sequence[Sequence[GroundTruthObject]],
-) -> float:
-    """PASCAL-style mAP at a single 0.5 IoU threshold."""
-    return mean_average_precision(detections, truths, iou_thresholds=(0.5,))

@@ -1,10 +1,8 @@
-"""Top-K classification accuracy (the ImageNet quality metric)."""
+"""Top-1 classification accuracy (the ImageNet quality metric)."""
 
 from __future__ import annotations
 
 from typing import Sequence
-
-import numpy as np
 
 
 def top1_accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:
@@ -19,20 +17,3 @@ def top1_accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:
         raise ValueError("cannot score an empty prediction set")
     correct = sum(int(p == t) for p, t in zip(predictions, labels))
     return 100.0 * correct / len(predictions)
-
-
-def topk_accuracy(scores: np.ndarray, labels: Sequence[int], k: int = 5) -> float:
-    """Top-K accuracy (%) from a score matrix ``(N, num_classes)``."""
-    scores = np.asarray(scores)
-    labels = np.asarray(list(labels))
-    if scores.ndim != 2:
-        raise ValueError(f"scores must be 2-D, got shape {scores.shape}")
-    if scores.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"{scores.shape[0]} score rows but {labels.shape[0]} labels"
-        )
-    if not 1 <= k <= scores.shape[1]:
-        raise ValueError(f"k must be in 1..{scores.shape[1]}, got {k}")
-    topk = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-    hits = (topk == labels[:, None]).any(axis=1)
-    return 100.0 * float(hits.mean())

@@ -28,7 +28,6 @@ from .metrics import (
     SessionMetrics,
     StreamMetrics,
     compute_metrics,
-    compute_stream_metrics,
     empty_metrics,
 )
 from .query import (
@@ -92,7 +91,6 @@ __all__ = [
     "VirtualClock",
     "WallClock",
     "compute_metrics",
-    "compute_stream_metrics",
     "empty_metrics",
     "find_max_burst_rate",
     "run_burst_benchmark",

@@ -179,9 +179,8 @@ def check_rate_bursts(bursts) -> tuple:
     """``bursts`` as a tuple of ``(start, duration, multiplier)``
     tuples, or ``ValueError`` naming the first bad one: every value
     finite (NaN included), the start >= 0, the duration and the
-    multiplier positive, the windows sorted and non-overlapping.  The
-    one check behind ``TestSettings.server_rate_bursts`` and
-    ``repro.faults.BurstPlan``."""
+    multiplier positive, the windows sorted and non-overlapping: what
+    ``TestSettings.server_rate_bursts`` accepts."""
     windows = tuple(tuple(w) for w in bursts)
     for window in windows:
         if len(window) != 3:
@@ -258,9 +257,9 @@ class TestSettings:
     #: While a window is active, the Poisson arrival rate becomes
     #: ``server_target_qps * multiplier`` - the flash-crowd / lull
     #: traffic the replicated serving tier (``repro.fleet``) is
-    #: exercised under.  Plain data (not callables), so journaled runs
-    #: replay their bursts; build windows ergonomically with
-    #: ``repro.faults.BurstPlan``.  ``None`` keeps the constant rate.
+    #: exercised under.  A flash crowd is one window, e.g.
+    #: ``((0.8, 0.6, 3.0),)``.  Plain data (not callables), so journaled
+    #: runs replay their bursts.  ``None`` keeps the constant rate.
     server_rate_bursts: Optional[tuple] = None
 
     #: Token-level serving SLOs for streamed responses, in nanoseconds

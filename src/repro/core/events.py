@@ -259,10 +259,3 @@ class EventLoop:
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
         return len(self._heap) - self._cancelled
-
-    def next_event_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or ``None`` if idle."""
-        while self._heap and self._heap[0][2] is None:
-            heapq.heappop(self._heap)
-            self._cancelled -= 1
-        return self._heap[0][0] if self._heap else None

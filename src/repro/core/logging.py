@@ -357,14 +357,6 @@ class QueryLog:
                 out[response.sample_id] = response.data
         return out
 
-    def sample_index_of(self, sample_id: int) -> int:
-        """Reverse-map a sample id to its data set index."""
-        for record in self.records():
-            for sample in record.query.samples:
-                if sample.id == sample_id:
-                    return sample.index
-        raise KeyError(f"unknown sample id {sample_id}")
-
     def sample_index_map(self) -> Dict[int, int]:
         """Map of every issued sample id to its data set index."""
         out: Dict[int, int] = {}

@@ -132,11 +132,6 @@ def window_of(records: Sequence[QueryRecord]) -> float:
             - min([r.issue_time for r in records]))
 
 
-def run_duration(log: QueryLog) -> float:
-    """Seconds from first issue to last completion."""
-    return window_of(log.completed_records())
-
-
 def scenario_metric_name(scenario: Scenario) -> str:
     """The Table II primary-metric label for ``scenario``."""
     return {
@@ -251,13 +246,6 @@ def stream_metrics_of(
         tpot_violations=tpot_violations,
         goodput=compliant / duration if duration > 0 else float("inf"),
     )
-
-
-def compute_stream_metrics(
-    log: QueryLog, settings: TestSettings
-) -> Optional[StreamMetrics]:
-    """Token-level metrics for a run, or None if nothing streamed."""
-    return stream_metrics_of(log.completed_records(), settings)
 
 
 def session_metrics_of(

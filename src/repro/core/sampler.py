@@ -12,7 +12,7 @@ once so the accuracy script can evaluate the full benchmark data set.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -111,15 +111,3 @@ def accuracy_mode_indices(total_sample_count: int) -> List[int]:
     if total_sample_count < 1:
         raise ValueError("data set is empty")
     return list(range(total_sample_count))
-
-
-def chunk_indices(indices: Sequence[int], chunk: int) -> Iterator[List[int]]:
-    """Split ``indices`` into consecutive chunks of size ``chunk``.
-
-    The final chunk may be short.  Used by accuracy mode to form queries
-    whose sample count matches the scenario (N for multistream).
-    """
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    for start in range(0, len(indices), chunk):
-        yield list(indices[start:start + chunk])

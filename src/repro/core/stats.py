@@ -74,11 +74,6 @@ def inverse_normal_cdf(p: float) -> float:
     return x
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF, via ``erfc`` for numerical stability."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
 def margin_for_tail_latency(tail_latency: float) -> float:
     """Equation 1: margin = (1 - TailLatency) / 20."""
     if not 0.0 < tail_latency < 1.0:

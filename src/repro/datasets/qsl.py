@@ -40,10 +40,6 @@ class DatasetQSL:
     def performance_sample_count(self) -> int:
         return self._performance_sample_count
 
-    @property
-    def loaded_count(self) -> int:
-        return len(self._loaded)
-
     def load_samples(self, indices: Sequence[int]) -> None:
         for index in indices:
             self.dataset._check_index(index)

@@ -21,9 +21,7 @@ import numpy as np
 
 from .base import Dataset
 
-#: Special token ids (0 is left for padding; nothing here pads).
-BOS_ID = 1
-EOS_ID = 2
+#: The lowest word id; 0-2 are reserved for special tokens.
 FIRST_WORD_ID = 3
 
 

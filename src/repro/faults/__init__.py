@@ -16,7 +16,6 @@ asymmetric partitions - are driven by the seeded
 windows on per-replica valves (``docs/chaos.md``).
 """
 
-from .burst import BurstPlan, BurstWindow
 from .chaos import (
     CHAOS_KINDS,
     ChaosDecision,
@@ -41,8 +40,6 @@ __all__ = [
     "TRANSIENT_FAULTS",
     "Attempt",
     "AttemptSUT",
-    "BurstPlan",
-    "BurstWindow",
     "ChaosDecision",
     "ChaosEvent",
     "ChaosOrchestrator",

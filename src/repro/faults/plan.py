@@ -105,16 +105,6 @@ class FaultPlan:
             rates={f: rate_per_fault for f in TRANSIENT_FAULTS}, **kwargs
         )
 
-    @property
-    def total_rate(self) -> float:
-        return sum(self.rates.values())
-
-    def is_transient_only(self) -> bool:
-        return all(
-            fault in TRANSIENT_FAULTS or rate == 0.0
-            for fault, rate in self.rates.items()
-        )
-
 
 @dataclass(frozen=True)
 class FaultDecision:

@@ -7,12 +7,11 @@ of retriers recovering together cannot stampede the backend in
 lockstep), and response hygiene
 (duplicate and unsolicited completions are filtered, malformed response
 sets are retried).  With :attr:`RetryPolicy.total_timeout` set, retries
-plus backoff are additionally capped by a per-query wall-clock budget -
-:meth:`RetryPolicy.for_deadline` builds a policy that provably resolves
-every query inside a run's ``watchdog_timeout``.  Transient faults - drops, latency spikes - are
-recovered at the cost of the retry latency; permanent ones are reported
-to the LoadGen as recorded failures (:meth:`SutBase.fail`) so the run
-terminates with a clean INVALID verdict instead of hanging.
+plus backoff are additionally capped by a per-query wall-clock budget.
+Transient faults - drops, latency spikes - are recovered at the cost of
+the retry latency; permanent ones are reported to the LoadGen as
+recorded failures (:meth:`SutBase.fail`) so the run terminates with a
+clean INVALID verdict instead of hanging.
 
 All timing runs on the run's event loop, so resilience behavior is as
 deterministic and virtual-time-fast as everything else.
@@ -21,7 +20,6 @@ deterministic and virtual-time-fast as everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from dataclasses import replace as dataclasses_replace
 from math import inf
 from typing import Optional
 
@@ -60,8 +58,7 @@ class RetryPolicy:
     #: is given up once this much run time has elapsed since its first
     #: issue.  ``None`` bounds a query only by
     #: ``max_attempts x (timeout + backoff)`` - which stacked wrappers
-    #: can push past ``TestSettings.watchdog_timeout``; see
-    #: :meth:`for_deadline`.
+    #: can push past ``TestSettings.watchdog_timeout``.
     total_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -88,50 +85,6 @@ class RetryPolicy:
                 f"must fit), got {self.total_timeout} < "
                 f"{self.attempt_timeout}"
             )
-
-    def worst_case_latency(self) -> float:
-        """Upper bound on one query's time inside the wrapper, seconds.
-
-        All attempts time out at the full ``attempt_timeout`` and every
-        backoff hits its jitter ceiling.  With ``total_timeout`` set the
-        budget caps this bound; without it, this is exactly the quantity
-        that must stay below the run's watchdog for a single query to be
-        deadline-safe.
-        """
-        uncapped = self.max_attempts * self.attempt_timeout + sum(
-            self.backoff(attempt) for attempt in range(self.max_attempts - 1)
-        )
-        if self.total_timeout is None:
-            return uncapped
-        return min(uncapped, self.total_timeout)
-
-    @classmethod
-    def for_deadline(cls, deadline: float, **kwargs) -> "RetryPolicy":
-        """A policy guaranteed to resolve every query within ``deadline``.
-
-        Builds a policy from ``kwargs`` (same fields as the
-        constructor), sets ``total_timeout=deadline``, and trims
-        ``max_attempts`` down to the largest count whose worst case fits
-        - so retries are bounded *a priori*, not just cut off at the
-        wall.  Use ``TestSettings.watchdog_timeout`` (minus headroom) as
-        the deadline to make a retry stack watchdog-safe by
-        construction.
-        """
-        if deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
-        kwargs.pop("total_timeout", None)
-        policy = cls(total_timeout=deadline, **kwargs)
-        if policy.attempt_timeout > deadline:
-            raise ValueError(
-                f"attempt_timeout {policy.attempt_timeout} cannot fit in "
-                f"deadline {deadline}")
-        while policy.max_attempts > 1:
-            capless = dataclasses_replace(policy, total_timeout=None)
-            if capless.worst_case_latency() <= deadline:
-                break
-            policy = dataclasses_replace(
-                policy, max_attempts=policy.max_attempts - 1)
-        return policy
 
     def backoff(self, attempt: int) -> float:
         """Backoff ceiling before re-issuing after losing ``attempt``

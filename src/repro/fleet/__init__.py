@@ -36,7 +36,6 @@ from .signals import (
     BacklogSignal,
     SeriesSignal,
     SignalSource,
-    ZoneBacklogSignal,
     make_signal,
 )
 from .sweep import SweepConfig, SweepHarness, SweepProbe, SweepResult
@@ -65,7 +64,6 @@ __all__ = [
     "SweepProbe",
     "SweepResult",
     "WeightedP99Policy",
-    "ZoneBacklogSignal",
     "ZoneLocalPolicy",
     "ZoneSpreadPolicy",
     "make_policy",

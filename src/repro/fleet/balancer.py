@@ -201,15 +201,6 @@ class SessionAffinityPolicy(BalancerPolicy):
         #: session_id -> index of the replica that last *served* it.
         self._pins: Dict[int, int] = {}
 
-    @property
-    def active_pins(self) -> int:
-        """Sessions currently pinned (in flight, not yet ended)."""
-        return len(self._pins)
-
-    def pinned_replica(self, session_id: int) -> Optional[int]:
-        """The replica ``session_id`` is pinned to, or ``None``."""
-        return self._pins.get(session_id)
-
     def _least_outstanding(
         self, candidates: Sequence[Replica]
     ) -> List[Replica]:

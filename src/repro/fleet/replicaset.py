@@ -337,15 +337,6 @@ class ReplicaSet(AttemptSUT):
     def total_outstanding(self) -> int:
         return sum(r.outstanding for r in self.replicas)
 
-    @property
-    def zone_names(self) -> List[str]:
-        """Zones present in the fleet, sorted for determinism."""
-        return sorted({r.zone for r in self.replicas})
-
-    def zone_replicas(self, zone: str) -> List[Replica]:
-        """All replicas in ``zone`` (any health), in index order."""
-        return [r for r in self.replicas if r.zone == zone]
-
     # -- routing ----------------------------------------------------------------
 
     def issue_query(self, query: Query) -> None:

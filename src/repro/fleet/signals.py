@@ -7,15 +7,11 @@ already export.  A :class:`SignalSource` closes that gap: it is sampled
 once per autoscaler tick on the run's (virtual) event loop and reduces
 whatever it watches to one float for the watermark comparison.
 
-Three stock sources:
+Two stock sources:
 
 * :class:`BacklogSignal` - the classic in-process backlog
   (``total_outstanding / max(1, available)``), the default; zero setup
   and exactly the pre-SignalSource behavior.
-* :class:`ZoneBacklogSignal` - the *worst zone's* backlog per available
-  replica.  Fleet-wide averaging hides a zone outage (the survivors'
-  queues double while the mean barely moves); scaling on the hottest
-  fault domain reacts to exactly that.
 * :class:`SeriesSignal` - reads one **live metric family** from a
   :class:`~repro.metrics.MetricsRegistry`, summing every labeled child
   (so ``prefix_cache_misses_total{replica=...}`` aggregates across the
@@ -80,37 +76,6 @@ class BacklogSignal(SignalSource):
         replica_set = self.replica_set
         available = len(replica_set.available_replicas)
         return replica_set.total_outstanding / max(1, available)
-
-
-class ZoneBacklogSignal(SignalSource):
-    """Backlog of the most-loaded fault domain, per available replica.
-
-    Per zone: outstanding queries of its non-DOWN replicas divided by
-    ``max(1, available in zone)``; the signal is the max over zones.
-    During a zone outage the dead zone's rescued queries pile onto the
-    survivors and *their* zone's backlog - not the fleet mean - is what
-    the watermarks should see.  Zones with no replicas at all (never
-    built) contribute nothing.
-    """
-
-    name = "zone-backlog"
-
-    def sample(self, now: float) -> float:
-        from .replica import ReplicaHealth
-        outstanding: dict = {}
-        available: dict = {}
-        for replica in self.replica_set.replicas:
-            if replica.health is ReplicaHealth.DOWN:
-                continue
-            zone = replica.zone
-            outstanding[zone] = outstanding.get(zone, 0) + replica.outstanding
-            if replica.available:
-                available[zone] = available.get(zone, 0) + 1
-        if not outstanding:
-            return 0.0
-        return max(
-            queued / max(1, available.get(zone, 0))
-            for zone, queued in outstanding.items())
 
 
 class SeriesSignal(SignalSource):

@@ -5,11 +5,10 @@ design rules keep them cheap enough to sit on the LoadGen issue path:
 
 * **No locks on the write path.**  Every primitive is *single-writer*:
   one thread (usually the run's event-loop thread) owns it and mutates
-  it with plain attribute arithmetic.  Concurrency is handled the way
-  the paper's LoadGen handles logging - per-thread instruments that are
-  :meth:`~Histogram.merge`-d at collection time - or by updating inside
-  a lock the caller already holds (the network server observes its
-  histograms inside the critical sections that guard ``ServerStats``).
+  it with plain attribute arithmetic.  Concurrency is handled by
+  updating inside a lock the caller already holds (the network server
+  observes its histograms inside the critical sections that guard
+  ``ServerStats``).
 * **No time reads.**  A primitive never looks at a clock; observations
   are pure values.  That is what keeps the virtual-time path bit-exact
   reproducible: a metric can only reflect what the (deterministic) run
@@ -48,7 +47,7 @@ class Counter:
     """A monotonically increasing count (queries issued, faults injected).
 
     Single-writer by design (see the module docstring); cross-thread
-    aggregation goes through :meth:`merge` or per-thread label children.
+    aggregation goes through per-thread label children.
 
     Like a gauge, a counter may instead be backed by a zero-argument
     callable (``Counter(fn=...)``): :attr:`value` then reads the count
@@ -75,12 +74,6 @@ class Counter:
         if self._fn is not None:
             return float(self._fn())
         return self._value
-
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter's count into this one."""
-        if self._fn is not None:
-            raise ValueError("cannot merge into a callback-backed counter")
-        self._value += other.value
 
 
 class Gauge:
@@ -209,27 +202,6 @@ class Histogram:
         while k < last and value > uppers[k]:
             k += 1
         return k
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram (identical bucketing) into this one.
-
-        This is the cross-thread aggregation path: each worker observes
-        into a private histogram and the collector merges them.
-        """
-        if (other.base != self.base or other.growth != self.growth
-                or len(other._counts) != len(self._counts)):
-            raise ValueError(
-                "cannot merge histograms with different bucketing: "
-                f"({self.base}, {self.growth}, {len(self._counts)}) vs "
-                f"({other.base}, {other.growth}, {len(other._counts)})"
-            )
-        for i, c in enumerate(other._counts):
-            if c:
-                self._counts[i] += c
-        self._count += other._count
-        self._sum += other._sum
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
 
     # -- reading ---------------------------------------------------------------
 

@@ -15,7 +15,6 @@ from .training import (
     SGD,
     TrainReport,
     softmax_cross_entropy,
-    train_classifier,
     train_quantization_aware,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "pareto_frontier",
     "quantize_tensor",
     "softmax_cross_entropy",
-    "train_classifier",
     "train_quantization_aware",
 ]

@@ -275,17 +275,6 @@ class GlobalMaxPool(Layer):
         return x.max(axis=(1, 2))
 
 
-class Flatten(Layer):
-    def output_shape(self, input_shape: Shape) -> Shape:
-        size = 1
-        for dim in input_shape:
-            size *= dim
-        return (size,)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(x.shape[0], -1)
-
-
 class Dense(Layer):
     def __init__(self, units: int, use_bias: bool = True, name: str = "") -> None:
         super().__init__(name or "dense")
@@ -320,14 +309,6 @@ class Dense(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return F.dense(x, self.params["weights"], self.params.get("bias"))
-
-
-class Softmax(Layer):
-    def output_shape(self, input_shape: Shape) -> Shape:
-        return input_shape
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return F.softmax(x)
 
 
 class Embedding(Layer):
@@ -463,17 +444,6 @@ class Sequential(Layer):
         base = f"{prefix}{self.name}."
         for index, child in enumerate(self.children):
             yield from child.named_parameters(f"{base}{index}:")
-
-    def layer_report(self, input_shape: Shape) -> List[Tuple[str, Shape, int, int]]:
-        """Per-layer ``(name, output_shape, params, macs)`` table."""
-        report = []
-        shape = input_shape
-        for child in self.children:
-            params = child.param_count(shape)
-            macs = child.macs(shape)
-            shape = child.output_shape(shape)
-            report.append((child.name, shape, params, macs))
-        return report
 
 
 class Residual(Layer):

@@ -43,16 +43,6 @@ class NumericFormat(enum.Enum):
     def is_integer(self) -> bool:
         return self in _INT_RANGES
 
-    @property
-    def bits(self) -> int:
-        return {
-            NumericFormat.FP32: 32, NumericFormat.FP16: 16,
-            NumericFormat.BF16: 16, NumericFormat.FP11: 11,
-            NumericFormat.INT16: 16, NumericFormat.UINT16: 16,
-            NumericFormat.INT8: 8, NumericFormat.UINT8: 8,
-            NumericFormat.INT4: 4,
-        }[self]
-
 
 #: (qmin, qmax) for the integer formats.
 _INT_RANGES = {

@@ -2,14 +2,12 @@
 
 from .classifier import GlyphClassifier, build_glyph_classifier, evaluate_classifier
 from .detector import GlyphDetector, build_glyph_detector, evaluate_detector
-from .gnmt_tiny import TinyGNMT
 from .translator import CipherTranslator, build_cipher_translator, evaluate_translator
 
 __all__ = [
     "CipherTranslator",
     "GlyphClassifier",
     "GlyphDetector",
-    "TinyGNMT",
     "build_cipher_translator",
     "build_glyph_classifier",
     "build_glyph_detector",

@@ -92,12 +92,6 @@ class GlyphDetector:
         quantize_model(clone.arch, spec)
         return clone
 
-    def with_nms(self, algorithm: str) -> "GlyphDetector":
-        """Copy of this detector using a different NMS algorithm."""
-        clone = copy.copy(self)
-        clone.nms_algorithm = algorithm
-        return clone
-
 
 def build_glyph_detector(
     dataset: SyntheticCoco,

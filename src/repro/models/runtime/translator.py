@@ -86,13 +86,6 @@ class CipherTranslator:
             output.append(int(np.argmax(logits)))
         return output
 
-    def macs_per_sentence(self, length: int) -> int:
-        """Attention + projection MACs for a length-``length`` sentence."""
-        d = self.position_codes.shape[1]
-        v = self.vocab_size
-        per_step = length * d + length * v + v * v
-        return per_step * length
-
     def quantized(self, spec: QuantizationSpec) -> "CipherTranslator":
         """Return a fake-quantized deep copy (the original is untouched)."""
         clone = copy.deepcopy(self)

@@ -384,18 +384,7 @@ class TrainReport:
         return self.losses[-1]
 
 
-def train_classifier(
-    graph: Sequential,
-    images: np.ndarray,
-    labels: np.ndarray,
-    epochs: int = 5,
-    batch_size: int = 32,
-    optimizer: Optional[SGD] = None,
-    seed: int = 0,
-) -> TrainReport:
-    """Plain FP32 training with softmax cross-entropy."""
-    return _train(graph, images, labels, epochs, batch_size,
-                  optimizer or SGD(), seed, quant_spec=None)
+_QUANT_SKIP = ("gamma", "beta", "mean", "variance")
 
 
 def train_quantization_aware(
@@ -416,19 +405,11 @@ def train_quantization_aware(
     The result is a network whose *quantized* forward pass is accurate -
     "quantization-friendly weights".
     """
-    return _train(graph, images, labels, epochs, batch_size,
-                  optimizer or SGD(), seed, quant_spec=quant_spec)
-
-
-_QUANT_SKIP = ("gamma", "beta", "mean", "variance")
-
-
-def _train(graph, images, labels, epochs, batch_size, optimizer, seed,
-           quant_spec) -> TrainReport:
     if len(images) != len(labels):
         raise ValueError(f"{len(images)} images but {len(labels)} labels")
     if len(images) == 0:
         raise ValueError("training set is empty")
+    optimizer = optimizer or SGD()
     rng = np.random.default_rng(seed)
     report = TrainReport()
     count = len(images)
@@ -441,25 +422,22 @@ def _train(graph, images, labels, epochs, batch_size, optimizer, seed,
             x = images[batch]
             y = labels[batch]
 
-            masters = None
-            if quant_spec is not None:
-                # Swap in fake-quantized weights for the forward pass.
-                masters = {}
-                for index, layer in enumerate(graph.children):
-                    for key, value in layer.params.items():
-                        if key.endswith(_QUANT_SKIP):
-                            continue
-                        masters[(index, key)] = value
-                        layer.params[key] = quantize_tensor(value, quant_spec)
+            # Swap in fake-quantized weights for the forward pass.
+            masters = {}
+            for index, layer in enumerate(graph.children):
+                for key, value in layer.params.items():
+                    if key.endswith(_QUANT_SKIP):
+                        continue
+                    masters[(index, key)] = value
+                    layer.params[key] = quantize_tensor(value, quant_spec)
 
             logits, caches = forward_with_cache(graph, x)
             loss, grad = softmax_cross_entropy(logits, y)
             grads = backward(graph, grad, caches)
 
-            if masters is not None:
-                # Restore the FP32 masters before the update (STE).
-                for (index, key), value in masters.items():
-                    graph.children[index].params[key] = value
+            # Restore the FP32 masters before the update (STE).
+            for (index, key), value in masters.items():
+                graph.children[index].params[key] = value
 
             optimizer.step(graph, grads)
             epoch_loss += loss

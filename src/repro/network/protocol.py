@@ -438,11 +438,6 @@ class FrameReader:
     def __init__(self) -> None:
         self._buffer = bytearray()
 
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered towards an incomplete frame."""
-        return len(self._buffer)
-
     def feed(self, data: bytes) -> List[Tuple[FrameType, Any]]:
         """Absorb ``data``; return every frame it completed."""
         buffer = self._buffer

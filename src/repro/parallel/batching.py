@@ -61,10 +61,6 @@ class DynamicBatcher:
         self._timer: Optional[object] = None
         self.batches = 0  #: dispatch count (observability)
 
-    @property
-    def pending_samples(self) -> int:
-        return self._pending_samples
-
     def add(self, query: Query) -> None:
         self._pending.append((query, self._loop.now))
         self._pending_samples += query.sample_count

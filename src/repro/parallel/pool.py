@@ -288,12 +288,6 @@ class WorkerPool:
         self.stats.restarts += restarted
         return restarted
 
-    @property
-    def alive_workers(self) -> int:
-        return sum(
-            1 for m in self._members
-            if m is not None and m.process.is_alive())
-
     def kill_worker(self, index: int) -> None:
         """SIGKILL a worker (fault injection / crash tests)."""
         member = self._members[index % self.workers]

@@ -125,10 +125,6 @@ class _LruModel:
         #: Tokens resident across all sessions.
         self.resident_tokens = 0
 
-    @property
-    def resident_sessions(self) -> int:
-        return len(self._resident)
-
     def access(self, session_id: int, turn_index: int, prefix_tokens: int,
                new_tokens: int, response_tokens: int) -> List[CacheEvent]:
         """Process one turn; return its access event plus any evictions.

@@ -182,14 +182,6 @@ class ReplayGraph:
             cached = self._plans[user_id] = self.profile.plan(user_id)
         return cached
 
-    def fingerprint(self) -> tuple:
-        """Order-stable digest of every user's full plan."""
-        return tuple(
-            (plan.user_id,) + tuple(plan.turns)
-            for plan in (
-                self.plan(uid) for uid in range(self.session_count))
-        )
-
 
 def replay_graph_from_settings(settings: TestSettings) -> ReplayGraph:
     """The replay graph a session run with ``settings`` will issue."""

@@ -67,7 +67,3 @@ class StreamReassembler:
         chunks were stranded behind a gap (lost-chunk evidence)."""
         buffer = self._buffers.pop(query_id, None)
         return len(buffer.held) if buffer is not None else 0
-
-    @property
-    def open_streams(self) -> int:
-        return len(self._buffers)

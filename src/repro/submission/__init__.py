@@ -6,7 +6,7 @@ from .artifacts import (
     write_submission,
 )
 from .checker import CheckReport, Issue, Severity, check_submission
-from .reporting import SummaryScoreRefused, format_submission, summary_score
+from .reporting import format_submission
 from .review import ReviewOutcome, ReviewSummary, review_round
 from .schema import (
     APPROVED_NUMERICS,
@@ -28,7 +28,6 @@ __all__ = [
     "ReviewSummary",
     "Severity",
     "Submission",
-    "SummaryScoreRefused",
     "SystemDescription",
     "check_submission",
     "check_submission_dir",
@@ -36,5 +35,4 @@ __all__ = [
     "write_submission",
     "format_submission",
     "review_round",
-    "summary_score",
 ]

@@ -3,8 +3,7 @@
 MLPerf Inference deliberately provides **no summary score**: weighting
 tasks against each other is subjective, and specialized systems would be
 misrepresented by any average.  The reporting functions therefore only
-ever emit per-(task, scenario) rows; an explicit guard refuses requests
-for a single aggregate number.
+ever emit per-(task, scenario) rows, and say that no aggregate exists.
 """
 
 from __future__ import annotations
@@ -12,19 +11,6 @@ from __future__ import annotations
 
 from ..core.config import Scenario
 from .schema import Submission
-
-
-class SummaryScoreRefused(RuntimeError):
-    """Raised when a caller asks for the single number that must not be."""
-
-
-def summary_score(submission: Submission) -> float:
-    """There is no summary score.  By design.  See Section V-C."""
-    raise SummaryScoreRefused(
-        "MLPerf Inference provides no summary score: not all ML tasks are "
-        "equally important for all systems, and weighting them is "
-        "subjective.  Report per-task, per-scenario results instead."
-    )
 
 
 _METRIC_HEADINGS = {

@@ -88,10 +88,3 @@ class Submission:
     results: List[BenchmarkResult] = field(default_factory=list)
     #: Open-division submissions must document their deviations.
     open_deviations: Optional[str] = None
-
-    def result_for(self, task: Task, scenario: Scenario
-                   ) -> Optional[BenchmarkResult]:
-        for result in self.results:
-            if result.task is task and result.scenario is scenario:
-                return result
-        return None

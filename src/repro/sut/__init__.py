@@ -6,7 +6,6 @@ from .backend import (
     PreprocessingModel,
     TranslatorSUT,
 )
-from .calibration import FitResult, fit_device_model
 from .device import ComputeMotif, DeviceModel, ProcessorType
 from .echo import EchoSUT
 from .fleet import (
@@ -16,7 +15,6 @@ from .fleet import (
     FleetSystem,
     build_fleet,
     framework_matrix,
-    planned_matrix,
     task_workload,
 )
 from .simulated import SimulatedSUT, WorkloadProfile
@@ -27,7 +25,6 @@ __all__ = [
     "DetectorSUT",
     "DeviceModel",
     "EchoSUT",
-    "FitResult",
     "PreprocessingModel",
     "FIGURE_5",
     "FleetSystem",
@@ -38,8 +35,6 @@ __all__ = [
     "TranslatorSUT",
     "WorkloadProfile",
     "build_fleet",
-    "fit_device_model",
     "framework_matrix",
-    "planned_matrix",
     "task_workload",
 ]

@@ -185,12 +185,6 @@ class DeviceModel:
 
     # -- power/energy ----------------------------------------------------------
 
-    def power_at(self, work_gops: float) -> float:
-        """Instantaneous draw (W) while running a dispatch of that size."""
-        return self.idle_watts + (
-            (self.peak_watts - self.idle_watts) * self.utilization(work_gops)
-        )
-
     def dispatch_energy(self, gops_per_sample: float, batch: int,
                         motif: ComputeMotif = ComputeMotif.DENSE_CNN
                         ) -> float:

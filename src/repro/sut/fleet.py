@@ -425,18 +425,6 @@ def build_fleet() -> List[FleetSystem]:
     ]
 
 
-def planned_matrix(systems: Sequence[FleetSystem]
-                   ) -> Dict[Task, Dict[Scenario, int]]:
-    """Count planned submissions per (task, scenario)."""
-    matrix: Dict[Task, Dict[Scenario, int]] = {
-        task: {scenario: 0 for scenario in Scenario} for task in Task
-    }
-    for system in systems:
-        for task, scenario in system.submissions():
-            matrix[task][scenario] += 1
-    return matrix
-
-
 def framework_matrix(systems: Sequence[FleetSystem]
                      ) -> Dict[str, frozenset]:
     """Framework -> set of processor types (the Table VII matrix)."""

@@ -29,6 +29,22 @@ class OracleClassifierSUT(SutBase):
         self.loop.schedule_after(0.001, lambda: self.complete(query, responses))
 
 
+class PayloadSUT(SutBase):
+    """Answers each sample with ``payload(qsl, index)``."""
+
+    def __init__(self, qsl, payload):
+        super().__init__("payload")
+        self.qsl = qsl
+        self.payload = payload
+
+    def issue_query(self, query):
+        responses = [
+            QuerySampleResponse(s.id, self.payload(self.qsl, s.index))
+            for s in query.samples
+        ]
+        self.loop.schedule_after(0.001, lambda: self.complete(query, responses))
+
+
 def accuracy_run(qsl, sut):
     settings = TestSettings(scenario=Scenario.SINGLE_STREAM,
                             mode=TestMode.ACCURACY)
@@ -57,6 +73,21 @@ class TestClassificationChecker:
         report = check_accuracy(result, imagenet, "classification", 99.0)
         assert "PASSED" in report.summary()
         assert "Top-1" in report.summary()
+
+    def test_meeting_the_target_exactly_passes(self, imagenet):
+        qsl = DatasetQSL(imagenet)
+        result = accuracy_run(qsl, OracleClassifierSUT(qsl))
+        report = check_accuracy(result, imagenet, "classification", 100.0)
+        assert report.value == report.target == 100.0
+        assert report.passed
+
+    def test_failed_summary_names_the_verdict_and_sample_count(
+            self, imagenet):
+        qsl = DatasetQSL(imagenet)
+        result = accuracy_run(qsl, OracleClassifierSUT(qsl, wrong_every=2))
+        report = check_accuracy(result, imagenet, "classification", 90.0)
+        assert "FAILED" in report.summary()
+        assert f"[{len(imagenet)} samples]" in report.summary()
 
 
 class TestCheckerPlumbing:
@@ -111,6 +142,35 @@ class TestDetectionChecker:
         report = check_accuracy(result, coco, "detection", 0.95)
         assert report.passed
         assert report.value == pytest.approx(1.0)
+
+    def test_missed_objects_fail_the_target(self, coco):
+        # Report only the first object of each image: recall drops, and
+        # with it the mAP.
+        qsl = DatasetQSL(coco)
+        result = accuracy_run(qsl, PayloadSUT(qsl, lambda qsl, index: [
+            (o.box, 0.9, o.class_id) for o in qsl.get_label(index)[:1]]))
+        report = check_accuracy(result, coco, "detection", 0.95)
+        assert not report.passed
+        assert 0.0 < report.value < 0.95
+        assert report.sample_count == len(coco)
+
+
+class TestTranslationOracle:
+    def test_reference_tokens_score_100(self, wmt):
+        qsl = DatasetQSL(wmt)
+        result = accuracy_run(qsl, PayloadSUT(qsl, lambda qsl, index:
+                                              list(qsl.get_label(index))))
+        report = check_accuracy(result, wmt, "translation", 99.0)
+        assert report.passed
+        assert report.value == pytest.approx(100.0)
+
+    def test_echoing_the_source_fails(self, wmt):
+        qsl = DatasetQSL(wmt)
+        result = accuracy_run(qsl, PayloadSUT(qsl, lambda qsl, index:
+                                              list(qsl.get_sample(index))))
+        report = check_accuracy(result, wmt, "translation", 60.0)
+        assert not report.passed
+        assert report.value < 60.0
 
 
 class TestTranslationChecker:

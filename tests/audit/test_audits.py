@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.audit import (
+    CustomDatasetReport,
     run_accuracy_verification,
     run_caching_detection,
     run_custom_dataset_test,
@@ -12,9 +13,18 @@ from repro.audit import (
 from repro.core import Scenario, TestSettings
 from repro.core.query import QuerySampleResponse
 from repro.core.sut import SutBase
-from repro.datasets import DatasetQSL, SyntheticImageNet
-from repro.models.runtime import build_glyph_classifier
-from repro.sut.backend import ClassifierSUT
+from repro.datasets import (
+    DatasetQSL,
+    SyntheticCoco,
+    SyntheticImageNet,
+    SyntheticWmt,
+)
+from repro.models.runtime import (
+    build_cipher_translator,
+    build_glyph_classifier,
+    build_glyph_detector,
+)
+from repro.sut.backend import ClassifierSUT, DetectorSUT, TranslatorSUT
 
 
 def perf_settings():
@@ -232,3 +242,98 @@ class TestCustomDataset:
         )
         assert not report.passed
         assert report.relative_drop > 0.5
+        assert "FAILED (data-set-specific behaviour)" in report.summary()
+
+
+class TestCustomDatasetOtherTasks:
+    """The swap works the same for the detection and translation
+    checkers: a system that really infers carries its quality over, one
+    tied to the reference data does not."""
+
+    def test_translator_built_for_the_loaded_data_transfers(self):
+        reference, custom = SyntheticWmt(size=120), SyntheticWmt(
+            size=120, seed=99)
+
+        def sut_for(qsl):
+            return TranslatorSUT(build_cipher_translator(qsl.dataset), qsl,
+                                 service_time_fn=lambda n: 0.001)
+
+        report = run_custom_dataset_test(
+            sut_for, reference, custom,
+            TestSettings(scenario=Scenario.SINGLE_STREAM),
+            task_type="translation", max_relative_drop=0.10)
+        assert report.passed
+        assert report.custom_quality > 60.0
+
+    def test_translator_fixed_to_the_reference_cipher_is_caught(self):
+        reference, custom = SyntheticWmt(size=120), SyntheticWmt(
+            size=120, seed=99)
+        model = build_cipher_translator(reference)
+
+        def sut_for(qsl):
+            return TranslatorSUT(model, qsl, service_time_fn=lambda n: 0.001)
+
+        report = run_custom_dataset_test(
+            sut_for, reference, custom,
+            TestSettings(scenario=Scenario.SINGLE_STREAM),
+            task_type="translation", max_relative_drop=0.10)
+        assert not report.passed
+        assert report.relative_drop > 0.9
+
+    def test_detector_transfers(self):
+        reference, custom = SyntheticCoco(size=96), SyntheticCoco(
+            size=96, seed=77)
+
+        def sut_for(qsl):
+            return DetectorSUT(build_glyph_detector(qsl.dataset, "heavy"),
+                               qsl, service_time_fn=lambda n: 0.001)
+
+        # 96 images leave the mAP a few points of sampling noise.
+        report = run_custom_dataset_test(
+            sut_for, reference, custom,
+            TestSettings(scenario=Scenario.SINGLE_STREAM),
+            task_type="detection", max_relative_drop=0.15)
+        assert report.passed
+        assert report.custom_quality > 0.25
+
+    def test_replayed_reference_boxes_are_caught(self):
+        reference, custom = SyntheticCoco(size=96), SyntheticCoco(
+            size=96, seed=77)
+        memorized = {
+            i: [(o.box, 0.9, o.class_id) for o in reference.get_label(i)]
+            for i in range(len(reference))
+        }
+
+        report = run_custom_dataset_test(
+            lambda qsl: MemorizerSUT(qsl, memorized), reference, custom,
+            TestSettings(scenario=Scenario.SINGLE_STREAM),
+            task_type="detection", max_relative_drop=0.15)
+        assert report.reference_quality == pytest.approx(1.0)
+        assert not report.passed
+
+
+class TestCustomDatasetReport:
+    def test_relative_drop_is_the_fraction_of_quality_lost(self):
+        report = CustomDatasetReport(passed=False, reference_quality=80.0,
+                                     custom_quality=60.0,
+                                     max_relative_drop=0.05)
+        assert report.relative_drop == pytest.approx(0.25)
+
+    def test_a_gain_on_the_custom_set_is_a_negative_drop(self):
+        report = CustomDatasetReport(passed=True, reference_quality=50.0,
+                                     custom_quality=60.0,
+                                     max_relative_drop=0.05)
+        assert report.relative_drop == pytest.approx(-0.2)
+
+    def test_zero_reference_quality_reports_no_drop(self):
+        report = CustomDatasetReport(passed=True, reference_quality=0.0,
+                                     custom_quality=0.0,
+                                     max_relative_drop=0.05)
+        assert report.relative_drop == 0.0
+
+    def test_summary_reports_both_qualities_and_the_drop(self):
+        report = CustomDatasetReport(passed=True, reference_quality=80.0,
+                                     custom_quality=78.0,
+                                     max_relative_drop=0.05)
+        assert report.summary() == (
+            "custom-dataset: PASSED (reference 80, custom 78, drop 2.50%)")

@@ -61,6 +61,12 @@ class FixedLatencySUT(SutBase):
         )
 
 
+def alive_workers(pool):
+    """How many of a ``WorkerPool``'s worker processes are running."""
+    return sum(member is not None and member.process.is_alive()
+               for member in pool._members)
+
+
 _LOOPBACK_HOSTS = {"127.0.0.1", "localhost", "::1"}
 
 

@@ -120,6 +120,23 @@ def test_cancelled_event_does_not_fire():
     assert handle.cancelled
 
 
+def test_cancelling_the_earliest_event_lets_the_next_one_fire_first():
+    loop = EventLoop()
+    fired = []
+    loop.schedule(3.0, lambda: fired.append(loop.now)).cancel()
+    loop.schedule(7.0, lambda: fired.append(loop.now))
+    assert loop.run() == 7.0
+    assert fired == [7.0]
+
+
+def test_run_returns_the_final_clock_reading():
+    loop = EventLoop()
+    assert loop.run() == 0.0
+    loop.schedule(1.5, lambda: None)
+    assert loop.run() == 1.5
+    assert loop.run(until=4.0) == 4.0
+
+
 def test_run_until_stops_before_later_events():
     loop = EventLoop()
     seen = []
@@ -215,14 +232,11 @@ class TestRunAbortedError:
         assert loop.pending() == 1  # the event after the abort survives
 
 
-def test_pending_and_next_event_time():
+def test_pending_counts_live_events():
     loop = EventLoop()
     assert loop.pending() == 0
-    assert loop.next_event_time() is None
     handle = loop.schedule(3.0, lambda: None)
     loop.schedule(7.0, lambda: None)
     assert loop.pending() == 2
-    assert loop.next_event_time() == 3.0
     handle.cancel()
     assert loop.pending() == 1
-    assert loop.next_event_time() == 7.0

@@ -54,10 +54,6 @@ class ReferenceLoop:
     def pending(self):
         return len(self._live())
 
-    def next_event_time(self):
-        live = self._live()
-        return live[0].time if live else None
-
 
 # Few distinct delays, so same-instant ties are the common case.
 delays = st.sampled_from([0.0, 0.0, 0.25, 1.0, 1.0, 3.5])
@@ -96,13 +92,11 @@ def execute(loop, program):
 
     for op in program:
         do(op)
-        trace.append(("state", loop.now, loop.pending(),
-                      loop.next_event_time()))
+        trace.append(("state", loop.now, loop.pending()))
     # Stops can leave work behind; three drains are not required to
     # finish it, only to agree.
     for _ in range(3):
-        trace.append(("drain", loop.run(), loop.pending(),
-                      loop.next_event_time()))
+        trace.append(("drain", loop.run(), loop.pending()))
     return trace
 
 
@@ -130,7 +124,6 @@ def test_compaction_keeps_pop_order():
     # Cancelled entries were dropped in bulk, not left for the pops.
     assert loop.pending() == reference.pending() == 500
     assert len(loop._heap) <= 2 * 500 + 64
-    assert loop.next_event_time() == reference.next_event_time()
     assert loop.run() == reference.run()
     assert fired[id(loop)] == fired[id(reference)]
     assert len(fired[id(loop)]) == 500
@@ -163,7 +156,7 @@ def test_a_fired_event_is_not_cancelled_and_cancelling_it_counts_nothing():
     assert loop.pending() == 1
     waiting.cancel()
     waiting.cancel()  # twice is once
-    assert loop.pending() == 0 and loop.next_event_time() is None
+    assert loop.pending() == 0
     assert loop.run() == 2.0
 
 

@@ -117,10 +117,7 @@ def test_sample_index_maps():
     log = QueryLog()
     query = _query(1, [10, 20])
     log.record_issue(query, 0.0)
-    assert log.sample_index_of(100) == 10
     assert log.sample_index_map() == {100: 10, 101: 20}
-    with pytest.raises(KeyError):
-        log.sample_index_of(999)
 
 
 def test_records_in_issue_order():

@@ -1,4 +1,4 @@
-"""Sample selection: with-replacement draws, determinism, chunking."""
+"""Sample selection: with-replacement draws, determinism."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.core.sampler import (
     QueryFactory,
     SampleSelector,
     accuracy_mode_indices,
-    chunk_indices,
 )
 
 
@@ -119,26 +118,3 @@ class TestAccuracyMode:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             accuracy_mode_indices(0)
-
-
-class TestChunking:
-    def test_even_chunks(self):
-        assert list(chunk_indices([1, 2, 3, 4], 2)) == [[1, 2], [3, 4]]
-
-    def test_ragged_tail(self):
-        assert list(chunk_indices([1, 2, 3], 2)) == [[1, 2], [3]]
-
-    def test_chunk_larger_than_input(self):
-        assert list(chunk_indices([1], 10)) == [[1]]
-
-    def test_bad_chunk_rejected(self):
-        with pytest.raises(ValueError):
-            list(chunk_indices([1], 0))
-
-    @given(st.lists(st.integers(), min_size=0, max_size=100),
-           st.integers(min_value=1, max_value=17))
-    def test_chunking_partitions_exactly(self, indices, chunk):
-        chunks = list(chunk_indices(indices, chunk))
-        flat = [i for c in chunks for i in c]
-        assert flat == indices
-        assert all(1 <= len(c) <= chunk for c in chunks)

@@ -1,6 +1,12 @@
-"""``SutBase`` forwards ``flush`` and ``close`` down ``inners``."""
+"""``SutBase``: the responder channel, and ``flush`` and ``close``
+forwarded down ``inners``."""
+
+import pytest
 
 from repro.core.events import EventLoop
+from repro.core.query import (
+    Query, QueryFailure, QuerySample, QuerySampleResponse, StreamChunk,
+)
 from repro.core.sut import SutBase
 from repro.durability import SelfHealingSUT
 from repro.faults import ResilientSUT
@@ -59,6 +65,65 @@ def test_a_new_run_makes_the_stack_closable_again():
     stack.start_run(EventLoop(), lambda query, responses: None)
     stack.close()
     assert owner.closes == 2
+
+
+def started(sut):
+    """Start ``sut`` on a fresh loop; return what reaches its responder."""
+    received = []
+    sut.start_run(EventLoop(), lambda query, outcome: received.append(
+        (query, outcome)))
+    return received
+
+
+def test_complete_hands_the_responses_to_the_responder():
+    sut = SutBase("base")
+    received = started(sut)
+    query = Query(id=3, samples=(QuerySample(id=30, index=1),))
+    responses = [QuerySampleResponse(30, "answer")]
+    sut.complete(query, responses)
+    assert received == [(query, responses)]
+
+
+def test_fail_delivers_a_query_failure_with_its_reason():
+    sut = SutBase("base")
+    received = started(sut)
+    query = Query(id=3, samples=(QuerySample(id=30, index=1),))
+    sut.fail(query, "backend crashed")
+    ((got, outcome),) = received
+    assert got is query
+    assert isinstance(outcome, QueryFailure)
+    assert outcome.reason == "backend crashed"
+
+
+def test_emit_chunk_rides_the_same_channel():
+    sut = SutBase("base")
+    received = started(sut)
+    query = Query(id=3, samples=(QuerySample(id=30, index=1),))
+    chunk = StreamChunk(3, seq=0, last=True)
+    sut.emit_chunk(query, chunk)
+    assert received == [(query, chunk)]
+
+
+def test_the_loop_is_the_one_the_run_handed_over():
+    sut = SutBase("base")
+    loop = EventLoop()
+    sut.start_run(loop, lambda query, outcome: None)
+    assert sut.loop is loop
+
+
+def test_issue_query_is_left_to_the_concrete_sut():
+    sut = SutBase("base")
+    started(sut)
+    with pytest.raises(NotImplementedError):
+        sut.issue_query(Query(id=1, samples=(QuerySample(id=1, index=0),)))
+
+
+def test_a_leaf_without_inners_closes_and_flushes_as_a_no_op():
+    sut = SutBase("leaf")
+    sut.flush()
+    sut.close()
+    sut.close()
+    assert sut.inners == ()
 
 
 def test_flush_walks_the_same_path():

@@ -280,7 +280,7 @@ class TestMultiStreamKeepsItsCadence:
             PerformanceSource(SampleSelector(range(8), seed=1)), log)
         driver.start()
         assert driver.stats.start_time == 1.0
-        assert loop.next_event_time() == 11.0
+        assert loop._heap[0].time == 11.0
         driver._tick()  # by hand: this clock would make run() sleep
         (query,) = sut.queries
         assert query.sample_count == 3

@@ -228,7 +228,7 @@ class TestDatasetQSL:
         qsl.unload_samples([0])
         with pytest.raises(RuntimeError):
             qsl.get_sample(0)
-        assert qsl.loaded_count == 1
+        assert qsl.get_sample(1) is not None
 
     def test_load_validates_indices(self, imagenet):
         from repro.datasets import DatasetQSL
@@ -244,3 +244,26 @@ class TestDatasetQSL:
         qsl.load_samples([1, 2, 3])
         qsl.unload_samples([1, 2, 3])
         assert qsl.events == ["load:3", "unload:3"]
+
+    def test_performance_count_defaults_to_the_dataset(self, coco):
+        from repro.datasets import DatasetQSL
+        qsl = DatasetQSL(coco)
+        assert qsl.performance_sample_count == coco.performance_sample_count
+
+    def test_a_rejected_load_loads_nothing(self, imagenet):
+        from repro.datasets import DatasetQSL
+        qsl = DatasetQSL(imagenet)
+        with pytest.raises(IndexError):
+            qsl.load_samples([0, len(imagenet)])
+        with pytest.raises(RuntimeError):
+            qsl.get_sample(0)
+        assert qsl.events == []
+
+    def test_samples_and_labels_pass_through(self, wmt):
+        from repro.datasets import DatasetQSL
+        qsl = DatasetQSL(wmt)
+        assert qsl.name == wmt.name
+        # Ground truth is the accuracy script's, and needs no load.
+        assert qsl.get_label(5) == wmt.get_label(5)
+        qsl.load_samples([5])
+        assert list(qsl.get_sample(5)) == list(wmt.get_sample(5))

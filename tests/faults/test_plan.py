@@ -12,7 +12,7 @@ from repro.faults import (
 
 class TestPlanValidation:
     def test_empty_plan_is_fine(self):
-        assert FaultPlan().total_rate == 0.0
+        assert FaultPlan().rates == {}
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -41,21 +41,27 @@ class TestPlanValidation:
     def test_single_constructor(self):
         plan = FaultPlan.single(FaultType.CORRUPT, 0.25)
         assert plan.rates == {FaultType.CORRUPT: 0.25}
-        assert plan.total_rate == 0.25
 
     def test_uniform_constructor_covers_every_fault(self):
         plan = FaultPlan.uniform(0.01)
         assert set(plan.rates) == set(FaultType)
 
-    def test_transient_constructor_and_predicate(self):
+    def test_transient_constructor(self):
         plan = FaultPlan.transient(0.05)
         assert set(plan.rates) == set(TRANSIENT_FAULTS)
-        assert plan.is_transient_only()
-        assert not FaultPlan.single(FaultType.STALL, 0.1).is_transient_only()
 
-    def test_zero_rate_nontransient_still_transient_only(self):
-        plan = FaultPlan(rates={FaultType.DROP: 0.1, FaultType.STALL: 0.0})
-        assert plan.is_transient_only()
+    def test_a_transient_plan_injects_only_transient_faults(self):
+        injector = FaultInjector(FaultPlan.transient(0.2, seed=3))
+        for qid in range(400):
+            injector.decide(qid)
+        assert set(injector.injected) == set(TRANSIENT_FAULTS)
+
+    def test_a_zero_rate_fault_is_never_injected(self):
+        plan = FaultPlan(rates={FaultType.DROP: 0.3, FaultType.STALL: 0.0})
+        injector = FaultInjector(plan)
+        for qid in range(400):
+            injector.decide(qid)
+        assert set(injector.injected) == {FaultType.DROP}
 
 
 class TestInjectorDeterminism:

@@ -33,49 +33,9 @@ def run_one_query(policy):
     return sut, loop, outcomes[0][1]
 
 
-class TestWorstCaseLatency:
-    def test_uncapped_is_attempts_plus_backoff_ceilings(self):
-        policy = RetryPolicy(max_attempts=3, attempt_timeout=0.1,
-                             backoff_base=0.01, backoff_factor=2.0)
-        # 3 x 0.1 + (0.01 + 0.02) between attempts.
-        assert policy.worst_case_latency() == pytest.approx(0.33)
-
-    def test_total_timeout_caps_the_worst_case(self):
-        policy = RetryPolicy(max_attempts=10, attempt_timeout=0.1,
-                             backoff_base=0.01, total_timeout=0.25)
-        assert policy.worst_case_latency() == 0.25
-
-    def test_validation_requires_one_attempt_to_fit(self):
-        with pytest.raises(ValueError, match="total_timeout"):
-            RetryPolicy(attempt_timeout=0.2, total_timeout=0.1)
-
-
-class TestForDeadline:
-    def test_trims_attempts_until_the_worst_case_fits(self):
-        policy = RetryPolicy.for_deadline(
-            0.5, max_attempts=10, attempt_timeout=0.2,
-            backoff_base=0.01)
-        assert policy.total_timeout == 0.5
-        assert policy.max_attempts == 2
-        capless = RetryPolicy(max_attempts=policy.max_attempts,
-                              attempt_timeout=0.2, backoff_base=0.01)
-        assert capless.worst_case_latency() <= 0.5
-
-    def test_keeps_all_attempts_when_they_fit(self):
-        policy = RetryPolicy.for_deadline(
-            1.0, max_attempts=3, attempt_timeout=0.1,
-            backoff_base=0.0)
-        assert policy.max_attempts == 3
-
-    def test_rejects_an_attempt_timeout_larger_than_the_deadline(self):
-        with pytest.raises(ValueError, match="fit"):
-            RetryPolicy.for_deadline(0.1, attempt_timeout=0.5)
-
-    def test_floors_at_one_attempt(self):
-        policy = RetryPolicy.for_deadline(
-            0.1, max_attempts=8, attempt_timeout=0.1,
-            backoff_base=0.05)
-        assert policy.max_attempts == 1
+def test_validation_requires_one_attempt_to_fit():
+    with pytest.raises(ValueError, match="total_timeout"):
+        RetryPolicy(attempt_timeout=0.2, total_timeout=0.1)
 
 
 class TestBudgetEnforcement:
@@ -127,3 +87,21 @@ class TestBudgetEnforcement:
         assert "after 4 attempts" in response.reason
         assert loop.now == pytest.approx(0.2)
         assert sut.inner.attempts == 4
+
+    def test_uncapped_worst_case_is_attempts_plus_backoff_ceilings(self):
+        policy = RetryPolicy(max_attempts=3, attempt_timeout=0.1,
+                             backoff_base=0.01, backoff_factor=2.0,
+                             jitter="none")
+        sut, loop, response = run_one_query(policy)
+        assert isinstance(response, QueryFailure)
+        # 3 x 0.1 + (0.01 + 0.02) between attempts.
+        assert loop.now == pytest.approx(0.33)
+        assert sut.inner.attempts == 3
+
+    def test_full_jitter_stays_under_the_ceilings(self):
+        policy = RetryPolicy(max_attempts=3, attempt_timeout=0.1,
+                             backoff_base=0.01, backoff_factor=2.0)
+        sut, loop, response = run_one_query(policy)
+        assert isinstance(response, QueryFailure)
+        assert 0.3 <= loop.now < 0.33
+        assert sut.inner.attempts == 3

@@ -10,8 +10,6 @@ from repro.core.events import EventLoop, VirtualClock
 from repro.core.loadgen import run_benchmark
 from repro.core.query import Query, QuerySample
 from repro.faults import (
-    BurstPlan,
-    BurstWindow,
     ChaosEvent,
     ChaosOrchestrator,
     ChaosSchedule,
@@ -232,8 +230,6 @@ def test_chaos_events_reject_non_finite_values(event, message):
     ((0.0, 1.0, INF), "burst multiplier"),
 ])
 def test_rate_bursts_reject_non_finite_values(burst, message):
-    with pytest.raises(ValueError, match=message):
-        BurstPlan(windows=(BurstWindow(*burst),))
     with pytest.raises(ValueError, match=message):
         TestSettings(scenario=Scenario.SERVER, server_rate_bursts=(burst,))
 

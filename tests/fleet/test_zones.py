@@ -9,7 +9,6 @@ from repro.durability import run_fingerprint
 from repro.fleet import (
     ReplicaHealth,
     ReplicaSet,
-    ZoneBacklogSignal,
     ZoneLocalPolicy,
     ZoneSpreadPolicy,
     make_policy,
@@ -42,8 +41,7 @@ class TestTopology:
         fleet = started_fleet(n=5, zones=2)
         assert [r.zone for r in fleet.replicas] == \
             ["z0", "z1", "z0", "z1", "z0"]
-        assert fleet.zone_names == ["z0", "z1"]
-        assert [r.index for r in fleet.zone_replicas("z1")] == [1, 3]
+        assert [r.index for r in fleet.replicas if r.zone == "z1"] == [1, 3]
 
     def test_sequence_and_callable_zone_maps(self):
         named = started_fleet(n=4, zones=["east", "west"])
@@ -55,7 +53,7 @@ class TestTopology:
 
     def test_default_is_one_zone(self):
         fleet = started_fleet(n=3)
-        assert fleet.zone_names == ["z0"]
+        assert {r.zone for r in fleet.replicas} == {"z0"}
 
     def test_validation(self):
         with pytest.raises(ValueError, match="zones"):
@@ -90,8 +88,9 @@ class TestZoneOutage:
         assert not result.log.failed_records()
         assert service.rescued is not None
         assert fleet.stats.zone_kills == 1
-        for replica in fleet.zone_replicas("z0"):
-            assert replica.health is ReplicaHealth.DOWN
+        for replica in fleet.replicas:
+            if replica.zone == "z0":
+                assert replica.health is ReplicaHealth.DOWN
         # No query was lost: every issue completed, on a survivor if
         # it was in flight when its zone died.
         assert len(result.log.completed_records()) == 300
@@ -196,24 +195,3 @@ class TestZonePolicies:
                     run_fingerprint(result))
         for policy in ("zone-spread", "zone-local"):
             assert one_run(policy) == one_run(policy)
-
-
-class TestZoneBacklogSignal:
-    def test_reports_the_hottest_zone(self):
-        fleet = started_fleet(n=4, zones=2)
-        signal = ZoneBacklogSignal()
-        signal.bind(fleet)
-        assert signal.sample(0.0) == 0.0
-        fleet.replicas[0].outstanding = 6
-        fleet.replicas[2].outstanding = 2
-        # z0 carries (6 + 2) / 2 = 4 per available replica; z1 is idle.
-        assert signal.sample(0.0) == pytest.approx(4.0)
-
-    def test_outage_concentrates_the_signal(self):
-        fleet = started_fleet(n=4, zones=2)
-        signal = ZoneBacklogSignal()
-        signal.bind(fleet)
-        fleet.replicas[1].outstanding = 3
-        fleet.kill_zone("z0")
-        # Only z1's replicas remain visible: 3 queued over 2 heads.
-        assert signal.sample(0.0) == pytest.approx(1.5)

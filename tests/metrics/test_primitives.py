@@ -1,7 +1,6 @@
-"""Counter/Gauge/Histogram primitives: boundaries, error bounds, merge."""
+"""Counter/Gauge/Histogram primitives: boundaries, error bounds."""
 
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -26,14 +25,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter().inc(-1.0)
 
-    def test_merge_adds(self):
-        a, b = Counter(), Counter()
-        a.inc(3)
-        b.inc(4)
-        a.merge(b)
-        assert a.value == 7.0
-        assert b.value == 4.0  # merge does not drain the source
-
     def test_callback_counter_reads_a_float_and_rejects_writes(self):
         ledger = {"retries": 3}
         c = Counter(fn=lambda: ledger["retries"])
@@ -42,12 +33,6 @@ class TestCounter:
         assert c.value == 5.0
         with pytest.raises(ValueError):
             c.inc()
-        with pytest.raises(ValueError):
-            c.merge(Counter())
-        # Reading one into a write-style counter is still a merge.
-        total = Counter()
-        total.merge(c)
-        assert total.value == 5.0
 
 
 class TestGauge:
@@ -108,6 +93,21 @@ class TestHistogramBuckets:
         for k in range(0, 400, 7):
             edge = h.bucket_upper(k)
             assert h._index(edge) == k, f"edge of bucket {k} misfiled"
+
+    @given(st.floats(min_value=-1.0, max_value=1e12,
+                     allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_inlined_observe_files_where_index_says(self, value):
+        h = Histogram()
+        h.observe(value)
+        assert h.nonzero_buckets() == [(h._index(value), 1)]
+
+    def test_observe_files_every_edge_into_its_own_bucket(self):
+        h = Histogram()
+        for k in range(0, 400, 7):
+            one = Histogram()
+            one.observe(h.bucket_upper(k))
+            assert one.nonzero_buckets() == [(k, 1)], k
 
     def test_exact_count_sum_min_max(self):
         h = Histogram()
@@ -202,63 +202,6 @@ class TestPercentileReconstruction:
             h.observe(v)
         batch = h.percentiles([0.5, 0.99])
         assert batch == [h.percentile(0.5), h.percentile(0.99)]
-
-
-class TestMerge:
-    def test_merge_equals_single_writer(self):
-        rng = np.random.default_rng(3)
-        data = rng.exponential(0.01, size=1000)
-        whole = Histogram()
-        parts = [Histogram() for _ in range(4)]
-        for i, v in enumerate(data):
-            whole.observe(float(v))
-            parts[i % 4].observe(float(v))
-        merged = Histogram()
-        for p in parts:
-            merged.merge(p)
-        assert merged.count == whole.count
-        assert merged.sum == pytest.approx(whole.sum)
-        assert merged.min == whole.min
-        assert merged.max == whole.max
-        for q in (0.5, 0.9, 0.99):
-            assert merged.percentile(q) == whole.percentile(q)
-
-    def test_merge_rejects_mismatched_bucketing(self):
-        a = Histogram(base=1e-6)
-        b = Histogram(base=1e-3)
-        with pytest.raises(ValueError):
-            a.merge(b)
-        c = Histogram(buckets=64)
-        with pytest.raises(ValueError):
-            a.merge(c)
-
-    def test_cross_thread_merge(self):
-        """The documented concurrency pattern: one private histogram per
-        thread, merged at collection time."""
-        rng = np.random.default_rng(11)
-        shards = [rng.exponential(0.005, size=2000) for _ in range(4)]
-        locals_ = [Histogram() for _ in shards]
-
-        def work(hist, values):
-            for v in values:
-                hist.observe(float(v))
-
-        threads = [
-            threading.Thread(target=work, args=(h, s))
-            for h, s in zip(locals_, shards)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        total = Histogram()
-        for h in locals_:
-            total.merge(h)
-        all_values = np.concatenate(shards)
-        assert total.count == len(all_values)
-        assert total.sum == pytest.approx(float(all_values.sum()))
-        assert total.max == float(all_values.max())
 
 
 class TestPercentileNearestRank:

@@ -120,9 +120,7 @@ class TestFloatFormats:
         assert np.isfinite(q[0])
         assert q[0] < 1e6
 
-    def test_bits_property(self):
-        assert NumericFormat.FP11.bits == 11
-        assert NumericFormat.INT4.bits == 4
+    def test_is_integer_property(self):
         assert not NumericFormat.BF16.is_integer
         assert NumericFormat.UINT16.is_integer
 

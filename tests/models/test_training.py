@@ -34,7 +34,6 @@ from repro.models.training import (
     forward_with_cache,
     numerical_gradient,
     softmax_cross_entropy,
-    train_classifier,
     train_quantization_aware,
 )
 from repro.models import layers as F
@@ -162,18 +161,20 @@ class TestTraining:
         rng = np.random.default_rng(5)
         images = rng.normal(size=(64, 8, 8, 2)).astype(np.float32)
         labels = rng.integers(0, 4, 64)
-        report = train_classifier(net, images, labels, epochs=25,
-                                  batch_size=16,
-                                  optimizer=SGD(learning_rate=0.02))
+        report = train_quantization_aware(
+            net, images, labels, QuantizationSpec(NumericFormat.INT8),
+            epochs=25, batch_size=16, optimizer=SGD(learning_rate=0.02))
         assert report.final_loss < 0.5 * report.initial_loss
 
     def test_validation_errors(self):
         net = small_net()
+        spec = QuantizationSpec(NumericFormat.INT8)
         with pytest.raises(ValueError):
-            train_classifier(net, np.zeros((2, 8, 8, 2)), np.zeros(3, int))
+            train_quantization_aware(net, np.zeros((2, 8, 8, 2)),
+                                     np.zeros(3, int), spec)
         with pytest.raises(ValueError):
-            train_classifier(net, np.zeros((0, 8, 8, 2)),
-                             np.zeros(0, dtype=int))
+            train_quantization_aware(net, np.zeros((0, 8, 8, 2)),
+                                     np.zeros(0, dtype=int), spec)
 
     def test_gradient_clipping_bounds_update(self):
         optimizer = SGD(learning_rate=1.0, momentum=0.0, clip_norm=1.0)

@@ -25,6 +25,8 @@ from repro.network.client import NetworkSUT, parse_address
 from repro.network.server import InferenceServer, ServerConfig
 from repro.sut.echo import EchoSUT
 
+from tests.conftest import alive_workers
+
 pytestmark = pytest.mark.socket
 
 
@@ -144,7 +146,7 @@ def test_parallel_backend_serves_over_localhost():
     assert bundle.client_stats.gave_up_queries == 0
     # run_over_localhost stopped the server, which closed the pool.
     assert backend.pool.stats.per_worker_jobs
-    assert not backend.pool.alive_workers
+    assert not alive_workers(backend.pool)
 
 
 def test_response_payloads_cross_the_wire_intact():

@@ -96,7 +96,7 @@ class TestFraming:
         reader = FrameReader()
         frames = reader.feed(frame)
         assert frames == [(FrameType.STATS, {"completed": 12})]
-        assert reader.pending_bytes == 0
+        assert len(reader._buffer) == 0
 
     def test_byte_at_a_time_reassembly(self):
         frame = encode_frame(FrameType.FAIL, {"query_id": 9, "reason": "x"})
@@ -426,9 +426,9 @@ class TestReaderContract:
             reader = FrameReader()
             for start in range(0, cut, step):
                 assert reader.feed(frame[start:start + step]) == []
-            assert reader.pending_bytes == cut
+            assert len(reader._buffer) == cut
             (ftype, _), = reader.feed(frame[cut:])
-            assert ftype == frame[3] and reader.pending_bytes == 0
+            assert ftype == frame[3] and len(reader._buffer) == 0
 
     @settings(max_examples=60, deadline=None)
     @given(FRAMES, st.data())

@@ -18,6 +18,7 @@ from repro.network.protocol import FrameType
 from repro.network.server import InferenceServer, ServerConfig
 from repro.sut.echo import EchoSUT
 
+from tests.conftest import alive_workers
 from tests.network.test_server import RawClient, issue
 
 pytestmark = pytest.mark.socket
@@ -139,7 +140,7 @@ class TestNoLeaks:
         assert srv.drain(timeout=5.0) is True
         srv.stop(drain=False)
         client.close()
-        assert not backend.pool.alive_workers
+        assert not alive_workers(backend.pool)
         assert shm_segments() - before == set()
 
     def test_stop_without_drain_still_closes_the_backend(self):
@@ -149,7 +150,7 @@ class TestNoLeaks:
         srv = InferenceServer(backend, config)
         srv.start()
         srv.stop()  # the KeyboardInterrupt-without-drain ordering
-        assert not backend.pool.alive_workers
+        assert not alive_workers(backend.pool)
         assert shm_segments() - before == set()
 
 

@@ -39,7 +39,7 @@ class TestTriggers:
             h.batcher.add(query(qid))
         assert len(h.batches) == 1
         assert [q.id for q, _ in h.batches[0]] == [1, 2, 3]
-        assert h.batcher.pending_samples == 0
+        assert h.batcher._pending_samples == 0
 
     def test_fires_at_max_wait_with_partial_batch(self):
         h = Harness(BatchingPolicy(max_batch_size=100, max_wait=0.005))

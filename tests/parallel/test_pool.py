@@ -9,6 +9,8 @@ from repro.parallel.pool import (
     shard_evenly,
 )
 
+from tests.conftest import alive_workers
+
 
 def doubler_factory():
     def predict(samples):
@@ -140,9 +142,9 @@ class TestCrashes:
         with WorkerPool(doubler_factory, workers=2, seed=1) as pool:
             pool.run_shards(shard_evenly(samples, 2))
             pool.kill_worker(0)
-            assert pool.alive_workers == 1
+            assert alive_workers(pool) == 1
             assert pool.ensure_alive() == 1
-            assert pool.alive_workers == 2
+            assert alive_workers(pool) == 2
             outcomes = pool.run_shards(shard_evenly(samples, 2))
             assert pool.stats.restarts == 1
         flat = [o for outcome in outcomes for o in outcome.outputs]

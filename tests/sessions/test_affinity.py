@@ -62,11 +62,11 @@ def test_ranking_is_read_only_until_served_feedback_arrives():
     ranked = policy.rank_for(query(session_id=4, turn_index=0), replicas)
     assert ranked[0].index == 0
     # Ranking alone must not pin anything...
-    assert policy.pinned_replica(4) is None
-    assert policy.active_pins == 0
+    assert policy._pins.get(4) is None
+    assert len(policy._pins) == 0
     # ...the dispatch actually landed on replica 1 (0's breaker said no).
     policy.notify_served(query(session_id=4, turn_index=0), 1)
-    assert policy.pinned_replica(4) == 1
+    assert policy._pins.get(4) == 1
     assert policy.rank_for(
         query(session_id=4, turn_index=1), replicas)[0].index == 1
 
@@ -93,7 +93,7 @@ def test_departed_pin_falls_back_without_repinning():
     assert policy.rank_for(
         query(session_id=3, turn_index=1), survivors)[0].index == 1
     # ...but the pin only moves when the survivor actually serves.
-    assert policy.pinned_replica(3) == 0
+    assert policy._pins.get(3) == 0
     policy.notify_served(query(session_id=3, turn_index=1), 1)
     both = [FakeReplica(0), FakeReplica(1, outstanding=9)]
     assert policy.rank_for(
@@ -103,20 +103,20 @@ def test_departed_pin_falls_back_without_repinning():
 def test_completed_session_releases_its_pin():
     policy = fresh_policy()
     policy.notify_served(query(session_id=9, turn_index=0, turn_count=2), 1)
-    assert policy.active_pins == 1
+    assert len(policy._pins) == 1
     # Final turn served: the conversation is over, the pin is evicted.
     policy.notify_served(query(session_id=9, turn_index=1, turn_count=2), 1)
-    assert policy.active_pins == 0
-    assert policy.pinned_replica(9) is None
+    assert len(policy._pins) == 0
+    assert policy._pins.get(9) is None
 
 
 def test_failed_turn_releases_its_pin():
     policy = fresh_policy()
     policy.notify_served(query(session_id=11, turn_index=0), 0)
-    assert policy.active_pins == 1
+    assert len(policy._pins) == 1
     # The next turn is shed/failed: the session aborts, the pin goes.
     policy.notify_failed(query(session_id=11, turn_index=1))
-    assert policy.active_pins == 0
+    assert len(policy._pins) == 0
 
 
 def test_pin_table_stays_bounded_over_many_sessions():
@@ -128,7 +128,7 @@ def test_pin_table_stays_bounded_over_many_sessions():
             query(session_id=user, turn_index=0, turn_count=2), user % 4)
         policy.notify_served(
             query(session_id=user, turn_index=1, turn_count=2), user % 4)
-    assert policy.active_pins == 0
+    assert len(policy._pins) == 0
 
 
 def test_non_session_queries_route_least_outstanding():
@@ -141,4 +141,4 @@ def test_non_session_queries_route_least_outstanding():
     # Serving a non-session query never creates routing state.
     policy.notify_served(query(), 2)
     policy.notify_failed(query())
-    assert policy.active_pins == 0
+    assert len(policy._pins) == 0

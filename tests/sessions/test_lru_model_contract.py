@@ -63,7 +63,6 @@ def check_step(model, reference, step):
     assert model.resident_tokens == sum(model._resident.values())
     assert model.resident_tokens == sum(reference.resident.values())
     assert list(model._resident.items()) == list(reference.resident.items())
-    assert model.resident_sessions == len(reference.resident)
 
 
 @settings(max_examples=300, deadline=None)
@@ -92,7 +91,7 @@ def test_a_conversation_larger_than_the_cache_keeps_its_own_entry():
     assert events == [CacheEvent("miss", 3, 0, 0),
                       CacheEvent("evict", 1, -1, 60),
                       CacheEvent("evict", 2, -1, 40)]
-    assert model.resident_tokens == 500 and model.resident_sessions == 1
+    assert model.resident_tokens == 500 and len(model._resident) == 1
     # Its next turn still finds its whole prefix.
     assert model.access(3, 1, 500, 10, 10) == [CacheEvent("hit", 3, 1, 500)]
     assert model.resident_tokens == 520

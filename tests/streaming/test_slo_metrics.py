@@ -5,8 +5,7 @@ import pytest
 from repro.core import Scenario, TestSettings
 from repro.core.logging import QueryLog
 from repro.core.metrics import (
-    compute_stream_metrics, effective_ttfts, effective_tpots,
-    stream_slo_counts,
+    effective_ttfts, effective_tpots, stream_metrics_of, stream_slo_counts,
 )
 from repro.core.query import (
     Query, QuerySample, QuerySampleResponse, StreamChunk,
@@ -84,7 +83,7 @@ def test_slo_check_applies_both_targets():
 def test_metrics_are_none_when_nothing_streamed():
     log = QueryLog()
     add_atomic(log, 1, issue=0.0, done=0.010)
-    assert compute_stream_metrics(log, settings()) is None
+    assert stream_metrics_of(log.completed_records(), settings()) is None
 
 
 def test_percentiles_goodput_and_violation_counts():
@@ -96,7 +95,7 @@ def test_percentiles_goodput_and_violation_counts():
         first = issue + (i + 1) * 0.001
         add_streamed(log, i + 1, issue, first, first + 0.009, tokens=10)
     target = settings(ttft_target_ns=5_000_000)  # 5 ms: TTFTs 6..10 miss
-    metrics = compute_stream_metrics(log, target)
+    metrics = stream_metrics_of(log.completed_records(), target)
     assert metrics.streamed_query_count == 10
     assert metrics.token_count == 100
     assert metrics.ttft_p50 == pytest.approx(0.0055, rel=0.1)
@@ -116,8 +115,8 @@ def test_mixed_population_judges_compliance_over_all_completions():
     add_streamed(log, 1, issue=0.0, first=0.002, last=0.010, tokens=8)
     # The atomic query's effective TTFT is its 80 ms latency - a miss.
     add_atomic(log, 2, issue=0.0, done=0.080)
-    metrics = compute_stream_metrics(
-        log, settings(ttft_target_ns=50_000_000))
+    metrics = stream_metrics_of(
+        log.completed_records(), settings(ttft_target_ns=50_000_000))
     assert metrics.streamed_query_count == 1     # percentiles: streamed only
     assert metrics.ttft_violations == 1          # compliance: all completions
     assert metrics.slo_compliant_count == 1
@@ -135,7 +134,7 @@ def test_restarts_are_counted_but_not_penalized():
     log2.record_chunk(q, 0.003, StreamChunk(1, 1, last=True))
     log2.observe_completion(
         q, 0.004, [QuerySampleResponse(10, 0)], keep_responses=False)
-    metrics = compute_stream_metrics(log2, settings())
+    metrics = stream_metrics_of(log2.completed_records(), settings())
     assert metrics.restart_count == 1
     assert log2.anomaly_count == 0
 

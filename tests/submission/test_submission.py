@@ -9,15 +9,14 @@ from repro.submission import (
     APPROVED_NUMERICS,
     BenchmarkResult,
     Category,
+    CheckReport,
     Division,
     Severity,
     Submission,
-    SummaryScoreRefused,
     SystemDescription,
     check_submission,
     format_submission,
     review_round,
-    summary_score,
 )
 
 from tests.conftest import EchoQSL, FixedLatencySUT
@@ -80,12 +79,6 @@ class TestSchema:
             system_description(host_cpu_count=0)
         with pytest.raises(ValueError):
             system_description(numerics=())
-
-    def test_result_lookup(self):
-        sub = submission()
-        assert sub.result_for(Task.MACHINE_TRANSLATION, Scenario.SERVER)
-        assert sub.result_for(Task.IMAGE_CLASSIFICATION_HEAVY,
-                              Scenario.SERVER) is None
 
     def test_approved_numerics_match_section_iv(self):
         assert NumericFormat.INT4 in APPROVED_NUMERICS
@@ -160,6 +153,41 @@ class TestChecker:
         report = check_submission(submission(results=[]))
         assert "[error] empty" in str(report.errors[0])
 
+    def test_accuracy_mode_run_is_not_a_performance_entry(self):
+        settings = TestSettings(
+            scenario=Scenario.SERVER, task=Task.MACHINE_TRANSLATION,
+            mode=TestMode.ACCURACY, server_target_qps=100.0)
+        run = run_benchmark(FixedLatencySUT(0.002), EchoQSL(total=64),
+                            settings)
+        result = BenchmarkResult(
+            task=Task.MACHINE_TRANSLATION, scenario=Scenario.SERVER,
+            performance=run, accuracy=accuracy_report())
+        report = check_submission(submission([result]))
+        assert any(i.code == "perf-mode" for i in report.errors)
+
+    def test_declared_scenario_must_match_the_run(self):
+        result = BenchmarkResult(
+            task=Task.MACHINE_TRANSLATION, scenario=Scenario.OFFLINE,
+            performance=performance_result(), accuracy=accuracy_report())
+        report = check_submission(submission([result]))
+        assert [i.code for i in report.errors] == ["scenario-mismatch"]
+
+    def test_result_issues_name_their_entry(self):
+        report = check_submission(
+            submission([benchmark_result(caching_enabled=True)]))
+        (issue,) = report.errors
+        tag = (f"{Task.MACHINE_TRANSLATION.value}/"
+               f"{Scenario.SERVER.short_name}")
+        assert issue.message.startswith(f"{tag}: ")
+
+    def test_only_errors_fail_a_submission(self):
+        report = CheckReport()
+        report.add(Severity.WARNING, "quality-deviation", "below target")
+        assert report.passed and report.errors == []
+        report.add(Severity.ERROR, "caching", "prohibited")
+        assert not report.passed
+        assert [i.code for i in report.errors] == ["caching"]
+
 
 class TestReview:
     def test_round_counts(self):
@@ -183,10 +211,6 @@ class TestReview:
 
 
 class TestReporting:
-    def test_no_summary_score_by_design(self):
-        with pytest.raises(SummaryScoreRefused, match="no summary score"):
-            summary_score(submission())
-
     def test_format_lists_results_without_aggregate(self):
         text = format_submission(submission())
         assert "gnmt" in text

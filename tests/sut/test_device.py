@@ -115,7 +115,8 @@ class TestDispatchCost:
     def test_energy_is_duration_times_power(self):
         d = device(idle_watts=3.0, peak_watts=40.0)
         seconds, joules = d.dispatch_cost(2.5, 6)
-        assert joules == seconds * d.power_at(6 * 2.5)
+        assert joules == pytest.approx(
+            seconds * (3.0 + 37.0 * d.utilization(6 * 2.5)))
 
     @pytest.mark.parametrize("gops, batch", [(0.0, 1), (-2.0, 3), (1.0, 0),
                                              (1.0, -1)])

@@ -29,6 +29,53 @@ def test_rejects_bad_knobs():
         EchoSUT(concurrency=0)
 
 
+def test_responses_echo_each_sample_index():
+    sut = EchoSUT()
+    loop = EventLoop(VirtualClock())
+    answers = []
+    sut.start_run(loop, lambda q, r: answers.append(r))
+    sut.issue_query(Query(id=1, samples=(QuerySample(7, 42),
+                                         QuerySample(8, 3))))
+    (responses,) = answers
+    assert [(r.sample_id, r.data) for r in responses] == [(7, 42), (8, 3)]
+
+
+def test_zero_latency_completes_inside_issue_query():
+    sut = EchoSUT()
+    loop = EventLoop(VirtualClock())
+    answers = []
+    sut.start_run(loop, lambda q, r: answers.append(q.id))
+    sut.issue_query(burst(1)[0])
+    # Answered before the loop ran, with nothing left scheduled.
+    assert answers == [0]
+    assert loop.pending() == 0
+
+
+def test_zero_latency_slots_complete_inside_issue_query():
+    finished = drive(EchoSUT(latency=0.0, concurrency=1), burst(3))
+    assert list(finished.values()) == [0.0, 0.0, 0.0]
+
+
+def test_counts_every_query_served():
+    sut = EchoSUT(latency=0.001, concurrency=2)
+    drive(sut, burst(5))
+    assert sut.queries_served == 5
+
+
+def test_name_defaults_to_echo():
+    assert EchoSUT().name == "echo"
+    assert EchoSUT(name="edge").name == "edge"
+
+
+def test_a_new_run_starts_with_every_slot_free():
+    sut = EchoSUT(latency=0.002, concurrency=1)
+    drive(sut, burst(3))
+    # A second run on a fresh clock must not queue behind the first
+    # run's busy-until times.
+    finished = drive(sut, burst(1))
+    assert finished[0] == pytest.approx(0.002)
+
+
 def test_infinite_capacity_completes_a_burst_in_one_service_time():
     finished = drive(EchoSUT(latency=0.002), burst(5))
     assert all(t == pytest.approx(0.002) for t in finished.values())

@@ -1,5 +1,7 @@
 """The simulated fleet: plans, coverage, and published distributions."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import Scenario, Task, task_rules
@@ -10,7 +12,6 @@ from repro.sut.fleet import (
     TABLE_VII,
     build_fleet,
     framework_matrix,
-    planned_matrix,
     task_workload,
 )
 
@@ -18,6 +19,11 @@ from repro.sut.fleet import (
 @pytest.fixture(scope="module")
 def fleet():
     return build_fleet()
+
+
+def planned(fleet):
+    """Planned submissions per (task, scenario)."""
+    return Counter(pair for system in fleet for pair in system.submissions())
 
 
 class TestFleetComposition:
@@ -42,18 +48,19 @@ class TestFleetComposition:
 
 class TestPlannedDistributions:
     def test_planned_matrix_matches_table_vi_exactly(self, fleet):
-        matrix = planned_matrix(fleet)
+        matrix = planned(fleet)
         for task in Task:
             for scenario in Scenario:
                 # TABLE_VI is the paper's data: four scenario columns.
                 # Post-paper scenarios (session) must plan zero runs.
-                assert matrix[task][scenario] == \
+                assert matrix[task, scenario] == \
                     TABLE_VI[task].get(scenario, 0), (task, scenario)
 
     def test_totals_match_figure_5(self, fleet):
-        matrix = planned_matrix(fleet)
+        matrix = planned(fleet)
         for task in Task:
-            assert sum(matrix[task].values()) == FIGURE_5[task]
+            assert sum(matrix[task, scenario] for scenario in Scenario) \
+                == FIGURE_5[task]
 
     def test_166_total_results(self, fleet):
         assert sum(len(s.submissions()) for s in fleet) == 166

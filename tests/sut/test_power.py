@@ -22,15 +22,20 @@ def device(**kwargs):
 class TestPowerModel:
     def test_power_interpolates_between_idle_and_peak(self):
         d = device()
-        assert d.power_at(1e-9) == pytest.approx(5.0 + 45.0 * 0.2, rel=0.01)
-        assert d.power_at(50.0) == pytest.approx(50.0)
-        assert d.power_at(500.0) == pytest.approx(50.0)
+
+        def power(gops):
+            return d.dispatch_energy(gops, 1) / d.service_time(gops, 1)
+
+        assert power(1e-9) == pytest.approx(5.0 + 45.0 * 0.2, rel=0.01)
+        assert power(50.0) == pytest.approx(50.0)
+        assert power(500.0) == pytest.approx(50.0)
 
     def test_energy_is_power_times_duration(self):
         d = device()
         duration = d.service_time(2.0, 8)
         energy = d.dispatch_energy(2.0, 8)
-        assert energy == pytest.approx(duration * d.power_at(16.0))
+        assert energy == pytest.approx(
+            duration * (5.0 + 45.0 * d.utilization(16.0)))
 
     def test_batching_improves_energy_per_sample(self):
         d = device(base_utilization=0.05)

@@ -47,21 +47,7 @@ KEEP = {
 }
 
 #: Test-only names still to be given a caller or deleted.
-PENDING = {
-    "DetectorSUT", "Flatten", "Softmax", "TinyGNMT", "TranslatorSUT",
-    "ZoneBacklogSignal", "active_pins", "alive_workers", "bits",
-    "build_glyph_detector", "chunk_indices", "compute_stream_metrics",
-    "evaluate_detector", "fingerprint", "fit_device_model", "for_deadline",
-    "is_transient_only", "layer_report", "loaded_count",
-    "macs_per_sentence", "map_at_50", "merge", "next_event_time",
-    "normal_cdf", "open_streams", "pending_bytes", "pending_samples",
-    "pinned_replica", "planned_matrix", "power_at", "resident_sessions",
-    "result_for", "run_custom_dataset_test", "run_duration",
-    "sample_index_of", "sentence_bleu", "sequence_log_prob",
-    "summary_score", "topk_accuracy", "total_rate", "train_classifier",
-    "translate_beam", "with_nms", "write_submission", "zone_names",
-    "zone_replicas",
-}
+PENDING = set()
 
 
 def definitions(tree):
