@@ -18,6 +18,7 @@ import pytest
 from repro.core import Scenario, TestMode, TestSettings, run_benchmark
 from repro.core.events import WallClock
 from repro.durability import RunJournal, read_run_journal, resume_run
+from repro.durability.journal import MAGIC
 from repro.faults import (
     ChaosEvent,
     ChaosSchedule,
@@ -71,7 +72,7 @@ FLEET_SHA256 = (
 CUT_RUN_SHA256 = (
     "46234e603d8ba877780ad5e920b401c915832d6e3ee7e220580424e2c8de3d80")
 RESUMED_RUN_SHA256 = (
-    "03e5b692e2b2556731853e473ca7be9fbbe418bec75697ac11a9ea4542ceed8c")
+    "bf1a017894b72f329b2b845ac3c6a8692e4292ec8cc539edb603d7c956612197")
 
 
 def chain_run(seed):
@@ -165,6 +166,8 @@ def test_the_session_fleet_shows_what_it_showed_at_the_parent():
 
 
 JOURNAL_BYTES = ("durability_journal_bytes_total",)
+#: A journal frame is ``<u32 payload_len> <u32 crc32> <payload>``.
+FRAME_HEADER = 8
 
 
 def outage_stack(registry):
@@ -201,10 +204,19 @@ def test_a_journalled_run_cut_and_resumed_shows_what_it_showed(tmp_path):
     assert everything_shown(
         first, result.snapshots, drop=JOURNAL_BYTES) == CUT_RUN_SHA256
 
-    # The crash: the file loses its last third and tears a frame.
+    # The crash: the file keeps two thirds of its frames and tears the
+    # next one 3 bytes in.  The cut is counted in frames, so it does not
+    # move with how many bytes the header's TestSettings pickle to.
+    blob = path.read_bytes()
+    ends, offset = [], len(MAGIC)
+    while offset < len(blob):
+        offset += FRAME_HEADER + int.from_bytes(
+            blob[offset:offset + 4], "little")
+        ends.append(offset)
     with open(path, "r+b") as f:
-        f.truncate(os.path.getsize(path) * 2 // 3 + 3)
+        f.truncate(ends[len(ends) * 2 // 3 - 1] + 3)
     intact = read_run_journal(path).intact_bytes
+    assert intact == ends[len(ends) * 2 // 3 - 1]
     second = MetricsRegistry()
     resumed = resume_run(
         str(path), outage_stack(second), SyntheticQSL(), registry=second,
