@@ -8,9 +8,12 @@ size itself imposes a latency floor.
 
 import pytest
 
-from repro.core import Task
-from repro.core.experimental import BurstSettings, find_max_burst_rate
-from repro.harness.tuning import QUICK_SCALE, find_max_server_qps
+from repro.core import Scenario, Task, TestSettings
+from repro.harness.tuning import (
+    QUICK_SCALE,
+    find_max_burst_rate,
+    find_max_server_qps,
+)
 from repro.sut.device import DeviceModel, ProcessorType
 from repro.sut.simulated import SimulatedSUT, WorkloadProfile
 
@@ -40,8 +43,9 @@ WORKLOAD = WorkloadProfile(8.2)
 
 
 def burst_settings(size):
-    return BurstSettings(task=TASK, burst_size=size, bursts_per_second=10.0,
-                         min_query_count=1_000, min_duration=1.5)
+    return TestSettings(scenario=Scenario.SERVER, task=TASK,
+                        server_burst_size=size, server_target_qps=size * 10.0,
+                        min_query_count=1_000, min_duration=1.5, seed=0xB0B5)
 
 
 @pytest.fixture(scope="module")

@@ -226,6 +226,11 @@ class TestSettings:
 
     #: Server scenario: the Poisson arrival rate under test (QPS).
     server_target_qps: float = 1.0
+    #: Server scenario: queries issued together at each Poisson arrival;
+    #: arrivals then come at ``server_target_qps / server_burst_size``
+    #: per second.  Above 1 this is the paper's burst mode (Sections I,
+    #: IV-B); 1 is the classic Server scenario.
+    server_burst_size: int = 1
     #: Multistream scenario: samples per query (the N being validated).
     multistream_samples_per_query: int = 1
     #: Multistream arrival interval override; default comes from Table III.
@@ -293,21 +298,34 @@ class TestSettings:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.server_target_qps <= 0:
+        if not 0 < self.server_target_qps < inf:  # NaN included
             raise ValueError(
                 f"server_target_qps must be positive, got {self.server_target_qps}"
+            )
+        if self.server_burst_size < 1:
+            raise ValueError(
+                f"server_burst_size must be >= 1, got {self.server_burst_size}"
+            )
+        if self.server_burst_size > 1 and self.scenario is not Scenario.SERVER:
+            raise ValueError(
+                "server_burst_size applies to the server scenario only, got "
+                f"{self.server_burst_size} for {self.scenario.value}"
             )
         if self.multistream_samples_per_query < 1:
             raise ValueError(
                 "multistream_samples_per_query must be >= 1, got "
                 f"{self.multistream_samples_per_query}"
             )
-        if self.multistream_interval is not None and self.multistream_interval <= 0:
+        if self.multistream_interval is not None and not (
+            0 < self.multistream_interval < inf
+        ):
             raise ValueError(
                 f"multistream_interval must be positive, got "
                 f"{self.multistream_interval}"
             )
-        if self.server_latency_bound is not None and self.server_latency_bound <= 0:
+        if self.server_latency_bound is not None and not (
+            0 < self.server_latency_bound < inf
+        ):
             raise ValueError(
                 f"server_latency_bound must be positive, got "
                 f"{self.server_latency_bound}"
@@ -323,8 +341,8 @@ class TestSettings:
             raise ValueError(
                 f"min_query_count must be >= 1, got {self.min_query_count}"
             )
-        if self.min_duration is not None and (
-            self.min_duration < 0 or self.min_duration != self.min_duration
+        if self.min_duration is not None and not (
+            0 <= self.min_duration < inf
         ):
             raise ValueError(
                 f"min_duration must be a non-negative number, got "
@@ -343,7 +361,9 @@ class TestSettings:
                 f"performance_sample_count must be >= 1, got "
                 f"{self.performance_sample_count}"
             )
-        if self.watchdog_timeout is not None and self.watchdog_timeout <= 0:
+        if self.watchdog_timeout is not None and not (
+            0 < self.watchdog_timeout < inf
+        ):
             raise ValueError(
                 f"watchdog_timeout must be positive, got {self.watchdog_timeout}"
             )
@@ -368,7 +388,7 @@ class TestSettings:
                 "session_turns_max must be >= session_turns_min, got "
                 f"{self.session_turns_max} < {self.session_turns_min}"
             )
-        if self.session_think_time_mean < 0:
+        if not 0 <= self.session_think_time_mean < inf:
             raise ValueError(
                 f"session_think_time_mean must be >= 0, got "
                 f"{self.session_think_time_mean}"

@@ -239,9 +239,9 @@ def judge(
     snapshots: Optional[List[Snapshot]] = None,
 ) -> LoadGenResult:
     """The referee's verdict on whatever ``log`` holds once the loop has
-    exited: the scenario's metrics, then the validity rules.  Every run
-    loop in the repo (this module's, the burst mode's, the multitenant
-    harness's) ends here."""
+    exited: the scenario's metrics, then the validity rules.  Both run
+    loops in the repo (this module's and the multitenant harness's) end
+    here."""
     if log.has_completions():
         metrics = compute_metrics(log, settings)
     else:

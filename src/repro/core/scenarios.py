@@ -10,7 +10,8 @@ Each driver owns the timing policy of one scenario:
   than 1% of queries may produce one or more skipped intervals.
 * **Server** - queries with one sample each, arrival times drawn from a
   Poisson process with rate ``target_qps``.  No more than 1% (3% for
-  translation) of queries may exceed the QoS latency bound.
+  translation) of queries may exceed the QoS latency bound.  Burst mode
+  issues ``server_burst_size`` of them at each arrival.
 * **Offline** - a single query carrying every sample (>= 24,576), issued
   at time zero; the SUT may reorder freely.  Metric: samples/second.
 
@@ -409,14 +410,23 @@ class SingleStreamDriver(ScenarioDriver):
 
 
 class ServerDriver(ScenarioDriver):
-    """Poisson arrivals at ``settings.server_target_qps``."""
+    """Poisson arrivals at ``settings.server_target_qps``.
+
+    Each arrival issues ``settings.server_burst_size`` single-sample
+    queries at one instant (burst mode), so arrivals come at the target
+    rate divided by that size.
+    """
 
     scenario = Scenario.SERVER
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._gaps = ArrivalGaps(self.settings.seed)
-        self._bursts = self.settings.server_rate_bursts or ()
+        settings = self.settings
+        self._gaps = ArrivalGaps(settings.seed)
+        self._bursts = settings.server_rate_bursts or ()
+        #: Arrivals per second, and the queries each one issues.
+        self._rate = settings.server_target_qps / settings.server_burst_size
+        self._per_arrival = range(settings.server_burst_size)
         #: When the pending arrival is due; one is pending at a time, so
         #: ``_arrive`` goes on the loop as it is, with no closure.
         self._due = 0.0
@@ -438,18 +448,19 @@ class ServerDriver(ScenarioDriver):
         return 1.0
 
     def _schedule_next_arrival(self, now: float) -> None:
-        rate = self.settings.server_target_qps
+        rate = self._rate
         if self._bursts:
             rate *= self._rate_multiplier(now)
         self._due = due = now + self._gaps.next() * (1.0 / rate)
         self.loop.schedule(due, self._arrive)
 
     def _arrive(self) -> None:
-        indices = self.source.next(1)
-        if indices is None:
-            self._close_issue_phase()
-            return
-        query = self._issue(indices, scheduled_time=self._due)
+        for _ in self._per_arrival:
+            indices = self.source.next(1)
+            if indices is None:
+                self._close_issue_phase()
+                return
+            query = self._issue(indices, scheduled_time=self._due)
         loop = self.loop
         # Virtual time stands still inside an event; measured time has
         # moved while the SUT ran, and the next gap starts from there.

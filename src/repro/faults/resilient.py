@@ -249,6 +249,12 @@ class ResilientSUT(AttemptSUT):
         self.stats.filtered_completions += 1
 
     def _flawed(self, state: Attempt, source, reason: str, failure) -> None:
+        if state.deadline == inf:
+            # Nothing armed: backing off after a lost attempt, whose
+            # re-issue is already scheduled.  This is that attempt failing
+            # late, not a new loss.
+            self._absorbed(False)
+            return
         # A bad attempt is a lost attempt; retry now rather than waiting
         # out the deadline (which must not fire into the backoff).
         self.stats.malformed_attempts += 1

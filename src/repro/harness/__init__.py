@@ -18,6 +18,7 @@ from .tuning import (
     QUICK_SCALE,
     RunScale,
     TunedResult,
+    find_max_burst_rate,
     find_max_multistream_n,
     find_max_server_qps,
     measure_offline,
@@ -32,6 +33,7 @@ __all__ = [
     "SubmissionRecord",
     "TenantSpec",
     "TunedResult",
+    "find_max_burst_rate",
     "find_max_multistream_n",
     "find_max_server_qps",
     "measure_offline",

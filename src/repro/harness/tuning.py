@@ -147,6 +147,31 @@ def find_max_server_qps(
     return TunedResult(found.value, found.outcome, len(found.trail))
 
 
+def find_max_burst_rate(
+    sut_factory: SutFactory,
+    qsl: QuerySampleLibrary,
+    settings: TestSettings,
+    relative_tolerance: float = 0.1,
+    max_probes: int = 30,
+    min_rate: float = 1e-3,
+) -> Optional[float]:
+    """Highest average QPS at which a burst-mode Server run stays valid.
+
+    ``settings`` is the Server run with its ``server_burst_size``; the
+    search starts at its rate and steps in bursts per second (down to
+    ``min_rate``), one run per probe.  Returns ``None`` when no rate
+    qualifies, and the last rate probed when none within ``max_probes``
+    fails.
+    """
+    size = settings.server_burst_size
+    found = max_valid(
+        lambda rate: run_benchmark(sut_factory(), qsl, settings.with_overrides(
+            server_target_qps=size * rate)).valid,
+        settings.server_target_qps / size, geometric(4.0, relative_tolerance),
+        floor=min_rate, max_probes=max_probes)
+    return None if found.value is None else found.value * size
+
+
 def find_max_multistream_n(
     sut_factory: SutFactory,
     qsl: QuerySampleLibrary,

@@ -97,7 +97,7 @@ def profiled_run(sut, qsl, settings=SERVER, **telemetry):
         result = run_benchmark(sut, qsl, settings, **telemetry)
     finally:
         profile.disable()
-    assert result.valid and result.log.query_count == QUERIES
+    assert result.valid and result.log.query_count == settings.min_query_count
     stats = profile.getstats()
     return sum(entry.callcount for entry in stats), result.log, stats
 
@@ -147,6 +147,23 @@ def test_streamed_server_run_stays_inside_its_call_budget(echo_qsl):
     assert log.stream_chunks > 15 * QUERIES
     assert per_chunk <= STREAM_CALLS_PER_CHUNK, busiest(
         stats, log.stream_chunks, "chunk")
+
+
+def test_a_burst_schedules_one_arrival_event_per_burst(echo_qsl):
+    """Burst mode: each Poisson arrival issues ``server_burst_size``
+    queries, so the loop sees one arrival event per burst beside the
+    echo's one completion event per query."""
+    size = 8
+    settings = SERVER.with_overrides(server_burst_size=size,
+                                     min_query_count=63 * size)
+    calls, log, stats = profiled_run(plain_echo(), echo_qsl, settings)
+    per_query = calls / log.query_count
+    print(f"burst of {size}: {per_query:.2f} calls/query, "
+          f"{scheduled(stats) / log.completed_count:.3f} schedule calls "
+          "per completion")
+    assert scheduled(stats) <= log.completed_count * (1 + 1 / size)
+    assert per_query <= PLAIN_CALLS_PER_QUERY, busiest(
+        stats, log.query_count, "query")
 
 
 @pytest.fixture(scope="module")

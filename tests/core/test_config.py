@@ -215,3 +215,32 @@ class TestSettingsInputValidation:
         settings = TestSettings(scenario=Scenario.SERVER)
         with pytest.raises(ValueError):
             settings.with_overrides(server_target_qps=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        # NaN made the run raise from the event loop.
+        ("server_target_qps", float("nan")),
+        ("watchdog_timeout", float("nan")),
+        ("multistream_interval", float("nan")),
+        # NaN switched the latency rule off: every run was VALID.
+        ("server_latency_bound", float("nan")),
+        # inf issued every Server query at t = 0, and VALID.
+        ("server_target_qps", float("inf")),
+        ("session_think_time_mean", float("inf")),
+        ("min_duration", float("inf")),
+    ])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TestSettings(scenario=Scenario.SERVER, **{field: value})
+
+    @pytest.mark.parametrize("size", [0, -8])
+    def test_burst_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match="server_burst_size must be >= 1"):
+            TestSettings(scenario=Scenario.SERVER, server_burst_size=size)
+
+    @pytest.mark.parametrize("scenario", [
+        s for s in Scenario if s is not Scenario.SERVER])
+    def test_bursts_belong_to_the_server_scenario(self, scenario):
+        assert TestSettings(scenario=scenario,
+                            server_burst_size=1).server_burst_size == 1
+        with pytest.raises(ValueError, match="server scenario only"):
+            TestSettings(scenario=scenario, server_burst_size=2)

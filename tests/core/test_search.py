@@ -195,9 +195,8 @@ def test_the_searches_hold_no_loop_of_their_own():
     import inspect
     import textwrap
 
-    from repro.core.experimental import find_max_burst_rate
     from repro.fleet import SweepHarness
-    from repro.harness.tuning import find_max_server_qps
+    from repro.harness.tuning import find_max_burst_rate, find_max_server_qps
 
     for function in (find_max_server_qps, find_max_multistream_n,
                      find_max_burst_rate, SweepHarness._binary):
@@ -207,25 +206,28 @@ def test_the_searches_hold_no_loop_of_their_own():
 
 
 def test_burst_probes_carry_every_field_of_the_callers_settings(monkeypatch):
-    """A field ``BurstSettings`` gains later must reach every probe."""
+    """A field ``TestSettings`` gains later must reach every probe."""
     from dataclasses import dataclass
 
-    from repro.core import experimental
-    from repro.core.experimental import BurstSettings, find_max_burst_rate
+    from repro.core import Scenario, TestSettings
+    from repro.harness import tuning
+    from repro.harness.tuning import find_max_burst_rate
 
-    @dataclass(frozen=True)
-    class Tagged(BurstSettings):
+    @dataclass
+    class Tagged(TestSettings):
         tag: str = ""
 
     probed = []
 
-    def run(sut, qsl, burst):
-        probed.append(burst)
-        return type("Result", (), {"valid": burst.bursts_per_second <= 5.0})()
+    def run(sut, qsl, settings):
+        probed.append(settings)
+        rate = settings.server_target_qps / settings.server_burst_size
+        return type("Result", (), {"valid": rate <= 5.0})()
 
-    monkeypatch.setattr(experimental, "run_burst_benchmark", run)
+    monkeypatch.setattr(tuning, "run_benchmark", run)
     find_max_burst_rate(object, None, Tagged(
-        task=Task.IMAGE_CLASSIFICATION_HEAVY, tag="kept"))
+        scenario=Scenario.SERVER, task=Task.IMAGE_CLASSIFICATION_HEAVY,
+        server_burst_size=8, server_target_qps=8.0, tag="kept"))
     assert len(probed) > 2
-    assert all(type(burst) is Tagged and burst.tag == "kept"
-               for burst in probed)
+    assert all(type(settings) is Tagged and settings.tag == "kept"
+               and settings.server_burst_size == 8 for settings in probed)

@@ -65,6 +65,27 @@ class BlackHole(SutBase):
         pass
 
 
+class AnswerLate(SutBase):
+    """Answers every attempt 80 ms after its issue: with a failure, or
+    with the echoed samples."""
+
+    def __init__(self, fail: bool) -> None:
+        super().__init__("answer-late")
+        self.failing = fail
+        self.issued = []
+
+    def issue_query(self, query):
+        self.issued.append(self.loop.now)
+        self.loop.schedule_after(0.080, lambda: self._answer(query))
+
+    def _answer(self, query):
+        if self.failing:
+            self.fail(query, "late failure")
+        else:
+            self.complete(query, [QuerySampleResponse(s.id, s.index)
+                                  for s in query.samples])
+
+
 class TestRetryPolicyValidation:
     def test_defaults_are_sane(self):
         policy = RetryPolicy()
@@ -135,6 +156,38 @@ class TestGivingUp:
                    for r in result.validity.reasons)
         assert all("no valid response after 2 attempts" == r.failure_reason
                    for r in result.log.failed_records())
+
+
+class TestAnswersDuringTheBackoff:
+    """The attempt lost at 50 ms answers at 80 ms, while the wrapper
+    backs off before re-issuing."""
+
+    POLICY = RetryPolicy(max_attempts=4, attempt_timeout=0.050,
+                         backoff_base=0.050, jitter="none")
+
+    def test_a_late_failure_is_absorbed_not_a_second_loss(self, echo_qsl):
+        backend = AnswerLate(fail=True)
+        sut = ResilientSUT(backend, self.POLICY)
+        result = run_benchmark(sut, echo_qsl, quick_settings(min_query_count=1))
+        # Each attempt is lost at its deadline and re-issued one backoff
+        # later; counting its late failure as a loss as well re-issued
+        # twice after the first and gave up after three attempts.
+        assert backend.issued == pytest.approx([0.0, 0.10, 0.25, 0.50])
+        assert (sut.stats.retries, sut.stats.malformed_attempts) == (3, 0)
+        assert sut.stats.filtered_completions == 4
+        [record] = result.log.failed_records()
+        assert record.failure_reason == "no valid response after 4 attempts"
+        assert record.failure_time == pytest.approx(0.55)
+
+    def test_a_late_answer_still_completes_the_query(self, echo_qsl):
+        backend = AnswerLate(fail=False)
+        sut = ResilientSUT(backend, self.POLICY)
+        result = run_benchmark(sut, echo_qsl, quick_settings(min_query_count=1))
+        assert result.valid
+        assert backend.issued == [0.0]
+        assert (sut.stats.retries, sut.stats.recovered_queries) == (1, 1)
+        [record] = result.log.completed_records()
+        assert record.completion_time == pytest.approx(0.08)
 
 
 class TestFiltering:

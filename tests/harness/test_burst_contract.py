@@ -57,19 +57,20 @@ class Library:
 def burst_run(size, bursts_per_second, qsl):
     """One run on the simulated GPU: ``size`` queries a burst at
     ``bursts_per_second``, at least 1,000 queries and 1.5 s."""
-    from repro.core.experimental import BurstSettings, run_burst_benchmark
+    from repro.core import Scenario, TestSettings, run_benchmark
 
-    return run_burst_benchmark(
-        SimulatedSUT(DEVICE, WORKLOAD), qsl, BurstSettings(
-            task=TASK, burst_size=size,
-            bursts_per_second=bursts_per_second, min_query_count=1_000,
-            min_duration=1.5, seed=SEED))
+    return run_benchmark(
+        SimulatedSUT(DEVICE, WORKLOAD), qsl, TestSettings(
+            scenario=Scenario.SERVER, task=TASK, server_burst_size=size,
+            server_target_qps=size * bursts_per_second,
+            min_query_count=1_000, min_duration=1.5, seed=SEED))
 
 
 def burst_capacity(size):
     """``find_max_burst_rate`` from 10 bursts/s, as the ablation runs
     it: ``(qps, probes)``, one fresh SUT per probe."""
-    from repro.core.experimental import BurstSettings, find_max_burst_rate
+    from repro.core import Scenario, TestSettings
+    from repro.harness.tuning import find_max_burst_rate
 
     suts = []
 
@@ -77,9 +78,10 @@ def burst_capacity(size):
         suts.append(SimulatedSUT(DEVICE, WORKLOAD))
         return suts[-1]
 
-    found = find_max_burst_rate(fresh, Library(8192, 1024), BurstSettings(
-        task=TASK, burst_size=size, bursts_per_second=10.0,
-        min_query_count=1_000, min_duration=1.5, seed=SEED))
+    found = find_max_burst_rate(fresh, Library(8192, 1024), TestSettings(
+        scenario=Scenario.SERVER, task=TASK, server_burst_size=size,
+        server_target_qps=size * 10.0, min_query_count=1_000,
+        min_duration=1.5, seed=SEED))
     return found, len(suts)
 
 

@@ -4,12 +4,8 @@ import hashlib
 
 import pytest
 
-from repro.core import Scenario, Task, TestMode, TestSettings
-from repro.core.experimental import (
-    BurstSettings,
-    find_max_burst_rate,
-    run_burst_benchmark,
-)
+from repro.core import Scenario, Task, TestMode, TestSettings, run_benchmark
+from repro.durability import RunJournal, resume_run
 from repro.durability.resume import run_fingerprint
 from repro.harness import multitenant
 from repro.harness.multitenant import (
@@ -17,7 +13,9 @@ from repro.harness.multitenant import (
     all_tenants_valid,
     run_multitenant,
 )
+from repro.harness.tuning import find_max_burst_rate
 from repro.sut.device import ComputeMotif, DeviceModel, ProcessorType
+from repro.sut.echo import EchoSUT
 from repro.sut.fleet import task_workload
 from repro.sut.simulated import SimulatedSUT, WorkloadProfile
 
@@ -48,37 +46,37 @@ def make_device(**kwargs):
     return DeviceModel(**defaults)
 
 
-class TestBurstSettings:
-    def test_defaults_from_task_rules(self):
-        burst = BurstSettings(task=Task.IMAGE_CLASSIFICATION_HEAVY)
-        assert burst.resolved_bound == 0.015
-        assert burst.average_qps == 8.0
+class TestBurstSize:
+    def test_one_query_per_arrival_by_default(self):
+        settings = TestSettings(scenario=Scenario.SERVER,
+                                task=Task.IMAGE_CLASSIFICATION_HEAVY)
+        assert settings.server_burst_size == 1
+        assert settings.resolved_server_latency_bound == 0.015
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BurstSettings(task=Task.IMAGE_CLASSIFICATION_HEAVY, burst_size=0)
-        with pytest.raises(ValueError):
-            BurstSettings(task=Task.IMAGE_CLASSIFICATION_HEAVY,
-                          bursts_per_second=0.0)
+        with pytest.raises(ValueError, match="server_burst_size must be >= 1"):
+            TestSettings(scenario=Scenario.SERVER, server_burst_size=0)
+        with pytest.raises(ValueError, match="server scenario only"):
+            TestSettings(scenario=Scenario.SESSION, server_burst_size=8)
 
 
 class TestBurstRuns:
-    def _burst(self, **kwargs):
-        defaults = dict(task=Task.IMAGE_CLASSIFICATION_HEAVY, burst_size=16,
-                        bursts_per_second=10.0, min_query_count=1_000,
-                        min_duration=1.5)
-        defaults.update(kwargs)
-        return BurstSettings(**defaults)
+    def _burst(self, size=16, bursts_per_second=10.0):
+        return TestSettings(
+            scenario=Scenario.SERVER, task=Task.IMAGE_CLASSIFICATION_HEAVY,
+            server_burst_size=size,
+            server_target_qps=size * bursts_per_second,
+            min_query_count=1_000, min_duration=1.5)
 
     def test_valid_run_at_low_rate(self):
         sut = SimulatedSUT(make_device(), WorkloadProfile(8.2))
-        result = run_burst_benchmark(sut, NullQSL(), self._burst())
+        result = run_benchmark(sut, NullQSL(), self._burst())
         assert result.valid
         assert result.metrics.query_count >= 1_000
 
     def test_queries_arrive_in_bursts(self):
         sut = SimulatedSUT(make_device(), WorkloadProfile(8.2))
-        result = run_burst_benchmark(sut, NullQSL(), self._burst())
+        result = run_benchmark(sut, NullQSL(), self._burst())
         issues = sorted(r.issue_time for r in result.log.records())
         # Within a burst, queries share an issue instant.
         same_instant = sum(
@@ -88,9 +86,22 @@ class TestBurstRuns:
     def test_overload_is_invalid(self):
         slow = make_device(peak_gops=400.0)
         sut = SimulatedSUT(slow, WorkloadProfile(8.2))
-        result = run_burst_benchmark(
+        result = run_benchmark(
             sut, NullQSL(), self._burst(bursts_per_second=100.0))
         assert not result.valid
+
+    def test_a_journalled_burst_run_resumes_to_the_same_result(self, tmp_path):
+        # Resume is exact over a backend whose timing is a function of
+        # the query alone; a batching device re-times the resumed tail.
+        path = tmp_path / "burst.rjnl"
+        reference = run_fingerprint(run_benchmark(
+            EchoSUT(latency=0.003), NullQSL(), self._burst(size=4),
+            journal=RunJournal(path)))
+        # A crash halfway through the journal, mid-frame.
+        with open(path, "r+b") as f:
+            f.truncate(path.stat().st_size // 2 + 3)
+        resumed = resume_run(str(path), EchoSUT(latency=0.003), NullQSL())
+        assert run_fingerprint(resumed) == reference
 
     @pytest.mark.slow
     def test_burst_capacity_below_smooth_server_capacity(self):
@@ -105,7 +116,7 @@ class TestBurstRuns:
             Task.IMAGE_CLASSIFICATION_HEAVY, QUICK_SCALE)
         bursty = find_max_burst_rate(
             lambda: SimulatedSUT(device, workload), NullQSL(),
-            self._burst(burst_size=16))
+            self._burst(size=16))
         assert bursty is not None
         assert bursty < smooth.value
 
@@ -114,7 +125,7 @@ class TestBurstRuns:
         at every rate - burst size itself is a latency floor."""
         rate = find_max_burst_rate(
             lambda: SimulatedSUT(make_device(), WorkloadProfile(8.2)),
-            NullQSL(), self._burst(burst_size=64))
+            NullQSL(), self._burst(size=64))
         assert rate is None
 
     def test_hopeless_bound_returns_none(self):

@@ -25,12 +25,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core import Scenario, Task, TestSettings, experimental
-from repro.core.experimental import BurstSettings, find_max_burst_rate
+from repro.core import Scenario, Task, TestSettings
 from repro.fleet import SweepConfig, SweepHarness, sweep
 from repro.harness import experiments, tuning
 from repro.harness.tuning import (
     RunScale,
+    find_max_burst_rate,
     find_max_multistream_n,
     find_max_server_qps,
 )
@@ -107,26 +107,28 @@ def multistream(monkeypatch, c, max_n=64):
     return [n for n, _ in calls], tuned, None
 
 
-BURST = BurstSettings(task=TASK, burst_size=4, bursts_per_second=10.0,
-                      latency_bound=0.02, min_query_count=77,
-                      min_duration=0.5, seed=9)
+BURST = TestSettings(scenario=Scenario.SERVER, task=TASK, server_burst_size=4,
+                     server_target_qps=40.0, server_latency_bound=0.02,
+                     min_query_count=77, min_duration=0.5, seed=9)
 
 
 def burst(monkeypatch, c, max_probes=30):
+    """Probed in bursts/s, as ``find_max_burst_rate`` steps; returned in
+    queries/s."""
     probed = []
 
     def run(sut, qsl, settings):
         probed.append(settings)
-        return fake_result(settings.bursts_per_second <= c)
+        return fake_result(
+            settings.server_target_qps / settings.server_burst_size <= c)
 
-    monkeypatch.setattr(experimental, "run_burst_benchmark", run)
+    monkeypatch.setattr(tuning, "run_benchmark", run)
     found = find_max_burst_rate(FakeSUT, None, BURST, min_rate=0.1,
                                 max_probes=max_probes)
-    rates = [settings.bursts_per_second for settings in probed]
+    rates = [settings.server_target_qps / 4 for settings in probed]
     # Every probe is the caller's settings at another rate, nothing else.
-    assert probed == [BurstSettings(
-        task=TASK, burst_size=4, bursts_per_second=rate, latency_bound=0.02,
-        min_query_count=77, min_duration=0.5, seed=9) for rate in rates]
+    assert probed == [BURST.with_overrides(server_target_qps=4 * rate)
+                      for rate in rates]
     return rates, found, None
 
 
