@@ -21,6 +21,15 @@ callback, loop]`` lists, ordered by C list comparison.  The sequence
 number is unique, so the callback is never compared, and guarantees FIFO
 order among events scheduled for the same instant (reproducible logs).
 
+A *train* (:meth:`EventLoop.schedule_train`) fires one callback at each
+of several ascending times - a streamed answer's chunks - from one heap
+entry ``[time, sequence, callback, loop, times, left]``.  It takes the
+block of sequence numbers its firings would have taken one
+:meth:`~EventLoop.schedule` call each, and the loop moves the entry to
+its next ``(time, sequence)`` in place before each firing but the last,
+so every firing keeps the place among same-instant events it would have
+had as an event of its own.
+
 A loop built over any other :class:`Clock` runs in *realtime* mode: it
 sleeps until each event is due, and the network subsystem's socket reader
 threads deliver completions back onto the run's single-threaded timeline
@@ -34,7 +43,7 @@ import functools
 import heapq
 import threading
 import time as _time
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, Optional, Sequence
 
 
 class RunAbortedError(RuntimeError):
@@ -90,7 +99,9 @@ class EventHandle(list):
     """Returned by :meth:`EventLoop.schedule`: the heap entry ``[time,
     seq, callback, loop]`` itself.  Cancelling clears the callback; the
     loop clears its own slot when it pops the entry, so an event that
-    fired is not "cancelled" and cancelling it later counts for nothing."""
+    fired is not "cancelled" and cancelling it later counts for nothing.
+    A train's handle is a :class:`_Train`: the same entry with two slots
+    more, whose ``time`` is that of the firing due next."""
 
     __slots__ = ()
 
@@ -109,6 +120,23 @@ class EventHandle(list):
     @property
     def time(self) -> float:
         return self[0]
+
+
+class _Train(EventHandle):
+    """A train's heap entry ``[time, seq, callback, loop, times, left]``:
+    ``times`` are all of its firing times and ``left`` is how many of
+    them follow the one the entry stands at.  Tagged by class so that
+    ``run`` tells it from an ordinary event with one identity test, and
+    ordinary entries stay four slots long.  Cancelling it drops every
+    firing still due."""
+
+    __slots__ = ()
+
+    def cancel(self) -> None:
+        loop = self[3]
+        if loop is not None and self[2] is not None:
+            loop._owed -= self[5]
+        EventHandle.cancel(self)
 
 
 def _aborted(callback, when: float, exc: Exception) -> RunAbortedError:
@@ -144,6 +172,7 @@ class EventLoop:
         self._heap: List[EventHandle] = []
         self._seq = 0
         self._cancelled = 0  #: cancelled entries still in the heap
+        self._owed = 0  #: firings live trains owe beyond their heap entry
         self._stopped = False
         self._posted: Deque[Callable[[], None]] = collections.deque()
         self._wakeup = threading.Condition()
@@ -165,6 +194,36 @@ class EventLoop:
         entry = EventHandle((when, self._seq, callback, self))
         self._seq += 1
         heapq.heappush(self._heap, entry)
+        return entry
+
+    def schedule_train(self, whens: Sequence[float],
+                       callback: Callable[[], None]) -> EventHandle:
+        """Fire ``callback`` once at each of the ascending times
+        ``whens``, in exactly the order ``len(whens)`` back-to-back
+        :meth:`schedule` calls would give, from one heap entry.
+
+        The first time goes through :meth:`schedule`, so whatever wraps
+        it wraps the train's callback too; the train then reserves the
+        sequence numbers the other times would have taken.  Times out of
+        order or NaN raise ``ValueError`` with nothing scheduled.  The
+        returned handle stands at the firing due next; cancelling it
+        drops every firing still due.
+        """
+        times = tuple(whens)
+        if not times:
+            raise ValueError("a train needs at least one time")
+        left, prev = -1, times[0]
+        for when in times:  # counts, too: no len() frame per train
+            if not prev <= when:  # out of order, or NaN
+                raise ValueError(f"train times must ascend, got {times}")
+            prev = when
+            left += 1
+        entry = self.schedule(times[0], callback)
+        if left:
+            entry.__class__ = _Train
+            entry += (times, left)
+            self._seq += left
+            self._owed += left
         return entry
 
     def post(self, callback: Callable[[], None]) -> None:
@@ -207,6 +266,7 @@ class EventLoop:
         self._stopped = False
         heap, posted, wakeup = self._heap, self._posted, self._wakeup
         clock, realtime, pop = self.clock, self.realtime, heapq.heappop
+        replace, train = heapq.heapreplace, _Train
         while not self._stopped:
             # Deque operations are atomic: an empty queue needs no lock.
             if posted:
@@ -231,8 +291,18 @@ class EventLoop:
                             if not posted:
                                 wakeup.wait(timeout=delay)
                         continue  # re-check: a post may have arrived
-                pop(heap)
-                entry[3] = None
+                if entry.__class__ is train and entry[5]:
+                    # Not the train's last firing: move it on to the next
+                    # time and its reserved sequence number, then fire.
+                    left = entry[5]
+                    entry[0] = entry[4][-left]
+                    entry[1] += 1
+                    entry[5] = left - 1
+                    self._owed -= 1
+                    replace(heap, entry)
+                else:
+                    pop(heap)
+                    entry[3] = None
                 if not realtime:
                     if when < clock._now:
                         clock.advance_to(when)  # raises: never backwards
@@ -257,5 +327,7 @@ class EventLoop:
         self._cancelled = 0
 
     def pending(self) -> int:
-        """Number of not-yet-cancelled events in the queue."""
-        return len(self._heap) - self._cancelled
+        """Number of not-yet-cancelled events in the queue, a train
+        counting every firing it still has due (one heap entry holds
+        them all)."""
+        return len(self._heap) - self._cancelled + self._owed

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import inf
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -67,11 +68,11 @@ class StreamModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.first_token_delay < 0:
+        if not 0 <= self.first_token_delay < inf:  # NaN included
             raise ValueError(
                 f"first_token_delay must be >= 0, got {self.first_token_delay}"
             )
-        if self.inter_token_delay < 0:
+        if not 0 <= self.inter_token_delay < inf:  # NaN included
             raise ValueError(
                 f"inter_token_delay must be >= 0, got {self.inter_token_delay}"
             )
@@ -85,7 +86,7 @@ class StreamModel:
             raise ValueError(
                 f"tokens_per_chunk must be >= 1, got {self.tokens_per_chunk}"
             )
-        if self.jitter < 0:
+        if not 0 <= self.jitter < inf:  # NaN included
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
 
     def plan(self, query_id: int) -> StreamPlan:

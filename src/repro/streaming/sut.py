@@ -3,9 +3,9 @@
 :class:`StreamingSUT` sits between the LoadGen (or any wrapper stack)
 and an inner SUT.  Queries pass through unchanged; when the inner SUT
 completes one, the wrapper replays the answer as the query's seeded
-:class:`~repro.streaming.model.StreamPlan` - chunk events scheduled on
-the run's event loop, one per chunk - and delivers the original response
-list right after the final chunk, from the same loop event.  Failures
+:class:`~repro.streaming.model.StreamPlan` - one train on the run's
+event loop, firing once per chunk - and delivers the original response
+list right after the final chunk, from the same firing.  Failures
 and chunks already produced by the inner SUT pass straight through, so
 streaming wrappers nest.
 
@@ -27,8 +27,8 @@ from .model import ChunkEvent, StreamModel
 
 
 class _StreamReplay:
-    """One stream being replayed: the loop callback of every one of its
-    chunk events.  Each firing builds and delivers the chunk the cursor
+    """One stream being replayed: the callback of its train, which fires
+    once per chunk.  Each firing builds and delivers the chunk the cursor
     is on; the final one also delivers the terminal completion, so
     nothing can run between the last chunk and the completion.
 
@@ -100,12 +100,11 @@ class StreamingSUT(SutBase):
         chunks = self.model.plan(query.id).chunks
         loop = self.loop
         start = loop.now
-        replay = _StreamReplay(self, query, chunks, responses)
-        # One schedule call per chunk, in plan order: the events take the
-        # sequence numbers, and so the place among same-instant events,
-        # that a callback per chunk would give them.
-        for event in chunks:
-            loop.schedule(start + event.offset, replay)
+        # One train, one firing per chunk in plan order: the firings keep
+        # the sequence numbers, and so the place among same-instant
+        # events, that a schedule call per chunk would give them.
+        loop.schedule_train([start + event.offset for event in chunks],
+                            _StreamReplay(self, query, chunks, responses))
 
 
 def streaming_echo(

@@ -35,9 +35,10 @@ from repro.sut.simulated import SimulatedSUT, WorkloadProfile
 
 from tests.conftest import EchoQSL
 
-#: Measured 29.90 calls/query and 9.41 calls/chunk (python 3.11.7).
+#: Measured 29.90 calls/query and 7.59 calls/chunk (python 3.11.7; 9.41
+#: per chunk with a heap entry per chunk instead of one train per stream).
 PLAIN_CALLS_PER_QUERY = 32.9
-STREAM_CALLS_PER_CHUNK = 10.4
+STREAM_CALLS_PER_CHUNK = 8.4
 
 #: wrapper -> (build it over a backend factory, ceiling on calls/query
 #: added over the bare echo, ceiling on calls/chunk added over the bare
@@ -197,6 +198,17 @@ def scheduled(stats):
     """How many times the run called ``EventLoop.schedule``."""
     return sum(entry.callcount for entry in stats
                if getattr(entry.code, "co_qualname", "") == "EventLoop.schedule")
+
+
+def test_a_stream_schedules_one_train_and_nothing_per_chunk(bare_runs):
+    """A streamed run calls ``EventLoop.schedule`` at most once per
+    stream more than the plain run: the train's first time.  A heap
+    entry per chunk made it ~20 per stream."""
+    (_, _, plain_stats), (_, stream_log, stream_stats) = bare_runs
+    extra = scheduled(stream_stats) - scheduled(plain_stats)
+    print(f"streamed: {extra} schedule calls over the plain run's "
+          f"{scheduled(plain_stats)}, {stream_log.query_count} streams")
+    assert 0 < extra <= stream_log.query_count
 
 
 @pytest.mark.parametrize("wrapper", sorted(WRAPPER_BUDGETS))

@@ -192,11 +192,13 @@ def test_network_overhead_is_measurable_but_bounded():
                              clock=WallClock())
     net = run_over_localhost(lambda: EchoSUT(latency=0.002), qsl, settings)
     assert baseline.valid and net.valid
-    overhead = latency_overhead(net, baseline)
     # Loopback + protocol overhead is real but far below the backend's
-    # own 2 ms service time on any sane machine.
-    assert overhead["mean_overhead_s"] < 0.002
-    assert overhead["wire_share_s"] > 0
+    # own 2 ms service time on any sane machine.  Bounded at the median:
+    # one scheduler stall among the 40 wall-clock latencies moves their
+    # mean past 2 ms on a loaded host, not their p50.
+    p50_overhead = net.result.metrics.latency_p50 - baseline.metrics.latency_p50
+    assert p50_overhead < 0.002
+    assert latency_overhead(net, baseline)["wire_share_s"] > 0
 
 
 def test_dead_server_fails_queries_instead_of_hanging():

@@ -165,22 +165,34 @@ def test_one_event_per_chunk_and_the_completion_rides_the_last():
     model = StreamModel(seed=9)
     sut = StreamingSUT(EchoSUT(latency=0.0), model=model)
     loop = EventLoop(VirtualClock())
-    scheduled = []
+    scheduled, fired = [], []
     schedule = loop.schedule
-    loop.schedule = lambda when, callback: (
-        scheduled.append(callback), schedule(when, callback))[1]
+
+    def counting(when, callback):
+        scheduled.append(callback)
+
+        def event():
+            fired.append(callback)
+            callback()
+        return schedule(when, event)
+
+    loop.schedule = counting
     delivered = []
     sut.start_run(loop, lambda q, r: delivered.append((loop.now, q.id, r)))
     queries = [make_query(qid) for qid in range(25)]
     for query in queries:
         sut.issue_query(query)
+    planned = sum(len(model.plan(q.id).chunks) for q in queries)
+    assert loop.pending() == planned  # a train counts its every firing
     loop.run()
 
     plans = {q.id: model.plan(q.id) for q in queries}
     # EchoSUT(latency=0) completes inside issue_query, so every event on
-    # the loop is the streaming shim's: one per chunk, none on top.
-    assert len(scheduled) == sum(len(p.chunks) for p in plans.values())
-    assert {type(c).__module__ for c in scheduled} == {"repro.streaming.sut"}
+    # the loop is the streaming shim's: one schedule call per stream (its
+    # train), one firing per chunk, none on top.
+    assert len(scheduled) == len(queries)
+    assert len(fired) == planned
+    assert {type(c).__module__ for c in fired} == {"repro.streaming.sut"}
     assert loop.pending() == 0
     for query in queries:
         mine = [(t, r) for t, qid, r in delivered if qid == query.id]

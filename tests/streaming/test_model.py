@@ -1,5 +1,7 @@
 """The seeded stream model: deterministic plans, honest validation."""
 
+import math
+
 import pytest
 
 from repro.streaming import StreamModel
@@ -58,3 +60,14 @@ def test_jitter_perturbs_but_never_reorders():
 def test_invalid_models_are_rejected(kwargs):
     with pytest.raises(ValueError):
         StreamModel(**kwargs)
+
+
+@pytest.mark.parametrize("field", [
+    "first_token_delay", "inter_token_delay", "jitter"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_delays_and_jitter_are_rejected(field, bad):
+    """NaN was read as 0 (a VALID run), an infinite inter-token delay put
+    every chunk after the first at t = inf, and an infinite jitter raised
+    ``OverflowError`` from ``plan`` mid-run."""
+    with pytest.raises(ValueError, match=f"^{field} must be >= 0, got "):
+        StreamModel(**{field: bad})
