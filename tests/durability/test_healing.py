@@ -8,6 +8,8 @@ from repro.core.sut import SutBase
 from repro.durability import BreakerPolicy, BreakerState, SelfHealingSUT
 from repro.faults import OutageSUT
 from repro.metrics import MetricsRegistry
+from repro.streaming import StreamModel, StreamingSUT
+from repro.sut.echo import EchoSUT
 
 from tests.conftest import EchoQSL, FixedLatencySUT
 
@@ -109,6 +111,110 @@ class TestHedging:
         result = run_benchmark(sut, EchoQSL(), server_settings())
         assert result.valid
         assert sut.stats.hedged_queries == 0
+
+
+#: Never trips inside these runs.
+QUIET = BreakerPolicy(window=1000, min_samples=1000)
+
+
+class IssueTimes(EchoSUT):
+    """An echo that notes ``(query id, run time)`` each time it is
+    issued to."""
+
+    def __init__(self, latency):
+        super().__init__(latency=latency)
+        self.issued_at = []
+
+    def issue_query(self, query):
+        self.issued_at.append((query.id, self.loop.now))
+        super().issue_query(query)
+
+
+def ten_qps(queries):
+    return TestSettings(
+        scenario=Scenario.SERVER, server_target_qps=10.0,
+        server_latency_bound=10.0, min_query_count=queries,
+        min_duration=0.0, seed=0)
+
+
+class TestHedgeInstant:
+    def test_a_primary_answer_on_the_hedge_instant_loses_to_the_hedge(self):
+        """The hedge is taken before the primary's answer on its instant
+        is heard; that answer then still wins the query."""
+        sut = SelfHealingSUT(
+            EchoSUT(latency=0.125), EchoSUT(latency=0.0625), policy=QUIET,
+            attempt_timeout=0.25, hedge_delay=0.125)
+        result = run_benchmark(sut, EchoQSL(), ten_qps(6))
+        assert result.valid and result.log.query_count == 6
+        assert (sut.stats.hedged_queries, sut.stats.hedge_wins,
+                sut.stats.filtered_completions) == (6, 0, 6)
+        assert sut.stats.standby_completions == 0
+        assert all(r.completion_time == r.issue_time + 0.125
+                   for r in result.log.records())
+
+    def test_chunks_before_the_hedge_delay_do_not_move_the_hedge(self):
+        """A streamed primary that is already talking is hedged all the
+        same, at exactly ``issue + hedge_delay``."""
+        model = StreamModel(first_token_delay=0.001, inter_token_delay=0.002,
+                            min_tokens=10, max_tokens=10, seed=1)
+        primary = StreamingSUT(EchoSUT(latency=0.001), model=model)
+        standby = IssueTimes(latency=0.001)
+        sut = SelfHealingSUT(
+            primary, StreamingSUT(standby, model=model), policy=QUIET,
+            attempt_timeout=0.05, hedge_delay=0.0101)
+        result = run_benchmark(sut, EchoQSL(), ten_qps(8))
+        records = result.log.records()
+        assert len(records) == 8 and not result.log.failed_records()
+        # The primary's chunks 0..4 (+2 .. +10 ms) were heard before the
+        # hedge, so each stream restarted when the standby's began.
+        assert result.metrics.stream.restart_count == 8
+        assert sut.stats.hedged_queries == 8
+        assert standby.issued_at == [
+            (r.query.id, r.issue_time + 0.0101) for r in records]
+
+    def test_no_hedge_after_a_failover(self):
+        standby = FixedLatencySUT(0.02, name="standby")
+        sut = SelfHealingSUT(MalformedSUT(), standby, policy=QUIET,
+                             attempt_timeout=0.05, hedge_delay=0.01)
+        result = run_benchmark(sut, EchoQSL(), server_settings(queries=40))
+        assert result.valid
+        assert sut.stats.failovers == standby.issued == 40
+        assert sut.stats.hedged_queries == 0
+
+    def test_no_hedge_on_a_breaker_probe(self):
+        """Malformed until 0.1 s (the breaker trips and probes), then
+        clean but slower than the hedge delay: the closed breaker's
+        queries are hedged, its half-open probes never are."""
+
+        class Phased(SutBase):
+            def __init__(self):
+                super().__init__("phased")
+                self.late_probes = []
+
+            def issue_query(self, query):
+                now = self.loop.now
+                if now < 0.1:
+                    self.complete(query, [])
+                    return
+                if sut.breaker.state is BreakerState.HALF_OPEN:
+                    self.late_probes.append(query.id)
+                good = [QuerySampleResponse(s.id, s.index)
+                        for s in query.samples]
+                self.loop.schedule_after(
+                    0.02, lambda: self.complete(query, good))
+
+        primary, standby = Phased(), IssueTimes(latency=0.005)
+        sut = SelfHealingSUT(
+            primary, standby, attempt_timeout=0.05, hedge_delay=0.01,
+            policy=BreakerPolicy(window=4, failure_threshold=0.5,
+                                 min_samples=2, open_duration=0.05,
+                                 half_open_probes=1))
+        result = run_benchmark(
+            sut, EchoQSL(), server_settings(queries=60, qps=100.0))
+        assert result.valid
+        assert primary.late_probes and sut.stats.hedged_queries > 0
+        asked = {qid for qid, _ in standby.issued_at}
+        assert asked.isdisjoint(primary.late_probes)
 
 
 class TestFailover:

@@ -8,9 +8,11 @@ engine differs between a wrapper and its twin: every generated backend,
 timeout, budget, scenario and seed must give the same run fingerprint,
 the same ``*Stats`` and the same ordered trail of engine hooks
 (``expired`` / ``advanced`` / ``absorbed``, each with its instant),
-compared with ``==``.  Echo latencies are drawn from the timeout itself
-and dyadic fractions of it, and stream gaps sit below, at and above it,
-so answers land on deadline instants to the float.
+compared with ``==``.  The healing twin also keeps the hedge as it
+shipped: a loop event of its own per hedgeable query.  Echo latencies
+are drawn from the timeout itself and dyadic fractions of it, and stream
+gaps sit below, at and above it, so answers land on deadline instants to
+the float.
 
 Beside the oracle sit three things a per-attempt heap event gave for
 free and a cheaper engine must keep giving: an answer that lands on its
@@ -44,6 +46,7 @@ from repro.core.query import (
 )
 from repro.core.sut import Responder, SutBase
 from repro.durability import BreakerPolicy, SelfHealingSUT
+from repro.durability.healing import _Guarded
 from repro.durability.resume import run_fingerprint
 from repro.faults import OutageSUT, ResilientSUT, RetryPolicy
 from repro.faults.filtering import Attempt, AttemptSUT, malformed_reason
@@ -59,11 +62,12 @@ from tests.conftest import EchoQSL
 
 class _Admitted(dict):
     """The shipped ``Attempt`` declared ``timer = due = None`` at class
-    level; wrappers admit their own state classes with a plain store, so
-    the oracle's table stamps the two fields on the way in."""
+    level, and the shipped healing state ``hedge_timer = None``; wrappers
+    admit their own state classes with a plain store, so the oracle's
+    table stamps the three fields on the way in."""
 
     def __setitem__(self, query_id, state) -> None:
-        state.timer = state.due = None
+        state.timer = state.due = state.hedge_timer = None
         super().__setitem__(query_id, state)
 
 
@@ -192,11 +196,48 @@ class OracleResilient(OracleEngine, ResilientSUT):
 
 
 class OracleHealing(OracleEngine, SelfHealingSUT):
+    """The hedge path as first shipped: one loop event and one lambda
+    per hedgeable query, cancelled on resolve, guarded when it fires."""
+
+    def issue_query(self, query: Query) -> None:
+        verdict = self.breaker.admit()
+        if verdict == "reject":
+            if self.standby is not None:
+                # Shed *from the primary*: the standby carries the load
+                # while the breaker waits out the outage.
+                state = self._inflight[query.id] = _Guarded(
+                    query, self._loop.now)
+                state.sources = ("standby",)
+                self.stats.standby_queries += 1
+                self._arm(state, self._timeout(state))
+                self.standby.issue_query(query)
+            else:
+                self.stats.shed_queries += 1
+                self.fail(
+                    query,
+                    "circuit breaker open: primary backend shedding load")
+            return
+        state = self._inflight[query.id] = _Guarded(query, self._loop.now)
+        if verdict == "probe":
+            state.probe = True
+            self.stats.probe_queries += 1
+        self._arm(state, self._timeout(state))
+        if (self.hedge_delay is not None and self.standby is not None
+                and not state.probe):
+            state.hedge_timer = self._loop.schedule_after(
+                self.hedge_delay, lambda: self._hedge(state))
+        self.primary.issue_query(query)
+
     def _resolve(self, state) -> None:
         # SelfHealingSUT._resolve, over the oracle's instead of super().
         if state.hedge_timer is not None:
             state.hedge_timer.cancel()
         OracleEngine._resolve(self, state)
+
+    def _hedge(self, state) -> None:
+        if self._live(state) and not state.hedged:
+            self.stats.hedged_queries += 1
+            self._ask_standby(state, ("primary", "standby"))
 
 
 class OracleFleet(OracleEngine, ReplicaSet):
