@@ -155,14 +155,17 @@ class RunService(Protocol):
     def stop(self) -> None: ...
 
 
-class _BuiltinService:
-    """What the LoadGen's own services share: the first event is due one
-    ``period`` after :meth:`start`, and :meth:`stop` cancels the latest
-    (a no-op once it has fired).  Each ``_tick`` must stay a function of
-    this module: ``benchmarks/perf`` leaves this module's callbacks out
-    of wall-clock call counts as time-driven, not per query."""
+class Ticker:
+    """The periodic :class:`RunService` base: the first ``_tick`` is due
+    one ``period`` after :meth:`start`, a tick that wants another stores
+    it in ``_timer``, and :meth:`stop` cancels the latest (a no-op once
+    it has fired).  Each subclass's ``_tick`` is its loop callback and a
+    function of its own module: ``benchmarks/perf`` attributes callbacks
+    by module, and leaves this module's out of wall-clock call counts as
+    time-driven, not per query."""
 
     period: float
+    loop: Optional[EventLoop] = None
     _timer = None
 
     def start(self, loop: EventLoop, keep_going: Callable[[], bool]) -> None:
@@ -175,7 +178,7 @@ class _BuiltinService:
             self._timer.cancel()
 
 
-class _Checkpointer(_BuiltinService):
+class _Checkpointer(Ticker):
     """Journals a checkpoint every ``journal.checkpoint_period`` seconds
     of run time, the last one at the first tick after the run drained."""
 
@@ -196,7 +199,7 @@ class _Checkpointer(_BuiltinService):
             self._timer = self.loop.schedule_after(self.period, self._tick)
 
 
-class _Watchdog(_BuiltinService):
+class _Watchdog(Ticker):
     """Stops a run that is still stuck ``settings.watchdog_timeout``
     seconds in, and says so in the driver's stats for the referee."""
 
@@ -216,7 +219,7 @@ class _Watchdog(_BuiltinService):
         loop.stop()
 
 
-class _Janitor(_BuiltinService):
+class _Janitor(Ticker):
     """A realtime loop cannot teleport past idle stretches, and
     completions arrive asynchronously via ``post`` - so this tick keeps
     the loop alive while queries are in flight and stops it as soon as
@@ -357,7 +360,7 @@ class LoadGen:
         SUT still reference each other (wrapper -> inner -> the
         wrapper's bound completion method), so the stack itself, the
         spent driver and the loop wait for a collection; unlinking those
-        is left to the ``WrapperSUT`` base in ROADMAP.md.
+        is ROADMAP.md item 6's "the cycles".
         """
         settings = self.settings
         if settings.mode is TestMode.ACCURACY:

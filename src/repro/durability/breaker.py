@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from math import inf
 from typing import Callable, Deque, List, Optional, Tuple
 
 
@@ -72,7 +73,7 @@ class BreakerPolicy:
         if not 1 <= self.min_samples <= self.window:
             raise ValueError(
                 f"min_samples must be in [1, window], got {self.min_samples}")
-        if self.open_duration <= 0:
+        if not 0 < self.open_duration < inf:  # NaN included
             raise ValueError(
                 f"open_duration must be positive, got {self.open_duration}")
         if self.half_open_probes < 1:

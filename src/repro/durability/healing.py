@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Optional
 
-from ..core.events import EventHandle, EventLoop
+from ..core.events import EventLoop
 from ..core.query import Query
 from ..core.sut import Responder, SystemUnderTest
 from ..faults.filtering import Attempt, AttemptSUT
@@ -77,7 +77,6 @@ class _Guarded(Attempt):
     probe = False
     #: The standby was asked too (hedge or failover), or instead.
     hedged = False
-    hedge_timer: Optional[EventHandle] = None
 
 
 class SelfHealingSUT(AttemptSUT):
@@ -205,11 +204,8 @@ class SelfHealingSUT(AttemptSUT):
         if verdict == "probe":
             state.probe = True
             self.stats.probe_queries += 1
-        self._arm(state, self._timeout(state))
-        if (self.hedge_delay is not None and self.standby is not None
-                and not state.probe):
-            state.hedge_timer = self._loop.schedule_after(
-                self.hedge_delay, lambda: self._hedge(state))
+        self._arm(state, self._timeout(state),
+                  hedge=None if state.probe else self.hedge_delay)
         self.primary.issue_query(query)
 
     # -- timers -----------------------------------------------------------------
@@ -229,11 +225,6 @@ class SelfHealingSUT(AttemptSUT):
     #: alive); hedges and failovers never do.
     _advanced = _timeout
 
-    def _resolve(self, state: _Guarded) -> None:
-        if state.hedge_timer is not None:
-            state.hedge_timer.cancel()
-        super()._resolve(state)
-
     def _expired(self, state: _Guarded) -> None:
         self._resolve(state)
         if "primary" in state.sources:
@@ -249,7 +240,8 @@ class SelfHealingSUT(AttemptSUT):
         self.breaker.record_failure(probe=state.probe)
 
     def _ask_standby(self, state: _Guarded, sources) -> None:
-        state.hedged = True
+        # The one standby attempt: a failover takes the hedge's place.
+        state.hedged, state.hedge_at = True, inf
         # The standby's stream starts over at seq 0; both attempts draw
         # the same per-query stream plan, so whichever source is ahead
         # after the restart screens clean without double-counting.
@@ -257,9 +249,8 @@ class SelfHealingSUT(AttemptSUT):
         self.standby.issue_query(state.query)
 
     def _hedge(self, state: _Guarded) -> None:
-        if self._live(state) and not state.hedged:
-            self.stats.hedged_queries += 1
-            self._ask_standby(state, ("primary", "standby"))
+        self.stats.hedged_queries += 1
+        self._ask_standby(state, ("primary", "standby"))
 
     # -- completions ------------------------------------------------------------
 

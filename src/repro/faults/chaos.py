@@ -47,7 +47,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.events import EventHandle, EventLoop
+from ..core.events import EventLoop
+from ..core.loadgen import Ticker
 from ..core.sut import SystemUnderTest
 from ..metrics import MetricsRegistry
 from .sut import DegradedSUT, Window
@@ -202,7 +203,7 @@ class _ChaosInstruments:
             fn=lambda: float(orchestrator.active_faults))
 
 
-class ChaosOrchestrator:
+class ChaosOrchestrator(Ticker):
     """Apply a :class:`ChaosSchedule` to a fleet, deterministically.
 
     Wiring order matters and mirrors how the pieces nest::
@@ -246,9 +247,6 @@ class ChaosOrchestrator:
             _ChaosInstruments(registry, self) if registry is not None
             else None
         )
-        self._loop: Optional[EventLoop] = None
-        self._keep_going: Callable[[], bool] = lambda: False
-        self._timer: Optional[EventHandle] = None
         #: (time, event index, action, event) transitions still due.
         self._pending: List[Tuple[float, int, str, ChaosEvent]] = []
         #: event index -> its applied window and, for a per-replica
@@ -292,8 +290,6 @@ class ChaosOrchestrator:
             raise ValueError(
                 f"schedule targets replicas {missing} but their backends "
                 "were not built through wrap_factory (no chaos valve)")
-        self._loop = loop
-        self._keep_going = keep_going
         self.trace = []
         self.windows = []
         self._open = {}
@@ -302,21 +298,16 @@ class ChaosOrchestrator:
              for i, e in enumerate(self.schedule.events)]
             + [(e.time + e.duration, i, "recover", e)
                for i, e in enumerate(self.schedule.events)])
-        self._timer = loop.schedule_after(self.period, self._tick)
+        super().start(loop, keep_going)
 
     def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if self._loop is not None:
-            for window, _ in self._open.values():
-                window.end = self._loop.now
-            self._open = {}
+        super().stop()
+        for window, _ in self._open.values():
+            window.end = self.loop.now
+        self._open = {}
 
     def _tick(self) -> None:
-        self._timer = None
-        loop = self._loop
-        assert loop is not None
+        loop = self.loop
         now = loop.now
         applied = 0
         while self._pending and self._pending[0][0] <= now:
@@ -331,7 +322,7 @@ class ChaosOrchestrator:
         if not applied:
             self.trace.append(
                 ChaosDecision(now, "", "", "hold", len(self._open)))
-        if self._keep_going():
+        if self.keep_going():
             self._timer = loop.schedule_after(self.period, self._tick)
 
     # -- scenario actuation -----------------------------------------------------

@@ -9,9 +9,9 @@ Fig. 3: every issued query completes exactly once) - the wrapper either
 tries again or reports a recorded failure.
 
 :class:`AttemptSUT` is that machine, written once: admit a query as an
-:class:`Attempt`, arm its deadline (a float on the attempt: the engine
-keeps one loop event, at the earliest of them), push it back on every
-clean chunk, screen each arrival, resolve.  ``ResilientSUT``,
+:class:`Attempt`, arm its deadline and hedge (floats on the attempt: the
+engine keeps one loop event, at the earliest of them), push the deadline
+back on every clean chunk, screen each arrival, resolve.  ``ResilientSUT``,
 ``SelfHealingSUT``, ``ReplicaSet`` and ``NetworkSUT`` keep only policy -
 what happens when an attempt is lost (back off and retry, hedge or fail
 over, reroute, resend).  The lifecycle: ``docs/architecture.md``.
@@ -71,6 +71,10 @@ class Attempt:
     #: it: deadlines reached together expire in the order they were armed.
     deadline = inf
     order = 0
+    #: The instant ``_hedge`` runs unless the attempt resolves first
+    #: (``inf``: none).  It precedes the deadline, shares its arm order,
+    #: and no chunk pushes it.
+    hedge_at = inf
     #: Where the live attempt's chunk stream has advanced to.
     next_seq = 0
     saw_last = False
@@ -110,23 +114,28 @@ class AttemptSUT(SutBase):
         return self._inflight.get(state.query.id) is state
 
     def _arm(self, state: Attempt, timeout: float,
-             now: Optional[float] = None) -> None:
+             now: Optional[float] = None,
+             hedge: Optional[float] = None) -> None:
         """(Re)start the one deadline: ``timeout`` seconds of silence
         from ``now`` - pass it when the loop's clock was just read (a
-        wall-clock reading is not free), else it is read here."""
+        wall-clock reading is not free), else it is read here.  A
+        ``hedge`` (shorter than ``timeout``) sets the hedge instant that
+        many seconds from ``now`` too."""
         loop = self._loop
         if now is None:
             now = loop.clock.now() if loop.realtime else loop.clock._now
-        state.deadline = deadline = now + timeout
+        state.deadline = wake = now + timeout
+        if hedge is not None:
+            state.hedge_at = wake = now + hedge
         self._arms = state.order = self._arms + 1
         timer = self._timer
-        if timer is None or deadline < timer[0]:
+        if timer is None or wake < timer[0]:
             if timer is not None:
                 timer.cancel()
-            self._timer = loop.schedule(deadline, self._tick)
+            self._timer = loop.schedule(wake, self._tick)
 
     def _tick(self) -> None:
-        """Lose what has reached its deadline; wait for the next one."""
+        """Act on what has reached its instant; wait for the next one."""
         loop = self._loop
         now = loop.clock.now() if loop.realtime else loop.clock._now
         if not loop.realtime and self._yielded != now:
@@ -136,20 +145,28 @@ class AttemptSUT(SutBase):
             return
         due, earliest = [], inf
         for state in self._inflight.values():
-            deadline = state.deadline
-            if deadline <= now:
+            hedge, deadline = state.hedge_at, state.deadline
+            if hedge <= now or deadline <= now:
                 due.append(state)
-            elif deadline < earliest:
+            if now < hedge < earliest:
+                earliest = hedge
+            if now < deadline < earliest:  # a due hedge's deadline too
                 earliest = deadline
         self._timer = (
             loop.schedule(earliest, self._tick) if earliest < inf else None)
         self._lose(due, now)
 
     def _lose(self, due: List[Attempt], now: float) -> None:
-        """Expire ``due`` in deadline order, arm order breaking ties."""
-        due.sort(key=lambda state: (state.deadline, state.order))
+        """Act on ``due`` in instant order, arm order breaking ties: a
+        hedge that is due runs before an expiry that is."""
+        due.sort(key=lambda state: (
+            state.hedge_at if state.hedge_at <= now else state.deadline,
+            state.order))
         for state in due:
             # An earlier hook may have resolved or re-armed this one.
+            if state.hedge_at <= now and self._live(state):
+                state.hedge_at = inf
+                self._hedge(state)
             if state.deadline <= now and self._live(state):
                 state.deadline = inf
                 self._expired(state)
@@ -194,12 +211,14 @@ class AttemptSUT(SutBase):
             self._absorbed(chunk)
             return
         loop = self._loop
-        if not loop.realtime and state.deadline <= loop.clock._now:
-            # A deadline, armed before the inner SUT was issued to, beats
-            # what lands on its instant; so do those armed before it.
+        if not loop.realtime and (state.deadline <= loop.clock._now
+                                  or state.hedge_at <= loop.clock._now):
+            # An instant, armed before the inner SUT was issued to, beats
+            # what lands on it; so do those armed before it.
             now, last = loop.clock._now, state.order
             self._lose([s for s in self._inflight.values()
-                        if s.deadline <= now and s.order <= last], now)
+                        if (s.deadline <= now or s.hedge_at <= now)
+                        and s.order <= last], now)
             self._deliver(source, query_id, arrival)
             return
         if chunk:
@@ -244,6 +263,11 @@ class AttemptSUT(SutBase):
 
     def _expired(self, state: Attempt) -> None:
         """The deadline fired on a live attempt (nothing is armed now)."""
+        raise NotImplementedError
+
+    def _hedge(self, state: Attempt) -> None:
+        """The hedge instant was reached on a live attempt; its deadline
+        stays armed."""
         raise NotImplementedError
 
     def _flawed(self, state: Attempt, source: Hashable, reason: str,

@@ -68,9 +68,9 @@ class RetryPolicy:
             raise ValueError(
                 f"attempt_timeout must be positive, got {self.attempt_timeout}"
             )
-        if self.backoff_base < 0:
+        if not 0 <= self.backoff_base < inf:  # NaN included
             raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
-        if self.backoff_factor < 1.0:
+        if not 1.0 <= self.backoff_factor < inf:
             raise ValueError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor}"
             )

@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional
 
-from ..core.events import EventHandle, EventLoop
+from ..core.events import EventLoop
+from ..core.loadgen import Ticker
 from ..metrics import MetricsRegistry
 from .replicaset import ReplicaSet
 from .signals import SignalSource, make_signal
@@ -97,7 +98,7 @@ class _AutoscalerInstruments:
             "Available replicas after the last autoscaler tick")
 
 
-class Autoscaler:
+class Autoscaler(Ticker):
     """Grow/shrink a :class:`ReplicaSet` from its live load signal."""
 
     def __init__(
@@ -110,6 +111,7 @@ class Autoscaler:
     ) -> None:
         self.replica_set = replica_set
         self.policy = policy if policy is not None else AutoscalerPolicy()
+        self.period = self.policy.period
         #: The pluggable load signal sampled each tick; defaults to the
         #: in-process :class:`~repro.fleet.signals.BacklogSignal`.
         self.signal_source: SignalSource = make_signal(signal)
@@ -121,27 +123,17 @@ class Autoscaler:
             _AutoscalerInstruments(registry) if registry is not None
             else None
         )
-        self._loop: Optional[EventLoop] = None
-        self._keep_going: Callable[[], bool] = lambda: False
-        self._timer: Optional[EventHandle] = None
         self._last_action_time = 0.0
 
     # -- RunService -------------------------------------------------------------
 
     def start(self, loop: EventLoop,
               keep_going: Callable[[], bool]) -> None:
-        self._loop = loop
-        self._keep_going = keep_going
         self.trace = []
         self.signal_source.reset()
         # A fresh run may act immediately: backdate the cooldown anchor.
         self._last_action_time = loop.now - self.policy.cooldown
-        self._timer = loop.schedule_after(self.policy.period, self._tick)
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        super().start(loop, keep_going)
 
     # -- decisions --------------------------------------------------------------
 
@@ -158,9 +150,7 @@ class Autoscaler:
         return self.replica_set.total_outstanding / max(1, available)
 
     def _tick(self) -> None:
-        self._timer = None
-        loop = self._loop
-        assert loop is not None
+        loop = self.loop
         now = loop.now
         signal = self.signal_source.sample(now)
         before = len(self.replica_set.available_replicas)
@@ -187,5 +177,5 @@ class Autoscaler:
             self._m.actions.labels(action=action).inc()
             self._m.signal.set(signal)
             self._m.replicas.set(float(after))
-        if self._keep_going():
-            self._timer = loop.schedule_after(self.policy.period, self._tick)
+        if self.keep_going():
+            self._timer = loop.schedule_after(self.period, self._tick)

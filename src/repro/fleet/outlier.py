@@ -59,6 +59,7 @@ from typing import (Callable, Deque, Dict, List, NamedTuple, Optional, Set,
 import numpy as np
 
 from ..core.events import EventHandle, EventLoop
+from ..core.loadgen import Ticker
 from ..core.query import Query, QueryFailure, QuerySample
 from ..metrics import MetricsRegistry
 from .replica import ReplicaHealth
@@ -181,7 +182,7 @@ class _DetectorInstruments:
             fn=lambda: float(len(detector.quarantined)))
 
 
-class OutlierDetector:
+class OutlierDetector(Ticker):
     """Eject gray-failing replicas; probe and readmit them when healed."""
 
     def __init__(
@@ -194,6 +195,7 @@ class OutlierDetector:
     ) -> None:
         self.replica_set = replica_set
         self.policy = policy if policy is not None else OutlierPolicy()
+        self.period = self.policy.period
         self.seed = seed
         #: Every state transition, in tick order - bit-identical across
         #: same-seed runs (the chaos acceptance contract).
@@ -202,9 +204,6 @@ class OutlierDetector:
             _DetectorInstruments(registry, self) if registry is not None
             else None
         )
-        self._loop: Optional[EventLoop] = None
-        self._keep_going: Callable[[], bool] = lambda: False
-        self._timer: Optional[EventHandle] = None
         self._rng = np.random.default_rng(
             np.random.SeedSequence((seed, _PROBE_TAG)))
         self._probe_ids = itertools.count(_PROBE_ID_BASE)
@@ -227,8 +226,6 @@ class OutlierDetector:
 
     def start(self, loop: EventLoop,
               keep_going: Callable[[], bool]) -> None:
-        self._loop = loop
-        self._keep_going = keep_going
         self.trace = []
         self._rng = np.random.default_rng(
             np.random.SeedSequence((self.seed, _PROBE_TAG)))
@@ -238,24 +235,20 @@ class OutlierDetector:
         self._probe_owner = {}
         self._counters_seen = {}
         self._fail_window = {}
-        self._timer = loop.schedule_after(self.policy.period, self._tick)
+        super().start(loop, keep_going)
 
     def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        super().stop()
         for probation in self._probing.values():
             if probation.timer is not None:
                 probation.timer.cancel()
                 probation.timer = None
 
     def _tick(self) -> None:
-        self._timer = None
-        loop = self._loop
-        assert loop is not None
+        loop = self.loop
         self.evaluate(loop.now)
-        if self._keep_going():
-            self._timer = loop.schedule_after(self.policy.period, self._tick)
+        if self.keep_going():
+            self._timer = loop.schedule_after(self.period, self._tick)
 
     # -- scoring ----------------------------------------------------------------
 
@@ -344,7 +337,7 @@ class OutlierDetector:
     # -- probation --------------------------------------------------------------
 
     def _advance_probation(self, now: float) -> None:
-        if self._loop is None:
+        if self.loop is None:
             return
         for index in sorted(self._quarantine):
             if index in self._probing:
@@ -369,7 +362,7 @@ class OutlierDetector:
             self.replica_set.probe_replica(index, query, self._on_probe)
             if self._m:
                 self._m.probes.inc()
-        probation.timer = self._loop.schedule_after(
+        probation.timer = self.loop.schedule_after(
             self.policy.probe_timeout,
             lambda: self._probation_expired(index))
         self.trace.append(EjectionEvent(
@@ -382,7 +375,7 @@ class OutlierDetector:
         probation = self._probing.get(index)
         if probation is None or query.id not in probation.pending:
             return
-        now = self._loop.now
+        now = self.loop.now
         if isinstance(responses, QueryFailure):
             self._fail_probation(index, now)
             return
@@ -395,7 +388,7 @@ class OutlierDetector:
         if probation is None:
             return
         probation.timer = None
-        self._fail_probation(index, self._loop.now)
+        self._fail_probation(index, self.loop.now)
 
     def _fail_probation(self, index: int, now: float) -> None:
         probation = self._probing.get(index)

@@ -1,5 +1,7 @@
 """CircuitBreaker state machine: trip, reject, probe, close, re-trip."""
 
+import math
+
 import pytest
 
 from repro.durability import (
@@ -203,3 +205,10 @@ class TestPolicyValidation:
     def test_bad_policy_rejected(self, kwargs):
         with pytest.raises(ValueError):
             BreakerPolicy(**kwargs)
+
+    @pytest.mark.parametrize("open_duration", [math.nan, math.inf])
+    def test_open_duration_must_be_finite(self, open_duration):
+        """NaN passed the ``<= 0`` check, and a breaker that tripped then
+        never left OPEN: the rest of the run was shed."""
+        with pytest.raises(ValueError, match="open_duration must be positive"):
+            BreakerPolicy(open_duration=open_duration)

@@ -1,5 +1,7 @@
 """ResilientSUT: bounded retries, deadlines, and response hygiene."""
 
+import math
+
 import pytest
 
 from repro.core import Scenario, TestSettings, run_benchmark
@@ -104,6 +106,20 @@ class TestRetryPolicyValidation:
     ])
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
+            RetryPolicy(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        # Aborted the run from the engine's tick ("delay must be
+        # non-negative, got nan").
+        (dict(backoff_base=math.nan), "backoff_base must be >= 0"),
+        # Never retried: the run ended on the watchdog.
+        (dict(backoff_base=math.inf), "backoff_base must be >= 0"),
+        # OverflowError from the jitter draw, mid-run.
+        (dict(backoff_factor=math.inf), "backoff_factor must be >= 1"),
+        (dict(backoff_factor=math.nan), "backoff_factor must be >= 1"),
+    ], ids=["nan-base", "inf-base", "inf-factor", "nan-factor"])
+    def test_non_finite_backoff_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
             RetryPolicy(**kwargs)
 
 
