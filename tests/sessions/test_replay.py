@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Scenario, TestSettings
+from repro.core.query import SessionTurn
 from repro.sessions import (
     SESSION_TAG,
     ReplayGraph,
@@ -128,3 +129,22 @@ def test_invalid_profiles_are_rejected():
         ReplayGraph(profile(), 0)
     with pytest.raises(ValueError):
         ReplayGraph(profile(), 4).plan(4)
+
+
+def test_turn_tag_is_the_keyword_built_session_turn():
+    # Whatever builds the tag, it is the SessionTurn the keyword
+    # constructor gives: same type, equality, repr and field dict.
+    for user_id in range(20):
+        plan = profile().plan(user_id)
+        for index, turn in enumerate(plan.turns):
+            tag = plan.turn_tag(index)
+            built = SessionTurn(
+                session_id=user_id, turn_index=turn.turn_index,
+                turn_count=len(plan.turns),
+                prefix_tokens=turn.prefix_tokens,
+                new_tokens=turn.new_tokens,
+                response_tokens=turn.response_tokens)
+            assert type(tag) is SessionTurn
+            assert tag == built
+            assert repr(tag) == repr(built)
+            assert tag._asdict() == built._asdict()
