@@ -38,8 +38,7 @@ See ``docs/fleet.md`` for guidance on choosing between them and
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Type
 
 import numpy as np
@@ -53,6 +52,9 @@ _P99_EPSILON = 1e-6
 #: Least-outstanding order, ties by index: a C key, so ranking a
 #: candidate set costs one sort and no Python frame per replica.
 _BY_LOAD = attrgetter("outstanding", "index")
+#: C accessors for the zone policies' per-decision passes.
+_ZONE = attrgetter("zone")
+_DEALT_REPLICA = itemgetter(1)
 
 
 class BalancerPolicy:
@@ -161,14 +163,15 @@ class WeightedP99Policy(BalancerPolicy):
     def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
         if len(candidates) <= 1:
             return list(candidates)
-        weights = np.array(
-            [1.0 / (r.p99() + _P99_EPSILON) for r in candidates])
+        # One p99 (one window sort) per candidate, for both uses.
+        p99s = [r.p99() for r in candidates]
+        weights = 1.0 / (np.array(p99s) + _P99_EPSILON)
         primary = int(self._rng.choice(
             len(candidates), p=weights / weights.sum()))
         rest = sorted(
-            (r for i, r in enumerate(candidates) if i != primary),
-            key=lambda r: (r.p99(), r.index))
-        return [candidates[primary]] + rest
+            (i for i in range(len(candidates)) if i != primary),
+            key=lambda i: (p99s[i], candidates[i].index))
+        return [candidates[i] for i in (primary, *rest)]
 
 
 class SessionAffinityPolicy(BalancerPolicy):
@@ -259,14 +262,6 @@ def _zone_of(replica: Replica) -> str:
     return getattr(replica, "zone", "z0")
 
 
-def _zone_names(candidates: Sequence[Replica]) -> List[str]:
-    """The zones the candidates live in, sorted for determinism."""
-    try:
-        return sorted({r.zone for r in candidates})
-    except AttributeError:  # a zone-less double among them
-        return sorted({_zone_of(r) for r in candidates})
-
-
 def _interleave_zones(candidates: Sequence[Replica],
                       zone_order: Sequence[str]) -> List[Replica]:
     """Round-robin across zones (in ``zone_order``), least-outstanding
@@ -277,19 +272,31 @@ def _interleave_zones(candidates: Sequence[Replica],
     candidates by ``(outstanding, index)``) ranks before position
     ``k + 1`` of every zone, and within one round zones keep
     ``zone_order``; a zone that runs out is skipped.  Candidates whose
-    zone is not in ``zone_order`` are left out.  One sort, one deal, one
-    pass per decision.
+    zone is not in ``zone_order`` are left out.
+
+    One deal: walking the candidates least-outstanding first, each is
+    given the slot ``round * len(zone_order) + zone position`` (its
+    zone's next free slot), and one sort by slot is the ranking.
     """
-    queues: Dict[str, List[Replica]] = {zone: [] for zone in zone_order}
-    for replica in sorted(candidates, key=_BY_LOAD):
+    width = len(zone_order)
+    next_slot = dict(zip(zone_order, range(width)))
+    dealt = sorted(candidates, key=_BY_LOAD)
+    placed = 0
+    # Overwrites only positions already walked: ``placed`` never
+    # passes the walk.
+    for replica in dealt:
         try:
             zone = replica.zone
         except AttributeError:
             zone = _zone_of(replica)
-        if zone in queues:
-            queues[zone].append(replica)
-    return [replica for round_ in zip_longest(*queues.values())
-            for replica in round_ if replica is not None]
+        if zone in next_slot:
+            slot = next_slot[zone]
+            next_slot[zone] = slot + width
+            dealt[placed] = (slot, replica)
+            placed += 1
+    del dealt[placed:]
+    dealt.sort()  # slots are distinct, so replicas are never compared
+    return list(map(_DEALT_REPLICA, dealt))
 
 
 class ZoneSpreadPolicy(BalancerPolicy):
@@ -310,13 +317,19 @@ class ZoneSpreadPolicy(BalancerPolicy):
         super().start_run(rng)
         self._cursor = 0
 
-    def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
+    def rank_for(self, query, candidates: Sequence[Replica]) -> List[Replica]:
         if not candidates:
             return []
-        zones = _zone_names(candidates)
+        try:  # the zones present, sorted for determinism
+            zones = sorted(set(map(_ZONE, candidates)))
+        except AttributeError:  # a zone-less double among them
+            zones = sorted(set(map(_zone_of, candidates)))
         offset = self._cursor % len(zones)
         self._cursor += 1
         return _interleave_zones(candidates, zones[offset:] + zones[:offset])
+
+    def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
+        return self.rank_for(None, candidates)
 
 
 class ZoneLocalPolicy(BalancerPolicy):
@@ -333,14 +346,20 @@ class ZoneLocalPolicy(BalancerPolicy):
     def __init__(self, local_zone: Optional[str] = None) -> None:
         self.local_zone = local_zone
 
-    def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
+    def rank_for(self, query, candidates: Sequence[Replica]) -> List[Replica]:
         if not candidates:
             return []
-        zones = _zone_names(candidates)
+        try:  # the zones present, sorted for determinism
+            zones = sorted(set(map(_ZONE, candidates)))
+        except AttributeError:  # a zone-less double among them
+            zones = sorted(set(map(_zone_of, candidates)))
         local = self.local_zone if self.local_zone in zones else zones[0]
         zones.remove(local)
         return (_interleave_zones(candidates, (local,))
                 + _interleave_zones(candidates, zones))
+
+    def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
+        return self.rank_for(None, candidates)
 
 
 _POLICIES: Dict[str, Type[BalancerPolicy]] = {

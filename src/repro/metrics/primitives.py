@@ -29,6 +29,7 @@ statistic (< 4.5% with the default ``growth = 2**(1/16)``).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "DEFAULT_BASE", "DEFAULT_GROWTH",
@@ -123,7 +124,7 @@ class Histogram:
     """
 
     __slots__ = ("base", "growth", "_counts", "_count", "_sum", "_min",
-                 "_max", "_log_base", "_inv_log_growth", "_uppers")
+                 "_max", "_uppers")
 
     def __init__(
         self,
@@ -144,10 +145,8 @@ class Histogram:
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._log_base = math.log(base)
-        self._inv_log_growth = 1.0 / math.log(growth)
-        # Finite upper edges, precomputed: the hot path's boundary
-        # repair must not evaluate growth**k per observation.
+        # Finite upper edges, precomputed: the hot path bisects them
+        # and never evaluates growth**k per observation.
         self._uppers: List[float] = [
             base * growth ** k for k in range(buckets - 1)
         ]
@@ -157,51 +156,26 @@ class Histogram:
     def observe(self, value: float) -> None:
         """Record one observation (negative values clamp to bucket 0).
 
-        This is the hot path (one call per completed query); the index
-        computation is inlined rather than delegated to :meth:`_index`
-        to spare a Python call per observation.
+        This is the hot path (one call per completed query); the bucket
+        lookup is inlined rather than delegated to :meth:`_index` to
+        spare a Python call per observation.  NaN and infinities are
+        rejected before anything is recorded.
         """
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"cannot observe a non-finite value: {value}")
         self._count += 1
         self._sum += value
         if value < self._min:
             self._min = value
         if value > self._max:
             self._max = value
-        if value <= self.base:
-            self._counts[0] += 1
-            return
-        counts = self._counts
-        k = math.ceil(
-            (math.log(value) - self._log_base) * self._inv_log_growth
-        )
-        last = len(counts) - 1
-        if k > last:
-            counts[last] += 1
-            return
-        uppers = self._uppers
-        while k > 0 and value <= uppers[k - 1]:
-            k -= 1
-        while k < last and value > uppers[k]:
-            k += 1
-        counts[k] += 1
+        self._counts[bisect_left(self._uppers, value)] += 1
 
     def _index(self, value: float) -> int:
-        if value <= self.base:
-            return 0
-        k = int(math.ceil(
-            (math.log(value) - self._log_base) * self._inv_log_growth
-        ))
-        uppers = self._uppers
-        last = len(self._counts) - 1
-        if k > last:
-            return last
-        # Repair float wobble at boundaries: the bucket's edges are the
-        # authority, not the logarithm.
-        while k > 0 and value <= uppers[k - 1]:
-            k -= 1
-        while k < last and value > uppers[k]:
-            k += 1
-        return k
+        # The edges are the authority: bucket k holds
+        # (uppers[k-1], uppers[k]]; uppers[0] is base, so everything at
+        # or below it lands in 0, and past the last edge is overflow.
+        return bisect_left(self._uppers, value)
 
     # -- reading ---------------------------------------------------------------
 

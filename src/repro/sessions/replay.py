@@ -65,14 +65,11 @@ class SessionPlan(NamedTuple):
         attaches to this turn's query."""
         turns = self.turns
         turn = turns[turn_index]
-        return SessionTurn(
-            session_id=self.user_id,
-            turn_index=turn.turn_index,
-            turn_count=len(turns),
-            prefix_tokens=turn.prefix_tokens,
-            new_tokens=turn.new_tokens,
-            response_tokens=turn.response_tokens,
-        )
+        # A SessionTurn without its generated __new__'s Python frame;
+        # the fields in SessionTurn's order.
+        return tuple.__new__(SessionTurn, (
+            self.user_id, turn.turn_index, len(turns), turn.prefix_tokens,
+            turn.new_tokens, turn.response_tokens))
 
 
 @dataclass(frozen=True)

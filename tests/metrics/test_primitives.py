@@ -302,3 +302,30 @@ class TestPercentileNearestRank:
     def test_batch_percentiles_identical_to_scalar(self, values, qs):
         h = self._hist(values)
         assert h.percentiles(qs) == [h.percentile(q) for q in qs]
+
+
+class TestHistogramRejectsNonFinite:
+    """A non-finite observation is refused before it touches anything:
+    count, sum, min, max and the buckets stay as they were."""
+
+    def state(self, h):
+        return (h.count, h.sum, h.min, h.max, h.nonzero_buckets())
+
+    def refused(self, value):
+        h = Histogram()
+        h.observe(0.004)
+        before = self.state(h)
+        with pytest.raises(ValueError, match="non-finite"):
+            h.observe(value)
+        assert self.state(h) == before
+        h.observe(0.002)  # and it still records
+        assert h.count == 2 and sum(c for _, c in h.nonzero_buckets()) == 2
+
+    def test_nan(self):
+        self.refused(math.nan)
+
+    def test_positive_infinity(self):
+        self.refused(math.inf)
+
+    def test_negative_infinity(self):
+        self.refused(-math.inf)
