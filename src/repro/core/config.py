@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from math import inf
 from typing import Dict, Optional
+
+from ..bounds import (AT_LEAST_ONE, NON_NEGATIVE, OPEN_UNIT, POSITIVE,
+                      check_range)
 
 
 class Scenario(enum.Enum):
@@ -189,14 +191,9 @@ def check_rate_bursts(bursts) -> tuple:
                 f"multiplier), got {window!r}"
             )
         start, duration, multiplier = window
-        if not 0 <= start < inf:
-            raise ValueError(f"burst start must be >= 0, got {start}")
-        if not 0 < duration < inf:
-            raise ValueError(
-                f"burst duration must be positive, got {duration}")
-        if not 0 < multiplier < inf:
-            raise ValueError(
-                f"burst multiplier must be positive, got {multiplier}")
+        check_range("burst start", start, NON_NEGATIVE)
+        check_range("burst duration", duration, POSITIVE)
+        check_range("burst multiplier", multiplier, POSITIVE)
     for earlier, later in zip(windows, windows[1:]):
         if earlier[0] + earlier[1] > later[0]:
             raise ValueError(
@@ -298,106 +295,52 @@ class TestSettings:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if not 0 < self.server_target_qps < inf:  # NaN included
-            raise ValueError(
-                f"server_target_qps must be positive, got {self.server_target_qps}"
-            )
-        if self.server_burst_size < 1:
-            raise ValueError(
-                f"server_burst_size must be >= 1, got {self.server_burst_size}"
-            )
+        check_range("server_target_qps", self.server_target_qps, POSITIVE)
+        check_range("server_burst_size", self.server_burst_size, AT_LEAST_ONE)
         if self.server_burst_size > 1 and self.scenario is not Scenario.SERVER:
             raise ValueError(
                 "server_burst_size applies to the server scenario only, got "
                 f"{self.server_burst_size} for {self.scenario.value}"
             )
-        if self.multistream_samples_per_query < 1:
-            raise ValueError(
-                "multistream_samples_per_query must be >= 1, got "
-                f"{self.multistream_samples_per_query}"
-            )
-        if self.multistream_interval is not None and not (
-            0 < self.multistream_interval < inf
-        ):
-            raise ValueError(
-                f"multistream_interval must be positive, got "
-                f"{self.multistream_interval}"
-            )
-        if self.server_latency_bound is not None and not (
-            0 < self.server_latency_bound < inf
-        ):
-            raise ValueError(
-                f"server_latency_bound must be positive, got "
-                f"{self.server_latency_bound}"
-            )
-        if self.tail_latency_percentile is not None and not (
-            0.0 < self.tail_latency_percentile < 1.0
-        ):
-            raise ValueError(
-                "tail_latency_percentile must be in (0, 1), got "
-                f"{self.tail_latency_percentile}"
-            )
-        if self.min_query_count is not None and self.min_query_count < 1:
-            raise ValueError(
-                f"min_query_count must be >= 1, got {self.min_query_count}"
-            )
-        if self.min_duration is not None and not (
-            0 <= self.min_duration < inf
-        ):
-            raise ValueError(
-                f"min_duration must be a non-negative number, got "
-                f"{self.min_duration}"
-            )
-        if self.offline_sample_count is not None and self.offline_sample_count < 1:
-            raise ValueError(
-                f"offline_sample_count must be >= 1, got "
-                f"{self.offline_sample_count}"
-            )
-        if (
-            self.performance_sample_count is not None
-            and self.performance_sample_count < 1
-        ):
-            raise ValueError(
-                f"performance_sample_count must be >= 1, got "
-                f"{self.performance_sample_count}"
-            )
-        if self.watchdog_timeout is not None and not (
-            0 < self.watchdog_timeout < inf
-        ):
-            raise ValueError(
-                f"watchdog_timeout must be positive, got {self.watchdog_timeout}"
-            )
-        if self.ttft_target_ns is not None and self.ttft_target_ns <= 0:
-            raise ValueError(
-                f"ttft_target_ns must be positive, got {self.ttft_target_ns}"
-            )
-        if self.tpot_target_ns is not None and self.tpot_target_ns <= 0:
-            raise ValueError(
-                f"tpot_target_ns must be positive, got {self.tpot_target_ns}"
-            )
-        if self.session_count is not None and self.session_count < 1:
-            raise ValueError(
-                f"session_count must be >= 1, got {self.session_count}"
-            )
-        if self.session_turns_min < 1:
-            raise ValueError(
-                f"session_turns_min must be >= 1, got {self.session_turns_min}"
-            )
+        check_range("multistream_samples_per_query",
+                    self.multistream_samples_per_query, AT_LEAST_ONE)
+        if self.multistream_interval is not None:
+            check_range("multistream_interval",
+                        self.multistream_interval, POSITIVE)
+        if self.server_latency_bound is not None:
+            check_range("server_latency_bound",
+                        self.server_latency_bound, POSITIVE)
+        if self.tail_latency_percentile is not None:
+            check_range("tail_latency_percentile",
+                        self.tail_latency_percentile, OPEN_UNIT)
+        if self.min_query_count is not None:
+            check_range("min_query_count", self.min_query_count, AT_LEAST_ONE)
+        if self.min_duration is not None:
+            check_range("min_duration", self.min_duration, NON_NEGATIVE)
+        if self.offline_sample_count is not None:
+            check_range("offline_sample_count",
+                        self.offline_sample_count, AT_LEAST_ONE)
+        if self.performance_sample_count is not None:
+            check_range("performance_sample_count",
+                        self.performance_sample_count, AT_LEAST_ONE)
+        if self.watchdog_timeout is not None:
+            check_range("watchdog_timeout", self.watchdog_timeout, POSITIVE)
+        if self.ttft_target_ns is not None:
+            check_range("ttft_target_ns", self.ttft_target_ns, POSITIVE)
+        if self.tpot_target_ns is not None:
+            check_range("tpot_target_ns", self.tpot_target_ns, POSITIVE)
+        if self.session_count is not None:
+            check_range("session_count", self.session_count, AT_LEAST_ONE)
+        check_range("session_turns_min", self.session_turns_min, AT_LEAST_ONE)
         if self.session_turns_max < self.session_turns_min:
             raise ValueError(
                 "session_turns_max must be >= session_turns_min, got "
                 f"{self.session_turns_max} < {self.session_turns_min}"
             )
-        if not 0 <= self.session_think_time_mean < inf:
-            raise ValueError(
-                f"session_think_time_mean must be >= 0, got "
-                f"{self.session_think_time_mean}"
-            )
-        if self.session_new_tokens_min < 1:
-            raise ValueError(
-                f"session_new_tokens_min must be >= 1, got "
-                f"{self.session_new_tokens_min}"
-            )
+        check_range("session_think_time_mean",
+                    self.session_think_time_mean, NON_NEGATIVE)
+        check_range("session_new_tokens_min",
+                    self.session_new_tokens_min, AT_LEAST_ONE)
         if self.session_new_tokens_max < self.session_new_tokens_min:
             raise ValueError(
                 "session_new_tokens_max must be >= session_new_tokens_min, "

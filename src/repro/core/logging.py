@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..bounds import UNIT, check_range
 from .query import Query, QueryRecord, QuerySampleResponse, StreamChunk
 
 
@@ -35,10 +36,7 @@ class QueryLog:
     """
 
     def __init__(self, log_sample_probability: float = 0.0, seed: int = 0) -> None:
-        if not 0.0 <= log_sample_probability <= 1.0:
-            raise ValueError(
-                f"log_sample_probability must be in [0, 1], got {log_sample_probability}"
-            )
+        check_range("log_sample_probability", log_sample_probability, UNIT)
         #: query id -> record; a dict keeps insertion order, which is
         #: issue order.
         self._records: Dict[int, QueryRecord] = {}

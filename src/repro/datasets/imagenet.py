@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..bounds import AT_LEAST_ONE, check_range
 from .base import Dataset
 from .glyphs import make_glyph_bank, place_glyph
 
@@ -34,8 +35,7 @@ class SyntheticImageNet(Dataset):
         calibration_count: int = 64,
         seed: int = 2012,
     ) -> None:
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
+        check_range("size", size, AT_LEAST_ONE)
         if glyph_size >= image_size:
             raise ValueError("glyph must be smaller than the image")
         self.name = "synthetic-imagenet"

@@ -15,14 +15,19 @@ just as real translation models never reach the reference BLEU ceiling.
 
 from __future__ import annotations
 
+from math import inf
 from typing import List, Tuple
 
 import numpy as np
 
+from ..bounds import Interval, check_range
 from .base import Dataset
 
 #: The lowest word id; 0-2 are reserved for special tokens.
 FIRST_WORD_ID = 3
+#: A vocabulary holds the special tokens and at least two words.
+_VOCAB_SIZE = Interval(FIRST_WORD_ID + 2, inf, True, False,
+                       f">= {FIRST_WORD_ID + 2}")
 
 
 class SyntheticWmt(Dataset):
@@ -38,8 +43,7 @@ class SyntheticWmt(Dataset):
         calibration_count: int = 32,
         seed: int = 2016,
     ) -> None:
-        if vocab_size <= FIRST_WORD_ID + 1:
-            raise ValueError(f"vocab_size too small: {vocab_size}")
+        check_range("vocab_size", vocab_size, _VOCAB_SIZE)
         if not 1 <= min_length <= max_length:
             raise ValueError("need 1 <= min_length <= max_length")
         self.name = "synthetic-wmt"

@@ -26,8 +26,9 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from math import inf
 from typing import Callable, Deque, List, Optional, Tuple
+
+from ..bounds import AT_LEAST_ONE, FRACTION, POSITIVE, check_range
 
 
 class BreakerState(enum.Enum):
@@ -64,21 +65,13 @@ class BreakerPolicy:
     half_open_probes: int = 3
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if not 0.0 < self.failure_threshold <= 1.0:
-            raise ValueError(
-                "failure_threshold must be in (0, 1], got "
-                f"{self.failure_threshold}")
+        check_range("window", self.window, AT_LEAST_ONE)
+        check_range("failure_threshold", self.failure_threshold, FRACTION)
         if not 1 <= self.min_samples <= self.window:
             raise ValueError(
                 f"min_samples must be in [1, window], got {self.min_samples}")
-        if not 0 < self.open_duration < inf:  # NaN included
-            raise ValueError(
-                f"open_duration must be positive, got {self.open_duration}")
-        if self.half_open_probes < 1:
-            raise ValueError(
-                f"half_open_probes must be >= 1, got {self.half_open_probes}")
+        check_range("open_duration", self.open_duration, POSITIVE)
+        check_range("half_open_probes", self.half_open_probes, AT_LEAST_ONE)
 
 
 @dataclass

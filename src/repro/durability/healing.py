@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Optional
 
+from ..bounds import POSITIVE, check_range
 from ..core.events import EventLoop
 from ..core.query import Query
 from ..core.sut import Responder, SystemUnderTest
@@ -95,9 +96,7 @@ class SelfHealingSUT(AttemptSUT):
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(name or f"healing[{primary.name}]")
-        if not 0 < attempt_timeout < inf:  # NaN included
-            raise ValueError(
-                f"attempt_timeout must be positive, got {attempt_timeout}")
+        check_range("attempt_timeout", attempt_timeout, POSITIVE)
         if total_timeout is not None and not total_timeout >= attempt_timeout:
             raise ValueError(
                 "total_timeout must be >= attempt_timeout, got "

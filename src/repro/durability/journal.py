@@ -46,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from ..bounds import AT_LEAST_ONE, POSITIVE, check_range
 from ..core.config import TestSettings
 from ..core.query import Query
 from ..metrics import MetricsRegistry, export_ledger, exported
@@ -134,9 +135,7 @@ class JournalWriter:
     ) -> None:
         self.path = str(path)
         self.fsync = FsyncPolicy(fsync)
-        if fsync_interval < 1:
-            raise ValueError(
-                f"fsync_interval must be >= 1, got {fsync_interval}")
+        check_range("fsync_interval", fsync_interval, AT_LEAST_ONE)
         self.fsync_interval = fsync_interval
         self.on_append = on_append
         self.stats = JournalStats()
@@ -373,9 +372,8 @@ class RunJournal:
         registry: Optional[MetricsRegistry] = None,
         on_append: Optional[Callable[[int], None]] = None,
     ) -> None:
-        if checkpoint_period is not None and checkpoint_period <= 0:
-            raise ValueError(
-                f"checkpoint_period must be positive, got {checkpoint_period}")
+        if checkpoint_period is not None:
+            check_range("checkpoint_period", checkpoint_period, POSITIVE)
         self.path = str(path)
         self.fsync = FsyncPolicy(fsync)
         self.fsync_interval = fsync_interval

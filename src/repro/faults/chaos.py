@@ -42,11 +42,11 @@ Chrome trace (``repro.core.trace.to_chrome_trace(chaos=...)``) and as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_range
 from ..core.events import EventLoop
 from ..core.loadgen import Ticker
 from ..core.sut import SystemUnderTest
@@ -119,12 +119,10 @@ class ChaosSchedule:
                 raise ValueError(
                     f"unknown chaos kind {event.kind!r}; "
                     f"known: {', '.join(CHAOS_KINDS)}")
-            if not 0 < event.duration < inf:  # NaN included
-                raise ValueError(
-                    f"event duration must be positive, got {event}")
-            if event.kind == "gray-failure" and not event.severity >= 1.0:
-                raise ValueError(
-                    f"gray-failure severity must be >= 1, got {event}")
+            check_range("event duration", event.duration, POSITIVE)
+            if event.kind == "gray-failure":
+                check_range("gray-failure severity (stretch factor)",
+                            event.severity, AT_LEAST_ONE)
             if (event.kind != "zone-outage"
                     and _replica_target(event.target) is None):
                 raise ValueError(
@@ -157,14 +155,10 @@ class ChaosSchedule:
         the recovery side of every event.  Same ``(seed, arguments)``
         -> same schedule, bit for bit.
         """
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        if zones < 1:
-            raise ValueError(f"zones must be >= 1, got {zones}")
-        if events < 0:
-            raise ValueError(f"events must be >= 0, got {events}")
+        check_range("duration", duration, POSITIVE)
+        check_range("replicas", replicas, AT_LEAST_ONE)
+        check_range("zones", zones, AT_LEAST_ONE)
+        check_range("events", events, NON_NEGATIVE)
         rng = np.random.default_rng(
             np.random.SeedSequence((seed, CHAOS_TAG)))
         drawn: List[ChaosEvent] = []
@@ -231,8 +225,7 @@ class ChaosOrchestrator(Ticker):
         period: float = 0.025,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
+        check_range("period", period, POSITIVE)
         self.schedule = schedule
         self.period = period
         #: replica index -> its :class:`DegradedSUT` valve (filled by

@@ -28,6 +28,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..bounds import NON_NEGATIVE, POSITIVE, UNIT, check_range
+
 
 class FaultType(enum.Enum):
     """The injectable misbehavior classes."""
@@ -71,22 +73,14 @@ class FaultPlan:
         for fault, rate in self.rates.items():
             if not isinstance(fault, FaultType):
                 raise ValueError(f"unknown fault type {fault!r}")
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(
-                    f"rate for {fault.value} must be in [0, 1], got {rate}"
-                )
-            total += rate
+            total += check_range(f"rate for {fault.value}", rate, UNIT)
         if total > 1.0 + 1e-9:
             raise ValueError(
                 f"fault rates sum to {total:.4f}; at most one fault is "
                 "injected per query, so they must sum to <= 1"
             )
-        if self.delay_scale <= 0:
-            raise ValueError(f"delay_scale must be positive, got {self.delay_scale}")
-        if self.duplicate_lag < 0:
-            raise ValueError(
-                f"duplicate_lag must be >= 0, got {self.duplicate_lag}"
-            )
+        check_range("delay_scale", self.delay_scale, POSITIVE)
+        check_range("duplicate_lag", self.duplicate_lag, NON_NEGATIVE)
 
     @classmethod
     def single(cls, fault: FaultType, rate: float, **kwargs) -> "FaultPlan":

@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_range
 from ..core.events import EventLoop
 from ..core.query import Query
 from ..core.sut import Responder, SystemUnderTest
@@ -62,18 +63,10 @@ class RetryPolicy:
     total_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if not 0 < self.attempt_timeout < inf:  # NaN included
-            raise ValueError(
-                f"attempt_timeout must be positive, got {self.attempt_timeout}"
-            )
-        if not 0 <= self.backoff_base < inf:  # NaN included
-            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
-        if not 1.0 <= self.backoff_factor < inf:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
+        check_range("max_attempts", self.max_attempts, AT_LEAST_ONE)
+        check_range("attempt_timeout", self.attempt_timeout, POSITIVE)
+        check_range("backoff_base", self.backoff_base, NON_NEGATIVE)
+        check_range("backoff_factor", self.backoff_factor, AT_LEAST_ONE)
         if self.jitter not in ("full", "none"):
             raise ValueError(
                 f"jitter must be 'full' or 'none', got {self.jitter!r}"

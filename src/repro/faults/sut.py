@@ -22,6 +22,8 @@ from dataclasses import dataclass, replace
 from math import inf
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..bounds import (AT_LEAST_ONE, DURATION_OR_FOREVER, FINITE,
+                      check_range)
 from ..core.query import (Query, QueryFailure, QuerySample,
                           QuerySampleResponse, StreamChunk)
 from ..core.sut import Responder, SutBase, SystemUnderTest
@@ -197,10 +199,9 @@ class Window:
             raise ValueError(
                 f"unknown window effect {self.effect!r}; "
                 f"known: {', '.join(EFFECTS)}")
-        if self.effect == "stretch" and not 1.0 <= self.factor < inf:
-            raise ValueError(f"factor must be >= 1, got {self.factor}")
-        if not -inf < self.start < inf:
-            raise ValueError(f"window start must be finite, got {self.start}")
+        if self.effect == "stretch":
+            check_range("factor", self.factor, AT_LEAST_ONE)
+        check_range("window start", self.start, FINITE)
         if not self.start <= self.end:  # NaN included
             raise ValueError(
                 f"window end must be >= its start, got {self.end}")
@@ -329,9 +330,7 @@ class OutageSUT(WindowedSUT):
         outage_duration: float,
         name: Optional[str] = None,
     ) -> None:
-        if not outage_duration >= 0:  # NaN included
-            raise ValueError(
-                f"outage_duration must be >= 0, got {outage_duration}")
+        check_range("outage_duration", outage_duration, DURATION_OR_FOREVER)
         window = Window(outage_start, outage_start + outage_duration, "outage")
         super().__init__(inner, (window,), name or f"outage[{inner.name}]")
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional
 
+from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_range
 from ..core.events import EventLoop
 from ..core.loadgen import Ticker
 from ..metrics import MetricsRegistry
@@ -54,20 +55,14 @@ class AutoscalerPolicy:
     step: int = 1
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
-        if self.low_watermark < 0:
-            raise ValueError(
-                f"low_watermark must be >= 0, got {self.low_watermark}")
+        check_range("period", self.period, POSITIVE)
+        check_range("low_watermark", self.low_watermark, NON_NEGATIVE)
         if self.high_watermark <= self.low_watermark:
             raise ValueError(
                 "high_watermark must exceed low_watermark, got "
                 f"{self.high_watermark} <= {self.low_watermark}")
-        if self.cooldown < 0:
-            raise ValueError(
-                f"cooldown must be >= 0, got {self.cooldown}")
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
+        check_range("cooldown", self.cooldown, NON_NEGATIVE)
+        check_range("step", self.step, AT_LEAST_ONE)
 
 
 class ScalingDecision(NamedTuple):

@@ -58,6 +58,8 @@ from typing import (Callable, Deque, Dict, List, NamedTuple, Optional, Set,
 
 import numpy as np
 
+from ..bounds import (ABOVE_ONE, AT_LEAST_ONE, FRACTION, NON_NEGATIVE,
+                      POSITIVE, UNIT, check_range)
 from ..core.events import EventHandle, EventLoop
 from ..core.loadgen import Ticker
 from ..core.query import Query, QueryFailure, QuerySample
@@ -101,37 +103,17 @@ class OutlierPolicy:
     probe_timeout: float = 0.050
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
-        if self.latency_multiplier <= 1.0:
-            raise ValueError(
-                "latency_multiplier must exceed 1, got "
-                f"{self.latency_multiplier}")
-        if not 0.0 < self.failure_rate_threshold <= 1.0:
-            raise ValueError(
-                "failure_rate_threshold must lie in (0, 1], got "
-                f"{self.failure_rate_threshold}")
-        if self.min_observations < 1:
-            raise ValueError(
-                f"min_observations must be >= 1, got {self.min_observations}")
-        if self.failure_window_ticks < 1:
-            raise ValueError(
-                "failure_window_ticks must be >= 1, got "
-                f"{self.failure_window_ticks}")
-        if not 0.0 <= self.max_ejection_fraction <= 1.0:
-            raise ValueError(
-                "max_ejection_fraction must lie in [0, 1], got "
-                f"{self.max_ejection_fraction}")
-        if self.ejection_duration < 0:
-            raise ValueError(
-                f"ejection_duration must be >= 0, got "
-                f"{self.ejection_duration}")
-        if self.probe_count < 1:
-            raise ValueError(
-                f"probe_count must be >= 1, got {self.probe_count}")
-        if self.probe_timeout <= 0:
-            raise ValueError(
-                f"probe_timeout must be positive, got {self.probe_timeout}")
+        check_range("period", self.period, POSITIVE)
+        check_range("latency_multiplier", self.latency_multiplier, ABOVE_ONE)
+        check_range("failure_rate_threshold",
+                    self.failure_rate_threshold, FRACTION)
+        check_range("min_observations", self.min_observations, AT_LEAST_ONE)
+        check_range("failure_window_ticks",
+                    self.failure_window_ticks, AT_LEAST_ONE)
+        check_range("max_ejection_fraction", self.max_ejection_fraction, UNIT)
+        check_range("ejection_duration", self.ejection_duration, NON_NEGATIVE)
+        check_range("probe_count", self.probe_count, AT_LEAST_ONE)
+        check_range("probe_timeout", self.probe_timeout, POSITIVE)
 
 
 class EjectionEvent(NamedTuple):

@@ -71,11 +71,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from math import inf
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_range
 from ..core.events import EventLoop
 from ..core.query import Query, StreamChunk
 from ..core.sut import Responder, SystemUnderTest
@@ -209,23 +209,15 @@ class ReplicaSet(AttemptSUT):
             Callable[[int, SystemUnderTest], SystemUnderTest]] = None,
     ) -> None:
         super().__init__(name or f"fleet[{initial_replicas}]")
-        if min_replicas < 1:
-            raise ValueError(
-                f"min_replicas must be >= 1, got {min_replicas}")
+        check_range("min_replicas", min_replicas, AT_LEAST_ONE)
         if not min_replicas <= initial_replicas <= max_replicas:
             raise ValueError(
                 "initial_replicas must lie in [min_replicas, max_replicas]"
                 f", got {initial_replicas} outside "
                 f"[{min_replicas}, {max_replicas}]")
-        if not 0 < attempt_timeout < inf:  # NaN included
-            raise ValueError(
-                f"attempt_timeout must be positive, got {attempt_timeout}")
-        if max_reroutes < 0:
-            raise ValueError(
-                f"max_reroutes must be >= 0, got {max_reroutes}")
-        if min_per_zone < 0:
-            raise ValueError(
-                f"min_per_zone must be >= 0, got {min_per_zone}")
+        check_range("attempt_timeout", attempt_timeout, POSITIVE)
+        check_range("max_reroutes", max_reroutes, NON_NEGATIVE)
+        check_range("min_per_zone", min_per_zone, NON_NEGATIVE)
         self._zone_fn = self._resolve_zones(zones)
         self.min_per_zone = min_per_zone
         self.replica_factory = replica_factory
@@ -277,8 +269,7 @@ class ReplicaSet(AttemptSUT):
         if callable(zones):
             return zones
         if isinstance(zones, int):
-            if zones < 1:
-                raise ValueError(f"zones must be >= 1, got {zones}")
+            check_range("zones", zones, AT_LEAST_ONE)
             return lambda index: f"z{index % zones}"
         labels = tuple(zones)
         if not labels:

@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, Tuple
 
+from ..bounds import AT_LEAST_ONE, check_range
 from ..metrics import MetricsRegistry
 
 #: Default number of ticks a :class:`SeriesSignal` window spans.
@@ -111,8 +112,7 @@ class SeriesSignal(SignalSource):
         if mode not in ("rate", "level"):
             raise ValueError(
                 f"mode must be 'rate' or 'level', got {mode!r}")
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
+        check_range("window", window, AT_LEAST_ONE)
         self.registry = registry
         self.family = family
         self.mode = mode

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
+from ..bounds import AT_LEAST_TWO, POSITIVE, check_range
 from ..core.config import Scenario, TestSettings
 from ..core.loadgen import LoadGenResult, run_benchmark
 from ..core.search import linear, max_valid
@@ -55,21 +56,16 @@ class SweepConfig:
     max_probes: int = 32
 
     def __post_init__(self) -> None:
-        if self.qps_low <= 0:
-            raise ValueError(f"qps_low must be positive, got {self.qps_low}")
+        check_range("qps_low", self.qps_low, POSITIVE)
         if self.qps_high <= self.qps_low:
             raise ValueError(
                 "qps_high must exceed qps_low, got "
                 f"{self.qps_high} <= {self.qps_low}")
-        if self.resolution <= 0:
-            raise ValueError(
-                f"resolution must be positive, got {self.resolution}")
+        check_range("resolution", self.resolution, POSITIVE)
         if self.mode not in ("binary", "step"):
             raise ValueError(
                 f"mode must be 'binary' or 'step', got {self.mode!r}")
-        if self.max_probes < 2:
-            raise ValueError(
-                f"max_probes must be >= 2, got {self.max_probes}")
+        check_range("max_probes", self.max_probes, AT_LEAST_TWO)
 
 
 class SweepProbe(NamedTuple):

@@ -9,8 +9,8 @@ system.  This package is the runtime half of that story: dependency-free
 :class:`SnapshotSampler` driven by the run's own event loop (virtual or
 wall clock), and Prometheus-text / JSON / terminal exporters.
 
-Layering: ``repro.metrics`` imports nothing from the rest of the repo,
-so every layer - LoadGen drivers, the network server, the fault
+Layering: ``repro.metrics`` imports nothing from the rest of the repo
+but the ``repro.bounds`` range check (itself a leaf), so every layer - LoadGen drivers, the network server, the fault
 wrappers, the harness - can depend on it.  Instrumented code takes an
 *optional* registry.  Most of what it exports it never writes: a layer
 counts an event once, in its own ``*Stats`` ledger, and

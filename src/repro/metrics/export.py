@@ -33,6 +33,8 @@ __all__ = ["to_prometheus_text", "to_json", "render_table",
 
 #: Bar alphabet for the terminal histogram sketch, thin to full.
 _BARS = " .:-=+*#%@"
+#: The quantiles a histogram reports: p50, p90, p99, p99.9.
+_QUANTILES = (0.50, 0.90, 0.99, 0.999)
 
 
 def _fmt(value: float) -> str:
@@ -98,6 +100,7 @@ def to_json(registry: MetricsRegistry, indent: int = 1) -> str:
         }
         for labels, child in family.series():
             if isinstance(child, Histogram):
+                p50, p90, p99, p999 = child.percentiles(_QUANTILES)
                 series: Dict[str, object] = {
                     "labels": labels,
                     "count": child.count,
@@ -106,11 +109,7 @@ def to_json(registry: MetricsRegistry, indent: int = 1) -> str:
                     "max": child.max,
                     "mean": child.mean,
                     "quantiles": {
-                        "p50": child.percentile(0.50),
-                        "p90": child.percentile(0.90),
-                        "p99": child.percentile(0.99),
-                        "p999": child.percentile(0.999),
-                    },
+                        "p50": p50, "p90": p90, "p99": p99, "p999": p999},
                     "buckets": [
                         # ``le`` is a string so the overflow bucket's
                         # "+Inf" edge stays valid JSON.
@@ -127,14 +126,12 @@ def to_json(registry: MetricsRegistry, indent: int = 1) -> str:
 
 def render_histogram(name: str, hist: Histogram, width: int = 40) -> str:
     """One histogram as summary stats plus an ASCII distribution sketch."""
+    p50, p90, p99, p999 = hist.percentiles(_QUANTILES)
     lines = [
         f"{name}",
         f"  count={hist.count} mean={hist.mean:.6g} "
         f"min={hist.min:.6g} max={hist.max:.6g}",
-        f"  p50={hist.percentile(0.50):.6g} "
-        f"p90={hist.percentile(0.90):.6g} "
-        f"p99={hist.percentile(0.99):.6g} "
-        f"p99.9={hist.percentile(0.999):.6g}",
+        f"  p50={p50:.6g} p90={p90:.6g} p99={p99:.6g} p99.9={p999:.6g}",
     ]
     nonzero = hist.nonzero_buckets()
     if not nonzero:

@@ -32,6 +32,8 @@ import math
 from bisect import bisect_left
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from ..bounds import ABOVE_ONE, AT_LEAST_TWO, POSITIVE, check_range
+
 __all__ = ["Counter", "Gauge", "Histogram", "DEFAULT_BASE", "DEFAULT_GROWTH",
            "DEFAULT_BUCKETS"]
 
@@ -63,11 +65,14 @@ class Counter:
         self._fn = fn
 
     def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0) to the counter."""
+        """Add ``amount`` (finite and >= 0) to the counter.  NaN or an
+        infinity would stick for the rest of the run, so it is refused
+        before the count changes."""
         if self._fn is not None:
             raise ValueError("cannot inc a callback-backed counter")
-        if amount < 0:
-            raise ValueError(f"counters only go up; inc({amount})")
+        if not 0 <= amount < math.inf:
+            raise ValueError(
+                f"counters only go up by a finite amount; inc({amount})")
         self._value += amount
 
     @property
@@ -132,12 +137,9 @@ class Histogram:
         growth: float = DEFAULT_GROWTH,
         buckets: int = DEFAULT_BUCKETS,
     ) -> None:
-        if base <= 0:
-            raise ValueError(f"base must be positive, got {base}")
-        if growth <= 1.0:
-            raise ValueError(f"growth must be > 1, got {growth}")
-        if buckets < 2:
-            raise ValueError(f"need at least 2 buckets, got {buckets}")
+        check_range("base", base, POSITIVE)
+        check_range("growth", growth, ABOVE_ONE)
+        check_range("buckets", buckets, AT_LEAST_TWO)
         self.base = base
         self.growth = growth
         self._counts: List[int] = [0] * buckets
@@ -230,41 +232,14 @@ class Histogram:
         containing bucket's width, clamped to the exact observed
         min/max so the estimate never leaves the data's true range.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self._count == 0:
-            return 0.0
-        rank = max(1, math.ceil(q * self._count))
-        if rank <= 1:
-            return self._min
-        if rank >= self._count:
-            return self._max
-        seen = 0
-        for i, c in enumerate(self._counts):
-            if not c:
-                continue
-            if seen + c >= rank:
-                lo = self.bucket_lower(i)
-                hi = self.bucket_upper(i)
-                if math.isinf(hi):
-                    hi = self._max
-                # Position of the target rank inside this bucket.
-                frac = (rank - seen) / c
-                estimate = lo + (hi - lo) * frac
-                return min(max(estimate, self._min), self._max)
-            seen += c
-        # 1 < rank < count and the buckets sum to count, so the walk
-        # above always lands; reaching here means the invariants broke.
-        raise RuntimeError(
-            f"bucket counts inconsistent with count={self._count}")
+        return self.percentiles((q,))[0]
 
     def percentiles(self, qs: Sequence[float]) -> List[float]:
-        """Batch :meth:`percentile` in a *single* bucket walk.
+        """:meth:`percentile` of each ``q``, in a *single* bucket walk.
 
         Snapshot capture reads several quantiles per histogram per tick;
         resolving them all in one pass (ranks sorted, walk stops at the
         highest) keeps the sampler's cost a small fraction of the run.
-        Results are identical to calling :meth:`percentile` per ``q``.
         """
         for q in qs:
             if not 0.0 <= q <= 1.0:
@@ -294,11 +269,15 @@ class Histogram:
                 hi = self.bucket_upper(i)
                 if math.isinf(hi):
                     hi = self._max
+                # Position of the target rank inside this bucket.
                 frac = (rank - seen) / c
                 estimate = lo + (hi - lo) * frac
                 results[slot] = min(max(estimate, self._min), self._max)
                 pending += 1
             if pending == wanted:
-                break
+                return results
             seen += c
-        return results
+        # 1 < rank < count and the buckets sum to count, so the walk
+        # above always lands; reaching here means the invariants broke.
+        raise RuntimeError(
+            f"bucket counts inconsistent with count={self._count}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..bounds import POSITIVE, check_range
 from .registry import MetricsRegistry
 
 # NOTE: this module deliberately imports nothing from repro.core.  The
@@ -96,8 +97,7 @@ class SnapshotSampler:
         period: float,
         quantiles: Sequence[Tuple[str, float]] = DEFAULT_QUANTILES,
     ) -> None:
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
+        check_range("period", period, POSITIVE)
         self.registry = registry
         self.loop = None  # set by start()
         self.period = period

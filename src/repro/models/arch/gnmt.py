@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from ...bounds import AT_LEAST_TWO, check_range
 from ..graph import Dense, Embedding, LSTMLayer
 
 #: WMT16 EN-DE BPE-32k vocabulary size used by the MLPerf reference.
@@ -45,8 +46,8 @@ class GNMTArch:
     decoder_layers: int = GNMT_DECODER_LAYERS
 
     def __post_init__(self) -> None:
-        if self.encoder_layers < 2 or self.decoder_layers < 2:
-            raise ValueError("GNMT needs at least 2 encoder and decoder layers")
+        check_range("encoder_layers", self.encoder_layers, AT_LEAST_TWO)
+        check_range("decoder_layers", self.decoder_layers, AT_LEAST_TWO)
         h = self.hidden
         self.src_embedding = Embedding(self.vocab_size, h, name="src_emb")
         self.tgt_embedding = Embedding(self.vocab_size, h, name="tgt_emb")

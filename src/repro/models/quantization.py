@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..bounds import Interval, check_range
 from .graph import Layer
 
 
@@ -102,6 +103,10 @@ def _quantize_float(array: np.ndarray, fmt: NumericFormat) -> np.ndarray:
     return out
 
 
+#: Clipping below the median would clip most of a tensor away.
+_CLIP_PERCENTILE = Interval(50.0, 100.0, False, True, "in (50, 100]")
+
+
 @dataclass(frozen=True)
 class QuantizationSpec:
     """How to quantize a model's parameters.
@@ -119,10 +124,7 @@ class QuantizationSpec:
     clip_percentile: float = 100.0
 
     def __post_init__(self) -> None:
-        if not 50.0 < self.clip_percentile <= 100.0:
-            raise ValueError(
-                f"clip_percentile must be in (50, 100], got {self.clip_percentile}"
-            )
+        check_range("clip_percentile", self.clip_percentile, _CLIP_PERCENTILE)
 
 
 def quantize_tensor(array: np.ndarray, spec: QuantizationSpec) -> np.ndarray:

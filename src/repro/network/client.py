@@ -29,13 +29,13 @@ sockets do not speak virtual time; for deterministic experiments use
 from __future__ import annotations
 
 import itertools
-import math
 import socket
 import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..bounds import AT_LEAST_ONE, POSITIVE, check_range
 from ..core.events import EventLoop
 from ..core.query import Query, QueryFailure, QuerySampleResponse
 from ..core.sut import Responder
@@ -159,14 +159,9 @@ class NetworkSUT(AttemptSUT):
     ) -> None:
         host, port = parse_address(address)
         super().__init__(name or f"network[{host}:{port}]")
-        if connections < 1:
-            raise ValueError(f"connections must be >= 1, got {connections}")
-        if not 0 < query_timeout < math.inf:  # NaN included
-            raise ValueError(
-                f"query_timeout must be positive, got {query_timeout}"
-            )
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+        check_range("connections", connections, AT_LEAST_ONE)
+        check_range("query_timeout", query_timeout, POSITIVE)
+        check_range("max_attempts", max_attempts, AT_LEAST_ONE)
         self.address = (host, port)
         self.pool_size = connections
         self.query_timeout = query_timeout

@@ -49,6 +49,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
+from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, check_range
 from ..core.events import EventLoop, WallClock
 from ..core.query import (
     Query, QueryFailure, QuerySample, QuerySampleResponse, StreamChunk,
@@ -88,24 +89,12 @@ class ServerConfig:
     name: str = "inference-server"
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.batch_window < 0:
-            raise ValueError(
-                f"batch_window must be >= 0, got {self.batch_window}"
-            )
-        if self.bind_retries < 0:
-            raise ValueError(
-                f"bind_retries must be >= 0, got {self.bind_retries}"
-            )
-        if self.bind_backoff < 0:
-            raise ValueError(
-                f"bind_backoff must be >= 0, got {self.bind_backoff}"
-            )
+        check_range("workers", self.workers, AT_LEAST_ONE)
+        check_range("max_queue", self.max_queue, AT_LEAST_ONE)
+        check_range("max_batch", self.max_batch, AT_LEAST_ONE)
+        check_range("batch_window", self.batch_window, NON_NEGATIVE)
+        check_range("bind_retries", self.bind_retries, NON_NEGATIVE)
+        check_range("bind_backoff", self.bind_backoff, NON_NEGATIVE)
 
 
 class ServerStartupError(RuntimeError):

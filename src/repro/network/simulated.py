@@ -38,6 +38,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from ..bounds import NON_NEGATIVE, POSITIVE, UNIT, check_range
 from ..core.events import EventLoop
 from ..core.query import Query, QueryFailure, StreamChunk
 from ..core.sut import Responder, SutBase, SystemUnderTest
@@ -66,22 +67,13 @@ class ChannelModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.latency < 0:
-            raise ValueError(f"latency must be >= 0, got {self.latency}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError(
-                f"bandwidth must be positive or None, got {self.bandwidth}"
-            )
-        for name in ("drop_rate", "reorder_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.reorder_spread < 0:
-            raise ValueError(
-                f"reorder_spread must be >= 0, got {self.reorder_spread}"
-            )
+        check_range("latency", self.latency, NON_NEGATIVE)
+        check_range("jitter", self.jitter, NON_NEGATIVE)
+        if self.bandwidth is not None:
+            check_range("bandwidth", self.bandwidth, POSITIVE)
+        check_range("drop_rate", self.drop_rate, UNIT)
+        check_range("reorder_rate", self.reorder_rate, UNIT)
+        check_range("reorder_spread", self.reorder_spread, NON_NEGATIVE)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, check_range
 from ..core.events import EventLoop
 from ..core.query import Query
 
@@ -35,11 +36,8 @@ class BatchingPolicy:
     max_wait: float = 0.002
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_wait < 0:
-            raise ValueError(f"max_wait must be >= 0, got {self.max_wait}")
+        check_range("max_batch_size", self.max_batch_size, AT_LEAST_ONE)
+        check_range("max_wait", self.max_wait, NON_NEGATIVE)
 
 
 class DynamicBatcher:

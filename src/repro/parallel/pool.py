@@ -33,6 +33,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ..bounds import AT_LEAST_ONE, check_range
 from ..metrics import exported
 from .shm import ArenaCache, ArraySpec, ShmArena, as_arrays, packed_size
 
@@ -213,8 +214,7 @@ class WorkerPool:
                  seed: int = 0, transport: str = "shm",
                  job_timeout: Optional[float] = None,
                  start_method: str = "fork") -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        check_range("workers", workers, AT_LEAST_ONE)
         if transport not in ("shm", "pickle"):
             raise ValueError(f"unknown transport {transport!r}")
         self._factory = factory

@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
 
+from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, check_range
 from ..core.events import EventLoop
 from ..core.query import Query
 from ..core.sut import Responder, SutBase, SystemUnderTest
@@ -116,9 +117,7 @@ class _LruModel:
     """
 
     def __init__(self, capacity_tokens: int) -> None:
-        if capacity_tokens < 1:
-            raise ValueError(
-                f"capacity_tokens must be >= 1, got {capacity_tokens}")
+        check_range("capacity_tokens", capacity_tokens, AT_LEAST_ONE)
         self.capacity_tokens = capacity_tokens
         #: session_id -> resident tokens, in LRU -> MRU insertion order.
         self._resident: Dict[int, int] = {}
@@ -204,8 +203,10 @@ class PrefixCacheSUT(SutBase):
         replica: Optional[int] = None,
     ) -> None:
         super().__init__(name or f"prefix-cache({inner.name})")
-        if miss_latency_per_token < 0 or hit_latency_per_token < 0:
-            raise ValueError("per-token latencies must be >= 0")
+        check_range("miss_latency_per_token", miss_latency_per_token,
+                    NON_NEGATIVE)
+        check_range("hit_latency_per_token", hit_latency_per_token,
+                    NON_NEGATIVE)
         self.inner = inner
         self.inners = (inner,)
         self.model = _LruModel(capacity_tokens)

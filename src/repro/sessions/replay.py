@@ -26,6 +26,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
+from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, check_range
 from ..core.config import TestSettings
 from ..core.query import SessionTurn
 
@@ -92,20 +93,13 @@ class SessionProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.turns_min < 1:
-            raise ValueError(f"turns_min must be >= 1, got {self.turns_min}")
+        check_range("turns_min", self.turns_min, AT_LEAST_ONE)
         if self.turns_max < self.turns_min:
             raise ValueError(
                 f"turns_max must be >= turns_min, got {self.turns_max}"
             )
-        if self.think_time_mean < 0:
-            raise ValueError(
-                f"think_time_mean must be >= 0, got {self.think_time_mean}"
-            )
-        if self.new_tokens_min < 1:
-            raise ValueError(
-                f"new_tokens_min must be >= 1, got {self.new_tokens_min}"
-            )
+        check_range("think_time_mean", self.think_time_mean, NON_NEGATIVE)
+        check_range("new_tokens_min", self.new_tokens_min, AT_LEAST_ONE)
         if self.new_tokens_max < self.new_tokens_min:
             raise ValueError(
                 f"new_tokens_max must be >= new_tokens_min, got "
@@ -163,9 +157,7 @@ class ReplayGraph:
     """
 
     def __init__(self, profile: SessionProfile, session_count: int) -> None:
-        if session_count < 1:
-            raise ValueError(
-                f"session_count must be >= 1, got {session_count}")
+        check_range("session_count", session_count, AT_LEAST_ONE)
         self.profile = profile
         self.session_count = session_count
         self._plans = {}

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import inf
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
+
+from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, check_range
 
 #: SeedSequence domain tag for stream-shape draws.
 _STREAM_TAG = 0x57EA4
@@ -68,26 +69,15 @@ class StreamModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.first_token_delay < inf:  # NaN included
-            raise ValueError(
-                f"first_token_delay must be >= 0, got {self.first_token_delay}"
-            )
-        if not 0 <= self.inter_token_delay < inf:  # NaN included
-            raise ValueError(
-                f"inter_token_delay must be >= 0, got {self.inter_token_delay}"
-            )
-        if self.min_tokens < 1:
-            raise ValueError(f"min_tokens must be >= 1, got {self.min_tokens}")
+        check_range("first_token_delay", self.first_token_delay, NON_NEGATIVE)
+        check_range("inter_token_delay", self.inter_token_delay, NON_NEGATIVE)
+        check_range("min_tokens", self.min_tokens, AT_LEAST_ONE)
         if self.max_tokens < self.min_tokens:
             raise ValueError(
                 f"max_tokens must be >= min_tokens, got {self.max_tokens}"
             )
-        if self.tokens_per_chunk < 1:
-            raise ValueError(
-                f"tokens_per_chunk must be >= 1, got {self.tokens_per_chunk}"
-            )
-        if not 0 <= self.jitter < inf:  # NaN included
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        check_range("tokens_per_chunk", self.tokens_per_chunk, AT_LEAST_ONE)
+        check_range("jitter", self.jitter, NON_NEGATIVE)
 
     def plan(self, query_id: int) -> StreamPlan:
         """The deterministic stream shape for one query."""

@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, check_range
 from ..core.config import Scenario, Task
 from ..core.loadgen import LoadGenResult
 from ..accuracy.checker import AccuracyReport
@@ -56,10 +57,8 @@ class SystemDescription:
     numerics: Tuple[NumericFormat, ...] = (NumericFormat.FP32,)
 
     def __post_init__(self) -> None:
-        if self.accelerator_count < 0:
-            raise ValueError("accelerator_count must be >= 0")
-        if self.host_cpu_count < 1:
-            raise ValueError("host_cpu_count must be >= 1")
+        check_range("accelerator_count", self.accelerator_count, NON_NEGATIVE)
+        check_range("host_cpu_count", self.host_cpu_count, AT_LEAST_ONE)
         if not self.numerics:
             raise ValueError("at least one numeric format must be registered")
 

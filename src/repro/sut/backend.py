@@ -25,6 +25,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from ..bounds import NON_NEGATIVE, check_range
 from ..core.query import Query, QuerySampleResponse
 from ..core.sut import SutBase
 from ..datasets.qsl import DatasetQSL
@@ -49,8 +50,8 @@ class PreprocessingModel:
     timed: bool = False
 
     def __post_init__(self) -> None:
-        if self.seconds_per_sample < 0:
-            raise ValueError("seconds_per_sample must be >= 0")
+        check_range("seconds_per_sample",
+                    self.seconds_per_sample, NON_NEGATIVE)
 
 
 class _ModelSUT(SutBase):

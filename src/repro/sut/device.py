@@ -34,6 +34,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
+from ..bounds import (AT_LEAST_ONE, FRACTION, NON_NEGATIVE, POSITIVE,
+                      check_range)
+
 
 class ProcessorType(enum.Enum):
     CPU = "CPU"
@@ -82,37 +85,22 @@ class DeviceModel:
     thermal_time_constant: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.peak_gops <= 0:
-            raise ValueError(f"{self.name}: peak_gops must be positive")
-        if not 0.0 < self.base_utilization <= 1.0:
-            raise ValueError(
-                f"{self.name}: base_utilization must be in (0, 1]"
-            )
-        if self.saturation_gops <= 0:
-            raise ValueError(f"{self.name}: saturation_gops must be positive")
-        if self.overhead < 0:
-            raise ValueError(f"{self.name}: overhead must be >= 0")
-        if self.max_batch < 1:
-            raise ValueError(f"{self.name}: max_batch must be >= 1")
-        if self.engines < 1:
-            raise ValueError(f"{self.name}: engines must be >= 1")
+        check_range("peak_gops", self.peak_gops, POSITIVE)
+        check_range("base_utilization", self.base_utilization, FRACTION)
+        check_range("saturation_gops", self.saturation_gops, POSITIVE)
+        check_range("overhead", self.overhead, NON_NEGATIVE)
+        check_range("max_batch", self.max_batch, AT_LEAST_ONE)
+        check_range("engines", self.engines, AT_LEAST_ONE)
         for motif, value in self.structure_efficiency.items():
-            if not 0.0 < value <= 1.0:
-                raise ValueError(
-                    f"{self.name}: efficiency for {motif} must be in (0, 1]"
-                )
-        if self.idle_watts < 0:
-            raise ValueError(f"{self.name}: idle_watts must be >= 0")
+            check_range(f"efficiency for {motif}", value, FRACTION)
+        check_range("idle_watts", self.idle_watts, NON_NEGATIVE)
         if self.peak_watts < self.idle_watts:
             raise ValueError(
                 f"{self.name}: peak_watts must be >= idle_watts"
             )
-        if self.cold_boost < 1.0:
-            raise ValueError(f"{self.name}: cold_boost must be >= 1.0")
-        if self.thermal_time_constant <= 0:
-            raise ValueError(
-                f"{self.name}: thermal_time_constant must be positive"
-            )
+        check_range("cold_boost", self.cold_boost, AT_LEAST_ONE)
+        check_range("thermal_time_constant",
+                    self.thermal_time_constant, POSITIVE)
 
     def utilization(self, work_gops: float) -> float:
         """Fraction of peak throughput for a dispatch of ``work_gops``."""

@@ -24,6 +24,7 @@ import heapq
 from functools import partial
 from typing import List, Optional
 
+from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, check_range
 from ..core.query import Query, QuerySampleResponse
 from ..core.sut import SutBase
 
@@ -34,11 +35,9 @@ class EchoSUT(SutBase):
     def __init__(self, latency: float = 0.0, name: Optional[str] = None,
                  concurrency: Optional[int] = None) -> None:
         super().__init__(name or "echo")
-        if latency < 0:
-            raise ValueError(f"latency must be >= 0, got {latency}")
-        if concurrency is not None and concurrency < 1:
-            raise ValueError(
-                f"concurrency must be >= 1, got {concurrency}")
+        check_range("latency", latency, NON_NEGATIVE)
+        if concurrency is not None:
+            check_range("concurrency", concurrency, AT_LEAST_ONE)
         self.latency = latency
         self.concurrency = concurrency
         self.queries_served = 0

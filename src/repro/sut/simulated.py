@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_range
 from ..core.events import EventHandle, EventLoop
 from ..core.query import Query, QuerySampleResponse
 from ..core.sut import Responder, SutBase
@@ -53,10 +54,8 @@ class WorkloadProfile:
     variability: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.gops_per_sample <= 0:
-            raise ValueError("gops_per_sample must be positive")
-        if self.variability < 0:
-            raise ValueError("variability must be >= 0")
+        check_range("gops_per_sample", self.gops_per_sample, POSITIVE)
+        check_range("variability", self.variability, NON_NEGATIVE)
 
 
 def chunk_costs(count: int, max_batch: int, variability: float,
@@ -110,11 +109,9 @@ class SimulatedSUT(SutBase):
         seed: int = 1234,
     ) -> None:
         super().__init__(name or device.name)
-        if batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {batch_window}")
-        if preferred_batch is not None and preferred_batch < 1:
-            raise ValueError(
-                f"preferred_batch must be >= 1, got {preferred_batch}")
+        check_range("batch_window", batch_window, NON_NEGATIVE)
+        if preferred_batch is not None:
+            check_range("preferred_batch", preferred_batch, AT_LEAST_ONE)
         self.device = device
         self.workload = workload
         self.batch_window = batch_window

@@ -25,6 +25,17 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter().inc(-1.0)
 
+    @pytest.mark.parametrize("amount", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    def test_rejects_a_non_finite_increment_before_counting(self, amount):
+        c = Counter()
+        c.inc(2.0)
+        with pytest.raises(ValueError, match="finite"):
+            c.inc(amount)
+        assert c.value == 2.0
+        c.inc()
+        assert c.value == 3.0
+
     def test_callback_counter_reads_a_float_and_rejects_writes(self):
         ledger = {"retries": 3}
         c = Counter(fn=lambda: ledger["retries"])
