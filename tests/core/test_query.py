@@ -1,5 +1,7 @@
 """Query, sample, and record types."""
 
+import pickle
+
 import pytest
 
 from repro.core.query import (
@@ -9,6 +11,7 @@ from repro.core.query import (
     QuerySampleResponse,
     StreamChunk,
 )
+from repro.network import protocol
 
 
 def _query(n=2, qid=1):
@@ -89,3 +92,63 @@ def test_query_and_record_compare_and_print_by_value():
     assert "chunk_count=3" in repr(record)
     with pytest.raises(TypeError):
         hash(record)
+
+
+# -- QuerySampleResponse: the contract its representation must keep -------------
+
+EQUAL_TO_RESPONSE = [
+    (QuerySampleResponse(1, "x"), True),
+    (QuerySampleResponse(2, "x"), False),
+    (QuerySampleResponse(1, "y"), False),
+    ((1, "x"), False),
+    (QuerySample(1, "x"), False),
+    (None, False),
+]
+
+
+@pytest.mark.parametrize("other, equal", EQUAL_TO_RESPONSE,
+                         ids=["same", "sample_id", "data", "tuple",
+                              "sample", "none"])
+def test_response_compares_only_with_a_response(other, equal):
+    response = QuerySampleResponse(1, "x")
+    assert (response == other) is equal
+    assert (response != other) is not equal
+
+
+def test_response_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(QuerySampleResponse(1, "x"))
+
+
+def test_response_repr_is_literal():
+    assert repr(QuerySampleResponse(1, "x")) == \
+        "QuerySampleResponse(sample_id=1, data='x')"
+    assert repr(QuerySampleResponse(7)) == \
+        "QuerySampleResponse(sample_id=7, data=None)"
+
+
+def test_response_survives_pickle():
+    response = QuerySampleResponse(3, [1, 2.5, "z"])
+    back = pickle.loads(pickle.dumps(response))
+    assert back == response
+    assert type(back) is QuerySampleResponse
+    assert (back.sample_id, back.data) == (3, [1, 2.5, "z"])
+
+
+def test_response_survives_the_wire():
+    responses = [QuerySampleResponse(1, 42), QuerySampleResponse(2, None),
+                 QuerySampleResponse(3, "label")]
+    frame = protocol.complete_frame(9, responses, server_recv=0.5,
+                                    server_send=0.75)
+    (_, payload), = protocol.FrameReader().feed(frame)
+    query_id, back, recv, send = protocol.parse_complete(payload)
+    assert (query_id, recv, send) == (9, 0.5, 0.75)
+    assert back == responses
+    assert [type(r) for r in back] == [QuerySampleResponse] * 3
+
+
+def test_response_has_no_instance_dict():
+    response = QuerySampleResponse(1, "x")
+    assert not hasattr(response, "__dict__")
+    with pytest.raises(AttributeError):
+        response.sampel_id = 2

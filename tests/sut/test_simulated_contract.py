@@ -10,7 +10,7 @@ consumed, and the origin a failing dispatch completion reports - and
 literal ``run_submission`` results for two small systems.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -26,7 +26,7 @@ from repro.durability.resume import run_fingerprint
 from repro.harness import experiments, tuning
 from repro.harness.experiments import run_submission
 from repro.sut.device import ComputeMotif, DeviceModel, ProcessorType
-from repro.sut.fleet import FleetSystem
+from repro.sut.fleet import FleetSystem, build_fleet
 from repro.sut.simulated import SimulatedSUT, WorkloadProfile
 
 from tests.conftest import EchoQSL
@@ -423,6 +423,30 @@ def test_cost_formula_guards_equal_the_oracle(method, gops, batch):
     with pytest.raises(ValueError) as actual:
         getattr(DeviceModel(**kwargs), method)(gops, batch)
     assert str(actual.value) == str(expected.value)
+
+
+FLEET_DEVICES = [system.device for system in build_fleet()]
+
+
+def as_oracle(device):
+    return OracleDeviceModel(**{f.name: getattr(device, f.name)
+                                for f in fields(device)})
+
+
+@pytest.mark.parametrize("device", FLEET_DEVICES,
+                         ids=[d.name for d in FLEET_DEVICES])
+def test_every_fleet_dispatch_cost_equals_the_oracle(device):
+    """``dispatch_cost`` bit for bit, for every device the paper's
+    fleet ships, every motif, batches 1, 2 and the largest, and a
+    small, a mid-sized and a huge per-sample cost."""
+    oracle = as_oracle(device)
+    for motif in ComputeMotif:
+        for batch in (1, 2, device.max_batch):
+            for gops in (0.5688, 8.2, 433.0):
+                assert device.dispatch_cost(gops, batch, motif) == (
+                    oracle.service_time(gops, batch, motif),
+                    oracle.dispatch_energy(gops, batch, motif),
+                ), (device.name, motif, batch, gops)
 
 
 # -- what the oracle cannot see -----------------------------------------------------
