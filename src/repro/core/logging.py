@@ -14,12 +14,17 @@ random payload logging via ``log_sample_probability``.
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..bounds import UNIT, check_range
-from .query import Query, QueryRecord, QuerySampleResponse, StreamChunk
+from .query import (Query, QueryRecord, QuerySampleResponse, StreamChunk,
+                    sample_id_of)
+
+#: ``response.sample_id`` read in C, for the referee's id-set check.
+_RESPONSE_ID = attrgetter("sample_id")
 
 
 class QueryLog:
@@ -165,8 +170,8 @@ class QueryLog:
         # the whole check; anything else compares as sets - the order of
         # a response set is free, its members are not.
         if expected != 1 or responses[0].sample_id != samples[0].id:
-            expected_ids = {s.id for s in samples}
-            got_ids = {r.sample_id for r in responses}
+            expected_ids = set(map(sample_id_of, samples))
+            got_ids = set(map(_RESPONSE_ID, responses))
             if got_ids != expected_ids:
                 return self.record_failure(
                     query, completion_time,

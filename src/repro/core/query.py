@@ -5,10 +5,17 @@ inference input (one image, one sentence); a *query* is a request for
 inference on one or more samples.  Single-stream and server queries carry
 one sample, multistream queries carry N, and the offline scenario issues
 a single query containing the whole performance set (>= 24,576 samples).
+
+Samples and responses are named tuples, built in bulk: a query's samples
+and a SUT's response list are each one ``map`` over C constructors
+(:data:`new_response` for responses), so an Offline query of tens of
+thousands of samples costs no Python frame per sample on either side.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from operator import attrgetter
 from typing import List, NamedTuple, Optional, Tuple
 
 
@@ -174,23 +181,25 @@ class StreamChunk:
         )
 
 
-class QuerySampleResponse:
+class QuerySampleResponse(NamedTuple):
     """The SUT's answer for one sample of a query.
 
     ``data`` is the raw inference output (label index, detection list,
     token ids, ...) and is only retained in accuracy mode or when the
     accuracy-verification audit randomly logs performance-mode results.
-    Slotted for the same hot-path reason as :class:`QuerySample`.
+
+    A tuple, like :class:`QuerySample`, so a SUT builds a query's whole
+    response list in C: ``list(map(new_response, pairs))`` over its
+    ``(sample_id, data)`` pairs, with no Python frame per sample.  It
+    still compares like the class it replaced: equal only to another
+    response with equal fields, never to a plain tuple, and unhashable.
+    The one difference: a :class:`QuerySample` on the *left* of ``==``
+    compares as a tuple and answers first, so ``QuerySample(1, "x") ==
+    QuerySampleResponse(1, "x")`` holds (the other way round it does not).
     """
 
-    __slots__ = ("sample_id", "data")
-
-    def __init__(self, sample_id: int, data: object = None) -> None:
-        self.sample_id = sample_id
-        self.data = data
-
-    def __repr__(self) -> str:
-        return f"QuerySampleResponse(sample_id={self.sample_id}, data={self.data!r})"
+    sample_id: int
+    data: object = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -198,6 +207,23 @@ class QuerySampleResponse:
             and self.sample_id == other.sample_id
             and self.data == other.data
         )
+
+    def __ne__(self, other: object) -> bool:
+        # Spelled out: tuple's own __ne__ would otherwise answer ``!=``.
+        return not self.__eq__(other)
+
+    __hash__ = None  # data may be a list or an array: never hashed
+
+
+#: ``QuerySampleResponse`` from one ``(sample_id, data)`` pair without
+#: the namedtuple's Python-level ``__new__``: mapped over a query's
+#: pairs, it builds the whole response list in C (the idiom of
+#: ``core/sampler.py``'s ``QuerySample``).
+new_response = partial(tuple.__new__, QuerySampleResponse)
+
+#: ``sample.id`` read in C: ``zip(map(sample_id_of, query.samples),
+#: outputs)`` is a query's ``(sample_id, data)`` pairs.
+sample_id_of = attrgetter("id")
 
 
 class QueryRecord(_Slotted):

@@ -16,6 +16,8 @@ quantified by ``benchmarks/test_ext_multitenant.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -24,7 +26,7 @@ from ..core.config import TestMode, TestSettings
 from ..core.events import EventLoop, RunAbortedError, VirtualClock
 from ..core.loadgen import LoadGenResult, judge
 from ..core.logging import QueryLog
-from ..core.query import Query, QuerySampleResponse
+from ..core.query import Query, new_response, sample_id_of
 from ..core.sampler import SampleSelector
 from ..core.scenarios import PerformanceSource, make_driver
 from ..core.sut import SutBase
@@ -92,13 +94,12 @@ class _SharedEnginePool:
                 remaining.append(chunk)
         self._queue = remaining
 
-        workload = tenant.workload
-        duration, _ = self.device.dispatch_cost(
-            workload.gops_per_sample * worst, samples, workload.motif)
+        duration, _ = self.device.cost_at(
+            tenant.workload.gops_per_sample * worst, samples,
+            tenant.efficiency)
         self._idle_engines -= 1
         self.dispatch_trace.append((tenant.name, samples))
-        self.loop.schedule_after(
-            duration, lambda batch=batch: self._finish(batch))
+        self.loop.schedule_after(duration, partial(self._finish, batch))
 
     def _finish(self, batch: List[_TenantChunk]) -> None:
         self._idle_engines += 1
@@ -106,10 +107,8 @@ class _SharedEnginePool:
             tenant.pending_chunks[query.id] -= 1
             if tenant.pending_chunks[query.id] == 0:
                 del tenant.pending_chunks[query.id]
-                responses = [
-                    QuerySampleResponse(s.id, None) for s in query.samples
-                ]
-                tenant.complete(query, responses)
+                tenant.complete(query, list(map(new_response, zip(
+                    map(sample_id_of, query.samples), repeat(None)))))
         self._try_dispatch()
 
 
@@ -121,6 +120,8 @@ class _TenantFacade(SutBase):
         super().__init__(name)
         self.workload = workload
         self.pool = pool
+        #: The workload motif's efficiency on the shared device.
+        self.efficiency = pool.device.motif_efficiency(workload.motif)
         self.pending_chunks: Dict[int, int] = {}
 
     def issue_query(self, query: Query) -> None:

@@ -50,11 +50,13 @@ from __future__ import annotations
 
 import enum
 import struct
+from operator import itemgetter
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from ..core.query import Query, QuerySample, QuerySampleResponse, StreamChunk
+from ..core.query import (Query, QuerySample, QuerySampleResponse, StreamChunk,
+                          new_response)
 
 MAGIC = b"MI"
 VERSION = 1
@@ -66,6 +68,9 @@ VERSION = 1
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 _HEADER = struct.Struct(">2sBBI")
+
+#: The two fields of a ``[sample id, data]`` wire entry, read in C.
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
 
 class ProtocolError(Exception):
@@ -618,16 +623,14 @@ def parse_complete(payload: Any) -> Tuple[int, List[QuerySampleResponse], float,
     raw = msg["responses"]
     if raw.__class__ is not list:
         raise ProtocolError("COMPLETE responses must be a list")
-    responses = []
+    for entry in raw:
+        if entry.__class__ is not list or len(entry) != 2:
+            raise ProtocolError(f"malformed COMPLETE response entry {entry!r}")
     try:
-        for entry in raw:
-            if entry.__class__ is not list or len(entry) != 2:
-                raise ProtocolError(
-                    f"malformed COMPLETE response entry {entry!r}")
-            responses.append(QuerySampleResponse(int(entry[0]), entry[1]))
         return (
             int(msg["query_id"]),
-            responses,
+            list(map(new_response, zip(map(int, map(_FIRST, raw)),
+                                       map(_SECOND, raw)))),
             float(msg["server_recv"]),
             float(msg["server_send"]),
         )

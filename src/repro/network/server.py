@@ -53,6 +53,7 @@ from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, check_range
 from ..core.events import EventLoop, WallClock
 from ..core.query import (
     Query, QueryFailure, QuerySample, QuerySampleResponse, StreamChunk,
+    new_response,
 )
 from ..core.sut import QuerySampleLibrary, SystemUnderTest
 from ..metrics import MetricsRegistry, export_ledger, exported
@@ -797,8 +798,7 @@ class InferenceServer:
                 continue
             request, original_id = mapped
             grouped[request.query_id].append(
-                QuerySampleResponse(original_id, response.data)
-            )
+                new_response((original_id, response.data)))
         for request in batch:
             responses = grouped[request.query_id]
             if unknown or len(responses) != request.sample_count:

@@ -32,7 +32,7 @@ import itertools
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.query import Query, QuerySampleResponse
+from ..core.query import Query, new_response, sample_id_of
 from ..core.sut import QuerySampleLibrary, Responder, SutBase
 from ..core.events import EventLoop
 from ..faults.plan import FaultInjector, FaultPlan, FaultType
@@ -233,10 +233,8 @@ class ParallelSUT(SutBase):
                     lambda q=query: self.fail(
                         q, "worker pool returned a short batch"))
                 continue
-            responses = [
-                QuerySampleResponse(sample.id, out)
-                for sample, out in zip(query.samples, outs)
-            ]
+            responses = list(map(new_response, zip(
+                map(sample_id_of, query.samples), outs)))
             self.loop.schedule_after(
                 duration,
                 lambda q=query, r=responses: self.complete(q, r))

@@ -26,7 +26,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..bounds import NON_NEGATIVE, check_range
-from ..core.query import Query, QuerySampleResponse
+from ..core.query import Query, new_response, sample_id_of
 from ..core.sut import SutBase
 from ..datasets.qsl import DatasetQSL
 from ..models.runtime.classifier import GlyphClassifier
@@ -106,10 +106,8 @@ class _ModelSUT(SutBase):
                 duration, lambda: self.fail(query, reason)
             )
             return
-        responses = [
-            QuerySampleResponse(sample.id, output)
-            for sample, output in zip(query.samples, outputs)
-        ]
+        responses = list(map(new_response, zip(
+            map(sample_id_of, query.samples), outputs)))
         self.loop.schedule_after(
             duration, lambda: self.complete(query, responses)
         )

@@ -21,9 +21,10 @@ direct architectural meaning:
   utilize hardware far better than depthwise/pointwise mixtures.  The
   per-(device, motif) efficiency table expresses exactly that.
 
-``dispatch_cost`` composes these into the latency and energy of one
-batched dispatch (``service_time`` and ``dispatch_energy`` are its two
-halves); everything downstream (scenario behaviour, Figs 6 and 8) is
+``cost_at`` composes these into the latency and energy of one batched
+dispatch at a given structural efficiency; ``dispatch_cost`` is its
+motif front (``service_time`` and ``dispatch_energy`` are that front's
+two halves); everything downstream (scenario behaviour, Figs 6 and 8) is
 emergent.
 """
 
@@ -92,6 +93,11 @@ class DeviceModel:
         check_range("max_batch", self.max_batch, AT_LEAST_ONE)
         check_range("engines", self.engines, AT_LEAST_ONE)
         for motif, value in self.structure_efficiency.items():
+            if not isinstance(motif, ComputeMotif):
+                # A string key would be silently ignored by every lookup.
+                raise ValueError(
+                    f"structure_efficiency key {motif!r} is not a "
+                    "ComputeMotif")
             check_range(f"efficiency for {motif}", value, FRACTION)
         check_range("idle_watts", self.idle_watts, NON_NEGATIVE)
         if self.peak_watts < self.idle_watts:
@@ -110,13 +116,24 @@ class DeviceModel:
         return self.base_utilization + (1.0 - self.base_utilization) * ramp
 
     def motif_efficiency(self, motif: ComputeMotif) -> float:
+        """How well ``motif`` fits this device; 1.0 unless tabulated."""
         return self.structure_efficiency.get(motif, 1.0)
 
     def dispatch_cost(self, gops_per_sample: float, batch: int,
                       motif: ComputeMotif = ComputeMotif.DENSE_CNN
                       ) -> Tuple[float, float]:
-        """(seconds, Joules) of one dispatch of ``batch`` samples: the
-        one body of the cost formula, utilization read once."""
+        """(seconds, Joules) of one dispatch of ``batch`` samples of a
+        ``motif`` workload: the motif's efficiency, then :meth:`cost_at`."""
+        return self.cost_at(gops_per_sample, batch,
+                            self.motif_efficiency(motif))
+
+    def cost_at(self, gops_per_sample: float, batch: int,
+                efficiency: float) -> Tuple[float, float]:
+        """(seconds, Joules) of one dispatch of ``batch`` samples at a
+        structural ``efficiency``: the one body of the cost formula,
+        :meth:`utilization` inlined (same float expression order).  A
+        SUT that serves one motif resolves its efficiency once and
+        calls this per dispatch."""
         if gops_per_sample <= 0:
             raise ValueError(
                 f"gops_per_sample must be positive, got {gops_per_sample}"
@@ -124,11 +141,13 @@ class DeviceModel:
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
         work = batch * gops_per_sample
-        utilization = self.utilization(work)
-        effective = (
-            self.peak_gops * utilization * self.motif_efficiency(motif)
-        )
-        duration = self.overhead + work / effective
+        saturation = self.saturation_gops
+        base = self.base_utilization
+        # min(work, saturation), which returns work unless saturation < work.
+        utilization = base + (1.0 - base) * (
+            (saturation if saturation < work else work) / saturation)
+        duration = self.overhead + work / (
+            self.peak_gops * utilization * efficiency)
         return duration, duration * (
             self.idle_watts
             + (self.peak_watts - self.idle_watts) * utilization

@@ -25,7 +25,7 @@ from functools import partial
 from typing import List, Optional
 
 from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, check_range
-from ..core.query import Query, QuerySampleResponse
+from ..core.query import Query, new_response
 from ..core.sut import SutBase
 
 
@@ -49,10 +49,8 @@ class EchoSUT(SutBase):
         self._busy = []
 
     def issue_query(self, query: Query) -> None:
-        responses = [
-            QuerySampleResponse(sample.id, sample.index)
-            for sample in query.samples
-        ]
+        # A sample is the pair (id, index): exactly its echo's fields.
+        responses = list(map(new_response, query.samples))
         self.queries_served += 1
         if self.concurrency is None:
             if self.latency == 0:

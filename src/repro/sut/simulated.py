@@ -33,13 +33,15 @@ benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_range
 from ..core.events import EventHandle, EventLoop
-from ..core.query import Query, QuerySampleResponse
+from ..core.query import Query, new_response, sample_id_of
 from ..core.sut import Responder, SutBase
 from .device import ComputeMotif, DeviceModel
 
@@ -96,7 +98,8 @@ class SimulatedSUT(SutBase):
 
     The queue holds plain tuples in arrival order and is only ever
     consumed from its head, so its first entry is the oldest;
-    ``_queued`` is its running sample total.
+    ``_queued`` is its running sample total.  ``_efficiency`` is the
+    workload motif's efficiency on the device, resolved once a run.
     """
 
     def __init__(
@@ -127,6 +130,7 @@ class SimulatedSUT(SutBase):
         self._pending_chunks: Dict[int, int] = {}
         self._idle_engines = device.engines
         self._window_event: Optional[EventHandle] = None
+        self._efficiency = device.motif_efficiency(workload.motif)
         #: Dispatch sample counts, for batching diagnostics/tests.
         self.dispatch_batches: List[int] = []
         #: Active energy consumed by dispatches this run (Joules).
@@ -140,6 +144,7 @@ class SimulatedSUT(SutBase):
         self._pending_chunks = {}
         self._idle_engines = self.device.engines
         self._window_event = None
+        self._efficiency = self.device.motif_efficiency(self.workload.motif)
         self.dispatch_batches = []
         self.energy_joules = 0.0
 
@@ -147,14 +152,22 @@ class SimulatedSUT(SutBase):
 
     def issue_query(self, query: Query) -> None:
         count = len(query.samples)
-        now = self._loop.now
-        chunks = chunk_costs(count, self.device.max_batch,
-                             self.workload.variability, self._rng)
+        loop = self._loop
+        # loop.now, read in place as ServerDriver._issue reads it.
+        now = loop.clock.now() if loop.realtime else loop.clock._now
         queue = self._queue
-        for samples, worst in chunks:
-            queue.append((query, samples, worst, now))
+        max_batch = self.device.max_batch
+        variability = self.workload.variability
+        if variability == 0.0 and count <= max_batch:
+            # The common query, as chunk_costs would give it: one chunk.
+            queue.append((query, count, 1.0, now))
+            self._pending_chunks[query.id] = 1
+        else:
+            chunks = chunk_costs(count, max_batch, variability, self._rng)
+            for samples, worst in chunks:
+                queue.append((query, samples, worst, now))
+            self._pending_chunks[query.id] = len(chunks)
         self._queued += count
-        self._pending_chunks[query.id] = len(chunks)
         self._try_dispatch()
 
     def flush(self) -> None:
@@ -171,7 +184,9 @@ class SimulatedSUT(SutBase):
             if window > 0.0 and self._queued < self.preferred_batch:
                 # FIFO, and the clock is monotone: the head is the oldest.
                 deadline = queue[0][3] + window
-                if self._loop.now < deadline:
+                loop = self._loop  # loop.now, read in place
+                if (loop.clock.now() if loop.realtime
+                        else loop.clock._now) < deadline:
                     self._arm_window(deadline)
                     return
             if self._window_event is not None:
@@ -223,15 +238,19 @@ class SimulatedSUT(SutBase):
         self._queued -= samples
         self._idle_engines -= 1
         self.dispatch_batches.append(samples)
-        duration, joules = device.dispatch_cost(
-            workload.gops_per_sample * worst, samples, workload.motif)
+        duration, joules = device.cost_at(
+            workload.gops_per_sample * worst, samples, self._efficiency)
         self.energy_joules += joules
         loop = self._loop
-        # DVFS/thermal state: a cold device runs faster than equilibrium
-        # (Section III-D's motivation for the 60 s minimum duration).
-        loop.schedule_after(
-            duration / device.speed_multiplier(loop.now),
-            lambda: self._finish(batch))
+        # loop.now, read in place: the instant schedule_after would add to.
+        now = loop.clock.now() if loop.realtime else loop.clock._now
+        if device.cold_boost != 1.0:
+            # DVFS/thermal state: a cold device runs faster than
+            # equilibrium (Section III-D's motivation for the 60 s
+            # minimum duration).  At equilibrium the multiplier is 1.0,
+            # and x / 1.0 == x exactly.
+            duration /= device.speed_multiplier(now)
+        loop.schedule(now + duration, partial(self._finish, batch))
 
     def _finish(self, batch: List[_QueuedChunk]) -> None:
         self._idle_engines += 1
@@ -242,9 +261,7 @@ class SimulatedSUT(SutBase):
                 pending[query.id] = left
             else:
                 del pending[query.id]
-                self.complete(query, [
-                    QuerySampleResponse(sample.id, None)
-                    for sample in query.samples
-                ])
+                self.complete(query, list(map(new_response, zip(
+                    map(sample_id_of, query.samples), repeat(None)))))
         if self._queue:
             self._try_dispatch()

@@ -35,9 +35,10 @@ from repro.sut.simulated import SimulatedSUT, WorkloadProfile
 
 from tests.conftest import EchoQSL
 
-#: Measured 29.90 calls/query and 7.59 calls/chunk (python 3.11.7; 9.41
-#: per chunk with a heap entry per chunk instead of one train per stream).
-PLAIN_CALLS_PER_QUERY = 32.9
+#: Measured 27.39 calls/query and 7.49 calls/chunk (python 3.11.7; 9.41
+#: per chunk with a heap entry per chunk instead of one train per stream;
+#: 29.39 per query with a Python-level response constructor).
+PLAIN_CALLS_PER_QUERY = 30.1
 STREAM_CALLS_PER_CHUNK = 8.4
 
 #: wrapper -> (build it over a backend factory, ceiling on calls/query
@@ -314,11 +315,12 @@ def test_telemetry_stays_inside_its_added_call_budget(echo_qsl):
 #: One ISSUE frame of a one-sample query through ``issue_frame``, and
 #: one COMPLETE frame (one echoed sample) through ``FrameReader.feed`` +
 #: ``parse_complete`` - the per-frame entry points of the tcp path, on
-#: the loop thread and on the reader thread.  Measured 14.01 and 41.01
-#: calls, the test's own wrapper frame included (python 3.11.7); the
-#: recursive codec they replaced measured 75.01 and 114.01.
+#: the loop thread and on the reader thread.  Measured 14.01 and 39.01
+#: calls, the test's own wrapper frame included (python 3.11.7; 41.01
+#: with a Python-level response constructor); the recursive codec they
+#: replaced measured 75.01 and 114.01.
 ISSUE_FRAME_CALLS = 15.4
-COMPLETE_FRAME_CALLS = 45.1
+COMPLETE_FRAME_CALLS = 42.9
 #: ``SimulatedChannelSUT`` over the echo: calls/query added over the
 #: bare run.  It builds an ISSUE and a COMPLETE frame per query to
 #: charge their real lengths, so it moves with the codec.  Measured
@@ -380,9 +382,11 @@ def test_simulated_channel_stays_inside_its_added_call_budget(
 #: in place of the echo: calls/query added over the bare run, for a
 #: fixed-cost workload and for one whose cost varies (one lognormal
 #: draw, one in-place sort and one strided read per query more).
-#: Measured 18.88 and 22.82 (python 3.11.7); the array intake and the
-#: twice-evaluated cost formula they replaced measured 53.51 and 50.44.
-SIMULATED_CALLS_PER_QUERY = {0.0: 20.8, 0.6: 25.1}
+#: Measured 6.03 and 13.99 (python 3.11.7); with the cost formula in
+#: four frames, the clock read through a property and a Python-level
+#: response constructor they measured 18.88 and 24.82, and the array
+#: intake and twice-evaluated cost formula before that 53.51 and 50.44.
+SIMULATED_CALLS_PER_QUERY = {0.0: 6.6, 0.6: 15.4}
 #: A MultiStream run whose every tick issues (the echo answers inside
 #: the interval), one sample a query: calls per tick, everything from
 #: the tick to the logged completion included.  Measured 27.37 (python

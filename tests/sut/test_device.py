@@ -35,6 +35,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             device(structure_efficiency={ComputeMotif.RNN: 1.5})
 
+    @pytest.mark.parametrize("key", ["rnn", "RNN", None, 2])
+    def test_an_efficiency_key_that_is_not_a_motif_is_refused(self, key):
+        """No lookup finds such a key, so the motif it meant would run
+        at full efficiency without a word."""
+        with pytest.raises(ValueError, match=f"key {key!r} is not"):
+            DeviceModel("d", ProcessorType.GPU, peak_gops=100.0,
+                        structure_efficiency={ComputeMotif.DENSE_CNN: 1.0,
+                                              key: 0.3})
+
+    def test_a_motif_key_prices_its_motif(self):
+        """What the string key ``"rnn"`` silently lost: the same device
+        prices a 1-GOP RNN sample 3.2x slower than at full efficiency."""
+        rnn = DeviceModel("d", ProcessorType.GPU, peak_gops=100.0,
+                          structure_efficiency={ComputeMotif.RNN: 0.3})
+        full = DeviceModel("d", ProcessorType.GPU, peak_gops=100.0)
+        assert rnn.service_time(1.0, 1, ComputeMotif.RNN) == pytest.approx(
+            0.06025925925925926)
+        assert full.service_time(1.0, 1, ComputeMotif.RNN) == pytest.approx(
+            0.01877777777777778)
+
 
 class TestUtilization:
     def test_ramps_from_base_to_one(self):
