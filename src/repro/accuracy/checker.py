@@ -39,35 +39,11 @@ class AccuracyReport:
         )
 
 
-def _gather(result: LoadGenResult) -> Dict[int, object]:
-    """Map data set index -> response payload from the run log."""
-    responses = result.log.logged_responses()
-    if not responses:
-        raise ValueError(
-            "run logged no responses; accuracy checking requires an "
-            "accuracy-mode run (or sampled performance logging)"
-        )
+def responses_by_index(result: LoadGenResult) -> Dict[int, object]:
+    """Map data set index -> logged response payload from the run log."""
     index_map = result.log.sample_index_map()
-    return {index_map[sid]: data for sid, data in responses.items()}
-
-
-def check_classification(result: LoadGenResult, dataset: Dataset,
-                         quality_target: float) -> AccuracyReport:
-    """Top-1 accuracy vs ``quality_target`` (both in percent)."""
-    by_index = _gather(result)
-    predictions = []
-    labels = []
-    for index, data in sorted(by_index.items()):
-        predictions.append(int(data))
-        labels.append(int(dataset.get_label(index)))
-    value = top1_accuracy(predictions, labels)
-    return AccuracyReport(
-        metric_name="Top-1 accuracy (%)",
-        value=value,
-        target=quality_target,
-        passed=value >= quality_target,
-        sample_count=len(predictions),
-    )
+    return {index_map[sample_id]: payload for sample_id, payload
+            in result.log.logged_responses().items()}
 
 
 def _as_detections(data: object) -> List[Detection]:
@@ -86,59 +62,47 @@ def _as_detections(data: object) -> List[Detection]:
     return detections
 
 
-def check_detection(result: LoadGenResult, dataset: Dataset,
-                    quality_target: float) -> AccuracyReport:
-    """COCO mAP vs ``quality_target`` (both in [0, 1])."""
-    by_index = _gather(result)
-    detections = []
-    truths = []
-    for index, data in sorted(by_index.items()):
-        detections.append(_as_detections(data))
-        truths.append(dataset.get_label(index))
-    value = mean_average_precision(detections, truths)
-    return AccuracyReport(
-        metric_name="mAP",
-        value=value,
-        target=quality_target,
-        passed=value >= quality_target,
-        sample_count=len(detections),
-    )
-
-
-def check_translation(result: LoadGenResult, dataset: Dataset,
-                      quality_target: float) -> AccuracyReport:
-    """Corpus BLEU vs ``quality_target``."""
-    by_index = _gather(result)
-    hypotheses = []
-    references = []
-    for index, data in sorted(by_index.items()):
-        hypotheses.append([int(t) for t in data])
-        references.append(dataset.get_label(index))
-    value = corpus_bleu(hypotheses, references)
-    return AccuracyReport(
-        metric_name="SacreBLEU",
-        value=value,
-        target=quality_target,
-        passed=value >= quality_target,
-        sample_count=len(hypotheses),
-    )
-
-
-_CHECKERS = {
-    "classification": check_classification,
-    "detection": check_detection,
-    "translation": check_translation,
+#: Task type -> (metric name, payload decoder, label decoder, score):
+#: each logged payload and each label is decoded, and the score of the
+#: lists, in the target's units, is the reported quality.
+_TASK_TYPES = {
+    # Top-1 accuracy and its target in percent.
+    "classification": ("Top-1 accuracy (%)", int, int, top1_accuracy),
+    # COCO mAP and its target in [0, 1].
+    "detection": ("mAP", _as_detections, lambda label: label,
+                  mean_average_precision),
+    "translation": ("SacreBLEU", lambda data: [int(t) for t in data],
+                    lambda label: label, corpus_bleu),
 }
 
 
 def check_accuracy(result: LoadGenResult, dataset: Dataset, task_type: str,
                    quality_target: float) -> AccuracyReport:
-    """Dispatch to the right task checker."""
+    """Score the run's logged responses against ``dataset``'s labels
+    and ``quality_target``."""
     try:
-        checker = _CHECKERS[task_type]
+        metric_name, decode, label, score = _TASK_TYPES[task_type]
     except KeyError:
         raise ValueError(
             f"unknown task type {task_type!r}; "
-            f"expected one of {sorted(_CHECKERS)}"
+            f"expected one of {sorted(_TASK_TYPES)}"
         ) from None
-    return checker(result, dataset, quality_target)
+    by_index = responses_by_index(result)
+    if not by_index:
+        raise ValueError(
+            "run logged no responses; accuracy checking requires an "
+            "accuracy-mode run (or sampled performance logging)"
+        )
+    predictions = []
+    truths = []
+    for index, data in sorted(by_index.items()):
+        predictions.append(decode(data))
+        truths.append(label(dataset.get_label(index)))
+    value = score(predictions, truths)
+    return AccuracyReport(
+        metric_name=metric_name,
+        value=value,
+        target=quality_target,
+        passed=value >= quality_target,
+        sample_count=len(predictions),
+    )

@@ -11,12 +11,13 @@ computing real inferences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 import numpy as np
 
+from ..accuracy.checker import responses_by_index
 from ..core.config import TestMode, TestSettings
-from ..core.loadgen import LoadGen, LoadGenResult
+from ..core.loadgen import LoadGen
 from ..core.sut import QuerySampleLibrary, SystemUnderTest
 
 #: Fraction of performance-mode queries whose responses are logged.
@@ -57,34 +58,24 @@ def run_accuracy_verification(
         mode=TestMode.ACCURACY
     )
     accuracy_result = LoadGen(accuracy_settings).run(sut_factory(), qsl)
-    reference = _responses_by_index(accuracy_result)
+    reference = responses_by_index(accuracy_result)
 
     performance_result = LoadGen(performance_settings).run(
         sut_factory(), qsl, log_sample_probability=log_probability
     )
-    sampled = _responses_by_index(performance_result)
+    sampled = responses_by_index(performance_result)
     if not sampled:
         raise RuntimeError(
             "performance run logged no responses; raise log_probability"
         )
 
-    mismatches = []
-    for index, payload in sampled.items():
-        if index not in reference:
-            mismatches.append(index)
-        elif not _payload_equal(payload, reference[index]):
-            mismatches.append(index)
+    mismatches = [
+        index for index, payload in sampled.items()
+        if index not in reference
+        or not _payload_equal(payload, reference[index])]
     return AccuracyVerificationReport(
         passed=not mismatches,
         checked=len(sampled),
         mismatches=len(mismatches),
         mismatch_indices=sorted(mismatches),
     )
-
-
-def _responses_by_index(result: LoadGenResult) -> Dict[int, object]:
-    index_map = result.log.sample_index_map()
-    out: Dict[int, object] = {}
-    for sample_id, payload in result.log.logged_responses().items():
-        out[index_map[sample_id]] = payload
-    return out

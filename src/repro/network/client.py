@@ -92,43 +92,18 @@ class NetworkStats:
         )
 
 
-class _Connection:
+class _Connection(protocol.Peer):
     """One pooled TCP connection plus its reader thread."""
 
     _ids = itertools.count(1)
 
     def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.id = next(self._ids)
-        self.alive = True
+        super().__init__(sock)
         #: Everything received on ``sock`` goes through this one parser,
         #: the HELLO exchange included: a partial frame that arrives with
         #: the greeting is still there when the reader thread takes over.
         self.frames = FrameReader()
         self.reader: Optional[threading.Thread] = None
-        self._send_lock = threading.Lock()
-
-    def send(self, frame: bytes) -> bool:
-        with self._send_lock:
-            if not self.alive:
-                return False
-            try:
-                self.sock.sendall(frame)
-                return True
-            except OSError:
-                self.alive = False
-                return False
-
-    def close(self) -> None:
-        self.alive = False
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
 
 
 class _Pending(Attempt):

@@ -49,9 +49,11 @@ Two error contracts, and nothing else escapes either side:
 from __future__ import annotations
 
 import enum
+import socket
 import struct
+import threading
 from operator import itemgetter
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -699,3 +701,40 @@ def drain_frame() -> bytes:
 
 def stats_frame(stats: Dict[str, Any]) -> bytes:
     return encode_frame(FrameType.STATS, stats)
+
+
+class Peer:
+    """One end of a TCP connection: whole frames out under a send lock,
+    dead from the first failed send on.  Each subclass numbers its
+    instances from its own ``_ids`` counter."""
+
+    _ids: Iterator[int]
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.id = next(self._ids)
+        self.alive = True
+        self._send_lock = threading.Lock()
+
+    def send(self, frame: bytes) -> bool:
+        """Write one frame; returns False (and dies) on a broken pipe."""
+        with self._send_lock:
+            if not self.alive:
+                return False
+            try:
+                self.sock.sendall(frame)
+                return True
+            except OSError:
+                self.alive = False
+                return False
+
+    def close(self) -> None:
+        self.alive = False
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self.sock.close()
+        except OSError:
+            pass

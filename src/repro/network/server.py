@@ -347,44 +347,18 @@ class _RequestQueue:
             return batch
 
 
-class _Session:
+class _Session(protocol.Peer):
     """Per-connection state: the socket, a send lock, drain tracking."""
 
     _ids = itertools.count(1)
 
     def __init__(self, sock: socket.socket, addr) -> None:
-        self.sock = sock
+        super().__init__(sock)
         self.addr = addr
-        self.id = next(self._ids)
-        self.alive = True
         self.draining = False
         self.greeted = False
         self.inflight = 0
-        self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
-
-    def send(self, frame: bytes) -> bool:
-        """Write one frame; returns False (and dies) on a broken pipe."""
-        with self._send_lock:
-            if not self.alive:
-                return False
-            try:
-                self.sock.sendall(frame)
-                return True
-            except OSError:
-                self.alive = False
-                return False
-
-    def close(self) -> None:
-        self.alive = False
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
 
 
 class InferenceServer:

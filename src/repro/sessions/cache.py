@@ -243,6 +243,11 @@ class PrefixCacheSUT(SutBase):
 
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         super().start_run(loop, responder)
+        # A run starts from a cold cache, zeroed stats and an empty
+        # trail, however many runs this instance has served before.
+        self.model = _LruModel(self.model.capacity_tokens)
+        self.stats = CacheStats()
+        self.events = []
         self._pending_issues = 0
         self._flush_after_drain = False
         # Completions need no interception: the inner SUT answers the

@@ -4,8 +4,8 @@
 and validation before release."  This module writes a submission the way
 the real flow lays it out - a system-description file plus, per (task,
 scenario) entry, the LoadGen summary, the detailed query trace, and the
-accuracy report - and re-reads the directory for checker-style
-validation without needing the live Python objects.
+performance and accuracy records :mod:`.checker` builds - and re-reads
+the directory so the checker can judge it without the live objects.
 
 Layout::
 
@@ -23,90 +23,66 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List
+from typing import List
 
 from ..core.config import Scenario, Task
-from .checker import CheckReport, Severity
-from .schema import APPROVED_NUMERICS, Division, Submission
+from .checker import (
+    ACCURACY_FILE,
+    PERFORMANCE_FILE,
+    SYSTEM_FILE,
+    CheckReport,
+    EntryRecord,
+    Issue,
+    Severity,
+    check_records,
+    entry_record,
+    system_record,
+)
+from .schema import Division, Submission
 
-SYSTEM_FILE = "system.json"
 SUMMARY_FILE = "mlperf_log_summary.txt"
 DETAIL_FILE = "mlperf_log_detail.jsonl"
-PERFORMANCE_FILE = "performance.json"
-ACCURACY_FILE = "accuracy.json"
 
 
 def _entry_dir(root: Path, task: Task, scenario: Scenario) -> Path:
     return root / task.value / scenario.value
 
 
+def _dump(path: Path, payload: object) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+
+
 def write_submission(submission: Submission, root: Path) -> Path:
     """Serialize ``submission`` under ``root``; returns the root path."""
+    entries = submission.results
+    if len({(e.task, e.scenario) for e in entries}) < len(entries):
+        raise ValueError("two entries for one (task, scenario) "
+                         "cannot share a directory")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-
-    system = submission.system
-    system_payload = {
-        "name": system.name,
-        "submitter": system.submitter,
-        "processor": system.processor,
-        "accelerator_count": system.accelerator_count,
-        "host_cpu_count": system.host_cpu_count,
-        "software_stack": system.software_stack,
-        "memory_gb": system.memory_gb,
-        "numerics": [fmt.value for fmt in system.numerics],
-        "division": submission.division.value,
-        "category": submission.category.value,
-        "open_deviations": submission.open_deviations,
-    }
-    (root / SYSTEM_FILE).write_text(
-        json.dumps(system_payload, indent=2) + "\n")
-
-    for entry in submission.results:
+    _dump(root / SYSTEM_FILE, system_record(submission))
+    for entry in entries:
+        record = entry_record(entry)
         directory = _entry_dir(root, entry.task, entry.scenario)
         directory.mkdir(parents=True, exist_ok=True)
-
-        performance = entry.performance
-        (directory / SUMMARY_FILE).write_text(performance.summary() + "\n")
+        (directory / SUMMARY_FILE).write_text(
+            entry.performance.summary() + "\n")
         (directory / DETAIL_FILE).write_text(
-            performance.log.to_jsonl() + "\n")
-        (directory / PERFORMANCE_FILE).write_text(json.dumps({
-            "scenario": entry.scenario.value,
-            "task": entry.task.value,
-            "valid": performance.valid,
-            "invalid_reasons": performance.validity.reasons,
-            "primary_metric": performance.primary_metric,
-            "primary_metric_name": performance.metrics.primary_metric_name,
-            "query_count": performance.metrics.query_count,
-            "sample_count": performance.metrics.sample_count,
-            "duration_seconds": performance.metrics.duration,
-            "latency_p90_ms": performance.metrics.latency_p90 * 1e3,
-            "latency_p99_ms": performance.metrics.latency_p99 * 1e3,
-            "seed": performance.settings.seed,
-            "retrained": entry.retrained,
-            "caching_enabled": entry.caching_enabled,
-        }, indent=2) + "\n")
-        accuracy = entry.accuracy
-        (directory / ACCURACY_FILE).write_text(json.dumps({
-            "metric_name": accuracy.metric_name,
-            "value": accuracy.value,
-            "target": accuracy.target,
-            "passed": accuracy.passed,
-            "sample_count": accuracy.sample_count,
-        }, indent=2) + "\n")
+            entry.performance.log.to_jsonl() + "\n")
+        _dump(directory / PERFORMANCE_FILE, record.performance)
+        _dump(directory / ACCURACY_FILE, record.accuracy)
     return root
 
 
-@dataclass
-class EntryManifest:
-    """One on-disk (task, scenario) entry, as read back."""
-
-    task: Task
-    scenario: Scenario
-    performance: Dict
-    accuracy: Dict
-    has_summary: bool
-    has_detail: bool
+def _load(path: Path) -> object:
+    """A record file's payload: ``None`` when the file is absent, the
+    parse error when it does not parse (the checker reports both)."""
+    if not path.exists():
+        return None
+    try:
+        return json.loads(path.read_text())
+    except ValueError as error:
+        return error
 
 
 @dataclass
@@ -114,8 +90,8 @@ class SubmissionManifest:
     """A submission directory, as read back for review."""
 
     root: Path
-    system: Dict
-    entries: List[EntryManifest] = field(default_factory=list)
+    system: object
+    entries: List[EntryRecord] = field(default_factory=list)
 
     @property
     def division(self) -> Division:
@@ -128,76 +104,34 @@ def read_submission_dir(root: Path) -> SubmissionManifest:
     system_path = root / SYSTEM_FILE
     if not system_path.exists():
         raise FileNotFoundError(f"no {SYSTEM_FILE} under {root}")
-    manifest = SubmissionManifest(
-        root=root, system=json.loads(system_path.read_text()))
+    manifest = SubmissionManifest(root=root, system=_load(system_path))
     for task in Task:
         for scenario in Scenario:
             directory = _entry_dir(root, task, scenario)
-            if not directory.exists():
-                continue
-            perf_path = directory / PERFORMANCE_FILE
-            acc_path = directory / ACCURACY_FILE
-            manifest.entries.append(EntryManifest(
-                task=task,
-                scenario=scenario,
-                performance=(json.loads(perf_path.read_text())
-                             if perf_path.exists() else {}),
-                accuracy=(json.loads(acc_path.read_text())
-                          if acc_path.exists() else {}),
-                has_summary=(directory / SUMMARY_FILE).exists(),
-                has_detail=(directory / DETAIL_FILE).exists(),
-            ))
+            if directory.exists():
+                manifest.entries.append(EntryRecord(
+                    task, scenario,
+                    performance=_load(directory / PERFORMANCE_FILE),
+                    accuracy=_load(directory / ACCURACY_FILE)))
     return manifest
 
 
-_APPROVED_VALUES = {fmt.value for fmt in APPROVED_NUMERICS}
-
-
 def check_submission_dir(root: Path) -> CheckReport:
-    """Checker rules applied to the on-disk artifacts alone."""
-    report = CheckReport()
+    """The checker's rules applied to the on-disk records, plus the
+    findings only a directory can have: a file that is not there."""
     try:
         manifest = read_submission_dir(root)
     except FileNotFoundError as error:
-        report.add(Severity.ERROR, "missing-system", str(error))
-        return report
+        return CheckReport([Issue(Severity.ERROR, "missing-system",
+                                  str(error))])
 
-    for fmt in manifest.system.get("numerics", []):
-        if fmt not in _APPROVED_VALUES:
-            report.add(Severity.ERROR, "numerics",
-                       f"unregistered numeric format: {fmt}")
-
-    division = manifest.system.get("division")
-    if division == Division.OPEN.value and \
-            not manifest.system.get("open_deviations"):
-        report.add(Severity.ERROR, "open-undocumented",
-                   "open-division submissions must document deviations")
-
-    if not manifest.entries:
-        report.add(Severity.ERROR, "empty", "submission contains no results")
-
+    report = check_records(manifest.system, manifest.entries)
     for entry in manifest.entries:
-        tag = f"{entry.task.value}/{entry.scenario.short_name}"
-        for flag, code in ((entry.has_summary, "missing-summary"),
-                           (entry.has_detail, "missing-detail")):
-            if not flag:
-                report.add(Severity.ERROR, code, f"{tag}: log file missing")
-        if not entry.performance:
-            report.add(Severity.ERROR, "missing-performance",
-                       f"{tag}: {PERFORMANCE_FILE} missing")
-            continue
-        if not entry.performance.get("valid", False):
-            reasons = "; ".join(entry.performance.get("invalid_reasons", []))
-            report.add(Severity.ERROR, "invalid-run",
-                       f"{tag}: performance run INVALID ({reasons})")
-        if entry.performance.get("caching_enabled"):
-            report.add(Severity.ERROR, "caching",
-                       f"{tag}: caching is prohibited")
-        if division == Division.CLOSED.value:
-            if entry.performance.get("retrained"):
-                report.add(Severity.ERROR, "retraining",
-                           f"{tag}: retraining prohibited in closed division")
-            if not entry.accuracy.get("passed", False):
-                report.add(Severity.ERROR, "quality-target",
-                           f"{tag}: quality target missed")
+        directory = _entry_dir(manifest.root, entry.task, entry.scenario)
+        for name, code in ((SUMMARY_FILE, "missing-summary"),
+                           (DETAIL_FILE, "missing-detail"),
+                           (PERFORMANCE_FILE, "missing-performance")):
+            if not (directory / name).exists():
+                report.add(Severity.ERROR, code,
+                           f"{entry.tag}: {name} missing")
     return report

@@ -9,6 +9,7 @@ from repro.core.query import (
     Query, QuerySample, QuerySampleResponse, SessionTurn,
 )
 from repro.core.sut import SutBase
+from repro.durability import run_fingerprint
 from repro.metrics import MetricsRegistry
 from repro.sessions import (
     CacheStats,
@@ -218,3 +219,26 @@ def test_replica_labeled_cache_exports_its_own_series():
     assert hits.labels(replica=3).value == sut.stats.hits
     resident = registry.get("prefix_cache_resident_tokens")
     assert resident.labels(replica=3).value == sut.model.resident_tokens
+
+
+def test_a_reused_cache_starts_each_run_afresh():
+    # The 16-session, seed-3 run: (hits, misses, events) is (46, 31, 104)
+    # for a fresh cache, and a second run on the same instance must not
+    # add to it, in the stats, the trail, the exported views or the run.
+    run_settings = settings(session_count=16, seed=3)
+    registry = MetricsRegistry()
+    reused = PrefixCacheSUT(EchoSUT(latency=0.002), capacity_tokens=4096,
+                            registry=registry)
+    first = run_benchmark(reused, EchoQSL(), run_settings)
+    assert (reused.stats.hits, reused.stats.misses, len(reused.events)) \
+        == (46, 31, 104)
+    second = run_benchmark(reused, EchoQSL(), run_settings)
+    fresh = PrefixCacheSUT(EchoSUT(latency=0.002), capacity_tokens=4096)
+    baseline = run_benchmark(fresh, EchoQSL(), run_settings)
+    assert reused.stats == fresh.stats
+    assert reused.events == fresh.events
+    assert run_fingerprint(second) == run_fingerprint(baseline) \
+        == run_fingerprint(first)
+    assert registry.get("prefix_cache_hits_total").value == 46
+    assert registry.get("prefix_cache_resident_tokens").value == \
+        fresh.model.resident_tokens
