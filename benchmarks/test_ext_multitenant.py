@@ -17,6 +17,11 @@ from repro.harness.multitenant import (
 from repro.sut.device import ComputeMotif, DeviceModel, ProcessorType
 from repro.sut.fleet import task_workload
 
+from tests.harness.test_multitenant_contract import (  # noqa: F401
+    cost_calls,
+    dispatch_trace,
+)
+
 #: Two engines: co-located serving without a second execution stream
 #: suffers head-of-line blocking behind the tenant with long dispatches
 #: (a finding in its own right - see the single-engine test below).
@@ -89,19 +94,23 @@ def test_ext_multitenant_single_engine_head_of_line(benchmark):
     assert not resnet_ok
 
 
-def test_ext_multitenant_dispatches_never_mix_models(benchmark):
-    from repro.harness.multitenant import _SharedEnginePool
-    from repro.core.events import EventLoop, VirtualClock
-
-    def trace_run():
-        results = run_multitenant(DEVICE, [
-            tenant("resnet", Task.IMAGE_CLASSIFICATION_HEAVY, 800.0),
-            tenant("mobilenet", Task.IMAGE_CLASSIFICATION_LIGHT, 800.0,
-                   seed=3),
-        ])
-        return results
-
-    results = benchmark.pedantic(trace_run, rounds=1, iterations=1)
+def test_ext_multitenant_dispatches_never_mix_models(benchmark, cost_calls):
+    """Each dispatch is priced as one tenant's model: every tenant's
+    dispatched samples sum to exactly the samples it issued only if no
+    dispatch carries two tenants' chunks."""
+    tenants = [
+        tenant("resnet", Task.IMAGE_CLASSIFICATION_HEAVY, 800.0),
+        tenant("mobilenet", Task.IMAGE_CLASSIFICATION_LIGHT, 800.0, seed=3),
+    ]
+    results = benchmark.pedantic(lambda: run_multitenant(DEVICE, tenants),
+                                 rounds=1, iterations=1)
+    dispatched = {spec.name: 0 for spec in tenants}
+    for name, samples in dispatch_trace(DEVICE, tenants, cost_calls):
+        dispatched[name] += samples
+    assert dispatched == {
+        name: sum(record.query.sample_count
+                  for record in result.log.completed_records())
+        for name, result in results.items()}
     # Both tenants fully served under their own rules.
     for name, result in results.items():
         assert result.log.outstanding == 0

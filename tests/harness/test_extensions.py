@@ -7,7 +7,6 @@ import pytest
 from repro.core import Scenario, Task, TestMode, TestSettings, run_benchmark
 from repro.durability import RunJournal, resume_run
 from repro.durability.resume import run_fingerprint
-from repro.harness import multitenant
 from repro.harness.multitenant import (
     TenantSpec,
     all_tenants_valid,
@@ -18,6 +17,11 @@ from repro.sut.device import ComputeMotif, DeviceModel, ProcessorType
 from repro.sut.echo import EchoSUT
 from repro.sut.fleet import task_workload
 from repro.sut.simulated import SimulatedSUT, WorkloadProfile
+
+from tests.harness.test_multitenant_contract import (  # noqa: F401
+    cost_calls,
+    dispatch_trace,
+)
 
 
 class NullQSL:
@@ -186,14 +190,24 @@ class TestMultiTenant:
             resnet.metrics.latency_p99
             > alone["resnet"].metrics.latency_p99)
 
-    def test_batches_never_mix_tenants(self):
-        from repro.harness.multitenant import _SharedEnginePool
-        device = make_device()
-        results = run_multitenant(device, [
-            tenant("a", Task.IMAGE_CLASSIFICATION_HEAVY, 300.0),
-            tenant("b", Task.IMAGE_CLASSIFICATION_LIGHT, 300.0, seed=5),
-        ])
-        # Indirect check: both tenants completed everything.
+    def test_batches_never_mix_tenants(self, cost_calls):
+        """A dispatch is priced as its head chunk's tenant, so each
+        tenant's dispatched samples sum to exactly the samples it
+        issued only if no dispatch carries another tenant's chunks."""
+        device = make_device(
+            structure_efficiency={ComputeMotif.DEPTHWISE_CNN: 0.35})
+        tenants = [
+            tenant("a", Task.IMAGE_CLASSIFICATION_HEAVY, 3_000.0),
+            tenant("b", Task.IMAGE_CLASSIFICATION_LIGHT, 3_000.0, seed=5),
+        ]
+        results = run_multitenant(device, tenants)
+        dispatched = {spec.name: 0 for spec in tenants}
+        for name, samples in dispatch_trace(device, tenants, cost_calls):
+            dispatched[name] += samples
+        assert dispatched == {
+            name: sum(record.query.sample_count
+                      for record in result.log.completed_records())
+            for name, result in results.items()}
         assert all(r.log.outstanding == 0 for r in results.values())
 
     def test_duplicate_names_rejected(self):
@@ -224,19 +238,12 @@ def digest(value) -> str:
 
 class TestMultiTenantPinned:
     """Two tenants on one two-engine device, as literals: what every
-    tenant's log says and what the shared pool dispatched, in order.
-    GNMT's variable cost makes the pool draw from its generator and
-    split nothing; the 96-sample multistream tenant is chunked."""
+    tenant's log says and what the shared device dispatched, in order
+    (its ``cost_at`` calls).  GNMT's variable cost makes the device
+    draw from its generator and split nothing; the 96-sample
+    multistream tenant is chunked."""
 
-    def test_fingerprints_and_dispatch_trace(self, monkeypatch):
-        pools = []
-
-        class RecordedPool(multitenant._SharedEnginePool):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pools.append(self)
-
-        monkeypatch.setattr(multitenant, "_SharedEnginePool", RecordedPool)
+    def test_fingerprints_and_dispatch_trace(self, cost_calls):
         chunked = TenantSpec(
             name="mobilenet",
             workload=task_workload(Task.IMAGE_CLASSIFICATION_LIGHT),
@@ -245,18 +252,20 @@ class TestMultiTenantPinned:
                 task=Task.IMAGE_CLASSIFICATION_LIGHT,
                 multistream_samples_per_query=96, min_query_count=40,
                 min_duration=1.0, seed=5))
-        results = run_multitenant(make_device(max_batch=40, engines=2), [
+        device = make_device(max_batch=40, engines=2)
+        tenants = [
             tenant("gnmt", Task.MACHINE_TRANSLATION, 300.0, seed=9),
             chunked,
-        ])
-        (pool,) = pools
-        trace = pool.dispatch_trace
+        ]
+        results = run_multitenant(device, tenants)
+        trace = dispatch_trace(device, tenants, cost_calls)
         assert {name: digest(run_fingerprint(result))
                 for name, result in results.items()} == {
             "gnmt": "32400faac42db457",
             "mobilenet": "88dc4768358334ac",
         }
         assert (len(trace), digest(trace)) == (670, "5f972c1e6d99ea0f")
+        assert digest(cost_calls) == "fa271cfdf4d9fcc6"
         assert [trace.count(kind) for kind in (
             ("gnmt", 1), ("gnmt", 3), ("mobilenet", 40), ("mobilenet", 16),
         )] == [412, 37, 80, 40]
