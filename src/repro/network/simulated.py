@@ -124,6 +124,9 @@ class _Link:
 class SimulatedChannelSUT(SutBase):
     """Impose a :class:`ChannelModel` between the LoadGen and ``inner``.
 
+    Stream chunks pass a client-side :class:`StreamReassembler`, as a
+    real streaming client's do: the referee sees each stream in order,
+    and a query's completion waits for its chunks still on the wire.
     Deterministic under a virtual clock: all randomness comes from one
     seeded generator reset at :meth:`start_run`, and all delays are
     event-loop schedules.
@@ -134,16 +137,11 @@ class SimulatedChannelSUT(SutBase):
         inner: SystemUnderTest,
         model: Optional[ChannelModel] = None,
         name: Optional[str] = None,
-        reassemble_streams: bool = True,
     ) -> None:
         super().__init__(name or f"channel[{inner.name}]")
         self.inner = inner
         self.inners = (inner,)
         self.model = model if model is not None else ChannelModel()
-        #: Restore chunk order client-side (what a real streaming client
-        #: does).  Disable to let the referee see the raw reordered
-        #: arrivals - useful for demonstrating misbehavior detection.
-        self.reassemble_streams = reassemble_streams
         self.stats = ChannelStats()
         self.transport_records: Dict[int, TransportTiming] = {}
         self._rng = np.random.default_rng(self.model.seed)
@@ -234,8 +232,7 @@ class SimulatedChannelSUT(SutBase):
             # us); hold it until the last of them lands.  Chunks that
             # were *dropped* never went on the wire, so a lossy stream
             # still resolves - as a truncated stream.
-            if self.reassemble_streams and \
-                    self._chunks_in_flight.get(query.id, 0) > 0:
+            if self._chunks_in_flight.get(query.id, 0) > 0:
                 self._held_completions[query.id] = _deliver
                 return
             self._held_completions.pop(query.id, None)
@@ -270,11 +267,8 @@ class SimulatedChannelSUT(SutBase):
                 self._chunks_in_flight.pop(query.id, None)
             else:
                 self._chunks_in_flight[query.id] = remaining
-            if self.reassemble_streams:
-                for released in self._reassembler.push(query.id, chunk):
-                    self._responder(query, released)
-            else:
-                self._responder(query, chunk)
+            for released in self._reassembler.push(query.id, chunk):
+                self._responder(query, released)
             if remaining <= 0:
                 held = self._held_completions.pop(query.id, None)
                 if held is not None:

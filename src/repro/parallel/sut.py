@@ -135,7 +135,6 @@ class ParallelSUT(SutBase):
             crash_plan = FaultInjector(crash_plan)
         self._crash_injector: Optional[FaultInjector] = crash_plan
         self._attempts: Dict[int, int] = {}
-        self._victims = itertools.cycle(range(workers))
 
     @property
     def workers(self) -> int:
@@ -146,6 +145,10 @@ class ParallelSUT(SutBase):
         self.pool.start()
         self._batcher = DynamicBatcher(loop, self.policy, self._dispatch)
         self._attempts.clear()
+        # A run's crash schedule starts over, as FaultySUT's does.
+        if self._crash_injector is not None:
+            self._crash_injector.reset()
+        self._victims = itertools.cycle(range(self.pool.workers))
 
     def issue_query(self, query: Query) -> None:
         self._batcher.add(query)

@@ -88,18 +88,24 @@ def chunk_costs(count: int, max_batch: int, variability: float,
     return list(zip(sizes, worst))
 
 
-#: A dispatchable slice of one query, as queued: (query, samples, worst
-#: cost multiplier, arrival time).
-_QueuedChunk = Tuple[Query, int, float, float]
+#: A dispatchable slice of one query, as queued: (owner, query, samples,
+#: worst cost multiplier, arrival time).  The owner is the SUT whose
+#: model the chunk runs: the device's host or one of its co-tenants.
+_QueuedChunk = Tuple["SimulatedSUT", Query, int, float, float]
 
 
 class SimulatedSUT(SutBase):
     """A device model serving queries on the event loop.
 
-    The queue holds plain tuples in arrival order and is only ever
-    consumed from its head, so its first entry is the oldest;
-    ``_queued`` is its running sample total.  ``_efficiency`` is the
-    workload motif's efficiency on the device, resolved once a run.
+    The queue holds plain tuples in arrival order; ``_queued`` is its
+    running sample total.  ``_efficiency`` is the workload motif's
+    efficiency on the device, resolved once a run.
+
+    Co-tenants (:meth:`co_tenant`) serve other models on this SUT's
+    device and queue; each queued chunk names its owner.  A dispatch
+    never mixes models: it skips other owners' chunks, so once
+    co-tenants skip, the queue is no longer consumed only from its
+    head.  It stays in arrival order, so its first entry is the oldest.
     """
 
     def __init__(
@@ -124,6 +130,9 @@ class SimulatedSUT(SutBase):
             else device.max_batch
         )
         self._seed = seed
+        #: The SUT whose device state this one runs on: itself, or the
+        #: host it is a co-tenant of.
+        self._host = self
         self._rng = np.random.default_rng(seed)
         self._queue: List[_QueuedChunk] = []
         self._queued = 0
@@ -136,45 +145,58 @@ class SimulatedSUT(SutBase):
         #: Active energy consumed by dispatches this run (Joules).
         self.energy_joules = 0.0
 
+    def co_tenant(self, workload: WorkloadProfile,
+                  name: str) -> "SimulatedSUT":
+        """A SUT serving ``workload`` on this one's engines, queue,
+        generator and batching window (the paper's multitenancy mode).
+        It keeps its own responder, pending chunks, ``dispatch_batches``
+        and ``energy_joules``; start every tenant before any issues."""
+        tenant = SimulatedSUT(self.device, workload, name=name)
+        tenant._host = self._host
+        return tenant
+
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         super().start_run(loop, responder)
-        self._rng = np.random.default_rng(self._seed)
-        self._queue = []
-        self._queued = 0
         self._pending_chunks = {}
-        self._idle_engines = self.device.engines
-        self._window_event = None
         self._efficiency = self.device.motif_efficiency(self.workload.motif)
         self.dispatch_batches = []
         self.energy_joules = 0.0
+        if self._host is self:  # the device state is the host's alone
+            self._rng = np.random.default_rng(self._seed)
+            self._queue = []
+            self._queued = 0
+            self._idle_engines = self.device.engines
+            self._window_event = None
 
     # -- query intake -----------------------------------------------------------
 
     def issue_query(self, query: Query) -> None:
+        host = self._host
         count = len(query.samples)
         loop = self._loop
         # loop.now, read in place as ServerDriver._issue reads it.
         now = loop.clock.now() if loop.realtime else loop.clock._now
-        queue = self._queue
+        queue = host._queue
         max_batch = self.device.max_batch
         variability = self.workload.variability
         if variability == 0.0 and count <= max_batch:
             # The common query, as chunk_costs would give it: one chunk.
-            queue.append((query, count, 1.0, now))
+            queue.append((self, query, count, 1.0, now))
             self._pending_chunks[query.id] = 1
         else:
-            chunks = chunk_costs(count, max_batch, variability, self._rng)
+            chunks = chunk_costs(count, max_batch, variability, host._rng)
             for samples, worst in chunks:
-                queue.append((query, samples, worst, now))
+                queue.append((self, query, samples, worst, now))
             self._pending_chunks[query.id] = len(chunks)
-        self._queued += count
-        self._try_dispatch()
+        host._queued += count
+        host._try_dispatch()
 
     def flush(self) -> None:
         """Dispatch whatever is queued without waiting for the window."""
-        self._cancel_window()
-        while self._queue and self._idle_engines > 0:
-            self._dispatch_now()
+        host = self._host
+        host._cancel_window()
+        while host._queue and host._idle_engines > 0:
+            host._dispatch_now()
 
     # -- batching ---------------------------------------------------------------
 
@@ -183,7 +205,7 @@ class SimulatedSUT(SutBase):
         while queue and self._idle_engines > 0:
             if window > 0.0 and self._queued < self.preferred_batch:
                 # FIFO, and the clock is monotone: the head is the oldest.
-                deadline = queue[0][3] + window
+                deadline = queue[0][4] + window
                 loop = self._loop  # loop.now, read in place
                 if (loop.clock.now() if loop.realtime
                         else loop.clock._now) < deadline:
@@ -212,8 +234,11 @@ class SimulatedSUT(SutBase):
             self._try_dispatch()
 
     def _dispatch_now(self) -> None:
-        """Serve the head of the queue: FIFO batch assembly up to
-        ``max_batch`` samples, one walk that also totals the batch.
+        """Serve the head of the queue: FIFO batch assembly of the head
+        owner's chunks up to ``max_batch`` samples, one walk that also
+        totals the batch.  The walk skips other owners' chunks (a batch
+        runs one model) and stops at the first own chunk that does not
+        fit; the head owner's model prices the dispatch.
 
         Arrival-order service: a live server cannot bucket by cost
         without delaying someone past the QoS bound, so mixed-cost
@@ -223,24 +248,34 @@ class SimulatedSUT(SutBase):
         homogeneous - the asymmetry behind the paper's 39-55% NMT
         server-throughput loss (Section VI-B).
         """
-        queue, device, workload = self._queue, self.device, self.workload
-        capacity, samples, worst, taken = device.max_batch, 0, 0.0, 0
+        queue, device = self._queue, self.device
+        owner = queue[0][0]
+        capacity, samples, worst = device.max_batch, 0, 0.0
+        taken = walked = 0
         for chunk in queue:
-            if chunk[1] > capacity:  # never the head: a chunk fits a batch
-                break
-            capacity -= chunk[1]
-            samples += chunk[1]
-            if chunk[2] > worst:
-                worst = chunk[2]
-            taken += 1
-        batch = queue[:taken]
-        del queue[:taken]
+            if chunk[0] is owner:
+                if chunk[2] > capacity:  # never the head: it fits a batch
+                    break
+                capacity -= chunk[2]
+                samples += chunk[2]
+                if chunk[3] > worst:
+                    worst = chunk[3]
+                taken += 1
+            walked += 1
+        if taken == walked:  # nothing skipped: the batch is a prefix
+            batch = queue[:taken]
+            del queue[:taken]
+        else:  # co-tenants' chunks stay queued, in arrival order
+            walk = queue[:walked]
+            batch = [chunk for chunk in walk if chunk[0] is owner]
+            queue[:walked] = [chunk for chunk in walk if chunk[0] is not owner]
         self._queued -= samples
         self._idle_engines -= 1
-        self.dispatch_batches.append(samples)
+        owner.dispatch_batches.append(samples)
         duration, joules = device.cost_at(
-            workload.gops_per_sample * worst, samples, self._efficiency)
-        self.energy_joules += joules
+            owner.workload.gops_per_sample * worst, samples,
+            owner._efficiency)
+        owner.energy_joules += joules
         loop = self._loop
         # loop.now, read in place: the instant schedule_after would add to.
         now = loop.clock.now() if loop.realtime else loop.clock._now
@@ -254,14 +289,15 @@ class SimulatedSUT(SutBase):
 
     def _finish(self, batch: List[_QueuedChunk]) -> None:
         self._idle_engines += 1
-        pending = self._pending_chunks
-        for query, _, _, _ in batch:
+        owner = batch[0][0]
+        pending = owner._pending_chunks
+        for _, query, _, _, _ in batch:
             left = pending[query.id] - 1
             if left:
                 pending[query.id] = left
             else:
                 del pending[query.id]
-                self.complete(query, list(map(new_response, zip(
+                owner.complete(query, list(map(new_response, zip(
                     map(sample_id_of, query.samples), repeat(None)))))
         if self._queue:
             self._try_dispatch()

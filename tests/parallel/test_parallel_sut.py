@@ -7,7 +7,13 @@ import pytest
 from repro.core.events import WallClock
 from repro.core.config import Scenario, TestMode, TestSettings
 from repro.core.loadgen import run_benchmark
-from repro.faults import FaultPlan, FaultType, ResilientSUT, RetryPolicy
+from repro.faults import (
+    FaultInjector,
+    FaultPlan,
+    FaultType,
+    ResilientSUT,
+    RetryPolicy,
+)
 from repro.metrics import MetricsRegistry
 from repro.parallel import BatchingPolicy, ParallelSUT
 
@@ -149,6 +155,38 @@ class TestCrashHandling:
         assert len(outputs_of(result)) == 32
         # Crashes really happened; the retries papered over them.
         assert inner.pool.stats.restarts > 0
+
+    def test_a_reused_sut_replays_its_crash_schedule(self):
+        """A second run of the same instance starts its crash schedule
+        over: its injector bookkeeping equals a fresh instance's."""
+        qsl = ArrayQSL(32)
+        settings = TestSettings(
+            scenario=Scenario.SINGLE_STREAM, mode=TestMode.ACCURACY,
+            min_duration=0.0, min_query_count=1)
+
+        def build():
+            injector = FaultInjector(
+                FaultPlan.single(FaultType.STALL, rate=0.5, seed=21))
+            return injector, ParallelSUT(
+                affine_factory, qsl, workers=3, seed=9,
+                policy=BatchingPolicy(max_batch_size=8, max_wait=0.001),
+                crash_plan=injector)
+
+        def run(injector, inner):
+            sut = ResilientSUT(
+                inner, RetryPolicy(max_attempts=8, backoff_base=0.001))
+            assert run_benchmark(sut, qsl, settings).valid
+            return list(injector.trace), dict(injector.injected)
+
+        fresh, reused = build(), build()
+        try:
+            expected = run(*fresh)
+            run(*reused)
+            assert run(*reused) == expected
+        finally:
+            fresh[1].close()
+            reused[1].close()
+        assert len(expected[0]) == 15
 
     def test_crashed_pool_recovers_for_the_next_run(self):
         qsl = ArrayQSL(8)

@@ -3,8 +3,7 @@
 The acceptance bar: a reordering transport must not change the verdict.
 The channel holds a query's completion until its on-wire chunks land and
 the client-side reassembler releases chunks in order, so the referee
-sees the same clean streams it would see in-process.  Turning
-reassembly off exposes the raw arrivals - and the referee flags them.
+sees the same clean streams it would see in-process.
 """
 
 import pytest
@@ -33,11 +32,10 @@ def settings(queries=60, **overrides):
     return TestSettings(**base)
 
 
-def channel_run(channel_model=None, reassemble=True, run_settings=None):
+def channel_run(channel_model=None, run_settings=None):
     sut = streaming_echo(latency=0.001, model=MODEL)
     if channel_model is not None:
-        sut = SimulatedChannelSUT(
-            sut, channel_model, reassemble_streams=reassemble)
+        sut = SimulatedChannelSUT(sut, channel_model)
     return sut, run_benchmark(
         sut, EchoQSL(),
         run_settings if run_settings is not None else settings())
@@ -64,16 +62,6 @@ def test_zero_effect_channel_is_bit_identical_to_direct():
     _, routed = channel_run(ChannelModel(latency=0.0, seed=3))
     assert run_fingerprint(direct) == run_fingerprint(routed)
     assert direct.summary() == routed.summary()
-
-
-def test_raw_reordered_arrivals_are_misbehavior():
-    channel, result = channel_run(
-        ChannelModel(latency=0.0, reorder_rate=0.5, seed=3),
-        reassemble=False)
-    assert not result.valid
-    assert any("stream chunk anomalies" in reason
-               for reason in result.validity.reasons), \
-        result.validity.reasons
 
 
 def test_dropped_chunks_truncate_streams_not_the_run():
