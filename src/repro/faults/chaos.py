@@ -29,7 +29,7 @@ stack on its valve (a partition wins over a stretch, the larger stretch
 wins over the smaller) and each recovery closes only its own window; a
 zone comes back when the last outage open on it closes.
 
-The orchestrator ticks every ``period`` seconds of run time and applies
+The orchestrator ticks every 25 ms of run time and applies
 whatever transitions are due, emitting one :class:`ChaosDecision` per
 tick (holds included) exactly like the autoscaler's
 :class:`~repro.fleet.autoscaler.ScalingDecision` trace - the
@@ -218,16 +218,16 @@ class ChaosOrchestrator(Ticker):
     ``restore_zone`` primitives.
     """
 
+    #: Seconds of run time between ticks.
+    period = 0.025
+
     def __init__(
         self,
         schedule: ChaosSchedule,
         *,
-        period: float = 0.025,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        check_range("period", period, POSITIVE)
         self.schedule = schedule
-        self.period = period
         #: replica index -> its :class:`DegradedSUT` valve (filled by
         #: the wrapped factory as the fleet builds replicas).
         self.degraded: Dict[int, DegradedSUT] = {}

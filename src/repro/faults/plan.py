@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..bounds import NON_NEGATIVE, POSITIVE, UNIT, check_range
+from ..bounds import POSITIVE, UNIT, check_range
 
 
 class FaultType(enum.Enum):
@@ -48,6 +48,9 @@ class FaultType(enum.Enum):
 #: unsolicited / malformed completions are filtered, not retried.)
 TRANSIENT_FAULTS = frozenset({FaultType.DROP, FaultType.DELAY})
 
+#: Gap between the twin completions of a DUPLICATE fault, seconds.
+DUPLICATE_LAG = 0.001
+
 #: Stable iteration order for the cumulative-probability draw.
 _FAULT_ORDER: Tuple[FaultType, ...] = tuple(FaultType)
 
@@ -64,8 +67,6 @@ class FaultPlan:
     rates: Mapping[FaultType, float] = field(default_factory=dict)
     #: Mean extra latency of a DELAY spike, seconds (exponential).
     delay_scale: float = 0.050
-    #: Gap between the twin completions of a DUPLICATE fault, seconds.
-    duplicate_lag: float = 0.001
     seed: int = 0xFA017
 
     def __post_init__(self) -> None:
@@ -80,7 +81,6 @@ class FaultPlan:
                 "injected per query, so they must sum to <= 1"
             )
         check_range("delay_scale", self.delay_scale, POSITIVE)
-        check_range("duplicate_lag", self.duplicate_lag, NON_NEGATIVE)
 
     @classmethod
     def single(cls, fault: FaultType, rate: float, **kwargs) -> "FaultPlan":

@@ -37,6 +37,9 @@ from .filtering import Attempt, AttemptSUT
 #: streams.
 _JITTER_TAG = 0xBAC0FF
 
+#: Each retry's backoff ceiling is this multiple of the one before.
+_BACKOFF_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -47,9 +50,8 @@ class RetryPolicy:
     #: Per-attempt deadline, seconds: how long to wait for the inner SUT
     #: before declaring the attempt lost.
     attempt_timeout: float = 0.050
-    #: Backoff before attempt ``n`` retries: ``base * factor**(n-1)``.
+    #: Backoff before attempt ``n`` retries: ``base * 2**(n-1)``.
     backoff_base: float = 0.002
-    backoff_factor: float = 2.0
     #: ``"full"`` draws the actual delay uniformly from ``[0, backoff)``
     #: per (seed, query, attempt) - concurrent retriers decorrelate
     #: instead of stampeding a recovering backend in lockstep.
@@ -66,7 +68,6 @@ class RetryPolicy:
         check_range("max_attempts", self.max_attempts, AT_LEAST_ONE)
         check_range("attempt_timeout", self.attempt_timeout, POSITIVE)
         check_range("backoff_base", self.backoff_base, NON_NEGATIVE)
-        check_range("backoff_factor", self.backoff_factor, AT_LEAST_ONE)
         if self.jitter not in ("full", "none"):
             raise ValueError(
                 f"jitter must be 'full' or 'none', got {self.jitter!r}"
@@ -83,7 +84,7 @@ class RetryPolicy:
         """Backoff ceiling before re-issuing after losing ``attempt``
         (0-based).  With full jitter the actual delay is drawn uniformly
         below this ceiling (:meth:`jittered_backoff`)."""
-        return self.backoff_base * (self.backoff_factor ** attempt)
+        return self.backoff_base * (_BACKOFF_FACTOR ** attempt)
 
     def jittered_backoff(self, attempt: int, seed: int, query_id: int) -> float:
         """The delay actually slept: full jitter over :meth:`backoff`.

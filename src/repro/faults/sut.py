@@ -29,7 +29,8 @@ from ..core.query import (Query, QueryFailure, QuerySample,
 from ..core.sut import Responder, SutBase, SystemUnderTest
 from ..core.events import EventLoop
 from ..metrics import MetricsRegistry
-from .plan import FaultDecision, FaultInjector, FaultPlan, FaultType
+from .plan import (DUPLICATE_LAG, FaultDecision, FaultInjector, FaultPlan,
+                   FaultType)
 
 #: Offset added to sample ids by the CORRUPT fault, large enough to
 #: never collide with real ids issued by the QueryFactory.
@@ -129,7 +130,7 @@ class FaultySUT(SutBase):
             self.complete(query, responses)
             twin = list(responses)
             self.loop.schedule_after(
-                self.injector.plan.duplicate_lag,
+                DUPLICATE_LAG,
                 lambda: self.complete(query, twin),
             )
             return

@@ -7,8 +7,8 @@ or any windowed live ``server_*``/``parallel_*``/``prefix_cache_*``
 metric series via :class:`~repro.fleet.signals.SeriesSignal`) and
 applies classic watermark hysteresis:
 
-* signal ≥ ``high_watermark`` → grow by ``step`` replicas;
-* signal ≤ ``low_watermark`` → shrink by ``step`` (drain, never drop);
+* signal ≥ ``high_watermark`` → grow by one replica;
+* signal ≤ ``low_watermark`` → shrink by one (drain, never drop);
 * in between, or within ``cooldown`` of the last action, hold.
 
 The gap between the watermarks plus the cooldown is what prevents
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional
 
-from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, check_range
+from ..bounds import NON_NEGATIVE, POSITIVE, check_range
 from ..core.events import EventLoop
 from ..core.loadgen import Ticker
 from ..metrics import MetricsRegistry
@@ -51,8 +51,6 @@ class AutoscalerPolicy:
     low_watermark: float = 1.0
     #: Minimum run-time between two scaling *actions* (holds are free).
     cooldown: float = 0.200
-    #: Replicas added or drained per action.
-    step: int = 1
 
     def __post_init__(self) -> None:
         check_range("period", self.period, POSITIVE)
@@ -62,7 +60,6 @@ class AutoscalerPolicy:
                 "high_watermark must exceed low_watermark, got "
                 f"{self.high_watermark} <= {self.low_watermark}")
         check_range("cooldown", self.cooldown, NON_NEGATIVE)
-        check_range("step", self.step, AT_LEAST_ONE)
 
 
 class ScalingDecision(NamedTuple):
@@ -132,18 +129,6 @@ class Autoscaler(Ticker):
 
     # -- decisions --------------------------------------------------------------
 
-    def signal(self) -> float:
-        """The classic in-process backlog read: mean outstanding queries
-        per available replica (the ``max(1, ...)`` clamp keeps an
-        all-down fleet's backlog finite so scale-up can trigger).
-
-        Kept as a plain property-style read for tests and callers that
-        want the instantaneous backlog regardless of which
-        :attr:`signal_source` drives the scaling loop.
-        """
-        available = len(self.replica_set.available_replicas)
-        return self.replica_set.total_outstanding / max(1, available)
-
     def _tick(self) -> None:
         loop = self.loop
         now = loop.now
@@ -151,18 +136,12 @@ class Autoscaler(Ticker):
         before = len(self.replica_set.available_replicas)
         action = "hold"
         if now - self._last_action_time >= self.policy.cooldown:
-            # A list, not any(generator): short-circuiting would stop a
-            # multi-replica step after its first success.
             if signal >= self.policy.high_watermark:
-                grown = [self.replica_set.scale_up()
-                         for _ in range(self.policy.step)]
-                if any(grown):
+                if self.replica_set.scale_up():
                     action = "up"
                     self._last_action_time = now
             elif signal <= self.policy.low_watermark:
-                shrunk = [self.replica_set.scale_down()
-                          for _ in range(self.policy.step)]
-                if any(shrunk):
+                if self.replica_set.scale_down():
                     action = "down"
                     self._last_action_time = now
         after = len(self.replica_set.available_replicas)

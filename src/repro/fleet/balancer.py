@@ -337,14 +337,11 @@ class ZoneLocalPolicy(BalancerPolicy):
 
     Models a topology where the caller is co-located with one fault
     domain (no cross-zone hop): local replicas rank first
-    (least-outstanding), remote zones follow interleaved.  With no
-    configured ``local_zone`` the first zone (sorted) is local.
+    (least-outstanding), remote zones follow interleaved.  The local
+    zone is the first zone present, in sorted order.
     """
 
     name = "zone-local"
-
-    def __init__(self, local_zone: Optional[str] = None) -> None:
-        self.local_zone = local_zone
 
     def rank_for(self, query, candidates: Sequence[Replica]) -> List[Replica]:
         if not candidates:
@@ -353,8 +350,7 @@ class ZoneLocalPolicy(BalancerPolicy):
             zones = sorted(set(map(_ZONE, candidates)))
         except AttributeError:  # a zone-less double among them
             zones = sorted(set(map(_zone_of, candidates)))
-        local = self.local_zone if self.local_zone in zones else zones[0]
-        zones.remove(local)
+        local = zones.pop(0)
         return (_interleave_zones(candidates, (local,))
                 + _interleave_zones(candidates, zones))
 

@@ -17,9 +17,9 @@ The state machine per replica (drawn in ``docs/chaos.md``)::
     probation (seeded probe queries) --all pass--> readmitted UP
                                      --any fail--> re-ejected (quarantine)
 
-* **Eject** - a replica whose window p99 exceeds ``latency_multiplier``
-  times the fleet median (or whose windowed failure rate exceeds
-  ``failure_rate_threshold``), with at least ``min_observations`` of
+* **Eject** - a replica whose window p99 exceeds 3x the fleet median
+  (or more than half of whose attempts over the last 8 ticks failed),
+  with at least ``min_observations`` of
   evidence, is handed to
   :meth:`~repro.fleet.replicaset.ReplicaSet.eject_replica`: its
   in-flight queries are rescued onto survivors (session prefixes warmed
@@ -30,7 +30,7 @@ The state machine per replica (drawn in ``docs/chaos.md``)::
   majority to prefer, and ejecting the whole fleet would be worse than
   the gray failure.
 * **Probe** - after ``ejection_duration`` of quarantine the detector
-  issues ``probe_count`` seeded probe queries straight to the ejected
+  issues 3 seeded probe queries straight to the ejected
   replica (:meth:`~repro.fleet.replicaset.ReplicaSet.probe_replica`,
   bypassing balancer, breakers, and referee).  All must answer cleanly
   within ``probe_timeout``.
@@ -58,8 +58,7 @@ from typing import (Callable, Deque, Dict, List, NamedTuple, Optional, Set,
 
 import numpy as np
 
-from ..bounds import (ABOVE_ONE, AT_LEAST_ONE, FRACTION, NON_NEGATIVE,
-                      POSITIVE, UNIT, check_range)
+from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, UNIT, check_range
 from ..core.events import EventHandle, EventLoop
 from ..core.loadgen import Ticker
 from ..core.query import Query, QueryFailure, QuerySample
@@ -77,6 +76,15 @@ _PROBE_TAG = 0xE7EC7
 #: LoadGen or the injector fabricates.
 _PROBE_ID_BASE = 3_000_000_000
 
+#: Eject when window p99 exceeds this multiple of the fleet median.
+_LATENCY_MULTIPLIER = 3.0
+#: Eject when the windowed failure rate exceeds this share.
+_FAILURE_RATE_THRESHOLD = 0.5
+#: Scoring ticks the failure-rate window spans.
+_FAILURE_WINDOW_TICKS = 8
+#: Probe queries per probation round; all must pass to readmit.
+_PROBE_COUNT = 3
+
 
 @dataclass(frozen=True)
 class OutlierPolicy:
@@ -84,35 +92,21 @@ class OutlierPolicy:
 
     #: Seconds of run time between scoring ticks.
     period: float = 0.020
-    #: Eject when window p99 exceeds this multiple of the fleet median.
-    latency_multiplier: float = 3.0
-    #: Eject when the windowed failure rate exceeds this share.
-    failure_rate_threshold: float = 0.5
     #: Minimum evidence (latency samples / windowed attempts) before a
     #: replica can be judged at all - cold replicas are never ejected.
     min_observations: int = 16
-    #: Scoring ticks the failure-rate window spans.
-    failure_window_ticks: int = 8
     #: Hard cap: quarantined share of the administratively-alive fleet.
     max_ejection_fraction: float = 0.34
     #: Quarantine time before probation probes are attempted.
     ejection_duration: float = 0.200
-    #: Probe queries per probation round; all must pass to readmit.
-    probe_count: int = 3
     #: Deadline for the whole probation round's probes to answer.
     probe_timeout: float = 0.050
 
     def __post_init__(self) -> None:
         check_range("period", self.period, POSITIVE)
-        check_range("latency_multiplier", self.latency_multiplier, ABOVE_ONE)
-        check_range("failure_rate_threshold",
-                    self.failure_rate_threshold, FRACTION)
         check_range("min_observations", self.min_observations, AT_LEAST_ONE)
-        check_range("failure_window_ticks",
-                    self.failure_window_ticks, AT_LEAST_ONE)
         check_range("max_ejection_fraction", self.max_ejection_fraction, UNIT)
         check_range("ejection_duration", self.ejection_duration, NON_NEGATIVE)
-        check_range("probe_count", self.probe_count, AT_LEAST_ONE)
         check_range("probe_timeout", self.probe_timeout, POSITIVE)
 
 
@@ -274,13 +268,13 @@ class OutlierDetector(Ticker):
             if median > 0:
                 for r in judged:
                     ratio = p99s[r.index] / median
-                    if ratio > self.policy.latency_multiplier:
+                    if ratio > _LATENCY_MULTIPLIER:
                         flagged.append((ratio, r.index))
         for r in serving:
             attempts, failures = self._windowed_failures(r)
             if attempts >= self.policy.min_observations:
                 rate = failures / attempts
-                if (rate > self.policy.failure_rate_threshold
+                if (rate > _FAILURE_RATE_THRESHOLD
                         and all(index != r.index for _, index in flagged)):
                     flagged.append((rate, r.index))
         # Worst outlier first; index breaks ties deterministically.
@@ -297,7 +291,7 @@ class OutlierDetector(Ticker):
         self._counters_seen[replica.index] = (attempts_now, failed_now)
         window = self._fail_window.setdefault(
             replica.index,
-            deque(maxlen=self.policy.failure_window_ticks))
+            deque(maxlen=_FAILURE_WINDOW_TICKS))
         window.append(
             (attempts_now - seen_attempts, failed_now - seen_failed))
         attempts = failures = 0
@@ -331,7 +325,7 @@ class OutlierDetector(Ticker):
     def _begin_probation(self, index: int, now: float) -> None:
         probation = _Probation(started=now)
         self._probing[index] = probation
-        for _ in range(self.policy.probe_count):
+        for _ in range(_PROBE_COUNT):
             probe_id = next(self._probe_ids)
             sample_index = int(self._rng.integers(0, 1 << 20))
             query = Query(
@@ -348,7 +342,7 @@ class OutlierDetector(Ticker):
             self.policy.probe_timeout,
             lambda: self._probation_expired(index))
         self.trace.append(EjectionEvent(
-            now, index, "probe", float(self.policy.probe_count)))
+            now, index, "probe", float(_PROBE_COUNT)))
 
     def _on_probe(self, query: Query, responses) -> None:
         index = self._probe_owner.pop(query.id, None)

@@ -34,9 +34,8 @@ each factory index to a zone label, :meth:`ReplicaSet.kill_zone` /
 :meth:`ReplicaSet.restore_zone` fail and recover a whole domain at
 once (every target is marked dead *before* any rescue dispatch, so a
 rescued query cannot land on a replica about to die in the same
-outage), and ``min_per_zone`` keeps the autoscaler's scale-down from
-hollowing out a domain.  See ``docs/chaos.md`` for the correlated-
-failure vocabulary built on these primitives.
+outage).  See ``docs/chaos.md`` for the correlated-failure vocabulary
+built on these primitives.
 
 The set also exposes the grow/shrink primitives the
 :class:`~repro.fleet.autoscaler.Autoscaler` drives: ``scale_up`` revives
@@ -197,10 +196,8 @@ class ReplicaSet(AttemptSUT):
         breaker_policy: Optional[BreakerPolicy] = None,
         attempt_timeout: float = 0.100,
         max_reroutes: int = 2,
-        min_replicas: int = 1,
         max_replicas: int = 8,
         zones: Union[int, Sequence[str], Callable[[int], str]] = 1,
-        min_per_zone: int = 0,
         latency_window: int = DEFAULT_LATENCY_WINDOW,
         seed: int = 0,
         name: Optional[str] = None,
@@ -209,24 +206,19 @@ class ReplicaSet(AttemptSUT):
             Callable[[int, SystemUnderTest], SystemUnderTest]] = None,
     ) -> None:
         super().__init__(name or f"fleet[{initial_replicas}]")
-        check_range("min_replicas", min_replicas, AT_LEAST_ONE)
-        if not min_replicas <= initial_replicas <= max_replicas:
+        if not 1 <= initial_replicas <= max_replicas:
             raise ValueError(
-                "initial_replicas must lie in [min_replicas, max_replicas]"
-                f", got {initial_replicas} outside "
-                f"[{min_replicas}, {max_replicas}]")
+                "initial_replicas must lie in [1, max_replicas], got "
+                f"{initial_replicas} outside [1, {max_replicas}]")
         check_range("attempt_timeout", attempt_timeout, POSITIVE)
         check_range("max_reroutes", max_reroutes, NON_NEGATIVE)
-        check_range("min_per_zone", min_per_zone, NON_NEGATIVE)
         self._zone_fn = self._resolve_zones(zones)
-        self.min_per_zone = min_per_zone
         self.replica_factory = replica_factory
         self.initial_replicas = initial_replicas
         self.policy: BalancerPolicy = make_policy(policy)
         self.breaker_policy = breaker_policy
         self.attempt_timeout = attempt_timeout
         self.max_reroutes = max_reroutes
-        self.min_replicas = min_replicas
         self.max_replicas = max_replicas
         self.latency_window = latency_window
         self.seed = seed
@@ -646,26 +638,18 @@ class ReplicaSet(AttemptSUT):
         return True
 
     def scale_down(self) -> bool:
-        """Drain the highest-indexed drainable UP replica; False at the
-        floor.
+        """Drain the highest-indexed UP replica; False at the last one.
 
         The replica stops receiving new traffic at once; it parks DOWN
-        when its last in-flight query resolves.  A replica whose zone
-        would drop below ``min_per_zone`` available replicas is not
-        drainable - the autoscaler can never hollow out a fault domain
-        past the configured survivable minimum.
+        when its last in-flight query resolves.
         """
         available = self.available_replicas
-        if len(available) <= self.min_replicas:
+        if len(available) <= 1:
             return False
-        zone_avail = Counter(r.zone for r in available)
-        for victim in reversed(available):
-            if zone_avail[victim.zone] - 1 < self.min_per_zone:
-                continue
-            victim.health = ReplicaHealth.DRAINING
-            self._maybe_drained(victim)
-            return True
-        return False
+        victim = available[-1]
+        victim.health = ReplicaHealth.DRAINING
+        self._maybe_drained(victim)
+        return True
 
     def _maybe_drained(self, replica: Replica) -> None:
         if (replica.health is ReplicaHealth.DRAINING

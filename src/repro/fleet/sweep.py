@@ -9,16 +9,18 @@ rather than guessing, running one full (virtual-clock, deterministic)
 Server run per probe and judging each probe with the referee's own
 validity rules.
 
-Two search modes:
+Both search modes are :func:`repro.core.search.max_valid` on a linear
+axis with step ``resolution``:
 
-* ``"binary"`` - :func:`repro.core.search.max_valid` over the bracket
-  ``[qps_low, qps_high]`` on a linear axis, down to ``resolution``.
-  Sound whenever validity is monotone in the arrival rate (true for
-  capacity-limited SUTs; the benchmark study checks the found rate
-  against a dense step scan).
-* ``"step"`` - walk upward in ``resolution`` increments until the first
-  invalid run; exact by construction, linear in the range, and the
-  reference the binary mode is tested against.
+* ``"binary"`` - bisect the bracket ``[qps_low, qps_high]`` down to
+  ``resolution``.  Sound whenever validity is monotone in the arrival
+  rate (true for capacity-limited SUTs; the benchmark study checks the
+  found rate against a dense step scan).
+* ``"step"`` - walk upward from ``qps_low`` in ``resolution``
+  increments until the first invalid run, never past ``qps_high``
+  (probed itself when the last step would jump over it); exact by
+  construction, linear in the range, and the reference the binary mode
+  is tested against.
 
 The result is a :class:`SweepResult` whose :meth:`~SweepResult.report`
 is a ``BENCH_fleet.json``-style capacity document (the ``repro sweep``
@@ -94,8 +96,9 @@ class SweepResult:
     """Outcome of one capacity search."""
 
     config: SweepConfig
-    #: The SLO the probes were judged against, seconds.
-    latency_bound: float
+    #: The SLO the probes were judged against, seconds; ``None`` for a
+    #: session sweep without one.
+    latency_bound: Optional[float]
     #: Allowed fraction of queries over the bound.
     max_violation_fraction: float
     #: Every probe, in execution order.
@@ -138,9 +141,10 @@ class SweepResult:
     def summary(self) -> str:
         found = ("below the bracket" if self.max_qps is None
                  else f"{self.max_qps:.3g} qps")
+        bound = ("no latency bound" if self.latency_bound is None
+                 else f"bound {self.latency_bound * 1e3:g} ms")
         return (f"max SLO-compliant rate: {found} "
-                f"({len(self.probes)} probe runs, "
-                f"bound {self.latency_bound * 1e3:g} ms)")
+                f"({len(self.probes)} probe runs, {bound})")
 
 
 class SweepHarness:
@@ -195,40 +199,26 @@ class SweepHarness:
             # A session sweep may carry no latency bound at all - the
             # referee then judges on session validity (stalls, aborts,
             # completion minimums) alone.
-            bound = float("nan")
+            bound = None
         result = SweepResult(
             config=self.config,
             latency_bound=bound,
             max_violation_fraction=(
                 self.settings.resolved_max_violation_fraction),
         )
-        if self.config.mode == "binary":
-            self._binary(result)
-        else:
-            self._step(result)
-        return result
 
-    def _probe_into(self, result: SweepResult, qps: float) -> SweepProbe:
-        probe = self.probe(qps)
-        result.probes.append(probe)
-        return probe
+        def probe(qps: float) -> bool:
+            outcome = self.probe(qps)
+            result.probes.append(outcome)
+            return outcome.valid
 
-    def _binary(self, result: SweepResult) -> None:
         cfg = self.config
+        # Binary mode brackets with qps_high at once; step mode grows
+        # one resolution at a time up to it.
+        binary = cfg.mode == "binary"
         result.max_qps = max_valid(
-            lambda qps: self._probe_into(result, qps).valid,
-            cfg.qps_low, linear(cfg.resolution), hi=cfg.qps_high,
+            probe, cfg.qps_low, linear(cfg.resolution),
+            hi=cfg.qps_high if binary else None,
+            ceiling=None if binary else cfg.qps_high,
             max_probes=cfg.max_probes).value
-
-    def _step(self, result: SweepResult) -> None:
-        cfg = self.config
-        best: Optional[float] = None
-        qps = cfg.qps_low
-        # The epsilon admits qps_high itself despite float step error.
-        while (qps <= cfg.qps_high + 1e-9 * cfg.qps_high
-               and len(result.probes) < cfg.max_probes):
-            if not self._probe_into(result, qps).valid:
-                break
-            best = qps
-            qps += cfg.resolution
-        result.max_qps = best
+        return result

@@ -17,6 +17,7 @@ from ..core.config import Scenario, Task
 from ..sut.device import ProcessorType
 from ..sut.fleet import FleetSystem, build_fleet, task_workload
 from ..sut.simulated import SimulatedSUT
+from .netbench import SyntheticQSL
 from .tuning import (
     QUICK_SCALE,
     RunScale,
@@ -29,23 +30,6 @@ from .tuning import (
 #: Even lighter probes for the 166-submission sweep.
 FLEET_SCALE = RunScale(query_count_factor=1.0 / 256.0, min_duration=2.0,
                        server_runs=1)
-
-
-class _NullQSL:
-    """Sample data is irrelevant for simulated-SUT performance runs."""
-
-    name = "fleet-null"
-    total_sample_count = 8192
-    performance_sample_count = 1024
-
-    def load_samples(self, indices) -> None:
-        pass
-
-    def unload_samples(self, indices) -> None:
-        pass
-
-    def get_sample(self, index: int) -> object:
-        return None
 
 
 @dataclass(frozen=True)
@@ -79,7 +63,8 @@ def run_submission(
 ) -> Optional[SubmissionRecord]:
     """Run one planned submission; ``None`` if the system cannot qualify."""
     workload = task_workload(task)
-    qsl = _NullQSL()
+    # Sample data is irrelevant to a simulated device's timing.
+    qsl = SyntheticQSL()
 
     def make_sut() -> SimulatedSUT:
         return SimulatedSUT(

@@ -27,14 +27,15 @@ from typing import Dict, List, Sequence, Tuple
 
 from .primitives import Counter, Gauge, Histogram
 from .registry import MetricsRegistry, series_key
+from .snapshot import DEFAULT_QUANTILES
 
 __all__ = ["to_prometheus_text", "to_json", "render_table",
            "render_histogram"]
 
 #: Bar alphabet for the terminal histogram sketch, thin to full.
 _BARS = " .:-=+*#%@"
-#: The quantiles a histogram reports: p50, p90, p99, p99.9.
-_QUANTILES = (0.50, 0.90, 0.99, 0.999)
+#: The quantiles a histogram reports, the ones every snapshot captures.
+_SUFFIXES, _QS = zip(*DEFAULT_QUANTILES)
 
 
 def _fmt(value: float) -> str:
@@ -100,7 +101,6 @@ def to_json(registry: MetricsRegistry, indent: int = 1) -> str:
         }
         for labels, child in family.series():
             if isinstance(child, Histogram):
-                p50, p90, p99, p999 = child.percentiles(_QUANTILES)
                 series: Dict[str, object] = {
                     "labels": labels,
                     "count": child.count,
@@ -108,8 +108,8 @@ def to_json(registry: MetricsRegistry, indent: int = 1) -> str:
                     "min": child.min,
                     "max": child.max,
                     "mean": child.mean,
-                    "quantiles": {
-                        "p50": p50, "p90": p90, "p99": p99, "p999": p999},
+                    "quantiles": dict(
+                        zip(_SUFFIXES, child.percentiles(_QS))),
                     "buckets": [
                         # ``le`` is a string so the overflow bucket's
                         # "+Inf" edge stays valid JSON.
@@ -126,7 +126,7 @@ def to_json(registry: MetricsRegistry, indent: int = 1) -> str:
 
 def render_histogram(name: str, hist: Histogram, width: int = 40) -> str:
     """One histogram as summary stats plus an ASCII distribution sketch."""
-    p50, p90, p99, p999 = hist.percentiles(_QUANTILES)
+    p50, p90, p99, p999 = hist.percentiles(_QS)
     lines = [
         f"{name}",
         f"  count={hist.count} mean={hist.mean:.6g} "

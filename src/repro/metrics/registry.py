@@ -254,14 +254,8 @@ class MetricsRegistry:
     series into each other.
     """
 
-    def __init__(self, namespace: str = "") -> None:
-        if namespace and not _NAME_RE.match(namespace):
-            raise ValueError(f"invalid namespace {namespace!r}")
-        self.namespace = namespace
+    def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
-
-    def _full_name(self, name: str) -> str:
-        return f"{self.namespace}_{name}" if self.namespace else name
 
     def _register(self, family: MetricFamily) -> MetricFamily:
         existing = self._families.get(family.name)
@@ -300,7 +294,7 @@ class MetricsRegistry:
         keeps - and writes are rejected.
         """
         return self._scalar(
-            CounterFamily(self._full_name(name), help, labels, fn=fn))
+            CounterFamily(name, help, labels, fn=fn))
 
     def gauge(self, name: str, help: str = "",
               labels: Sequence[str] = (),
@@ -311,7 +305,7 @@ class MetricsRegistry:
         from ``fn()`` at collection time and writes are rejected.
         """
         return self._scalar(
-            GaugeFamily(self._full_name(name), help, labels, fn=fn))
+            GaugeFamily(name, help, labels, fn=fn))
 
     def histogram(self, name: str, help: str = "",
                   labels: Sequence[str] = (),
@@ -320,7 +314,7 @@ class MetricsRegistry:
                   buckets: int = DEFAULT_BUCKETS) -> HistogramFamily:
         """Register (or fetch) a histogram family."""
         family = self._register(HistogramFamily(
-            self._full_name(name), help, labels,
+            name, help, labels,
             base=base, growth=growth, buckets=buckets))
         assert isinstance(family, HistogramFamily)
         return family
@@ -333,5 +327,5 @@ class MetricsRegistry:
         return name in self._families
 
     def get(self, name: str) -> Optional[MetricFamily]:
-        """Fetch a family by (full) name, or ``None``."""
+        """Fetch a family by name, or ``None``."""
         return self._families.get(name)

@@ -3,10 +3,10 @@
 A :class:`Snapshot` flattens a :class:`~repro.metrics.registry.
 MetricsRegistry` into ``{series key: float}`` at one instant: counters
 and gauges verbatim, histograms as ``_count`` / ``_sum`` plus one entry
-per requested quantile (``..._p50``, ``..._p99``).  Flat floats are
-deliberate - snapshots are what the Chrome-trace counter track, the
-JSON export, and the determinism tests consume, and all three want
-plain comparable numbers.
+per quantile of :data:`DEFAULT_QUANTILES` (``..._p50``, ``..._p99``).
+Flat floats are deliberate - snapshots are what the Chrome-trace
+counter track, the JSON export, and the determinism tests consume, and
+all three want plain comparable numbers.
 
 The :class:`SnapshotSampler` drives capture off the run's own
 :class:`~repro.core.events.EventLoop`, so the *same* code samples a
@@ -21,7 +21,7 @@ series.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bounds import POSITIVE, check_range
 from .registry import MetricsRegistry
@@ -37,6 +37,7 @@ __all__ = ["Snapshot", "SnapshotSampler", "capture"]
 DEFAULT_QUANTILES: Tuple[Tuple[str, float], ...] = (
     ("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p999", 0.999),
 )
+_SUFFIXES, _QS = zip(*DEFAULT_QUANTILES)
 
 
 @dataclass(frozen=True)
@@ -53,11 +54,7 @@ class Snapshot:
         return self.values.get(key, default)
 
 
-def capture(
-    registry: MetricsRegistry,
-    time: float,
-    quantiles: Sequence[Tuple[str, float]] = DEFAULT_QUANTILES,
-) -> Snapshot:
+def capture(registry: MetricsRegistry, time: float) -> Snapshot:
     """Flatten ``registry`` into a :class:`Snapshot` stamped ``time``.
 
     Walks each family's ``(series key, child)`` pairs - keys were built
@@ -65,14 +62,12 @@ def capture(
     kind of series it holds.
     """
     values: Dict[str, float] = {}
-    suffixes = [suffix for suffix, _ in quantiles]
-    qs = [q for _, q in quantiles]
     for family in registry.collect():
         if family.kind == "histogram":
             for key, child in family.keyed:
                 values[f"{key}_count"] = float(child.count)
                 values[f"{key}_sum"] = child.sum
-                for suffix, estimate in zip(suffixes, child.percentiles(qs)):
+                for suffix, estimate in zip(_SUFFIXES, child.percentiles(_QS)):
                     values[f"{key}_{suffix}"] = estimate
         else:  # counters and gauges
             for key, child in family.keyed:
@@ -95,13 +90,11 @@ class SnapshotSampler:
         self,
         registry: MetricsRegistry,
         period: float,
-        quantiles: Sequence[Tuple[str, float]] = DEFAULT_QUANTILES,
     ) -> None:
         check_range("period", period, POSITIVE)
         self.registry = registry
         self.loop = None  # set by start()
         self.period = period
-        self.quantiles = tuple(quantiles)
         self.snapshots: List[Snapshot] = []
         self._handle = None  # the pending tick's cancellable handle
         self._keep_going: Optional[Callable[[], bool]] = None
@@ -133,7 +126,7 @@ class SnapshotSampler:
     # -- internals -------------------------------------------------------------
 
     def _capture(self) -> Snapshot:
-        snap = capture(self.registry, self.loop.now, self.quantiles)
+        snap = capture(self.registry, self.loop.now)
         self.snapshots.append(snap)
         return snap
 

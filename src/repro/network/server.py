@@ -55,7 +55,7 @@ from ..core.query import (
     Query, QueryFailure, QuerySample, QuerySampleResponse, StreamChunk,
     new_response,
 )
-from ..core.sut import QuerySampleLibrary, SystemUnderTest
+from ..core.sut import SystemUnderTest
 from ..metrics import MetricsRegistry, export_ledger, exported
 from . import protocol
 from .protocol import FrameReader, FrameType, ProtocolError
@@ -366,19 +366,17 @@ class InferenceServer:
 
     ``backend`` is either a ready :class:`SystemUnderTest` (served by a
     single serialized runner) or a zero-argument factory producing one
-    instance per worker thread.  ``qsl`` (optional) answers LOAD frames;
-    backends normally hold their own sample source and fetch by index.
+    instance per worker thread.  A LOAD frame is counted and answered;
+    backends hold their own sample source and fetch by index.
     """
 
     def __init__(
         self,
         backend: Union[SystemUnderTest, Callable[[], SystemUnderTest]],
         config: Optional[ServerConfig] = None,
-        qsl: Optional[QuerySampleLibrary] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.config = config if config is not None else ServerConfig()
-        self.qsl = qsl
         self.stats = ServerStats()
         self._stats_lock = threading.Lock()
         # A class or other callable is a factory (note a SUT *class*
@@ -645,8 +643,6 @@ class InferenceServer:
             self._handle_issue(session, payload)
         elif ftype is FrameType.LOAD:
             indices = protocol.parse_load(payload)
-            if self.qsl is not None:
-                self.qsl.load_samples(indices)
             with self._stats_lock:
                 self.stats.loads += 1
             session.send(protocol.stats_frame({"loaded": len(indices)}))

@@ -5,18 +5,14 @@ so experiments on network sensitivity (how does P99 latency degrade as
 the wire slows down?) would be stuck with slow, noisy wall-clock runs.
 :class:`SimulatedChannelSUT` closes that gap: it wraps any in-process
 SUT and imposes a parameterised channel - propagation latency, jitter,
-a bandwidth cap with queueing, loss, reordering - entirely in virtual
-time, seeded and reproducible.
+loss, reordering - entirely in virtual time, seeded and reproducible.
 
 Fidelity points:
 
-* **Real frame sizes.**  Delays are computed from the byte length of the
-  *actual* wire encoding (:func:`repro.network.protocol.issue_frame` /
-  ``complete_frame``), not a guess, so bandwidth effects match what the
-  TCP path would serialize.
-* **Bandwidth as queueing.**  Each direction is a link that serializes
-  one frame at a time at ``bandwidth`` bytes/second; a burst of queries
-  queues behind itself exactly like a saturated NIC.
+* **Real frame sizes.**  The bytes each direction carries are the byte
+  length of the *actual* wire encoding
+  (:func:`repro.network.protocol.issue_frame` / ``complete_frame``),
+  not a guess, so the byte counts match what the TCP path would send.
 * **Loss is silent.**  A dropped query or completion simply never
   arrives - recovery is the job of whatever sits above (compose with
   :class:`~repro.faults.resilient.ResilientSUT`, whose deadlines run on
@@ -38,13 +34,16 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ..bounds import NON_NEGATIVE, POSITIVE, UNIT, check_range
+from ..bounds import NON_NEGATIVE, UNIT, check_range
 from ..core.events import EventLoop
 from ..core.query import Query, QueryFailure, StreamChunk
 from ..core.sut import Responder, SutBase, SystemUnderTest
 from ..core.trace import TransportTiming
 from ..streaming.reassembly import StreamReassembler
 from . import protocol
+
+#: Seconds a reordered frame is held back at most.
+REORDER_SPREAD = 0.002
 
 
 @dataclass(frozen=True)
@@ -55,25 +54,19 @@ class ChannelModel:
     latency: float = 0.001
     #: Mean of an exponential jitter term added per frame (0 = none).
     jitter: float = 0.0
-    #: Link rate in bytes/second; ``None`` = infinite (no serialization
-    #: delay, no queueing).
-    bandwidth: Optional[float] = None
     #: Probability a frame (either direction) silently vanishes.
     drop_rate: float = 0.0
-    #: Probability a frame is held back an extra uniform(0, reorder_spread)
-    #: seconds, letting later frames overtake it.
+    #: Probability a frame is held back an extra
+    #: uniform(0, :data:`REORDER_SPREAD`) seconds, letting later frames
+    #: overtake it.
     reorder_rate: float = 0.0
-    reorder_spread: float = 0.002
     seed: int = 0
 
     def __post_init__(self) -> None:
         check_range("latency", self.latency, NON_NEGATIVE)
         check_range("jitter", self.jitter, NON_NEGATIVE)
-        if self.bandwidth is not None:
-            check_range("bandwidth", self.bandwidth, POSITIVE)
         check_range("drop_rate", self.drop_rate, UNIT)
         check_range("reorder_rate", self.reorder_rate, UNIT)
-        check_range("reorder_spread", self.reorder_spread, NON_NEGATIVE)
 
 
 @dataclass
@@ -102,25 +95,6 @@ class ChannelStats:
         )
 
 
-class _Link:
-    """One direction of the channel: a serializing queue plus the wire."""
-
-    def __init__(self, model: ChannelModel) -> None:
-        self.model = model
-        self._free_at = 0.0
-
-    def transit_time(self, now: float, size: int, jitter_draw: float) -> float:
-        """When a ``size``-byte frame entering at ``now`` is delivered."""
-        start = max(now, self._free_at)
-        if self.model.bandwidth is not None:
-            start += size / self.model.bandwidth
-        self._free_at = start
-        return start + self.model.latency + jitter_draw
-
-    def reset(self) -> None:
-        self._free_at = 0.0
-
-
 class SimulatedChannelSUT(SutBase):
     """Impose a :class:`ChannelModel` between the LoadGen and ``inner``.
 
@@ -145,8 +119,6 @@ class SimulatedChannelSUT(SutBase):
         self.stats = ChannelStats()
         self.transport_records: Dict[int, TransportTiming] = {}
         self._rng = np.random.default_rng(self.model.seed)
-        self._forward = _Link(self.model)
-        self._reverse = _Link(self.model)
         self._inner_recv: Dict[int, float] = {}
         self._send_times: Dict[int, float] = {}
         self._last_delivery = 0.0
@@ -159,8 +131,6 @@ class SimulatedChannelSUT(SutBase):
         self.stats = ChannelStats()
         self.transport_records = {}
         self._rng = np.random.default_rng(self.model.seed)
-        self._forward.reset()
-        self._reverse.reset()
         self._inner_recv = {}
         self._send_times = {}
         self._last_delivery = loop.now
@@ -177,7 +147,7 @@ class SimulatedChannelSUT(SutBase):
         if self._rng.random() < self.model.drop_rate:
             self.stats.queries_dropped += 1
             return  # vanishes; recovery is the layer above's job
-        deliver_at = self._transit(self._forward, size)
+        deliver_at = self._transit()
         self.stats.queries_forwarded += 1
         send_time = self.loop.now
 
@@ -223,7 +193,7 @@ class SimulatedChannelSUT(SutBase):
             return
         server_recv = self._inner_recv.pop(query.id, self.loop.now)
         server_send = self.loop.now
-        deliver_at = self._transit(self._reverse, size)
+        deliver_at = self._transit()
         self.stats.completions_forwarded += 1
 
         def _deliver() -> None:
@@ -256,7 +226,7 @@ class SimulatedChannelSUT(SutBase):
         if self._rng.random() < self.model.drop_rate:
             self.stats.chunks_dropped += 1
             return
-        deliver_at = self._transit(self._reverse, size)
+        deliver_at = self._transit()
         self.stats.chunks_forwarded += 1
         self._chunks_in_flight[query.id] = \
             self._chunks_in_flight.get(query.id, 0) + 1
@@ -278,16 +248,17 @@ class SimulatedChannelSUT(SutBase):
 
     # -- shared plumbing --------------------------------------------------------
 
-    def _transit(self, link: _Link, size: int) -> float:
+    def _transit(self) -> float:
+        """When a frame going on the wire now is delivered."""
         jitter = 0.0
         if self.model.jitter > 0:
             jitter = float(self._rng.exponential(self.model.jitter))
-        deliver_at = link.transit_time(self.loop.now, size, jitter)
+        deliver_at = self.loop.now + self.model.latency + jitter
         if (
             self.model.reorder_rate > 0
             and self._rng.random() < self.model.reorder_rate
         ):
-            deliver_at += float(self._rng.uniform(0, self.model.reorder_spread))
+            deliver_at += float(self._rng.uniform(0, REORDER_SPREAD))
             self.stats.reordered_frames += 1
         return deliver_at
 

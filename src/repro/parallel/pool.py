@@ -202,9 +202,8 @@ def _needed_bytes(outputs) -> int:
 class WorkerPool:
     """N model processes fed through pipes + shared-memory arenas.
 
-    ``factory`` must be picklable-or-forkable: with the default fork
-    start method any closure works; under spawn it must be a
-    module-level callable.  It is called once inside each worker --
+    Workers are forked, so ``factory`` may be any closure.  It is
+    called once inside each worker --
     optionally with the worker's seeded ``numpy`` Generator if it takes
     a required positional argument -- and must return
     ``predict(samples) -> outputs``.
@@ -212,8 +211,7 @@ class WorkerPool:
 
     def __init__(self, factory: Callable, workers: int, *,
                  seed: int = 0, transport: str = "shm",
-                 job_timeout: Optional[float] = None,
-                 start_method: str = "fork") -> None:
+                 job_timeout: Optional[float] = None) -> None:
         check_range("workers", workers, AT_LEAST_ONE)
         if transport not in ("shm", "pickle"):
             raise ValueError(f"unknown transport {transport!r}")
@@ -223,7 +221,7 @@ class WorkerPool:
         self.transport = transport
         self.job_timeout = job_timeout
         try:
-            self._ctx = multiprocessing.get_context(start_method)
+            self._ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - e.g. no fork on platform
             self._ctx = multiprocessing.get_context()
         self._members: List[Optional[_Worker]] = [None] * workers

@@ -26,6 +26,8 @@ import numpy as np
 #: Byte alignment for packed arrays; cache-line sized so a worker's
 #: reads never straddle a neighbouring tensor's tail.
 _ALIGN = 64
+#: Bytes an arena starts with; it doubles from there as batches need.
+_INITIAL_CAPACITY = 1 << 16
 
 #: ``(offset, dtype-str, shape)`` -- everything a reader needs to map
 #: one packed array out of an arena.
@@ -61,11 +63,11 @@ class ShmArena:
     name from the next job descriptor, so no coordination is needed.
     """
 
-    def __init__(self, tag: str, capacity: int = 1 << 16) -> None:
+    def __init__(self, tag: str) -> None:
         self._tag = tag
         self._serial = 0
         self._seg = shared_memory.SharedMemory(
-            create=True, size=max(capacity, _ALIGN),
+            create=True, size=_INITIAL_CAPACITY,
             name=self._next_name())
         self.grown = 0  #: number of grow-by-recreate events (observability)
 

@@ -115,7 +115,6 @@ class ParallelSUT(SutBase):
                  *, workers: int = 2,
                  policy: Optional[BatchingPolicy] = None,
                  seed: int = 0,
-                 transport: str = "shm",
                  service_time_fn: Optional[Callable[[int], float]] = None,
                  crash_plan=None,
                  job_timeout: Optional[float] = None,
@@ -125,8 +124,7 @@ class ParallelSUT(SutBase):
         self._qsl = qsl
         self.policy = policy or BatchingPolicy()
         self.pool = WorkerPool(
-            worker_factory, workers, seed=seed, transport=transport,
-            job_timeout=job_timeout)
+            worker_factory, workers, seed=seed, job_timeout=job_timeout)
         self._service_time_fn = service_time_fn
         self._batcher: Optional[DynamicBatcher] = None
         self._m = (_ParallelInstruments(registry, self.pool)

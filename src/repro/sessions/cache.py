@@ -14,10 +14,10 @@ additionally pins the whole event list bit-identical across seeded
 runs.
 
 Latency is where the cache shows up in results: a turn is issued to the
-inner SUT only after a prefill delay of ``miss_latency_per_token`` per
-token that must be (re)computed plus ``hit_latency_per_token`` per
-reused token, so cache effectiveness is visible in per-session latency
-and TTFT percentiles, not just in counters.  See ``docs/sessions.md``.
+inner SUT only after a prefill delay of 50 µs per token that must be
+(re)computed plus 2 µs per reused token, so cache effectiveness is
+visible in per-session latency and TTFT percentiles, not just in
+counters.  See ``docs/sessions.md``.
 """
 
 from __future__ import annotations
@@ -26,12 +26,17 @@ from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
 
-from ..bounds import AT_LEAST_ONE, NON_NEGATIVE, check_range
+from ..bounds import AT_LEAST_ONE, check_range
 from ..core.events import EventLoop
 from ..core.query import Query
 from ..core.sut import Responder, SutBase, SystemUnderTest
 from ..metrics import export_ledger, exported
 from .replay import ReplayGraph
+
+#: Prefill seconds per token that must be (re)computed, and per prefix
+#: token the cache supplies.
+_MISS_LATENCY_PER_TOKEN = 50e-6
+_HIT_LATENCY_PER_TOKEN = 2e-6
 
 
 class CacheEvent(NamedTuple):
@@ -196,22 +201,14 @@ class PrefixCacheSUT(SutBase):
         self,
         inner: SystemUnderTest,
         capacity_tokens: int = 32_768,
-        miss_latency_per_token: float = 50e-6,
-        hit_latency_per_token: float = 2e-6,
         registry=None,
         name: Optional[str] = None,
         replica: Optional[int] = None,
     ) -> None:
         super().__init__(name or f"prefix-cache({inner.name})")
-        check_range("miss_latency_per_token", miss_latency_per_token,
-                    NON_NEGATIVE)
-        check_range("hit_latency_per_token", hit_latency_per_token,
-                    NON_NEGATIVE)
         self.inner = inner
         self.inners = (inner,)
         self.model = _LruModel(capacity_tokens)
-        self.miss_latency_per_token = miss_latency_per_token
-        self.hit_latency_per_token = hit_latency_per_token
         #: Fleet replica index this cache belongs to; labels the
         #: ``prefix_cache_*`` metric families so each replica's cache
         #: exports its own series (``None`` = unlabeled standalone cache).
@@ -325,8 +322,8 @@ class PrefixCacheSUT(SutBase):
         # what hit.  This is the delay that makes cache effectiveness
         # visible in latency and TTFT percentiles.
         delay = (
-            (missed + turn.new_tokens) * self.miss_latency_per_token
-            + reused * self.hit_latency_per_token
+            (missed + turn.new_tokens) * _MISS_LATENCY_PER_TOKEN
+            + reused * _HIT_LATENCY_PER_TOKEN
         )
         if delay > 0:
             self._pending_issues += 1
@@ -384,8 +381,6 @@ def audit_cache_events(
 
 def per_replica_cache_factory(
     capacity_tokens: int = 32_768,
-    miss_latency_per_token: float = 50e-6,
-    hit_latency_per_token: float = 2e-6,
     registry=None,
 ) -> Callable[[int, SystemUnderTest], PrefixCacheSUT]:
     """A :class:`~repro.fleet.replicaset.ReplicaSet` ``cache_factory``.
@@ -403,8 +398,6 @@ def per_replica_cache_factory(
         return PrefixCacheSUT(
             inner,
             capacity_tokens=capacity_tokens,
-            miss_latency_per_token=miss_latency_per_token,
-            hit_latency_per_token=hit_latency_per_token,
             registry=registry,
             replica=index,
             name=f"prefix-cache[{index}]({inner.name})",

@@ -26,7 +26,7 @@ from ..core.config import Scenario
 from ..core.query import Query
 from ..core.scenarios import ArrivalGaps, ScenarioDriver
 from ..metrics import export_ledger
-from .replay import ReplayGraph, SessionPlan, replay_graph_from_settings
+from .replay import SessionPlan, replay_graph_from_settings
 
 
 class _SessionState:
@@ -45,13 +45,9 @@ class SessionDriver(ScenarioDriver):
 
     scenario = Scenario.SESSION
 
-    def __init__(self, *args, registry=None,
-                 graph: Optional[ReplayGraph] = None, **kwargs) -> None:
+    def __init__(self, *args, registry=None, **kwargs) -> None:
         super().__init__(*args, registry=registry, **kwargs)
-        self.graph = (
-            graph if graph is not None
-            else replay_graph_from_settings(self.settings)
-        )
+        self.graph = replay_graph_from_settings(self.settings)
         self._active: Dict[int, _SessionState] = {}
         self._arrived = 0
         # The Server scenario's arrival stream, here spacing sessions;

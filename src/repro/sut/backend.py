@@ -113,22 +113,25 @@ class _ModelSUT(SutBase):
         )
 
 
+#: Samples per forward pass; a larger query runs in chunks of this size.
+_CLASSIFIER_BATCH = 64
+_DETECTOR_BATCH = 16
+
+
 class ClassifierSUT(_ModelSUT):
     """Runs a :class:`GlyphClassifier`; responses are label ints."""
 
     def __init__(self, model: GlyphClassifier, qsl: DatasetQSL,
                  service_time_fn: Optional[ServiceTimeFn] = None,
-                 batch_size: int = 64,
                  preprocessing: Optional[PreprocessingModel] = None) -> None:
         super().__init__(qsl, f"{model.name}-sut", service_time_fn,
                          preprocessing)
         self.model = model
-        self.batch_size = batch_size
 
     def _predict(self, samples: List[object]) -> List[object]:
         outputs: List[int] = []
-        for start in range(0, len(samples), self.batch_size):
-            batch = np.stack(samples[start:start + self.batch_size])
+        for start in range(0, len(samples), _CLASSIFIER_BATCH):
+            batch = np.stack(samples[start:start + _CLASSIFIER_BATCH])
             outputs.extend(int(p) for p in self.model.predict(batch))
         return outputs
 
@@ -137,18 +140,14 @@ class DetectorSUT(_ModelSUT):
     """Runs a :class:`GlyphDetector`; responses are Detection lists."""
 
     def __init__(self, model: GlyphDetector, qsl: DatasetQSL,
-                 service_time_fn: Optional[ServiceTimeFn] = None,
-                 batch_size: int = 16,
-                 preprocessing: Optional[PreprocessingModel] = None) -> None:
-        super().__init__(qsl, f"{model.name}-sut", service_time_fn,
-                         preprocessing)
+                 service_time_fn: Optional[ServiceTimeFn] = None) -> None:
+        super().__init__(qsl, f"{model.name}-sut", service_time_fn)
         self.model = model
-        self.batch_size = batch_size
 
     def _predict(self, samples: List[object]) -> List[object]:
         outputs: List[object] = []
-        for start in range(0, len(samples), self.batch_size):
-            batch = np.stack(samples[start:start + self.batch_size])
+        for start in range(0, len(samples), _DETECTOR_BATCH):
+            batch = np.stack(samples[start:start + _DETECTOR_BATCH])
             outputs.extend(self.model.predict(batch))
         return outputs
 
@@ -157,10 +156,8 @@ class TranslatorSUT(_ModelSUT):
     """Runs a :class:`CipherTranslator`; responses are token-id lists."""
 
     def __init__(self, model: CipherTranslator, qsl: DatasetQSL,
-                 service_time_fn: Optional[ServiceTimeFn] = None,
-                 preprocessing: Optional[PreprocessingModel] = None) -> None:
-        super().__init__(qsl, f"{model.name}-sut", service_time_fn,
-                         preprocessing)
+                 service_time_fn: Optional[ServiceTimeFn] = None) -> None:
+        super().__init__(qsl, f"{model.name}-sut", service_time_fn)
         self.model = model
 
     def _predict(self, samples: List[object]) -> List[object]:

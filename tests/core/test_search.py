@@ -199,7 +199,7 @@ def test_the_searches_hold_no_loop_of_their_own():
     from repro.harness.tuning import find_max_burst_rate, find_max_server_qps
 
     for function in (find_max_server_qps, find_max_multistream_n,
-                     find_max_burst_rate, SweepHarness._binary):
+                     find_max_burst_rate, SweepHarness.run):
         source = textwrap.dedent(inspect.getsource(function))
         assert not any(isinstance(node, ast.While)
                        for node in ast.walk(ast.parse(source))), function

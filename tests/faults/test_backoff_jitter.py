@@ -9,7 +9,7 @@ from repro.faults.resilient import RetryPolicy
 
 from tests.conftest import EchoQSL, FixedLatencySUT
 
-POLICY = RetryPolicy(backoff_base=0.002, backoff_factor=2.0)
+POLICY = RetryPolicy(backoff_base=0.002)
 
 
 class TestDraws:

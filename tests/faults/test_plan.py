@@ -34,10 +34,6 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="delay_scale"):
             FaultPlan(delay_scale=0.0)
 
-    def test_negative_duplicate_lag_rejected(self):
-        with pytest.raises(ValueError, match="duplicate_lag"):
-            FaultPlan(duplicate_lag=-0.001)
-
     def test_single_constructor(self):
         plan = FaultPlan.single(FaultType.CORRUPT, 0.25)
         assert plan.rates == {FaultType.CORRUPT: 0.25}

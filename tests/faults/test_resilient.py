@@ -92,14 +92,13 @@ class TestRetryPolicyValidation:
     def test_defaults_are_sane(self):
         policy = RetryPolicy()
         assert policy.max_attempts >= 2
-        assert policy.backoff(1) == policy.backoff(0) * policy.backoff_factor
+        assert policy.backoff(1) == policy.backoff(0) * 2
 
     @pytest.mark.parametrize("kwargs", [
         dict(max_attempts=0),
         dict(attempt_timeout=0.0),
         dict(attempt_timeout=-1.0),
         dict(backoff_base=-0.001),
-        dict(backoff_factor=0.5),
         dict(attempt_timeout=float("nan")),
         dict(attempt_timeout=float("inf")),
         dict(total_timeout=float("nan")),
@@ -114,10 +113,7 @@ class TestRetryPolicyValidation:
         (dict(backoff_base=math.nan), "backoff_base must be >= 0"),
         # Never retried: the run ended on the watchdog.
         (dict(backoff_base=math.inf), "backoff_base must be >= 0"),
-        # OverflowError from the jitter draw, mid-run.
-        (dict(backoff_factor=math.inf), "backoff_factor must be >= 1"),
-        (dict(backoff_factor=math.nan), "backoff_factor must be >= 1"),
-    ], ids=["nan-base", "inf-base", "inf-factor", "nan-factor"])
+    ], ids=["nan-base", "inf-base"])
     def test_non_finite_backoff_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             RetryPolicy(**kwargs)

@@ -90,8 +90,7 @@ class TestBudgetEnforcement:
 
     def test_uncapped_worst_case_is_attempts_plus_backoff_ceilings(self):
         policy = RetryPolicy(max_attempts=3, attempt_timeout=0.1,
-                             backoff_base=0.01, backoff_factor=2.0,
-                             jitter="none")
+                             backoff_base=0.01, jitter="none")
         sut, loop, response = run_one_query(policy)
         assert isinstance(response, QueryFailure)
         # 3 x 0.1 + (0.01 + 0.02) between attempts.
@@ -100,7 +99,7 @@ class TestBudgetEnforcement:
 
     def test_full_jitter_stays_under_the_ceilings(self):
         policy = RetryPolicy(max_attempts=3, attempt_timeout=0.1,
-                             backoff_base=0.01, backoff_factor=2.0)
+                             backoff_base=0.01)
         sut, loop, response = run_one_query(policy)
         assert isinstance(response, QueryFailure)
         assert 0.3 <= loop.now < 0.33

@@ -148,12 +148,11 @@ def test_zone_spread_over_one_fleet_whose_load_moves(candidates, bump):
 
 
 @settings(max_examples=200, deadline=None)
-@given(candidate_sets(), st.sampled_from(ZONES + ("z0", None)))
-def test_zone_local_ranks_as_documented(candidates, local_zone):
-    # ``local_zone`` present among the candidates, absent, or None.
-    policy = started(ZoneLocalPolicy(local_zone=local_zone))
-    assert policy.rank(candidates) == local_reference(candidates, local_zone)
-    assert policy.rank(candidates) == local_reference(candidates, local_zone)
+@given(candidate_sets())
+def test_zone_local_ranks_as_documented(candidates):
+    policy = started(ZoneLocalPolicy())
+    assert policy.rank(candidates) == local_reference(candidates, None)
+    assert policy.rank(candidates) == local_reference(candidates, None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -171,7 +170,7 @@ def test_zoneless_doubles_degrade_to_least_outstanding():
     policy = started(ZoneSpreadPolicy())
     for _ in range(3):
         assert [r.index for r in policy.rank(fleet)] == [1, 2, 3, 0]
-    assert [r.index for r in started(ZoneLocalPolicy("a")).rank(fleet)] == \
+    assert [r.index for r in started(ZoneLocalPolicy()).rank(fleet)] == \
         [1, 2, 3, 0]
 
 
@@ -395,12 +394,11 @@ def test_zone_spread_ranks_as_shipped_through_both_entry_points(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(moving_fleets(), st.sampled_from(ZONES + ("z0", None)))
-def test_zone_local_ranks_as_shipped_through_both_entry_points(
-        case, local_zone):
+@given(moving_fleets())
+def test_zone_local_ranks_as_shipped_through_both_entry_points(case):
     fleet, steps = case
-    policy = started(ZoneLocalPolicy(local_zone=local_zone))
-    oracle = OracleZoneLocal(local_zone=local_zone)
+    policy = started(ZoneLocalPolicy())
+    oracle = OracleZoneLocal()
     for step in steps:
         candidates = apply_step(fleet, step)
         expected = oracle.rank(candidates)

@@ -66,8 +66,6 @@ class TestRouting:
         assert one_run() == one_run()
 
     def test_validation_rejects_bad_construction(self):
-        with pytest.raises(ValueError, match="min_replicas"):
-            echo_fleet(min_replicas=0)
         with pytest.raises(ValueError, match="initial_replicas"):
             echo_fleet(n=9, max_replicas=4)
         with pytest.raises(ValueError, match="attempt_timeout"):
@@ -189,10 +187,11 @@ class TestScaling:
         assert len(fleet.available_replicas) == 2
         assert fleet.stats.drained_replicas == 1
 
-    def test_scale_down_respects_the_floor(self):
-        fleet = self.make_started(n=2, min_replicas=2)
+    def test_scale_down_keeps_the_last_replica(self):
+        fleet = self.make_started(n=2)
+        assert fleet.scale_down()
         assert not fleet.scale_down()
-        assert len(fleet.available_replicas) == 2
+        assert len(fleet.available_replicas) == 1
 
     def test_scale_up_revives_parked_then_builds_fresh(self):
         fleet = self.make_started(n=2, max_replicas=4)

@@ -129,6 +129,15 @@ class TestStepSearch:
                  for a, b in zip(result.probes, result.probes[1:])]
         assert all(abs(s - 20.0) < 1e-9 for s in steps)
 
+    def test_a_last_step_past_the_bracket_probes_its_top(self):
+        # 20 does not divide [20, 50]: after 40 the walk probes 50
+        # itself, as binary mode does, not 60.
+        config = SweepConfig(qps_low=20.0, qps_high=50.0,
+                             resolution=20.0, mode="step")
+        result = harness(config=config).run()
+        assert [p.qps for p in result.probes] == [20.0, 40.0, 50.0]
+        assert result.max_qps == 50.0
+
 
 class TestReport:
     def test_report_round_trips_as_json(self, tmp_path):
@@ -144,6 +153,24 @@ class TestReport:
         for entry, probe in zip(doc["probes"], result.probes):
             assert entry["qps"] == probe.qps
             assert entry["valid"] == probe.valid
+
+    def test_a_session_sweep_without_a_bound_writes_null(self, tmp_path):
+        settings = TestSettings(
+            scenario=Scenario.SESSION, server_target_qps=1.0,
+            session_count=8, session_think_time_mean=0.05,
+            min_duration=0.0, watchdog_timeout=600.0)
+        config = SweepConfig(qps_low=10.0, qps_high=30.0,
+                             resolution=10.0, mode="step")
+        result = SweepHarness(lambda: SerialQueueSUT(0.001), EchoQSL(),
+                              settings, config).run()
+        path = result.write(tmp_path / "BENCH_fleet.json")
+
+        def strict(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(path.read_text(), parse_constant=strict)
+        assert doc["slo"]["latency_bound_s"] is None
+        assert result.summary().endswith("probe runs, no latency bound)")
 
     def test_invalid_probes_carry_referee_reasons(self):
         config = SweepConfig(qps_low=500.0, qps_high=1000.0,

@@ -60,8 +60,6 @@ class TestTopology:
             echo_fleet(zones=0)
         with pytest.raises(ValueError, match="zones"):
             echo_fleet(zones=[])
-        with pytest.raises(ValueError, match="min_per_zone"):
-            echo_fleet(min_per_zone=-1)
 
 
 class TestZoneOutage:
@@ -103,7 +101,7 @@ class TestZoneOutage:
         assert len(fleet.available_replicas) == 4
 
     def test_scaled_down_replica_stays_parked_on_zone_restore(self):
-        fleet = started_fleet(n=4, zones=2, min_replicas=1)
+        fleet = started_fleet(n=4, zones=2)
         # Drains the highest-indexed replica (3, zone z1); it parks at
         # once since nothing is in flight.
         assert fleet.scale_down()
@@ -116,19 +114,8 @@ class TestZoneOutage:
 
 
 class TestZoneAwareScaling:
-    def test_scale_down_respects_min_per_zone(self):
-        fleet = started_fleet(n=4, zones=2, min_replicas=1,
-                              min_per_zone=1)
-        assert fleet.scale_down()
-        assert fleet.scale_down()
-        # Two replicas remain, one per zone; a third scale_down finds
-        # no victim whose zone would survive above the minimum.
-        assert not fleet.scale_down()
-        survivors = fleet.available_replicas
-        assert sorted(r.zone for r in survivors) == ["z0", "z1"]
-
     def test_scale_up_unparks_into_the_thinnest_zone(self):
-        fleet = started_fleet(n=4, zones=2, min_replicas=1)
+        fleet = started_fleet(n=4, zones=2)
         for _ in range(3):       # parks replicas 3 (z1), 2 (z0), 1 (z1)
             assert fleet.scale_down()
         assert [r.zone for r in fleet.available_replicas] == ["z0"]
@@ -166,16 +153,6 @@ class TestZonePolicies:
         per_zone = [issued[0] + issued[2], issued[1] + issued[3]]
         # Both zones carry a comparable share of the load.
         assert min(per_zone) > 0.3 * sum(per_zone)
-
-    def test_zone_local_prefers_the_local_zone(self):
-        fleet = echo_fleet(n=4, zones=2,
-                           policy=ZoneLocalPolicy(local_zone="z1"))
-        result = run_benchmark(fleet, EchoQSL(),
-                               server_settings(queries=200))
-        assert result.valid
-        issued = [r.issued for r in fleet.replicas]
-        # z1 (replicas 1 and 3) never saturated, z0 never needed.
-        assert issued[1] + issued[3] == 200
 
     def test_zone_local_defaults_to_the_first_sorted_zone(self):
         fleet = echo_fleet(n=4, zones=["b", "a"], policy=ZoneLocalPolicy())

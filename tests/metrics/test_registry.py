@@ -117,16 +117,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.counter("thing_total")
 
-    def test_namespace_prefixes_names(self):
-        reg = MetricsRegistry(namespace="repro")
-        reg.counter("events_total")
-        assert "repro_events_total" in reg
-        assert reg.get("repro_events_total") is not None
-
-    def test_invalid_namespace_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry(namespace="bad ns")
-
     def test_collect_sorted_by_name(self):
         reg = MetricsRegistry()
         reg.counter("zz_total")

@@ -30,12 +30,6 @@ class TestCapture:
         for suffix in ("p50", "p90", "p99", "p999"):
             assert f"lat_seconds_{suffix}" in snap.values
 
-    def test_custom_quantiles(self):
-        snap = capture(make_registry(), time=0.0,
-                       quantiles=(("p25", 0.25),))
-        assert "lat_seconds_p25" in snap.values
-        assert "lat_seconds_p50" not in snap.values
-
     def test_get_with_default(self):
         snap = capture(make_registry(), time=0.0)
         assert snap.get("events_total") == 3.0

@@ -23,7 +23,7 @@ from repro.sessions import per_replica_cache_factory
 from repro.sut.echo import EchoSUT
 
 
-def reference_values(registry, quantiles=DEFAULT_QUANTILES):
+def reference_values(registry):
     values = {}
     for family in registry.collect():
         for labels, child in family.series():
@@ -31,19 +31,19 @@ def reference_values(registry, quantiles=DEFAULT_QUANTILES):
             if isinstance(child, Histogram):
                 values[f"{key}_count"] = float(child.count)
                 values[f"{key}_sum"] = child.sum
-                for suffix, q in quantiles:
+                for suffix, q in DEFAULT_QUANTILES:
                     values[f"{key}_{suffix}"] = child.percentile(q)
             else:
                 values[key] = child.value
     return values
 
 
-def assert_capture_matches(registry, **kwargs):
-    snap = capture(registry, time=2.5, **kwargs)
+def assert_capture_matches(registry):
+    snap = capture(registry, time=2.5)
     assert snap.time == 2.5
     # Same keys, same order, same values - not just the same mapping.
     assert list(snap.values.items()) == list(
-        reference_values(registry, **kwargs).items())
+        reference_values(registry).items())
     return snap
 
 
@@ -100,15 +100,6 @@ def test_an_empty_histogram_captures_zeros_for_every_quantile():
         "idle_seconds_count": 0.0, "idle_seconds_sum": 0.0,
         "idle_seconds_p50": 0.0, "idle_seconds_p90": 0.0,
         "idle_seconds_p99": 0.0, "idle_seconds_p999": 0.0}
-
-
-def test_custom_quantiles_and_none_at_all():
-    reg, _ = mixed_registry()
-    assert_capture_matches(reg, quantiles=(("p25", 0.25), ("max", 1.0),
-                                           ("min", 0.0), ("p25b", 0.25)))
-    bare = assert_capture_matches(reg, quantiles=())
-    assert "lat_seconds_count" in bare.values
-    assert "lat_seconds_p50" not in bare.values
 
 
 def test_a_child_created_between_two_captures_appears_in_the_second():

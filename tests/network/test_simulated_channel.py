@@ -38,8 +38,6 @@ class TestModelValidation:
             ChannelModel(drop_rate=1.5)
         with pytest.raises(ValueError):
             ChannelModel(latency=-1)
-        with pytest.raises(ValueError):
-            ChannelModel(bandwidth=0)
 
 
 class TestDeterminism:
@@ -88,14 +86,6 @@ class TestChannelEffects:
         bad = run_channel(ChannelModel(latency=0.030, seed=5), settings)
         assert good.valid
         assert not bad.valid
-
-    def test_bandwidth_cap_adds_serialization_delay(self):
-        free = run_channel(ChannelModel(latency=0.001, seed=5))
-        # ~75 byte ISSUE frames at 10 kB/s cost ~7.5 ms each.
-        capped = run_channel(
-            ChannelModel(latency=0.001, bandwidth=10_000, seed=5))
-        assert (capped.result.metrics.latency_mean
-                > free.result.metrics.latency_mean + 0.005)
 
     def test_reordering_is_counted(self):
         res = run_channel(
@@ -147,35 +137,27 @@ class TestLossAndRecovery:
 
 
 class TestFrameSizesAreTheWireEncodings:
-    """Serialization delay is charged per byte of the real frame, so the
-    byte totals and the completion instants they produce under a
-    bandwidth cap are a contract on the codec: pinned from the recursive
-    encoder, they must survive any rewrite of it."""
+    """The channel counts the bytes of the real frame, so its byte totals
+    are a contract on the codec: pinned from the recursive encoder, they
+    must survive any rewrite of it."""
 
     @staticmethod
-    def capped_run(backend):
-        import hashlib
-
+    def run(backend):
         channel = SimulatedChannelSUT(backend, ChannelModel(
-            latency=0.001, bandwidth=1_000_000, seed=5))
+            latency=0.001, seed=5))
         result = run_benchmark(channel, SyntheticQSL(), server_settings())
         assert result.valid, result.validity.reasons
-        instants = repr([(r.query.id, r.completion_time)
-                         for r in result.log.completed_records()])
-        return channel.stats, hashlib.sha256(
-            instants.encode()).hexdigest()[:16]
+        return channel.stats
 
     def test_plain_answers(self):
-        stats, instants = self.capped_run(EchoSUT(latency=0.002))
+        stats = self.run(EchoSUT(latency=0.002))
         assert (stats.bytes_forward, stats.bytes_reverse) == (4500, 7620)
-        assert instants == "80c2c0884f1fbab7"
 
     def test_streamed_answers(self):
         from repro.streaming import StreamModel, StreamingSUT
 
-        stats, instants = self.capped_run(StreamingSUT(
+        stats = self.run(StreamingSUT(
             EchoSUT(latency=0.002), model=StreamModel(
                 first_token_delay=1e-3, inter_token_delay=1e-4, seed=0)))
         assert stats.chunks_forwarded == 1313
         assert (stats.bytes_forward, stats.bytes_reverse) == (4500, 128416)
-        assert instants == "749dd1406ed90560"

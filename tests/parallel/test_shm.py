@@ -8,7 +8,7 @@ from repro.parallel.shm import ShmArena, as_arrays, attach, packed_size
 
 @pytest.fixture
 def arena():
-    a = ShmArena("test", capacity=1 << 12)
+    a = ShmArena("test")
     yield a
     a.close()
 
@@ -50,7 +50,7 @@ class TestPackUnpack:
 class TestGrowth:
     def test_grows_by_recreation_under_new_name(self, arena):
         small_name = arena.name
-        big = np.zeros((1 << 14,), dtype=np.float64)  # 128 KiB > 4 KiB
+        big = np.zeros((1 << 14,), dtype=np.float64)  # 128 KiB > 64 KiB
         specs = arena.write([big])
         assert arena.name != small_name
         assert arena.capacity >= big.nbytes

@@ -30,14 +30,11 @@ def reference_plan(model: StreamModel, query_id: int) -> StreamPlan:
     emitted = 0
     seq = 0
     while emitted < tokens:
-        count = min(model.tokens_per_chunk, tokens - emitted)
         delay = (model.first_token_delay if seq == 0
-                 else model.inter_token_delay * count)
-        if model.jitter > 0.0:
-            delay += float(rng.uniform(-model.jitter, model.jitter))
+                 else model.inter_token_delay)
         offset += max(0.0, delay)
-        emitted += count
-        chunks.append(ChunkEvent(offset=offset, token_count=count,
+        emitted += 1
+        chunks.append(ChunkEvent(offset=offset, token_count=1,
                                  last=emitted >= tokens))
         seq += 1
     return StreamPlan(token_count=tokens, chunks=tuple(chunks))
@@ -45,11 +42,8 @@ def reference_plan(model: StreamModel, query_id: int) -> StreamPlan:
 
 @pytest.mark.parametrize("kwargs", [
     dict(),
-    dict(jitter=0.0004),
-    dict(jitter=0.01),  # larger than both delays: the clamp is live
-    dict(tokens_per_chunk=3),
     dict(min_tokens=1, max_tokens=1),
-], ids=["default", "jitter", "clamped-jitter", "three-per-chunk", "one-token"])
+], ids=["default", "one-token"])
 def test_plans_equal_the_reference_bit_for_bit(kwargs):
     model = StreamModel(seed=11, **kwargs)
     for query_id in range(200):
@@ -60,16 +54,14 @@ def test_plans_equal_the_reference_bit_for_bit(kwargs):
 
 def test_interleaved_models_plan_like_the_reference_and_stay_values():
     """Models asked in turn for the same ids share nothing they should
-    not - two jitter-free ones that differ only in their delays (or only
-    in chunking) draw the same token counts - and planning leaves a
+    not - two that differ only in their delays draw the same token
+    counts - and planning leaves a
     model the frozen value it was: same ``==``, hash, repr, ``replace``
     and pickle, nothing hung on the instance."""
     fast = StreamModel(seed=11)
     slow = StreamModel(seed=11, first_token_delay=0.004,
                        inter_token_delay=0.001)
-    chunked = StreamModel(seed=11, tokens_per_chunk=3)
-    jittered = StreamModel(seed=11, jitter=0.0004)
-    models = (fast, slow, chunked, jittered)
+    models = (fast, slow)
 
     def as_values():
         return [(dataclasses.asdict(m), dict(vars(m)), hash(m), repr(m),
@@ -85,10 +77,10 @@ def test_interleaved_models_plan_like_the_reference_and_stay_values():
             assert all(type(chunk) is ChunkEvent for chunk in plan.chunks)
             assert all(type(chunk.offset) is float for chunk in plan.chunks)
     assert as_values() == before
-    assert len({fast, slow, chunked, jittered, StreamModel(seed=11)}) == 4
+    assert len({fast, slow, StreamModel(seed=11)}) == 2
     assert [f.name for f in dataclasses.fields(StreamModel)] == [
         "first_token_delay", "inter_token_delay", "min_tokens",
-        "max_tokens", "tokens_per_chunk", "jitter", "seed"]
+        "max_tokens", "seed"]
     for model in models:
         assert vars(model) == dataclasses.asdict(model)
         thawed = pickle.loads(pickle.dumps(model))
@@ -105,10 +97,8 @@ def make_query(qid):
 
 @pytest.mark.parametrize("kwargs", [
     dict(first_token_delay=0.0, inter_token_delay=0.0),
-    dict(tokens_per_chunk=3),
     dict(min_tokens=1, max_tokens=1),
-    dict(jitter=0.0004),
-], ids=["one-instant", "three-per-chunk", "one-token", "jitter"])
+], ids=["one-instant", "one-token"])
 def test_each_stream_replays_in_plan_order_one_chunk_per_event(kwargs):
     """Seqs 0..n-1 in order, ``last`` on the final chunk only, the
     completion from the final chunk's own event - also when every chunk

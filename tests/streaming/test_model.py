@@ -25,12 +25,12 @@ def test_different_queries_and_seeds_get_different_plans():
 def test_plan_shape_respects_the_model():
     model = StreamModel(
         first_token_delay=0.002, inter_token_delay=0.0005,
-        min_tokens=5, max_tokens=9, tokens_per_chunk=2, seed=0)
+        min_tokens=5, max_tokens=9, seed=0)
     for qid in range(50):
         plan = model.plan(qid)
         assert 5 <= plan.token_count <= 9
         assert sum(c.token_count for c in plan.chunks) == plan.token_count
-        assert all(c.token_count <= 2 for c in plan.chunks)
+        assert all(c.token_count == 1 for c in plan.chunks)
         # Exactly one final chunk, at the end.
         assert [c.last for c in plan.chunks].count(True) == 1
         assert plan.chunks[-1].last
@@ -41,33 +41,21 @@ def test_plan_shape_respects_the_model():
         assert plan.duration == offsets[-1]
 
 
-def test_jitter_perturbs_but_never_reorders():
-    jittered = StreamModel(jitter=0.0004, seed=5)
-    for qid in range(20):
-        offsets = [c.offset for c in jittered.plan(qid).chunks]
-        assert offsets == sorted(offsets)
-        assert all(offset >= 0 for offset in offsets)
-
-
 @pytest.mark.parametrize("kwargs", [
     dict(first_token_delay=-0.001),
     dict(inter_token_delay=-0.001),
     dict(min_tokens=0),
     dict(max_tokens=2, min_tokens=3),
-    dict(tokens_per_chunk=0),
-    dict(jitter=-0.1),
 ])
 def test_invalid_models_are_rejected(kwargs):
     with pytest.raises(ValueError):
         StreamModel(**kwargs)
 
 
-@pytest.mark.parametrize("field", [
-    "first_token_delay", "inter_token_delay", "jitter"])
+@pytest.mark.parametrize("field", ["first_token_delay", "inter_token_delay"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-def test_non_finite_delays_and_jitter_are_rejected(field, bad):
-    """NaN was read as 0 (a VALID run), an infinite inter-token delay put
-    every chunk after the first at t = inf, and an infinite jitter raised
-    ``OverflowError`` from ``plan`` mid-run."""
+def test_non_finite_delays_are_rejected(field, bad):
+    """NaN was read as 0 (a VALID run), and an infinite inter-token delay
+    put every chunk after the first at t = inf."""
     with pytest.raises(ValueError, match=f"^{field} must be >= 0, got "):
         StreamModel(**{field: bad})

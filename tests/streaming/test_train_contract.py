@@ -41,10 +41,7 @@ class PerChunkSUT(StreamingSUT):
 
 MODELS = {
     "one-instant": dict(first_token_delay=0.0, inter_token_delay=0.0),
-    "three-per-chunk": dict(tokens_per_chunk=3),
     "one-token": dict(min_tokens=1, max_tokens=1),
-    "jitter": dict(jitter=0.0004),
-    "clamped-jitter": dict(jitter=0.01),
 }
 
 

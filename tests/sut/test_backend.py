@@ -1,5 +1,6 @@
 """Real-model backends under the LoadGen."""
 
+import numpy as np
 import pytest
 
 from repro.core import Scenario, TestMode, TestSettings, run_benchmark
@@ -123,25 +124,24 @@ class TestClassifierSUT:
     def test_batched_offline_query(self, imagenet):
         qsl = DatasetQSL(imagenet)
         model = build_glyph_classifier(imagenet, "light")
-        sut = ClassifierSUT(model, qsl, service_time_fn=lambda n: 0.0005 * n,
-                            batch_size=32)
+        sut = ClassifierSUT(model, qsl, service_time_fn=lambda n: 0.0005 * n)
         settings = TestSettings(scenario=Scenario.OFFLINE,
                                 offline_sample_count=128, min_duration=0.0)
         result = run_benchmark(sut, qsl, settings)
         assert result.valid is False or result.metrics.sample_count >= 128
         assert result.metrics.sample_count >= 128
 
-    def test_batch_size_does_not_change_labels(self, imagenet):
+    def test_chunking_does_not_change_labels(self, imagenet):
+        # More samples than one forward pass takes: the query runs in
+        # chunks, and each label is what the sample alone gets.
         qsl = DatasetQSL(imagenet)
         model = build_glyph_classifier(imagenet, "light")
-        indices = list(range(20))
-        labels = []
-        for batch_size in (1, 3, 64):
-            sut = ClassifierSUT(model, qsl, service_time_fn=lambda n: 0.001,
-                                batch_size=batch_size)
-            responses, _ = answer_one_query(sut, qsl, indices)
-            labels.append([r.data for r in responses])
-        assert labels[0] == labels[1] == labels[2]
+        indices = list(range(150))
+        sut = ClassifierSUT(model, qsl, service_time_fn=lambda n: 0.001)
+        responses, _ = answer_one_query(sut, qsl, indices)
+        alone = [int(model.predict(np.stack([qsl.get_sample(i)]))[0])
+                 for i in indices]
+        assert [r.data for r in responses] == alone
 
 
 class TestDetectorSUT:
@@ -157,16 +157,15 @@ class TestDetectorSUT:
         some = next(iter(payloads.values()))
         assert isinstance(some, list)
 
-    def test_batch_size_does_not_change_detections(self, coco):
+    def test_chunking_does_not_change_detections(self, coco):
         qsl = DatasetQSL(coco)
         model = build_glyph_detector(coco, "light")
-        indices = list(range(6))
-        small = DetectorSUT(model, qsl, service_time_fn=lambda n: 0.001,
-                            batch_size=1)
-        large = DetectorSUT(model, qsl, service_time_fn=lambda n: 0.001)
-        one_by_one, _ = answer_one_query(small, qsl, indices)
-        batched, _ = answer_one_query(large, qsl, indices)
-        assert [r.data for r in one_by_one] == [r.data for r in batched]
+        indices = list(range(40))
+        sut = DetectorSUT(model, qsl, service_time_fn=lambda n: 0.001)
+        batched, _ = answer_one_query(sut, qsl, indices)
+        alone = [model.predict(np.stack([qsl.get_sample(i)]))[0]
+                 for i in indices]
+        assert [r.data for r in batched] == alone
 
     def test_performance_run_valid(self, coco):
         qsl = DatasetQSL(coco)
