@@ -2,8 +2,9 @@
 
 Every numeric setting ``tests/core/test_bounds_contract.py`` pins is
 built here with NaN, +inf and -inf: each is refused at construction by
-a ``ValueError`` that names the setting, except the one setting whose
-interval gives infinity a meaning (a permanent outage).
+a ``ValueError`` that names the setting, except where infinity has a
+meaning: a permanent outage, or a total retry budget that never runs
+out.
 """
 
 import math
@@ -22,7 +23,11 @@ from tests.core.test_bounds_contract import BUILD
 NAN, INF = math.nan, math.inf
 
 #: ``(setting, value)`` pairs a constructor accepts although non-finite.
-ACCEPTED = {("OutageSUT.outage_duration", INF)}  # a permanent outage
+ACCEPTED = {
+    ("OutageSUT.outage_duration", INF),  # a permanent outage
+    ("RetryPolicy.total_timeout", INF),  # a budget that never runs out
+    ("SelfHealingSUT.total_timeout", INF),
+}
 
 CASES = [(key, value) for key in BUILD for value in (NAN, INF, -INF)
          if (key, value) not in ACCEPTED]

@@ -43,7 +43,12 @@ def reference_plan(model: StreamModel, query_id: int) -> StreamPlan:
 @pytest.mark.parametrize("kwargs", [
     dict(),
     dict(min_tokens=1, max_tokens=1),
-], ids=["default", "one-token"])
+    dict(first_token_delay=0.0),
+    dict(inter_token_delay=0.0),
+    dict(first_token_delay=0.001, inter_token_delay=0.001),
+    dict(min_tokens=48, max_tokens=64),
+], ids=["default", "one-token", "first-at-once", "zero-gap", "lockstep",
+        "long"])
 def test_plans_equal_the_reference_bit_for_bit(kwargs):
     model = StreamModel(seed=11, **kwargs)
     for query_id in range(200):
@@ -98,7 +103,10 @@ def make_query(qid):
 @pytest.mark.parametrize("kwargs", [
     dict(first_token_delay=0.0, inter_token_delay=0.0),
     dict(min_tokens=1, max_tokens=1),
-], ids=["one-instant", "one-token"])
+    dict(),
+    dict(inter_token_delay=0.0),
+    dict(min_tokens=48, max_tokens=64),
+], ids=["one-instant", "one-token", "default", "zero-gap", "long"])
 def test_each_stream_replays_in_plan_order_one_chunk_per_event(kwargs):
     """Seqs 0..n-1 in order, ``last`` on the final chunk only, the
     completion from the final chunk's own event - also when every chunk

@@ -40,8 +40,17 @@ class PerChunkSUT(StreamingSUT):
 
 
 MODELS = {
+    "default": dict(),
     "one-instant": dict(first_token_delay=0.0, inter_token_delay=0.0),
     "one-token": dict(min_tokens=1, max_tokens=1),
+    # The first chunk lands at the instant its stream begins.
+    "first-at-once": dict(first_token_delay=0.0),
+    # Every chunk after the first lands on one instant.
+    "zero-gap": dict(inter_token_delay=0.0),
+    # Every offset a multiple of 1 ms: chunks of staggered streams meet.
+    "lockstep": dict(first_token_delay=0.001, inter_token_delay=0.001),
+    # Past seq 40, so the scripts' later-chunk instants are all real.
+    "long": dict(min_tokens=48, max_tokens=64),
 }
 
 
