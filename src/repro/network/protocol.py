@@ -664,10 +664,18 @@ def chunk_frame(
 def parse_chunk(payload: Any) -> StreamChunk:
     msg = _require(payload, "query_id", "seq", "tokens", "last")
     try:
-        query_id, seq, tokens = (
-            int(msg["query_id"]), int(msg["seq"]), int(msg["tokens"]))
+        query_id = int(msg["query_id"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise _malformed("CHUNK", exc) from None
+    # Taken as sent, never coerced: ``chunk_frame`` writes real ints and
+    # a real bool, and ``int(1.9)`` or ``bool("false")`` would misnumber
+    # or close a stream.
+    seq, tokens, last = msg["seq"], msg["tokens"], msg["last"]
+    if seq.__class__ is not int or tokens.__class__ is not int:
+        raise ProtocolError(
+            f"CHUNK seq and tokens must be ints, got {seq!r} and {tokens!r}")
+    if last.__class__ is not bool:
+        raise ProtocolError(f"CHUNK last must be a bool, got {last!r}")
     if seq < 0:
         raise ProtocolError(f"CHUNK seq must be >= 0, got {seq}")
     if tokens < 0:
@@ -676,7 +684,7 @@ def parse_chunk(payload: Any) -> StreamChunk:
         query_id=query_id,
         seq=seq,
         token_count=tokens,
-        last=bool(msg["last"]),
+        last=last,
         data=msg.get("data"),
     )
 

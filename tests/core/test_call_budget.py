@@ -35,11 +35,12 @@ from repro.sut.simulated import SimulatedSUT, WorkloadProfile
 
 from tests.conftest import EchoQSL
 
-#: Measured 27.39 calls/query and 7.49 calls/chunk (python 3.11.7; 9.41
-#: per chunk with a heap entry per chunk instead of one train per stream;
-#: 29.39 per query with a Python-level response constructor).
+#: Measured 27.39 calls/query and 6.31 calls/chunk (python 3.11.7; 7.49
+#: per chunk with each chunk built by its Python-level constructor as it
+#: fired; 9.41 per chunk with a heap entry per chunk instead of one train
+#: per stream; 29.39 per query with a Python-level response constructor).
 PLAIN_CALLS_PER_QUERY = 30.1
-STREAM_CALLS_PER_CHUNK = 8.4
+STREAM_CALLS_PER_CHUNK = 7.0
 
 #: wrapper -> (build it over a backend factory, ceiling on calls/query
 #: added over the bare echo, ceiling on calls/chunk added over the bare

@@ -624,6 +624,46 @@ class TestTheTwoErrorContracts:
             parse(payload)
 
 
+class TestChunkFieldsAreTakenAsSent:
+    """A CHUNK's ``seq`` and ``tokens`` are ints and ``last`` a bool on
+    the wire, or the frame is malformed: coercing them would let
+    ``"false"`` close a stream and ``1.9`` renumber one."""
+
+    @staticmethod
+    def sent(**fields):
+        payload = {"query_id": 4, "seq": 1, "tokens": 2, "last": False,
+                   "data": None}
+        payload.update(fields)
+        (ftype, decoded), = FrameReader().feed(
+            encode_frame(FrameType.CHUNK, payload))
+        assert ftype is FrameType.CHUNK
+        return decoded
+
+    @pytest.mark.parametrize("fields", [
+        {"last": "false"}, {"last": "true"}, {"last": ""}, {"last": 1},
+        {"last": 0}, {"last": None}, {"last": 1.0},
+        {"seq": 1.9}, {"seq": 1.0}, {"seq": True}, {"seq": False},
+        {"seq": "1"}, {"seq": b"1"},
+        {"tokens": 2.5}, {"tokens": 2.0}, {"tokens": True},
+        {"tokens": "2"},
+    ], ids=repr)
+    def test_a_field_of_the_wrong_type_is_malformed(self, fields):
+        with pytest.raises(ProtocolError, match="CHUNK"):
+            protocol.parse_chunk(self.sent(**fields))
+
+    @pytest.mark.parametrize("last", [False, True])
+    @pytest.mark.parametrize("seq,tokens", [(0, 1), (7, 0), (2 ** 40, 3)])
+    def test_what_chunk_frame_writes_parses_back_exactly(
+            self, seq, tokens, last):
+        (_, payload), = FrameReader().feed(
+            protocol.chunk_frame(9, seq, tokens, last, b"t"))
+        chunk = protocol.parse_chunk(payload)
+        assert (chunk.query_id, chunk.seq, chunk.token_count, chunk.data) \
+            == (9, seq, tokens, b"t")
+        assert chunk.last is last
+        assert type(chunk.seq) is int and type(chunk.token_count) is int
+
+
 #: One frame of each type, as protocol version 1 has always sent it.
 GOLDEN_FRAMES = {
     FrameType.HELLO: (

@@ -25,7 +25,7 @@ pytestmark = pytest.mark.streaming
 
 
 class TaggedChunk(StreamChunk):
-    __slots__ = ("tag",)
+    pass
 
 
 class TypedFailure(QueryFailure):

@@ -11,17 +11,57 @@ stream begins, between two streams, or from inside a chunk callback
 lands where the per-chunk loop put it.
 """
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import pytest
 
 from repro.core.events import EventLoop, VirtualClock
-from repro.core.query import Query, QuerySample, StreamChunk
+from repro.core.query import (Query, QuerySample, QuerySampleResponse,
+                              StreamChunk)
 from repro.streaming import StreamModel, StreamingSUT
-from repro.streaming.sut import _StreamReplay
+from repro.streaming.model import ChunkEvent
 from repro.sut.echo import EchoSUT
 
 pytestmark = pytest.mark.streaming
+
+
+# ``_StreamReplay`` as it shipped with the per-chunk ``_begin_stream``,
+# verbatim: the oracle's callback, which builds each chunk as it fires.
+class _StreamReplay:
+    """One stream being replayed: the callback of its train, which fires
+    once per chunk.  Each firing builds and delivers the chunk the cursor
+    is on; the final one also delivers the terminal completion, so
+    nothing can run between the last chunk and the completion.
+
+    A class, not a closure: it lives in this module (the benchmark's
+    tracer attributes loop events by the callback's module) and its repr
+    is free of object addresses (``RunAbortedError.origin`` falls back to
+    it, and a verdict must not differ between same-seed runs).
+    """
+
+    __slots__ = ("sut", "query", "chunks", "responses", "seq")
+
+    def __init__(self, sut: "StreamingSUT", query: Query,
+                 chunks: Tuple[ChunkEvent, ...],
+                 responses: List[QuerySampleResponse]) -> None:
+        self.sut = sut
+        self.query = query
+        self.chunks = chunks
+        self.responses = responses
+        #: The chunk the next firing delivers.
+        self.seq = 0
+
+    def __call__(self) -> None:
+        seq, query, respond = self.seq, self.query, self.sut._responder
+        _, token_count, last = self.chunks[seq]
+        respond(query, StreamChunk(query.id, seq, token_count, last))
+        if last:
+            respond(query, self.responses)
+        # Only now: a delivery that raised is still the one repr names.
+        self.seq = seq + 1
+
+    def __repr__(self) -> str:
+        return f"<stream chunk {self.seq} of query {self.query.id}>"
 
 
 class PerChunkSUT(StreamingSUT):
