@@ -6,10 +6,12 @@ inference on one or more samples.  Single-stream and server queries carry
 one sample, multistream queries carry N, and the offline scenario issues
 a single query containing the whole performance set (>= 24,576 samples).
 
-Samples and responses are named tuples, built in bulk: a query's samples
-and a SUT's response list are each one ``map`` over C constructors
-(:data:`new_response` for responses), so an Offline query of tens of
-thousands of samples costs no Python frame per sample on either side.
+Samples, responses and stream chunks are named tuples, built in bulk: a
+query's samples, a SUT's response list and a stream's chunks are each
+one ``map`` over C constructors (:data:`new_response` for responses,
+:data:`new_chunk` for chunks), so an Offline query of tens of thousands
+of samples costs no Python frame per sample on either side, and a
+streamed answer none per chunk.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ class QueryFailure:
         return f"QueryFailure(reason={self.reason!r})"
 
 
-class StreamChunk:
+class StreamChunk(NamedTuple):
     """One increment of a streamed answer.
 
     Streaming SUTs deliver their output as an ordered sequence of
@@ -154,31 +156,46 @@ class StreamChunk:
     referee counts the restart and keeps only the final attempt's
     timing.
 
-    Slotted: chunks outnumber queries by the mean token count, so they
-    sit on the hottest completion path in a streaming run.
+    A tuple built in C, no longer slotted: chunks outnumber queries by
+    the mean token count, so a streaming SUT builds a whole stream's
+    chunks at once with :data:`new_chunk`, with no Python frame per
+    chunk.  Immutable, so one chunk may be built ahead of its delivery.
+    It still compares like the class it replaced: equal only to itself
+    (never to another chunk with the same fields, nor to a plain tuple)
+    and hashed by identity.  Every arrival screen tests for a chunk
+    before it takes an arrival as a response sequence.
     """
 
-    __slots__ = ("query_id", "seq", "token_count", "last", "data")
-
-    def __init__(
-        self,
-        query_id: int,
-        seq: int,
-        token_count: int = 1,
-        last: bool = False,
-        data: object = None,
-    ) -> None:
-        self.query_id = query_id
-        self.seq = seq
-        self.token_count = token_count
-        self.last = last
-        self.data = data
+    query_id: int
+    seq: int
+    token_count: int = 1
+    last: bool = False
+    data: object = None
 
     def __repr__(self) -> str:
         return (
             f"StreamChunk(query_id={self.query_id}, seq={self.seq}, "
             f"token_count={self.token_count}, last={self.last})"
         )
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        # Another tuple is never equal; anything else gets its own say.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        # Spelled out: tuple's own __ne__ would otherwise answer ``!=``.
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = object.__hash__  # by identity, like the class it replaced
+
+
+#: ``StreamChunk`` from one ``(query_id, seq, token_count, last, data)``
+#: tuple without the namedtuple's Python-level ``__new__``: mapped over
+#: a stream's field tuples, it builds every chunk of the stream in C.
+new_chunk = partial(tuple.__new__, StreamChunk)
 
 
 class QuerySampleResponse(NamedTuple):

@@ -58,7 +58,7 @@ from typing import Any, Dict, Iterator, List, Tuple
 import numpy as np
 
 from ..core.query import (Query, QuerySample, QuerySampleResponse, StreamChunk,
-                          new_response)
+                          new_chunk, new_response)
 
 MAGIC = b"MI"
 VERSION = 1
@@ -680,13 +680,7 @@ def parse_chunk(payload: Any) -> StreamChunk:
         raise ProtocolError(f"CHUNK seq must be >= 0, got {seq}")
     if tokens < 0:
         raise ProtocolError(f"CHUNK tokens must be >= 0, got {tokens}")
-    return StreamChunk(
-        query_id=query_id,
-        seq=seq,
-        token_count=tokens,
-        last=last,
-        data=msg.get("data"),
-    )
+    return new_chunk((query_id, seq, tokens, last, msg.get("data")))
 
 
 def fail_frame(query_id: int, reason: str) -> bytes:

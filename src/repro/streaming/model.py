@@ -103,3 +103,17 @@ def _plan(first_token_delay: float, inter_token_delay: float,
             ChunkEvent, (offset, 1, emitted >= tokens)))
         delay = inter_token_delay
     return StreamPlan(token_count=tokens, chunks=tuple(chunks))
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _chunk_tails(first_token_delay: float, inter_token_delay: float,
+                 tokens: int) -> Tuple[tuple, ...]:
+    """The plan ``_plan`` gives for these three numbers, as the fields
+    of its stream's chunks after the query id: ``(seq, token_count,
+    last, None)`` per chunk.  ``StreamingSUT`` puts a query's id in
+    front of each to build the stream's chunks in C.  Cached beside
+    ``_plan`` and keyed the same way, for the same reason.
+    """
+    chunks = _plan(first_token_delay, inter_token_delay, tokens).chunks
+    return tuple((seq, token_count, last, None)
+                 for seq, (_, token_count, last) in enumerate(chunks))

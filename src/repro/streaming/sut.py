@@ -2,12 +2,12 @@
 
 :class:`StreamingSUT` sits between the LoadGen (or any wrapper stack)
 and an inner SUT.  Queries pass through unchanged; when the inner SUT
-completes one, the wrapper replays the answer as the query's seeded
-:class:`~repro.streaming.model.StreamPlan` - one train on the run's
-event loop, firing once per chunk - and delivers the original response
-list right after the final chunk, from the same firing.  Failures
-and chunks already produced by the inner SUT pass straight through, so
-streaming wrappers nest.
+completes one, the wrapper builds the query's seeded
+:class:`~repro.streaming.model.StreamPlan` as chunks, all at once, and
+replays them - one train on the run's event loop, firing once per
+chunk - and delivers the original response list right after the final
+chunk, from the same firing.  Failures and chunks already produced by
+the inner SUT pass straight through, so streaming wrappers nest.
 
 Because chunks ride the normal responder channel, everything downstream
 (retry wrappers, the TCP server, the fleet) needs no special casing to
@@ -18,19 +18,26 @@ is exactly what the attempt engine's chunk screen
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from itertools import repeat
+from operator import add, itemgetter
+from typing import List, Optional
 
 from ..core.events import EventLoop
-from ..core.query import Query, QueryFailure, QuerySampleResponse, StreamChunk
+from ..core.query import (Query, QueryFailure, QuerySampleResponse,
+                          StreamChunk, new_chunk)
 from ..core.sut import Responder, SutBase, SystemUnderTest
-from .model import ChunkEvent, StreamModel
+from .model import StreamModel, _chunk_tails
+
+#: ``ChunkEvent.offset`` read in C.
+_OFFSET = itemgetter(0)
 
 
 class _StreamReplay:
     """One stream being replayed: the callback of its train, which fires
-    once per chunk.  Each firing builds and delivers the chunk the cursor
-    is on; the final one also delivers the terminal completion, so
-    nothing can run between the last chunk and the completion.
+    once per chunk.  The stream's chunks are built before its first
+    firing; each firing delivers the one the cursor is on, and the final
+    one also delivers the terminal completion, so nothing can run
+    between the last chunk and the completion.
 
     A class, not a closure: it lives in this module (the benchmark's
     tracer attributes loop events by the callback's module) and its repr
@@ -41,7 +48,7 @@ class _StreamReplay:
     __slots__ = ("sut", "query", "chunks", "responses", "seq")
 
     def __init__(self, sut: "StreamingSUT", query: Query,
-                 chunks: Tuple[ChunkEvent, ...],
+                 chunks: List[StreamChunk],
                  responses: List[QuerySampleResponse]) -> None:
         self.sut = sut
         self.query = query
@@ -52,9 +59,9 @@ class _StreamReplay:
 
     def __call__(self) -> None:
         seq, query, respond = self.seq, self.query, self.sut._responder
-        _, token_count, last = self.chunks[seq]
-        respond(query, StreamChunk(query.id, seq, token_count, last))
-        if last:
+        chunk = self.chunks[seq]
+        respond(query, chunk)
+        if chunk.last:
             respond(query, self.responses)
         # Only now: a delivery that raised is still the one repr names.
         self.seq = seq + 1
@@ -87,7 +94,10 @@ class StreamingSUT(SutBase):
     # -- inner completions become streams --------------------------------------
 
     def _on_inner_completion(self, query: Query, responses) -> None:
-        if isinstance(responses, (QueryFailure, StreamChunk)):
+        # A plain list is what the hot path delivers; the exact type
+        # settles it without a call.
+        if type(responses) is not list and isinstance(
+                responses, (QueryFailure, StreamChunk)):
             # Failures pass through; an already-streaming inner SUT's
             # chunks do too (nested streaming wrappers compose).
             self._responder(query, responses)
@@ -97,14 +107,23 @@ class StreamingSUT(SutBase):
     def _begin_stream(
         self, query: Query, responses: List[QuerySampleResponse]
     ) -> None:
-        chunks = self.model.plan(query.id).chunks
-        loop = self.loop
-        start = loop.now
+        model = self.model
+        plan = model.plan(query.id)
+        # Every chunk of the stream at once, in C: the query's id in
+        # front of each of the plan's cached (seq, tokens, last, data).
+        chunks = list(map(new_chunk, map(
+            add, repeat((query.id,)),
+            _chunk_tails(model.first_token_delay, model.inter_token_delay,
+                         plan.token_count))))
+        loop = self._loop
+        clock = loop.clock  # loop.now, read in place as schedule reads it
+        start = clock.now() if loop.realtime else clock._now
         # One train, one firing per chunk in plan order: the firings keep
         # the sequence numbers, and so the place among same-instant
         # events, that a schedule call per chunk would give them.
-        loop.schedule_train([start + event.offset for event in chunks],
-                            _StreamReplay(self, query, chunks, responses))
+        loop.schedule_train(
+            list(map(add, repeat(start), map(_OFFSET, plan.chunks))),
+            _StreamReplay(self, query, chunks, responses))
 
 
 def streaming_echo(

@@ -14,6 +14,8 @@ loop callbacks only on the wall clock) and prints it per function:
     python tools/count_pass.py tcp_server --seeds 0,7 --against ../parent
     python tools/count_pass.py all --seeds 0 --against ../parent
 
+When the counted run streamed, the calls per chunk (all calls over
+the chunks the referee logged) are printed beside the calls per query.
 ``--callers PATTERN`` (a regex over the names as printed) adds, for
 every matching function, who called it and how often per query.
 ``--root`` points at another checkout (a clone of the parent commit) so
@@ -59,18 +61,22 @@ def name_of(code, line: bool = True) -> str:
 
 
 def counted_profile(workload, spans):
-    """What ``measure.count_pass`` does, keeping the profile."""
+    """What ``measure.count_pass`` does, keeping the profile; returns it
+    with the queries issued and the stream chunks logged."""
     profile = cProfile.Profile()
     if workload.virtual:
         workload.profiler, restore = profile, lambda: None
     else:
         restore = spans.profile_callbacks(profile)
     try:
-        queries = sum(u.run(None).issued for u in workload.count_units())
+        outcomes = [u.run(None) for u in workload.count_units()]
     finally:
         workload.profiler = None
         restore()
-    return profile, queries
+    queries = sum(o.issued for o in outcomes)
+    chunks = sum(o.info["result"].log.stream_chunks
+                 for o in outcomes if "result" in o.info)
+    return profile, queries, chunks
 
 
 def calls_by_name(stats) -> dict:
@@ -84,18 +90,25 @@ def calls_by_name(stats) -> dict:
 def counted_in_child(workload: str, seed: int, root: Path) -> tuple:
     """The count in a child process over ``root``'s checkout: two
     checkouts' ``repro`` cannot share one interpreter, and a workload is
-    built for one seed."""
+    built for one seed.  Returns the calls by name, the queries and the
+    stream chunks."""
     child = subprocess.run(
         [sys.executable, __file__, workload, "--seed", str(seed),
          "--root", str(root), "--dump"],
         check=True, capture_output=True, text=True)
     dumped = json.loads(child.stdout)
-    return dumped["calls"], dumped["queries"]
+    return dumped["calls"], dumped["queries"], dumped["chunks"]
 
 
 def per_query(counted: tuple) -> float:
-    calls, queries = counted
+    calls, queries, _ = counted
     return sum(calls.values()) / queries
+
+
+def per_chunk(counted: tuple) -> float:
+    """All calls over the chunks logged; 0.0 when nothing streamed."""
+    calls, _, chunks = counted
+    return sum(calls.values()) / chunks if chunks else 0.0
 
 
 def use_checkout(root: Path):
@@ -118,14 +131,22 @@ def count_each_seed(args) -> int:
     for workload in names:
         signs = set()
         for seed in args.seeds:
-            here = per_query(counted_in_child(workload, seed, args.root))
+            ours = counted_in_child(workload, seed, args.root)
+            here = per_query(ours)
             line = f"{workload} seed {seed}: {here:.2f} calls/query"
             if args.against:
-                there = per_query(
-                    counted_in_child(workload, seed, args.against))
+                theirs = counted_in_child(workload, seed, args.against)
+                there = per_query(theirs)
                 delta = round(here - there, 2)
                 signs.add((delta > 0) - (delta < 0))
                 line += f", against {there:.2f}, difference {delta:+.2f}"
+            mine = per_chunk(ours)
+            if mine:
+                line += f"; {mine:.2f} calls/chunk"
+                if args.against:
+                    other = per_chunk(theirs)
+                    line += (f", against {other:.2f}, "
+                             f"difference {mine - other:+.2f}")
             print(line, flush=True)
         if len(signs) > 1:
             flipped.append(workload)
@@ -136,7 +157,7 @@ def count_each_seed(args) -> int:
 
 
 def print_delta(args, here: dict, queries: int) -> None:
-    there, their_queries = counted_in_child(
+    there, their_queries, _ = counted_in_child(
         args.workload, args.seed, args.against)
     print(f"against {args.against.resolve()} ({their_queries} queries), "
           "calls/query here, there, difference:")
@@ -184,18 +205,20 @@ def main(argv=None) -> int:
     workload.open()
     try:
         workload.warmup()  # lazy imports stay out of the count
-        profile, queries = counted_profile(workload, spans)
+        profile, queries, chunks = counted_profile(workload, spans)
     finally:
         workload.close()
 
     stats = profile.getstats()
     if args.dump:
-        json.dump({"queries": queries, "calls": calls_by_name(stats)},
-                  sys.stdout)
+        json.dump({"queries": queries, "chunks": chunks,
+                   "calls": calls_by_name(stats)}, sys.stdout)
         return 0
     total = sum(entry.callcount for entry in stats)
+    streamed = (f", {total / chunks:.2f} calls/chunk over {chunks} chunks"
+                if chunks else "")
     print(f"{args.workload} seed {args.seed}: {total / queries:.2f} "
-          f"calls/query over {queries} queries ({root})")
+          f"calls/query over {queries} queries{streamed} ({root})")
     for entry in sorted(stats, key=lambda e: -e.callcount)[:args.top]:
         print(f"  {entry.callcount / queries:8.2f}  {name_of(entry.code)}")
     if args.callers:
