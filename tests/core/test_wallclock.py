@@ -25,6 +25,44 @@ class TestWallClock:
         readings = [clock.now() for _ in range(200)]
         assert all(b >= a for a, b in zip(readings, readings[1:]))
 
+    def test_now_is_a_float_that_never_decreases(self):
+        clock = WallClock()
+        readings = [clock.now() for _ in range(1000)]
+        assert {type(reading) for reading in readings} == {float}
+        assert readings == sorted(readings)
+
+    def test_now_reads_the_monotonic_clock(self):
+        before = time.monotonic()
+        reading = WallClock().now()
+        assert before <= reading <= time.monotonic()
+        loop = EventLoop(WallClock())
+        before = time.monotonic()
+        reading = loop.now
+        assert before <= reading <= time.monotonic()
+
+    def test_the_base_clock_still_has_no_time(self):
+        class Bare(Clock):
+            pass
+
+        for clock in (Clock(), Bare()):
+            with pytest.raises(NotImplementedError):
+                clock.now()
+
+    def test_a_subclass_still_chooses_its_own_now(self):
+        class Fixed(WallClock):
+            def now(self):
+                return 42.0
+
+        class Inherited(WallClock):
+            pass
+
+        assert Fixed().now() == 42.0
+        assert EventLoop(Fixed()).realtime and EventLoop(Fixed()).now == 42.0
+        before = time.monotonic()
+        reading = Inherited().now()
+        assert before <= reading <= time.monotonic()
+        assert SteppingClock().now() == 1.0
+
     def test_tracks_real_elapsed_time(self):
         clock = WallClock()
         start = clock.now()

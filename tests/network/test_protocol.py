@@ -390,6 +390,94 @@ class TestMessageHelpersMatchTheirDictForm:
             "last": bool(last), "data": data})
 
 
+#: Each end of int64 and the values beside zero.
+INT64_EDGES = (0, 1, -1, 2 ** 63 - 1, -(2 ** 63))
+#: Ids the wire carries that are not exactly ``int``.
+NOT_EXACTLY_INT = (np.int64(5), np.int32(-3), np.uint64(2 ** 63 - 1),
+                   np.int8(7), True, False, Colour.RED, Colour.DEEP)
+#: Ids the wire cannot carry.
+UNCARRIABLE = (2 ** 63, -(2 ** 63) - 1, 2 ** 64, np.uint64(2 ** 63),
+               np.bool_(True), 1 + 2j, object())
+ID_FIELDS = ("query_id", "sample_id", "index")
+
+
+def one_sample(query_id=11, sample_id=12, index=13):
+    return Query(id=query_id,
+                 samples=(QuerySample(id=sample_id, index=index),))
+
+
+class TestOneSampleIssueFrames:
+    """The ISSUE frame of a one-sample query - every SingleStream and
+    Server query - is the per-query frame of the tcp path.  Whatever
+    builds it writes the oracle's bytes for every id the wire carries,
+    keeps the bytes of ids that are not exactly ``int``, and refuses the
+    rest with the codec's ``TypeError``."""
+
+    def test_frame_bytes(self):
+        assert protocol.issue_frame(one_sample(7, 1, 10)) == (
+            b"MI\x01\x03\x00\x00\x00CM\x00\x00\x00\x02"
+            b"S\x00\x00\x00\x08query_idI\x00\x00\x00\x00\x00\x00\x00\x07"
+            b"S\x00\x00\x00\x07samplesL\x00\x00\x00\x01"
+            b"L\x00\x00\x00\x02I\x00\x00\x00\x00\x00\x00\x00\x01"
+            b"I\x00\x00\x00\x00\x00\x00\x00\n")
+
+    @pytest.mark.parametrize("index", INT64_EDGES)
+    @pytest.mark.parametrize("sample_id", INT64_EDGES)
+    @pytest.mark.parametrize("query_id", INT64_EDGES)
+    def test_int64_edges_match_the_oracle(self, query_id, sample_id, index):
+        assert protocol.issue_frame(
+            one_sample(query_id, sample_id, index)) == oracle_frame(
+                FrameType.ISSUE, {"query_id": query_id,
+                                  "samples": [[sample_id, index]]})
+
+    @pytest.mark.parametrize("value", NOT_EXACTLY_INT, ids=repr)
+    @pytest.mark.parametrize("field", ID_FIELDS)
+    def test_ids_not_exactly_int_keep_their_bytes(self, field, value):
+        ids = dict(query_id=11, sample_id=12, index=13)
+        ids[field] = value
+        assert protocol.issue_frame(one_sample(**ids)) == oracle_frame(
+            FrameType.ISSUE, {"query_id": ids["query_id"],
+                              "samples": [[ids["sample_id"], ids["index"]]]})
+
+    def test_bool_and_numpy_ids_keep_their_literal_bytes(self):
+        assert protocol.issue_frame(
+            one_sample(True, np.int64(2), False)) == (
+            b"MI\x01\x03\x00\x00\x003M\x00\x00\x00\x02"
+            b"S\x00\x00\x00\x08query_idT"
+            b"S\x00\x00\x00\x07samplesL\x00\x00\x00\x01"
+            b"L\x00\x00\x00\x02I\x00\x00\x00\x00\x00\x00\x00\x02F")
+
+    @pytest.mark.parametrize("value", UNCARRIABLE, ids=repr)
+    @pytest.mark.parametrize("field", ID_FIELDS)
+    def test_what_the_wire_cannot_carry_is_a_type_error(self, field, value):
+        ids = dict(query_id=11, sample_id=12, index=13)
+        ids[field] = value
+        with pytest.raises(TypeError, match="wire-encodable"):
+            protocol.issue_frame(one_sample(**ids))
+
+    def test_the_frame_cap_is_read_when_the_frame_is_built(
+            self, monkeypatch):
+        query = one_sample()
+        frame = protocol.issue_frame(query)
+        assert len(frame) == 75
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 67)
+        assert protocol.issue_frame(query) == frame
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 66)
+        with pytest.raises(TypeError, match="frame cap"):
+            protocol.issue_frame(query)
+        # The general encoder's frame of this query has 51 payload bytes.
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 50)
+        with pytest.raises(TypeError, match="frame cap"):
+            protocol.issue_frame(one_sample(True, np.int64(2), False))
+
+    def test_a_several_sample_query_is_one_frame_with_every_sample(self):
+        query = Query(id=3, samples=tuple(
+            QuerySample(id=i, index=2 ** 63 - 1 - i) for i in range(4)))
+        assert protocol.issue_frame(query) == oracle_frame(
+            FrameType.ISSUE, {"query_id": 3, "samples": [
+                [i, 2 ** 63 - 1 - i] for i in range(4)]})
+
+
 def fed(data, step):
     """Feed ``data`` to a fresh reader ``step`` bytes at a time; returns
     (frames completed, whether the stream was found corrupt).  Anything
@@ -515,6 +603,9 @@ class TestTheTwoErrorContracts:
             lambda: encode_frame(FrameType.STATS, {"blob": b"x" * 46}),
             lambda: protocol.complete_frame(
                 1, [QuerySampleResponse(1, b"x" * 64)], 0.0, 0.0),
+            # A one-sample ISSUE frame is 75 bytes, 67 of them payload.
+            lambda: protocol.issue_frame(
+                Query(id=1, samples=(QuerySample(id=1, index=2),))),
         ):
             with pytest.raises(TypeError, match="frame cap"):
                 build()
