@@ -401,8 +401,9 @@ class SingleStreamDriver(ScenarioDriver):
         self._issue(indices)
 
     def on_completion(self, query: Query, now: float) -> None:
-        if self.loop.realtime:
-            now = self.loop.now  # measured time moved while it was logged
+        loop = self.loop
+        if loop.realtime:
+            now = loop.clock.now()  # measured time moved while it was logged
         if self._should_issue_more(now):
             self._issue_next()
         else:
@@ -464,7 +465,7 @@ class ServerDriver(ScenarioDriver):
         loop = self.loop
         # Virtual time stands still inside an event; measured time has
         # moved while the SUT ran, and the next gap starts from there.
-        now = loop.now if loop.realtime else query.issue_time
+        now = loop.clock.now() if loop.realtime else query.issue_time
         if self._should_issue_more(now):
             self._schedule_next_arrival(now)
         else:
@@ -514,7 +515,7 @@ class MultiStreamDriver(ScenarioDriver):
             loop = self.loop
             self._current_query = query = self._issue(
                 indices, scheduled_time=self._due)
-            now = loop.now if loop.realtime else query.issue_time
+            now = loop.clock.now() if loop.realtime else query.issue_time
             if not self._should_issue_more(now):
                 self._close_issue_phase()
                 return
@@ -560,8 +561,9 @@ class OfflineDriver(ScenarioDriver):
         self.sut.flush()
 
     def on_completion(self, query: Query, now: float) -> None:
-        if self.loop.realtime:
-            now = self.loop.now  # measured time moved while it was logged
+        loop = self.loop
+        if loop.realtime:
+            now = loop.clock.now()  # measured time moved while it was logged
         if (
             not self._finite
             and now - self.stats.start_time < self._min_duration

@@ -112,6 +112,8 @@ class _Pending(Attempt):
 
     #: The pooled connection the current attempt went out on.
     connection: Optional[_Connection] = None
+    #: The ISSUE frame, built once at admission; a retry resends it.
+    frame = b""
 
 
 class NetworkSUT(AttemptSUT):
@@ -203,6 +205,13 @@ class NetworkSUT(AttemptSUT):
     # -- SUT contract -----------------------------------------------------------
 
     def issue_query(self, query: Query) -> None:
+        try:
+            frame = protocol.issue_frame(query)
+        except TypeError as exc:
+            # The wire cannot carry it: this one query fails, with
+            # nothing armed, sent or counted.
+            self.fail(query, str(exc))
+            return
         conn = self._pick_connection()
         if conn is None:
             self.stats.gave_up_queries += 1
@@ -212,6 +221,7 @@ class NetworkSUT(AttemptSUT):
         now = self._loop.clock.now()
         state = self._inflight[query.id] = _Pending(query, now)
         state.connection = conn
+        state.frame = frame
         self._send_attempt(state, now)
 
     # -- issue path (loop thread) -----------------------------------------------
@@ -220,7 +230,7 @@ class NetworkSUT(AttemptSUT):
                       now: Optional[float] = None) -> None:
         self._arm(state, self.query_timeout, now)
         self.stats.queries_sent += 1
-        if not self._send(state.connection, protocol.issue_frame(state.query)):
+        if not self._send(state.connection, state.frame):
             # The write itself failed: this connection is gone.
             self._connection_lost(state.connection)
 

@@ -560,8 +560,38 @@ def parse_load(payload: Any) -> List[int]:
         raise _malformed("LOAD", exc) from None
 
 
+#: A one-sample ISSUE frame whose ids are exactly ``int``, whole: the
+#: header and the mapping up to the query id, the query id, the rest up
+#: to the sample id, the sample id, the index's tag, the index.  Its
+#: pieces are the general encoder's, so both write the same bytes.
+_ISSUE_ONE_MIDDLE = _KEY_SAMPLES + _TAG_U32.pack(b"L", 1) + _PAIR + b"I"
+_ISSUE_ONE = struct.Struct(
+    f">{len(_ISSUE_OPENING) + 1}sq{len(_ISSUE_ONE_MIDDLE)}sqcq")
+_ISSUE_ONE_PAYLOAD = _ISSUE_ONE.size - _HEADER.size
+_ISSUE_ONE_HEAD = (
+    _HEADER.pack(MAGIC, VERSION, FrameType.ISSUE, _ISSUE_ONE_PAYLOAD)
+    + _ISSUE_OPENING[_HEADER.size:] + b"I")
+
+
 def issue_frame(query: Query) -> bytes:
-    """``{"query_id": id, "samples": [[sample id, index], ...]}``"""
+    """``{"query_id": id, "samples": [[sample id, index], ...]}``
+
+    A one-sample query whose three ids are exactly ``int`` is one
+    ``pack``; every other query, and an id outside int64, goes through
+    the general encoder, which writes the same bytes or refuses."""
+    samples = query.samples
+    if len(samples) == 1:
+        query_id = query.id
+        (sample_id, index), = samples
+        if (query_id.__class__ is int and sample_id.__class__ is int
+                and index.__class__ is int
+                and _ISSUE_ONE_PAYLOAD <= MAX_FRAME_BYTES):
+            try:
+                return _ISSUE_ONE.pack(_ISSUE_ONE_HEAD, query_id,
+                                       _ISSUE_ONE_MIDDLE, sample_id, b"I",
+                                       index)
+            except struct.error:
+                pass
     encoders = _ENCODERS
     buf = bytearray(_ISSUE_OPENING)
     value = query.id

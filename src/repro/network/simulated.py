@@ -142,7 +142,13 @@ class SimulatedChannelSUT(SutBase):
     # -- forward direction ------------------------------------------------------
 
     def issue_query(self, query: Query) -> None:
-        size = len(protocol.issue_frame(query))
+        try:
+            size = len(protocol.issue_frame(query))
+        except TypeError as exc:
+            # Not wire-encodable: it never goes on the wire, and the
+            # query fails here as the real client fails it.
+            self.fail(query, str(exc))
+            return
         self.stats.bytes_forward += size
         if self._rng.random() < self.model.drop_rate:
             self.stats.queries_dropped += 1

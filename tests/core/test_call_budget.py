@@ -10,7 +10,8 @@ heap size; so are the fault valve with nothing in force, a zoned
 fleet's routing decision, and the telemetry (registry + 50 ms snapshot
 sampler) on top of that fleet.  The
 wire codec is gated without sockets: one ISSUE frame built, one COMPLETE
-frame read, and what a simulated channel adds per query.  A breach
+frame read, and what a simulated channel adds per query; the wire
+client, over loopback, per query on the loop thread.  A breach
 prints the ten most-called functions, so the regression names its
 frame.  Re-baselining is described in CONTRIBUTING.md.
 """
@@ -21,12 +22,15 @@ import os
 import pytest
 
 from repro.core import Scenario, TestSettings, run_benchmark
+from repro.core.events import EventLoop, WallClock
 from repro.core.query import Query, QuerySample, QuerySampleResponse
 from repro.durability import SelfHealingSUT
 from repro.faults import DegradedSUT, OutageSUT, ResilientSUT
 from repro.fleet import ReplicaSet
 from repro.metrics import MetricsRegistry
 from repro.network import protocol
+from repro.network.client import NetworkSUT
+from repro.network.server import InferenceServer, ServerConfig
 from repro.network.simulated import ChannelModel, SimulatedChannelSUT
 from repro.streaming import StreamModel, StreamingSUT
 from repro.sut.device import DeviceModel, ProcessorType
@@ -316,17 +320,19 @@ def test_telemetry_stays_inside_its_added_call_budget(echo_qsl):
 #: One ISSUE frame of a one-sample query through ``issue_frame``, and
 #: one COMPLETE frame (one echoed sample) through ``FrameReader.feed`` +
 #: ``parse_complete`` - the per-frame entry points of the tcp path, on
-#: the loop thread and on the reader thread.  Measured 14.01 and 39.01
-#: calls, the test's own wrapper frame included (python 3.11.7; 41.01
+#: the loop thread and on the reader thread.  Measured 4.01 and 39.01
+#: calls, the test's own wrapper frame included (python 3.11.7; the
+#: ISSUE frame 14.01, ceiling 15.4, before it was one ``pack``; 41.01
 #: with a Python-level response constructor); the recursive codec they
 #: replaced measured 75.01 and 114.01.
-ISSUE_FRAME_CALLS = 15.4
+ISSUE_FRAME_CALLS = 4.4
 COMPLETE_FRAME_CALLS = 42.9
 #: ``SimulatedChannelSUT`` over the echo: calls/query added over the
 #: bare run.  It builds an ISSUE and a COMPLETE frame per query to
 #: charge their real lengths, so it moves with the codec.  Measured
-#: 78.05 (python 3.11.7; 224.05 with the recursive codec).
-CHANNEL_CALLS_PER_QUERY = 85.9
+#: 64.04 (python 3.11.7; 74.04, ceiling 85.9, before the ISSUE frame
+#: was one ``pack``; 224.05 with the recursive codec).
+CHANNEL_CALLS_PER_QUERY = 70.4
 
 FRAMES = 100
 
@@ -423,3 +429,74 @@ def test_multistream_tick_stays_inside_its_call_budget(echo_qsl):
     print(f"multistream: {per_tick:.2f} calls/tick over {ticks} ticks")
     assert per_tick <= MULTISTREAM_CALLS_PER_TICK, busiest(
         stats, ticks, "tick")
+
+
+# -- the wire client, over a real socket -----------------------------------------
+
+#: ``NetworkSUT`` over an in-process ``InferenceServer`` on loopback:
+#: calls per SingleStream query on the loop thread, counted inside loop
+#: callbacks only - the placement of the ``tcp_server`` benchmark's
+#: count pass, which leaves out the LoadGen's janitor and watchdog (they
+#: tick with wall time, not with queries) and the waits between
+#: callbacks.  The server's threads are not profiled.  Measured 45.94
+#: (python 3.11.7; 60.90 with the ISSUE frame built by the general
+#: encoder, a wall-clock reading in a Python frame, and the realtime
+#: re-read of a SingleStream completion through ``loop.now``).
+WIRE_CLIENT_CALLS_PER_QUERY = 50.5
+WIRE_QUERIES = 300
+
+
+def profile_loop_callbacks(profile, patch):
+    """Turn ``profile`` on inside event-loop callbacks only, the
+    LoadGen's own janitor and watchdog left out."""
+    schedule, post = EventLoop.schedule, EventLoop.post
+
+    def profiled(callback):
+        if getattr(callback, "__module__", None) == "repro.core.loadgen":
+            return callback
+
+        def run_profiled():
+            profile.enable()
+            try:
+                callback()
+            finally:
+                profile.disable()
+        return run_profiled
+
+    patch.setattr(EventLoop, "schedule", lambda self, when, callback:
+                  schedule(self, when, profiled(callback)))
+    patch.setattr(EventLoop, "post", lambda self, callback:
+                  post(self, profiled(callback)))
+
+
+def wire_run(address, qsl, queries):
+    client = NetworkSUT(address)
+    settings = TestSettings(
+        scenario=Scenario.SINGLE_STREAM, min_query_count=queries,
+        min_duration=0.0, watchdog_timeout=60.0, seed=0)
+    try:
+        result = run_benchmark(client, qsl, settings, clock=WallClock())
+    finally:
+        client.close()
+    assert result.valid and result.log.query_count == queries
+    assert client.stats.retries == 0
+    return result.log
+
+
+@pytest.mark.socket
+def test_wire_client_stays_inside_its_call_budget(echo_qsl, monkeypatch):
+    server = InferenceServer(EchoSUT(latency=0.0), ServerConfig(workers=1))
+    address = server.start()
+    try:
+        wire_run(address, echo_qsl, 20)  # lazy imports, type-table misses
+        profile = cProfile.Profile()
+        with monkeypatch.context() as patch:
+            profile_loop_callbacks(profile, patch)
+            log = wire_run(address, echo_qsl, WIRE_QUERIES)
+    finally:
+        server.stop()
+    stats = profile.getstats()
+    per_query = sum(entry.callcount for entry in stats) / log.query_count
+    print(f"wire client: {per_query:.2f} calls/query on the loop thread")
+    assert per_query <= WIRE_CLIENT_CALLS_PER_QUERY, busiest(
+        stats, log.query_count, "query")

@@ -161,3 +161,36 @@ class TestFrameSizesAreTheWireEncodings:
                 first_token_delay=1e-3, inter_token_delay=1e-4, seed=0)))
         assert stats.chunks_forwarded == 1313
         assert (stats.bytes_forward, stats.bytes_reverse) == (4500, 128416)
+
+
+class TestAnUnencodableQuery:
+    """A query the wire cannot carry fails before the wire, as the real
+    client fails it: nothing forwarded, counted or drawn."""
+
+    def test_it_fails_alone_and_leaves_the_channel_as_it_was(self):
+        from repro.core.events import EventLoop
+        from repro.core.query import Query, QueryFailure, QuerySample
+
+        def deliveries(first):
+            loop = EventLoop()
+            channel = SimulatedChannelSUT(EchoSUT(latency=0.002), ChannelModel(
+                latency=0.001, jitter=0.001, drop_rate=0.2, seed=3))
+            heard = []
+            channel.start_run(loop, lambda query, outcome: heard.append(
+                (query.id, loop.now, outcome)))
+            for query in first:
+                channel.issue_query(query)
+            for qid in range(10, 20):
+                channel.issue_query(
+                    Query(id=qid, samples=(QuerySample(id=qid, index=1),)))
+            loop.run()
+            return channel.stats, heard
+
+        refused = Query(id=1, samples=(QuerySample(id=1, index=2 ** 64),))
+        stats, heard = deliveries([refused])
+        clean_stats, clean_heard = deliveries([])
+        (qid, when, outcome), *rest = heard
+        assert (qid, when) == (1, 0.0)
+        assert isinstance(outcome, QueryFailure)
+        assert "wire-encodable" in outcome.reason
+        assert rest == clean_heard and stats == clean_stats

@@ -13,6 +13,8 @@ loop callbacks only on the wall clock) and prints it per function:
     python tools/count_pass.py paper_sweep --against ../parent
     python tools/count_pass.py tcp_server --seeds 0,7 --against ../parent
     python tools/count_pass.py all --seeds 0 --against ../parent
+    python tools/count_pass.py all --seeds 0,7 --against ../parent \
+        --flat tcp_server
 
 When the counted run streamed, the calls per chunk (all calls over
 the chunks the referee logged) are printed beside the calls per query.
@@ -29,7 +31,11 @@ and exits non-zero when the difference changes sign between seeds - a
 saving that holds at one seed only is not a saving.  The workload
 ``all`` counts every benchmark workload that way, one row per workload
 and seed (``--seed`` when no ``--seeds`` is given): with ``--against``
-that is the "every other workload stays flat" check of a change.  It
+that is the "every other workload stays flat" check of a change.
+``--flat NAME,...`` (with ``--against``) makes that check a verdict:
+the exit status is non-zero when a workload not listed moves by more
+than :data:`FLAT` calls/query at any seed - list the workloads the
+change is meant to move (``--flat ''`` holds every one flat).  It
 imports ``benchmarks/perf`` read-only and writes nothing.
 """
 
@@ -45,6 +51,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 ALL = "all"
+#: How far, in calls/query, ``--flat`` lets an unlisted workload move.
+FLAT = 0.01
 
 
 def name_of(code, line: bool = True) -> str:
@@ -120,14 +128,12 @@ def use_checkout(root: Path):
     return workloads
 
 
-def count_each_seed(args) -> int:
+def count_each_seed(args, names) -> int:
     """``--seeds``: one total per workload and seed; with ``--against``,
     both totals and their difference, failing when its sign differs
-    between seeds."""
-    names = [args.workload]
-    if args.workload == ALL:
-        names = list(use_checkout(args.root.resolve()).WORKLOADS)
-    flipped = []
+    between seeds or, under ``--flat``, when a workload not listed
+    moves."""
+    flipped, moved = [], []
     for workload in names:
         signs = set()
         for seed in args.seeds:
@@ -139,6 +145,9 @@ def count_each_seed(args) -> int:
                 there = per_query(theirs)
                 delta = round(here - there, 2)
                 signs.add((delta > 0) - (delta < 0))
+                if (args.flat is not None and workload not in args.flat
+                        and abs(here - there) > FLAT):
+                    moved.append(f"{workload} seed {seed}: {delta:+.2f}")
                 line += f", against {there:.2f}, difference {delta:+.2f}"
             mine = per_chunk(ours)
             if mine:
@@ -153,7 +162,10 @@ def count_each_seed(args) -> int:
     for workload in flipped:
         print(f"{workload}: the difference against {args.against.resolve()} "
               "changes sign between seeds", file=sys.stderr)
-    return 1 if flipped else 0
+    for line in moved:
+        print(f"{line} calls/query against {args.against.resolve()}, "
+              f"more than --flat's {FLAT}", file=sys.stderr)
+    return 1 if flipped or moved else 0
 
 
 def print_delta(args, here: dict, queries: int) -> None:
@@ -186,21 +198,30 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path, metavar="ROOT",
                         help="also count this checkout and print the "
                              "per-function difference")
+    parser.add_argument("--flat", metavar="NAME,...",
+                        type=lambda text: set(filter(None, text.split(","))),
+                        help="with --against: fail when a workload not "
+                             f"listed moves by more than {FLAT} calls/query")
     parser.add_argument("--dump", action="store_true",
                         help=argparse.SUPPRESS)  # --against's child
     args = parser.parse_args(argv)
-    if args.workload == ALL and not args.seeds:
-        args.seeds = [args.seed]
-    if args.seeds:
-        return count_each_seed(args)
+    if args.flat is not None and not args.against:
+        parser.error("--flat needs --against")
 
     root = args.root.resolve()
     workloads = use_checkout(root)
-    import spans
+    known = list(workloads.WORKLOADS)
+    for name in ({args.workload} - {ALL}) | (args.flat or set()):
+        if name not in known:
+            parser.error(f"unknown workload {name!r}; one of "
+                         + ", ".join(known))
+    if (args.workload == ALL or args.flat is not None) and not args.seeds:
+        args.seeds = [args.seed]
+    if args.seeds:
+        return count_each_seed(
+            args, known if args.workload == ALL else [args.workload])
 
-    if args.workload not in workloads.WORKLOADS:
-        parser.error(f"unknown workload {args.workload!r}; one of "
-                     + ", ".join(workloads.WORKLOADS))
+    import spans
     workload = workloads.WORKLOADS[args.workload](args.seed)
     workload.open()
     try:
