@@ -5,7 +5,8 @@ import pytest
 from repro.core.config import Scenario, TestSettings
 from repro.core.loadgen import run_benchmark
 from repro.faults.resilient import ResilientSUT, RetryPolicy
-from repro.harness.netbench import SyntheticQSL, run_over_simulated_channel
+from repro.harness.netbench import SyntheticQSL
+from repro.harness.stack import EchoBackend, StackSpec, build
 from repro.network.simulated import (
     ChannelModel,
     SimulatedChannelSUT,
@@ -27,9 +28,12 @@ def server_settings(**overrides):
 
 
 def run_channel(model, settings=None, latency=0.002):
-    return run_over_simulated_channel(
-        EchoSUT(latency=latency), SyntheticQSL(), settings or server_settings(),
-        model)
+    """One run of an echo backend behind ``model``'s wire, built from
+    its spec: the verdict and the channel it ran over."""
+    stack = build(StackSpec(EchoBackend(latency), channel=model), model.seed)
+    result = run_benchmark(stack.sut, SyntheticQSL(),
+                           settings or server_settings())
+    return result, stack.channel
 
 
 class TestModelValidation:
@@ -44,14 +48,14 @@ class TestDeterminism:
     def test_identical_seeds_identical_runs(self):
         model = ChannelModel(latency=0.003, jitter=0.001, drop_rate=0.0,
                              seed=11)
-        a = run_channel(model)
-        b = run_channel(model)
+        a, a_channel = run_channel(model)
+        b, b_channel = run_channel(model)
         log_a = [(r.query.id, r.issue_time, r.completion_time)
-                 for r in a.result.log.completed_records()]
+                 for r in a.log.completed_records()]
         log_b = [(r.query.id, r.issue_time, r.completion_time)
-                 for r in b.result.log.completed_records()]
+                 for r in b.log.completed_records()]
         assert log_a == log_b
-        assert a.channel_stats == b.channel_stats
+        assert a_channel.stats == b_channel.stats
 
     def test_channel_does_not_perturb_the_arrival_draw(self):
         """The traffic pattern (which samples, when scheduled) must be
@@ -60,44 +64,43 @@ class TestDeterminism:
         settings = server_settings()
         qsl = SyntheticQSL()
         direct = run_benchmark(EchoSUT(latency=0.002), qsl, settings)
-        channel = run_over_simulated_channel(
-            EchoSUT(latency=0.002), qsl, settings,
-            ChannelModel(latency=0.001, seed=3))
+        channel, _ = run_channel(ChannelModel(latency=0.001, seed=3),
+                                 settings)
         direct_seq = [r.query.sample_indices
                       for r in direct.log.completed_records()]
         channel_seq = [r.query.sample_indices
-                       for r in channel.result.log.completed_records()]
+                       for r in channel.log.completed_records()]
         assert direct_seq == channel_seq
 
 
 class TestChannelEffects:
     def test_latency_shifts_the_distribution(self):
-        fast = run_channel(ChannelModel(latency=0.0005, seed=5))
-        slow = run_channel(ChannelModel(latency=0.010, seed=5))
+        fast, _ = run_channel(ChannelModel(latency=0.0005, seed=5))
+        slow, _ = run_channel(ChannelModel(latency=0.010, seed=5))
         assert fast.valid
-        delta = (slow.result.metrics.latency_mean
-                 - fast.result.metrics.latency_mean)
+        delta = slow.metrics.latency_mean - fast.metrics.latency_mean
         # Two extra one-way hops of (10 - 0.5) ms each.
         assert delta == pytest.approx(2 * 0.0095, rel=0.05)
 
     def test_qos_degrades_to_invalid_as_latency_grows(self):
         settings = server_settings(server_latency_bound=0.015)
-        good = run_channel(ChannelModel(latency=0.001, seed=5), settings)
-        bad = run_channel(ChannelModel(latency=0.030, seed=5), settings)
+        good, _ = run_channel(ChannelModel(latency=0.001, seed=5), settings)
+        bad, _ = run_channel(ChannelModel(latency=0.030, seed=5), settings)
         assert good.valid
         assert not bad.valid
 
     def test_reordering_is_counted(self):
-        res = run_channel(
+        _, channel = run_channel(
             ChannelModel(latency=0.001, reorder_rate=0.5, seed=5))
-        assert res.channel_stats.reordered_frames > 0
+        assert channel.stats.reordered_frames > 0
 
     def test_transport_records_cover_completed_queries(self):
-        res = run_channel(ChannelModel(latency=0.002, seed=5))
-        completed = res.result.log.completed_records()
-        assert len(res.transport) >= len(completed)
+        result, channel = run_channel(ChannelModel(latency=0.002, seed=5))
+        completed = result.log.completed_records()
+        transport = channel.transport_records
+        assert len(transport) >= len(completed)
         for record in completed:
-            timing = res.transport[record.query.id]
+            timing = transport[record.query.id]
             # One-way latency each direction bounds the wire share.
             assert timing.round_trip >= 2 * 0.002 - 1e-9
             assert timing.server_time >= 0
@@ -109,18 +112,19 @@ class TestChannelEffects:
             min_duration=0.0,
             watchdog_timeout=120.0,
         )
-        res = run_channel(ChannelModel(latency=0.005, seed=5), settings)
-        assert res.valid, res.result.validity.reasons
+        result, _ = run_channel(ChannelModel(latency=0.005, seed=5), settings)
+        assert result.valid, result.validity.reasons
 
 
 class TestLossAndRecovery:
     def test_drops_are_silent_and_counted(self):
-        res = run_channel(ChannelModel(latency=0.001, drop_rate=0.2, seed=5))
-        stats = res.channel_stats
+        result, channel = run_channel(
+            ChannelModel(latency=0.001, drop_rate=0.2, seed=5))
+        stats = channel.stats
         assert stats.queries_dropped + stats.completions_dropped > 0
         # Dropped queries never resolve; the watchdog ends the run and
         # the verdict is INVALID - but it is a verdict, not a hang.
-        assert not res.valid
+        assert not result.valid
 
     def test_resilient_wrapper_recovers_dropped_frames(self):
         """Channel loss + the retry wrapper = the submitter-side recovery
