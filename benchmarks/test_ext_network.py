@@ -28,8 +28,8 @@ from repro.harness.netbench import (
     SyntheticQSL,
     latency_overhead,
     run_over_localhost,
-    run_over_simulated_channel,
 )
+from repro.harness.stack import EchoBackend, StackSpec, build
 from repro.network import ChannelModel
 from repro.sut.echo import EchoSUT
 
@@ -93,21 +93,28 @@ class TestPerQueryOverhead:
                 >= networked.result.metrics.query_count)
 
 
+def run_channel(model, settings, seed=71):
+    """The echo backend behind ``model``'s wire, on the virtual clock:
+    the verdict and the channel's counters."""
+    stack = build(StackSpec(EchoBackend(BACKEND_LATENCY), channel=model),
+                  seed)
+    return stack.run(SyntheticQSL(), settings), stack.channel.stats
+
+
 @pytest.fixture(scope="module")
 def latency_sweep():
     """Virtual-time QoS sweep: one run per one-way channel latency."""
     results = {}
     for one_way_ms in SWEEP_ONE_WAY_MS:
-        model = ChannelModel(latency=one_way_ms * 1e-3, seed=71)
-        results[one_way_ms] = run_over_simulated_channel(
-            EchoSUT(latency=BACKEND_LATENCY), SyntheticQSL(),
-            server_settings(bound=LATENCY_BOUND), model)
+        results[one_way_ms], _ = run_channel(
+            ChannelModel(latency=one_way_ms * 1e-3),
+            server_settings(bound=LATENCY_BOUND))
     return results
 
 
 class TestQosDegradation:
     def test_latency_grows_with_the_channel(self, latency_sweep):
-        means = [latency_sweep[ms].result.metrics.latency_mean
+        means = [latency_sweep[ms].metrics.latency_mean
                  for ms in SWEEP_ONE_WAY_MS]
         assert all(b > a for a, b in zip(means, means[1:]))
 
@@ -115,8 +122,8 @@ class TestQosDegradation:
         """Each extra millisecond of one-way latency costs exactly two
         on the measured query latency (deterministic channel, no jitter,
         no queueing at these rates)."""
-        fast = latency_sweep[SWEEP_ONE_WAY_MS[0]].result.metrics
-        slow = latency_sweep[SWEEP_ONE_WAY_MS[-1]].result.metrics
+        fast = latency_sweep[SWEEP_ONE_WAY_MS[0]].metrics
+        slow = latency_sweep[SWEEP_ONE_WAY_MS[-1]].metrics
         added_one_way = (SWEEP_ONE_WAY_MS[-1] - SWEEP_ONE_WAY_MS[0]) * 1e-3
         assert (slow.latency_mean - fast.latency_mean
                 == pytest.approx(2 * added_one_way, rel=0.02))
@@ -136,13 +143,9 @@ class TestQosDegradation:
                 assert not valid, f"{one_way_ms} ms cannot fit the budget"
 
     def test_sweep_is_deterministic(self):
-        model = ChannelModel(latency=0.003, jitter=0.0005, seed=71)
-        a = run_over_simulated_channel(
-            EchoSUT(latency=BACKEND_LATENCY), SyntheticQSL(),
-            server_settings(queries=80, bound=LATENCY_BOUND), model)
-        b = run_over_simulated_channel(
-            EchoSUT(latency=BACKEND_LATENCY), SyntheticQSL(),
-            server_settings(queries=80, bound=LATENCY_BOUND), model)
-        assert (a.result.metrics.latency_p99
-                == b.result.metrics.latency_p99)
-        assert a.channel_stats == b.channel_stats
+        model = ChannelModel(latency=0.003, jitter=0.0005)
+        settings = server_settings(queries=80, bound=LATENCY_BOUND)
+        a, a_stats = run_channel(model, settings)
+        b, b_stats = run_channel(model, settings)
+        assert a.metrics.latency_p99 == b.metrics.latency_p99
+        assert a_stats == b_stats

@@ -4,12 +4,14 @@ Three measurements on the same echo backend (fixed 2 ms service time):
 
 1. **In-process baseline** - the ordinary wall-clock run, no network.
 2. **Localhost TCP** - the backend hosted by an ``InferenceServer``,
-   driven through ``NetworkSUT`` over real loopback sockets; the
-   difference against (1) is the serving stack's per-query overhead.
-3. **Simulated channel sweep** - the same backend behind a virtual-time
-   ``SimulatedChannelSUT`` at increasing one-way latencies, showing how
-   the wire eats the server scenario's QoS budget until the run goes
-   INVALID - deterministically, in milliseconds of wall time.
+   driven by a ``StackSpec(NetworkBackend(...))`` client over real
+   loopback sockets; the difference against (1) is the serving stack's
+   per-query overhead.
+3. **Simulated channel sweep** - ``StackSpec(EchoBackend(...),
+   channel=...)``: the same backend behind a virtual-time channel at
+   increasing one-way latencies, showing how the wire eats the server
+   scenario's QoS budget until the run goes INVALID -
+   deterministically, in milliseconds of wall time.
 
 Run:  python examples/network_serving.py   (~10 seconds)
 """
@@ -21,8 +23,8 @@ from repro.harness.netbench import (
     SyntheticQSL,
     latency_overhead,
     run_over_localhost,
-    run_over_simulated_channel,
 )
+from repro.harness.stack import EchoBackend, StackSpec, build
 from repro.network import ChannelModel
 from repro.sut.echo import EchoSUT
 
@@ -61,13 +63,13 @@ def main() -> None:
     print("\nsimulated channel sweep (virtual time, seed-stable):")
     print(f"{'one-way latency':>16} {'P99 (ms)':>10} {'verdict':>8}")
     for one_way_ms in (0.5, 2.0, 5.0, 8.0, 20.0):
-        model = ChannelModel(latency=one_way_ms * 1e-3, jitter=0.0005, seed=42)
-        sim = run_over_simulated_channel(
-            EchoSUT(latency=BACKEND_LATENCY), QSL, SETTINGS, model
-        )
+        model = ChannelModel(latency=one_way_ms * 1e-3, jitter=0.0005)
+        stack = build(StackSpec(EchoBackend(BACKEND_LATENCY), channel=model),
+                      seed=42)
+        sim = stack.run(QSL, SETTINGS)
         verdict = "VALID" if sim.valid else "INVALID"
         print(f"{one_way_ms:>13.1f} ms "
-              f"{sim.result.metrics.latency_p99 * 1e3:>10.3f} {verdict:>8}")
+              f"{sim.metrics.latency_p99 * 1e3:>10.3f} {verdict:>8}")
 
 
 if __name__ == "__main__":

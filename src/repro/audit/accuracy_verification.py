@@ -17,7 +17,7 @@ import numpy as np
 
 from ..accuracy.checker import responses_by_index
 from ..core.config import TestMode, TestSettings
-from ..core.loadgen import LoadGen
+from ..core.loadgen import run_benchmark
 from ..core.sut import QuerySampleLibrary, SystemUnderTest
 
 #: Fraction of performance-mode queries whose responses are logged.
@@ -57,12 +57,12 @@ def run_accuracy_verification(
     accuracy_settings = performance_settings.with_overrides(
         mode=TestMode.ACCURACY
     )
-    accuracy_result = LoadGen(accuracy_settings).run(sut_factory(), qsl)
+    accuracy_result = run_benchmark(sut_factory(), qsl, accuracy_settings)
     reference = responses_by_index(accuracy_result)
 
-    performance_result = LoadGen(performance_settings).run(
-        sut_factory(), qsl, log_sample_probability=log_probability
-    )
+    performance_result = run_benchmark(
+        sut_factory(), qsl, performance_settings,
+        log_sample_probability=log_probability)
     sampled = responses_by_index(performance_result)
     if not sampled:
         raise RuntimeError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..core.config import TestSettings
-from ..core.loadgen import LoadGen
+from ..core.loadgen import run_benchmark
 from ..core.sut import QuerySampleLibrary, SystemUnderTest
 
 #: Speedup on duplicate-heavy traffic above which caching is reported.
@@ -54,13 +54,13 @@ def run_caching_detection(
     unique_settings = settings.with_overrides(
         performance_sample_count=qsl.performance_sample_count,
     )
-    unique_result = LoadGen(unique_settings).run(sut_factory(), qsl)
+    unique_result = run_benchmark(sut_factory(), qsl, unique_settings)
 
     duplicate_settings = settings.with_overrides(
         performance_sample_count=DUPLICATE_POOL_SIZE,
         seed=settings.seed + 1,
     )
-    duplicate_result = LoadGen(duplicate_settings).run(sut_factory(), qsl)
+    duplicate_result = run_benchmark(sut_factory(), qsl, duplicate_settings)
 
     unique_throughput = unique_result.metrics.throughput
     duplicate_throughput = duplicate_result.metrics.throughput

@@ -16,7 +16,7 @@ from typing import Callable
 
 from ..accuracy.checker import check_accuracy
 from ..core.config import TestMode, TestSettings
-from ..core.loadgen import LoadGen
+from ..core.loadgen import run_benchmark
 from ..core.sut import SystemUnderTest
 from ..datasets.base import Dataset
 from ..datasets.qsl import DatasetQSL
@@ -63,17 +63,15 @@ def run_custom_dataset_test(
     accuracy_settings = settings.with_overrides(mode=TestMode.ACCURACY)
 
     reference_qsl = DatasetQSL(reference_dataset)
-    reference_result = LoadGen(accuracy_settings).run(
-        sut_for_qsl(reference_qsl), reference_qsl
-    )
+    reference_result = run_benchmark(
+        sut_for_qsl(reference_qsl), reference_qsl, accuracy_settings)
     reference_report = check_accuracy(
         reference_result, reference_dataset, task_type, quality_target=0.0
     )
 
     custom_qsl = DatasetQSL(custom_dataset)
-    custom_result = LoadGen(accuracy_settings).run(
-        sut_for_qsl(custom_qsl), custom_qsl
-    )
+    custom_result = run_benchmark(
+        sut_for_qsl(custom_qsl), custom_qsl, accuracy_settings)
     custom_report = check_accuracy(
         custom_result, custom_dataset, task_type, quality_target=0.0
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
 from ..core.config import TestSettings
-from ..core.loadgen import LoadGen
+from ..core.loadgen import run_benchmark
 from ..core.sut import QuerySampleLibrary, SystemUnderTest
 
 #: Alternate-seed throughput may not fall below this fraction of the
@@ -55,12 +55,11 @@ def run_seed_test(
     min_relative: float = DEFAULT_MIN_RELATIVE,
 ) -> SeedTestReport:
     """Measure throughput at the official seed, then at alternates."""
-    official = LoadGen(settings).run(sut_factory(), qsl)
+    official = run_benchmark(sut_factory(), qsl, settings)
     alternates = []
     for seed in alternate_seeds:
-        result = LoadGen(settings.with_overrides(seed=seed)).run(
-            sut_factory(), qsl
-        )
+        result = run_benchmark(
+            sut_factory(), qsl, settings.with_overrides(seed=seed))
         alternates.append(result.metrics.throughput)
     report = SeedTestReport(
         passed=True,

@@ -441,55 +441,6 @@ def _device_backend(args):
                          batch_window=args.batch_window_ms * 1e-3)
 
 
-def _cmd_run_network(args) -> int:
-    from .core.config import TestSettings
-    from .harness.netbench import NetworkRunResult, SyntheticQSL
-    from .core.events import WallClock
-    from .core.loadgen import run_benchmark
-    from .core.trace import write_chrome_trace
-    from .network.client import NetworkSUT
-
-    if not args.addr:
-        return _usage("--sut network requires --addr HOST:PORT")
-    scenario = _SCENARIOS[args.scenario]
-    settings = TestSettings(
-        scenario=scenario,
-        task=_TASKS[args.task] if args.task else None,
-        server_target_qps=args.target_qps,
-        server_latency_bound=args.latency_bound_ms * 1e-3,
-        min_query_count=args.queries,
-        min_duration=0.0,
-        watchdog_timeout=60.0,
-        seed=args.seed,
-        **_stream_targets(args),
-    )
-    qsl = SyntheticQSL()
-    sut = NetworkSUT(
-        args.addr,
-        connections=args.connections,
-        query_timeout=args.query_timeout,
-    )
-    try:
-        result = run_benchmark(sut, qsl, settings, clock=WallClock())
-    finally:
-        sut.close()
-    print(result.summary())
-    print(f"client: {sut.stats.summary()}")
-    if sut.server_stats:
-        print(f"server: {sut.server_stats}")
-    bundle = NetworkRunResult(
-        result=result, client_stats=sut.stats,
-        transport=dict(sut.transport_records),
-    )
-    print(f"mean round trip : {bundle.mean_round_trip() * 1e3:.3f} ms")
-    print(f"mean wire share : {bundle.mean_network_time() * 1e3:.3f} ms")
-    if args.trace:
-        write_chrome_trace(result.log, args.trace,
-                           transport=sut.transport_records)
-        print(f"trace written to {args.trace}")
-    return 0 if result.valid else 1
-
-
 def _cmd_serve(args) -> int:
     import signal as _signal
     import time as _time
@@ -744,12 +695,35 @@ def _report_session(args, settings, stack, result) -> int:
     return 0 if result.valid else 1
 
 
+def _report_network(args, stack, result) -> int:
+    """What a network run prints after the summary: both ends of the wire."""
+    from .harness.netbench import NetworkRunResult
+
+    client = stack.channel
+    print(f"client: {client.stats.summary()}")
+    if client.server_stats:
+        print(f"server: {client.server_stats}")
+    bundle = NetworkRunResult(result=result,
+                              transport=client.transport_records)
+    print(f"mean round trip : {bundle.mean_round_trip() * 1e3:.3f} ms")
+    print(f"mean wire share : {bundle.mean_network_time() * 1e3:.3f} ms")
+    if args.trace:
+        from .core.trace import write_chrome_trace
+
+        write_chrome_trace(result.log, args.trace,
+                           transport=client.transport_records)
+        print(f"trace written to {args.trace}")
+    return 0 if result.valid else 1
+
+
 def _cmd_run(args) -> int:
-    """Flags -> settings + ``StackSpec`` -> ``build`` -> ``run_benchmark``
-    -> report, for the session workload and the streamed device run.
-    The socket and worker-pool SUTs own OS resources and the plain
-    device run is a search, so those three are functions of their own."""
+    """Flags -> settings + ``StackSpec`` -> ``build`` -> ``Stack.run``
+    -> report, for the session workload, the network client and the
+    streamed device run.  The worker-pool SUT owns its own library and
+    the plain device run is a search, so those two are functions of
+    their own."""
     session = args.workload == "session"
+    network = not session and args.sut == "network"
     if session:
         if args.sut != "device":
             return _usage("--workload session supports --sut device only")
@@ -757,8 +731,9 @@ def _cmd_run(args) -> int:
             return _usage("--chaos requires --replicas N")
     elif args.scenario is None:
         return _usage("run requires --scenario (unless --workload session)")
-    elif args.sut == "network":
-        return _cmd_run_network(args)
+    elif network:
+        if not args.addr:
+            return _usage("--sut network requires --addr HOST:PORT")
     elif args.sut == "parallel":
         if args.stream:
             return _usage("--stream supports --sut device and --sut network")
@@ -769,12 +744,13 @@ def _cmd_run(args) -> int:
     elif not args.stream:
         return _cmd_run_tuned(args)
 
-    from .core.loadgen import run_benchmark
+    from .core.config import TestSettings
     from .harness.netbench import SyntheticQSL
-    from .harness.stack import EchoBackend, StackSpec, build
+    from .harness.stack import EchoBackend, NetworkBackend, StackSpec, build
     from .metrics import MetricsRegistry
     from .streaming import StreamModel
 
+    registry = None
     if session:
         settings = _session_settings(
             args, args.session_qps,
@@ -790,6 +766,17 @@ def _cmd_run(args) -> int:
                 args, horizon, max_replicas=args.replicas,
                 detector=args.chaos and not args.no_detector))
         registry = MetricsRegistry()
+    elif network:
+        # --stream sets only the token targets: the server streams.
+        settings = TestSettings(
+            scenario=_SCENARIOS[args.scenario],
+            task=_TASKS[args.task] if args.task else None,
+            server_target_qps=args.target_qps,
+            server_latency_bound=args.latency_bound_ms * 1e-3,
+            min_query_count=args.queries, min_duration=0.0,
+            watchdog_timeout=60.0, seed=args.seed, **_stream_targets(args))
+        spec = StackSpec(backend=NetworkBackend(
+            args.addr, args.connections, args.query_timeout))
     else:
         settings = _stream_run_settings(args)
         spec = StackSpec(
@@ -798,13 +785,16 @@ def _cmd_run(args) -> int:
                 first_token_delay=args.first_token_ms * 1e-3,
                 inter_token_delay=args.inter_token_ms * 1e-3,
                 min_tokens=args.min_tokens, max_tokens=args.max_tokens))
-        registry = None
     stack = build(spec, args.seed, registry)
-    result = run_benchmark(stack.sut, SyntheticQSL(), settings,
-                           registry=registry, services=stack.services)
+    try:
+        result = stack.run(SyntheticQSL(), settings, registry=registry)
+    finally:
+        stack.close()
     print(result.summary())
     if session:
         return _report_session(args, settings, stack, result)
+    if network:
+        return _report_network(args, stack, result)
     return 0 if result.valid else 1
 
 
@@ -846,7 +836,6 @@ def _cmd_fleet(args) -> int:
 
 def _cmd_metrics(args) -> int:
     from .core.config import TestSettings
-    from .core.loadgen import run_benchmark
     from .core.trace import write_chrome_trace
     from .faults.resilient import RetryPolicy
     from .harness.netbench import SyntheticQSL
@@ -909,8 +898,8 @@ def _cmd_metrics(args) -> int:
 
             journal = RunJournal(args.journal, fsync=args.fsync,
                                  registry=registry)
-        result = run_benchmark(
-            stack.sut, SyntheticQSL(), settings,
+        result = stack.run(
+            SyntheticQSL(), settings,
             registry=registry,
             snapshot_period=args.snapshot_period_ms * 1e-3,
             journal=journal,
@@ -940,7 +929,6 @@ def _cmd_sweep(args) -> int:
     from pathlib import Path
 
     from .core.config import TestSettings
-    from .core.loadgen import run_benchmark
     from .fleet import SweepConfig, SweepHarness, SweepProbe
     from .harness.netbench import SyntheticQSL
     from .harness.stack import EchoBackend, StackSpec, build
@@ -1007,10 +995,8 @@ def _cmd_sweep(args) -> int:
         stack = build(
             spec, args.seed, MetricsRegistry() if fleet is not None else None)
         try:
-            result = run_benchmark(
-                stack.sut, qsl,
-                settings.with_overrides(server_target_qps=qps),
-                services=stack.services)
+            result = stack.run(
+                qsl, settings.with_overrides(server_target_qps=qps))
             if session_workload:
                 stats, problems, _ = stack.cache_audit(graph)
                 cache_rows.append((stats, len(problems)))

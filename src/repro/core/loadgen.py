@@ -26,6 +26,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Tuple,
     runtime_checkable,
 )
 
@@ -242,9 +243,7 @@ def judge(
     snapshots: Optional[List[Snapshot]] = None,
 ) -> LoadGenResult:
     """The referee's verdict on whatever ``log`` holds once the loop has
-    exited: the scenario's metrics, then the validity rules.  Both run
-    loops in the repo (this module's and the multitenant harness's) end
-    here."""
+    exited: the scenario's metrics, then the validity rules."""
     if log.has_completions():
         metrics = compute_metrics(log, settings)
     else:
@@ -260,194 +259,155 @@ def judge(
     )
 
 
-class LoadGen:
-    """Drives one SUT through one scenario run."""
+def _choose_loaded_set(settings: TestSettings,
+                       qsl: QuerySampleLibrary) -> List[int]:
+    """Pick which library samples are resident for a performance run
+    (untimed; Fig. 3 steps 1-4).
 
-    def __init__(self, settings: TestSettings) -> None:
-        self.settings = settings
-
-    # -- sample loading (untimed; Fig. 3 steps 1-4) ----------------------------
-
-    def _choose_loaded_set(self, qsl: QuerySampleLibrary) -> List[int]:
-        """Pick which library samples are resident for a performance run.
-
-        At most ``performance_sample_count`` samples are loaded; the run
-        then draws from this set with replacement.  Selection uses its
-        own seed stream so it is reproducible but independent of the
-        traffic pattern.
-        """
-        total = qsl.total_sample_count
-        if total < 1:
-            raise ValueError(f"query sample library '{qsl.name}' is empty")
-        budget = self.settings.performance_sample_count
-        if budget is not None and budget > total:
-            raise ValueError(
-                f"performance_sample_count {budget} exceeds the "
-                f"{total} samples in query sample library '{qsl.name}'"
-            )
-        if budget is None:
-            budget = qsl.performance_sample_count
-        budget = min(budget, total)
-        if budget < 1:
-            raise ValueError("performance sample count must be >= 1")
-        if budget >= total:
-            return list(range(total))
-        rng = np.random.default_rng(
-            np.random.SeedSequence(self.settings.seed).spawn(2)[1]
+    At most ``performance_sample_count`` samples are loaded; the run
+    then draws from this set with replacement.  Selection uses its own
+    seed stream so it is reproducible but independent of the traffic
+    pattern.
+    """
+    total = qsl.total_sample_count
+    if total < 1:
+        raise ValueError(f"query sample library '{qsl.name}' is empty")
+    budget = settings.performance_sample_count
+    if budget is not None and budget > total:
+        raise ValueError(
+            f"performance_sample_count {budget} exceeds the "
+            f"{total} samples in query sample library '{qsl.name}'"
         )
-        picks = rng.choice(total, size=budget, replace=False)
-        return sorted(picks.tolist())
+    if budget is None:
+        budget = qsl.performance_sample_count
+    budget = min(budget, total)
+    if budget < 1:
+        raise ValueError("performance sample count must be >= 1")
+    if budget >= total:
+        return list(range(total))
+    rng = np.random.default_rng(
+        np.random.SeedSequence(settings.seed).spawn(2)[1]
+    )
+    picks = rng.choice(total, size=budget, replace=False)
+    return sorted(picks.tolist())
 
-    def _make_source(self, loaded: Sequence[int]) -> SampleSource:
-        if self.settings.mode is TestMode.ACCURACY:
-            return AccuracySource(loaded)
-        selector = SampleSelector(loaded, seed=self.settings.seed)
-        return PerformanceSource(selector)
 
-    # -- the run itself ---------------------------------------------------------
-
-    def run(
-        self,
-        sut: SystemUnderTest,
-        qsl: QuerySampleLibrary,
-        log_sample_probability: float = 0.0,
-        clock: Optional[Clock] = None,
-        registry: Optional[MetricsRegistry] = None,
-        snapshot_period: Optional[float] = None,
-        journal: Optional["RunJournal"] = None,
-        services: Optional[Sequence[RunService]] = None,
-    ) -> LoadGenResult:
-        """Execute one full run and return its result: build (loop, log,
-        source, driver), start (built-in services, SUT, ``services``,
-        driver), loop, judge.
-
-        ``log_sample_probability`` enables the accuracy-verification
-        audit: in performance mode, each completed query's responses are
-        retained with this probability.
-
-        ``clock`` selects the time base.  The default ``VirtualClock``
-        gives the deterministic fast path; passing a ``WallClock`` runs
-        the identical scenario logic against real time - the measured
-        path used when the SUT sits on the far side of a network
-        (``repro.network``), where wall-clock send/receive time is the
-        quantity under test.
-
-        ``registry`` turns on live telemetry: the scenario driver emits
-        the ``loadgen_*`` metrics into it (``docs/observability.md``
-        lists them all).  With ``snapshot_period`` the registry is
-        additionally sampled every that many seconds of *run* time
-        (virtual or wall, matching ``clock``) and the series is returned
-        in :attr:`LoadGenResult.snapshots` - under the virtual clock the
-        snapshots are bit-for-bit reproducible across runs.
-
-        ``journal`` makes the run durable: a
-        ``repro.durability.RunJournal`` write-ahead logs every issued/
-        completed/failed query plus periodic checkpoints, so a run
-        killed mid-flight can be continued with
-        ``repro.durability.resume_run`` (see ``docs/durability.md``).
-
-        ``services`` attaches :class:`RunService` tickers - e.g. the
-        ``repro.fleet`` autoscaler - started in the order given after
-        the SUT is bound to the loop (a fleet service may scale the SUT
-        it controls) and before the first query.  Whatever was started,
-        built-in or given, is stopped once the loop exits - also when a
-        later ``start`` raises.
-
-        Once the loop has drained the driver lets go of ``sut`` and of
-        the log, so the run's record (log, records, queries) is freed by
-        reference counting as soon as the caller drops the result,
-        whether or not it keeps the SUT.  A wrapper SUT and its inner
-        SUT still reference each other (wrapper -> inner -> the
-        wrapper's bound completion method), so the stack itself, the
-        spent driver and the loop wait for a collection; unlinking those
-        is ROADMAP.md item 6's "the cycles".
-        """
-        settings = self.settings
-        if settings.mode is TestMode.ACCURACY:
-            loaded = accuracy_mode_indices(qsl.total_sample_count)
-        else:
-            loaded = self._choose_loaded_set(qsl)
-
-        qsl.load_samples(loaded)
-        try:
-            loop = EventLoop(clock if clock is not None else VirtualClock())
+def _run(
+    tenants: Sequence[Tuple[SystemUnderTest, QuerySampleLibrary,
+                            TestSettings]],
+    clock: Optional[Clock] = None,
+    services: Optional[Sequence[RunService]] = None,
+    registry: Optional[MetricsRegistry] = None,
+    log_sample_probability: float = 0.0,
+    snapshot_period: Optional[float] = None,
+    journal: Optional["RunJournal"] = None,
+) -> List[LoadGenResult]:
+    """The one run loop: build (the loop; per tenant its loaded set,
+    log, source and driver), start (built-in services, the SUTs,
+    ``services``, the drivers), loop, judge each tenant.  The journal
+    and the snapshot sampler are one-tenant features."""
+    loop = EventLoop(clock if clock is not None else VirtualClock())
+    runs = []  # (sut, qsl, settings, loaded, log, driver), loaded ones
+    try:
+        for sut, qsl, settings in tenants:
+            if settings.mode is TestMode.ACCURACY:
+                loaded = accuracy_mode_indices(qsl.total_sample_count)
+                source: SampleSource = AccuracySource(loaded)
+            else:
+                loaded = _choose_loaded_set(settings, qsl)
+                source = PerformanceSource(
+                    SampleSelector(loaded, seed=settings.seed))
             log = QueryLog(
                 log_sample_probability=log_sample_probability,
                 seed=settings.seed ^ 0xA0D17,
             )
-            source = self._make_source(loaded)
             driver = make_driver(loop, settings, sut, source, log,
                                  registry=registry)
+            qsl.load_samples(loaded)
+            runs.append((sut, qsl, settings, loaded, log, driver))
 
+        if runs[1:]:
+            def busy() -> bool:
+                return any(d.issue_phase_open or d.log.outstanding > 0
+                           for *_, d in runs)
+        else:  # one tenant: tickers call this every tick, so no any()
             def busy() -> bool:
                 return driver.issue_phase_open or log.outstanding > 0
 
-            # Start order is part of every same-seed digest: the heap
-            # breaks time ties in scheduling order.
-            builtin: List[RunService] = []
-            if journal is not None:
-                # Write-ahead: the header precedes the first query, and
-                # the QueryLog's observer appends each lifecycle event
-                # before the run proceeds past it.
-                journal.begin(
-                    settings,
-                    keep_payloads=(
-                        settings.mode is TestMode.ACCURACY
-                        or log_sample_probability > 0.0),
-                    log_sample_probability=log_sample_probability,
-                )
-                log.observer = journal.on_log_event
-                if journal.checkpoint_period is not None:
-                    builtin.append(_Checkpointer(journal, log))
-            sampler: Optional[SnapshotSampler] = None
-            if registry is not None and snapshot_period is not None:
-                # Its baseline capture happens at start, before the SUT
-                # has touched the registry.
-                sampler = SnapshotSampler(registry, snapshot_period)
-                builtin.append(sampler)
+        # Start order is part of every same-seed digest: the heap
+        # breaks time ties in scheduling order.
+        builtin: List[RunService] = []
+        if journal is not None:
+            # Write-ahead: the header precedes the first query, and the
+            # QueryLog's observer appends each lifecycle event before
+            # the run proceeds past it.
+            journal.begin(
+                settings,
+                keep_payloads=(
+                    settings.mode is TestMode.ACCURACY
+                    or log_sample_probability > 0.0),
+                log_sample_probability=log_sample_probability,
+            )
+            log.observer = journal.on_log_event
+            if journal.checkpoint_period is not None:
+                builtin.append(_Checkpointer(journal, log))
+        sampler: Optional[SnapshotSampler] = None
+        if registry is not None and snapshot_period is not None:
+            # Its baseline capture happens at start, before the SUT has
+            # touched the registry.
+            sampler = SnapshotSampler(registry, snapshot_period)
+            builtin.append(sampler)
+        for *_, settings, _, _, driver in runs:
             if settings.watchdog_timeout is not None:
+                # It stops the shared loop, so every tenant stops with it.
                 builtin.append(_Watchdog(settings.watchdog_timeout, driver))
-            if loop.realtime:
-                builtin.append(_Janitor())
+        if loop.realtime:
+            builtin.append(_Janitor())
 
-            started: List[RunService] = []
-            try:
-                for service in builtin:
-                    service.start(loop, busy)
-                    started.append(service)
+        started: List[RunService] = []
+        try:
+            for service in builtin:
+                service.start(loop, busy)
+                started.append(service)
+            for sut, *_, driver in runs:
                 sut.start_run(loop, driver.handle_completion)
-                for service in services or ():
-                    service.start(loop, busy)
-                    started.append(service)
+            for service in services or ():
+                service.start(loop, busy)
+                started.append(service)
+            for *_, driver in runs:
                 driver.start()
-                loop.run()
-            except RunAbortedError as abort:
-                # A callback blew up mid-run.  The referee's job is to
-                # return a verdict, not a traceback: record the abort
-                # context and judge whatever the log holds.
+            loop.run()
+        except RunAbortedError as abort:
+            # A callback blew up mid-run.  The referee's job is to
+            # return a verdict, not a traceback: record the abort
+            # context and judge whatever the logs hold.
+            for *_, driver in runs:
                 driver.stats.aborted = str(abort)
-            finally:
-                for service in started:
-                    service.stop()
-                # The SUT stack holds the driver (``_responder`` is its
-                # bound method): with ``driver.sut`` that was a cycle,
-                # and a wrapper stack is one in itself, so whatever the
-                # driver still held waited for a gen-2 collection - or
-                # for as long as the caller kept the SUT.
+        finally:
+            for service in started:
+                service.stop()
+            # The SUT stack holds its driver (``_responder`` is its
+            # bound method): with ``driver.sut`` that was a cycle, and a
+            # wrapper stack is one in itself, so whatever the driver
+            # still held waited for a gen-2 collection - or for as long
+            # as the caller kept the SUT.
+            for *_, driver in runs:
                 driver.sut = driver.log = None
 
-            if sampler is not None:
-                # Close the series with the run's final state, stamped
-                # at the loop's terminal time.
-                sampler.sample_now()
-            result = judge(settings, log, driver.stats, loaded,
-                           sampler.snapshots if sampler is not None else None)
-            if journal is not None:
-                journal.finish(result)
-            return result
-        finally:
-            if journal is not None:
-                journal.close()
+        if sampler is not None:
+            # Close the series with the run's final state, stamped at
+            # the loop's terminal time.
+            sampler.sample_now()
+        results = [judge(settings, log, driver.stats, loaded,
+                         sampler.snapshots if sampler is not None else None)
+                   for _, _, settings, loaded, log, driver in runs]
+        if journal is not None:
+            journal.finish(results[0])
+        return results
+    finally:
+        if journal is not None:
+            journal.close()
+        for _, qsl, _, loaded, _, _ in runs:
             qsl.unload_samples(loaded)
 
 
@@ -462,9 +422,59 @@ def run_benchmark(
     journal: Optional["RunJournal"] = None,
     services: Optional[Sequence[RunService]] = None,
 ) -> LoadGenResult:
-    """Convenience wrapper: build a LoadGen and run once."""
-    return LoadGen(settings).run(
-        sut, qsl, log_sample_probability, clock=clock,
-        registry=registry, snapshot_period=snapshot_period,
-        journal=journal, services=services,
-    )
+    """Execute one full run of ``sut`` and return its result (paper
+    Fig. 3, the real LoadGen's ``StartTest``).
+
+    ``log_sample_probability`` enables the accuracy-verification
+    audit: in performance mode, each completed query's responses are
+    retained with this probability.
+
+    ``clock`` selects the time base.  The default ``VirtualClock``
+    gives the deterministic fast path; passing a ``WallClock`` runs
+    the identical scenario logic against real time - the measured
+    path used when the SUT sits on the far side of a network
+    (``repro.network``), where wall-clock send/receive time is the
+    quantity under test.
+
+    ``registry`` turns on live telemetry: the scenario driver emits
+    the ``loadgen_*`` metrics into it (``docs/observability.md``
+    lists them all).  With ``snapshot_period`` the registry is
+    additionally sampled every that many seconds of *run* time
+    (virtual or wall, matching ``clock``) and the series is returned
+    in :attr:`LoadGenResult.snapshots` - under the virtual clock the
+    snapshots are bit-for-bit reproducible across runs.
+
+    ``journal`` makes the run durable: a
+    ``repro.durability.RunJournal`` write-ahead logs every issued/
+    completed/failed query plus periodic checkpoints, so a run
+    killed mid-flight can be continued with
+    ``repro.durability.resume_run`` (see ``docs/durability.md``).
+
+    ``services`` attaches :class:`RunService` tickers - e.g. the
+    ``repro.fleet`` autoscaler - started in the order given after
+    the SUT is bound to the loop (a fleet service may scale the SUT
+    it controls) and before the first query.  Whatever was started,
+    built-in or given, is stopped once the loop exits - also when a
+    later ``start`` raises.
+
+    Once the loop has drained the driver lets go of ``sut`` and of
+    the log, so the run's record (log, records, queries) is freed by
+    reference counting as soon as the caller drops the result,
+    whether or not it keeps the SUT.  A wrapper SUT and its inner
+    SUT still reference each other (wrapper -> inner -> the
+    wrapper's bound completion method), so the stack itself, the
+    spent driver and the loop wait for a collection; unlinking those
+    is ROADMAP.md item 7's "the cycles".
+    """
+    return _run(((sut, qsl, settings),), clock, services, registry,
+                log_sample_probability, snapshot_period, journal)[0]
+
+
+def run_tenants(tenants: Sequence[Tuple[SystemUnderTest, QuerySampleLibrary,
+                                        TestSettings]]
+                ) -> List[LoadGenResult]:
+    """Run ``(sut, qsl, settings)`` tenants, in the order given, on one
+    virtual-time loop: one result each, judged by its own scenario's
+    rules.  Each has its own traffic, log, driver and watchdog, but the
+    loop is shared, so a tenant's watchdog stops every tenant."""
+    return _run(tenants)

@@ -429,12 +429,13 @@ class ServerDriver(ScenarioDriver):
         self._rate = settings.server_target_qps / settings.server_burst_size
         self._per_arrival = range(settings.server_burst_size)
         #: When the pending arrival is due; one is pending at a time, so
-        #: ``_arrive`` goes on the loop as it is, with no closure.
+        #: ``_arrive`` goes on the loop as it is, with no closure.  The
+        #: next gap starts here, not at a (late) wall-clock reading.
         self._due = 0.0
 
     def start(self) -> None:
-        now = self.stats.start_time = self.loop.now
-        self._schedule_next_arrival(now)
+        self._due = self.stats.start_time = self.loop.now
+        self._schedule_next_arrival()
 
     def _rate_multiplier(self, now: float) -> float:
         """Scheduled burst/lull factor at ``now`` (flash-crowd traffic).
@@ -448,11 +449,11 @@ class ServerDriver(ScenarioDriver):
                 return multiplier
         return 1.0
 
-    def _schedule_next_arrival(self, now: float) -> None:
-        rate = self._rate
+    def _schedule_next_arrival(self) -> None:
+        rate, due = self._rate, self._due
         if self._bursts:
-            rate *= self._rate_multiplier(now)
-        self._due = due = now + self._gaps.next() * (1.0 / rate)
+            rate *= self._rate_multiplier(due)
+        self._due = due = due + self._gaps.next() * (1.0 / rate)
         self.loop.schedule(due, self._arrive)
 
     def _arrive(self) -> None:
@@ -464,10 +465,10 @@ class ServerDriver(ScenarioDriver):
             query = self._issue(indices, scheduled_time=self._due)
         loop = self.loop
         # Virtual time stands still inside an event; measured time has
-        # moved while the SUT ran, and the next gap starts from there.
+        # moved while the SUT ran, and the minimums are judged on that.
         now = loop.clock.now() if loop.realtime else query.issue_time
         if self._should_issue_more(now):
-            self._schedule_next_arrival(now)
+            self._schedule_next_arrival()
         else:
             self._close_issue_phase()
 

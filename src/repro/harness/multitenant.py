@@ -3,10 +3,11 @@
 "The LoadGen is extensible to support more scenarios, such as a
 multitenancy mode where the SUT must continuously serve multiple models
 while maintaining QoS constraints."  This harness realizes that mode by
-composing existing pieces: one scenario driver per tenant (each with its
-own traffic, log, and validity rules), each tenant a
+composing existing pieces: each tenant a
 :class:`~repro.sut.simulated.SimulatedSUT`, all of them co-tenants on
-one device's engines and queue.
+one device's engines and queue, driven by
+:func:`~repro.core.loadgen.run_tenants` - one scenario driver per tenant
+(each with its own traffic, log, and validity rules) on one loop.
 
 Batches never mix tenants (different models cannot share a dispatch),
 so co-location costs are real: each tenant's sustainable rate under its
@@ -20,13 +21,10 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..core.config import TestMode, TestSettings
-from ..core.events import EventLoop, RunAbortedError, VirtualClock
-from ..core.loadgen import LoadGenResult, judge
-from ..core.logging import QueryLog
-from ..core.sampler import SampleSelector
-from ..core.scenarios import PerformanceSource, make_driver
+from ..core.loadgen import LoadGenResult, run_tenants
 from ..sut.device import DeviceModel
 from ..sut.simulated import SimulatedSUT, WorkloadProfile
+from .netbench import SyntheticQSL
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,8 @@ def run_multitenant(
     """Drive every tenant's scenario concurrently on one shared device.
 
     Returns one standard :class:`LoadGenResult` per tenant, each
-    validated against its own scenario's rules.
+    validated against its own scenario's rules.  A tenant's watchdog
+    stops the shared loop, so every tenant stops with it.
     """
     if not tenants:
         raise ValueError("at least one tenant is required")
@@ -59,33 +58,16 @@ def run_multitenant(
                 f"tenant {spec.name}: multitenant runs are performance-mode"
             )
 
-    loop = EventLoop(VirtualClock())
     # The first tenant's SUT hosts the device; the rest are its co-tenants.
     first = tenants[0]
     host = SimulatedSUT(device, first.workload, name=first.name, seed=77)
     suts = [host] + [host.co_tenant(spec.workload, spec.name)
                      for spec in tenants[1:]]
-    drivers = []
-    for spec, sut in zip(tenants, suts):
-        source = PerformanceSource(
-            SampleSelector(range(pool_size), seed=spec.settings.seed))
-        driver = make_driver(loop, spec.settings, sut, source, QueryLog())
-        sut.start_run(loop, driver.handle_completion)
-        drivers.append((spec, driver))
-
-    for _spec, driver in drivers:
-        driver.start()
-    try:
-        loop.run()
-    except RunAbortedError as abort:
-        for _spec, driver in drivers:
-            driver.stats.aborted = str(abort)
-
-    return {
-        spec.name: judge(spec.settings, driver.log, driver.stats,
-                         range(pool_size))
-        for spec, driver in drivers
-    }
+    # Every tenant draws from the same ``pool_size`` resident samples.
+    qsl = SyntheticQSL(total=pool_size, performance=pool_size)
+    results = run_tenants([(sut, qsl, spec.settings)
+                           for spec, sut in zip(tenants, suts)])
+    return {spec.name: result for spec, result in zip(tenants, results)}
 
 
 def all_tenants_valid(results: Dict[str, LoadGenResult]) -> bool:

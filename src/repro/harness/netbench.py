@@ -1,19 +1,18 @@
-"""Harness entry points for Network-division runs.
+"""Harness pieces for Network-division runs.
 
-Two symmetric ways to put a wire between the LoadGen and a backend:
+Both wires are built from a ``StackSpec`` (``repro.harness.stack``):
+a ``NetworkBackend`` is a client of a real server and runs on the wall
+clock, a ``channel`` is the deterministic twin on the virtual clock.
+What is left here is the rest of a real run:
 
-* :func:`run_over_localhost` - the real thing: an
-  :class:`~repro.network.server.InferenceServer` on a loopback socket, a
-  :class:`~repro.network.client.NetworkSUT` adapter, and the LoadGen
-  running on a :class:`~repro.core.events.WallClock` because kernel
-  socket time is the quantity under test.
-* :func:`run_over_simulated_channel` - the deterministic twin: the same
-  backend behind a :class:`~repro.network.simulated.SimulatedChannelSUT`
-  on the virtual clock, for reproducible network-sensitivity sweeps.
-
-Both return a :class:`NetworkRunResult` bundling the LoadGen verdict
-with the transport-side accounting, so callers can separate "the SUT is
-too slow" from "the wire ate the latency budget".
+* :func:`run_over_localhost` - the server's lifecycle: an
+  :class:`~repro.network.server.InferenceServer` on a loopback socket,
+  started for one run of a network stack and torn down after it.  It
+  returns a :class:`NetworkRunResult` bundling the LoadGen verdict with
+  the transport-side accounting, so callers can separate "the SUT is
+  too slow" from "the wire ate the latency budget".
+* :class:`SyntheticQSL` and :func:`parallel_echo_backend`, the library
+  and the process-parallel backend such runs use.
 """
 
 from __future__ import annotations
@@ -22,14 +21,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Union
 
 from ..core.config import TestSettings
-from ..core.events import WallClock
-from ..core.loadgen import LoadGenResult, run_benchmark
+from ..core.loadgen import LoadGenResult
 from ..core.sut import QuerySampleLibrary, SystemUnderTest
 from ..core.trace import TransportTiming
 from ..metrics import MetricsRegistry
-from ..network.client import NetworkStats, NetworkSUT
+from ..network.client import NetworkStats
 from ..network.server import InferenceServer, ServerConfig
-from ..network.simulated import ChannelModel, ChannelStats, SimulatedChannelSUT
 
 
 class SyntheticQSL:
@@ -102,10 +99,8 @@ class NetworkRunResult:
     result: LoadGenResult
     #: Client-adapter counters (retries, drops, bytes...).
     client_stats: Optional[NetworkStats] = None
-    #: The server's final STATS payload (real runs only).
+    #: The server's final STATS payload.
     server_stats: Optional[Dict[str, object]] = None
-    #: Channel counters (simulated runs only).
-    channel_stats: Optional[ChannelStats] = None
     #: Per-query wire timings, keyed by query id.
     transport: Dict[int, TransportTiming] = field(default_factory=dict)
 
@@ -133,13 +128,12 @@ def run_over_localhost(
     qsl: QuerySampleLibrary,
     settings: TestSettings,
     server_config: Optional[ServerConfig] = None,
-    connections: int = 1,
     query_timeout: float = 2.0,
-    max_attempts: int = 2,
     registry: Optional[MetricsRegistry] = None,
     snapshot_period: Optional[float] = None,
 ) -> NetworkRunResult:
-    """One measured run with a real TCP hop on loopback.
+    """One measured run with a real TCP hop on loopback: a
+    ``NetworkBackend`` stack against a server on it.
 
     The server is started for the duration of the run and torn down
     afterwards (drain first), whatever the verdict.
@@ -150,53 +144,27 @@ def run_over_localhost(
     additionally samples it on the run's wall clock (see
     ``docs/observability.md``).
     """
+    # Imported here: the stack module pulls in every wrapper layer,
+    # which importers of this module (the paper sweep) never use.
+    from .stack import NetworkBackend, StackSpec, build
+
     server = InferenceServer(backend, server_config, registry=registry)
-    host, port = server.start()
-    sut = NetworkSUT(
-        (host, port),
-        connections=connections,
-        query_timeout=query_timeout,
-        max_attempts=max_attempts,
-    )
+    stack = build(StackSpec(NetworkBackend(
+        server.start(), query_timeout=query_timeout)), settings.seed)
+    client = stack.channel
     try:
-        result = run_benchmark(sut, qsl, settings, clock=WallClock(),
-                               registry=registry,
-                               snapshot_period=snapshot_period)
-        sut.close()
+        result = stack.run(qsl, settings, registry=registry,
+                           snapshot_period=snapshot_period)
+        stack.close()
         return NetworkRunResult(
             result=result,
-            client_stats=sut.stats,
-            server_stats=sut.server_stats,
-            transport=dict(sut.transport_records),
+            client_stats=client.stats,
+            server_stats=client.server_stats,
+            transport=dict(client.transport_records),
         )
     finally:
-        sut.close()
+        stack.close()
         server.stop()
-
-
-def run_over_simulated_channel(
-    backend: SystemUnderTest,
-    qsl: QuerySampleLibrary,
-    settings: TestSettings,
-    model: Optional[ChannelModel] = None,
-    registry: Optional[MetricsRegistry] = None,
-    snapshot_period: Optional[float] = None,
-) -> NetworkRunResult:
-    """The deterministic twin: same run shape, virtual-time channel.
-
-    With ``registry``/``snapshot_period`` the run emits live telemetry
-    exactly like :func:`run_over_localhost`, except on the virtual
-    clock - so the snapshot series is bit-for-bit reproducible.
-    """
-    channel = SimulatedChannelSUT(backend, model)
-    result = run_benchmark(channel, qsl, settings,
-                           registry=registry,
-                           snapshot_period=snapshot_period)
-    return NetworkRunResult(
-        result=result,
-        channel_stats=channel.stats,
-        transport=dict(channel.transport_records),
-    )
 
 
 def latency_overhead(

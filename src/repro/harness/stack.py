@@ -3,21 +3,21 @@
 A stack here is always the same layers in the same order, each optional
 except the first::
 
-    backend (echo | simulated device) -> stream -> simulated channel
-      -> outage -> retry -> self-healing standby -> chaos valve
-      -> prefix cache -> fleet of N such chains
+    backend (echo | simulated device | network client) -> stream
+      -> simulated channel -> outage -> retry -> self-healing standby
+      -> chaos valve -> prefix cache -> fleet of N such chains
 
 plus the run services that ride with a fleet (chaos orchestrator,
 outlier detector, autoscaler).  :class:`StackSpec` says which layers are
 present as plain frozen data - what the LoadGen's settings are to the
 traffic, the spec is to the SUT (paper Section IV-B: configured, not
 coded) - and :func:`build` turns a spec plus one seed into a
-:class:`Stack`: the SUT for ``run_benchmark``, the ordered ``services=``
-list, and the handles reports read afterwards.
+:class:`Stack`: the SUT, the ordered services, the handles reports read
+afterwards, and :meth:`Stack.run`, which runs it on the clock its
+backend needs.
 
-Custom backends (a real model, a ``NetworkSUT`` per replica) are still
-wired by hand from the same pieces; ``docs/fleet.md`` and
-``docs/chaos.md`` show how.
+Custom backends (a real model, a process pool) are still wired by hand
+from the same pieces; ``docs/fleet.md`` and ``docs/chaos.md`` show how.
 """
 
 from __future__ import annotations
@@ -25,13 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple, Union
 
-from ..core.loadgen import RunService
-from ..core.sut import SystemUnderTest
+from ..core.config import TestSettings
+from ..core.events import WallClock
+from ..core.loadgen import LoadGenResult, RunService, run_benchmark
+from ..core.sut import QuerySampleLibrary, SystemUnderTest
 from ..durability import SelfHealingSUT
 from ..faults import ChaosOrchestrator, ChaosSchedule, OutageSUT
 from ..faults.resilient import ResilientSUT, RetryPolicy
 from ..fleet import Autoscaler, OutlierDetector, ReplicaSet, SeriesSignal
 from ..metrics import MetricsRegistry
+from ..network.client import NetworkSUT
 from ..network.simulated import ChannelModel, SimulatedChannelSUT
 from ..sessions import (
     CacheStats,
@@ -78,6 +81,16 @@ class DeviceBackend:
 
 
 @dataclass(frozen=True)
+class NetworkBackend:
+    """:class:`~repro.network.client.NetworkSUT`: a client of the
+    inference server at ``address``; its stack runs on the wall clock."""
+
+    address: Union[str, Tuple[str, int]]
+    connections: int = 1
+    query_timeout: float = 2.0
+
+
+@dataclass(frozen=True)
 class FleetSpec:
     """N copies of the chain behind the balancer, and their services."""
 
@@ -101,7 +114,7 @@ class StackSpec:
     """Which layers a stack has, bottom to top.  Seeds are not part of
     it: :func:`build` hands its one seed to every seeded layer."""
 
-    backend: Union[EchoBackend, DeviceBackend] = EchoBackend()
+    backend: Union[EchoBackend, DeviceBackend, NetworkBackend] = EchoBackend()
     #: Stream each answer as token chunks (``docs/streaming.md``).
     stream: Optional[StreamModel] = None
     #: Put a simulated wire in front of the backend.
@@ -118,16 +131,28 @@ class StackSpec:
 
 @dataclass
 class Stack:
-    """A built stack: what ``run_benchmark`` needs and what reports read."""
+    """A built stack: what a run needs and what reports read."""
 
     sut: SystemUnderTest
-    #: ``run_benchmark(services=...)``: orchestrator, detector, autoscaler.
+    #: What was built, layer by layer.
+    spec: StackSpec
+    #: Started with every run: orchestrator, detector, autoscaler.
     services: List[RunService] = field(default_factory=list)
     registry: Optional[MetricsRegistry] = None
     orchestrator: Optional[ChaosOrchestrator] = None
     detector: Optional[OutlierDetector] = None
-    #: The simulated wire of a single-chain stack (transport records).
-    channel: Optional[SimulatedChannelSUT] = None
+    #: The wire of a single-chain stack (stats, transport records): its
+    #: simulated channel, else its network client.
+    channel: Optional[Union[SimulatedChannelSUT, NetworkSUT]] = None
+
+    def run(self, qsl: QuerySampleLibrary, settings: TestSettings,
+            **kw) -> LoadGenResult:
+        """``run_benchmark(..., **kw)`` over this stack with its services,
+        on a wall clock for a network client, else the virtual clock."""
+        clock = (WallClock() if isinstance(self.spec.backend, NetworkBackend)
+                 else None)
+        return run_benchmark(self.sut, qsl, settings, clock=clock,
+                             services=self.services, **kw)
 
     def close(self) -> None:
         self.sut.close()
@@ -153,13 +178,17 @@ class Stack:
 def _chain(
     spec: StackSpec, seed: int, registry: Optional[MetricsRegistry],
     name: Optional[str] = None,
-) -> Tuple[SystemUnderTest, Optional[SimulatedChannelSUT]]:
+) -> Tuple[SystemUnderTest, Optional[Union[SimulatedChannelSUT, NetworkSUT]]]:
     """Backend through self-healing standby - one replica's worth - and
-    the channel layer in it, if any."""
+    the wire in it, if any."""
     backend, channel = spec.backend, None
     if isinstance(backend, DeviceBackend):
         sut = SimulatedSUT(backend.device, backend.workload,
                            batch_window=backend.batch_window)
+    elif isinstance(backend, NetworkBackend):
+        sut = channel = NetworkSUT(
+            backend.address, connections=backend.connections,
+            query_timeout=backend.query_timeout, name=name)
     else:
         sut = EchoSUT(latency=backend.latency, name=name,
                       concurrency=backend.concurrency)
@@ -185,7 +214,7 @@ def build(spec: StackSpec, seed: int,
 
     ``seed`` reaches every seeded layer (stream plan, channel, retry
     jitter, balancer, detector probes).  ``registry`` goes to every
-    layer that exports telemetry; handing it to ``run_benchmark`` as
+    layer that exports telemetry; handing it to :meth:`Stack.run` as
     well is the caller's choice.
     """
     fleet = spec.fleet
@@ -194,7 +223,7 @@ def build(spec: StackSpec, seed: int,
         if spec.cache_tokens is not None:
             sut = PrefixCacheSUT(sut, capacity_tokens=spec.cache_tokens,
                                  registry=registry)
-        return Stack(sut, registry=registry, channel=channel)
+        return Stack(sut, spec, registry=registry, channel=channel)
 
     def factory(index: int) -> SystemUnderTest:
         return _chain(spec, seed, registry, name=f"replica-{index}")[0]
@@ -234,4 +263,5 @@ def build(spec: StackSpec, seed: int,
                                   per_available_replica=True, **series[1])
         services.append(
             Autoscaler(replica_set, signal=signal, registry=registry))
-    return Stack(replica_set, services, registry, orchestrator, detector)
+    return Stack(replica_set, spec, services, registry, orchestrator,
+                 detector)

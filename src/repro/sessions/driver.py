@@ -54,7 +54,8 @@ class SessionDriver(ScenarioDriver):
         # also disjoint from the per-user replay draws (which are keyed
         # by (seed, user_id, 0x5E55) in replay.py).
         self._gaps = ArrivalGaps(self.settings.seed)
-        #: When the pending session arrival is due (one at a time).
+        #: When the pending session arrival is due (one at a time); the
+        #: next gap starts here, as in the Server scenario.
         self._due = 0.0
         #: Durations of completed conversations (``None``: no registry).
         self._duration = None
@@ -78,7 +79,7 @@ class SessionDriver(ScenarioDriver):
     # -- arrivals ------------------------------------------------------------
 
     def start(self) -> None:
-        self.stats.start_time = self.loop.now
+        self._due = self.stats.start_time = self.loop.now
         self._schedule_next_arrival()
 
     def _schedule_next_arrival(self) -> None:
@@ -86,7 +87,7 @@ class SessionDriver(ScenarioDriver):
             self._maybe_close()
             return
         gap = self._gaps.next() * (1.0 / self.settings.server_target_qps)
-        self._due = due = self.loop.now + gap
+        self._due = due = self._due + gap
         self.loop.schedule(due, self._arrive)
 
     def _arrive(self) -> None:

@@ -179,10 +179,9 @@ class TestSeedTest:
 
     def test_seed_tuned_sut_caught(self, dataset, qsl):
         # Learn the official traffic, then build the cheater around it.
-        from repro.core.loadgen import LoadGen
+        from repro.core.loadgen import run_benchmark
         settings = perf_settings()
-        probe = LoadGen(settings).run(
-            honest_factory(dataset, qsl)(), qsl)
+        probe = run_benchmark(honest_factory(dataset, qsl)(), qsl, settings)
         official = [r.query.samples[0].index for r in probe.log.records()]
 
         report = run_seed_test(

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import (
-    LoadGen,
     Scenario,
     TestMode,
     TestSettings,

@@ -329,6 +329,41 @@ class TestMultiStreamKeepsItsCadence:
             11.0, 21.0, 31.0]
 
 
+class SlowToIssueSUT(FixedLatencyWallSUT):
+    """Answers at once, but each ``issue_query`` spends 1 ms of host
+    time before it returns."""
+
+    def issue_query(self, query):
+        time.sleep(0.001)
+        super().issue_query(query)
+
+
+class TestServerArrivalsKeepTheirSchedule:
+    """The open loop stays open under measured time: arrival ``i`` is
+    due at the start plus the first ``i`` seeded gaps, whatever the
+    loop's wake-ups and the SUT's issue path cost (paper Table II: the
+    Server schedule depends only on the seed)."""
+
+    def test_a_slow_issue_path_does_not_stretch_the_gaps(self, echo_qsl):
+        settings = TestSettings(
+            scenario=Scenario.SERVER, server_target_qps=500.0,
+            server_latency_bound=0.05, min_query_count=500,
+            min_duration=1.0, watchdog_timeout=20.0)
+        virtual = run_benchmark(FixedLatencyWallSUT(0.0), echo_qsl, settings)
+        wall = run_benchmark(SlowToIssueSUT(0.0), echo_qsl, settings,
+                             clock=WallClock())
+        start = wall.stats.start_time
+        scheduled = [r.scheduled_time for r in virtual.log.records()]
+        assert [r.scheduled_time - start for r in wall.log.records()] == (
+            pytest.approx(scheduled, rel=0, abs=1e-9))
+        # The draw's own rate (about 487 qps over these 500 gaps) is the
+        # target the issues must keep; stretched gaps offer ~2/3 of it.
+        target = (len(scheduled) - 1) / (scheduled[-1] - scheduled[0])
+        issues = [r.issue_time for r in wall.log.records()]
+        offered = (len(issues) - 1) / (issues[-1] - issues[0])
+        assert offered == pytest.approx(target, rel=0.03)
+
+
 class AnswersFromAThread:
     """An inner SUT the way ``NetworkSUT``'s reader is one: it schedules
     nothing, and each answer arrives ``delay`` later from another thread

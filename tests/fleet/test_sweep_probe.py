@@ -61,7 +61,7 @@ def test_cli_probe_closes_its_stack_when_anything_after_build_raises(
     monkeypatch.setattr(stack.Stack, "close",
                         lambda self: (closed.append(self), close(self)))
     if failing == "run_benchmark":
-        monkeypatch.setattr("repro.core.loadgen.run_benchmark", boom)
+        monkeypatch.setattr(stack, "run_benchmark", boom)
     else:
         monkeypatch.setattr(stack.Stack, "cache_audit", boom)
     with pytest.raises(RuntimeError, match=f"{failing} failed"):

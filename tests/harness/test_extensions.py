@@ -19,6 +19,7 @@ from repro.sut.fleet import task_workload
 from repro.sut.simulated import SimulatedSUT, WorkloadProfile
 
 from tests.harness.test_multitenant_contract import (  # noqa: F401
+    DEVICE as CONTRACT_DEVICE,
     cost_calls,
     dispatch_trace,
 )
@@ -284,6 +285,39 @@ class TestMultiTenantPinned:
         assert [trace.count(kind) for kind in (
             ("gnmt", 1), ("gnmt", 3), ("mobilenet", 40), ("mobilenet", 16),
         )] == [412, 37, 80, 40]
+
+
+class TestMultiTenantWatchdog:
+    """Tenants run on ``run_benchmark``'s own loop, watchdog included;
+    the loop is shared, so a tenant's watchdog stops every tenant."""
+
+    @staticmethod
+    def resnet(**overrides):
+        return TenantSpec(
+            "resnet", task_workload(Task.IMAGE_CLASSIFICATION_HEAVY),
+            TestSettings(scenario=Scenario.SERVER,
+                         task=Task.IMAGE_CLASSIFICATION_HEAVY,
+                         server_target_qps=300.0, min_query_count=300,
+                         min_duration=1.0, seed=3, **overrides))
+
+    def test_a_tenant_watchdog_ends_the_run_invalid(self):
+        result = run_multitenant(
+            CONTRACT_DEVICE, [self.resnet(watchdog_timeout=0.2)])["resnet"]
+        assert result.stats.watchdog_fired
+        assert result.stats.watchdog_time == pytest.approx(0.2)
+        assert not result.valid
+        assert result.metrics.duration < 0.25
+
+    def test_it_stops_its_co_tenants_too(self):
+        results = run_multitenant(CONTRACT_DEVICE, [
+            tenant("gnmt", Task.MACHINE_TRANSLATION, 100.0, seed=9),
+            self.resnet(watchdog_timeout=0.2),
+        ])
+        gnmt = results["gnmt"]
+        assert not gnmt.stats.watchdog_fired
+        assert results["resnet"].stats.watchdog_fired
+        assert max(r.issue_time for r in gnmt.log.records()) < 0.2
+        assert not gnmt.valid  # judged on what it logged by then
 
 
 class TestMultiTenantSeedIsolation:

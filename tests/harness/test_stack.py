@@ -2,12 +2,15 @@
 
 import pytest
 
-from repro.core import Scenario, TestSettings, run_benchmark
+from repro.core import Scenario, TestSettings
+from repro.core.events import WallClock
 from repro.faults import ChaosEvent, ChaosSchedule, RetryPolicy
+from repro.harness import stack as stack_module
 from repro.harness.netbench import SyntheticQSL
 from repro.harness.stack import (
     EchoBackend,
     FleetSpec,
+    NetworkBackend,
     StackSpec,
     build,
 )
@@ -48,6 +51,39 @@ def test_bare_spec_is_the_backend_itself():
     assert stack.channel is stack.orchestrator is stack.detector is None
 
 
+def test_a_network_backend_is_the_client_and_the_wire():
+    spec = StackSpec(backend=NetworkBackend(
+        "127.0.0.1:9", connections=2, query_timeout=0.5),
+        retry=RetryPolicy())
+    stack = build(spec, 0)
+    assert layers(stack.sut) == ["ResilientSUT", "NetworkSUT"]
+    client = stack.channel
+    assert client is stack.sut.inner and stack.spec is spec
+    assert (client.address, client.pool_size, client.query_timeout) == (
+        ("127.0.0.1", 9), 2, 0.5)
+    stack.close()
+
+
+@pytest.mark.parametrize("backend, clock", [
+    (EchoBackend(0.001), type(None)),
+    (NetworkBackend(("127.0.0.1", 9)), WallClock),
+])
+def test_a_stack_runs_with_its_services_on_its_backends_clock(
+        monkeypatch, backend, clock):
+    seen = []
+    monkeypatch.setattr(stack_module, "run_benchmark",
+                        lambda *args, **kw: seen.append((args, kw)))
+    stack = build(StackSpec(backend=backend,
+                            fleet=FleetSpec(1, 1, detector=True)), 0)
+    qsl, settings = SyntheticQSL(), TestSettings(Scenario.OFFLINE)
+    stack.run(qsl, settings, log_sample_probability=0.5)
+    (args, kw), = seen
+    assert args == (stack.sut, qsl, settings)
+    assert type(kw.pop("clock")) is clock
+    assert kw == {"services": stack.services, "log_sample_probability": 0.5}
+    assert stack.services == [stack.detector]
+
+
 def test_fleet_services_come_back_in_start_order():
     chaos = ChaosSchedule(events=(
         ChaosEvent(time=0.01, duration=0.05, kind="gray-failure",
@@ -66,8 +102,7 @@ def test_fleet_services_come_back_in_start_order():
     settings = TestSettings(
         scenario=Scenario.SERVER, server_target_qps=500.0,
         server_latency_bound=0.1, min_query_count=20, min_duration=0.0)
-    assert run_benchmark(stack.sut, SyntheticQSL(), settings,
-                         services=stack.services).valid
+    assert stack.run(SyntheticQSL(), settings).valid
     fleet = stack.sut
     assert len(fleet.replicas) == 3
     assert len({r.zone for r in fleet.replicas}) == 3
@@ -92,8 +127,7 @@ def test_cache_audit_covers_single_and_fleet(replicas):
     fleet = FleetSpec(replicas, replicas) if replicas else None
     stack = build(StackSpec(backend=EchoBackend(0.001), cache_tokens=8192,
                             fleet=fleet), seed=3)
-    result = run_benchmark(stack.sut, SyntheticQSL(), settings,
-                           services=stack.services)
+    result = stack.run(SyntheticQSL(), settings)
     stats, problems, events = stack.cache_audit(
         replay_graph_from_settings(settings))
     assert result.valid and problems == []

@@ -12,11 +12,8 @@ import pytest
 from repro.core import Scenario, TestSettings, run_benchmark
 from repro.core.trace import to_chrome_trace
 from repro.faults import FaultPlan, FaultType, FaultySUT, ResilientSUT, RetryPolicy
-from repro.harness.netbench import (
-    SyntheticQSL,
-    run_over_localhost,
-    run_over_simulated_channel,
-)
+from repro.harness.netbench import SyntheticQSL, run_over_localhost
+from repro.harness.stack import EchoBackend, StackSpec, build
 from repro.metrics import MetricsRegistry
 from repro.network.server import ServerConfig
 from repro.network.simulated import ChannelModel, SimulatedChannelSUT
@@ -166,19 +163,18 @@ class TestFaultAndResilienceInstruments:
 
 
 class TestSimulatedChannelRun:
-    def test_registry_flows_through_netbench(self):
+    def test_registry_flows_through_a_built_channel_stack(self):
         registry = MetricsRegistry()
-        bundle = run_over_simulated_channel(
-            EchoSUT(latency=0.002), SyntheticQSL(),
-            server_settings(queries=150),
-            model=ChannelModel(latency=0.0005, seed=2),
-            registry=registry, snapshot_period=0.05,
-        )
-        assert bundle.valid
+        stack = build(StackSpec(EchoBackend(0.002),
+                                channel=ChannelModel(latency=0.0005)),
+                      2, registry)
+        result = stack.run(SyntheticQSL(), server_settings(queries=150),
+                           registry=registry, snapshot_period=0.05)
+        assert result.valid
         values = series(registry)
         assert (values['loadgen_queries_issued_total{scenario="server"}']
                 == 150)
-        assert bundle.result.snapshots is not None
+        assert result.snapshots is not None
 
 
 @pytest.mark.socket

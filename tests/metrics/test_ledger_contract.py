@@ -93,8 +93,8 @@ def chain_run(seed):
         scenario=Scenario.SERVER, server_target_qps=400.0,
         server_latency_bound=0.1, min_query_count=800, min_duration=0.0,
         watchdog_timeout=300.0, seed=seed)
-    result = run_benchmark(stack.sut, SyntheticQSL(), settings,
-                           registry=registry, snapshot_period=0.05)
+    result = stack.run(SyntheticQSL(), settings, registry=registry,
+                       snapshot_period=0.05)
     return registry, result, stack
 
 
@@ -139,9 +139,8 @@ def fleet_run(seed):
         session_turns_min=2, session_turns_max=6,
         session_think_time_mean=0.05, min_duration=0.0,
         watchdog_timeout=600.0, seed=seed)
-    result = run_benchmark(stack.sut, SyntheticQSL(), settings,
-                           services=stack.services, registry=registry,
-                           snapshot_period=0.05)
+    result = stack.run(SyntheticQSL(), settings, registry=registry,
+                       snapshot_period=0.05)
     return registry, result, stack
 
 
