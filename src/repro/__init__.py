@@ -10,7 +10,21 @@ The package mirrors the paper's decomposition:
 * ``repro.sut``        - simulated devices, backends, and the fleet;
 * ``repro.audit``      - the Section V-B validation suite;
 * ``repro.submission`` - submission schema, checker, review, reporting;
-* ``repro.harness``    - capacity tuning, fleet sweeps, table formatters.
+* ``repro.harness``    - capacity tuning, fleet sweeps, table formatters,
+                         the SUT stack builder;
+* ``repro.metrics``    - counters, gauges, histograms, ledgers, export;
+* ``repro.network``    - the Network division: wire protocol, inference
+                         server, network SUT, simulated channel;
+* ``repro.parallel``   - process-parallel workers over shared memory;
+* ``repro.faults``     - fault injection, retries, hedges, chaos;
+* ``repro.durability`` - crash-safe journals, resume, self-healing;
+* ``repro.fleet``      - replicas, balancer, autoscaler, capacity sweep;
+* ``repro.streaming``  - token streams, TTFT/TPOT SLOs, goodput;
+* ``repro.sessions``   - multi-turn sessions over a shared-prefix cache.
+
+Each package's ``__init__`` lists its exports in one table and imports
+a submodule when one of its names is first read (``repro._exports``),
+so importing one module loads only what that module imports.
 
 Quickstart::
 

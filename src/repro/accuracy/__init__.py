@@ -1,15 +1,10 @@
 """Quality metrics and the accuracy script."""
 
-from .bleu import corpus_bleu
-from .checker import AccuracyReport, check_accuracy
-from .map import COCO_IOU_THRESHOLDS, mean_average_precision
-from .topk import top1_accuracy
+from .._exports import lazy_exports
 
-__all__ = [
-    "AccuracyReport",
-    "COCO_IOU_THRESHOLDS",
-    "check_accuracy",
-    "corpus_bleu",
-    "mean_average_precision",
-    "top1_accuracy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bleu": ("corpus_bleu",),
+    "checker": ("AccuracyReport", "check_accuracy"),
+    "map": ("COCO_IOU_THRESHOLDS", "mean_average_precision"),
+    "topk": ("top1_accuracy",),
+})

@@ -1,20 +1,12 @@
 """The Section V-B validation suite used during result review."""
 
-from .accuracy_verification import (
-    AccuracyVerificationReport,
-    run_accuracy_verification,
-)
-from .caching import CachingDetectionReport, run_caching_detection
-from .custom_dataset import CustomDatasetReport, run_custom_dataset_test
-from .seeds import SeedTestReport, run_seed_test
+from .._exports import lazy_exports
 
-__all__ = [
-    "AccuracyVerificationReport",
-    "CachingDetectionReport",
-    "CustomDatasetReport",
-    "SeedTestReport",
-    "run_accuracy_verification",
-    "run_caching_detection",
-    "run_custom_dataset_test",
-    "run_seed_test",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "accuracy_verification": (
+        "AccuracyVerificationReport", "run_accuracy_verification",
+    ),
+    "caching": ("CachingDetectionReport", "run_caching_detection"),
+    "custom_dataset": ("CustomDatasetReport", "run_custom_dataset_test"),
+    "seeds": ("SeedTestReport", "run_seed_test"),
+})

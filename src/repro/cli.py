@@ -49,14 +49,6 @@ import sys
 from typing import List, Optional
 
 from .core import Scenario, Task
-from .harness.tables import (
-    format_coverage_matrix,
-    format_table_i,
-    format_table_ii,
-    format_table_iii,
-    format_table_iv,
-    format_table_v,
-)
 
 _TASKS = {task.value: task for task in Task}
 _SCENARIOS = {
@@ -355,6 +347,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_tables(args) -> int:
+    from .harness.tables import (
+        format_table_i,
+        format_table_ii,
+        format_table_iii,
+        format_table_iv,
+        format_table_v,
+    )
+
     sections = {
         "1": ("Table I - tasks and reference models", format_table_i),
         "2": ("Table II - scenarios and metrics", format_table_ii),
@@ -804,6 +804,7 @@ def _cmd_fleet(args) -> int:
         results_per_task,
         run_fleet,
     )
+    from .harness.tables import format_coverage_matrix
     from .sut.fleet import build_fleet
 
     systems = build_fleet()

@@ -1,101 +1,33 @@
 """Core benchmark machinery: the LoadGen, scenarios, and run rules."""
 
-from .config import (
-    DEFAULT_SEED,
-    DEFAULT_SESSION_COUNT,
-    MIN_DURATION_SECONDS,
-    OFFLINE_MIN_SAMPLES,
-    PAPER_SCENARIOS,
-    SERVER_REQUIRED_RUNS,
-    SINGLE_STREAM_MIN_QUERIES,
-    Scenario,
-    Task,
-    TaskRules,
-    TestMode,
-    TestSettings,
-    task_rules,
-)
-from .events import Clock, EventLoop, RunAbortedError, VirtualClock, WallClock
-from .loadgen import LoadGenResult, run_benchmark, run_tenants
-from .logging import QueryLog
-from .metrics import (
-    ScenarioMetrics,
-    SessionMetrics,
-    StreamMetrics,
-    compute_metrics,
-    empty_metrics,
-)
-from .query import (
-    Query,
-    QueryFailure,
-    QueryRecord,
-    QuerySample,
-    QuerySampleResponse,
-    SessionTurn,
-    StreamChunk,
-)
-from .stats import (
-    QueryRequirement,
-    inverse_normal_cdf,
-    margin_for_tail_latency,
-    percentile,
-    queries_for_confidence,
-    required_queries,
-    round_up_to_unit,
-    table_iv,
-)
-from .sut import QuerySampleLibrary, SutBase, SystemUnderTest
-from .trace import to_chrome_trace, write_chrome_trace
-from .validation import ValidityReport, validate_run
+from .._exports import lazy_exports
 
-__all__ = [
-    "Clock",
-    "DEFAULT_SEED",
-    "DEFAULT_SESSION_COUNT",
-    "EventLoop",
-    "LoadGenResult",
-    "MIN_DURATION_SECONDS",
-    "OFFLINE_MIN_SAMPLES",
-    "PAPER_SCENARIOS",
-    "Query",
-    "QueryFailure",
-    "QueryLog",
-    "QueryRecord",
-    "QueryRequirement",
-    "QuerySample",
-    "QuerySampleLibrary",
-    "QuerySampleResponse",
-    "RunAbortedError",
-    "SERVER_REQUIRED_RUNS",
-    "SINGLE_STREAM_MIN_QUERIES",
-    "Scenario",
-    "ScenarioMetrics",
-    "SessionMetrics",
-    "SessionTurn",
-    "StreamChunk",
-    "StreamMetrics",
-    "SutBase",
-    "SystemUnderTest",
-    "Task",
-    "TaskRules",
-    "TestMode",
-    "TestSettings",
-    "ValidityReport",
-    "VirtualClock",
-    "WallClock",
-    "compute_metrics",
-    "empty_metrics",
-    "inverse_normal_cdf",
-    "margin_for_tail_latency",
-    "percentile",
-    "queries_for_confidence",
-    "required_queries",
-    "round_up_to_unit",
-    "run_benchmark",
-    "run_tenants",
-    "table_iv",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "task_rules",
-    "validate_run",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": (
+        "DEFAULT_SEED", "DEFAULT_SESSION_COUNT", "MIN_DURATION_SECONDS",
+        "OFFLINE_MIN_SAMPLES", "PAPER_SCENARIOS", "SERVER_REQUIRED_RUNS",
+        "SINGLE_STREAM_MIN_QUERIES", "Scenario", "Task", "TaskRules",
+        "TestMode", "TestSettings", "task_rules",
+    ),
+    "events": (
+        "Clock", "EventLoop", "RunAbortedError", "VirtualClock", "WallClock",
+    ),
+    "loadgen": ("LoadGenResult", "run_benchmark", "run_tenants"),
+    "logging": ("QueryLog",),
+    "metrics": (
+        "ScenarioMetrics", "SessionMetrics", "StreamMetrics",
+        "compute_metrics", "empty_metrics",
+    ),
+    "query": (
+        "Query", "QueryFailure", "QueryRecord", "QuerySample",
+        "QuerySampleResponse", "SessionTurn", "StreamChunk",
+    ),
+    "stats": (
+        "QueryRequirement", "inverse_normal_cdf", "margin_for_tail_latency",
+        "percentile", "queries_for_confidence", "required_queries",
+        "round_up_to_unit", "table_iv",
+    ),
+    "sut": ("QuerySampleLibrary", "SutBase", "SystemUnderTest"),
+    "trace": ("to_chrome_trace", "write_chrome_trace"),
+    "validation": ("ValidityReport", "validate_run"),
+})

@@ -1,17 +1,11 @@
 """Synthetic data sets standing in for ImageNet, COCO, and WMT16."""
 
-from .base import Dataset
-from .coco import GroundTruthObject, SyntheticCoco
-from .imagenet import SyntheticImageNet
-from .qsl import DatasetQSL
-from .wmt import FIRST_WORD_ID, SyntheticWmt
+from .._exports import lazy_exports
 
-__all__ = [
-    "Dataset",
-    "DatasetQSL",
-    "FIRST_WORD_ID",
-    "GroundTruthObject",
-    "SyntheticCoco",
-    "SyntheticImageNet",
-    "SyntheticWmt",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("Dataset",),
+    "coco": ("GroundTruthObject", "SyntheticCoco"),
+    "imagenet": ("SyntheticImageNet",),
+    "qsl": ("DatasetQSL",),
+    "wmt": ("FIRST_WORD_ID", "SyntheticWmt"),
+})

@@ -18,50 +18,18 @@ serving stack actually sees:
 resume guarantees, and the breaker state machine.
 """
 
-from .breaker import (
-    STATE_CODES,
-    BreakerPolicy,
-    BreakerState,
-    BreakerStats,
-    CircuitBreaker,
-)
-from .healing import HealingStats, SelfHealingSUT
-from .journal import (
-    JOURNAL_VERSION,
-    MAGIC,
-    FsyncPolicy,
-    JournalError,
-    JournalState,
-    JournalStats,
-    JournalWriter,
-    ResumeError,
-    RunJournal,
-    read_frames,
-    read_run_journal,
-)
-from .resume import ReplayStats, ReplaySUT, resume_run, run_fingerprint
+from .._exports import lazy_exports
 
-__all__ = [
-    "JOURNAL_VERSION",
-    "MAGIC",
-    "STATE_CODES",
-    "BreakerPolicy",
-    "BreakerState",
-    "BreakerStats",
-    "CircuitBreaker",
-    "FsyncPolicy",
-    "HealingStats",
-    "JournalError",
-    "JournalState",
-    "JournalStats",
-    "JournalWriter",
-    "ReplayStats",
-    "ReplaySUT",
-    "ResumeError",
-    "RunJournal",
-    "SelfHealingSUT",
-    "read_frames",
-    "read_run_journal",
-    "resume_run",
-    "run_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "breaker": (
+        "STATE_CODES", "BreakerPolicy", "BreakerState", "BreakerStats",
+        "CircuitBreaker",
+    ),
+    "healing": ("HealingStats", "SelfHealingSUT"),
+    "journal": (
+        "JOURNAL_VERSION", "MAGIC", "FsyncPolicy", "JournalError",
+        "JournalState", "JournalStats", "JournalWriter", "ResumeError",
+        "RunJournal", "read_frames", "read_run_journal",
+    ),
+    "resume": ("ReplayStats", "ReplaySUT", "resume_run", "run_fingerprint"),
+})

@@ -16,46 +16,18 @@ asymmetric partitions - are driven by the seeded
 windows on per-replica valves (``docs/chaos.md``).
 """
 
-from .chaos import (
-    CHAOS_KINDS,
-    ChaosDecision,
-    ChaosEvent,
-    ChaosOrchestrator,
-    ChaosSchedule,
-    ChaosWindow,
-)
-from .filtering import Attempt, AttemptSUT, malformed_reason
-from .plan import (
-    TRANSIENT_FAULTS,
-    FaultDecision,
-    FaultInjector,
-    FaultPlan,
-    FaultType,
-)
-from .resilient import ResilienceStats, ResilientSUT, RetryPolicy
-from .sut import DegradedSUT, FaultySUT, OutageSUT, Window, WindowedSUT
+from .._exports import lazy_exports
 
-__all__ = [
-    "CHAOS_KINDS",
-    "TRANSIENT_FAULTS",
-    "Attempt",
-    "AttemptSUT",
-    "ChaosDecision",
-    "ChaosEvent",
-    "ChaosOrchestrator",
-    "ChaosSchedule",
-    "ChaosWindow",
-    "DegradedSUT",
-    "FaultDecision",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultType",
-    "FaultySUT",
-    "OutageSUT",
-    "ResilienceStats",
-    "ResilientSUT",
-    "RetryPolicy",
-    "Window",
-    "WindowedSUT",
-    "malformed_reason",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "chaos": (
+        "CHAOS_KINDS", "ChaosDecision", "ChaosEvent", "ChaosOrchestrator",
+        "ChaosSchedule", "ChaosWindow",
+    ),
+    "filtering": ("Attempt", "AttemptSUT", "malformed_reason"),
+    "plan": (
+        "TRANSIENT_FAULTS", "FaultDecision", "FaultInjector", "FaultPlan",
+        "FaultType",
+    ),
+    "resilient": ("ResilienceStats", "ResilientSUT", "RetryPolicy"),
+    "sut": ("DegradedSUT", "FaultySUT", "OutageSUT", "Window", "WindowedSUT"),
+})

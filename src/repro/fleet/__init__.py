@@ -17,55 +17,20 @@ ejection, capacity verdicts - is bit-for-bit reproducible.  See
 ``docs/fleet.md`` and ``docs/chaos.md``.
 """
 
-from .autoscaler import Autoscaler, AutoscalerPolicy, ScalingDecision
-from .balancer import (
-    POLICY_NAMES,
-    BalancerPolicy,
-    LeastOutstandingPolicy,
-    RoundRobinPolicy,
-    SessionAffinityPolicy,
-    WeightedP99Policy,
-    ZoneLocalPolicy,
-    ZoneSpreadPolicy,
-    make_policy,
-)
-from .outlier import EjectionEvent, OutlierDetector, OutlierPolicy
-from .replica import Replica, ReplicaHealth
-from .replicaset import FleetStats, ReplicaSet
-from .signals import (
-    BacklogSignal,
-    SeriesSignal,
-    SignalSource,
-    make_signal,
-)
-from .sweep import SweepConfig, SweepHarness, SweepProbe, SweepResult
+from .._exports import lazy_exports
 
-__all__ = [
-    "Autoscaler",
-    "AutoscalerPolicy",
-    "BacklogSignal",
-    "BalancerPolicy",
-    "EjectionEvent",
-    "FleetStats",
-    "LeastOutstandingPolicy",
-    "OutlierDetector",
-    "OutlierPolicy",
-    "POLICY_NAMES",
-    "Replica",
-    "ReplicaHealth",
-    "ReplicaSet",
-    "RoundRobinPolicy",
-    "ScalingDecision",
-    "SeriesSignal",
-    "SessionAffinityPolicy",
-    "SignalSource",
-    "SweepConfig",
-    "SweepHarness",
-    "SweepProbe",
-    "SweepResult",
-    "WeightedP99Policy",
-    "ZoneLocalPolicy",
-    "ZoneSpreadPolicy",
-    "make_policy",
-    "make_signal",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "autoscaler": ("Autoscaler", "AutoscalerPolicy", "ScalingDecision"),
+    "balancer": (
+        "POLICY_NAMES", "BalancerPolicy", "LeastOutstandingPolicy",
+        "RoundRobinPolicy", "SessionAffinityPolicy", "WeightedP99Policy",
+        "ZoneLocalPolicy", "ZoneSpreadPolicy", "make_policy",
+    ),
+    "outlier": ("EjectionEvent", "OutlierDetector", "OutlierPolicy"),
+    "replica": ("Replica", "ReplicaHealth"),
+    "replicaset": ("FleetStats", "ReplicaSet"),
+    "signals": (
+        "BacklogSignal", "SeriesSignal", "SignalSource", "make_signal",
+    ),
+    "sweep": ("SweepConfig", "SweepHarness", "SweepProbe", "SweepResult"),
+})

@@ -24,52 +24,22 @@ See ``docs/observability.md`` for the metric catalog (every name, type,
 label, and emitting code path) and worked examples.
 """
 
-from .export import (
-    render_histogram,
-    render_table,
-    to_json,
-    to_prometheus_text,
-)
-from .ledger import export_ledger, exported
-from .primitives import (
-    DEFAULT_BASE,
-    DEFAULT_BUCKETS,
-    DEFAULT_GROWTH,
-    Counter,
-    Gauge,
-    Histogram,
-)
-from .registry import (
-    CounterFamily,
-    GaugeFamily,
-    HistogramFamily,
-    MetricFamily,
-    MetricsRegistry,
-    series_key,
-)
-from .snapshot import DEFAULT_QUANTILES, Snapshot, SnapshotSampler, capture
+from .._exports import lazy_exports
 
-__all__ = [
-    "Counter",
-    "CounterFamily",
-    "DEFAULT_BASE",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_GROWTH",
-    "DEFAULT_QUANTILES",
-    "Gauge",
-    "GaugeFamily",
-    "Histogram",
-    "HistogramFamily",
-    "MetricFamily",
-    "MetricsRegistry",
-    "Snapshot",
-    "SnapshotSampler",
-    "capture",
-    "export_ledger",
-    "exported",
-    "render_histogram",
-    "render_table",
-    "series_key",
-    "to_json",
-    "to_prometheus_text",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "export": (
+        "render_histogram", "render_table", "to_json", "to_prometheus_text",
+    ),
+    "ledger": ("export_ledger", "exported"),
+    "primitives": (
+        "DEFAULT_BASE", "DEFAULT_BUCKETS", "DEFAULT_GROWTH", "Counter",
+        "Gauge", "Histogram",
+    ),
+    "registry": (
+        "CounterFamily", "GaugeFamily", "HistogramFamily", "MetricFamily",
+        "MetricsRegistry", "series_key",
+    ),
+    "snapshot": (
+        "DEFAULT_QUANTILES", "Snapshot", "SnapshotSampler", "capture",
+    ),
+})

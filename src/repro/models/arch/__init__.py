@@ -1,21 +1,11 @@
 """Full-size architecture definitions reproducing Table I."""
 
-from .gnmt import GNMTArch, build_gnmt
-from .mobilenet import build_mobilenet_v1, mobilenet_v1
-from .mobilenet_v2 import build_mobilenet_v2, mobilenet_v2
-from .resnet import build_resnet, resnet50_v15
-from .ssd import SSDArch, build_ssd_mobilenet_v1, build_ssd_resnet34
+from ..._exports import lazy_exports
 
-__all__ = [
-    "GNMTArch",
-    "SSDArch",
-    "build_gnmt",
-    "build_mobilenet_v1",
-    "build_mobilenet_v2",
-    "build_resnet",
-    "build_ssd_mobilenet_v1",
-    "build_ssd_resnet34",
-    "mobilenet_v1",
-    "mobilenet_v2",
-    "resnet50_v15",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "gnmt": ("GNMTArch", "build_gnmt"),
+    "mobilenet": ("build_mobilenet_v1", "mobilenet_v1"),
+    "mobilenet_v2": ("build_mobilenet_v2", "mobilenet_v2"),
+    "resnet": ("build_resnet", "resnet50_v15"),
+    "ssd": ("SSDArch", "build_ssd_mobilenet_v1", "build_ssd_resnet34"),
+})

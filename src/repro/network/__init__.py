@@ -18,29 +18,13 @@ Plus :mod:`~repro.network.simulated` - a virtual-time stand-in channel
 experiments.
 """
 
-from .client import NetworkStats, NetworkSUT, parse_address
-from .protocol import VERSION, FrameReader, FrameType, ProtocolError
-from .server import (
-    InferenceServer,
-    ServerConfig,
-    ServerStartupError,
-    ServerStats,
-)
-from .simulated import ChannelModel, ChannelStats, SimulatedChannelSUT
+from .._exports import lazy_exports
 
-__all__ = [
-    "VERSION",
-    "ChannelModel",
-    "ChannelStats",
-    "FrameReader",
-    "FrameType",
-    "InferenceServer",
-    "NetworkStats",
-    "NetworkSUT",
-    "ProtocolError",
-    "ServerConfig",
-    "ServerStartupError",
-    "ServerStats",
-    "SimulatedChannelSUT",
-    "parse_address",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "client": ("NetworkStats", "NetworkSUT", "parse_address"),
+    "protocol": ("VERSION", "FrameReader", "FrameType", "ProtocolError"),
+    "server": (
+        "InferenceServer", "ServerConfig", "ServerStartupError", "ServerStats",
+    ),
+    "simulated": ("ChannelModel", "ChannelStats", "SimulatedChannelSUT"),
+})

@@ -51,11 +51,10 @@ from __future__ import annotations
 import enum
 import socket
 import struct
+import sys
 import threading
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Tuple
-
-import numpy as np
 
 from ..core.query import (Query, QuerySample, QuerySampleResponse, StreamChunk,
                           new_chunk, new_response)
@@ -176,19 +175,16 @@ def _enc_bytes(buf: bytearray, value: Any, depth: int) -> None:
 def _enc_ndarray(buf: bytearray, value: Any, depth: int) -> None:
     if value.dtype.hasobject:
         raise _unencodable("object-dtype ndarray")
-    # (ascontiguousarray would promote 0-d arrays to 1-d)
-    data = (value if value.flags["C_CONTIGUOUS"]
-            else np.ascontiguousarray(value))
-    dtype = data.dtype.str.encode("ascii")
+    dtype = value.dtype.str.encode("ascii")
     try:
         buf += _TAG_U16.pack(b"N", len(dtype))
         buf += dtype
-        buf += _U16.pack(data.ndim)
-        for dim in data.shape:
+        buf += _U16.pack(value.ndim)
+        for dim in value.shape:
             buf += _U32.pack(dim)
     except struct.error:
-        raise _unencodable(f"ndarray of shape {data.shape}") from None
-    buf += data.tobytes()
+        raise _unencodable(f"ndarray of shape {value.shape}") from None
+    buf += value.tobytes()  # C order, whatever the array's layout
 
 
 def _enc_list(buf: bytearray, value: Any, depth: int) -> None:
@@ -215,10 +211,17 @@ def _enc_dict(buf: bytearray, value: Any, depth: int) -> None:
 class _Encoders(dict):
     """Exact class -> encoder.  A class met for the first time (an
     ``IntEnum``, a numpy scalar, a tuple, ``bytearray``) resolves once
-    through the base-class order below and is remembered."""
+    through the base-class order below and is remembered.  numpy's
+    classes join the order only once numpy is loaded: no numpy value
+    exists before, and a process that never sends one never imports
+    numpy."""
 
     def __missing__(self, cls: type):
-        for bases, encoder in _ENCODER_ORDER:
+        np = sys.modules.get("numpy")
+        order = _ENCODER_ORDER if np is None else _ENCODER_ORDER + (
+            (np.integer, _enc_int), (np.floating, _enc_float),
+            (np.ndarray, _enc_ndarray))
+        for bases, encoder in order:
             if issubclass(cls, bases):
                 self[cls] = encoder
                 return encoder
@@ -229,11 +232,10 @@ class _Encoders(dict):
 _ENCODER_ORDER = (
     (type(None), _enc_none),
     (bool, _enc_bool),
-    ((int, np.integer), _enc_int),
-    ((float, np.floating), _enc_float),
+    (int, _enc_int),
+    (float, _enc_float),
     (str, _enc_str),
     ((bytes, bytearray), _enc_bytes),
-    (np.ndarray, _enc_ndarray),
     ((list, tuple), _enc_list),
     (dict, _enc_dict),
 )
@@ -300,6 +302,8 @@ def _dec_bytes(data, pos: int, limit: int, depth: int):
 
 
 def _dec_ndarray(data, pos: int, limit: int, depth: int):
+    import numpy as np
+
     if pos + 2 > limit:
         raise _truncated(pos, limit, 2)
     start = pos + 2

@@ -15,19 +15,14 @@ same ``SystemUnderTest`` protocol every other backend speaks.
   behind ``issue_query``/``flush`` with ``parallel_*`` telemetry.
 """
 
-from .batching import BatchingPolicy, DynamicBatcher
-from .pool import PoolStats, ShardOutcome, WorkerCrashed, WorkerPool, shard_evenly
-from .shm import ShmArena
-from .sut import ParallelSUT
+from .._exports import lazy_exports
 
-__all__ = [
-    "BatchingPolicy",
-    "DynamicBatcher",
-    "ParallelSUT",
-    "PoolStats",
-    "ShardOutcome",
-    "ShmArena",
-    "WorkerCrashed",
-    "WorkerPool",
-    "shard_evenly",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "batching": ("BatchingPolicy", "DynamicBatcher"),
+    "pool": (
+        "PoolStats", "ShardOutcome", "WorkerCrashed", "WorkerPool",
+        "shard_evenly",
+    ),
+    "shm": ("ShmArena",),
+    "sut": ("ParallelSUT",),
+})

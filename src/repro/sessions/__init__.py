@@ -12,36 +12,16 @@ Three pieces, one seeded contract (``docs/sessions.md``):
   whose hit/miss/eviction trail the referee audits against the graph.
 """
 
-from .cache import (
-    CacheEvent,
-    CacheStats,
-    PrefixCacheSUT,
-    audit_cache_events,
-    audit_replica_caches,
-    per_replica_cache_factory,
-)
-from .driver import SessionDriver
-from .replay import (
-    SESSION_TAG,
-    ReplayGraph,
-    SessionPlan,
-    SessionProfile,
-    TurnPlan,
-    replay_graph_from_settings,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "CacheEvent",
-    "CacheStats",
-    "PrefixCacheSUT",
-    "ReplayGraph",
-    "SESSION_TAG",
-    "SessionDriver",
-    "SessionPlan",
-    "SessionProfile",
-    "TurnPlan",
-    "audit_cache_events",
-    "audit_replica_caches",
-    "per_replica_cache_factory",
-    "replay_graph_from_settings",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": (
+        "CacheEvent", "CacheStats", "PrefixCacheSUT", "audit_cache_events",
+        "audit_replica_caches", "per_replica_cache_factory",
+    ),
+    "driver": ("SessionDriver",),
+    "replay": (
+        "SESSION_TAG", "ReplayGraph", "SessionPlan", "SessionProfile",
+        "TurnPlan", "replay_graph_from_settings",
+    ),
+})

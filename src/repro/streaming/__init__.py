@@ -26,15 +26,10 @@ and ``validate_run`` budgets violations like the classic latency rule.
 See ``docs/streaming.md`` for semantics and a worked example.
 """
 
-from .model import ChunkEvent, StreamModel, StreamPlan
-from .reassembly import StreamReassembler
-from .sut import StreamingSUT, streaming_echo
+from .._exports import lazy_exports
 
-__all__ = [
-    "ChunkEvent",
-    "StreamModel",
-    "StreamPlan",
-    "StreamReassembler",
-    "StreamingSUT",
-    "streaming_echo",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "model": ("ChunkEvent", "StreamModel", "StreamPlan"),
+    "reassembly": ("StreamReassembler",),
+    "sut": ("StreamingSUT", "streaming_echo"),
+})
