@@ -198,6 +198,11 @@ CONTRACT_CASES = {
         f"{_SESSION} --replicas 4 --zones 2 --chaos --no-detector",
     "run_session_fleet_chaos_trace":
         f"{_SESSION} --replicas 4 --zones 2 --chaos --trace trace.json",
+    "run_session_fleet_affinity":
+        f"{_SESSION} --replicas 4 --zones 2 --chaos "
+        "--balancer session-affinity",
+    "run_session_fleet_zone_local":
+        f"{_SESSION} --replicas 4 --zones 2 --balancer zone-local",
     "run_tuned_offline": "run --task mobilenet-v1 --scenario offline",
     "run_tuned_single_stream":
         "run --task mobilenet-v1 --scenario single-stream",
@@ -209,6 +214,8 @@ CONTRACT_CASES = {
     "metrics_drop_prom": f"{_METRICS} --drop 0.02 --format prom --seed 4",
     "metrics_offline": f"{_METRICS} --scenario offline",
     "metrics_trace": "metrics --queries 20 --trace trace.json",
+    "fleet_report":
+        "fleet --systems mobile-dsp-a laptop-cpu --report report.md",
     "sweep_single": _SWEEP,
     "sweep_fleet": f"{_SWEEP} --replicas 2",
     "sweep_fleet_autoscaled_on_series":

@@ -56,24 +56,39 @@ class TestValidation:
             0.01877777777777778)
 
 
+def utilization(d, work_gops):
+    """The ramp as ``cost_at`` prices it: where the power of one
+    ``work_gops`` dispatch sits between idle (0) and peak (1)."""
+    seconds, joules = d.cost_at(work_gops, 1, 1.0)
+    return (joules / seconds - d.idle_watts) / (d.peak_watts - d.idle_watts)
+
+
 class TestUtilization:
     def test_ramps_from_base_to_one(self):
         d = device(base_utilization=0.2, saturation_gops=50.0)
-        assert d.utilization(1e-9) == pytest.approx(0.2, abs=0.01)
-        assert d.utilization(25.0) == pytest.approx(0.6)
-        assert d.utilization(50.0) == 1.0
-        assert d.utilization(500.0) == 1.0   # saturated
+        assert utilization(d, 1e-9) == pytest.approx(0.2, abs=0.01)
+        assert utilization(d, 25.0) == pytest.approx(0.6)
+        assert utilization(d, 50.0) == pytest.approx(1.0)
+        assert utilization(d, 500.0) == pytest.approx(1.0)   # saturated
+
+    def test_ramp_sets_the_duration(self):
+        d = device(base_utilization=0.2, saturation_gops=50.0,
+                   overhead=0.0)
+        assert d.cost_at(25.0, 1, 1.0)[0] == pytest.approx(
+            25.0 / (1000.0 * 0.6))
+        assert d.cost_at(10.0, 50, 0.5)[0] == pytest.approx(
+            500.0 / (1000.0 * 1.0 * 0.5))
 
     @given(st.floats(min_value=0.01, max_value=1000.0),
            st.floats(min_value=0.01, max_value=1000.0))
     def test_monotone_in_work(self, a, b):
         d = device()
         lo, hi = sorted((a, b))
-        assert d.utilization(lo) <= d.utilization(hi) + 1e-12
+        assert utilization(d, lo) <= utilization(d, hi) + 1e-12
 
     def test_nonpositive_work_rejected(self):
         with pytest.raises(ValueError):
-            device().utilization(0.0)
+            device().cost_at(0.0, 1, 1.0)
 
 
 class TestServiceTime:
@@ -136,7 +151,7 @@ class TestDispatchCost:
         d = device(idle_watts=3.0, peak_watts=40.0)
         seconds, joules = d.dispatch_cost(2.5, 6)
         assert joules == pytest.approx(
-            seconds * (3.0 + 37.0 * d.utilization(6 * 2.5)))
+            seconds * (3.0 + 37.0 * (0.2 + 0.8 * 15.0 / 50.0)))
 
     @pytest.mark.parametrize("gops, batch", [(0.0, 1), (-2.0, 3), (1.0, 0),
                                              (1.0, -1)])

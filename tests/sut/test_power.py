@@ -35,7 +35,7 @@ class TestPowerModel:
         duration = d.service_time(2.0, 8)
         energy = d.dispatch_energy(2.0, 8)
         assert energy == pytest.approx(
-            duration * (5.0 + 45.0 * d.utilization(16.0)))
+            duration * (5.0 + 45.0 * (0.2 + 0.8 * 16.0 / 50.0)))
 
     def test_batching_improves_energy_per_sample(self):
         d = device(base_utilization=0.05)

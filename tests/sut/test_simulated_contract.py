@@ -408,7 +408,9 @@ def test_cost_formula_values_equal_the_oracle(kwargs, gops, batch, motif,
         oracle.service_time(gops, batch, motif)
     assert device.dispatch_energy(gops, batch, motif) == \
         oracle.dispatch_energy(gops, batch, motif)
-    assert device.utilization(gops * batch) == oracle.utilization(gops * batch)
+    assert device.cost_at(gops, batch, oracle.motif_efficiency(motif)) == (
+        oracle.service_time(gops, batch, motif),
+        oracle.dispatch_energy(gops, batch, motif))
     assert device.energy_per_sample(gops, batch, motif) == \
         oracle.dispatch_energy(gops, batch, motif) / batch
 
