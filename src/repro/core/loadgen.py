@@ -32,7 +32,7 @@ from typing import (
 
 import numpy as np
 
-from .config import Scenario, TestMode, TestSettings
+from .config import TestMode, TestSettings
 from .events import Clock, EventLoop, RunAbortedError, VirtualClock
 from .logging import QueryLog
 from .metrics import ScenarioMetrics, compute_metrics, empty_metrics

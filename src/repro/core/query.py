@@ -313,11 +313,6 @@ class QueryRecord(_Slotted):
         return self.failure_reason is not None
 
     @property
-    def resolved(self) -> bool:
-        """The query reached *some* terminal state (clean or failed)."""
-        return self.completed or self.failed
-
-    @property
     def streamed(self) -> bool:
         """At least one chunk arrived for this query."""
         return self.first_chunk_time is not None
@@ -333,18 +328,6 @@ class QueryRecord(_Slotted):
         if self.first_chunk_time is None:
             return None
         return self.first_chunk_time - self.issue_time
-
-    @property
-    def session_id(self) -> Optional[int]:
-        """The owning conversation's id, or None for independent queries."""
-        turn = self.query.session
-        return None if turn is None else turn.session_id
-
-    @property
-    def turn_index(self) -> Optional[int]:
-        """This query's zero-based turn position within its session."""
-        turn = self.query.session
-        return None if turn is None else turn.turn_index
 
     @property
     def tpot(self) -> Optional[float]:

@@ -58,7 +58,3 @@ class DatasetQSL:
                 "(LoadGen/SUT protocol violation)"
             )
         return self.dataset.get_sample(index)
-
-    def get_label(self, index: int) -> object:
-        """Ground truth passthrough (used by the accuracy script only)."""
-        return self.dataset.get_label(index)

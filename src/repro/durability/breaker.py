@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Tuple
 
 from ..bounds import AT_LEAST_ONE, FRACTION, POSITIVE, check_range

@@ -59,15 +59,6 @@ class HealingStats:
         "breaker_probe_queries_total",
         "Half-open trial queries admitted to the primary")
 
-    def summary(self) -> str:
-        return (
-            f"shed={self.shed_queries} standby={self.standby_queries} "
-            f"hedged={self.hedged_queries} failovers={self.failovers} "
-            f"hedge_wins={self.hedge_wins} "
-            f"primary_failures={self.primary_failures} "
-            f"deadlines={self.deadline_failures}"
-        )
-
 
 class _Guarded(Attempt):
     """Per-query in-flight state.  ``sources`` holds whichever of

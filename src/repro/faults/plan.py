@@ -152,12 +152,3 @@ class FaultInjector:
                 self.trace.append((query_id, attempt, fault))
                 return FaultDecision(fault=fault, delay=delay)
         return None
-
-    def summary(self) -> str:
-        parts = [
-            f"{fault.value}={count}"
-            for fault, count in sorted(
-                self.injected.items(), key=lambda kv: kv[0].value
-            )
-        ]
-        return "injected: " + (", ".join(parts) if parts else "none")

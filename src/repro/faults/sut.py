@@ -29,8 +29,7 @@ from ..core.query import (Query, QueryFailure, QuerySample,
 from ..core.sut import Responder, SutBase, SystemUnderTest
 from ..core.events import EventLoop
 from ..metrics import MetricsRegistry
-from .plan import (DUPLICATE_LAG, FaultDecision, FaultInjector, FaultPlan,
-                   FaultType)
+from .plan import DUPLICATE_LAG, FaultInjector, FaultPlan, FaultType
 
 #: Offset added to sample ids by the CORRUPT fault, large enough to
 #: never collide with real ids issued by the QueryFactory.
@@ -236,12 +235,6 @@ class WindowedSUT(SutBase):
         #: Issues refused and deliveries dropped.
         self.blackholed = 0
         self._issued_at: Dict[int, float] = {}
-
-    @property
-    def healthy(self) -> bool:
-        """Nothing in force right now."""
-        now = self.loop.now
-        return not any(w.start <= now < w.end for w in self.windows)
 
     def open_window(self, effect: str, factor: float = 1.0) -> Window:
         """Put a window in force from now until :meth:`close_window`."""

@@ -69,26 +69,19 @@ class BalancerPolicy:
         deterministic order keeps routing replayable."""
         self._rng = rng
 
-    def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
-        """Order ``candidates`` (all administratively UP) by preference.
+    def rank_for(self, query, candidates: Sequence[Replica]) -> List[Replica]:
+        """Order ``candidates`` (all administratively UP) by preference
+        for ``query`` (``None`` when there is none in hand).
 
-        Called once per routing decision; must return a permutation of
-        ``candidates`` and must not mutate them.
+        The ReplicaSet calls this once per routing decision; it must
+        return a permutation of ``candidates`` and must not mutate
+        them.  Load-oblivious policies ignore ``query``; content-aware
+        ones (session affinity) read it.  Ranking must be
+        **read-only**: the ranking expresses preference, and which
+        replica *actually* serves the query (breaker rejections and
+        reroutes included) arrives later through :meth:`notify_served`.
         """
         raise NotImplementedError
-
-    def rank_for(self, query, candidates: Sequence[Replica]) -> List[Replica]:
-        """Rank with the query in hand.
-
-        The ReplicaSet calls this entry point; the default ignores the
-        query and delegates to :meth:`rank`, so load-oblivious policies
-        stay one-method.  Content-aware policies (session affinity)
-        override this instead.  Ranking must be **read-only**: the
-        ranking expresses preference, and which replica *actually*
-        serves the query (breaker rejections and reroutes included)
-        arrives later through :meth:`notify_served`.
-        """
-        return self.rank(candidates)
 
     def notify_served(self, query, replica_index: int) -> None:
         """Feedback hook: ``replica_index`` completed ``query`` cleanly.
@@ -130,7 +123,7 @@ class RoundRobinPolicy(BalancerPolicy):
         super().start_run(rng)
         self._cursor = 0
 
-    def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
+    def rank_for(self, query, candidates: Sequence[Replica]) -> List[Replica]:
         if not candidates:
             return []
         # The cursor advances per decision, not per replica index, so the
@@ -145,7 +138,7 @@ class LeastOutstandingPolicy(BalancerPolicy):
 
     name = "least-outstanding"
 
-    def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
+    def rank_for(self, query, candidates: Sequence[Replica]) -> List[Replica]:
         return sorted(candidates, key=_BY_LOAD)
 
 
@@ -160,7 +153,7 @@ class WeightedP99Policy(BalancerPolicy):
 
     name = "weighted-p99"
 
-    def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
+    def rank_for(self, query, candidates: Sequence[Replica]) -> List[Replica]:
         if len(candidates) <= 1:
             return list(candidates)
         # One p99 (one window sort) per candidate, for both uses.
@@ -209,9 +202,6 @@ class SessionAffinityPolicy(BalancerPolicy):
     ) -> List[Replica]:
         return sorted(candidates, key=_BY_LOAD)
 
-    def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
-        return self._least_outstanding(candidates)
-
     def rank_for(self, query, candidates: Sequence[Replica]) -> List[Replica]:
         turn = getattr(query, "session", None)
         if turn is None or not candidates:
@@ -256,12 +246,6 @@ class SessionAffinityPolicy(BalancerPolicy):
         self._pins[turn.session_id] = replica_index
 
 
-def _zone_of(replica: Replica) -> str:
-    # FakeReplica-style test doubles may not carry a zone; one-zone
-    # semantics (plain least-outstanding) is the right degradation.
-    return getattr(replica, "zone", "z0")
-
-
 def _interleave_zones(candidates: Sequence[Replica],
                       zone_order: Sequence[str]) -> List[Replica]:
     """Round-robin across zones (in ``zone_order``), least-outstanding
@@ -285,10 +269,7 @@ def _interleave_zones(candidates: Sequence[Replica],
     # Overwrites only positions already walked: ``placed`` never
     # passes the walk.
     for replica in dealt:
-        try:
-            zone = replica.zone
-        except AttributeError:
-            zone = _zone_of(replica)
+        zone = replica.zone
         if zone in next_slot:
             slot = next_slot[zone]
             next_slot[zone] = slot + width
@@ -320,16 +301,10 @@ class ZoneSpreadPolicy(BalancerPolicy):
     def rank_for(self, query, candidates: Sequence[Replica]) -> List[Replica]:
         if not candidates:
             return []
-        try:  # the zones present, sorted for determinism
-            zones = sorted(set(map(_ZONE, candidates)))
-        except AttributeError:  # a zone-less double among them
-            zones = sorted(set(map(_zone_of, candidates)))
+        zones = sorted(set(map(_ZONE, candidates)))  # sorted: deterministic
         offset = self._cursor % len(zones)
         self._cursor += 1
         return _interleave_zones(candidates, zones[offset:] + zones[:offset])
-
-    def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
-        return self.rank_for(None, candidates)
 
 
 class ZoneLocalPolicy(BalancerPolicy):
@@ -346,16 +321,10 @@ class ZoneLocalPolicy(BalancerPolicy):
     def rank_for(self, query, candidates: Sequence[Replica]) -> List[Replica]:
         if not candidates:
             return []
-        try:  # the zones present, sorted for determinism
-            zones = sorted(set(map(_ZONE, candidates)))
-        except AttributeError:  # a zone-less double among them
-            zones = sorted(set(map(_zone_of, candidates)))
+        zones = sorted(set(map(_ZONE, candidates)))  # sorted: deterministic
         local = zones.pop(0)
         return (_interleave_zones(candidates, (local,))
                 + _interleave_zones(candidates, zones))
-
-    def rank(self, candidates: Sequence[Replica]) -> List[Replica]:
-        return self.rank_for(None, candidates)
 
 
 _POLICIES: Dict[str, Type[BalancerPolicy]] = {

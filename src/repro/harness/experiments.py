@@ -19,7 +19,6 @@ from ..sut.fleet import FleetSystem, build_fleet, task_workload
 from ..sut.simulated import SimulatedSUT
 from .netbench import SyntheticQSL
 from .tuning import (
-    QUICK_SCALE,
     RunScale,
     find_max_multistream_n,
     find_max_server_qps,

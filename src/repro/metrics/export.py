@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from .primitives import Counter, Gauge, Histogram
+from .primitives import Histogram
 from .registry import MetricsRegistry, series_key
 from .snapshot import DEFAULT_QUANTILES
 

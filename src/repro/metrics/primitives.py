@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..bounds import ABOVE_ONE, AT_LEAST_TWO, POSITIVE, check_range
 
@@ -101,14 +101,6 @@ class Gauge:
         if self._fn is not None:
             raise ValueError("cannot set a callback-backed gauge")
         self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        if self._fn is not None:
-            raise ValueError("cannot inc a callback-backed gauge")
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     @property
     def value(self) -> float:

@@ -203,12 +203,6 @@ class GaugeFamily(MetricFamily):
     def set(self, value: float) -> None:
         self._default().set(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self._default().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default().dec(amount)
-
     @property
     def value(self) -> float:
         return self._default().value
@@ -233,16 +227,6 @@ class HistogramFamily(MetricFamily):
                 f"histogram {self.name!r} cannot be callback-backed")
         return Histogram(base=self.base, growth=self.growth,
                          buckets=self.buckets)
-
-    def observe(self, value: float) -> None:
-        self._default().observe(value)
-
-    def percentile(self, q: float) -> float:
-        return self._default().percentile(q)
-
-    @property
-    def count(self) -> int:
-        return self._default().count
 
 
 class MetricsRegistry:

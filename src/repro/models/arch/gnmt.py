@@ -79,8 +79,9 @@ class GNMTArch:
 
     def _encoder_input_widths(self) -> List[int]:
         h = self.hidden
-        widths = [h]          # layer 1 input: source embedding
-        widths.append(2 * h)  # layer 2 input: bidirectional concat
+        widths = [h]  # layer 1 input: source embedding
+        # Layer 2 input: layer 1's bidirectional concat (2h).
+        widths.append(self.encoder[0].output_shape((h,))[-1])
         widths.extend([h] * (self.encoder_layers - 2))
         return widths
 

@@ -151,15 +151,6 @@ class SSDArch(Layer):
             np.concatenate(all_boxes, axis=1),
         )
 
-    def named_parameters(self, prefix: str = ""):
-        base = f"{prefix}{self.name}."
-        for i, (stage, cls_head, box_head) in enumerate(
-            zip(self.stages, self.class_heads, self.box_heads)
-        ):
-            yield from stage.named_parameters(f"{base}stage{i}:")
-            yield from cls_head.named_parameters(f"{base}stage{i}:")
-            yield from box_head.named_parameters(f"{base}stage{i}:")
-
 
 def _extra_stage(mid: int, out: int, stride: int, index: int,
                  kernel: int = 3, padding: str = "same") -> Sequential:

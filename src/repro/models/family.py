@@ -38,9 +38,6 @@ class FamilyMember:
     def gops(self) -> float:
         return 2 * self.build().macs(INPUT) / 1e9
 
-    def parameters(self) -> int:
-        return self.build().param_count(INPUT)
-
 
 #: The family, ordered by published accuracy.
 MODEL_FAMILY: Tuple[FamilyMember, ...] = (

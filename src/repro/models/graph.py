@@ -19,7 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,11 +59,7 @@ class Layer:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
-    # -- parameter traversal ----------------------------------------------------
-
-    def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
-        for key, value in self.params.items():
-            yield f"{prefix}{self.name}.{key}", value
+    # -- parameters -------------------------------------------------------------
 
     def set_parameter(self, key: str, value: np.ndarray) -> None:
         if key not in self.params:
@@ -198,8 +194,7 @@ class BatchNorm(Layer):
 
 
 class Activation(Layer):
-    _FUNCS = {"relu": F.relu, "relu6": F.relu6, "sigmoid": F.sigmoid,
-              "tanh": np.tanh}
+    _FUNCS = {"relu": F.relu, "relu6": F.relu6}
 
     def __init__(self, kind: str = "relu", name: str = "") -> None:
         super().__init__(name or kind)
@@ -227,36 +222,6 @@ class MaxPool2D(Layer):
         oh = F.conv_output_size(h, self.kernel[0], self.stride[0], self.padding)
         ow = F.conv_output_size(w, self.kernel[1], self.stride[1], self.padding)
         return (oh, ow, c)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return F.maxpool2d(x, self.kernel, self.stride, self.padding)
-
-
-class AvgPool2D(Layer):
-    """Average pooling over ``(N, H, W, C)``."""
-
-    def __init__(self, kernel=2, stride=None, padding: str = "valid",
-                 name: str = "") -> None:
-        super().__init__(name or "avgpool")
-        self.kernel = F._pair(kernel)
-        self.stride = F._pair(stride) if stride is not None else self.kernel
-        self.padding = padding
-
-    def output_shape(self, input_shape: Shape) -> Shape:
-        h, w, c = input_shape
-        oh = F.conv_output_size(h, self.kernel[0], self.stride[0], self.padding)
-        ow = F.conv_output_size(w, self.kernel[1], self.stride[1], self.padding)
-        return (oh, ow, c)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.padding == "same":
-            x = F.pad_same(x, self.kernel, self.stride)
-        cols = F.im2col(x, self.kernel, self.stride)
-        n, oh, ow, _ = cols.shape
-        c = x.shape[-1]
-        return cols.reshape(
-            n, oh, ow, self.kernel[0] * self.kernel[1], c
-        ).mean(axis=3)
 
 
 class GlobalAvgPool(Layer):
@@ -341,7 +306,8 @@ class LSTMLayer(Layer):
     Accounting follows the standard 4-gate cell: per direction the layer
     has ``4 * H * (I + H) + 4 * H`` parameters and ``4 * H * (I + H)``
     MACs per timestep.  ``macs`` reports per-timestep MACs; sequence
-    models multiply by their sequence length (see ``arch.gnmt``).
+    models multiply by their sequence length (see ``arch.gnmt``).  The
+    layer is accounting only: it has no forward pass.
     """
 
     def __init__(self, hidden: int, bidirectional: bool = False,
@@ -366,38 +332,6 @@ class LSTMLayer(Layer):
     def macs(self, input_shape: Shape) -> int:
         i = input_shape[-1]
         return 4 * self.hidden * (i + self.hidden) * self.directions
-
-    def initialize(self, input_shape: Shape, rng: np.random.Generator) -> Shape:
-        i = input_shape[-1]
-        scale = 1.0 / np.sqrt(self.hidden)
-        for d in range(self.directions):
-            suffix = "" if d == 0 else "_rev"
-            self.params[f"w{suffix}"] = rng.uniform(
-                -scale, scale, size=(i, 4 * self.hidden)).astype(np.float32)
-            self.params[f"u{suffix}"] = rng.uniform(
-                -scale, scale, size=(self.hidden, 4 * self.hidden)).astype(np.float32)
-            self.params[f"b{suffix}"] = np.zeros(4 * self.hidden, dtype=np.float32)
-        return self.output_shape(input_shape)
-
-    def _run_direction(self, x: np.ndarray, suffix: str) -> np.ndarray:
-        n, t, _ = x.shape
-        h = np.zeros((n, self.hidden), dtype=np.float32)
-        c = np.zeros((n, self.hidden), dtype=np.float32)
-        outputs = np.empty((n, t, self.hidden), dtype=np.float32)
-        w = self.params[f"w{suffix}"]
-        u = self.params[f"u{suffix}"]
-        b = self.params[f"b{suffix}"]
-        for step in range(t):
-            h, c = F.lstm_cell(x[:, step], h, c, w, u, b)
-            outputs[:, step] = h
-        return outputs
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        fwd = self._run_direction(x, "")
-        if not self.bidirectional:
-            return fwd
-        bwd = self._run_direction(x[:, ::-1], "_rev")[:, ::-1]
-        return np.concatenate([fwd, bwd], axis=-1)
 
 
 class Sequential(Layer):
@@ -439,12 +373,6 @@ class Sequential(Layer):
         for child in self.children:
             x = child.forward(x)
         return x
-
-    def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
-        base = f"{prefix}{self.name}."
-        for index, child in enumerate(self.children):
-            yield from child.named_parameters(f"{base}{index}:")
-
 
 class Residual(Layer):
     """``act(body(x) + shortcut(x))`` - the ResNet building block.
@@ -498,9 +426,3 @@ class Residual(Layer):
         if self.activation is None:
             return joined
         return self.activation.forward(joined)
-
-    def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
-        base = f"{prefix}{self.name}."
-        yield from self.body.named_parameters(f"{base}body:")
-        if self.shortcut is not None:
-            yield from self.shortcut.named_parameters(f"{base}short:")

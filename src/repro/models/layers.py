@@ -3,7 +3,7 @@
 These are the mathematical primitives from which the Table I reference
 models are built: convolutions (via im2col so the inner loop is a single
 GEMM), depthwise convolutions, dense layers, batch normalization,
-pooling, the usual activations, an LSTM cell, and embedding lookup.
+pooling, the usual activations and embedding lookup.
 
 Everything operates on channels-last float arrays: images are
 ``(N, H, W, C)``, sequences are ``(N, T, C)``.  The kernels favour
@@ -44,8 +44,8 @@ def _same_pad_amounts(size: int, kernel: int, stride: int) -> Tuple[int, int]:
     return before, total - before
 
 
-def pad_same(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int],
-             value: float = 0.0) -> np.ndarray:
+def pad_same(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int]
+             ) -> np.ndarray:
     """Zero-pad ``(N, H, W, C)`` input for SAME convolution/pooling."""
     kh, kw = kernel
     sh, sw = stride
@@ -53,7 +53,7 @@ def pad_same(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int],
     pw = _same_pad_amounts(x.shape[2], kw, sw)
     if ph == (0, 0) and pw == (0, 0):
         return x
-    return np.pad(x, ((0, 0), ph, pw, (0, 0)), constant_values=value)
+    return np.pad(x, ((0, 0), ph, pw, (0, 0)))
 
 
 def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int]
@@ -140,33 +140,10 @@ def relu6(x: np.ndarray) -> np.ndarray:
     return np.clip(x, 0.0, 6.0)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign for numerical stability.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out.astype(x.dtype, copy=False)
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     ex = np.exp(shifted)
     return ex / np.sum(ex, axis=axis, keepdims=True)
-
-
-def maxpool2d(x: np.ndarray, kernel=2, stride=None,
-              padding: str = "valid") -> np.ndarray:
-    """Max pooling over ``(N, H, W, C)``."""
-    kernel = _pair(kernel)
-    stride = _pair(stride) if stride is not None else kernel
-    if padding == "same":
-        x = pad_same(x, kernel, stride, value=-np.inf)
-    cols = im2col(x, kernel, stride)
-    n, oh, ow, _ = cols.shape
-    c = x.shape[-1]
-    return cols.reshape(n, oh, ow, kernel[0] * kernel[1], c).max(axis=3)
 
 
 def global_avgpool(x: np.ndarray) -> np.ndarray:
@@ -180,23 +157,3 @@ def embedding_lookup(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):
         raise ValueError("embedding id out of range")
     return table[ids]
-
-
-def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray,
-              w: np.ndarray, u: np.ndarray, b: np.ndarray
-              ) -> Tuple[np.ndarray, np.ndarray]:
-    """One LSTM step.
-
-    ``x``: (N, I) input; ``h``/``c``: (N, H) state; ``w``: (I, 4H) input
-    weights; ``u``: (H, 4H) recurrent weights; ``b``: (4H,) bias.  Gate
-    order is ``i, f, g, o``.  Returns the new ``(h, c)``.
-    """
-    hidden = h.shape[-1]
-    gates = x @ w + h @ u + b
-    i = sigmoid(gates[..., 0 * hidden:1 * hidden])
-    f = sigmoid(gates[..., 1 * hidden:2 * hidden])
-    g = np.tanh(gates[..., 2 * hidden:3 * hidden])
-    o = sigmoid(gates[..., 3 * hidden:4 * hidden])
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new

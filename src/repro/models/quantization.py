@@ -175,9 +175,9 @@ def quantize_layer(layer: Layer, spec: QuantizationSpec) -> int:
 def quantize_model(model: Layer, spec: QuantizationSpec) -> int:
     """Fake-quantize every eligible parameter tensor of ``model``.
 
-    Works on any layer tree that implements ``named_parameters`` by
-    walking the concrete layer objects via duck typing.  Returns the
-    number of tensors quantized.
+    Walks the concrete layers of a ``Sequential`` / ``Residual`` /
+    ``SSDArch`` tree (:func:`iter_layers`).  Returns the number of
+    tensors quantized.
     """
     count = 0
     for layer in iter_layers(model):
@@ -226,7 +226,6 @@ def cross_layer_equalization(graph) -> int:
     """
     from .graph import (
         Activation,
-        AvgPool2D,
         Conv2D,
         Dense,
         GlobalAvgPool,
@@ -241,8 +240,7 @@ def cross_layer_equalization(graph) -> int:
     def positively_homogeneous(layer) -> bool:
         if isinstance(layer, Activation):
             return layer.kind == "relu"   # relu6's cap breaks homogeneity
-        return isinstance(layer, (MaxPool2D, AvgPool2D, GlobalAvgPool,
-                                  GlobalMaxPool))
+        return isinstance(layer, (MaxPool2D, GlobalAvgPool, GlobalMaxPool))
 
     children = graph.children
     equalized = 0

@@ -42,11 +42,6 @@ class ModelInfo:
     #: Builder for the full-size architecture (for accounting).
     build_arch: Callable[[], object]
 
-    @property
-    def quality_target(self) -> float:
-        """The absolute quality floor implied by Table I."""
-        return self.quality_target_factor * self.fp32_quality
-
 
 REGISTRY: Dict[Task, ModelInfo] = {
     Task.IMAGE_CLASSIFICATION_HEAVY: ModelInfo(

@@ -29,7 +29,6 @@ import numpy as np
 from ...datasets.imagenet import SyntheticImageNet
 from ..graph import (
     Activation,
-    AvgPool2D,
     Conv2D,
     Dense,
     GlobalMaxPool,
@@ -69,9 +68,6 @@ class GlyphClassifier:
 
     def macs(self) -> int:
         return self.graph.macs(self.input_shape)
-
-    def param_count(self) -> int:
-        return self.graph.param_count(self.input_shape)
 
     def quantized(self, spec: QuantizationSpec) -> "GlyphClassifier":
         """Return a fake-quantized deep copy (the original is untouched)."""

@@ -59,12 +59,6 @@ class GlyphDetector:
     def name(self) -> str:
         return f"glyph-detector-{self.variant}"
 
-    def macs(self) -> int:
-        return self.arch.macs(self.input_shape)
-
-    def param_count(self) -> int:
-        return self.arch.param_count(self.input_shape)
-
     def predict(self, images: np.ndarray) -> List[List[Detection]]:
         """Detect objects in a batch ``(N, H, W, 1)``."""
         if images.ndim == 3:
@@ -82,9 +76,6 @@ class GlyphDetector:
                 algorithm=self.nms_algorithm,
             ))
         return results
-
-    def predict_one(self, image: np.ndarray) -> List[Detection]:
-        return self.predict(image[None])[0]
 
     def quantized(self, spec: QuantizationSpec) -> "GlyphDetector":
         """Return a fake-quantized deep copy (the original is untouched)."""

@@ -16,8 +16,8 @@ Quantization perturbs the embedding table, position codes, and
 projection exactly as it would a trained model's weights, degrading
 BLEU mechanistically.  (DESIGN.md records the substitution: the paper's
 GNMT uses LSTM stacks, which our :class:`~repro.models.graph.LSTMLayer`
-implements and the perf-workload tests execute, but constructing exact
-cipher behaviour through saturating LSTM gates is not tractable; the
+accounts for in Table I, but constructing exact cipher behaviour
+through saturating LSTM gates is not tractable; the
 attention transducer preserves the benchmark-relevant properties -
 sequence-length-dependent cost and weight-sensitivity of quality.)
 """
@@ -56,10 +56,6 @@ class CipherTranslator:
     @property
     def name(self) -> str:
         return "cipher-translator"
-
-    @property
-    def vocab_size(self) -> int:
-        return self.embedding.vocab_size
 
     def translate(self, source: Sequence[int]) -> List[int]:
         """Greedy-decode the translation of ``source``."""

@@ -7,8 +7,8 @@ narrow the quality window to 2%" (Section III-B), and the open division
 explicitly allows it.  This module provides what that requires:
 
 * reverse-mode differentiation for the Sequential graphs built from
-  ``repro.models.graph`` layers (conv, depthwise conv, dense, batch
-  norm, activations, pooling);
+  ``repro.models.graph`` layers (conv, dense, relu / relu6, global max
+  pooling - what the trained classifiers hold);
 * softmax cross-entropy loss;
 * a minibatch SGD (with momentum) training loop;
 * **quantization-aware training** via the straight-through estimator:
@@ -24,19 +24,15 @@ immediately rather than silently mistraining.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import layers as F
 from .graph import (
     Activation,
-    AvgPool2D,
-    BatchNorm,
     Conv2D,
     Dense,
-    DepthwiseConv2D,
-    GlobalAvgPool,
     GlobalMaxPool,
     Layer,
     Sequential,
@@ -133,41 +129,6 @@ def _conv_backward(layer: Conv2D, grad_out: np.ndarray, cache):
     return grad_x, grads
 
 
-def _dwconv_forward(layer: DepthwiseConv2D, x: np.ndarray):
-    weights = layer.params["weights"]
-    kh, kw, c = weights.shape
-    padded = F.pad_same(x, layer.kernel, layer.stride) \
-        if layer.padding == "same" else x
-    cols = F.im2col(padded, layer.kernel, layer.stride)
-    n, oh, ow, _ = cols.shape
-    cols5 = cols.reshape(n, oh, ow, kh * kw, c)
-    out = np.einsum("nhwkc,kc->nhwc", cols5, weights.reshape(kh * kw, c))
-    if layer.use_bias:
-        out = out + layer.params["bias"]
-    return out, (cols5, padded.shape, x.shape)
-
-
-def _dwconv_backward(layer: DepthwiseConv2D, grad_out: np.ndarray, cache):
-    cols5, padded_shape, x_shape = cache
-    weights = layer.params["weights"]
-    kh, kw, c = weights.shape
-    grads: Grads = {
-        "weights": np.einsum("nhwkc,nhwc->kc", cols5, grad_out
-                             ).reshape(kh, kw, c),
-    }
-    if layer.use_bias:
-        grads["bias"] = grad_out.sum(axis=(0, 1, 2))
-    grad_cols = np.einsum("nhwc,kc->nhwkc", grad_out,
-                          weights.reshape(kh * kw, c))
-    n, oh, ow, _, _ = grad_cols.shape
-    grad_padded = col2im(
-        grad_cols.reshape(n, oh, ow, kh * kw * c), padded_shape,
-        layer.kernel, layer.stride)
-    grad_x = _unpad(grad_padded, x_shape[1:3], layer.kernel, layer.stride,
-                    layer.padding)
-    return grad_x, grads
-
-
 def _dense_forward(layer: Dense, x: np.ndarray):
     out = x @ layer.params["weights"]
     if layer.use_bias:
@@ -191,9 +152,6 @@ def _activation_forward(layer: Activation, x: np.ndarray):
         return F.relu(x), x
     if layer.kind == "relu6":
         return F.relu6(x), x
-    if layer.kind == "tanh":
-        out = np.tanh(x)
-        return out, out
     raise NotImplementedError(
         f"no gradient implemented for activation {layer.kind!r}")
 
@@ -203,29 +161,7 @@ def _activation_backward(layer: Activation, grad_out: np.ndarray, cache):
         return grad_out * (cache > 0), {}
     if layer.kind == "relu6":
         return grad_out * ((cache > 0) & (cache < 6)), {}
-    if layer.kind == "tanh":
-        return grad_out * (1.0 - cache ** 2), {}
     raise NotImplementedError(layer.kind)
-
-
-def _batchnorm_forward(layer: BatchNorm, x: np.ndarray):
-    # Inference-style: frozen statistics, learnable affine only.
-    inv = layer.params["gamma"] / np.sqrt(
-        layer.params["variance"] + layer.epsilon)
-    normalized = (x - layer.params["mean"]) / np.sqrt(
-        layer.params["variance"] + layer.epsilon)
-    out = x * inv + (layer.params["beta"] - layer.params["mean"] * inv)
-    return out, (normalized, inv)
-
-
-def _batchnorm_backward(layer: BatchNorm, grad_out: np.ndarray, cache):
-    normalized, inv = cache
-    axes = tuple(range(grad_out.ndim - 1))
-    grads: Grads = {
-        "gamma": (grad_out * normalized).sum(axis=axes),
-        "beta": grad_out.sum(axis=axes),
-    }
-    return grad_out * inv, grads
 
 
 def _gmp_forward(layer: GlobalMaxPool, x: np.ndarray):
@@ -244,51 +180,17 @@ def _gmp_backward(layer: GlobalMaxPool, grad_out: np.ndarray, cache):
     return grad.reshape(shape), {}
 
 
-def _gap_forward(layer: GlobalAvgPool, x: np.ndarray):
-    return x.mean(axis=(1, 2)), x.shape
-
-
-def _gap_backward(layer: GlobalAvgPool, grad_out: np.ndarray, cache):
-    n, h, w, c = cache
-    grad = np.broadcast_to(
-        grad_out[:, None, None, :] / (h * w), (n, h, w, c))
-    return grad.astype(grad_out.dtype), {}
-
-
-def _avgpool_forward(layer: AvgPool2D, x: np.ndarray):
-    out = layer.forward(x)
-    return out, x.shape
-
-
-def _avgpool_backward(layer: AvgPool2D, grad_out: np.ndarray, cache):
-    if layer.padding != "valid" or layer.kernel != layer.stride:
-        raise NotImplementedError(
-            "AvgPool2D gradient supports valid, non-overlapping pooling")
-    kh, kw = layer.kernel
-    grad = np.repeat(np.repeat(grad_out, kh, axis=1), kw, axis=2) / (kh * kw)
-    n, h, w, c = cache
-    return grad[:, :h, :w, :], {}
-
-
 _FORWARD = {
     Conv2D: _conv_forward,
-    DepthwiseConv2D: _dwconv_forward,
     Dense: _dense_forward,
     Activation: _activation_forward,
-    BatchNorm: _batchnorm_forward,
     GlobalMaxPool: _gmp_forward,
-    GlobalAvgPool: _gap_forward,
-    AvgPool2D: _avgpool_forward,
 }
 _BACKWARD = {
     Conv2D: _conv_backward,
-    DepthwiseConv2D: _dwconv_backward,
     Dense: _dense_backward,
     Activation: _activation_backward,
-    BatchNorm: _batchnorm_backward,
     GlobalMaxPool: _gmp_backward,
-    GlobalAvgPool: _gap_backward,
-    AvgPool2D: _avgpool_backward,
 }
 
 

@@ -181,10 +181,10 @@ class _ServerInstruments:
         self.batch_size = registry.histogram(
             "server_batch_size_samples",
             "Samples merged into each dispatched batch",
-            base=1.0, growth=2.0 ** 0.25, buckets=72)
+            base=1.0, growth=2.0 ** 0.25, buckets=72).labels()
         self.queue_wait = registry.histogram(
             "server_queue_wait_seconds",
-            "Admission-to-dispatch wait of each batched request")
+            "Admission-to-dispatch wait of each batched request").labels()
         self.worker_busy = registry.counter(
             "server_worker_busy_seconds_total",
             "Wall seconds each worker spent executing batches",

@@ -85,15 +85,6 @@ class ChannelStats:
     bytes_forward: int = 0
     bytes_reverse: int = 0
 
-    def summary(self) -> str:
-        return (
-            f"fwd={self.queries_forwarded} (+{self.queries_dropped} dropped) "
-            f"rev={self.completions_forwarded} "
-            f"(+{self.completions_dropped} dropped) "
-            f"reordered={self.reordered_frames} "
-            f"bytes={self.bytes_forward}/{self.bytes_reverse}"
-        )
-
 
 class SimulatedChannelSUT(SutBase):
     """Impose a :class:`ChannelModel` between the LoadGen and ``inner``.

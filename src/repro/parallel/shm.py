@@ -79,10 +79,6 @@ class ShmArena:
     def name(self) -> str:
         return self._seg.name
 
-    @property
-    def capacity(self) -> int:
-        return self._seg.size
-
     def ensure(self, nbytes: int) -> None:
         """Grow (by recreation) until at least ``nbytes`` fit."""
         if nbytes <= self._seg.size:

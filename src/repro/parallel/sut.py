@@ -59,13 +59,13 @@ class _ParallelInstruments:
         self.batch_size = registry.histogram(
             "parallel_batch_size_samples",
             "Samples in each dispatched batch",
-            base=1.0, growth=2.0 ** 0.25, buckets=72)
+            base=1.0, growth=2.0 ** 0.25, buckets=72).labels()
         self.batch_wait = registry.histogram(
             "parallel_batch_wait_seconds",
-            "Loop-clock time each query sat in the dynamic batcher")
+            "Loop-clock time each query sat in the dynamic batcher").labels()
         self.dispatch_seconds = registry.histogram(
             "parallel_dispatch_seconds",
-            "Wall seconds per dispatch (ship + compute + collect)")
+            "Wall seconds per dispatch (ship + compute + collect)").labels()
         self.transfer_bytes = registry.counter(
             "parallel_transfer_bytes_total",
             "Bytes moved between the SUT and its workers",
@@ -133,10 +133,6 @@ class ParallelSUT(SutBase):
             crash_plan = FaultInjector(crash_plan)
         self._crash_injector: Optional[FaultInjector] = crash_plan
         self._attempts: Dict[int, int] = {}
-
-    @property
-    def workers(self) -> int:
-        return self.pool.workers
 
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         super().start_run(loop, responder)

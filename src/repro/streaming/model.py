@@ -40,11 +40,6 @@ class StreamPlan(NamedTuple):
     token_count: int
     chunks: Tuple[ChunkEvent, ...]
 
-    @property
-    def duration(self) -> float:
-        """Offset of the final chunk."""
-        return self.chunks[-1].offset
-
 
 @dataclass(frozen=True)
 class StreamModel:

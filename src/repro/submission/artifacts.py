@@ -38,7 +38,7 @@ from .checker import (
     entry_record,
     system_record,
 )
-from .schema import Division, Submission
+from .schema import Submission
 
 SUMMARY_FILE = "mlperf_log_summary.txt"
 DETAIL_FILE = "mlperf_log_detail.jsonl"
@@ -92,10 +92,6 @@ class SubmissionManifest:
     root: Path
     system: object
     entries: List[EntryRecord] = field(default_factory=list)
-
-    @property
-    def division(self) -> Division:
-        return Division(self.system["division"])
 
 
 def read_submission_dir(root: Path) -> SubmissionManifest:

@@ -108,13 +108,6 @@ class DeviceModel:
         check_range("thermal_time_constant",
                     self.thermal_time_constant, POSITIVE)
 
-    def utilization(self, work_gops: float) -> float:
-        """Fraction of peak throughput for a dispatch of ``work_gops``."""
-        if work_gops <= 0:
-            raise ValueError(f"work_gops must be positive, got {work_gops}")
-        ramp = min(work_gops, self.saturation_gops) / self.saturation_gops
-        return self.base_utilization + (1.0 - self.base_utilization) * ramp
-
     def motif_efficiency(self, motif: ComputeMotif) -> float:
         """How well ``motif`` fits this device; 1.0 unless tabulated."""
         return self.structure_efficiency.get(motif, 1.0)
@@ -130,8 +123,7 @@ class DeviceModel:
     def cost_at(self, gops_per_sample: float, batch: int,
                 efficiency: float) -> Tuple[float, float]:
         """(seconds, Joules) of one dispatch of ``batch`` samples at a
-        structural ``efficiency``: the one body of the cost formula,
-        :meth:`utilization` inlined (same float expression order).  A
+        structural ``efficiency``: the one body of the cost formula.  A
         SUT that serves one motif resolves its efficiency once and
         calls this per dispatch."""
         if gops_per_sample <= 0:

@@ -22,7 +22,7 @@ class OracleClassifierSUT(SutBase):
         responses = []
         for sample in query.samples:
             self._count += 1
-            label = self.qsl.get_label(sample.index)
+            label = self.qsl.dataset.get_label(sample.index)
             if self.wrong_every and self._count % self.wrong_every == 0:
                 label = (label + 1) % 16
             responses.append(QuerySampleResponse(sample.id, label))
@@ -129,7 +129,7 @@ class TestDetectionChecker:
             def issue_query(self, query):
                 responses = []
                 for sample in query.samples:
-                    objs = self.qsl.get_label(sample.index)
+                    objs = self.qsl.dataset.get_label(sample.index)
                     payload = [
                         (o.box, 0.9, o.class_id) for o in objs
                     ]
@@ -148,7 +148,7 @@ class TestDetectionChecker:
         # with it the mAP.
         qsl = DatasetQSL(coco)
         result = accuracy_run(qsl, PayloadSUT(qsl, lambda qsl, index: [
-            (o.box, 0.9, o.class_id) for o in qsl.get_label(index)[:1]]))
+            (o.box, 0.9, o.class_id) for o in coco.get_label(index)[:1]]))
         report = check_accuracy(result, coco, "detection", 0.95)
         assert not report.passed
         assert 0.0 < report.value < 0.95
@@ -159,7 +159,7 @@ class TestTranslationOracle:
     def test_reference_tokens_score_100(self, wmt):
         qsl = DatasetQSL(wmt)
         result = accuracy_run(qsl, PayloadSUT(qsl, lambda qsl, index:
-                                              list(qsl.get_label(index))))
+                                              list(wmt.get_label(index))))
         report = check_accuracy(result, wmt, "translation", 99.0)
         assert report.passed
         assert report.value == pytest.approx(100.0)

@@ -38,7 +38,7 @@ def translator_sut(qsl, wmt):
 
 
 def first_object_only(qsl, index):
-    return [(o.box, 0.9, o.class_id) for o in qsl.get_label(index)[:1]]
+    return [(o.box, 0.9, o.class_id) for o in qsl.dataset.get_label(index)[:1]]
 
 
 def echo_source(qsl, index):

@@ -67,6 +67,12 @@ def alive_workers(pool):
                for member in pool._members)
 
 
+def valve_healthy(valve):
+    """No window of a ``WindowedSUT`` valve is in force right now."""
+    now = valve.loop.now
+    return not any(w.start <= now < w.end for w in valve.windows)
+
+
 _LOOPBACK_HOSTS = {"127.0.0.1", "localhost", "::1"}
 
 

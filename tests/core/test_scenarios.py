@@ -367,7 +367,7 @@ class TestScheduledTimesAreTheArrivalStream:
         # Only a session's first turn is an arrival; later turns follow
         # the previous answer and carry no scheduled time.
         arrivals = [r.scheduled_time for r in log.records()
-                    if r.turn_index == 0]
+                    if r.query.session.turn_index == 0]
         assert arrivals == self._reference(sessions)
         assert all(r.scheduled_time is None for r in log.records()
-                   if r.turn_index != 0)
+                   if r.query.session.turn_index != 0)

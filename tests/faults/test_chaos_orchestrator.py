@@ -17,7 +17,7 @@ from repro.faults import (
 from repro.fleet import ReplicaSet
 from repro.metrics import MetricsRegistry
 
-from tests.conftest import EchoQSL, FixedLatencySUT
+from tests.conftest import EchoQSL, FixedLatencySUT, valve_healthy
 
 
 def server_settings(queries=400, qps=200.0, bound=0.2, seed=0):
@@ -58,7 +58,7 @@ class TestDegradedSUT:
         # 10 ms of backend time is held back by (3 - 1) * 10 ms more.
         assert deliveries[0][0] == pytest.approx(0.030)
         assert valve.slowed == 1
-        assert not valve.healthy
+        assert not valve_healthy(valve)
 
     def test_partition_drops_deliveries_but_accepts_issues(self):
         loop, valve, deliveries = started_valve()
@@ -73,7 +73,7 @@ class TestDegradedSUT:
         valve.issue_query(one_query(2))
         loop.run()
         assert [q.id for _, q, _ in deliveries] == [2]
-        assert valve.healthy
+        assert valve_healthy(valve)
 
     def test_degrade_validates_the_factor(self):
         with pytest.raises(ValueError, match="factor"):
@@ -84,7 +84,7 @@ class TestDegradedSUT:
         valve.degrade(8.0)
         valve.partition()
         valve.start_run(loop, lambda q, r: None)
-        assert valve.healthy
+        assert valve_healthy(valve)
 
 
 class TestChaosSchedule:

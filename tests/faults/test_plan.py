@@ -132,8 +132,9 @@ class TestInjectorDeterminism:
         assert injector.injected == {}
         assert injector.trace == []
 
-    def test_summary_mentions_counts(self):
+    def test_injected_counts_each_fault(self):
         injector = FaultInjector(FaultPlan.single(FaultType.DROP, 1.0))
-        assert injector.summary() == "injected: none"
+        assert injector.injected == {}
         injector.decide(1)
-        assert "drop=1" in injector.summary()
+        injector.decide(2)
+        assert injector.injected == {FaultType.DROP: 2}

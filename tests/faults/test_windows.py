@@ -21,7 +21,7 @@ from repro.faults import (
 from repro.fleet import ReplicaSet
 from repro.fleet.replicaset import ReplicaHealth
 
-from tests.conftest import EchoQSL, FixedLatencySUT
+from tests.conftest import EchoQSL, FixedLatencySUT, valve_healthy
 
 NAN, INF = math.nan, math.inf
 BACKEND = 0.010
@@ -101,7 +101,7 @@ def test_an_ended_window_is_forgotten():
     loop, seen = started(valve)
     issue_at(loop, valve, 0.25, 1)
     loop.run()
-    assert len(seen) == 1 and valve.windows == [] and valve.healthy
+    assert len(seen) == 1 and valve.windows == [] and valve_healthy(valve)
 
 
 def test_a_valve_with_nothing_ahead_forwards_without_its_loop():
@@ -138,7 +138,7 @@ def test_open_and_close_act_from_that_instant_on():
     valve.issue_query(one_query(2))
     loop.run()
     assert seen[-1] == (pytest.approx(4 * BACKEND), 2)
-    assert valve.windows == [] and valve.healthy
+    assert valve.windows == [] and valve_healthy(valve)
     valve.close_window(window)  # no longer held: ignored
 
 
@@ -161,7 +161,7 @@ def test_degrade_replaces_and_restore_closes_everything():
     assert sorted((w.effect, w.factor) for w in valve.windows) == [
         ("partition", 1.0), ("stretch", 3.0)]
     valve.restore()
-    assert valve.windows == [] and valve.healthy
+    assert valve.windows == [] and valve_healthy(valve)
 
 
 def test_degraded_sut_takes_no_factor():
@@ -260,8 +260,8 @@ def test_a_gray_recovery_leaves_an_open_partition_in_place():
         ChaosEvent(0.1, 0.2, "partition", "replica:0"),
         ChaosEvent(0.15, 0.05, "gray-failure", "replica:0", 4.0))
     valve = orchestrator.degraded[0]
-    mid = probe(loop, 0.26, lambda: valve.healthy)
-    after = probe(loop, 0.34, lambda: valve.healthy)
+    mid = probe(loop, 0.26, lambda: valve_healthy(valve))
+    after = probe(loop, 0.34, lambda: valve_healthy(valve))
     loop.run()
     # The gray window closes at the 0.225 tick, the partition at 0.325.
     assert mid == [False] and after == [True]
@@ -276,8 +276,8 @@ def test_two_gray_failures_on_one_replica_are_two_windows():
         ChaosEvent(0.2, 0.1, "gray-failure", "replica:1", 8.0))
     valve = orchestrator.degraded[1]
     both = probe(loop, 0.26, lambda: orchestrator.active_faults)
-    outer = probe(loop, 0.4, lambda: valve.healthy)
-    done = probe(loop, 0.6, lambda: valve.healthy)
+    outer = probe(loop, 0.4, lambda: valve_healthy(valve))
+    done = probe(loop, 0.6, lambda: valve_healthy(valve))
     loop.run()
     assert both == [2] and outer == [False] and done == [True]
     assert all(w.end is not None for w in orchestrator.windows)

@@ -33,23 +33,24 @@ class TestRoundRobin:
     def test_rotates_one_step_per_decision(self):
         policy = fresh(RoundRobinPolicy())
         fleet = replicas(3)
-        orders = [[r.index for r in policy.rank(fleet)] for _ in range(4)]
+        orders = [[r.index for r in policy.rank_for(None, fleet)]
+                  for _ in range(4)]
         assert orders == [[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 1, 2]]
 
     def test_every_replica_gets_equal_share(self):
         policy = fresh(RoundRobinPolicy())
         fleet = replicas(4)
-        firsts = [policy.rank(fleet)[0].index for _ in range(40)]
+        firsts = [policy.rank_for(None, fleet)[0].index for _ in range(40)]
         assert all(firsts.count(i) == 10 for i in range(4))
 
     def test_empty_candidate_list(self):
-        assert fresh(RoundRobinPolicy()).rank([]) == []
+        assert fresh(RoundRobinPolicy()).rank_for(None, []) == []
 
     def test_survives_fleet_resize(self):
         policy = fresh(RoundRobinPolicy())
-        policy.rank(replicas(5))
+        policy.rank_for(None, replicas(5))
         # Shrinking the candidate set must not break the rotation.
-        order = policy.rank(replicas(2))
+        order = policy.rank_for(None, replicas(2))
         assert sorted(r.index for r in order) == [0, 1]
 
 
@@ -57,26 +58,27 @@ class TestLeastOutstanding:
     def test_prefers_idle_replica(self):
         policy = fresh(LeastOutstandingPolicy())
         fleet = replicas(3, outstanding=(5, 0, 2))
-        assert [r.index for r in policy.rank(fleet)] == [1, 2, 0]
+        assert [r.index for r in policy.rank_for(None, fleet)] == [1, 2, 0]
 
     def test_ties_break_by_index(self):
         policy = fresh(LeastOutstandingPolicy())
         fleet = replicas(3, outstanding=(1, 1, 1))
-        assert [r.index for r in policy.rank(fleet)] == [0, 1, 2]
+        assert [r.index for r in policy.rank_for(None, fleet)] == [0, 1, 2]
 
 
 class TestWeightedP99:
     def test_slow_replica_loses_share(self):
         policy = fresh(WeightedP99Policy())
         fleet = replicas(2, p99=(0.001, 0.100))
-        firsts = [policy.rank(fleet)[0].index for _ in range(200)]
+        firsts = [policy.rank_for(None, fleet)[0].index
+                  for _ in range(200)]
         # 100x latency ratio => ~99% of primaries go to the fast one.
         assert firsts.count(0) > 180
 
     def test_fallback_order_is_fastest_first(self):
         policy = fresh(WeightedP99Policy())
         fleet = replicas(3, p99=(0.050, 0.001, 0.010))
-        ranked = policy.rank(fleet)
+        ranked = policy.rank_for(None, fleet)
         rest = [r.index for r in ranked[1:]]
         assert rest == sorted(rest, key=lambda i: fleet[i].p99())
 
@@ -85,20 +87,21 @@ class TestWeightedP99:
         a = fresh(WeightedP99Policy(), seed=7)
         b = fresh(WeightedP99Policy(), seed=7)
         for _ in range(50):
-            assert ([r.index for r in a.rank(fleet)]
-                    == [r.index for r in b.rank(fleet)])
+            assert ([r.index for r in a.rank_for(None, fleet)]
+                    == [r.index for r in b.rank_for(None, fleet)])
 
     def test_cold_start_is_uniformish(self):
         policy = fresh(WeightedP99Policy())
         fleet = replicas(3)  # no latency observations at all
-        firsts = [policy.rank(fleet)[0].index for _ in range(300)]
+        firsts = [policy.rank_for(None, fleet)[0].index
+                  for _ in range(300)]
         assert all(firsts.count(i) > 50 for i in range(3))
 
     def test_single_candidate_consumes_no_entropy(self):
         policy = fresh(WeightedP99Policy(), seed=3)
         fleet = replicas(1)
         before = policy._rng.bit_generator.state["state"]["state"]
-        assert [r.index for r in policy.rank(fleet)] == [0]
+        assert [r.index for r in policy.rank_for(None, fleet)] == [0]
         assert policy._rng.bit_generator.state["state"]["state"] == before
 
 

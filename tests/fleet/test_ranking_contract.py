@@ -2,7 +2,7 @@
 ranks: pinned from outside against references spelled from the
 docstrings, so the routing decision can be rebuilt underneath them.
 
-* ``ZoneSpreadPolicy.rank`` / ``ZoneLocalPolicy.rank`` against a
+* ``ZoneSpreadPolicy.rank_for`` / ``ZoneLocalPolicy.rank_for`` against a
   reference written here: one least-outstanding queue per zone (ties by
   index), dealt round-robin in zone order - rotated one zone per
   decision for zone-spread, local zone first for zone-local.
@@ -53,22 +53,10 @@ class Zoned:
     zone: str
 
 
-@dataclass
-class Zoneless:
-    """A test double without a zone: ranks as if it lived in ``z0``."""
-
-    index: int
-    outstanding: int
-
-
-def zone_of(replica):
-    return getattr(replica, "zone", "z0")
-
-
 def dealt(candidates, zone_order):
     """The reference: per-zone least-outstanding queues, one replica
     from each zone in ``zone_order`` per round until all are placed."""
-    queues = [sorted((r for r in candidates if zone_of(r) == zone),
+    queues = [sorted((r for r in candidates if r.zone == zone),
                      key=lambda r: (r.outstanding, r.index))
               for zone in zone_order]
     ranked = []
@@ -78,7 +66,7 @@ def dealt(candidates, zone_order):
 
 
 def spread_reference(candidates, decision):
-    zones = sorted({zone_of(r) for r in candidates})
+    zones = sorted({r.zone for r in candidates})
     if not zones:
         return []
     offset = decision % len(zones)
@@ -86,30 +74,26 @@ def spread_reference(candidates, decision):
 
 
 def local_reference(candidates, local_zone):
-    zones = sorted({zone_of(r) for r in candidates})
+    zones = sorted({r.zone for r in candidates})
     if not zones:
         return []
     local = local_zone if local_zone in zones else zones[0]
     return (dealt(candidates, [local])
-            + dealt([r for r in candidates if zone_of(r) != local],
+            + dealt([r for r in candidates if r.zone != local],
                     [z for z in zones if z != local]))
 
 
 @st.composite
-def candidate_sets(draw, zoneless=True):
-    """0-8 replicas over 1-4 zones (``z0`` among them, so a zone-less
-    double can share a zone with a zoned one), few distinct
-    ``outstanding`` values so ties happen, indices in arbitrary order."""
+def candidate_sets(draw):
+    """0-8 replicas over 1-4 zones, few distinct ``outstanding`` values
+    so ties happen, indices in arbitrary order."""
     zones = draw(st.lists(st.sampled_from(ZONES + ("z0",)), min_size=1,
                           max_size=4, unique=True))
     indices = draw(st.lists(st.integers(0, 40), max_size=8, unique=True))
     out = []
     for index in indices:
         outstanding = draw(st.integers(0, 3))
-        if zoneless and draw(st.booleans()) and draw(st.booleans()):
-            out.append(Zoneless(index, outstanding))
-        else:
-            out.append(Zoned(index, outstanding, draw(st.sampled_from(zones))))
+        out.append(Zoned(index, outstanding, draw(st.sampled_from(zones))))
     return out
 
 
@@ -126,7 +110,7 @@ def test_zone_spread_ranks_as_documented_over_consecutive_decisions(data):
     for _ in range(20):
         candidates = data.draw(candidate_sets())
         before = [(r.index, r.outstanding) for r in candidates]
-        ranked = policy.rank(candidates)
+        ranked = policy.rank_for(None, candidates)
         assert ranked == spread_reference(candidates, decision)
         assert [(r.index, r.outstanding) for r in candidates] == before
         if candidates:
@@ -140,7 +124,7 @@ def test_zone_spread_over_one_fleet_whose_load_moves(candidates, bump):
     # each decision picks up a query before the next.
     policy = started(ZoneSpreadPolicy())
     for decision in range(20):
-        ranked = policy.rank(candidates)
+        ranked = policy.rank_for(None, candidates)
         assert ranked == spread_reference(candidates, decision)
         if ranked:
             ranked[0].outstanding += 1
@@ -151,8 +135,9 @@ def test_zone_spread_over_one_fleet_whose_load_moves(candidates, bump):
 @given(candidate_sets())
 def test_zone_local_ranks_as_documented(candidates):
     policy = started(ZoneLocalPolicy())
-    assert policy.rank(candidates) == local_reference(candidates, None)
-    assert policy.rank(candidates) == local_reference(candidates, None)
+    expected = local_reference(candidates, None)
+    assert policy.rank_for(None, candidates) == expected
+    assert policy.rank_for(None, candidates) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,18 +150,9 @@ def test_interleave_skips_a_zone_with_no_candidate(candidates, zone_order):
         r.index for r in candidates)
 
 
-def test_zoneless_doubles_degrade_to_least_outstanding():
-    fleet = [Zoneless(3, 2), Zoneless(1, 0), Zoneless(2, 0), Zoneless(0, 5)]
-    policy = started(ZoneSpreadPolicy())
-    for _ in range(3):
-        assert [r.index for r in policy.rank(fleet)] == [1, 2, 3, 0]
-    assert [r.index for r in started(ZoneLocalPolicy()).rank(fleet)] == \
-        [1, 2, 3, 0]
-
-
 def test_no_two_neighbours_share_a_zone_while_both_zones_last():
     fleet = [Zoned(i, 0, "ab"[i % 2]) for i in range(6)]
-    ranked = started(ZoneSpreadPolicy()).rank(fleet)
+    ranked = started(ZoneSpreadPolicy()).rank_for(None, fleet)
     zones = [r.zone for r in ranked]
     assert all(x != y for x, y in zip(zones, zones[1:]))
 
@@ -192,7 +168,7 @@ class Recorder(BalancerPolicy):
         super().start_run(rng)
         self.seen = []
 
-    def rank(self, candidates):
+    def rank_for(self, query, candidates):
         self.seen.append(candidates)
         return list(candidates)
 
@@ -265,7 +241,7 @@ def _oracle_zone_names(candidates: Sequence) -> List[str]:
     try:
         return sorted({r.zone for r in candidates})
     except AttributeError:  # a zone-less double among them
-        return sorted({_zone_of(r) for r in candidates})
+        return sorted({_r.zone for r in candidates})
 
 
 def _oracle_interleave_zones(candidates: Sequence,
@@ -343,7 +319,7 @@ class OracleWeightedP99:
 
 @st.composite
 def moving_fleets(draw):
-    """One fleet of zoned and zone-less doubles and, per decision, the
+    """One fleet of zoned doubles and, per decision, the
     change made before it: tied loads, a replica that moves zone, a
     replica that leaves or rejoins the candidate set."""
     fleet = draw(candidate_sets())
@@ -364,7 +340,7 @@ def apply_step(fleet, step):
         return []
     replica = fleet[pick % len(fleet)]
     replica.outstanding = load
-    if zone is not None and isinstance(replica, Zoned):
+    if zone is not None:
         replica.zone = zone  # the same index, a different fault domain
     # The candidates are a fresh list each decision, as _dispatch builds.
     return [r for i, r in enumerate(fleet) if (i + pick) % 4 >= sit_out]
@@ -377,25 +353,21 @@ def same_objects(left, right):
 
 @settings(max_examples=200, deadline=None)
 @given(moving_fleets())
-def test_zone_spread_ranks_as_shipped_through_both_entry_points(case):
+def test_zone_spread_ranks_as_shipped(case):
     fleet, steps = case
-    via_rank_for, via_rank = started(ZoneSpreadPolicy()), started(
-        ZoneSpreadPolicy())
-    oracle_a, oracle_b = started(OracleZoneSpread()), started(
-        OracleZoneSpread())
+    policy = started(ZoneSpreadPolicy())
+    oracle = started(OracleZoneSpread())
     for step in steps:
         candidates = apply_step(fleet, step)
-        expected = oracle_a.rank(candidates)
-        assert same_objects(via_rank_for.rank_for(None, candidates), expected)
-        assert same_objects(via_rank.rank(candidates), oracle_b.rank(
-            candidates))
+        expected = oracle.rank(candidates)
+        assert same_objects(policy.rank_for(None, candidates), expected)
         if expected:
             expected[0].outstanding += 1  # the primary takes the query
 
 
 @settings(max_examples=200, deadline=None)
 @given(moving_fleets())
-def test_zone_local_ranks_as_shipped_through_both_entry_points(case):
+def test_zone_local_ranks_as_shipped(case):
     fleet, steps = case
     policy = started(ZoneLocalPolicy())
     oracle = OracleZoneLocal()
@@ -403,7 +375,6 @@ def test_zone_local_ranks_as_shipped_through_both_entry_points(case):
         candidates = apply_step(fleet, step)
         expected = oracle.rank(candidates)
         assert same_objects(policy.rank_for(None, candidates), expected)
-        assert same_objects(policy.rank(candidates), expected)
         if expected:
             expected[0].outstanding += 1
 

@@ -10,7 +10,7 @@ inside can be rewritten:
   backend's ``run_fingerprint`` and chunk trail.
 * **Pinned faulty stacks** - seven stack shapes x plain/streamed x three
   seeds, each reduced to a digest of (verdict, ``run_fingerprint``,
-  chunk trail, the wrapper's ``stats.summary()``, failed-record count).
+  chunk trail, the wrapper's stats line, failed-record count).
   The constants were recorded before the attempt engine existed; a
   refactor of the wrappers may not touch them.
 """
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core import Scenario, TestSettings
 from repro.core.loadgen import run_benchmark
 from repro.durability import BreakerPolicy, SelfHealingSUT, run_fingerprint
+from repro.durability.healing import HealingStats
 from repro.faults import (
     FaultPlan,
     FaultType,
@@ -191,11 +192,26 @@ SHAPES = {
 }
 
 
+def stats_line(stats):
+    """The wrapper's counters as one line, as the digests were recorded:
+    its ``summary()``, or the line ``HealingStats.summary()`` printed
+    before that method was deleted."""
+    if isinstance(stats, HealingStats):
+        return (
+            f"shed={stats.shed_queries} standby={stats.standby_queries} "
+            f"hedged={stats.hedged_queries} failovers={stats.failovers} "
+            f"hedge_wins={stats.hedge_wins} "
+            f"primary_failures={stats.primary_failures} "
+            f"deadlines={stats.deadline_failures}"
+        )
+    return stats.summary()
+
+
 def contract_digest(shape, streamed, seed):
     sut = SHAPES[shape](seed, streamed)
     result = run_benchmark(sut, EchoQSL(), run_settings(seed))
     material = (result.valid, run_fingerprint(result), chunk_trail(result),
-                sut.stats.summary(), len(result.log.failed_records()))
+                stats_line(sut.stats), len(result.log.failed_records()))
     return hashlib.sha256(repr(material).encode()).hexdigest()[:16]
 
 

@@ -19,7 +19,7 @@ def make_registry():
                 labels=("scenario",)).labels(scenario="server").inc(10)
     reg.gauge("depth", "Queue depth").set(4)
     h = reg.histogram("lat_seconds", "Latency", base=1e-3, growth=2.0,
-                      buckets=8)
+                      buckets=8).labels()
     for v in (0.002, 0.002, 0.004, 0.05):
         h.observe(v)
     return reg
@@ -77,7 +77,8 @@ class TestJson:
         # The overflow bucket's edge must serialize as a *string* so the
         # document stays valid JSON even when that bucket is occupied.
         overflow = MetricsRegistry()
-        h = overflow.histogram("big", base=1.0, growth=2.0, buckets=2)
+        h = overflow.histogram("big", base=1.0, growth=2.0,
+                               buckets=2).labels()
         h.observe(1e12)
         odoc = json.loads(to_json(overflow))
         le = odoc["metrics"][0]["series"][0]["buckets"][-1]["le"]

@@ -47,11 +47,10 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_replaces_the_value(self):
         g = Gauge()
         g.set(10)
-        g.inc(5)
-        g.dec(2)
+        g.set(13)
         assert g.value == 13.0
 
     def test_callback_gauge_pulls_live_state(self):
@@ -65,8 +64,6 @@ class TestGauge:
         g = Gauge(fn=lambda: 1)
         with pytest.raises(ValueError):
             g.set(2)
-        with pytest.raises(ValueError):
-            g.inc()
 
 
 class TestHistogramBuckets:

@@ -51,11 +51,7 @@ class TestFamilies:
         assert c.value == 2.0
         g = reg.gauge("depth")
         g.set(5)
-        g.dec()
-        assert g.value == 4.0
-        h = reg.histogram("lat_seconds")
-        h.observe(0.01)
-        assert h.count == 1
+        assert g.value == 5.0
 
     def test_labeled_family_rejects_direct_writes(self):
         reg = MetricsRegistry()
@@ -172,11 +168,12 @@ class TestRegistry:
     def test_a_written_series_cannot_become_a_callback(self, kind):
         reg = MetricsRegistry()
         register = getattr(reg, kind)
-        register("written").inc()
+        write = "inc" if kind == "counter" else "set"
+        getattr(register("written"), write)(1)
         with pytest.raises(ValueError):
             register("written", fn=lambda: 0)
         by_label = register("written_by", labels=("replica",))
-        by_label.labels(replica=1).inc()
+        getattr(by_label.labels(replica=1), write)(1)
         with pytest.raises(ValueError):
             by_label.labels_fn(lambda: 0, replica=1)
 

@@ -10,7 +10,7 @@ def make_registry():
     reg = MetricsRegistry()
     reg.counter("events_total").inc(3)
     reg.gauge("depth").set(2)
-    h = reg.histogram("lat_seconds")
+    h = reg.histogram("lat_seconds").labels()
     for v in (0.001, 0.002, 0.004):
         h.observe(v)
     return reg

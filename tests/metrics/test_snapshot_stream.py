@@ -61,7 +61,7 @@ def mixed_registry():
     resident.labels_fn(lambda: state["r1"], replica=1)
     resident.labels_fn(lambda: state["r0"], replica=0)
     resident.labels(replica=2).set(5)
-    lat = reg.histogram("lat_seconds", "unlabelled histogram")
+    lat = reg.histogram("lat_seconds", "unlabelled histogram").labels()
     for value in (0.001, 0.002, 0.004, 0.008, 0.5):
         lat.observe(value)
     reg.histogram("idle_seconds", "never observed")

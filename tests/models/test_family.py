@@ -3,6 +3,7 @@
 import pytest
 
 from repro.models.family import (
+    INPUT,
     MODEL_FAMILY,
     family_points,
     pareto_frontier,
@@ -59,4 +60,4 @@ def test_some_members_are_dominated(points):
 
 def test_parameters_available_for_all(points):
     for member in MODEL_FAMILY:
-        assert member.parameters() > 1e5
+        assert member.build().param_count(INPUT) > 1e5

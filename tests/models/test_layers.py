@@ -119,19 +119,14 @@ class TestPadding:
         with pytest.raises(ValueError):
             F.conv_output_size(5, 3, 1, "reflect")
 
-    def test_pad_same_value_for_maxpool(self):
+    def test_pad_same_pads_with_zeros(self):
         x = np.full((1, 3, 3, 1), 5.0, dtype=np.float32)
-        padded = F.pad_same(x, (2, 2), (2, 2), value=-np.inf)
-        assert padded.shape[1] == 4
-        assert np.isneginf(padded).any()
+        padded = F.pad_same(x, (2, 2), (2, 2))
+        assert padded.shape == (1, 4, 4, 1)
+        assert padded.sum() == x.sum() and (padded == 0).sum() == 7
 
 
 class TestPooling:
-    def test_maxpool_known(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1)
-        out = F.maxpool2d(x, kernel=2, stride=2)
-        assert out.reshape(-1).tolist() == [5, 7, 13, 15]
-
     def test_global_avgpool(self):
         x = np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2)
         out = F.global_avgpool(x)
@@ -143,13 +138,6 @@ class TestActivationsAndSoftmax:
     def test_relu6_clips(self):
         x = np.array([-1.0, 3.0, 9.0], dtype=np.float32)
         assert F.relu6(x).tolist() == [0.0, 3.0, 6.0]
-
-    def test_sigmoid_extremes_stable(self):
-        x = np.array([-1000.0, 0.0, 1000.0], dtype=np.float64)
-        out = F.sigmoid(x)
-        assert out[0] == pytest.approx(0.0, abs=1e-12)
-        assert out[1] == pytest.approx(0.5)
-        assert out[2] == pytest.approx(1.0, abs=1e-12)
 
     @given(st.lists(st.floats(min_value=-50, max_value=50),
                     min_size=2, max_size=20))
@@ -165,45 +153,6 @@ class TestActivationsAndSoftmax:
         a = F.softmax(np.array(values))
         b = F.softmax(np.array(values) + shift)
         assert np.allclose(a, b, atol=1e-9)
-
-
-class TestLSTMCell:
-    def _params(self, inputs, hidden, seed=0):
-        rng = np.random.default_rng(seed)
-        w = rng.normal(0, 0.1, size=(inputs, 4 * hidden)).astype(np.float32)
-        u = rng.normal(0, 0.1, size=(hidden, 4 * hidden)).astype(np.float32)
-        b = np.zeros(4 * hidden, dtype=np.float32)
-        return w, u, b
-
-    def test_shapes(self):
-        w, u, b = self._params(3, 5)
-        h = np.zeros((2, 5), dtype=np.float32)
-        c = np.zeros((2, 5), dtype=np.float32)
-        x = np.ones((2, 3), dtype=np.float32)
-        h2, c2 = F.lstm_cell(x, h, c, w, u, b)
-        assert h2.shape == (2, 5) and c2.shape == (2, 5)
-
-    def test_hidden_state_bounded(self):
-        w, u, b = self._params(3, 5)
-        h = np.zeros((1, 5), dtype=np.float32)
-        c = np.zeros((1, 5), dtype=np.float32)
-        x = np.full((1, 3), 100.0, dtype=np.float32)
-        for _ in range(20):
-            h, c = F.lstm_cell(x, h, c, w, u, b)
-        assert np.all(np.abs(h) <= 1.0)
-
-    def test_forget_gate_bias_preserves_cell(self):
-        hidden = 4
-        w = np.zeros((2, 4 * hidden), dtype=np.float32)
-        u = np.zeros((hidden, 4 * hidden), dtype=np.float32)
-        b = np.zeros(4 * hidden, dtype=np.float32)
-        b[hidden:2 * hidden] = 100.0   # forget gate saturated open
-        b[:hidden] = -100.0            # input gate shut
-        c0 = np.array([[0.1, -0.2, 0.3, 0.0]], dtype=np.float32)
-        h0 = np.zeros((1, hidden), dtype=np.float32)
-        x = np.ones((1, 2), dtype=np.float32)
-        _h, c1 = F.lstm_cell(x, h0, c0, w, u, b)
-        assert np.allclose(c1, c0, atol=1e-5)
 
 
 class TestEmbedding:

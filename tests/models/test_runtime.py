@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.accuracy.bleu import corpus_bleu
-from repro.models.quantization import NumericFormat, QuantizationSpec
+from repro.models.quantization import (
+    NumericFormat,
+    QuantizationSpec,
+    iter_layers,
+)
 from repro.models.runtime.anchors import (
     decode_boxes,
     single_map_anchors,
@@ -54,13 +58,13 @@ class TestClassifier:
 
     def test_quantized_copy_leaves_original_intact(self, imagenet):
         model = build_glyph_classifier(imagenet, "light")
-        original = {
-            name: value.copy() for name, value in
-            model.graph.named_parameters()
-        }
+        original = [{key: value.copy() for key, value in layer.params.items()}
+                    for layer in iter_layers(model.graph)]
         model.quantized(QuantizationSpec(NumericFormat.INT4))
-        for name, value in model.graph.named_parameters():
-            assert np.array_equal(value, original[name]), name
+        for layer, params in zip(iter_layers(model.graph), original):
+            assert layer.params.keys() == params.keys(), layer.name
+            for key, value in layer.params.items():
+                assert np.array_equal(value, params[key]), (layer.name, key)
 
     def test_int8_per_tensor_breaks_light_model(self, imagenet):
         """The Section III-B MobileNet quantization story."""
@@ -118,7 +122,8 @@ class TestDetector:
     def test_light_cheaper_and_weaker(self, coco):
         heavy = build_glyph_detector(coco, "heavy")
         light = build_glyph_detector(coco, "light")
-        assert light.macs() < heavy.macs() / 2
+        assert light.arch.macs(light.input_shape) < \
+            heavy.arch.macs(heavy.input_shape) / 2
         h = evaluate_detector(heavy, coco, range(32, 112))
         l = evaluate_detector(light, coco, range(32, 112))
         assert l < h
@@ -130,7 +135,7 @@ class TestDetector:
                          dtype=np.float32)
         glyph = coco.glyphs[2]
         image[10:18, 20:28, 0] = glyph
-        detections = model.predict_one(image)
+        detections = model.predict(image[None])[0]
         assert detections, "no detections on a clean image"
         best = detections[0]
         assert best.class_id == 3   # class ids are 1-based
@@ -143,21 +148,21 @@ class TestDetector:
         image = np.zeros((coco.image_size, coco.image_size, 1),
                          dtype=np.float32)
         image[10:18, 20:28, 0] = coco.glyphs[2]
-        detections = model.predict_one(image)
+        detections = model.predict(image[None])[0]
         assert detections and detections[0].class_id == 3
 
     def test_batch_prediction_matches_one_at_a_time(self, coco):
         model = build_glyph_detector(coco, "light")
         images = np.stack([coco.get_sample(i) for i in range(4)])
         assert model.predict(images) == [
-            model.predict_one(image) for image in images]
+            model.predict(image[None])[0] for image in images]
 
     def test_quantized_copy_leaves_original_intact(self, coco):
         model = build_glyph_detector(coco, "light")
         image = coco.get_sample(0)
-        before = model.predict_one(image)
+        before = model.predict(image[None])[0]
         model.quantized(QuantizationSpec(NumericFormat.INT4))
-        assert model.predict_one(image) == before
+        assert model.predict(image[None])[0] == before
 
     def test_unknown_variant_rejected(self, coco):
         with pytest.raises(ValueError):
@@ -197,9 +202,9 @@ class TestTranslator:
 
     def test_output_tokens_stay_in_the_vocabulary(self, wmt):
         model = build_cipher_translator(wmt)
-        assert model.vocab_size == wmt.vocab_size
+        assert model.embedding.vocab_size == wmt.vocab_size
         tokens = model.translate(wmt.get_sample(40))
-        assert all(0 <= t < model.vocab_size for t in tokens)
+        assert all(0 <= t < wmt.vocab_size for t in tokens)
 
     def test_empty_source(self, wmt):
         model = build_cipher_translator(wmt)

@@ -283,5 +283,5 @@ def test_retry_recovers_from_one_lost_connection():
     # attempt either recovered via retry or was recorded as failed
     # (never left hanging).
     assert sut.stats.connections_lost >= 1
-    resolved = [r for r in result.log.records() if r.resolved]
+    resolved = [r for r in result.log.records() if r.completed or r.failed]
     assert len(resolved) == len(result.log.records())

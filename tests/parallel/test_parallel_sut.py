@@ -210,9 +210,9 @@ class TestInstruments:
         # Offline accuracy mode issues one query carrying all samples,
         # so exactly one batch is dispatched.
         assert registry.get("parallel_dispatches_total").value == 1
-        assert registry.get("parallel_batch_size_samples").count == 1
-        assert registry.get(
-            "parallel_batch_size_samples").percentile(0.5) == 48
+        batch_size = registry.get("parallel_batch_size_samples").labels()
+        assert batch_size.count == 1
+        assert batch_size.percentile(0.5) == 48
         transfer = dict()
         for labels, child in registry.get(
                 "parallel_transfer_bytes_total").series():

@@ -15,6 +15,7 @@ pytestmark = pytest.mark.sessions
 class FakeReplica:
     index: int
     outstanding: int = 0
+    zone: str = "z0"
 
 
 def query(session_id=None, turn_index=0, turn_count=4):

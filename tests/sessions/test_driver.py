@@ -43,12 +43,13 @@ def test_turns_are_strictly_ordered_within_each_session():
     result = session_run()
     by_session = {}
     for record in result.log.completed_records():
-        by_session.setdefault(record.session_id, []).append(record)
+        session_id = record.query.session.session_id
+        by_session.setdefault(session_id, []).append(record)
     assert len(by_session) == 16
     for records in by_session.values():
         records.sort(key=lambda r: r.issue_time)
         for position, record in enumerate(records):
-            assert record.turn_index == position
+            assert record.query.session.turn_index == position
         # Turn N+1 must issue only after turn N completed.
         for earlier, later in zip(records, records[1:]):
             assert later.issue_time >= earlier.completion_time
@@ -63,12 +64,13 @@ def test_think_time_separates_consecutive_turns():
     checked = 0
     by_session = {}
     for record in result.log.completed_records():
-        by_session.setdefault(record.session_id, []).append(record)
+        session_id = record.query.session.session_id
+        by_session.setdefault(session_id, []).append(record)
     for session_id, records in by_session.items():
         records.sort(key=lambda r: r.issue_time)
         plan = graph.plan(session_id)
         for earlier, later in zip(records, records[1:]):
-            think = plan.turns[later.turn_index].think_time
+            think = plan.turns[later.query.session.turn_index].think_time
             gap = later.issue_time - earlier.completion_time
             assert gap == pytest.approx(think, abs=1e-9)
             checked += 1
@@ -100,7 +102,7 @@ def test_session_metrics_registry_families():
     assert registry.get("session_aborted_total").value == 0
     assert registry.get("session_turns_total").value == \
         result.metrics.query_count
-    assert registry.get("session_duration_seconds").count == 16
+    assert registry.get("session_duration_seconds").labels().count == 16
     assert registry.get("session_active").value == 0
 
 

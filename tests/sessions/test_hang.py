@@ -68,16 +68,16 @@ def test_lost_turn_is_classified_not_wedged():
     # were never issued, which is the point of the stalled-session rule.
     assert result.log.outstanding == 1
     stuck = result.log.outstanding_records()[0]
-    assert stuck.session_id == 4
-    assert stuck.turn_index == 1
+    assert stuck.query.session.session_id == 4
+    assert stuck.query.session.turn_index == 1
 
 
 def test_later_turns_are_never_issued_after_the_loss():
     sut = DropOneTurnSUT(drop_session=4, drop_turn=1)
     result = run_benchmark(sut, EchoQSL(), hang_settings())
     issued_turns = sorted(
-        r.turn_index for r in result.log.records()
-        if r.session_id == 4)
+        r.query.session.turn_index for r in result.log.records()
+        if r.query.session.session_id == 4)
     assert issued_turns == [0, 1]
 
 

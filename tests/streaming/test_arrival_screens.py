@@ -91,7 +91,7 @@ class TestTheReferee:
         driver.handle_completion(query, chunk_type(query.id, 1, 2, True))
         record = log.record_for(query.id)
         assert (record.chunk_count, record.token_count) == (2, 5)
-        assert record.stream_closed and not record.resolved
+        assert record.stream_closed and not (record.completed or record.failed)
         assert len(sut.queries) == 1  # a chunk resolves nothing
         assert registry.get("stream_chunks_total").labels(
             scenario="single_stream").value == 2

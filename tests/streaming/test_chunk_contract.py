@@ -166,7 +166,7 @@ class TestEveryScreenTakesAChunkAsProgress:
         driver.handle_completion(q, chunk_type(q.id, 1, 3, True))
         record = log.record_for(q.id)
         assert (record.chunk_count, record.token_count) == (2, 5)
-        assert record.stream_closed and not record.resolved
+        assert record.stream_closed and not (record.completed or record.failed)
         assert len(sut.queries) == 1 and log.anomaly_count == 0
         driver.handle_completion(q, answers(q))
         assert record.completed and len(sut.queries) == 2
@@ -302,7 +302,7 @@ class TestEveryScreenTakesAChunkAsProgress:
         payload["query_id"] = issued.id
         driver.handle_completion(issued, protocol.parse_chunk(payload))
         record = log.record_for(issued.id)
-        assert record.stream_closed and not record.resolved
+        assert record.stream_closed and not (record.completed or record.failed)
         assert log.anomaly_count == 0
 
 

@@ -38,7 +38,6 @@ def test_plan_shape_respects_the_model():
         offsets = [c.offset for c in plan.chunks]
         assert offsets == sorted(offsets)
         assert offsets[0] == pytest.approx(0.002)
-        assert plan.duration == offsets[-1]
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -138,14 +138,14 @@ class FlakyFirstAttemptStreamer(SutBase):
                     StreamChunk(query.id, s, e.token_count, last=e.last)))
         if attempt == 0:
             self.loop.schedule_after(
-                plan.duration + 0.0005,
+                plan.chunks[-1].offset + 0.0005,
                 lambda: self.fail(query, "injected first-attempt loss"))
         else:
             responses = [
                 QuerySampleResponse(s.id, s.index) for s in query.samples
             ]
             self.loop.schedule_after(
-                plan.duration + 0.0005,
+                plan.chunks[-1].offset + 0.0005,
                 lambda: self.complete(query, responses))
 
 

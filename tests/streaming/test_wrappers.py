@@ -63,7 +63,7 @@ class FlakyStreamer(SutBase):
                 QuerySampleResponse(s.id, s.index) for s in query.samples
             ]
             self.loop.schedule_after(
-                plan.duration + self.latency,
+                plan.chunks[-1].offset + self.latency,
                 lambda: self.complete(query, responses))
 
 
@@ -114,7 +114,7 @@ class FlawedStreamer(SutBase):
                     query,
                     StreamChunk(query.id, s, e.token_count, last=e.last)))
         self.loop.schedule_after(
-            plan.duration + self.latency,
+            plan.chunks[-1].offset + self.latency,
             lambda: self.complete(query, []))
 
 

@@ -73,7 +73,7 @@ class TestReadBack:
     def test_roundtrip(self, written):
         _sub, root = written
         manifest = read_submission_dir(root)
-        assert manifest.division is Division.CLOSED
+        assert Division(manifest.system["division"]) is Division.CLOSED
         assert len(manifest.entries) == 1
         entry = manifest.entries[0]
         assert entry.task is Task.MACHINE_TRANSLATION

@@ -12,13 +12,15 @@ where it is called.  Re-export does not count as use - neither the
 ``from .x import name`` of a package ``__init__`` nor a string in
 ``__all__``.
 
-Two rules:
+Three rules:
 
 * A definition that nothing reads is dead.
 * A definition that only ``tests/`` reads is code a reader has to
   understand and nothing runs: it gets a caller in the program or goes,
   with the tests that only exercise it.  The exceptions are ``KEEP``,
   each with the reason it stays.
+* A name a module of ``src/repro`` imports, the module reads: in its
+  code, in a string annotation, or in its ``__all__``.
 """
 
 import ast
@@ -137,3 +139,69 @@ def test_nothing_src_defines_is_read_only_by_tests():
     assert not unexcused, (
         "defined in src/repro, read only by tests/ (give it a caller, "
         "delete it, or KEEP it with a reason):\n" + "\n".join(unexcused))
+
+
+def _annotations(tree):
+    """Every annotation expression in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            for arg in (arguments.posonlyargs + arguments.args
+                        + arguments.kwonlyargs
+                        + [arguments.vararg, arguments.kwarg]):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def unused_imports(tree):
+    """``(name, lineno)`` of what ``tree`` imports and never reads.  A
+    name counts as read in code, inside a string annotation
+    (``"Optional[Replica]"``) and as a string in ``__all__``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = (
+                    node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.update(n.id for n in ast.walk(
+                    ast.parse(node.value, mode="eval"))
+                    if isinstance(n, ast.Name))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read.update(e.value for e in ast.walk(node.value)
+                        if isinstance(e, ast.Constant))
+    return sorted((lineno, name) for name, lineno in imported.items()
+                  if name not in read)
+
+
+def test_unused_imports_are_found_and_string_annotations_read():
+    snippet = (
+        "from typing import Iterable, List, Optional\n"
+        "import os.path\n"
+        "from .x import Replica, Gone\n"
+        "from .y import Exported\n"
+        "__all__ = ['Exported']\n"
+        "def f(r: 'Optional[Replica]') -> List[int]:\n"
+        "    return os.path.sep\n")
+    assert unused_imports(ast.parse(snippet)) == [(1, "Iterable"),
+                                                  (3, "Gone")]
+
+
+def test_every_import_in_src_is_read():
+    unused = [f"{path.relative_to(REPO)}:{lineno} {name}"
+              for path in sorted(SRC.rglob("*.py"))
+              for lineno, name in unused_imports(ast.parse(path.read_text()))]
+    assert not unused, "imported in src/repro, never read:\n" + "\n".join(
+        unused)
