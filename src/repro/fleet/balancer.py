@@ -197,16 +197,11 @@ class SessionAffinityPolicy(BalancerPolicy):
         #: session_id -> index of the replica that last *served* it.
         self._pins: Dict[int, int] = {}
 
-    def _least_outstanding(
-        self, candidates: Sequence[Replica]
-    ) -> List[Replica]:
-        return sorted(candidates, key=_BY_LOAD)
-
     def rank_for(self, query, candidates: Sequence[Replica]) -> List[Replica]:
+        ranked = sorted(candidates, key=_BY_LOAD)
         turn = getattr(query, "session", None)
-        if turn is None or not candidates:
-            return self._least_outstanding(candidates)
-        ranked = self._least_outstanding(candidates)
+        if turn is None:
+            return ranked
         pinned_index = self._pins.get(turn.session_id)
         if pinned_index is not None:
             for position, replica in enumerate(ranked):
