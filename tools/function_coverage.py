@@ -323,7 +323,7 @@ def functions(path):
     name defined twice in one scope (``def`` in both arms of an ``if``)
     is ``name#2`` the second time."""
     found = []
-    seen = set()
+    copies = {}  # qualified name -> definitions seen so far
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -337,12 +337,10 @@ def functions(path):
                                        statement.end_lineno + 1))
                 first = min([child.lineno]
                             + [d.lineno for d in child.decorator_list])
-                name, copy = f"{scope}{child.name}", 1
-                while (f"{name}#{copy}" if copy > 1 else name) in seen:
-                    copy += 1
+                name = f"{scope}{child.name}"
+                copies[name] = copy = copies.get(name, 0) + 1
                 if copy > 1:
                     name = f"{name}#{copy}"
-                seen.add(name)
                 found.append((name, first, lines, exempt(child)))
                 nested_from = len(found)
                 visit(child, f"{name}.")
