@@ -26,14 +26,12 @@ def _ngram_counts(tokens: Sequence, order: int) -> Counter:
 def corpus_bleu(
     hypotheses: Sequence[Sequence],
     references: Sequence[Sequence],
-    max_order: int = MAX_NGRAM_ORDER,
-    smooth: str = "exp",
 ) -> float:
-    """Corpus BLEU in [0, 100].
+    """Corpus BLEU in [0, 100], up to ``MAX_NGRAM_ORDER``-grams.
 
-    ``smooth`` handles zero n-gram matches: ``"exp"`` (SacreBLEU's
-    default exponential smoothing), ``"floor"`` (count 0 -> 0.1), or
-    ``"none"`` (BLEU = 0 on any zero precision).
+    A zero n-gram match count is smoothed as SacreBLEU's default does
+    (exponential smoothing): the k-th such order scores
+    ``1 / (2^k * total)``.
     """
     if len(hypotheses) != len(references):
         raise ValueError(
@@ -41,11 +39,9 @@ def corpus_bleu(
         )
     if not hypotheses:
         raise ValueError("cannot score an empty corpus")
-    if smooth not in ("exp", "floor", "none"):
-        raise ValueError(f"unknown smoothing {smooth!r}")
 
-    matches = [0] * max_order
-    totals = [0] * max_order
+    matches = [0] * MAX_NGRAM_ORDER
+    totals = [0] * MAX_NGRAM_ORDER
     hyp_length = 0
     ref_length = 0
     for hyp, ref in zip(hypotheses, references):
@@ -53,7 +49,7 @@ def corpus_bleu(
         ref = list(ref)
         hyp_length += len(hyp)
         ref_length += len(ref)
-        for order in range(1, max_order + 1):
+        for order in range(1, MAX_NGRAM_ORDER + 1):
             hyp_counts = _ngram_counts(hyp, order)
             ref_counts = _ngram_counts(ref, order)
             totals[order - 1] += max(len(hyp) - order + 1, 0)
@@ -64,23 +60,19 @@ def corpus_bleu(
 
     log_precision_sum = 0.0
     smooth_value = 1.0
-    for order in range(max_order):
+    for order in range(MAX_NGRAM_ORDER):
         if totals[order] == 0:
             # Hypotheses shorter than the order: skip, as SacreBLEU does
             # by effectively contributing nothing scoreable.
             return 0.0
         if matches[order] > 0:
             precision = matches[order] / totals[order]
-        elif smooth == "exp":
+        else:
             smooth_value *= 2.0
             precision = 1.0 / (smooth_value * totals[order])
-        elif smooth == "floor":
-            precision = 0.1 / totals[order]
-        else:
-            return 0.0
         log_precision_sum += math.log(precision)
 
-    geo_mean = math.exp(log_precision_sum / max_order)
+    geo_mean = math.exp(log_precision_sum / MAX_NGRAM_ORDER)
     if hyp_length > ref_length:
         brevity_penalty = 1.0
     elif hyp_length == 0:

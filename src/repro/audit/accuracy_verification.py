@@ -21,7 +21,7 @@ from ..core.loadgen import run_benchmark
 from ..core.sut import QuerySampleLibrary, SystemUnderTest
 
 #: Fraction of performance-mode queries whose responses are logged.
-DEFAULT_LOG_PROBABILITY = 0.10
+LOG_PROBABILITY = 0.10
 
 
 @dataclass
@@ -51,7 +51,6 @@ def run_accuracy_verification(
     sut_factory: Callable[[], SystemUnderTest],
     qsl: QuerySampleLibrary,
     performance_settings: TestSettings,
-    log_probability: float = DEFAULT_LOG_PROBABILITY,
 ) -> AccuracyVerificationReport:
     """Run the test: accuracy pass, then sampled performance pass."""
     accuracy_settings = performance_settings.with_overrides(
@@ -62,11 +61,11 @@ def run_accuracy_verification(
 
     performance_result = run_benchmark(
         sut_factory(), qsl, performance_settings,
-        log_sample_probability=log_probability)
+        log_sample_probability=LOG_PROBABILITY)
     sampled = responses_by_index(performance_result)
     if not sampled:
         raise RuntimeError(
-            "performance run logged no responses; raise log_probability"
+            "performance run logged no responses; run more queries"
         )
 
     mismatches = [

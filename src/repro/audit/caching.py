@@ -19,7 +19,7 @@ from ..core.loadgen import run_benchmark
 from ..core.sut import QuerySampleLibrary, SystemUnderTest
 
 #: Speedup on duplicate-heavy traffic above which caching is reported.
-DEFAULT_SPEEDUP_THRESHOLD = 1.25
+SPEEDUP_THRESHOLD = 1.25
 
 #: Size of the tiny pool used to force duplicate samples.
 DUPLICATE_POOL_SIZE = 4
@@ -48,7 +48,6 @@ def run_caching_detection(
     sut_factory: Callable[[], SystemUnderTest],
     qsl: QuerySampleLibrary,
     settings: TestSettings,
-    speedup_threshold: float = DEFAULT_SPEEDUP_THRESHOLD,
 ) -> CachingDetectionReport:
     """Compare throughput on unique-heavy vs duplicate-heavy traffic."""
     unique_settings = settings.with_overrides(
@@ -66,9 +65,9 @@ def run_caching_detection(
     duplicate_throughput = duplicate_result.metrics.throughput
     speedup = duplicate_throughput / unique_throughput
     return CachingDetectionReport(
-        passed=speedup <= speedup_threshold,
+        passed=speedup <= SPEEDUP_THRESHOLD,
         unique_throughput=unique_throughput,
         duplicate_throughput=duplicate_throughput,
         speedup=speedup,
-        threshold=speedup_threshold,
+        threshold=SPEEDUP_THRESHOLD,
     )

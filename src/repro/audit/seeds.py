@@ -10,7 +10,7 @@ does not collapse relative to the official-seed run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 from ..core.config import TestSettings
 from ..core.loadgen import run_benchmark
@@ -18,9 +18,10 @@ from ..core.sut import QuerySampleLibrary, SystemUnderTest
 
 #: Alternate-seed throughput may not fall below this fraction of the
 #: official-seed throughput.
-DEFAULT_MIN_RELATIVE = 0.90
+MIN_RELATIVE = 0.90
 
-DEFAULT_ALTERNATE_SEEDS = (0xA17E12, 0xA17E13, 0xA17E14)
+#: Seeds the audit replays the run at, beside the official one.
+ALTERNATE_SEEDS = (0xA17E12, 0xA17E13, 0xA17E14)
 
 
 @dataclass
@@ -30,7 +31,7 @@ class SeedTestReport:
     passed: bool
     official_throughput: float
     alternate_throughputs: List[float] = field(default_factory=list)
-    min_relative: float = DEFAULT_MIN_RELATIVE
+    min_relative: float = MIN_RELATIVE
 
     @property
     def worst_relative(self) -> float:
@@ -51,13 +52,11 @@ def run_seed_test(
     sut_factory: Callable[[], SystemUnderTest],
     qsl: QuerySampleLibrary,
     settings: TestSettings,
-    alternate_seeds: Sequence[int] = DEFAULT_ALTERNATE_SEEDS,
-    min_relative: float = DEFAULT_MIN_RELATIVE,
 ) -> SeedTestReport:
     """Measure throughput at the official seed, then at alternates."""
     official = run_benchmark(sut_factory(), qsl, settings)
     alternates = []
-    for seed in alternate_seeds:
+    for seed in ALTERNATE_SEEDS:
         result = run_benchmark(
             sut_factory(), qsl, settings.with_overrides(seed=seed))
         alternates.append(result.metrics.throughput)
@@ -65,7 +64,6 @@ def run_seed_test(
         passed=True,
         official_throughput=official.metrics.throughput,
         alternate_throughputs=alternates,
-        min_relative=min_relative,
     )
-    report.passed = report.worst_relative >= min_relative
+    report.passed = report.worst_relative >= MIN_RELATIVE
     return report

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 #: Confidence level used throughout MLPerf Inference v0.5.
-DEFAULT_CONFIDENCE = 0.99
+CONFIDENCE = 0.99
 
 #: Query counts are rounded up to a multiple of 2^13.
 QUERY_ROUNDING_UNIT = 2 ** 13
@@ -81,40 +81,35 @@ def margin_for_tail_latency(tail_latency: float) -> float:
     return (1.0 - tail_latency) / 20.0
 
 
-def queries_for_confidence(
-    tail_latency: float,
-    confidence: float = DEFAULT_CONFIDENCE,
-    margin: float = None,
-) -> int:
+def queries_for_confidence(tail_latency: float, margin: float = None) -> int:
     """Equation 2: the raw (unrounded) number of queries required.
 
     ``NumQueries = NormsInv((1-C)/2)^2 * p*(1-p) / margin^2`` where
-    ``p`` is the tail-latency percentile.  The result is rounded to the
-    nearest integer, matching Table IV exactly (the 95th-percentile row
-    is 50,425 = round(50,425.2), not ceil).
+    ``C`` is ``CONFIDENCE`` and ``p`` the tail-latency percentile.  The
+    result is rounded to the nearest integer, matching Table IV exactly
+    (the 95th-percentile row is 50,425 = round(50,425.2), not ceil).
     """
     if margin is None:
         margin = margin_for_tail_latency(tail_latency)
     if margin <= 0:
         raise ValueError(f"margin must be positive, got {margin}")
-    z = inverse_normal_cdf((1.0 - confidence) / 2.0)
+    z = inverse_normal_cdf((1.0 - CONFIDENCE) / 2.0)
     raw = (z * z) * tail_latency * (1.0 - tail_latency) / (margin * margin)
     return int(round(raw))
 
 
-def round_up_to_unit(count: int, unit: int = QUERY_ROUNDING_UNIT) -> int:
-    """Round ``count`` up to the nearest multiple of ``unit``."""
+def round_up_to_unit(count: int) -> int:
+    """Round ``count`` up to the nearest multiple of
+    ``QUERY_ROUNDING_UNIT``."""
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
+    unit = QUERY_ROUNDING_UNIT
     return ((count + unit - 1) // unit) * unit
 
 
-def required_queries(
-    tail_latency: float,
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> int:
+def required_queries(tail_latency: float) -> int:
     """Full Table IV pipeline: Eq. 1 margin, Eq. 2 count, 2^13 round-up."""
-    return round_up_to_unit(queries_for_confidence(tail_latency, confidence))
+    return round_up_to_unit(queries_for_confidence(tail_latency))
 
 
 @dataclass(frozen=True)
@@ -128,14 +123,12 @@ class QueryRequirement:
     rounded_inferences: int
 
     @classmethod
-    def for_percentile(
-        cls, tail_latency: float, confidence: float = DEFAULT_CONFIDENCE
-    ) -> "QueryRequirement":
+    def for_percentile(cls, tail_latency: float) -> "QueryRequirement":
         margin = margin_for_tail_latency(tail_latency)
-        raw = queries_for_confidence(tail_latency, confidence, margin)
+        raw = queries_for_confidence(tail_latency, margin)
         return cls(
             tail_latency=tail_latency,
-            confidence=confidence,
+            confidence=CONFIDENCE,
             margin=margin,
             inferences=raw,
             rounded_inferences=round_up_to_unit(raw),

@@ -104,7 +104,6 @@ def _assign_tracks(records) -> Dict[int, int]:
 
 def to_chrome_trace(
     log: QueryLog,
-    process_name: str = "SUT",
     transport: Optional[Dict[int, TransportTiming]] = None,
     snapshots: Optional[Sequence[Snapshot]] = None,
     chaos: Optional[Sequence] = None,
@@ -133,7 +132,7 @@ def to_chrome_trace(
         "name": "process_name",
         "ph": "M",
         "pid": 1,
-        "args": {"name": process_name},
+        "args": {"name": "SUT"},
     }]
     for record in records:
         track = tracks[record.query.id]
@@ -269,7 +268,6 @@ def to_chrome_trace(
 def write_chrome_trace(
     log: QueryLog,
     path,
-    process_name: str = "SUT",
     transport: Optional[Dict[int, TransportTiming]] = None,
     snapshots: Optional[Sequence[Snapshot]] = None,
     chaos: Optional[Sequence] = None,
@@ -278,6 +276,5 @@ def write_chrome_trace(
     from pathlib import Path
 
     Path(path).write_text(
-        to_chrome_trace(log, process_name, transport, snapshots=snapshots,
-                        chaos=chaos)
+        to_chrome_trace(log, transport, snapshots=snapshots, chaos=chaos)
     )

@@ -42,7 +42,7 @@ Chrome trace (``repro.core.trace.to_chrome_trace(chaos=...)``) and as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -64,6 +64,9 @@ _VALVE_EFFECT = {"zone-outage": "outage", "gray-failure": "stretch",
 
 #: The scenario vocabulary.
 CHAOS_KINDS = tuple(_VALVE_EFFECT)
+
+#: The range a generated gray failure draws its latency stretch from.
+SEVERITY_RANGE = (4.0, 16.0)
 
 
 class ChaosEvent(NamedTuple):
@@ -142,8 +145,6 @@ class ChaosSchedule:
         replicas: int,
         zones: int = 1,
         events: int = 3,
-        kinds: Sequence[str] = CHAOS_KINDS,
-        severity_range: Tuple[float, float] = (4.0, 16.0),
     ) -> "ChaosSchedule":
         """Draw ``events`` correlated-fault windows for a run of about
         ``duration`` seconds over ``replicas`` replicas in ``zones``
@@ -163,7 +164,7 @@ class ChaosSchedule:
             np.random.SeedSequence((seed, CHAOS_TAG)))
         drawn: List[ChaosEvent] = []
         for _ in range(events):
-            kind = str(kinds[int(rng.integers(len(kinds)))])
+            kind = CHAOS_KINDS[int(rng.integers(len(CHAOS_KINDS)))]
             start = float(rng.uniform(0.10, 0.60)) * duration
             width = float(rng.uniform(0.10, 0.25)) * duration
             severity = 0.0
@@ -172,7 +173,7 @@ class ChaosSchedule:
             else:
                 target = f"replica:{int(rng.integers(replicas))}"
                 if kind == "gray-failure":
-                    severity = float(rng.uniform(*severity_range))
+                    severity = float(rng.uniform(*SEVERITY_RANGE))
             drawn.append(ChaosEvent(start, width, kind, target, severity))
         return cls(events=tuple(drawn))
 

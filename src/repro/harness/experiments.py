@@ -57,10 +57,10 @@ def run_submission(
     system: FleetSystem,
     task: Task,
     scenario: Scenario,
-    scale: RunScale = FLEET_SCALE,
     seed: int = None,
 ) -> Optional[SubmissionRecord]:
-    """Run one planned submission; ``None`` if the system cannot qualify."""
+    """Run one planned submission at ``FLEET_SCALE``; ``None`` if the
+    system cannot qualify."""
     workload = task_workload(task)
     # Sample data is irrelevant to a simulated device's timing.
     qsl = SyntheticQSL()
@@ -71,17 +71,18 @@ def run_submission(
         )
 
     if scenario is Scenario.SINGLE_STREAM:
-        result = measure_single_stream(make_sut, qsl, task, scale, seed=seed)
+        result = measure_single_stream(make_sut, qsl, task, FLEET_SCALE,
+                                       seed=seed)
         metric = result.primary_metric if result.valid else None
     elif scenario is Scenario.OFFLINE:
-        result = measure_offline(make_sut, qsl, task, scale, seed=seed)
+        result = measure_offline(make_sut, qsl, task, FLEET_SCALE, seed=seed)
         metric = result.primary_metric if result.valid else None
     elif scenario is Scenario.SERVER:
-        tuned = find_max_server_qps(make_sut, qsl, task, scale,
+        tuned = find_max_server_qps(make_sut, qsl, task, FLEET_SCALE,
                                     relative_tolerance=0.1, seed=seed)
         metric = tuned.value if tuned is not None else None
     elif scenario is Scenario.MULTI_STREAM:
-        tuned = find_max_multistream_n(make_sut, qsl, task, scale,
+        tuned = find_max_multistream_n(make_sut, qsl, task, FLEET_SCALE,
                                        max_n=512, seed=seed)
         metric = tuned.value if tuned is not None else None
     else:  # pragma: no cover - exhaustive
@@ -103,7 +104,6 @@ def run_submission(
 
 def run_fleet(
     systems: Optional[Sequence[FleetSystem]] = None,
-    scale: RunScale = FLEET_SCALE,
     seed: int = None,
 ) -> List[SubmissionRecord]:
     """Run every planned submission across the fleet."""
@@ -112,7 +112,7 @@ def run_fleet(
     records: List[SubmissionRecord] = []
     for system in systems:
         for task, scenario in system.submissions():
-            record = run_submission(system, task, scenario, scale, seed=seed)
+            record = run_submission(system, task, scenario, seed=seed)
             if record is not None:
                 records.append(record)
     return records

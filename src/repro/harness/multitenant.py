@@ -26,6 +26,9 @@ from ..sut.device import DeviceModel
 from ..sut.simulated import SimulatedSUT, WorkloadProfile
 from .netbench import SyntheticQSL
 
+#: Resident samples every tenant draws from.
+POOL_SIZE = 1_024
+
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -39,7 +42,6 @@ class TenantSpec:
 def run_multitenant(
     device: DeviceModel,
     tenants: List[TenantSpec],
-    pool_size: int = 1_024,
 ) -> Dict[str, LoadGenResult]:
     """Drive every tenant's scenario concurrently on one shared device.
 
@@ -63,8 +65,8 @@ def run_multitenant(
     host = SimulatedSUT(device, first.workload, name=first.name, seed=77)
     suts = [host] + [host.co_tenant(spec.workload, spec.name)
                      for spec in tenants[1:]]
-    # Every tenant draws from the same ``pool_size`` resident samples.
-    qsl = SyntheticQSL(total=pool_size, performance=pool_size)
+    # Every tenant draws from the same ``POOL_SIZE`` resident samples.
+    qsl = SyntheticQSL(total=POOL_SIZE, performance=POOL_SIZE)
     results = run_tenants([(sut, qsl, spec.settings)
                            for spec, sut in zip(tenants, suts)])
     return {spec.name: result for spec, result in zip(tenants, results)}

@@ -26,7 +26,7 @@ from ..core.sut import QuerySampleLibrary, SystemUnderTest
 from ..core.trace import TransportTiming
 from ..metrics import MetricsRegistry
 from ..network.client import NetworkStats
-from ..network.server import InferenceServer, ServerConfig
+from ..network.server import InferenceServer
 
 
 class SyntheticQSL:
@@ -58,7 +58,6 @@ def parallel_echo_backend(
     seed: int = 0,
     compute_time: float = 0.0,
     max_batch: int = 8,
-    qsl: Optional[QuerySampleLibrary] = None,
 ) -> SystemUnderTest:
     """A process-parallel echo backend for network runs.
 
@@ -78,8 +77,6 @@ def parallel_echo_backend(
 
     from ..parallel import BatchingPolicy, ParallelSUT
 
-    qsl = qsl if qsl is not None else SyntheticQSL()
-
     def echo_factory():
         def predict(samples):
             if compute_time > 0.0:
@@ -88,7 +85,7 @@ def parallel_echo_backend(
         return predict
 
     return ParallelSUT(
-        echo_factory, qsl, workers=workers, seed=seed,
+        echo_factory, SyntheticQSL(), workers=workers, seed=seed,
         policy=BatchingPolicy(max_batch_size=max_batch, max_wait=0.0))
 
 
@@ -127,10 +124,8 @@ def run_over_localhost(
     backend: Union[SystemUnderTest, Callable[[], SystemUnderTest]],
     qsl: QuerySampleLibrary,
     settings: TestSettings,
-    server_config: Optional[ServerConfig] = None,
     query_timeout: float = 2.0,
     registry: Optional[MetricsRegistry] = None,
-    snapshot_period: Optional[float] = None,
 ) -> NetworkRunResult:
     """One measured run with a real TCP hop on loopback: a
     ``NetworkBackend`` stack against a server on it.
@@ -140,21 +135,19 @@ def run_over_localhost(
 
     ``registry`` collects both sides' telemetry in one place: the
     LoadGen's ``loadgen_*`` series and the server's ``server_*`` series
-    (queue depth, batch sizes, worker utilization); ``snapshot_period``
-    additionally samples it on the run's wall clock (see
+    (queue depth, batch sizes, worker utilization; see
     ``docs/observability.md``).
     """
     # Imported here: the stack module pulls in every wrapper layer,
     # which importers of this module (the paper sweep) never use.
     from .stack import NetworkBackend, StackSpec, build
 
-    server = InferenceServer(backend, server_config, registry=registry)
+    server = InferenceServer(backend, registry=registry)
     stack = build(StackSpec(NetworkBackend(
         server.start(), query_timeout=query_timeout)), settings.seed)
     client = stack.channel
     try:
-        result = stack.run(qsl, settings, registry=registry,
-                           snapshot_period=snapshot_period)
+        result = stack.run(qsl, settings, registry=registry)
         stack.close()
         return NetworkRunResult(
             result=result,

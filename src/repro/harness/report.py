@@ -33,6 +33,9 @@ _METRIC_UNITS = {
     Scenario.OFFLINE: "samples/s",
 }
 
+#: Rows of the per-result listing; the rest are counted, not shown.
+LISTING_LIMIT = 40
+
 
 def _metric_text(record: SubmissionRecord) -> str:
     if record.scenario is Scenario.SINGLE_STREAM:
@@ -139,21 +142,21 @@ def framework_section(systems: Sequence[FleetSystem]) -> str:
     return "\n".join(lines)
 
 
-def results_listing(records: Sequence[SubmissionRecord],
-                    limit: Optional[int] = None) -> str:
+def results_listing(records: Sequence[SubmissionRecord]) -> str:
+    """The first ``LISTING_LIMIT`` results, one row each."""
     lines = [
         "| system | processor | framework | model | scenario | metric |",
         "|---|---|---|---|---|---|",
     ]
-    shown = records if limit is None else records[:limit]
-    for record in shown:
+    for record in records[:LISTING_LIMIT]:
         lines.append(
             f"| {record.system} | {record.processor.value} "
             f"| {record.framework} | {record.task.value} "
             f"| {record.scenario.short_name} | {_metric_text(record)} |"
         )
-    if limit is not None and len(records) > limit:
-        lines.append(f"| ... | | | | | ({len(records) - limit} more) |")
+    if len(records) > LISTING_LIMIT:
+        lines.append(
+            f"| ... | | | | | ({len(records) - LISTING_LIMIT} more) |")
     return "\n".join(lines)
 
 
@@ -161,7 +164,6 @@ def generate_report(
     records: Sequence[SubmissionRecord],
     systems: Optional[Sequence[FleetSystem]] = None,
     title: str = "Fleet sweep report",
-    listing_limit: Optional[int] = 40,
 ) -> str:
     """Render the full markdown report."""
     sections = [
@@ -186,7 +188,7 @@ def generate_report(
         ]
     sections += [
         "\n## Individual results\n",
-        results_listing(records, limit=listing_limit),
+        results_listing(records),
         "",
     ]
     return "\n".join(sections)

@@ -32,6 +32,15 @@ from ..core.sut import QuerySampleLibrary, SystemUnderTest
 #: Factory producing a fresh SUT for every probe run (state isolation).
 SutFactory = Callable[[], SystemUnderTest]
 
+#: The Server search's first rate (queries/s) and its probe budget.
+START_QPS = 1.0
+MAX_PROBES = 40
+#: The burst search's relative resolution and probe budget.
+BURST_TOLERANCE = 0.1
+BURST_MAX_PROBES = 30
+#: The lowest rate either search tries before it reports no capacity.
+MIN_RATE = 1e-3
+
 
 @dataclass(frozen=True)
 class RunScale:
@@ -112,17 +121,16 @@ def find_max_server_qps(
     qsl: QuerySampleLibrary,
     task: Task,
     scale: RunScale = QUICK_SCALE,
-    start_qps: float = 1.0,
     relative_tolerance: float = 0.05,
-    max_probes: int = 40,
-    min_qps: float = 1e-3,
     seed: int = None,
 ) -> Optional[TunedResult]:
     """Highest Poisson QPS at which the server scenario stays valid.
 
-    Returns ``None`` when no rate down to ``min_qps`` is valid - the
-    system cannot meet the task's QoS bound at all and simply would not
-    submit this scenario (cf. the sparse columns of Table VI).
+    The search starts at ``START_QPS`` and makes at most ``MAX_PROBES``
+    probes.  Returns ``None`` when no rate down to ``MIN_RATE`` is
+    valid - the system cannot meet the task's QoS bound at all and
+    simply would not submit this scenario (cf. the sparse columns of
+    Table VI).
     """
     settings = _performance_settings(Scenario.SERVER, task, scale, seed)
     bound = settings.resolved_server_latency_bound
@@ -138,8 +146,8 @@ def find_max_server_qps(
                 return None
         return result
 
-    found = max_valid(run_at, start_qps, geometric(4.0, relative_tolerance),
-                      floor=min_qps, max_probes=max_probes)
+    found = max_valid(run_at, START_QPS, geometric(4.0, relative_tolerance),
+                      floor=MIN_RATE, max_probes=MAX_PROBES)
     if found.value is None:
         return None
     if found.open:
@@ -151,24 +159,21 @@ def find_max_burst_rate(
     sut_factory: SutFactory,
     qsl: QuerySampleLibrary,
     settings: TestSettings,
-    relative_tolerance: float = 0.1,
-    max_probes: int = 30,
-    min_rate: float = 1e-3,
 ) -> Optional[float]:
     """Highest average QPS at which a burst-mode Server run stays valid.
 
     ``settings`` is the Server run with its ``server_burst_size``; the
     search starts at its rate and steps in bursts per second (down to
-    ``min_rate``), one run per probe.  Returns ``None`` when no rate
-    qualifies, and the last rate probed when none within ``max_probes``
-    fails.
+    ``MIN_RATE``, to within ``BURST_TOLERANCE``), one run per probe.
+    Returns ``None`` when no rate qualifies, and the last rate probed
+    when none within ``BURST_MAX_PROBES`` fails.
     """
     size = settings.server_burst_size
     found = max_valid(
         lambda rate: run_benchmark(sut_factory(), qsl, settings.with_overrides(
             server_target_qps=size * rate)).valid,
-        settings.server_target_qps / size, geometric(4.0, relative_tolerance),
-        floor=min_rate, max_probes=max_probes)
+        settings.server_target_qps / size, geometric(4.0, BURST_TOLERANCE),
+        floor=MIN_RATE, max_probes=BURST_MAX_PROBES)
     return None if found.value is None else found.value * size
 
 

@@ -34,6 +34,8 @@ __all__ = ["to_prometheus_text", "to_json", "render_table",
 
 #: Bar alphabet for the terminal histogram sketch, thin to full.
 _BARS = " .:-=+*#%@"
+#: Columns of a histogram's distribution sketch.
+SKETCH_WIDTH = 40
 #: The quantiles a histogram reports, the ones every snapshot captures.
 _SUFFIXES, _QS = zip(*DEFAULT_QUANTILES)
 
@@ -89,7 +91,7 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def to_json(registry: MetricsRegistry, indent: int = 1) -> str:
+def to_json(registry: MetricsRegistry) -> str:
     """Serialize ``registry`` as a JSON document."""
     families = []
     for family in registry.collect():
@@ -121,10 +123,10 @@ def to_json(registry: MetricsRegistry, indent: int = 1) -> str:
                 series = {"labels": labels, "value": child.value}
             entry["series"].append(series)
         families.append(entry)
-    return json.dumps({"metrics": families}, indent=indent)
+    return json.dumps({"metrics": families}, indent=1)
 
 
-def render_histogram(name: str, hist: Histogram, width: int = 40) -> str:
+def render_histogram(name: str, hist: Histogram) -> str:
     """One histogram as summary stats plus an ASCII distribution sketch."""
     p50, p90, p99, p999 = hist.percentiles(_QS)
     lines = [
@@ -139,8 +141,8 @@ def render_histogram(name: str, hist: Histogram, width: int = 40) -> str:
     lo_index = nonzero[0][0]
     hi_index = nonzero[-1][0]
     span = hi_index - lo_index + 1
-    # Fold the occupied bucket range into at most ``width`` columns.
-    columns = min(width, span)
+    # Fold the occupied bucket range into at most ``SKETCH_WIDTH`` columns.
+    columns = min(SKETCH_WIDTH, span)
     per_col = [0] * columns
     for index, count in nonzero:
         col = (index - lo_index) * columns // span
@@ -158,7 +160,7 @@ def render_histogram(name: str, hist: Histogram, width: int = 40) -> str:
     return "\n".join(lines)
 
 
-def render_table(registry: MetricsRegistry, width: int = 40) -> str:
+def render_table(registry: MetricsRegistry) -> str:
     """Terminal view of the whole registry (the ``repro metrics`` body)."""
     scalar_rows: List[Tuple[str, str, str]] = []
     histogram_blocks: List[str] = []
@@ -166,7 +168,7 @@ def render_table(registry: MetricsRegistry, width: int = 40) -> str:
         for labels, child in family.series():
             key = series_key(family.name, labels)
             if isinstance(child, Histogram):
-                histogram_blocks.append(render_histogram(key, child, width))
+                histogram_blocks.append(render_histogram(key, child))
             else:
                 scalar_rows.append((family.kind, key, _fmt(child.value)))
     lines: List[str] = []

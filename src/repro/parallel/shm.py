@@ -128,13 +128,13 @@ class ShmArena:
         """``read`` against this arena's own segment."""
         return self.read(self._seg, specs)
 
-    def close(self, unlink: bool = True) -> None:
+    def close(self) -> None:
+        """Detach and unlink: the parent owns the segment."""
         self._seg.close()
-        if unlink:
-            try:
-                self._seg.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+        try:
+            self._seg.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
 
 
 class ArenaCache:

@@ -150,18 +150,16 @@ class DeviceModel:
         """Seconds to process one dispatch of ``batch`` samples."""
         return self.dispatch_cost(gops_per_sample, batch, motif)[0]
 
-    def throughput_at_batch(self, gops_per_sample: float, batch: int,
-                            motif: ComputeMotif = ComputeMotif.DENSE_CNN
-                            ) -> float:
-        """Samples/second of one engine streaming dispatches of ``batch``."""
-        return batch / self.service_time(gops_per_sample, batch, motif)
+    def throughput_at_batch(self, gops_per_sample: float, batch: int) -> float:
+        """Samples/second of one engine streaming dispatches of ``batch``
+        (a dense-CNN workload)."""
+        return batch / self.service_time(gops_per_sample, batch)
 
-    def best_offline_throughput(self, gops_per_sample: float,
-                                motif: ComputeMotif = ComputeMotif.DENSE_CNN
-                                ) -> float:
-        """Throughput with the best allowed batch, over all engines."""
+    def best_offline_throughput(self, gops_per_sample: float) -> float:
+        """Throughput with the best allowed batch, over all engines (a
+        dense-CNN workload)."""
         best = max(
-            self.throughput_at_batch(gops_per_sample, b, motif)
+            self.throughput_at_batch(gops_per_sample, b)
             for b in _batch_candidates(self.max_batch)
         )
         return best * self.engines
@@ -190,11 +188,10 @@ class DeviceModel:
         """Joules consumed by one dispatch (active power x duration)."""
         return self.dispatch_cost(gops_per_sample, batch, motif)[1]
 
-    def energy_per_sample(self, gops_per_sample: float, batch: int,
-                          motif: ComputeMotif = ComputeMotif.DENSE_CNN
-                          ) -> float:
-        """Joules per inference at the given batch size."""
-        return self.dispatch_energy(gops_per_sample, batch, motif) / batch
+    def energy_per_sample(self, gops_per_sample: float, batch: int) -> float:
+        """Joules per inference of a dense-CNN workload at the given
+        batch size."""
+        return self.dispatch_energy(gops_per_sample, batch) / batch
 
 
 def _batch_candidates(max_batch: int):

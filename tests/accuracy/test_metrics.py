@@ -137,11 +137,6 @@ class TestBleu:
         refs = [[1, 2, 3, 4, 5], [6, 7, 8, 9]]
         assert corpus_bleu(refs, refs) == pytest.approx(100.0)
 
-    def test_completely_wrong(self):
-        hyp = [[10, 11, 12, 13]]
-        ref = [[1, 2, 3, 4]]
-        assert corpus_bleu(hyp, ref, smooth="none") == 0.0
-
     def test_word_order_matters(self):
         ref = [[1, 2, 3, 4, 5, 6]]
         scrambled = [[4, 2, 6, 1, 5, 3]]
@@ -161,16 +156,6 @@ class TestBleu:
         # Precision drops but no brevity penalty applies.
         assert 0 < score < 100
 
-    def test_known_value_half_match(self):
-        # hyp 4 tokens, 2 unigrams match, 1 bigram of 3, 0 higher orders.
-        hyp = [[1, 2, 9, 9]]
-        ref = [[1, 2, 3, 4]]
-        exp_smoothed = corpus_bleu(hyp, ref, smooth="exp")
-        floor_smoothed = corpus_bleu(hyp, ref, smooth="floor")
-        assert exp_smoothed > 0
-        assert floor_smoothed > 0
-        assert exp_smoothed != floor_smoothed
-
     def test_corpus_level_not_average_of_sentences(self):
         hyps = [[1, 2], [3, 4, 5, 6, 7, 8]]
         refs = [[1, 2], [3, 4, 5, 6, 7, 9]]
@@ -187,10 +172,6 @@ class TestBleu:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             corpus_bleu([], [])
-
-    def test_unknown_smoothing_rejected(self):
-        with pytest.raises(ValueError):
-            corpus_bleu([[1]], [[1]], smooth="laplace")
 
     def test_clipped_counts(self):
         # Repeating a matching token must not inflate precision.

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.audit.accuracy_verification as accuracy_verification
+
 from repro.audit import (
     CustomDatasetReport,
     run_accuracy_verification,
@@ -104,11 +106,11 @@ class TestAccuracyVerification:
         assert report.mismatches > 0
         assert "FAILED" in report.summary()
 
-    def test_zero_probability_rejected(self, dataset, qsl):
-        with pytest.raises(RuntimeError, match="log_probability"):
+    def test_zero_probability_rejected(self, dataset, qsl, monkeypatch):
+        monkeypatch.setattr(accuracy_verification, "LOG_PROBABILITY", 0.0)
+        with pytest.raises(RuntimeError, match="logged no responses"):
             run_accuracy_verification(
-                honest_factory(dataset, qsl), qsl, perf_settings(),
-                log_probability=0.0)
+                honest_factory(dataset, qsl), qsl, perf_settings())
 
 
 class CachingSUT(SutBase):

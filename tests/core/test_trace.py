@@ -60,9 +60,9 @@ def test_track_reuse_after_completion():
 
 def test_metadata_and_args():
     log = build_log([(0.0, 0.1)])
-    payload = json.loads(to_chrome_trace(log, process_name="my-sut"))
+    payload = json.loads(to_chrome_trace(log))
     meta = [e for e in payload["traceEvents"] if e["ph"] == "M"][0]
-    assert meta["args"]["name"] == "my-sut"
+    assert meta["args"]["name"] == "SUT"
     event = events_of(to_chrome_trace(log))[0]
     assert event["args"]["samples"] == 1
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import Scenario, Task
 from repro.harness.experiments import (
-    FLEET_SCALE,
     SubmissionRecord,
     relative_performance,
     result_matrix,
@@ -26,7 +25,7 @@ def one_system():
 class TestRunSubmission:
     def test_offline_record(self, one_system):
         record = run_submission(one_system, Task.IMAGE_CLASSIFICATION_HEAVY,
-                                Scenario.OFFLINE, FLEET_SCALE)
+                                Scenario.OFFLINE)
         assert record is not None
         assert record.valid
         assert record.metric > 100
@@ -35,13 +34,13 @@ class TestRunSubmission:
 
     def test_single_stream_performance_inverts_latency(self, one_system):
         record = run_submission(one_system, Task.IMAGE_CLASSIFICATION_HEAVY,
-                                Scenario.SINGLE_STREAM, FLEET_SCALE)
+                                Scenario.SINGLE_STREAM)
         assert record.performance == pytest.approx(1.0 / record.metric)
 
     @pytest.mark.slow
     def test_server_record(self, one_system):
         record = run_submission(one_system, Task.IMAGE_CLASSIFICATION_HEAVY,
-                                Scenario.SERVER, FLEET_SCALE)
+                                Scenario.SERVER)
         assert record is not None
         assert record.metric > 10
 

@@ -56,8 +56,9 @@ def test_listing_formats_latency_in_ms(records):
 
 
 def test_listing_limit(records):
-    listing = results_listing(records, limit=2)
-    assert "(2 more)" in listing
+    listing = results_listing(records * 11)  # 44 rows, 40 shown
+    assert "(4 more)" in listing
+    assert listing.count("| TensorRT |") == 40
 
 
 def test_generate_report_has_all_sections(records):

@@ -10,6 +10,8 @@ failing within the probe budget.  The four searches are
 ``find_max_server_qps``, ``find_max_multistream_n``,
 ``find_max_burst_rate`` and ``SweepHarness`` in binary mode; the step
 scan is the fifth row because the binary mode is tested against it.
+The start, floor and probe budget of the Server and burst searches are
+constants of ``repro.harness.tuning``; the grid patches them per case.
 
 Beside the fakes, two real searches at seed 0 pin ``TunedResult.value``
 and ``.probes``, so "probes per search not higher" is a tier-1 fact.
@@ -83,9 +85,11 @@ def server(monkeypatch, c, start_qps=10.0, max_probes=40):
     calls = []
     monkeypatch.setattr(tuning, "run_benchmark",
                         fake_run(calls, "server_target_qps", c))
+    monkeypatch.setattr(tuning, "START_QPS", start_qps)
+    monkeypatch.setattr(tuning, "MIN_RATE", 0.1)
+    monkeypatch.setattr(tuning, "MAX_PROBES", max_probes)
     tuned, raised = ending(lambda: find_max_server_qps(
-        FakeSUT, None, TASK, RunScale(server_runs=1), start_qps=start_qps,
-        min_qps=0.1, max_probes=max_probes, seed=0))
+        FakeSUT, None, TASK, RunScale(server_runs=1), seed=0))
     if tuned is not None:
         assert tuned.probes == len(calls)
         assert tuned.result.valid
@@ -123,8 +127,9 @@ def burst(monkeypatch, c, max_probes=30):
             settings.server_target_qps / settings.server_burst_size <= c)
 
     monkeypatch.setattr(tuning, "run_benchmark", run)
-    found = find_max_burst_rate(FakeSUT, None, BURST, min_rate=0.1,
-                                max_probes=max_probes)
+    monkeypatch.setattr(tuning, "MIN_RATE", 0.1)
+    monkeypatch.setattr(tuning, "BURST_MAX_PROBES", max_probes)
+    found = find_max_burst_rate(FakeSUT, None, BURST)
     rates = [settings.server_target_qps / 4 for settings in probed]
     # Every probe is the caller's settings at another rate, nothing else.
     assert probed == [BURST.with_overrides(server_target_qps=4 * rate)
@@ -232,8 +237,9 @@ def test_server_probe_runs_each_rate_at_consecutive_seeds(monkeypatch):
     calls = []
     monkeypatch.setattr(tuning, "run_benchmark",
                         fake_run(calls, "server_target_qps", 25.0))
+    monkeypatch.setattr(tuning, "START_QPS", 10.0)
     tuned = find_max_server_qps(
-        FakeSUT, None, TASK, RunScale(server_runs=3), start_qps=10.0,
+        FakeSUT, None, TASK, RunScale(server_runs=3),
         relative_tolerance=0.5, seed=100)
     # Three runs at a valid rate (seeds 100, 101, 102); an invalid rate
     # is abandoned after its first run.
@@ -256,8 +262,9 @@ def test_server_probe_stops_at_its_first_invalid_run(monkeypatch):
                            and calls[-1] != (20.0, 101))
 
     monkeypatch.setattr(tuning, "run_benchmark", run)
+    monkeypatch.setattr(tuning, "START_QPS", 10.0)
     tuned = find_max_server_qps(
-        FakeSUT, None, TASK, RunScale(server_runs=3), start_qps=10.0,
+        FakeSUT, None, TASK, RunScale(server_runs=3),
         relative_tolerance=0.5, seed=100)
     assert calls == [
         (10.0, 100), (10.0, 101), (10.0, 102),

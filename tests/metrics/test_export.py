@@ -11,6 +11,7 @@ from repro.metrics import (
     to_json,
     to_prometheus_text,
 )
+from repro.metrics.export import SKETCH_WIDTH
 
 
 def make_registry():
@@ -96,12 +97,12 @@ class TestRendering:
     def test_render_histogram_sketch(self):
         reg = make_registry()
         h = reg.get("lat_seconds").labels()
-        sketch = render_histogram("lat_seconds", h, width=20)
+        sketch = render_histogram("lat_seconds", h)
         assert "count=4" in sketch
         assert "p50=" in sketch
-        # The bar body is bounded by the requested width.
+        # The bar body is bounded by SKETCH_WIDTH.
         bar_line = [l for l in sketch.splitlines() if "|" in l][0]
-        assert len(bar_line) < 60
+        assert 0 < len(bar_line.split("|")[1]) <= SKETCH_WIDTH
 
     def test_render_table_empty_registry(self):
         assert render_table(MetricsRegistry()).strip() == ""

@@ -15,7 +15,6 @@ from repro.faults import FaultPlan, FaultType, FaultySUT, ResilientSUT, RetryPol
 from repro.harness.netbench import SyntheticQSL, run_over_localhost
 from repro.harness.stack import EchoBackend, StackSpec, build
 from repro.metrics import MetricsRegistry
-from repro.network.server import ServerConfig
 from repro.network.simulated import ChannelModel, SimulatedChannelSUT
 from repro.sut.echo import EchoSUT
 
@@ -184,9 +183,7 @@ class TestServerInstruments:
         bundle = run_over_localhost(
             lambda: EchoSUT(latency=0.001),
             SyntheticQSL(),
-            server_settings(queries=100, qps=200.0),
-            server_config=ServerConfig(workers=2, max_batch=4),
-            registry=registry, snapshot_period=0.1,
+            server_settings(queries=100, qps=200.0), registry=registry,
         )
         assert bundle.valid
         values = series(registry)

@@ -1,5 +1,7 @@
 """Analytic device model properties."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -188,8 +190,11 @@ class TestThroughput:
                 ComputeMotif.DEPTHWISE_CNN: 0.33,
             },
         )
-        heavy = d.best_offline_throughput(433.0, ComputeMotif.DENSE_CNN)
-        light = d.best_offline_throughput(2.47, ComputeMotif.DEPTHWISE_CNN)
+        heavy = d.best_offline_throughput(433.0)
+        # The offline throughput is a dense CNN's; a depthwise model
+        # runs at the depthwise efficiency.
+        light = dataclasses.replace(d, structure_efficiency={
+            ComputeMotif.DENSE_CNN: 0.33}).best_offline_throughput(2.47)
         ratio = light / heavy
         ops_ratio = 433.0 / 2.47
         assert ratio == pytest.approx(ops_ratio * 0.33, rel=0.15)

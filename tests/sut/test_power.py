@@ -89,8 +89,9 @@ class TestFleetPower:
         efficiencies = {}
         for system in build_fleet():
             d = system.device
-            energy = d.energy_per_sample(
-                1.138, min(8, d.max_batch), ComputeMotif.DEPTHWISE_CNN)
+            batch = min(8, d.max_batch)
+            energy = d.dispatch_energy(
+                1.138, batch, ComputeMotif.DEPTHWISE_CNN) / batch
             efficiencies[system.name] = 1.0 / energy
         spread = max(efficiencies.values()) / min(efficiencies.values())
         assert spread > 10

@@ -411,8 +411,8 @@ def test_cost_formula_values_equal_the_oracle(kwargs, gops, batch, motif,
     assert device.cost_at(gops, batch, oracle.motif_efficiency(motif)) == (
         oracle.service_time(gops, batch, motif),
         oracle.dispatch_energy(gops, batch, motif))
-    assert device.energy_per_sample(gops, batch, motif) == \
-        oracle.dispatch_energy(gops, batch, motif) / batch
+    assert device.energy_per_sample(gops, batch) == \
+        oracle.dispatch_energy(gops, batch) / batch
 
 
 @pytest.mark.parametrize("method", ["service_time", "dispatch_energy"])

@@ -1,15 +1,40 @@
 """Options the unset-option lint retired stay retired.
 
-Each was a constructor option no workload set.  It is now a constant at
-the value every workload ran with, and the constructor refuses the old
-keyword outright: a caller that still passes one gets a ``TypeError``
-naming it (or, where no option is left, saying the constructor takes
-none), never a silently ignored setting.
+Each was a constructor, function or method option no workload set.  It
+is now a constant at the value every workload ran with, and the callable
+refuses the old keyword outright: a caller that still passes one gets a
+``TypeError`` naming it (or, where no option is left, saying the
+constructor takes none), never a silently ignored setting.
 """
 
 import importlib
 
 import pytest
+
+from repro.accuracy.bleu import corpus_bleu
+from repro.audit import (
+    run_accuracy_verification,
+    run_caching_detection,
+    run_seed_test,
+)
+from repro.core.stats import (
+    QueryRequirement,
+    queries_for_confidence,
+    required_queries,
+    round_up_to_unit,
+)
+from repro.core.trace import to_chrome_trace, write_chrome_trace
+from repro.harness.experiments import run_fleet, run_submission
+from repro.harness.multitenant import run_multitenant
+from repro.harness.netbench import parallel_echo_backend, run_over_localhost
+from repro.harness.report import generate_report, results_listing
+from repro.harness.tuning import (
+    RunScale,
+    find_max_burst_rate,
+    find_max_server_qps,
+)
+from repro.metrics.export import render_histogram, render_table, to_json
+from repro.sut.device import DeviceModel
 
 from repro.faults.chaos import ChaosOrchestrator, ChaosSchedule
 from repro.faults.plan import FaultPlan
@@ -85,6 +110,73 @@ PASSES = {
         lambda: DetectorSUT(None, None, preprocessing=None),
     "TranslatorSUT.preprocessing":
         lambda: TranslatorSUT(None, None, preprocessing=None),
+    # Function and method options; each call fails before its body runs.
+    "find_max_server_qps.start_qps":
+        lambda: find_max_server_qps(None, None, None, start_qps=1.0),
+    "find_max_server_qps.max_probes":
+        lambda: find_max_server_qps(None, None, None, max_probes=40),
+    "find_max_server_qps.min_qps":
+        lambda: find_max_server_qps(None, None, None, min_qps=1e-3),
+    "find_max_burst_rate.relative_tolerance":
+        lambda: find_max_burst_rate(None, None, None,
+                                    relative_tolerance=0.1),
+    "find_max_burst_rate.max_probes":
+        lambda: find_max_burst_rate(None, None, None, max_probes=30),
+    "find_max_burst_rate.min_rate":
+        lambda: find_max_burst_rate(None, None, None, min_rate=1e-3),
+    "run_submission.scale":
+        lambda: run_submission(None, None, None, scale=None),
+    "run_fleet.scale": lambda: run_fleet(scale=None),
+    "run_multitenant.pool_size":
+        lambda: run_multitenant(None, [], pool_size=1_024),
+    "parallel_echo_backend.qsl": lambda: parallel_echo_backend(qsl=None),
+    "run_over_localhost.server_config":
+        lambda: run_over_localhost(None, None, None, server_config=None),
+    "run_over_localhost.snapshot_period":
+        lambda: run_over_localhost(None, None, None, snapshot_period=None),
+    "generate_report.listing_limit":
+        lambda: generate_report([], listing_limit=40),
+    "results_listing.limit": lambda: results_listing([], limit=40),
+    "run_accuracy_verification.log_probability":
+        lambda: run_accuracy_verification(None, None, None,
+                                          log_probability=0.1),
+    "run_caching_detection.speedup_threshold":
+        lambda: run_caching_detection(None, None, None,
+                                      speedup_threshold=1.25),
+    "run_seed_test.alternate_seeds":
+        lambda: run_seed_test(None, None, None, alternate_seeds=()),
+    "run_seed_test.min_relative":
+        lambda: run_seed_test(None, None, None, min_relative=0.9),
+    "corpus_bleu.max_order": lambda: corpus_bleu([], [], max_order=4),
+    "corpus_bleu.smooth": lambda: corpus_bleu([], [], smooth="exp"),
+    "round_up_to_unit.unit": lambda: round_up_to_unit(1, unit=8192),
+    "required_queries.confidence":
+        lambda: required_queries(0.9, confidence=0.99),
+    "queries_for_confidence.confidence":
+        lambda: queries_for_confidence(0.9, confidence=0.99),
+    "QueryRequirement.for_percentile.confidence":
+        lambda: QueryRequirement.for_percentile(0.9, confidence=0.99),
+    "to_chrome_trace.process_name":
+        lambda: to_chrome_trace(None, process_name="SUT"),
+    "write_chrome_trace.process_name":
+        lambda: write_chrome_trace(None, None, process_name="SUT"),
+    "to_json.indent": lambda: to_json(None, indent=1),
+    "render_table.width": lambda: render_table(None, width=40),
+    "render_histogram.width":
+        lambda: render_histogram("h", None, width=40),
+    "ChaosSchedule.generate.kinds":
+        lambda: ChaosSchedule.generate(0, duration=1.0, replicas=1,
+                                       kinds=()),
+    "ChaosSchedule.generate.severity_range":
+        lambda: ChaosSchedule.generate(0, duration=1.0, replicas=1,
+                                       severity_range=(4.0, 16.0)),
+    "DeviceModel.best_offline_throughput.motif":
+        lambda: DeviceModel.best_offline_throughput(None, 1.0, motif=None),
+    "DeviceModel.throughput_at_batch.motif":
+        lambda: DeviceModel.throughput_at_batch(None, 1.0, 1, motif=None),
+    "DeviceModel.energy_per_sample.motif":
+        lambda: DeviceModel.energy_per_sample(None, 1.0, 1, motif=None),
+    "ShmArena.close.unlink": lambda: ShmArena.close(None, unlink=True),
 }
 
 #: ``(module, constant)`` -> the default the deleted option had.
@@ -102,6 +194,27 @@ CONSTANTS = {
     ("repro.sessions.cache", "_HIT_LATENCY_PER_TOKEN"): 2e-6,
     ("repro.sut.backend", "_CLASSIFIER_BATCH"): 64,
     ("repro.sut.backend", "_DETECTOR_BATCH"): 16,
+    ("repro.harness.tuning", "START_QPS"): 1.0,
+    ("repro.harness.tuning", "MAX_PROBES"): 40,
+    ("repro.harness.tuning", "MIN_RATE"): 1e-3,
+    ("repro.harness.tuning", "BURST_TOLERANCE"): 0.1,
+    ("repro.harness.tuning", "BURST_MAX_PROBES"): 30,
+    ("repro.harness.experiments", "FLEET_SCALE"):
+        RunScale(query_count_factor=1.0 / 256.0, min_duration=2.0,
+                 server_runs=1),
+    ("repro.harness.multitenant", "POOL_SIZE"): 1_024,
+    ("repro.harness.report", "LISTING_LIMIT"): 40,
+    ("repro.audit.accuracy_verification", "LOG_PROBABILITY"): 0.10,
+    ("repro.audit.caching", "SPEEDUP_THRESHOLD"): 1.25,
+    ("repro.audit.seeds", "ALTERNATE_SEEDS"): (0xA17E12, 0xA17E13, 0xA17E14),
+    ("repro.audit.seeds", "MIN_RELATIVE"): 0.90,
+    ("repro.accuracy.bleu", "MAX_NGRAM_ORDER"): 4,
+    ("repro.core.stats", "CONFIDENCE"): 0.99,
+    ("repro.core.stats", "QUERY_ROUNDING_UNIT"): 8192,
+    ("repro.metrics.export", "SKETCH_WIDTH"): 40,
+    ("repro.faults.chaos", "CHAOS_KINDS"):
+        ("zone-outage", "gray-failure", "partition"),
+    ("repro.faults.chaos", "SEVERITY_RANGE"): (4.0, 16.0),
 }
 
 

@@ -1,12 +1,20 @@
 """Unset-option lint: every option ``src/repro`` offers, the program sets.
 
-An option is a parameter of a class's ``__init__`` that has a default,
-or a field of a frozen dataclass that has one, in ``src/repro`` outside
-``models/`` and ``datasets/``.  ``name``, ``seed`` and ``registry`` are
-identity and plumbing, not behaviour, and records (``*Stats``,
-``Query``, ``QueryRecord``, ``JournalState``) are ledgers, not
-settings.  An ``ast`` walk over the program (``src/``, ``benchmarks/``,
-``examples/``, ``tools/``) counts an option as set when a call binds it:
+An option, in ``src/repro`` outside ``models/`` and ``datasets/``, is
+
+* a parameter of a class's ``__init__`` that has a default, or a field
+  of a frozen dataclass that has one (``Class.option``);
+* a parameter with a default of a module-level function, or of a method
+  of a module-level class other than a dunder (``function.option``,
+  ``Class.method.option``; prefixed with the module's name where two
+  modules define the same one).
+
+``name``, ``seed`` and ``registry`` are identity and plumbing, not
+behaviour, and records (``*Stats``, ``Query``, ``QueryRecord``,
+``JournalState``) are ledgers, not settings.  An ``ast`` walk over the
+program (``src/``, ``benchmarks/``, ``examples/``, ``tools/``) counts an
+option as set when a call binds it - a function's or method's call
+matched by its callee's last name, as a class's is:
 
 * by keyword or by position, or by name in ``replace`` /
   ``with_overrides``;
@@ -45,7 +53,8 @@ RECORDS = re.compile(r"Stats$|^Query$|^QueryRecord$|^JournalState$")
 
 #: Options no program caller sets, and why each stays: (a) a deployment
 #: setting, (b) a safety bound the docs tell a user to set, (c) a knob a
-#: pinned contract or property grid varies against a shipped oracle.
+#: pinned contract or property grid varies against a shipped oracle,
+#: (d) an entry point's argument.
 KEEP = {
     "NetworkSUT.reconnect_backoff":
         "(a) pause before redialling a lost server",
@@ -85,8 +94,26 @@ KEEP = {
     "ChannelModel.reorder_rate":
         "(c) the wrapper and ledger contracts' lossy channels draw from "
         "it and pin the digests",
-    "SyntheticQSL.total": "a library's size is data, not behaviour",
-    "SyntheticQSL.performance": "a library's size is data, not behaviour",
+    "resume_run.fsync_interval":
+        "(a) records between fsyncs, as RunJournal's",
+    "resume_run.checkpoint_period":
+        "(a) how much a crash may cost to replay, as RunJournal's",
+    "NetworkSUT.close.timeout":
+        "(b) bounds the wait for the server's last stats and each "
+        "reader's join",
+    "InferenceServer.stop.timeout":
+        "(b) bounds the drain and every join of a shutdown",
+    "DeviceModel.dispatch_cost.motif":
+        "(c) the simulated contract prices every ComputeMotif against "
+        "the shipped cost formula",
+    "DeviceModel.service_time.motif":
+        "(c) the simulated contract prices every ComputeMotif against "
+        "the shipped cost formula",
+    "DeviceModel.dispatch_energy.motif":
+        "(c) the simulated contract prices every ComputeMotif against "
+        "the shipped cost formula",
+    "main.argv": "(d) 'repro' reads sys.argv; tests and embedders pass "
+                 "their own",
 }
 
 
@@ -124,6 +151,28 @@ def _fields(cls):
                 and not any(k.arg in ("default", "default_factory")
                             for k in node.value.keywords))
             yield node.target.id, default
+
+
+def _in_scope(path):
+    return SRC in path.parents and not any(
+        root in path.parents for root in OUT_OF_SCOPE)
+
+
+def _functions(tree):
+    """``(qualname, signature)`` of a module's functions and its
+    classes' methods, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, ast.FunctionDef)
+                        and not member.name.startswith("__")):
+                    yield f"{node.name}.{member.name}", _Signature.of(
+                        member.name, member, not any(
+                            _name_of(d) == "staticmethod"
+                            for d in member.decorator_list))
+        elif (isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("__")):
+            yield node.name, _Signature.of(node.name, node, bound=False)
 
 
 def _init(cls):
@@ -171,6 +220,8 @@ class _Program:
     def __init__(self, modules):
         self.classes = {}
         self.functions = defaultdict(list)
+        #: ``(path, qualname, signature)`` of every function in scope.
+        self.methods = []
         for path, tree in modules:
             for node in ast.walk(tree):
                 if isinstance(node, ast.ClassDef):
@@ -187,6 +238,9 @@ class _Program:
                 if isinstance(node, ast.FunctionDef):
                     self.functions[node.name].append(
                         _Signature.of(node.name, node, bound=False))
+            if _in_scope(path):
+                self.methods += [(path, qualname, signature) for
+                                 qualname, signature in _functions(tree)]
         self._constructors = {}
         #: ``(callable, parameter)`` pairs some call gives a value.
         self.set = set()
@@ -237,10 +291,11 @@ class _Program:
         return signature
 
     def options(self):
-        """``Class.option`` of every option in scope."""
+        """``Owner.option`` -> the ``callable.option`` a call must set,
+        for every option in scope."""
+        options = {}
         for name, (path, cls) in self.classes.items():
-            if (any(root in path.parents for root in OUT_OF_SCOPE)
-                    or RECORDS.search(name)):
+            if not _in_scope(path) or RECORDS.search(name):
                 continue
             init = _init(cls)
             if init is not None:
@@ -250,7 +305,18 @@ class _Program:
             else:
                 continue
             for option in sorted(owned - NOT_OPTIONS):
-                yield f"{name}.{option}"
+                options[f"{name}.{option}"] = f"{name}.{option}"
+        owners = defaultdict(list)
+        for path, qualname, signature in self.methods:
+            owners[qualname].append((path, signature))
+        for qualname, defined in owners.items():
+            for path, signature in defined:
+                owner = (qualname if len(defined) == 1
+                         else f"{path.stem}.{qualname}")
+                for option in sorted(signature.defaulted - NOT_OPTIONS):
+                    options[f"{owner}.{option}"] = (
+                        f"{signature.key}.{option}")
+        return options
 
     def resolved(self):
         """``Class.option`` of every parameter some call really sets."""
@@ -376,12 +442,13 @@ class _Calls(ast.NodeVisitor):
 @functools.lru_cache(maxsize=None)
 def _scan():
     program = _Program(list(_parse(PROGRAM)))
-    return sorted(program.options()), program.resolved()
+    return program.options(), program.resolved()
 
 
 def unset_options():
     options, resolved = _scan()
-    return [option for option in options if option not in resolved]
+    return sorted(option for option, key in options.items()
+                  if key not in resolved)
 
 
 def test_an_option_is_set_through_helpers_tables_and_splats():
@@ -403,12 +470,55 @@ MODES = {"mode": "b"}
 helper(width=3)
 Inner(**MODES)
 '''))])
-    options = set(program.options())
+    options = program.options()
     resolved = program.resolved()
-    assert options == {"Inner.depth", "Inner.width", "Inner.height",
-                       "Inner.mode", "Inner.spare"}
-    assert {o for o in options if o not in resolved} == {
-        "Inner.depth", "Inner.spare"}
+    assert set(options) == {"Inner.depth", "Inner.width", "Inner.height",
+                            "Inner.mode", "Inner.spare", "helper.depth"}
+    assert {o for o, key in options.items() if key not in resolved} == {
+        "Inner.depth", "Inner.spare", "helper.depth"}
+
+
+def test_a_function_option_is_set_by_a_call_to_its_last_name():
+    program = _Program([(SRC / "one.py", ast.parse('''
+class Engine:
+    def __init__(self, rate=1):
+        pass
+
+    def __repr__(self, verbose=False):
+        return ""
+
+    def run(self, steps=1, trace=False):
+        def inner(depth=2):
+            return depth
+        return inner()
+
+    @staticmethod
+    def plan(budget=3, spread=4):
+        return budget
+
+def report(limit=40, width=80):
+    return limit
+
+def shared(knob=1):
+    return knob
+''')), (SRC / "two.py", ast.parse('''
+def shared(knob=1):
+    return knob
+
+def caller(engine):
+    engine.run(5)
+    Engine.plan(1, spread=2)
+    report(width=100)
+'''))])
+    options = program.options()
+    resolved = program.resolved()
+    assert sorted(options) == [
+        "Engine.plan.budget", "Engine.plan.spread", "Engine.rate",
+        "Engine.run.steps", "Engine.run.trace", "one.shared.knob",
+        "report.limit", "report.width", "two.shared.knob"]
+    assert sorted(o for o, key in options.items() if key not in resolved) == [
+        "Engine.rate", "Engine.run.trace", "one.shared.knob",
+        "report.limit", "two.shared.knob"]
 
 
 def test_every_option_is_set_by_the_program_or_kept():
