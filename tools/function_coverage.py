@@ -20,8 +20,11 @@ By default it traces the program paths (``PROGRAM_PATHS``): the repo
 benchmark's quick run, every example, the recorded CLI cases, the
 paper benchmarks outside ``benchmarks/perf`` and ``repro run --sut
 network`` against a ``repro serve`` child, plain and streamed (~15 min
-on two cores).  A command's failure is printed, not gated: some
-host-time budgets in ``benchmarks/`` fail only under the hook.
+on two cores).  A command that fails under the hook runs once more
+without it, and the report labels the failure ``fails untraced too`` (a
+real failure) or ``fails only under the hook`` (the hook's cost: some
+host-time budgets in ``benchmarks/`` fail only under it).  Neither is
+gated.
 
 The report attributes every function-body line (docstrings aside) to
 its innermost function and prints the functions never entered, largest
@@ -246,9 +249,16 @@ def _serve_and_run(serve_args, run_args, env):
         server.communicate(timeout=30)
 
 
+def _run(command, env):
+    if isinstance(command, tuple):
+        return _serve_and_run(*command, env)
+    return subprocess.call(command, cwd=REPO, env=env)
+
+
 def run_traced(commands, out_dir):
     """Run each command with the hook live in it and in its children;
-    returns the commands that failed."""
+    returns ``(command, status, label)`` of each that failed, the label
+    saying whether it fails again untraced."""
     failed = []
     with tempfile.TemporaryDirectory() as site:
         Path(site, "sitecustomize.py").write_text(
@@ -258,14 +268,15 @@ def run_traced(commands, out_dir):
         env["PYTHONPATH"] = os.pathsep.join(
             [site, str(REPO / "src")]
             + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        untraced = {k: v for k, v in env.items() if k != ENV}
         for command in commands:
             print(f"$ {command}", flush=True)
-            if isinstance(command, tuple):
-                status = _serve_and_run(*command, env)
-            else:
-                status = subprocess.call(command, cwd=REPO, env=env)
+            status = _run(command, env)
             if status:
-                failed.append((command, status))
+                print(f"$ {command}  (again, untraced)", flush=True)
+                label = ("fails untraced too" if _run(command, untraced)
+                         else "fails only under the hook")
+                failed.append((command, status, label))
     return failed
 
 
@@ -417,8 +428,8 @@ def main(argv=None):
         out_dir.mkdir(parents=True, exist_ok=True)
         failed = [] if args.report_only else run_traced(commands, out_dir)
         broken = report(out_dir, check=not args.command)
-    for command, status in failed:
-        print(f"\nexit {status}: {command}")
+    for command, status, label in failed:
+        print(f"\nexit {status} ({label}): {command}")
     if args.command:
         return failed[0][1] if failed else 0
     return 1 if broken else 0
