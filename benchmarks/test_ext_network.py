@@ -33,6 +33,8 @@ from repro.harness.stack import EchoBackend, StackSpec, build
 from repro.network import ChannelModel
 from repro.sut.echo import EchoSUT
 
+from tests.conftest import one_cpu
+
 pytestmark = pytest.mark.socket(timeout=120.0)
 
 BACKEND_LATENCY = 0.002
@@ -53,14 +55,17 @@ def server_settings(queries=150, bound=0.1):
 
 @pytest.fixture(scope="module")
 def overhead_measurement():
-    """One in-process and one networked run of the same workload."""
+    """One in-process and one networked run of the same workload, both
+    on one CPU (``one_cpu``)."""
     settings = server_settings()
     qsl = SyntheticQSL()
-    baseline = run_benchmark(
-        EchoSUT(latency=BACKEND_LATENCY), qsl, settings, clock=WallClock())
-    networked = run_over_localhost(
-        lambda: EchoSUT(latency=BACKEND_LATENCY), qsl, settings,
-        query_timeout=5.0)
+    with one_cpu():
+        baseline = run_benchmark(
+            EchoSUT(latency=BACKEND_LATENCY), qsl, settings,
+            clock=WallClock())
+        networked = run_over_localhost(
+            lambda: EchoSUT(latency=BACKEND_LATENCY), qsl, settings,
+            query_timeout=5.0)
     return baseline, networked
 
 

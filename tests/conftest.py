@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
 import signal
 import socket as _socket
 import threading
@@ -59,6 +61,25 @@ class FixedLatencySUT(SutBase):
         self.loop.schedule_after(
             self.latency, lambda: self.complete(query, responses)
         )
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """Run the block's threads on one CPU, as the repo benchmark's
+    ``tcp_server`` does.  A thread inherits its creator's CPU set, so a
+    server and a wire client started inside share the LoadGen's CPU.  A
+    wall-clock overhead measurement then reads the serving stack: left
+    to the scheduler, every hand-off between those threads may wake
+    another CPU, which on a busy host costs milliseconds."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
 
 
 def alive_workers(pool):
