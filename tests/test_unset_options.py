@@ -158,6 +158,13 @@ def _in_scope(path):
         root in path.parents for root in OUT_OF_SCOPE)
 
 
+def _method(member):
+    """A method's signature: ``self`` or ``cls`` is bound unless it is a
+    staticmethod."""
+    return _Signature.of(member.name, member, not any(
+        _name_of(d) == "staticmethod" for d in member.decorator_list))
+
+
 def _functions(tree):
     """``(qualname, signature)`` of a module's functions and its
     classes' methods, dunders aside."""
@@ -166,10 +173,7 @@ def _functions(tree):
             for member in node.body:
                 if (isinstance(member, ast.FunctionDef)
                         and not member.name.startswith("__")):
-                    yield f"{node.name}.{member.name}", _Signature.of(
-                        member.name, member, not any(
-                            _name_of(d) == "staticmethod"
-                            for d in member.decorator_list))
+                    yield f"{node.name}.{member.name}", _method(member)
         elif (isinstance(node, ast.FunctionDef)
               and not node.name.startswith("__")):
             yield node.name, _Signature.of(node.name, node, bound=False)
@@ -220,8 +224,9 @@ class _Program:
     def __init__(self, modules):
         self.classes = {}
         self.functions = defaultdict(list)
-        #: ``(path, qualname, signature)`` of every function in scope.
-        self.methods = []
+        #: ``(path, qualname, signature)`` of every function and method
+        #: in scope.
+        self.callables = []
         for path, tree in modules:
             for node in ast.walk(tree):
                 if isinstance(node, ast.ClassDef):
@@ -231,16 +236,14 @@ class _Program:
                         if (isinstance(member, ast.FunctionDef)
                                 and member.name != "__init__"):
                             self.functions[member.name].append(
-                                _Signature.of(member.name, member, not any(
-                                    _name_of(d) == "staticmethod"
-                                    for d in member.decorator_list)))
+                                _method(member))
             for node in tree.body:
                 if isinstance(node, ast.FunctionDef):
                     self.functions[node.name].append(
                         _Signature.of(node.name, node, bound=False))
             if _in_scope(path):
-                self.methods += [(path, qualname, signature) for
-                                 qualname, signature in _functions(tree)]
+                self.callables += [(path, qualname, signature) for
+                                   qualname, signature in _functions(tree)]
         self._constructors = {}
         #: ``(callable, parameter)`` pairs some call gives a value.
         self.set = set()
@@ -307,7 +310,7 @@ class _Program:
             for option in sorted(owned - NOT_OPTIONS):
                 options[f"{name}.{option}"] = f"{name}.{option}"
         owners = defaultdict(list)
-        for path, qualname, signature in self.methods:
+        for path, qualname, signature in self.callables:
             owners[qualname].append((path, signature))
         for qualname, defined in owners.items():
             for path, signature in defined:
