@@ -29,9 +29,10 @@ def corpus_bleu(
 ) -> float:
     """Corpus BLEU in [0, 100], up to ``MAX_NGRAM_ORDER``-grams.
 
-    A zero n-gram match count is smoothed as SacreBLEU's default does
-    (exponential smoothing): the k-th such order scores
-    ``1 / (2^k * total)``.
+    A zero n-gram match count gets exponential smoothing in the
+    SacreBLEU style: the k-th such order scores ``1 / (2^k * total)``.
+    Every order is smoothed, so a corpus with no match at all scores
+    above 0.
     """
     if len(hypotheses) != len(references):
         raise ValueError(

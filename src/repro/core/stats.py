@@ -81,18 +81,16 @@ def margin_for_tail_latency(tail_latency: float) -> float:
     return (1.0 - tail_latency) / 20.0
 
 
-def queries_for_confidence(tail_latency: float, margin: float = None) -> int:
+def queries_for_confidence(tail_latency: float) -> int:
     """Equation 2: the raw (unrounded) number of queries required.
 
     ``NumQueries = NormsInv((1-C)/2)^2 * p*(1-p) / margin^2`` where
-    ``C`` is ``CONFIDENCE`` and ``p`` the tail-latency percentile.  The
-    result is rounded to the nearest integer, matching Table IV exactly
-    (the 95th-percentile row is 50,425 = round(50,425.2), not ceil).
+    ``C`` is ``CONFIDENCE``, ``p`` the tail-latency percentile and
+    ``margin`` Equation 1's.  The result is rounded to the nearest
+    integer, matching Table IV exactly (the 95th-percentile row is
+    50,425 = round(50,425.2), not ceil).
     """
-    if margin is None:
-        margin = margin_for_tail_latency(tail_latency)
-    if margin <= 0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    margin = margin_for_tail_latency(tail_latency)
     z = inverse_normal_cdf((1.0 - CONFIDENCE) / 2.0)
     raw = (z * z) * tail_latency * (1.0 - tail_latency) / (margin * margin)
     return int(round(raw))
@@ -124,12 +122,11 @@ class QueryRequirement:
 
     @classmethod
     def for_percentile(cls, tail_latency: float) -> "QueryRequirement":
-        margin = margin_for_tail_latency(tail_latency)
-        raw = queries_for_confidence(tail_latency, margin)
+        raw = queries_for_confidence(tail_latency)
         return cls(
             tail_latency=tail_latency,
             confidence=CONFIDENCE,
-            margin=margin,
+            margin=margin_for_tail_latency(tail_latency),
             inferences=raw,
             rounded_inferences=round_up_to_unit(raw),
         )

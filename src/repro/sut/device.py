@@ -22,10 +22,10 @@ direct architectural meaning:
   per-(device, motif) efficiency table expresses exactly that.
 
 ``cost_at`` composes these into the latency and energy of one batched
-dispatch at a given structural efficiency; ``dispatch_cost`` is its
-motif front (``service_time`` and ``dispatch_energy`` are that front's
-two halves); everything downstream (scenario behaviour, Figs 6 and 8) is
-emergent.
+dispatch at a given structural efficiency (``motif_efficiency`` looks a
+motif's up); ``service_time`` and ``dispatch_energy`` are its two halves
+for a dense-CNN workload; everything downstream (scenario behaviour,
+Figs 6 and 8) is emergent.
 """
 
 from __future__ import annotations
@@ -112,14 +112,6 @@ class DeviceModel:
         """How well ``motif`` fits this device; 1.0 unless tabulated."""
         return self.structure_efficiency.get(motif, 1.0)
 
-    def dispatch_cost(self, gops_per_sample: float, batch: int,
-                      motif: ComputeMotif = ComputeMotif.DENSE_CNN
-                      ) -> Tuple[float, float]:
-        """(seconds, Joules) of one dispatch of ``batch`` samples of a
-        ``motif`` workload: the motif's efficiency, then :meth:`cost_at`."""
-        return self.cost_at(gops_per_sample, batch,
-                            self.motif_efficiency(motif))
-
     def cost_at(self, gops_per_sample: float, batch: int,
                 efficiency: float) -> Tuple[float, float]:
         """(seconds, Joules) of one dispatch of ``batch`` samples at a
@@ -145,10 +137,11 @@ class DeviceModel:
             + (self.peak_watts - self.idle_watts) * utilization
         )
 
-    def service_time(self, gops_per_sample: float, batch: int,
-                     motif: ComputeMotif = ComputeMotif.DENSE_CNN) -> float:
-        """Seconds to process one dispatch of ``batch`` samples."""
-        return self.dispatch_cost(gops_per_sample, batch, motif)[0]
+    def service_time(self, gops_per_sample: float, batch: int) -> float:
+        """Seconds to process one dispatch of ``batch`` samples of a
+        dense-CNN workload."""
+        return self.cost_at(gops_per_sample, batch, self.motif_efficiency(
+            ComputeMotif.DENSE_CNN))[0]
 
     def throughput_at_batch(self, gops_per_sample: float, batch: int) -> float:
         """Samples/second of one engine streaming dispatches of ``batch``
@@ -182,11 +175,11 @@ class DeviceModel:
 
     # -- power/energy ----------------------------------------------------------
 
-    def dispatch_energy(self, gops_per_sample: float, batch: int,
-                        motif: ComputeMotif = ComputeMotif.DENSE_CNN
-                        ) -> float:
-        """Joules consumed by one dispatch (active power x duration)."""
-        return self.dispatch_cost(gops_per_sample, batch, motif)[1]
+    def dispatch_energy(self, gops_per_sample: float, batch: int) -> float:
+        """Joules consumed by one dispatch of a dense-CNN workload (active
+        power x duration)."""
+        return self.cost_at(gops_per_sample, batch, self.motif_efficiency(
+            ComputeMotif.DENSE_CNN))[1]
 
     def energy_per_sample(self, gops_per_sample: float, batch: int) -> float:
         """Joules per inference of a dense-CNN workload at the given

@@ -73,13 +73,11 @@ class TestEquations:
         assert queries_for_confidence(0.95) == 50_425
         assert queries_for_confidence(0.99) == 262_742
 
-    def test_explicit_margin_overrides_default(self):
-        wide = queries_for_confidence(0.99, margin=0.01)
-        assert wide < queries_for_confidence(0.99)
-
-    def test_negative_margin_rejected(self):
+    @pytest.mark.parametrize("bad", [0.0, 1.0])
+    def test_no_margin_rejected(self, bad):
+        # Equation 1 gives no positive margin at or past 100%.
         with pytest.raises(ValueError):
-            queries_for_confidence(0.99, margin=0.0)
+            queries_for_confidence(bad)
 
     def test_tighter_percentile_needs_more_queries(self):
         counts = [queries_for_confidence(p) for p in (0.90, 0.95, 0.99)]

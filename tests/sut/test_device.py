@@ -52,10 +52,10 @@ class TestValidation:
         rnn = DeviceModel("d", ProcessorType.GPU, peak_gops=100.0,
                           structure_efficiency={ComputeMotif.RNN: 0.3})
         full = DeviceModel("d", ProcessorType.GPU, peak_gops=100.0)
-        assert rnn.service_time(1.0, 1, ComputeMotif.RNN) == pytest.approx(
-            0.06025925925925926)
-        assert full.service_time(1.0, 1, ComputeMotif.RNN) == pytest.approx(
-            0.01877777777777778)
+        for d, seconds in ((rnn, 0.06025925925925926),
+                           (full, 0.01877777777777778)):
+            assert d.cost_at(1.0, 1, d.motif_efficiency(ComputeMotif.RNN)
+                             )[0] == pytest.approx(seconds)
 
 
 def utilization(d, work_gops):
@@ -113,8 +113,9 @@ class TestServiceTime:
         d = device(structure_efficiency={
             ComputeMotif.DENSE_CNN: 1.0, ComputeMotif.DEPTHWISE_CNN: 0.5,
         })
-        dense = d.service_time(2.0, 8, ComputeMotif.DENSE_CNN)
-        dw = d.service_time(2.0, 8, ComputeMotif.DEPTHWISE_CNN)
+        dense = d.service_time(2.0, 8)
+        dw = d.cost_at(2.0, 8, d.motif_efficiency(
+            ComputeMotif.DEPTHWISE_CNN))[0]
         assert dw > dense
 
     def test_unknown_motif_defaults_to_full_efficiency(self):
@@ -130,28 +131,29 @@ class TestServiceTime:
 
 
 class TestDispatchCost:
-    """``dispatch_cost`` is the one body of the cost formula;
-    ``service_time`` and ``dispatch_energy`` are its two halves."""
+    """``cost_at`` is the one body of the cost formula;
+    ``service_time`` and ``dispatch_energy`` are its two halves at the
+    dense-CNN efficiency."""
 
     @given(gops=st.floats(1e-6, 1e6), batch=st.integers(1, 4096),
-           motif=st.sampled_from(list(ComputeMotif)),
+           efficiency=st.floats(0.01, 1.0),
            base=st.floats(0.05, 1.0), saturation=st.floats(0.5, 500.0),
            overhead=st.floats(0.0, 5e-3), idle=st.floats(0.0, 40.0),
            swing=st.floats(0.0, 300.0))
     def test_equals_its_two_fronts_bit_for_bit(
-            self, gops, batch, motif, base, saturation, overhead, idle,
+            self, gops, batch, efficiency, base, saturation, overhead, idle,
             swing):
         d = device(base_utilization=base, saturation_gops=saturation,
                    overhead=overhead, idle_watts=idle,
                    peak_watts=idle + swing,
-                   structure_efficiency={ComputeMotif.RNN: 0.37})
-        assert d.dispatch_cost(gops, batch, motif) == (
-            d.service_time(gops, batch, motif),
-            d.dispatch_energy(gops, batch, motif))
+                   structure_efficiency={ComputeMotif.DENSE_CNN: efficiency,
+                                         ComputeMotif.RNN: 0.37})
+        assert d.cost_at(gops, batch, efficiency) == (
+            d.service_time(gops, batch), d.dispatch_energy(gops, batch))
 
     def test_energy_is_duration_times_power(self):
         d = device(idle_watts=3.0, peak_watts=40.0)
-        seconds, joules = d.dispatch_cost(2.5, 6)
+        seconds, joules = d.service_time(2.5, 6), d.dispatch_energy(2.5, 6)
         assert joules == pytest.approx(
             seconds * (3.0 + 37.0 * (0.2 + 0.8 * 15.0 / 50.0)))
 
@@ -160,7 +162,8 @@ class TestDispatchCost:
     def test_raises_what_its_fronts_raise(self, gops, batch):
         d = device()
         messages = []
-        for method in (d.dispatch_cost, d.service_time, d.dispatch_energy):
+        for method in (lambda g, b: d.cost_at(g, b, 1.0), d.service_time,
+                       d.dispatch_energy):
             with pytest.raises(ValueError) as raised:
                 method(gops, batch)
             messages.append(str(raised.value))

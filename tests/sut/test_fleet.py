@@ -107,9 +107,10 @@ class TestPlanFeasibility:
                     continue
                 workload = task_workload(task)
                 bound = task_rules(task).server_latency_bound
+                efficiency = system.device.motif_efficiency(workload.motif)
                 best = min(
-                    system.device.service_time(
-                        workload.gops_per_sample, batch, workload.motif)
+                    system.device.cost_at(
+                        workload.gops_per_sample, batch, efficiency)[0]
                     for batch in (1, 2, 4, 8)
                 )
                 assert best < bound, (system.name, task)
@@ -121,6 +122,7 @@ class TestPlanFeasibility:
                     continue
                 workload = task_workload(task)
                 interval = task_rules(task).multistream_interval
-                service = system.device.service_time(
-                    workload.gops_per_sample, 1, workload.motif)
+                service = system.device.cost_at(
+                    workload.gops_per_sample, 1,
+                    system.device.motif_efficiency(workload.motif))[0]
                 assert service < interval, (system.name, task)

@@ -5,8 +5,9 @@ batches and prices simulated work; a multitenant run is its
 co-tenants.  An ``ast`` walk over ``src/repro`` finds every use of the
 engine's two pricing seams - ``DeviceModel.cost_at`` (the cost
 formula) and ``chunk_costs`` (query intake) - outside it, so a second
-engine cannot grow back unseen.  ``DeviceModel.dispatch_cost``, the
-cost formula's motif front, is the one exemption.
+engine cannot grow back unseen.  ``DeviceModel.service_time`` and
+``dispatch_energy``, the cost formula's two dense-CNN halves, are the
+exemptions.
 """
 
 import ast
@@ -19,7 +20,8 @@ SEAMS = {"cost_at", "chunk_costs"}
 ENGINE = "sut/simulated.py"
 
 #: (module, function) pairs outside the engine allowed to use a seam.
-EXEMPT = {("sut/device.py", "dispatch_cost")}
+EXEMPT = {("sut/device.py", "service_time"),
+          ("sut/device.py", "dispatch_energy")}
 
 
 class _Uses(ast.NodeVisitor):

@@ -90,8 +90,8 @@ class TestFleetPower:
         for system in build_fleet():
             d = system.device
             batch = min(8, d.max_batch)
-            energy = d.dispatch_energy(
-                1.138, batch, ComputeMotif.DEPTHWISE_CNN) / batch
+            energy = d.cost_at(1.138, batch, d.motif_efficiency(
+                ComputeMotif.DEPTHWISE_CNN))[1] / batch
             efficiencies[system.name] = 1.0 / energy
         spread = max(efficiencies.values()) / min(efficiencies.values())
         assert spread > 10

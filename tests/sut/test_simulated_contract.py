@@ -404,13 +404,14 @@ def test_cost_formula_values_equal_the_oracle(kwargs, gops, batch, motif,
                                               watts):
     kwargs.update(idle_watts=watts[0], peak_watts=watts[0] + watts[1])
     device, oracle = DeviceModel(**kwargs), OracleDeviceModel(**kwargs)
-    assert device.service_time(gops, batch, motif) == \
-        oracle.service_time(gops, batch, motif)
-    assert device.dispatch_energy(gops, batch, motif) == \
-        oracle.dispatch_energy(gops, batch, motif)
-    assert device.cost_at(gops, batch, oracle.motif_efficiency(motif)) == (
+    assert device.motif_efficiency(motif) == oracle.motif_efficiency(motif)
+    assert device.cost_at(gops, batch, device.motif_efficiency(motif)) == (
         oracle.service_time(gops, batch, motif),
         oracle.dispatch_energy(gops, batch, motif))
+    assert device.service_time(gops, batch) == \
+        oracle.service_time(gops, batch)
+    assert device.dispatch_energy(gops, batch) == \
+        oracle.dispatch_energy(gops, batch)
     assert device.energy_per_sample(gops, batch) == \
         oracle.dispatch_energy(gops, batch) / batch
 
@@ -438,14 +439,16 @@ def as_oracle(device):
 @pytest.mark.parametrize("device", FLEET_DEVICES,
                          ids=[d.name for d in FLEET_DEVICES])
 def test_every_fleet_dispatch_cost_equals_the_oracle(device):
-    """``dispatch_cost`` bit for bit, for every device the paper's
-    fleet ships, every motif, batches 1, 2 and the largest, and a
-    small, a mid-sized and a huge per-sample cost."""
+    """``cost_at`` at each motif's efficiency, bit for bit, for every
+    device the paper's fleet ships, every motif, batches 1, 2 and the
+    largest, and a small, a mid-sized and a huge per-sample cost."""
     oracle = as_oracle(device)
     for motif in ComputeMotif:
+        efficiency = device.motif_efficiency(motif)
+        assert efficiency == oracle.motif_efficiency(motif)
         for batch in (1, 2, device.max_batch):
             for gops in (0.5688, 8.2, 433.0):
-                assert device.dispatch_cost(gops, batch, motif) == (
+                assert device.cost_at(gops, batch, efficiency) == (
                     oracle.service_time(gops, batch, motif),
                     oracle.dispatch_energy(gops, batch, motif),
                 ), (device.name, motif, batch, gops)

@@ -154,6 +154,8 @@ PASSES = {
         lambda: required_queries(0.9, confidence=0.99),
     "queries_for_confidence.confidence":
         lambda: queries_for_confidence(0.9, confidence=0.99),
+    "queries_for_confidence.margin":
+        lambda: queries_for_confidence(0.9, margin=0.005),
     "QueryRequirement.for_percentile.confidence":
         lambda: QueryRequirement.for_percentile(0.9, confidence=0.99),
     "to_chrome_trace.process_name":
@@ -176,6 +178,10 @@ PASSES = {
         lambda: DeviceModel.throughput_at_batch(None, 1.0, 1, motif=None),
     "DeviceModel.energy_per_sample.motif":
         lambda: DeviceModel.energy_per_sample(None, 1.0, 1, motif=None),
+    "DeviceModel.service_time.motif":
+        lambda: DeviceModel.service_time(None, 1.0, 1, motif=None),
+    "DeviceModel.dispatch_energy.motif":
+        lambda: DeviceModel.dispatch_energy(None, 1.0, 1, motif=None),
     "ShmArena.close.unlink": lambda: ShmArena.close(None, unlink=True),
 }
 

@@ -7,7 +7,8 @@ An option, in ``src/repro`` outside ``models/`` and ``datasets/``, is
 * a parameter with a default of a module-level function, or of a method
   of a module-level class other than a dunder (``function.option``,
   ``Class.method.option``; prefixed with the module's name where two
-  modules define the same one).
+  modules define the same one, though a call, matched by name, sets
+  both).
 
 ``name``, ``seed`` and ``registry`` are identity and plumbing, not
 behaviour, and records (``*Stats``, ``Query``, ``QueryRecord``,
@@ -17,7 +18,9 @@ option as set when a call binds it - a function's or method's call
 matched by its callee's last name, as a class's is:
 
 * by keyword or by position, or by name in ``replace`` /
-  ``with_overrides``;
+  ``with_overrides``; a name several callables share binds only those
+  the call's arguments fit, and by position only where all of them
+  name the same parameter (an override and what it overrides);
 * through a helper that forwards it, either its own defaulted
   parameter handed on by name (``per_replica_cache_factory``) or its
   ``**kwargs`` handed on whole (``cli._fleet_spec``) - set only when a
@@ -103,15 +106,9 @@ KEEP = {
         "reader's join",
     "InferenceServer.stop.timeout":
         "(b) bounds the drain and every join of a shutdown",
-    "DeviceModel.dispatch_cost.motif":
-        "(c) the simulated contract prices every ComputeMotif against "
-        "the shipped cost formula",
-    "DeviceModel.service_time.motif":
-        "(c) the simulated contract prices every ComputeMotif against "
-        "the shipped cost formula",
-    "DeviceModel.dispatch_energy.motif":
-        "(c) the simulated contract prices every ComputeMotif against "
-        "the shipped cost formula",
+    "EventLoop.run.until":
+        "(c) the event-loop model test steps the loop against its "
+        "reference model to chosen instants",
     "main.argv": "(d) 'repro' reads sys.argv; tests and embedders pass "
                  "their own",
 }
@@ -190,11 +187,13 @@ class _Signature:
     order, the ones with a default, its ``**kwargs``, and the class that
     owns each field (a dataclass inherits its bases')."""
 
-    def __init__(self, key, positional=(), defaulted=(), varkw=None):
+    def __init__(self, key, positional=(), defaulted=(), varkw=None,
+                 varargs=False):
         self.key = key
         self.positional = list(positional)
         self.defaulted = set(defaulted)
         self.varkw = varkw
+        self.varargs = varargs
         self.owner = {}
 
     @classmethod
@@ -208,10 +207,21 @@ class _Signature:
         defaulted += [a.arg for a, d in zip(args.kwonlyargs,
                                             args.kw_defaults) if d]
         return cls(key, positional, defaulted,
-                   args.kwarg.arg if args.kwarg else None)
+                   args.kwarg.arg if args.kwarg else None,
+                   args.vararg is not None)
 
     def names(self):
         return set(self.positional) | self.defaulted
+
+    def fits(self, args, keywords):
+        """Whether a call's arguments could bind here: no more
+        positional ones than it takes, no keyword it lacks."""
+        if any(isinstance(arg, ast.Starred) for arg in args) or any(
+                keyword.arg is None for keyword in keywords):
+            return True
+        return ((self.varargs or len(args) <= len(self.positional))
+                and (self.varkw is not None or all(
+                    keyword.arg in self.names() for keyword in keywords)))
 
     def owner_of(self, param):
         return self.owner.get(param, self.key), param
@@ -373,7 +383,12 @@ class _Calls(ast.NodeVisitor):
         return names
 
     def _targets(self, call):
-        """``(signature, positional args)`` of what ``call`` may reach."""
+        """``(signature, positional args)`` of what ``call`` may reach.
+
+        A name several callables share binds only the ones the call's
+        arguments fit.  Where more than one fits, a position binds only
+        while every one names the same parameter there (an override and
+        the method it overrides); past that, keywords alone bind."""
         func, args = call.func, call.args
         if _name_of(func) == "partial" and args:
             func, args = args[0], args[1:]
@@ -393,6 +408,15 @@ class _Calls(ast.NodeVisitor):
             signatures = [program.constructor(name)]
         elif name in program.functions:
             signatures = program.functions[name]
+            if len(signatures) > 1:
+                signatures = [s for s in signatures
+                              if s.fits(args, call.keywords)]
+                agreed = 0
+                while agreed < len(args) and len({
+                        tuple(s.positional[agreed:agreed + 1])
+                        for s in signatures}) == 1:
+                    agreed += 1
+                args = args[:agreed]
         elif isinstance(func, ast.Name) and name in self._locals():
             signatures = [program.constructor(t) for t in sorted(self.tables)]
         else:
@@ -522,6 +546,45 @@ def caller(engine):
     assert sorted(o for o, key in options.items() if key not in resolved) == [
         "Engine.rate", "Engine.run.trace", "one.shared.knob",
         "report.limit", "two.shared.knob"]
+
+
+def test_a_shared_name_binds_by_position_only_where_its_callables_agree():
+    program = _Program([(SRC / "snippet.py", ast.parse('''
+class Loop:
+    def run(self, until=None):
+        pass
+
+class Stack:
+    def run(self, qsl, settings, trace=None):
+        pass
+
+class Runner:
+    def run(self, tracer=None):
+        pass
+
+class Service:
+    def start(self, loop, keep_going=None):
+        pass
+
+class Sampler(Service):
+    def start(self, loop, keep_going=None):
+        pass
+
+def drive(stack, runner, service, tracer):
+    stack.run(1, 2, tracer)
+    runner.run(tracer)
+    service.start(1, tracer)
+'''))])
+    options = program.options()
+    resolved = program.resolved()
+    assert sorted(options) == [
+        "Loop.run.until", "Runner.run.tracer", "Sampler.start.keep_going",
+        "Service.start.keep_going", "Stack.run.trace"]
+    # Three arguments fit only Stack.run; one fits Loop.run and
+    # Runner.run, which name it differently; both starts name theirs
+    # alike.
+    assert sorted(o for o, key in options.items() if key not in resolved) == [
+        "Loop.run.until", "Runner.run.tracer"]
 
 
 def test_every_option_is_set_by_the_program_or_kept():
