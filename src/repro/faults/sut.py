@@ -86,6 +86,7 @@ class FaultySUT(SutBase):
         self.crashed = False
         self._attempts = {}
         self._decisions = {}
+        self._phantom_ids = itertools.count(_PHANTOM_ID_BASE)
         self.injector.reset()
         self.inner.start_run(loop, self._intercept)
 
