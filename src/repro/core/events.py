@@ -97,9 +97,10 @@ class VirtualClock(Clock):
 
 class EventHandle(list):
     """Returned by :meth:`EventLoop.schedule`: the heap entry ``[time,
-    seq, callback, loop]`` itself.  Cancelling clears the callback; the
-    loop clears its own slot when it pops the entry, so an event that
-    fired is not "cancelled" and cancelling it later counts for nothing.
+    seq, callback, loop]`` itself.  Cancelling clears the callback and
+    the loop; the loop clears its own slot when it pops the entry, so an
+    event that fired is not "cancelled" and cancelling it later counts
+    for nothing.
     A train's handle is a :class:`_Train`: the same entry with two slots
     more, whose ``time`` is that of the firing due next."""
 
@@ -107,7 +108,9 @@ class EventHandle(list):
 
     def cancel(self) -> None:
         callback, loop = self[2], self[3]
-        self[2] = None
+        # The entry may sit in the heap until its time comes: holding
+        # the loop that holds it would make the two a cycle.
+        self[2] = self[3] = None
         if loop is not None and callback is not None:
             loop._cancelled += 1
             if loop._cancelled > 64 and 2 * loop._cancelled > len(loop._heap):
@@ -325,6 +328,12 @@ class EventLoop:
         self._heap[:] = [e for e in self._heap if e[2] is not None]
         heapq.heapify(self._heap)
         self._cancelled = 0
+
+    def clear(self) -> None:
+        """Drop every event still due: a run that stopped early leaves
+        some behind, and each one's entry holds the loop."""
+        self._heap.clear()
+        self._cancelled = self._owed = 0
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue, a train

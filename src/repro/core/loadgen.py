@@ -146,8 +146,10 @@ class RunService(Protocol):
     predicate that turns false once the run has drained (a ticker that
     kept rescheduling past that point would never let a virtual loop
     finish), and :meth:`stop` is called after the loop exits (cancel
-    pending ticks here).  Services run on the loop thread, so they need
-    no locking and are deterministic under the virtual clock.
+    pending ticks and let go of the loop and the predicate here: a
+    service outlives its run, and both hold the run).  Services run on
+    the loop thread, so they need no locking and are deterministic
+    under the virtual clock.
     """
 
     def start(self, loop: EventLoop,
@@ -175,8 +177,11 @@ class Ticker:
         self._timer = loop.schedule_after(self.period, self._tick)
 
     def stop(self) -> None:
+        """Cancel the pending tick and let go of the run's loop and
+        predicate (a service outlives its run)."""
         if self._timer is not None:
             self._timer.cancel()
+        self.loop = self.keep_going = None
 
 
 class _Checkpointer(Ticker):
@@ -386,13 +391,17 @@ def _run(
         finally:
             for service in started:
                 service.stop()
-            # The SUT stack holds its driver (``_responder`` is its
-            # bound method): with ``driver.sut`` that was a cycle, and a
-            # wrapper stack is one in itself, so whatever the driver
-            # still held waited for a gen-2 collection - or for as long
-            # as the caller kept the SUT.
-            for *_, driver in runs:
-                driver.sut = driver.log = None
+            # What the run bound into the stack (the loop, each layer's
+            # responder) goes, and so do the events it left due: each
+            # of those links closes a cycle through the stack, the
+            # driver or the loop, and the run's records would wait for a
+            # gen-2 collection.
+            for sut, *_ in runs:
+                end_run = getattr(sut, "end_run", None)
+                if end_run is not None:
+                    end_run()
+            if loop._heap:  # a run that drained left nothing due
+                loop.clear()
 
         if sampler is not None:
             # Close the series with the run's final state, stamped at
@@ -457,14 +466,12 @@ def run_benchmark(
     built-in or given, is stopped once the loop exits - also when a
     later ``start`` raises.
 
-    Once the loop has drained the driver lets go of ``sut`` and of
-    the log, so the run's record (log, records, queries) is freed by
-    reference counting as soon as the caller drops the result,
-    whether or not it keeps the SUT.  A wrapper SUT and its inner
-    SUT still reference each other (wrapper -> inner -> the
-    wrapper's bound completion method), so the stack itself, the
-    spent driver and the loop wait for a collection; unlinking those
-    is ROADMAP.md item 7's "the cycles".
+    Once the loop has exited the stack lets go of the run
+    (``SutBase.end_run`` and each service's ``stop``), so the run's
+    record (log, records, queries) is freed by reference counting as
+    soon as the caller drops the result, whether or not it keeps the
+    SUT; a caller that drops the stack too frees that the same way.
+    See ``docs/architecture.md`` ("Run lifecycle").
     """
     return _run(((sut, qsl, settings),), clock, services, registry,
                 log_sample_probability, snapshot_period, journal)[0]

@@ -88,28 +88,43 @@ class SystemUnderTest(Protocol):
         ...
 
 
-_NEVER_STARTED = "start_run was never called on this SUT"
-
-
 class _Unstarted:
     """What a SUT holds for its loop and its responder until
     ``start_run``: reading anything off it, or calling it, raises.  Hot
     paths therefore use ``self._loop`` and ``self._responder`` as they
     are, with no check of their own, and misuse still fails loudly."""
 
+    message = "start_run was never called on this SUT"
+
     def __call__(self, *args, **kwargs):
-        raise RuntimeError(_NEVER_STARTED)
+        raise RuntimeError(self.message)
 
     def __getattr__(self, name: str):
         if name.startswith("__"):  # copy, pickle and friends probing
             raise AttributeError(name)
-        raise RuntimeError(_NEVER_STARTED)
+        raise RuntimeError(self.message)
 
     def __reduce__(self) -> str:
         return "_UNSTARTED"  # copies and pickles stay the one object
 
 
+class _Ended(_Unstarted):
+    """What a SUT holds for them once its run has ended (:meth:`SutBase.
+    end_run`).  A callback a thread posts now - a frame off the wire, a
+    straggler - has no run left to join and is dropped; anything else
+    raises as before ``start_run``."""
+
+    message = "the run this SUT was started for has ended"
+
+    def post(self, callback) -> None:
+        pass
+
+    def __reduce__(self) -> str:
+        return "_ENDED"
+
+
 _UNSTARTED = _Unstarted()
+_ENDED = _Ended()
 
 
 class SutBase:
@@ -132,14 +147,29 @@ class SutBase:
 
     @property
     def loop(self) -> EventLoop:
-        if self._loop is _UNSTARTED:
-            raise RuntimeError(_NEVER_STARTED)
-        return self._loop
+        loop = self._loop
+        if loop is _UNSTARTED or loop is _ENDED:
+            raise RuntimeError(loop.message)
+        return loop
 
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         self._loop = loop
         self._responder = responder
         self._closed = False
+
+    def end_run(self) -> None:
+        """Let go of the run: drop the loop and the responder
+        ``start_run`` bound, here and down the stack through
+        :attr:`inners`.  A wrapper's responder is its own bound method,
+        so until then wrapper and inner hold each other; the LoadGen
+        calls this once the loop has exited, and the next ``start_run``
+        binds both afresh.  A subclass that keeps other links to the
+        run (a timer, a callback table) drops them here too."""
+        self._loop = self._responder = _ENDED
+        for inner in self.inners:
+            end_run = getattr(inner, "end_run", None)
+            if end_run is not None:
+                end_run()
 
     def complete(self, query: Query, responses: List[QuerySampleResponse]) -> None:
         """Report ``query`` finished with ``responses`` to the LoadGen."""

@@ -26,6 +26,7 @@ the ``breaker_*`` metric families; see ``docs/durability.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import inf
 from typing import Optional
 
@@ -70,6 +71,13 @@ class _Guarded(Attempt):
     #: The standby was asked too (hedge or failover), or instead.
     hedged = False
 
+
+
+def _count_transition(counter, time: float, source: BreakerState,
+                      target: BreakerState) -> None:
+    """A breaker's ``on_transition``: one ``breaker_transitions_total``
+    increment."""
+    counter.labels(source=source.value, target=target.value).inc()
 
 class SelfHealingSUT(AttemptSUT):
     """Circuit breaker + hedged standby around a primary backend."""
@@ -159,18 +167,15 @@ class SelfHealingSUT(AttemptSUT):
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         super().start_run(loop, responder)
         self.stats = HealingStats()
+        # The breaker outlives the run (reports read its state), so it
+        # holds the clock and the counter, never this wrapper.
         self._breaker = CircuitBreaker(
-            self.policy, clock=lambda: loop.now,
-            on_transition=self._on_transition)
+            self.policy, clock=loop.clock.now,
+            on_transition=(None if self._transitions is None
+                           else partial(_count_transition, self._transitions)))
         self.primary.start_run(loop, self._receiver("primary"))
         if self.standby is not None:
             self.standby.start_run(loop, self._receiver("standby"))
-
-    def _on_transition(self, time: float, source: BreakerState,
-                       target: BreakerState) -> None:
-        if self._transitions is not None:
-            self._transitions.labels(
-                source=source.value, target=target.value).inc()
 
     def issue_query(self, query: Query) -> None:
         verdict = self.breaker.admit()

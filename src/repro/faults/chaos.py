@@ -254,11 +254,16 @@ class ChaosOrchestrator(Ticker):
     def wrap_factory(
         self, factory: Callable[[int], SystemUnderTest],
     ) -> Callable[[int], SystemUnderTest]:
-        """Wrap a replica factory so every backend gets a chaos valve."""
+        """Wrap a replica factory so every backend gets a chaos valve.
+
+        The wrapped factory records each valve in :attr:`degraded` and
+        holds nothing else of the orchestrator: the orchestrator holds
+        the fleet, and the fleet holds the factory."""
+        degraded = self.degraded
 
         def wrapped(index: int) -> SystemUnderTest:
             valve = DegradedSUT(factory(index), name=f"chaos-valve[{index}]")
-            self.degraded[index] = valve
+            degraded[index] = valve
             return valve
 
         return wrapped
@@ -295,10 +300,10 @@ class ChaosOrchestrator(Ticker):
         super().start(loop, keep_going)
 
     def stop(self) -> None:
-        super().stop()
         for window, _ in self._open.values():
             window.end = self.loop.now
         self._open = {}
+        super().stop()
 
     def _tick(self) -> None:
         loop = self.loop

@@ -105,6 +105,10 @@ class AttemptSUT(SutBase):
         self._inflight, self._timer = {}, None
         self._arms, self._draining, self._yielded = 0, False, -inf
 
+    def end_run(self) -> None:
+        self._timer = None  # its callback is this wrapper's tick
+        super().end_run()
+
     def flush(self) -> None:
         self._drain()
         super().flush()

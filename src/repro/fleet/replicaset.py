@@ -292,12 +292,18 @@ class ReplicaSet(AttemptSUT):
             index, sut,
             zone=self._zone_fn(index),
             breaker_policy=self.breaker_policy,
-            clock=lambda: self.loop.now,
+            clock=self._loop.clock.now,
             latency_window=self.latency_window,
         )
         self.replicas.append(replica)
         sut.start_run(self.loop, partial(self._from_replica, index))
         return replica
+
+    def end_run(self) -> None:
+        # Pending health probes hold their prober's callback, and the
+        # prober holds this fleet.
+        self._probes = {}
+        super().end_run()
 
     @property
     def inners(self) -> List[SystemUnderTest]:
@@ -563,7 +569,7 @@ class ReplicaSet(AttemptSUT):
         if replica.health is not ReplicaHealth.EJECTED:
             return
         replica.health = ReplicaHealth.UP
-        replica.reset_breaker(self.breaker_policy, lambda: self.loop.now)
+        replica.reset_breaker(self.breaker_policy, self._loop.clock.now)
         replica.clear_window()
         self.stats.readmissions += 1
 
@@ -588,7 +594,7 @@ class ReplicaSet(AttemptSUT):
         """Bring a DOWN replica back UP with a fresh breaker."""
         replica = self.replicas[index]
         replica.health = ReplicaHealth.UP
-        replica.reset_breaker(self.breaker_policy, lambda: self.loop.now)
+        replica.reset_breaker(self.breaker_policy, self._loop.clock.now)
         replica.clear_window()
         if index in self._parked:
             self._parked.remove(index)

@@ -225,8 +225,15 @@ def build(spec: StackSpec, seed: int,
                                  registry=registry)
         return Stack(sut, spec, registry=registry, channel=channel)
 
+    # Only a chain with a layer that exports (retry, standby) gets the
+    # registry: the factory that builds it would otherwise hold the
+    # registry for nothing, and the registry's views read the fleet,
+    # which holds the factory.
+    exports = spec.retry is not None or spec.standby is not None
+    chain_registry = registry if exports else None
+
     def factory(index: int) -> SystemUnderTest:
-        return _chain(spec, seed, registry, name=f"replica-{index}")[0]
+        return _chain(spec, seed, chain_registry, name=f"replica-{index}")[0]
 
     orchestrator = detector = None
     if fleet.chaos is not None:

@@ -22,11 +22,11 @@ still goes to the registry by hand.
 from __future__ import annotations
 
 from dataclasses import field, fields
-from typing import Callable
+from typing import Callable, List, Tuple
 
 from .registry import MetricsRegistry
 
-__all__ = ["export_ledger", "exported"]
+__all__ = ["export_ledger", "exported", "exported_counters"]
 
 _KEY = "exported"
 
@@ -34,6 +34,13 @@ _KEY = "exported"
 def exported(name: str, help: str):
     """A dataclass counter field (an int from 0) published as ``name``."""
     return field(default=0, metadata={_KEY: (name, help)})
+
+
+def exported_counters(ledger) -> List[Tuple[str, str, str]]:
+    """``(field, metric name, help)`` of each :func:`exported` field of
+    the ledger class (or instance) ``ledger``."""
+    return [(spec.name, *spec.metadata[_KEY])
+            for spec in fields(ledger) if _KEY in spec.metadata]
 
 
 def export_ledger(registry: MetricsRegistry, read: Callable[[], object],
@@ -45,12 +52,9 @@ def export_ledger(registry: MetricsRegistry, read: Callable[[], object],
     ``start_run`` replaces its stats object exports the current one.
     """
     names = tuple(labels)
-    for spec in fields(read()):
-        if _KEY not in spec.metadata:
-            continue
-        name, help = spec.metadata[_KEY]
+    for attr, name, help in exported_counters(read()):
 
-        def value(attr=spec.name):
+        def value(attr=attr):
             return getattr(read(), attr)
 
         if names:

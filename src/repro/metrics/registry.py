@@ -303,6 +303,16 @@ class MetricsRegistry:
         assert isinstance(family, HistogramFamily)
         return family
 
+    def subset(self, names: Sequence[str]) -> "MetricsRegistry":
+        """A registry of the named families only: the same objects, so
+        a series bound through it shows in this registry.  A factory
+        that builds instrumented layers while a run starts keeps this,
+        not the registry, whose views may read what holds the factory
+        (``CONTRIBUTING.md``: views and factories point one way)."""
+        part = MetricsRegistry()
+        part._families = {name: self._families[name] for name in names}
+        return part
+
     def collect(self) -> List[MetricFamily]:
         """All families, sorted by name (the export order)."""
         return [self._families[name] for name in sorted(self._families)]

@@ -21,7 +21,9 @@ unchanged; everything network-specific stays inside this adapter:
 Threading model: socket reader threads never touch SUT state - they hand
 frames to the run loop via :meth:`~repro.core.events.EventLoop.post`,
 so all bookkeeping happens on the loop thread exactly as in an
-in-process SUT.  The adapter therefore requires a realtime loop (real
+in-process SUT.  A frame that arrives once the run has ended is
+dropped at that hand-off (the released SUT's loop takes posts and
+runs none).  The adapter therefore requires a realtime loop (real
 sockets do not speak virtual time; for deterministic experiments use
 :mod:`repro.network.simulated`).
 """
@@ -366,7 +368,7 @@ class NetworkSUT(AttemptSUT):
                 self._pool.append(c)
                 self.stats.reconnects += 1
 
-            self.loop.post(_register)
+            self._loop.post(_register)
             return
 
     # -- connection plumbing ----------------------------------------------------
@@ -431,25 +433,25 @@ class NetworkSUT(AttemptSUT):
             was_alive = conn.alive
             conn.alive = False
             if not self._closed and was_alive:
-                self.loop.post(lambda: self._connection_lost(conn))
+                self._loop.post(lambda: self._connection_lost(conn))
 
     def _dispatch_frame(self, conn: _Connection, ftype: FrameType, payload) -> None:
         """Reader thread: decode and hand off to the loop thread."""
         if ftype is FrameType.COMPLETE:
             query_id, responses, s_recv, s_send = protocol.parse_complete(payload)
             recv_time = time.monotonic()
-            self.loop.post(
+            self._loop.post(
                 lambda: self._on_complete(
                     query_id, responses, s_recv, s_send, recv_time
                 )
             )
         elif ftype is FrameType.CHUNK:
             chunk = protocol.parse_chunk(payload)
-            self.loop.post(
+            self._loop.post(
                 lambda: self._deliver(None, chunk.query_id, chunk))
         elif ftype is FrameType.FAIL:
             query_id, reason = protocol.parse_fail(payload)
-            self.loop.post(lambda: self._deliver(
+            self._loop.post(lambda: self._deliver(
                 None, query_id, QueryFailure(reason)))
         elif ftype is FrameType.STATS:
             # Replies to LOAD and DRAIN; handled off-loop because close()

@@ -30,6 +30,7 @@ the trace exporter draws identical network spans for simulated runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -192,27 +193,32 @@ class SimulatedChannelSUT(SutBase):
         server_send = self.loop.now
         deliver_at = self._transit()
         self.stats.completions_forwarded += 1
+        self._schedule_delivery(deliver_at, partial(
+            self._deliver_completion, query, responses, server_recv,
+            server_send))
 
-        def _deliver() -> None:
-            # The terminal frame must not overtake this query's chunks
-            # still on the wire (per-flow ordering, as TCP would give
-            # us); hold it until the last of them lands.  Chunks that
-            # were *dropped* never went on the wire, so a lossy stream
-            # still resolves - as a truncated stream.
-            if self._chunks_in_flight.get(query.id, 0) > 0:
-                self._held_completions[query.id] = _deliver
-                return
-            self._held_completions.pop(query.id, None)
-            self.stats.chunks_stranded += self._reassembler.finish(query.id)
-            self.transport_records[query.id] = TransportTiming(
-                send_time=self._send_times.pop(query.id, server_recv),
-                recv_time=self.loop.now,
-                server_recv=server_recv,
-                server_send=server_send,
-            )
-            self._responder(query, responses)
-
-        self._schedule_delivery(deliver_at, _deliver)
+    def _deliver_completion(self, query: Query, responses,
+                            server_recv: float, server_send: float) -> None:
+        # The terminal frame must not overtake this query's chunks
+        # still on the wire (per-flow ordering, as TCP would give us);
+        # hold it until the last of them lands.  Chunks that were
+        # *dropped* never went on the wire, so a lossy stream still
+        # resolves - as a truncated stream.  (A method, not a closure:
+        # a closure that holds itself is a cycle per query.)
+        if self._chunks_in_flight.get(query.id, 0) > 0:
+            self._held_completions[query.id] = partial(
+                self._deliver_completion, query, responses, server_recv,
+                server_send)
+            return
+        self._held_completions.pop(query.id, None)
+        self.stats.chunks_stranded += self._reassembler.finish(query.id)
+        self.transport_records[query.id] = TransportTiming(
+            send_time=self._send_times.pop(query.id, server_recv),
+            recv_time=self.loop.now,
+            server_recv=server_recv,
+            server_send=server_send,
+        )
+        self._responder(query, responses)
 
     def _transit_chunk(self, query: Query, chunk: StreamChunk) -> None:
         """Carry one stream chunk over the reverse link."""

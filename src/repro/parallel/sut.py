@@ -144,6 +144,10 @@ class ParallelSUT(SutBase):
             self._crash_injector.reset()
         self._victims = itertools.cycle(range(self.pool.workers))
 
+    def end_run(self) -> None:
+        self._batcher = None  # it holds this SUT's dispatch method
+        super().end_run()
+
     def issue_query(self, query: Query) -> None:
         self._batcher.add(query)
 

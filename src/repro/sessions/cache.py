@@ -31,6 +31,7 @@ from ..core.events import EventLoop
 from ..core.query import Query
 from ..core.sut import Responder, SutBase, SystemUnderTest
 from ..metrics import export_ledger, exported
+from ..metrics.ledger import exported_counters
 from .replay import ReplayGraph
 
 #: Prefill seconds per token that must be (re)computed, and per prefix
@@ -190,6 +191,13 @@ class _LruModel:
         self.resident_tokens = total
 
 
+def _resident_gauge(registry, labels, fn):
+    """The gauge each cache exports its resident tokens as."""
+    return registry.gauge(
+        "prefix_cache_resident_tokens",
+        "Tokens currently held by the prefix cache", labels=labels, fn=fn)
+
+
 class PrefixCacheSUT(SutBase):
     """Wraps ``inner`` with a prefix-reuse model for session queries.
 
@@ -223,13 +231,10 @@ class PrefixCacheSUT(SutBase):
         if registry is not None:
             label = {} if replica is None else {"replica": replica}
             export_ledger(registry, lambda: self.stats, **label)
-            resident = registry.gauge(
-                "prefix_cache_resident_tokens",
-                "Tokens currently held by the prefix cache",
-                labels=tuple(label),
-                fn=(lambda: self.model.resident_tokens)
-                if replica is None else None,
-            )
+            resident = _resident_gauge(
+                registry, tuple(label),
+                (lambda: self.model.resident_tokens)
+                if replica is None else None)
             if replica is not None:
                 resident.labels_fn(
                     lambda: self.model.resident_tokens, replica=replica)
@@ -393,6 +398,14 @@ def per_replica_cache_factory(
     exports the ``prefix_cache_*{replica="i"}`` labeled series
     (``docs/observability.md``).
     """
+    if registry is not None:
+        # The families are registered here, once, and the factory keeps
+        # only them: the registry's views read the fleet that keeps it.
+        label = ("replica",)
+        registry = registry.subset(
+            [registry.counter(name, help, labels=label).name
+             for _, name, help in exported_counters(CacheStats)]
+            + [_resident_gauge(registry, label, None).name])
 
     def factory(index: int, inner: SystemUnderTest) -> PrefixCacheSUT:
         return PrefixCacheSUT(

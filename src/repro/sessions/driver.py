@@ -26,7 +26,7 @@ from ..core.config import Scenario
 from ..core.query import Query
 from ..core.scenarios import ArrivalGaps, ScenarioDriver
 from ..metrics import export_ledger
-from .replay import SessionPlan, replay_graph_from_settings
+from .replay import SessionPlan, SessionProfile
 
 
 class _SessionState:
@@ -47,7 +47,11 @@ class SessionDriver(ScenarioDriver):
 
     def __init__(self, *args, registry=None, **kwargs) -> None:
         super().__init__(*args, registry=registry, **kwargs)
-        self.graph = replay_graph_from_settings(self.settings)
+        # Each plan is drawn when its session arrives and held only
+        # while the session is active (``ReplayGraph`` would memoize
+        # every one for as long as the driver lives).
+        self._profile = SessionProfile.from_settings(self.settings)
+        self._sessions = self.settings.resolved_session_count
         self._active: Dict[int, _SessionState] = {}
         self._arrived = 0
         # The Server scenario's arrival stream, here spacing sessions;
@@ -83,7 +87,7 @@ class SessionDriver(ScenarioDriver):
         self._schedule_next_arrival()
 
     def _schedule_next_arrival(self) -> None:
-        if self._arrived >= self.graph.session_count:
+        if self._arrived >= self._sessions:
             self._maybe_close()
             return
         gap = self._gaps.next() * (1.0 / self.settings.server_target_qps)
@@ -94,7 +98,7 @@ class SessionDriver(ScenarioDriver):
         scheduled = self._due
         user_id = self._arrived
         self._arrived += 1
-        state = _SessionState(self.graph.plan(user_id), self.loop.now)
+        state = _SessionState(self._profile.plan(user_id), self.loop.now)
         self._active[user_id] = state
         self.stats.sessions_started += 1
         self._issue_turn(state, scheduled_time=scheduled)
@@ -144,5 +148,5 @@ class SessionDriver(ScenarioDriver):
         self._maybe_close()
 
     def _maybe_close(self) -> None:
-        if self._arrived >= self.graph.session_count and not self._active:
+        if self._arrived >= self._sessions and not self._active:
             self._close_issue_phase()

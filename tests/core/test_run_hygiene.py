@@ -1,14 +1,48 @@
 """What a run leaves behind: a heap that does not hoard cancelled
-deadlines while it runs, and no cyclic garbage once it has finished."""
+deadlines while it runs, and no cyclic garbage once it has finished.
 
+The wrapped version: with the collector off, a finished run of any
+stack - every layer, a fleet with its services and registry, a
+journaled run, the wire - is freed by reference counting once the
+caller drops its result and the stack.  When one is not,
+:func:`cycle_report` names the types in the garbage and the attribute
+edges that close its cycles.
+"""
+
+import collections
+import functools
 import gc
+import threading
+import time
+import types
 import weakref
+from dataclasses import replace
+
+import pytest
 
 from repro.core import Scenario, TestSettings, run_benchmark
-from repro.core.query import QueryRecord
-from repro.faults import ResilientSUT, RetryPolicy
+from repro.core.events import WallClock
+from repro.core.query import QueryRecord, QuerySampleResponse
+from repro.core.sut import SutBase
+from repro.durability import RunJournal
+from repro.faults import ChaosEvent, ChaosSchedule, ResilientSUT, RetryPolicy
+from repro.harness.netbench import SyntheticQSL
+from repro.harness.stack import (
+    EchoBackend,
+    FleetSpec,
+    NetworkBackend,
+    StackSpec,
+    build,
+)
+from repro.metrics import MetricsRegistry
+from repro.network.client import NetworkSUT
+from repro.network.server import InferenceServer
+from repro.network.simulated import ChannelModel
 from repro.streaming import StreamModel, StreamingSUT
 from repro.sut.echo import EchoSUT
+
+from tests.integration.test_rerun_contract import FLEET_SPEC, session_settings
+from tests.integration.test_wrapper_contract import SHAPES, run_settings
 
 
 def server_settings(queries, qps=1000.0):
@@ -152,3 +186,329 @@ def test_start_order_is_sampler_then_sut_then_services_as_given(echo_qsl):
                            services=[Noting("a"), Noting("b")])
     assert result.valid
     assert order[:4] == ["snapshot", "sut", "a", "b"]
+
+
+# -- the wrapped version: every stack frees itself ------------------------------
+
+#: Objects that only carry links between instances: a report follows
+#: them to the instances behind them.
+_PLUMBING = (dict, list, tuple, set, frozenset, collections.deque,
+             types.FunctionType, types.MethodType, types.CellType,
+             functools.partial)
+
+
+def _links(obj):
+    """What ``obj`` holds, the way a plumbing object holds it (a
+    function: its closure, not its module)."""
+    kind = type(obj)
+    if kind is dict:
+        return list(obj.values())
+    if kind is types.FunctionType:
+        return [c.cell_contents for c in obj.__closure__ or ()
+                if c.cell_contents is not None]
+    if kind is types.MethodType:
+        return [obj.__self__]
+    if kind is types.CellType:
+        return [obj.cell_contents]
+    if kind is functools.partial:
+        return [obj.func, *obj.args, *obj.keywords.values()]
+    return list(obj)
+
+
+def _edges(obj, garbage_ids):
+    """``(attribute, instance)`` for every instance in the garbage that
+    ``obj`` reaches through plumbing alone."""
+    if isinstance(obj, (list, tuple)):
+        named = [(f"[{i}]", v) for i, v in enumerate(obj)]
+    else:
+        named = list(getattr(obj, "__dict__", {}).items())
+        for cls in type(obj).__mro__:
+            slots = getattr(cls, "__slots__", ())
+            for slot in (slots,) if isinstance(slots, str) else slots:
+                if slot != "__dict__" and hasattr(obj, slot):
+                    named.append((slot, getattr(obj, slot)))
+    for name, value in named:
+        queue, seen = [value], set()
+        while queue:
+            item = queue.pop()
+            if id(item) in seen:
+                continue
+            seen.add(id(item))
+            if type(item) in _PLUMBING:
+                queue.extend(_links(item))
+            elif id(item) in garbage_ids:
+                yield name, item
+
+
+def cycle_report(garbage) -> str:
+    """The garbage a collection found, by type, then each attribute edge
+    ``Type.attribute -> Type`` that lies on one of its cycles."""
+    counts = collections.Counter(type(o).__qualname__ for o in garbage)
+    lines = [f"{len(garbage)} objects of cyclic garbage:"]
+    lines += [f"  {n:6d} {name}" for name, n in counts.most_common(25)]
+    ids = {id(o) for o in garbage}
+    nodes = [o for o in garbage if type(o) not in _PLUMBING]
+    graph = {id(o): [(name, id(t)) for name, t in _edges(o, ids)]
+             for o in nodes}
+    kinds = {id(o): type(o).__qualname__ for o in nodes}
+    # Tarjan's strongly connected components, iteratively.
+    index, low, on_stack, stack, component = {}, {}, set(), [], {}
+    for root in graph:
+        if root in index:
+            continue
+        work = [(root, iter(graph[root]))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, edges = work[-1]
+            for _, nxt in edges:
+                if nxt not in graph:
+                    continue
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(graph[nxt])))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component[member] = node
+                        if member == node:
+                            break
+    closing = collections.Counter(
+        f"{kinds[a]}.{name} -> {kinds[b]}"
+        for a, out in graph.items() for name, b in out
+        if b in component and component[a] == component[b])
+    lines.append("attribute edges on a cycle:")
+    lines += [f"  {n:6d} {edge}" for edge, n in sorted(closing.items())]
+    return "\n".join(lines)
+
+
+def collected_garbage():
+    """What a full collection finds unreachable now (and frees)."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def assert_frees_itself(run):
+    """``run()`` runs a stack and returns its result and the objects to
+    watch (the top SUT, the registry); once the caller drops them, with
+    the collector off, each must be gone and no cycle left behind."""
+    gc.collect()
+    gc.disable()
+    try:
+        result, *held = run()
+        watched = [weakref.ref(o) for o in (result.log, *held)
+                   if o is not None]
+        del result, held
+        alive = [type(ref()).__name__ for ref in watched
+                 if ref() is not None]
+        garbage = collected_garbage()
+    finally:
+        gc.enable()
+    assert not alive and not garbage, (
+        f"still alive after the run was dropped: {alive}\n"
+        + cycle_report(garbage))
+
+
+ECHO = EchoBackend(0.001)
+GRAY = ChaosSchedule((ChaosEvent(0.01, 0.05, "gray-failure", "replica:1",
+                                 8.0),))
+
+#: The specs ``tests/harness/test_stack.py`` builds, by what they stand for.
+CATALOGUE = {
+    "bare": StackSpec(backend=EchoBackend(0.002, concurrency=3)),
+    "streamed": StackSpec(backend=ECHO, stream=StreamModel()),
+    "every-layer": StackSpec(
+        backend=ECHO, stream=StreamModel(), channel=ChannelModel(),
+        outage=(0.1, 0.2), retry=RetryPolicy(), standby=ECHO,
+        cache_tokens=1024),
+    "cache": StackSpec(backend=ECHO, cache_tokens=8192),
+    "fleet-cache": StackSpec(backend=ECHO, cache_tokens=8192,
+                             fleet=FleetSpec(2, 2)),
+    "fleet-services": StackSpec(
+        backend=ECHO, cache_tokens=4096,
+        fleet=FleetSpec(replicas=3, max_replicas=6, zones=3,
+                        balancer="zone-spread", attempt_timeout=0.5,
+                        chaos=GRAY, detector=True,
+                        autoscale="cache-miss-rate")),
+}
+
+
+def small_sessions(seed=3):
+    return replace(session_settings(seed), session_count=40)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_a_finished_stack_is_freed_without_the_collector(name):
+    def run():
+        stack = build(CATALOGUE[name], 3, MetricsRegistry())
+        result = stack.run(SyntheticQSL(), small_sessions(),
+                           registry=stack.registry)
+        assert result.log.completed_count > 0
+        return result, stack.sut, stack.registry
+
+    assert_frees_itself(run)
+
+
+def test_the_session_fleet_is_freed_without_the_collector():
+    """Four zoned replicas with caches, chaos, the detector, a registry
+    and its snapshot sampler: ``session_fleet_chaos`` in small."""
+    def run():
+        stack = build(FLEET_SPEC, 0, MetricsRegistry())
+        result = stack.run(SyntheticQSL(), session_settings(0),
+                           registry=stack.registry, snapshot_period=0.05)
+        assert result.valid and stack.sut.stats.ejections >= 1
+        return result, stack.sut, stack.registry
+
+    assert_frees_itself(run)
+
+
+@pytest.mark.parametrize("streamed", (False, True),
+                         ids=("plain", "streamed"))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_a_faulty_stack_is_freed_without_the_collector(shape, streamed):
+    def run():
+        sut = SHAPES[shape](0, streamed)
+        return run_benchmark(sut, SyntheticQSL(), run_settings(0)), sut
+
+    assert_frees_itself(run)
+
+
+def test_a_journaled_run_is_freed_without_the_collector(tmp_path):
+    def run():
+        sut = ResilientSUT(StreamingSUT(EchoSUT(latency=0.0005),
+                                        StreamModel(seed=2)))
+        result = run_benchmark(
+            sut, SyntheticQSL(), server_settings(200),
+            journal=RunJournal(str(tmp_path / "run.journal"),
+                               checkpoint_period=0.05))
+        assert result.valid
+        return result, sut
+
+    assert_frees_itself(run)
+
+
+def wall_settings(**overrides):
+    return replace(TestSettings(
+        scenario=Scenario.SERVER, server_target_qps=200.0,
+        server_latency_bound=0.1, min_query_count=40, min_duration=0.0,
+        watchdog_timeout=20.0), **overrides)
+
+
+@pytest.mark.socket
+def test_a_network_stack_is_freed_without_the_collector():
+    server = InferenceServer(EchoSUT(latency=0.001))
+    address = server.start()
+    try:
+        def run():
+            stack = build(StackSpec(NetworkBackend(address)), 0)
+            result = stack.run(SyntheticQSL(), wall_settings())
+            stack.close()
+            assert result.valid
+            return result, stack.sut
+
+        assert_frees_itself(run)
+    finally:
+        server.stop()
+
+
+@pytest.fixture
+def thread_errors(monkeypatch):
+    """Exceptions that escaped any thread during the test."""
+    errors = []
+    monkeypatch.setattr(threading, "excepthook",
+                        lambda args: errors.append(args.exc_value))
+    return errors
+
+
+@pytest.mark.socket
+def test_a_frame_that_arrives_after_the_run_is_absorbed(thread_errors):
+    """The server answers after the client gave up and the run ended:
+    the reader thread receives the frames and lets them go."""
+    server = InferenceServer(EchoSUT(latency=1.0))
+    stack = build(StackSpec(NetworkBackend(server.start(),
+                                           query_timeout=0.02)), 0)
+    client = stack.channel
+    try:
+        result = stack.run(SyntheticQSL(), wall_settings(
+            min_query_count=4, server_target_qps=100.0))
+        assert result.log.failed_count == result.log.query_count >= 4
+        received = client.stats.bytes_received
+        deadline = time.monotonic() + 5.0
+        while (client.stats.bytes_received == received
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert client.stats.bytes_received > received  # a late frame came
+        time.sleep(0.05)  # and went through the reader's hand-off
+    finally:
+        stack.close()
+        server.stop()
+    assert thread_errors == []
+
+
+class LateSUT(SutBase):
+    """Answers from a thread of its own, long after the watchdog has
+    stopped the run - by posting to the loop, as a thread must."""
+
+    def __init__(self):
+        super().__init__("late")
+        self.timers = []
+
+    def issue_query(self, query):
+        responses = [QuerySampleResponse(s.id, s.index)
+                     for s in query.samples]
+
+        def answer():
+            self._loop.post(lambda: self.complete(query, responses))
+
+        timer = threading.Timer(0.15, answer)
+        self.timers.append(timer)
+        timer.start()
+
+
+def test_a_straggler_after_the_loop_stopped_is_absorbed(thread_errors):
+    sut = LateSUT()
+    result = run_benchmark(sut, SyntheticQSL(), wall_settings(
+        min_query_count=2, watchdog_timeout=0.05), clock=WallClock())
+    assert result.stats.watchdog_fired and not result.valid
+    for timer in sut.timers:
+        timer.join()
+    assert thread_errors == []
+
+
+class Silent(SutBase):
+    """Never answers."""
+
+    def issue_query(self, query):
+        pass
+
+
+def test_a_run_the_watchdog_stopped_is_freed_without_the_collector():
+    """The watchdog stops the loop with arrivals and a retry deadline
+    still due; each of those events holds the loop."""
+    def run():
+        sut = ResilientSUT(Silent("silent"),
+                           RetryPolicy(attempt_timeout=60.0,
+                                       total_timeout=120.0))
+        result = run_benchmark(sut, SyntheticQSL(), replace(
+            server_settings(50), watchdog_timeout=1.0))
+        assert result.stats.watchdog_fired
+        return result, sut
+
+    assert_frees_itself(run)

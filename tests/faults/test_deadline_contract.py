@@ -463,6 +463,18 @@ def healthy(engine, registry):
                       registry=registry)
 
 
+class LoopAtStop:
+    """A run service that notes where the loop stood once the run
+    stopped: its clock and the events still due.  (The stack itself
+    lets go of the loop when the run ends.)"""
+
+    def start(self, loop, keep_going):
+        self.loop = loop
+
+    def stop(self):
+        self.now, self.pending = self.loop.now, self.loop.pending()
+
+
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("watchdog, ends_at", [
     (None, 0.5499999999999999), (30.0, 30.0)])
@@ -473,28 +485,28 @@ def test_a_healthy_run_ends_when_its_last_query_does(
     first tick after the last completion; a deadline left ticking would
     carry the clock, and the final snapshot, to about one second."""
     registry = MetricsRegistry()
-    sut = healthy(engine, registry)
+    sut, probe = healthy(engine, registry), LoopAtStop()
     result = run_benchmark(
         sut, EchoQSL(), server(100.0, 50, seed=1, watchdog=watchdog),
-        registry=registry, snapshot_period=0.05)
+        registry=registry, snapshot_period=0.05, services=[probe])
     assert result.valid and result.log.query_count == 50
     assert result.snapshots[-1].time == ends_at
-    assert sut.loop.now == ends_at
-    assert sut.loop.pending() == 0
+    assert probe.now == ends_at
+    assert probe.pending == 0
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_a_closed_loop_run_ends_when_its_last_query_does(engine):
     """SingleStream: one attempt in flight, the table empty after every
     completion - and still nothing outlives the last one."""
-    sut = healthy(engine, None)
+    sut, probe = healthy(engine, None), LoopAtStop()
     result = run_benchmark(sut, EchoQSL(), TestSettings(
         scenario=Scenario.SINGLE_STREAM, min_query_count=40,
-        min_duration=0.0, seed=1))
+        min_duration=0.0, seed=1), services=[probe])
     assert result.valid and result.log.query_count == 40
     last = max(r.completion_time for r in result.log.completed_records())
-    assert sut.loop.now == last
-    assert sut.loop.pending() == 0
+    assert probe.now == last
+    assert probe.pending == 0
 
 
 # -- the engine on a bare loop ------------------------------------------------------

@@ -172,9 +172,6 @@ KEEP = {
         "index and never fetch the sample",
     "src/repro/datasets/qsl.py:DatasetQSL.name":
         "QuerySampleLibrary interface: the run never reads a QSL's name",
-    "src/repro/core/events.py:VirtualClock.now":
-        "Clock interface: the event loop reads the virtual clock's "
-        "_now directly",
     "src/repro/core/logging.py:_jsonable":
         "a detail log whose run kept response payloads "
         "(log_sample_probability > 0) serializes them through it",
