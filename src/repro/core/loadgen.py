@@ -392,15 +392,15 @@ def _run(
             for service in started:
                 service.stop()
             # What the run bound into the stack (the loop, each layer's
-            # responder) goes, and so do the events it left due: each
-            # of those links closes a cycle through the stack, the
-            # driver or the loop, and the run's records would wait for a
-            # gen-2 collection.
+            # responder) goes, and so do the events a stopped run left
+            # due: each of those links closes a cycle through the
+            # stack, the driver or the loop, and the run's records would
+            # wait for a gen-2 collection.
             for sut, *_ in runs:
                 end_run = getattr(sut, "end_run", None)
                 if end_run is not None:
                     end_run()
-            if loop._heap:  # a run that drained left nothing due
+            if loop._heap:  # empty once a run has drained: no call then
                 loop.clear()
 
         if sampler is not None:

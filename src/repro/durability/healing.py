@@ -72,12 +72,12 @@ class _Guarded(Attempt):
     hedged = False
 
 
-
 def _count_transition(counter, time: float, source: BreakerState,
                       target: BreakerState) -> None:
     """A breaker's ``on_transition``: one ``breaker_transitions_total``
     increment."""
     counter.labels(source=source.value, target=target.value).inc()
+
 
 class SelfHealingSUT(AttemptSUT):
     """Circuit breaker + hedged standby around a primary backend."""

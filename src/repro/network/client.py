@@ -171,6 +171,8 @@ class NetworkSUT(AttemptSUT):
         super().start_run(loop, responder)
         self.stats = NetworkStats()
         self.transport_records = {}
+        for conn in self._pool:  # a client run again: the last run's
+            conn.close()         # pool goes (its readers exit with it)
         self._pool = [self._connect() for _ in range(self.pool_size)]
         for conn in self._pool:
             self._start_reader(conn)

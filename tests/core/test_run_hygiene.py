@@ -35,7 +35,6 @@ from repro.harness.stack import (
     build,
 )
 from repro.metrics import MetricsRegistry
-from repro.network.client import NetworkSUT
 from repro.network.server import InferenceServer
 from repro.network.simulated import ChannelModel
 from repro.streaming import StreamModel, StreamingSUT
@@ -413,11 +412,15 @@ def wall_settings(**overrides):
 
 @pytest.mark.socket
 def test_a_network_stack_is_freed_without_the_collector():
+    """Run twice, as a stack may be: the second run's pool replaces the
+    first's, whose reader thread must not outlive it (the socket guard
+    fails a test that leaves a thread behind)."""
     server = InferenceServer(EchoSUT(latency=0.001))
     address = server.start()
     try:
         def run():
             stack = build(StackSpec(NetworkBackend(address)), 0)
+            stack.run(SyntheticQSL(), wall_settings())
             result = stack.run(SyntheticQSL(), wall_settings())
             stack.close()
             assert result.valid
