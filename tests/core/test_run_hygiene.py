@@ -250,44 +250,19 @@ def cycle_report(garbage) -> str:
     graph = {id(o): [(name, id(t)) for name, t in _edges(o, ids)]
              for o in nodes}
     kinds = {id(o): type(o).__qualname__ for o in nodes}
-    # Tarjan's strongly connected components, iteratively.
-    index, low, on_stack, stack, component = {}, {}, set(), [], {}
-    for root in graph:
-        if root in index:
-            continue
-        work = [(root, iter(graph[root]))]
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, edges = work[-1]
-            for _, nxt in edges:
-                if nxt not in graph:
-                    continue
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(graph[nxt])))
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component[member] = node
-                        if member == node:
-                            break
+    # Trim what cannot lie on a cycle - no edge in, or none out - until
+    # nothing changes: the edges left close the cycles.
+    live = set(graph)
+    while True:
+        entered = {b for a in live for _, b in graph[a] if b in live}
+        kept = {a for a in live & entered
+                if any(b in live for _, b in graph[a])}
+        if kept == live:
+            break
+        live = kept
     closing = collections.Counter(
         f"{kinds[a]}.{name} -> {kinds[b]}"
-        for a, out in graph.items() for name, b in out
-        if b in component and component[a] == component[b])
+        for a in live for name, b in graph[a] if b in live)
     lines.append("attribute edges on a cycle:")
     lines += [f"  {n:6d} {edge}" for edge, n in sorted(closing.items())]
     return "\n".join(lines)
