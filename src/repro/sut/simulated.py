@@ -130,9 +130,10 @@ class SimulatedSUT(SutBase):
             else device.max_batch
         )
         self._seed = seed
-        #: The SUT whose device state this one runs on: itself, or the
+        #: The SUT whose device state this one runs on: ``None`` for
+        #: itself (holding itself would make every SUT a cycle), or the
         #: host it is a co-tenant of.
-        self._host = self
+        self._host: Optional["SimulatedSUT"] = None
         self._rng = np.random.default_rng(seed)
         self._queue: List[_QueuedChunk] = []
         self._queued = 0
@@ -152,7 +153,7 @@ class SimulatedSUT(SutBase):
         It keeps its own responder, pending chunks, ``dispatch_batches``
         and ``energy_joules``; start every tenant before any issues."""
         tenant = SimulatedSUT(self.device, workload, name=name)
-        tenant._host = self._host
+        tenant._host = self._host or self
         return tenant
 
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
@@ -161,7 +162,7 @@ class SimulatedSUT(SutBase):
         self._efficiency = self.device.motif_efficiency(self.workload.motif)
         self.dispatch_batches = []
         self.energy_joules = 0.0
-        if self._host is self:  # the device state is the host's alone
+        if self._host is None:  # the device state is the host's alone
             self._rng = np.random.default_rng(self._seed)
             self._queue = []
             self._queued = 0
@@ -171,7 +172,7 @@ class SimulatedSUT(SutBase):
     # -- query intake -----------------------------------------------------------
 
     def issue_query(self, query: Query) -> None:
-        host = self._host
+        host = self._host or self
         count = len(query.samples)
         loop = self._loop
         # loop.now, read in place as ServerDriver._issue reads it.
@@ -193,7 +194,7 @@ class SimulatedSUT(SutBase):
 
     def flush(self) -> None:
         """Dispatch whatever is queued without waiting for the window."""
-        host = self._host
+        host = self._host or self
         host._cancel_window()
         while host._queue and host._idle_engines > 0:
             host._dispatch_now()

@@ -28,6 +28,7 @@ from repro.durability import RunJournal
 from repro.faults import ChaosEvent, ChaosSchedule, ResilientSUT, RetryPolicy
 from repro.harness.netbench import SyntheticQSL
 from repro.harness.stack import (
+    DeviceBackend,
     EchoBackend,
     FleetSpec,
     NetworkBackend,
@@ -38,7 +39,9 @@ from repro.metrics import MetricsRegistry
 from repro.network.server import InferenceServer
 from repro.network.simulated import ChannelModel
 from repro.streaming import StreamModel, StreamingSUT
+from repro.core.config import Task
 from repro.sut.echo import EchoSUT
+from repro.sut.fleet import build_fleet, task_workload
 
 from tests.integration.test_rerun_contract import FLEET_SPEC, session_settings
 from tests.integration.test_wrapper_contract import SHAPES, run_settings
@@ -304,7 +307,8 @@ ECHO = EchoBackend(0.001)
 GRAY = ChaosSchedule((ChaosEvent(0.01, 0.05, "gray-failure", "replica:1",
                                  8.0),))
 
-#: The specs ``tests/harness/test_stack.py`` builds, by what they stand for.
+#: The specs ``tests/harness/test_stack.py`` builds, by what they stand
+#: for, and a simulated device.
 CATALOGUE = {
     "bare": StackSpec(backend=EchoBackend(0.002, concurrency=3)),
     "streamed": StackSpec(backend=ECHO, stream=StreamModel()),
@@ -313,6 +317,10 @@ CATALOGUE = {
         outage=(0.1, 0.2), retry=RetryPolicy(), standby=ECHO,
         cache_tokens=1024),
     "cache": StackSpec(backend=ECHO, cache_tokens=8192),
+    "device": StackSpec(backend=DeviceBackend(
+        build_fleet()[13].device,
+        task_workload(Task.IMAGE_CLASSIFICATION_HEAVY),
+        batch_window=0.001)),
     "fleet-cache": StackSpec(backend=ECHO, cache_tokens=8192,
                              fleet=FleetSpec(2, 2)),
     "fleet-services": StackSpec(
