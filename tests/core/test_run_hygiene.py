@@ -323,6 +323,8 @@ CATALOGUE = {
         batch_window=0.001)),
     "fleet-cache": StackSpec(backend=ECHO, cache_tokens=8192,
                              fleet=FleetSpec(2, 2)),
+    "fleet-detector": StackSpec(backend=ECHO,
+                                fleet=FleetSpec(1, 1, detector=True)),
     "fleet-services": StackSpec(
         backend=ECHO, cache_tokens=4096,
         fleet=FleetSpec(replicas=3, max_replicas=6, zones=3,
@@ -402,7 +404,8 @@ def test_a_network_stack_is_freed_without_the_collector():
     address = server.start()
     try:
         def run():
-            stack = build(StackSpec(NetworkBackend(address)), 0)
+            stack = build(StackSpec(NetworkBackend(address),
+                                    retry=RetryPolicy()), 0)
             stack.run(SyntheticQSL(), wall_settings())
             result = stack.run(SyntheticQSL(), wall_settings())
             stack.close()
