@@ -54,7 +54,8 @@ def fake_result(valid):
     """The part of a ``LoadGenResult`` the searches read."""
     return SimpleNamespace(
         valid=valid,
-        log=SimpleNamespace(completed_records=lambda: []),
+        log=SimpleNamespace(completed_records=lambda: [],
+                            latencies=lambda: [], completed_count=0),
         metrics=SimpleNamespace(latency_p99=0.0),
         validity=SimpleNamespace(reasons=[] if valid else ["over capacity"]),
     )
