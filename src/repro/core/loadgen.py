@@ -248,7 +248,9 @@ def judge(
     snapshots: Optional[List[Snapshot]] = None,
 ) -> LoadGenResult:
     """The referee's verdict on whatever ``log`` holds once the loop has
-    exited: the scenario's metrics, then the validity rules."""
+    exited: the scenario's metrics, then the validity rules.  It first
+    retires what the log still holds resolved into its columns."""
+    log.sweep()
     if log.has_completions():
         metrics = compute_metrics(log, settings)
     else:

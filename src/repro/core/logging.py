@@ -9,22 +9,155 @@ LoadGen internals, mirroring the real system where they parse log files.
 In performance mode response payloads are normally discarded to avoid
 perturbing the measurement; the accuracy-verification audit turns on
 random payload logging via ``log_sample_probability``.
+
+The Server rule alone asks for 270,336 queries (Table IV), so a resolved
+query does not stay a ``QueryRecord`` with its ``Query``, samples and
+boxed numbers.  Every :data:`SWEEP_BLOCK` resolutions, and once more
+when the run is judged, the log retires the longest resolved prefix of
+its records, in issue order, into flat ``array`` columns: query id;
+issue, scheduled and completion time (NaN stands for None); sample ids
+and indices, flat, with offsets once a query carried more than one.  What only some records carry - a
+failure, kept responses, stream fields, a session tag, a ``Query`` whose
+``issue_time`` or ``contiguous`` is not the usual - goes to a sparse side
+column made on first use.  Only the unretired tail stays as objects, so
+a query stuck at the front holds back only the records issued after it.
+:meth:`QueryLog.records` is a view that builds retired records on demand:
+equal to the records the log held, not the same objects.  The referee's
+readers (:meth:`QueryLog.completed`, :meth:`QueryLog.rows`) read the
+columns without building a record per query.
 """
 
 from __future__ import annotations
 
 import json
-from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from array import array
+from bisect import bisect_left
+from itertools import accumulate, chain, compress, islice
+from operator import attrgetter, eq, is_, sub
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from ..bounds import UNIT, check_range
-from .query import (Query, QueryRecord, QuerySampleResponse, StreamChunk,
-                    sample_id_of)
+from .query import (Query, QueryRecord, QuerySample, QuerySampleResponse,
+                    SessionTurn, StreamChunk, new_sample, sample_id_of)
+
+#: Resolutions between two sweeps of the resolved prefix into the
+#: columns: the bound on the resolved records the log holds as objects
+#: beyond the queries in flight.
+SWEEP_BLOCK = 1024
 
 #: ``response.sample_id`` read in C, for the referee's id-set check.
 _RESPONSE_ID = attrgetter("sample_id")
+#: Record and query fields read in C by the sweep.
+_QUERY = attrgetter("query")
+_ID = attrgetter("id")
+_SAMPLES = attrgetter("samples")
+_INDEX = attrgetter("index")
+_SESSION = attrgetter("session")
+_ISSUE_TIME = attrgetter("issue_time")  # a record's and a query's
+_SCHEDULED = attrgetter("scheduled_time")
+_COMPLETION = attrgetter("completion_time")
+_REASON = attrgetter("failure_reason")
+_RESPONSES = attrgetter("responses")
+_FIRST_CHUNK = attrgetter("first_chunk_time")
+#: The stream fields, ``stream_closed`` (which no metric reads) last.
+_STREAM = attrgetter("first_chunk_time", "last_chunk_time", "chunk_count",
+                     "token_count", "stream_restarts", "stream_closed")
+
+_NAN = float("nan")
+#: ``QueryLog.completed``'s side columns when no record carried one.
+_NO_STREAMS = ((),) * 6
+_NO_SESSIONS = ((),) * 2
+#: The exact types a column hands back as it was given.
+_INT = {int}
+_FLOAT_OR_NONE = {float, type(None)}
+
+
+def _nan_for_none(values: List[Optional[float]]) -> List[float]:
+    return [_NAN if value is None else value for value in values]
+
+
+def _none_for_nan(value: float) -> Optional[float]:
+    return None if value != value else value
+
+
+def _carriers(values: list) -> List[int]:
+    """Positions of the values that are not None."""
+    return [at for at, value in enumerate(values) if value is not None]
+
+
+class _Side:
+    """A sparse side column: the ascending retired positions of the
+    records that carry it, and one column per field (an ``array`` of the
+    field's typecode, or a list where the typecode is ``"O"``)."""
+
+    __slots__ = ("at", "fields")
+
+    def __init__(self, typecodes: str) -> None:
+        self.at = array("q")
+        self.fields = tuple([] if code == "O" else array(code)
+                            for code in typecodes)
+
+    def add(self, base: int, positions: List[int], fields) -> None:
+        self.at += array("q", map(base.__add__, positions))
+        for column, values in zip(self.fields, fields):
+            column += (values if type(column) is list
+                       else array(column.typecode, values))
+
+    def row(self, position: int) -> Optional[tuple]:
+        """The fields at retired ``position``, or None if it carries none."""
+        at = self.at
+        found = bisect_left(at, position)
+        if found == len(at) or at[found] != position:
+            return None
+        return tuple(column[found] for column in self.fields)
+
+    def value(self, position: int) -> object:
+        """The one field at retired ``position``, or None."""
+        row = self.row(position)
+        return None if row is None else row[0]
+
+
+class Completions(NamedTuple):
+    """A log's clean completions in issue order, as columns: what the
+    metrics and the validity rules read (``repro.core.metrics``)."""
+
+    issue_times: Sequence[float]
+    completion_times: Sequence[float]
+    #: Samples carried by the completed queries.
+    sample_count: int
+    #: Positions (into the columns above) of the completions that
+    #: streamed, and their stream fields.
+    stream_at: Sequence[int]
+    first_chunk_times: Sequence[float]
+    last_chunk_times: Sequence[Optional[float]]
+    chunk_counts: Sequence[int]
+    token_counts: Sequence[int]
+    stream_restarts: Sequence[int]
+    #: Positions of the completions with a session tag, and the tags.
+    session_at: Sequence[int]
+    sessions: Sequence[SessionTurn]
+
+    @classmethod
+    def of(cls, records: Sequence[QueryRecord]) -> "Completions":
+        """The columns of ``records`` (clean completions, issue order)."""
+        stream_at = [at for at, record in enumerate(records)
+                     if record.first_chunk_time is not None]
+        streams = list(zip(*map(_STREAM, [records[at] for at in stream_at])))
+        first, last, chunks, tokens, restarts, _closed = streams or [()] * 6
+        tags = list(map(_SESSION, map(_QUERY, records)))
+        session_at = _carriers(tags)
+        return cls(
+            list(map(_ISSUE_TIME, records)), list(map(_COMPLETION, records)),
+            sum(map(len, map(_SAMPLES, map(_QUERY, records)))),
+            stream_at, first, last, chunks, tokens, restarts,
+            session_at, [tags[at] for at in session_at])
+
+    def latencies(self) -> List[float]:
+        """Issue to completion, seconds, per completion."""
+        return list(map(sub, self.completion_times, self.issue_times))
 
 
 class QueryLog:
@@ -38,17 +171,60 @@ class QueryLog:
     INVALID verdict instead of crashing mid-flight.  The strict
     :meth:`record_completion` API, which raises on the same conditions,
     remains for callers that build logs by hand.
+
+    Resolved records retire into columns as the run goes (see the module
+    docstring); every view below reads the columns and the unretired
+    tail together, in issue order.
     """
 
     def __init__(self, log_sample_probability: float = 0.0, seed: int = 0) -> None:
         check_range("log_sample_probability", log_sample_probability, UNIT)
-        #: query id -> record; a dict keeps insertion order, which is
-        #: issue order.
+        #: The unretired tail: query id -> record; a dict keeps
+        #: insertion order, which is issue order.
         self._records: Dict[int, QueryRecord] = {}
-        #: Records that reached a terminal state (completed or failed),
-        #: kept incrementally so :attr:`outstanding` is O(1) - it is
-        #: polled per event by the janitor, the watchdog, the snapshot
-        #: sampler, and the ``loadgen_queries_outstanding`` gauge.
+        #: The retired records' columns, one entry per record in issue
+        #: order.  ``_offsets`` has one more: record ``i``'s samples are
+        #: ``_offsets[i]:_offsets[i + 1]`` of the two sample columns; it
+        #: is None while every retired query carried one sample (record
+        #: ``i``'s is sample ``i``).
+        self._ids = array("q")
+        self._issue = array("d")
+        self._scheduled = array("d")
+        self._completion = array("d")
+        self._sample_ids = array("q")
+        self._sample_indices = array("q")
+        self._offsets: Optional[array] = None
+        #: Side columns, made on first use: failure reason and time;
+        #: kept responses; first / last chunk time, chunk and token
+        #: count, closed, restarts; session tag; the ``Query`` itself
+        #: when its issue time or ``contiguous`` is not the usual.
+        self._failed: Optional[_Side] = None
+        self._kept: Optional[_Side] = None
+        self._streams: Optional[_Side] = None
+        self._sessions: Optional[_Side] = None
+        self._odd: Optional[_Side] = None
+        #: At least the largest retired id, and id -> position once
+        #: ids retire out of order (else a retired id is found by
+        #: bisection).
+        self._top_id = 0
+        self._position_of: Optional[Dict[int, int]] = None
+        #: False once a record held a value a column cannot hand back
+        #: as given (a hand-built log's integer times, say): from then
+        #: on the log keeps its records whole.
+        self._retiring = True
+        self._next_sweep = SWEEP_BLOCK
+        #: Unretired records with kept responses, and queries issued but
+        #: not yet retired that carry a session tag or an issue time or
+        #: ``contiguous`` not the usual: while none are pending, a sweep
+        #: does not look for them.
+        self._kept_pending = 0
+        self._unusual_pending = 0
+        #: Records issued, and records that reached a terminal state
+        #: (completed or failed), kept incrementally so
+        #: :attr:`outstanding` is O(1) - it is polled per event by the
+        #: janitor, the watchdog, the snapshot sampler, and the
+        #: ``loadgen_queries_outstanding`` gauge.
+        self._issued_count = 0
         self._resolved_count = 0
         #: How many of those resolved as failures.
         self.failed_count = 0
@@ -81,11 +257,17 @@ class QueryLog:
 
     def record_issue(self, query: Query, issue_time: float,
                      scheduled_time: Optional[float] = None) -> None:
-        if query.id in self._records:
+        if query.id in self._records or (
+                self._ids and query.id <= self._top_id
+                and self._position(query.id) is not None):
             raise ValueError(f"query {query.id} issued twice")
         self._records[query.id] = QueryRecord(
             query, issue_time, scheduled_time=scheduled_time
         )
+        self._issued_count += 1
+        if (query.session is not None or query.issue_time is not issue_time
+                or query.contiguous is not True):
+            self._unusual_pending += 1
         self.issued_samples += len(query.samples)
         if self.observer is not None:
             self.observer("issued", query, issue_time, None)
@@ -99,6 +281,8 @@ class QueryLog:
     ) -> None:
         record = self._records.get(query.id)
         if record is None:
+            if self._ids and self._position(query.id) is not None:
+                raise ValueError(f"query {query.id} completed twice")
             raise ValueError(f"completion for unknown query {query.id}")
         if (record.completion_time is not None
                 or record.failure_reason is not None):
@@ -120,8 +304,11 @@ class QueryLog:
             and self._rng.random() < self.log_sample_probability
         ):
             record.responses = list(responses)
+            self._kept_pending += 1
         if self.observer is not None:
             self.observer("completed", query, completion_time, responses)
+        if self._resolved_count == self._next_sweep:
+            self.sweep()
 
     # -- tolerant referee path -------------------------------------------------
 
@@ -147,6 +334,9 @@ class QueryLog:
         try:
             record = self._records[query.id]
         except KeyError:
+            if self._ids and self._position(query.id) is not None:
+                self.duplicate_completions.append((query.id, completion_time))
+                return "duplicate"
             self.unsolicited_responses.append((query.id, completion_time))
             return "unsolicited"
         if (record.completion_time is not None
@@ -190,8 +380,11 @@ class QueryLog:
             and self._rng.random() < self.log_sample_probability
         ):
             record.responses = list(responses)
+            self._kept_pending += 1
         if self.observer is not None:
             self.observer("completed", query, completion_time, responses)
+        if self._resolved_count == self._next_sweep:
+            self.sweep()
         return "completed"
 
     def record_chunk(self, query: Query, time: float, chunk: StreamChunk) -> str:
@@ -214,15 +407,13 @@ class QueryLog:
         try:
             record = self._records[query.id]
         except KeyError:
+            if self._ids and self._position(query.id) is not None:
+                return self._late_chunk(query, time, chunk)
             self.unsolicited_responses.append((query.id, time))
             return "unsolicited"
         if (record.completion_time is not None
                 or record.failure_reason is not None):
-            self.stream_chunk_anomalies.append(
-                (query.id, time,
-                 f"chunk seq {chunk.seq} arrived after the query resolved")
-            )
-            return "late"
+            return self._late_chunk(query, time, chunk)
         if time < record.issue_time:
             self.stream_chunk_anomalies.append(
                 (query.id, time,
@@ -264,6 +455,14 @@ class QueryLog:
             self.observer("chunk", query, time, chunk)
         return "restart" if restarted else "chunk"
 
+    def _late_chunk(self, query: Query, time: float,
+                    chunk: StreamChunk) -> str:
+        self.stream_chunk_anomalies.append(
+            (query.id, time,
+             f"chunk seq {chunk.seq} arrived after the query resolved")
+        )
+        return "late"
+
     def record_failure(self, query: Query, time: float, reason: str) -> str:
         """Mark an issued query as failed (it will never complete cleanly).
 
@@ -273,6 +472,9 @@ class QueryLog:
         try:
             record = self._records[query.id]
         except KeyError:
+            if self._ids and self._position(query.id) is not None:
+                self.duplicate_completions.append((query.id, time))
+                return "duplicate"
             self.unsolicited_responses.append((query.id, time))
             return "unsolicited"
         if (record.completion_time is not None
@@ -285,53 +487,345 @@ class QueryLog:
         self.failed_count += 1
         if self.observer is not None:
             self.observer("failed", query, time, reason)
+        if self._resolved_count == self._next_sweep:
+            self.sweep()
         return "failed"
+
+    # -- retirement ----------------------------------------------------------
+
+    def sweep(self) -> None:
+        """Retire the longest resolved prefix of the tail into the
+        columns.  The log sweeps every :data:`SWEEP_BLOCK` resolutions;
+        the referee sweeps once more when it judges the run.
+
+        Every field is read in C, a block at a time, and a side column
+        is looked at only while a record that may carry it is pending.
+        """
+        self._next_sweep = self._resolved_count + SWEEP_BLOCK
+        records = self._records
+        if not records or not self._retiring:
+            return
+        first = next(iter(records.values()))
+        if first.completion_time is first.failure_reason:  # both None
+            return  # stuck at the front: nothing to retire
+        tail = list(records.values())
+        completion = list(map(_COMPLETION, tail))
+        retired_failures = 0 if self._failed is None else len(self._failed.at)
+        if self.failed_count == retired_failures:  # no failure in the tail
+            # Unresolved is then no completion time, and there are
+            # ``outstanding`` of those.
+            count = completion.index(None) if self.outstanding else len(tail)
+            reasons = None
+        else:
+            reasons = list(map(_REASON, tail))
+            unresolved = list(map(is_, completion, reasons))
+            count = unresolved.index(True) if True in unresolved else len(tail)
+            del reasons[count:]
+        block, rest = tail[:count], tail[count:]
+        del completion[count:]
+        queries = list(map(_QUERY, block))
+        ids = list(map(_ID, queries))
+        samples = list(map(_SAMPLES, queries))
+        flat = list(chain(*samples))
+        sample_ids = list(map(sample_id_of, flat))
+        indices = list(map(_INDEX, flat))
+        issue = list(map(_ISSUE_TIME, block))
+        scheduled = list(map(_SCHEDULED, block))
+        failed_at = _carriers(reasons) if reasons is not None else ()
+        failure_times = [block[at].failure_time for at in failed_at]
+        kept = (list(map(_RESPONSES, block)) if self._kept_pending
+                else None)
+        kept_at = _carriers(kept) if kept is not None else ()
+        stream_at = (_carriers(list(map(_FIRST_CHUNK, block)))
+                     if self.stream_chunks else ())
+        streams = list(zip(*map(_STREAM, [block[at] for at in stream_at])))
+        if self._unusual_pending:
+            tags = list(map(_SESSION, queries))
+            session_at = _carriers(tags)
+            odd_at = [at for at, query in enumerate(queries)
+                      if query.issue_time is not issue[at]
+                      or query.contiguous is not True]
+            self._unusual_pending -= len({*session_at, *odd_at})
+        else:
+            session_at = odd_at = ()
+        if (set(map(type, chain(ids, sample_ids, indices, *streams[2:5])))
+                - _INT
+                or set(map(type, chain(issue, scheduled, completion,
+                                       failure_times, *streams[:2])))
+                - _FLOAT_OR_NONE
+                or set(map(type, queries)) != {Query}
+                or set(map(type, samples)) != {tuple}
+                or set(map(type, flat)) != {QuerySample}):
+            self._retiring = False
+            return
+        base = len(self._ids)
+        try:
+            columns = (
+                array("q", ids), array("d", issue),
+                array("d", _nan_for_none(scheduled) if None in scheduled
+                      else scheduled),
+                array("d", _nan_for_none(completion) if None in completion
+                      else completion),
+                array("q", sample_ids), array("q", indices),
+                None if self._offsets is None and len(flat) == count
+                else array("q", islice(accumulate(
+                    map(len, samples), initial=(
+                        base if self._offsets is None
+                        else self._offsets[-1])), 1, None)),
+            )
+        except OverflowError:
+            self._retiring = False
+            return
+        ordered = sorted(ids)
+        if self._position_of is None and (
+                ids != ordered or (base and ordered[0] <= self._top_id)):
+            self._position_of = dict(zip(self._ids, range(base)))
+        if self._position_of is not None:
+            self._position_of.update(zip(ids, range(base, base + count)))
+        self._top_id = max(self._top_id, ordered[-1])
+        self._ids += columns[0]
+        self._issue += columns[1]
+        self._scheduled += columns[2]
+        self._completion += columns[3]
+        self._sample_ids += columns[4]
+        self._sample_indices += columns[5]
+        if columns[6] is not None:
+            if self._offsets is None:  # the first query of several samples
+                self._offsets = array("q", range(base + 1))
+            self._offsets += columns[6]
+        if failed_at:
+            if self._failed is None:
+                self._failed = _Side("Od")
+            self._failed.add(base, failed_at, (
+                [reasons[at] for at in failed_at],
+                _nan_for_none(failure_times)))
+        if kept_at:
+            if self._kept is None:
+                self._kept = _Side("O")
+            self._kept.add(base, kept_at, ([kept[at] for at in kept_at],))
+            self._kept_pending -= len(kept_at)
+        if stream_at:
+            if self._streams is None:
+                self._streams = _Side("ddqqqb")
+            self._streams.add(base, stream_at, streams)
+        if session_at:
+            if self._sessions is None:
+                self._sessions = _Side("O")
+            self._sessions.add(base, session_at,
+                               ([tags[at] for at in session_at],))
+        if odd_at:
+            if self._odd is None:
+                self._odd = _Side("O")
+            self._odd.add(base, odd_at, ([queries[at] for at in odd_at],))
+        # What stays is what is in flight or held behind it: a few.
+        self._records = dict(zip(map(_ID, map(_QUERY, rest)), rest))
+
+    def _position(self, query_id: int) -> Optional[int]:
+        """The retired position of ``query_id``, or None."""
+        if self._position_of is not None:
+            return self._position_of.get(query_id)
+        ids = self._ids
+        at = bisect_left(ids, query_id)
+        return at if at < len(ids) and ids[at] == query_id else None
+
+    def _retired(self, at: int) -> QueryRecord:
+        """The record at retired position ``at``, built from the columns:
+        equal to the record the log held, not the same object."""
+        issue = self._issue[at]
+        query = self._odd.value(at) if self._odd is not None else None
+        if query is None:
+            start, end = ((at, at + 1) if self._offsets is None
+                          else (self._offsets[at], self._offsets[at + 1]))
+            query = Query(
+                self._ids[at],
+                tuple(map(new_sample, zip(self._sample_ids[start:end],
+                                          self._sample_indices[start:end]))),
+                issue, True,
+                self._sessions.value(at) if self._sessions is not None
+                else None)
+        record = QueryRecord(
+            query, issue,
+            completion_time=_none_for_nan(self._completion[at]),
+            responses=(self._kept.value(at) if self._kept is not None
+                       else None),
+            scheduled_time=_none_for_nan(self._scheduled[at]))
+        failure = self._failed.row(at) if self._failed is not None else None
+        if failure is not None:
+            record.failure_reason = failure[0]
+            record.failure_time = _none_for_nan(failure[1])
+        stream = self._streams.row(at) if self._streams is not None else None
+        if stream is not None:
+            (record.first_chunk_time, record.last_chunk_time,
+             record.chunk_count, record.token_count,
+             record.stream_restarts, closed) = stream
+            record.stream_closed = bool(closed)
+        return record
 
     # -- views ----------------------------------------------------------------
 
-    def records(self) -> List[QueryRecord]:
-        """All records in issue order."""
-        return list(self._records.values())
+    def records(self) -> "RecordView":
+        """All records in issue order: a sequence view (``len``, index,
+        slice, iteration) that builds retired records on demand."""
+        return RecordView(self)
 
     def record_for(self, query_id: int) -> Optional[QueryRecord]:
         """The record for one query id, or None if never issued."""
-        return self._records.get(query_id)
+        record = self._records.get(query_id)
+        if record is None and self._ids:
+            at = self._position(query_id)
+            if at is not None:
+                return self._retired(at)
+        return record
 
     def completed_records(self) -> List[QueryRecord]:
         """Cleanly completed records (failed queries are excluded)."""
-        return [r for r in self._records.values()
-                if r.completion_time is not None
-                and r.failure_reason is None]
+        completion = self._completion  # NaN where a retired record failed
+        retired = compress(range(len(completion)),
+                           map(eq, completion, completion))
+        return list(map(self._retired, retired)) + [
+            r for r in self._records.values()
+            if r.completion_time is not None and r.failure_reason is None]
 
     def failed_records(self) -> List[QueryRecord]:
         """Records that resolved as failures (malformed, retries spent)."""
-        return [r for r in self._records.values()
-                if r.failure_reason is not None]
+        retired = ([] if self._failed is None
+                   else list(map(self._retired, self._failed.at)))
+        return retired + [r for r in self._records.values()
+                          if r.failure_reason is not None]
+
+    def first_failures(self, limit: int) -> List[Tuple[int, str]]:
+        """``(query id, failure reason)`` of the first ``limit`` failed
+        queries, in issue order."""
+        out = []
+        if self._failed is not None:
+            out = list(zip(map(self._ids.__getitem__, self._failed.at[:limit]),
+                           self._failed.fields[0][:limit]))
+        for record in self._records.values():
+            if len(out) == limit:
+                break
+            if record.failure_reason is not None:
+                out.append((record.query.id, record.failure_reason))
+        return out
 
     def outstanding_records(self) -> List[QueryRecord]:
-        """Issued queries that never reached a terminal state."""
+        """Issued queries that never reached a terminal state (never
+        retired: only resolved records are)."""
         return [r for r in self._records.values()
                 if r.completion_time is None and r.failure_reason is None]
 
     def has_completions(self) -> bool:
-        """Whether any query completed cleanly (stops at the first)."""
-        for record in self._records.values():
-            if (record.completion_time is not None
-                    and record.failure_reason is None):
-                return True
-        return False
+        """Whether any query completed cleanly."""
+        return self.completed_count > 0
+
+    def completed(self) -> Completions:
+        """The clean completions as columns, in issue order."""
+        done = [r for r in self._records.values()
+                if r.completion_time is not None and r.failure_reason is None]
+        if not self._ids:
+            return Completions.of(done)
+        completion, issue = self._completion, self._issue
+        offsets = self._offsets
+        if self._failed is None:  # every retired record completed
+            keep = rank = None
+            sample_count = len(self._sample_ids)
+        else:
+            keep = list(map(eq, completion, completion))
+            rank = list(accumulate(keep))  # completion position + 1
+            issue = array("d", compress(issue, keep))
+            completion = array("d", compress(completion, keep))
+            sample_count = len(issue) if offsets is None else sum(compress(
+                map(sub, offsets[1:], offsets[:-1]), keep))
+        streams = _NO_STREAMS if self._streams is None else (
+            self._completed_side(self._streams, 5, keep, rank))
+        sessions = _NO_SESSIONS if self._sessions is None else (
+            self._completed_side(self._sessions, 1, keep, rank))
+        if not done:
+            return Completions(issue, completion, sample_count,
+                               *streams, *sessions)
+        tail = Completions.of(done)
+        shift = len(issue)
+        return Completions(
+            issue.tolist() + tail.issue_times,
+            completion.tolist() + tail.completion_times,
+            sample_count + tail.sample_count,
+            list(chain(streams[0], map(shift.__add__, tail.stream_at))),
+            *[list(chain(mine, theirs))
+              for mine, theirs in zip(streams[1:], tail[4:9])],
+            list(chain(sessions[0], map(shift.__add__, tail.session_at))),
+            list(chain(sessions[1], tail.sessions)))
+
+    @staticmethod
+    def _completed_side(side: _Side, width: int, keep: Optional[list],
+                        rank: Optional[list]) -> list:
+        """``[positions, *fields]`` of a retired side column's first
+        ``width`` fields over the clean completions (``keep``: per
+        retired position, whether it completed; ``rank``: the running
+        count of those; both None when every retired record completed)."""
+        fields = side.fields[:width]
+        if keep is None:
+            return [side.at, *fields]
+        chosen = [found for found, at in enumerate(side.at) if keep[at]]
+        return [[rank[side.at[found]] - 1 for found in chosen],
+                *[[column[found] for found in chosen] for column in fields]]
+
+    def rows(self) -> List[tuple]:
+        """Every record as ``(query id, sample ids, sample indices, issue
+        time, scheduled time, completion time, failure time, failure
+        reason, responses)``, in issue order - the rows of
+        ``run_fingerprint``, read from the columns.  Each equal value is
+        boxed once per row: a scheduled time equal to the issue time is
+        that float, a lone sample id equal to the query id that int."""
+        retired = len(self._ids)
+        ids = self._ids.tolist()
+        issue = self._issue.tolist()
+        if self._offsets is None:  # one sample per query
+            sample_ids = (ids if self._sample_ids == self._ids
+                          else self._sample_ids.tolist())
+            id_tuples = zip(sample_ids)
+            index_tuples = zip(self._sample_indices.tolist())
+        else:
+            spans = list(zip(self._offsets, islice(self._offsets, 1, None)))
+            sample_ids = self._sample_ids.tolist()
+            indices = self._sample_indices.tolist()
+            id_tuples = [tuple(sample_ids[a:b]) for a, b in spans]
+            index_tuples = [tuple(indices[a:b]) for a, b in spans]
+        scheduled = [
+            issued if issued == planned
+            else None if planned != planned else planned
+            for issued, planned in zip(issue, self._scheduled)]
+        completion = [None if done != done else done
+                      for done in self._completion]
+        failure_times = failure_reasons = responses = [None] * retired
+        if self._failed is not None:
+            failure_times, failure_reasons = [None] * retired, [None] * retired
+            for at, reason, time in zip(self._failed.at,
+                                        *self._failed.fields):
+                failure_reasons[at] = reason
+                failure_times[at] = _none_for_nan(time)
+        if self._kept is not None:
+            responses = [None] * retired
+            for at, kept in zip(self._kept.at, self._kept.fields[0]):
+                responses[at] = kept
+        out = list(zip(ids, id_tuples, index_tuples, issue, scheduled,
+                       completion, failure_times, failure_reasons, responses))
+        out += [
+            (r.query.id, tuple(map(sample_id_of, r.query.samples)),
+             tuple(map(_INDEX, r.query.samples)), r.issue_time,
+             r.scheduled_time, r.completion_time, r.failure_time,
+             r.failure_reason, r.responses)
+            for r in self._records.values()]
+        return out
 
     def latencies(self) -> List[float]:
-        return [r.completion_time - r.issue_time
-                for r in self.completed_records()]
+        return self.completed().latencies()
 
     @property
     def query_count(self) -> int:
-        return len(self._records)
+        return self._issued_count
 
     @property
     def outstanding(self) -> int:
-        return len(self._records) - self._resolved_count
+        return self._issued_count - self._resolved_count
 
     @property
     def completed_count(self) -> int:
@@ -345,7 +839,7 @@ class QueryLog:
         return (
             len(self.duplicate_completions)
             + len(self.unsolicited_responses)
-            + len(self.failed_records())
+            + self.failed_count
             + len(self.stream_chunk_anomalies)
             + len(self.truncated_streams)
         )
@@ -353,17 +847,18 @@ class QueryLog:
     def logged_responses(self) -> Dict[int, object]:
         """Map sample id -> response payload for records that kept them."""
         out: Dict[int, object] = {}
-        for record in self.records():
-            if record.responses is None:
+        kept = [] if self._kept is None else self._kept.fields[0]
+        for responses in chain(kept, map(_RESPONSES, self._records.values())):
+            if responses is None:
                 continue
-            for response in record.responses:
+            for response in responses:
                 out[response.sample_id] = response.data
         return out
 
     def sample_index_map(self) -> Dict[int, int]:
         """Map of every issued sample id to its data set index."""
-        out: Dict[int, int] = {}
-        for record in self.records():
+        out = dict(zip(self._sample_ids, self._sample_indices))
+        for record in self._records.values():
             for sample in record.query.samples:
                 out[sample.id] = sample.index
         return out
@@ -405,6 +900,37 @@ class QueryLog:
                 ]
             lines.append(json.dumps(entry))
         return "\n".join(lines)
+
+
+class RecordView:
+    """:meth:`QueryLog.records`: the log's records in issue order as of
+    the call, retired ones built on demand.  Supports ``len``, index
+    (negative too), slice (a list) and iteration."""
+
+    __slots__ = ("_log", "_retired", "_tail")
+
+    def __init__(self, log: QueryLog) -> None:
+        self._log = log
+        self._retired = len(log._ids)
+        self._tail = list(log._records.values())
+
+    def __len__(self) -> int:
+        return self._retired + len(self._tail)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[at] for at in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("record index out of range")
+        if index < self._retired:
+            return self._log._retired(index)
+        return self._tail[index - self._retired]
+
+    def __iter__(self) -> Iterator[QueryRecord]:
+        yield from map(self._log._retired, range(self._retired))
+        yield from self._tail
 
 
 def _jsonable(value: object) -> object:

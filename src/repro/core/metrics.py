@@ -13,24 +13,23 @@ The functions here compute those metrics from a completed
 
 Finalize runs over every record of a 270,336-query log, so each consumer
 (:func:`compute_metrics`, ``validate_run``) takes the clean completions
-from the log once and hands that list to the ``*_of`` helpers, which
-read the record fields straight into lists - one pass per statistic and
-no call per record.  Nothing is memoised on the log: hand-built logs
-change between calls.  Every reported number stays an exact builtin
-``float`` / ``int`` (digests hash ``repr``s), and every mean stays
-``sum(values) / n`` over the values in issue order, which is what fixes
-its last bits.
+from the log once, as columns (:meth:`QueryLog.completed`, no record
+built per query), and hands them to the ``*_of`` helpers - one pass per
+statistic and no call per query.  Nothing is memoised on the log:
+hand-built logs change between calls.  Every reported number stays an
+exact builtin ``float`` / ``int`` (digests hash ``repr``s), and every
+mean stays ``sum(values) / n`` over the values in issue order, which is
+what fixes its last bits.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .config import Scenario, TestSettings
-from .logging import QueryLog
-from .query import QueryRecord
+from .logging import Completions, QueryLog
 from .stats import percentiles
 
 #: The ranks every latency-like summary reports.
@@ -123,13 +122,12 @@ class ScenarioMetrics:
     session: Optional[SessionMetrics] = None
 
 
-def window_of(records: Sequence[QueryRecord]) -> float:
-    """Seconds from the first issue to the last completion of
-    ``records`` (clean completions), 0.0 when there are none."""
-    if not records:
+def window_of(done: Completions) -> float:
+    """Seconds from the first issue to the last completion of the clean
+    completions ``done``, 0.0 when there are none."""
+    if not done.issue_times:
         return 0.0
-    return (max([r.completion_time for r in records])
-            - min([r.issue_time for r in records]))
+    return max(done.completion_times) - min(done.issue_times)
 
 
 def scenario_metric_name(scenario: Scenario) -> str:
@@ -165,74 +163,85 @@ def empty_metrics(log: QueryLog, settings: TestSettings) -> ScenarioMetrics:
     )
 
 
-def effective_ttfts(records: Sequence[QueryRecord]) -> List[float]:
+def effective_ttfts(done: Completions) -> List[float]:
     """TTFT of each clean completion, with the non-streamed fallback: a
     query answered in one atomic completion delivered its whole answer
     as its "first token"."""
+    ttfts = done.latencies()
+    issue = done.issue_times
+    for at, first in zip(done.stream_at, done.first_chunk_times):
+        ttfts[at] = first - issue[at]
+    return ttfts
+
+
+def _streamed_tpots(done: Completions) -> List[float]:
+    """TPOT of each streamed completion (``QueryRecord.tpot``); zero for
+    a single-token stream."""
     return [
-        r.completion_time - r.issue_time if r.first_chunk_time is None
-        else r.first_chunk_time - r.issue_time
-        for r in records
+        0.0 if last is None or tokens <= 1
+        else (last - first) / (tokens - 1)
+        for first, last, tokens in zip(
+            done.first_chunk_times, done.last_chunk_times, done.token_counts)
     ]
 
 
-def effective_tpots(records: Sequence[QueryRecord]) -> List[float]:
-    """TPOT of each record (``QueryRecord.tpot``), with the non-streamed
-    fallback: a single atomic answer has no inter-token interval, so it
-    contributes zero - as does a single-token stream."""
-    return [
-        0.0 if (r.first_chunk_time is None or r.last_chunk_time is None
-                or r.token_count <= 1)
-        else (r.last_chunk_time - r.first_chunk_time) / (r.token_count - 1)
-        for r in records
-    ]
+def effective_tpots(done: Completions) -> List[float]:
+    """TPOT of each clean completion, with the non-streamed fallback: a
+    single atomic answer has no inter-token interval, so it contributes
+    zero - as does a single-token stream."""
+    tpots = [0.0] * len(done.issue_times)
+    for at, tpot in zip(done.stream_at, _streamed_tpots(done)):
+        tpots[at] = tpot
+    return tpots
 
 
 def stream_slo_counts(
-    records: Sequence[QueryRecord], settings: TestSettings
+    done: Completions, settings: TestSettings
 ) -> Tuple[int, int, int]:
-    """``(TTFT violations, TPOT violations, compliant)`` over clean
-    completions: how many missed each configured token SLO and how many
-    met every one.  An unset target is never missed."""
+    """``(TTFT violations, TPOT violations, compliant)`` over the clean
+    completions ``done``: how many missed each configured token SLO and
+    how many met every one.  An unset target is never missed."""
+    count = len(done.issue_times)
     ttft_target = settings.resolved_ttft_target
     tpot_target = settings.resolved_tpot_target
     late_first = (
-        [False] * len(records) if ttft_target is None
-        else [ttft > ttft_target for ttft in effective_ttfts(records)]
+        [False] * count if ttft_target is None
+        else [ttft > ttft_target for ttft in effective_ttfts(done)]
     )
     slow_tokens = (
-        [False] * len(records) if tpot_target is None
-        else [tpot > tpot_target for tpot in effective_tpots(records)]
+        [False] * count if tpot_target is None
+        else [tpot > tpot_target for tpot in effective_tpots(done)]
     )
     missed_any = sum([a or b for a, b in zip(late_first, slow_tokens)])
-    return sum(late_first), sum(slow_tokens), len(records) - missed_any
+    return sum(late_first), sum(slow_tokens), count - missed_any
 
 
 def stream_metrics_of(
-    records: Sequence[QueryRecord], settings: TestSettings
+    done: Completions, settings: TestSettings
 ) -> Optional[StreamMetrics]:
-    """Token-level metrics over clean completions, or None if none of
-    them streamed."""
-    streamed = [r for r in records if r.first_chunk_time is not None]
-    if not streamed:
+    """Token-level metrics over the clean completions ``done``, or None
+    if none of them streamed."""
+    if not done.stream_at:
         return None
-    duration = window_of(records)
+    duration = window_of(done)
     # SLO compliance is judged over *all* clean completions (a query
     # that never streamed still either met or missed the targets via
     # the fallback semantics); percentiles are reported over the
     # streamed population, which is what TTFT/TPOT describe.
-    ttfts = effective_ttfts(streamed)
-    tpots = effective_tpots(streamed)
+    issue = done.issue_times
+    ttfts = [first - issue[at]
+             for at, first in zip(done.stream_at, done.first_chunk_times)]
+    tpots = _streamed_tpots(done)
     ttft_violations, tpot_violations, compliant = stream_slo_counts(
-        records, settings)
+        done, settings)
     ttft_p50, ttft_p90, ttft_p99 = percentiles(ttfts, _P50_P90_P99)
     tpot_p50, tpot_p90, tpot_p99 = percentiles(tpots, _P50_P90_P99)
-    n = len(streamed)
+    n = len(ttfts)
     return StreamMetrics(
         streamed_query_count=n,
-        chunk_count=sum([r.chunk_count for r in streamed]),
-        token_count=sum([r.token_count for r in streamed]),
-        restart_count=sum([r.stream_restarts for r in records]),
+        chunk_count=sum(done.chunk_counts),
+        token_count=sum(done.token_counts),
+        restart_count=sum(done.stream_restarts),
         ttft_mean=sum(ttfts) / n,
         ttft_p50=ttft_p50,
         ttft_p90=ttft_p90,
@@ -248,41 +257,40 @@ def stream_metrics_of(
     )
 
 
-def session_metrics_of(
-    records: Sequence[QueryRecord]
-) -> Optional[SessionMetrics]:
-    """Per-conversation metrics over clean completions, or None if none
-    of them carried a session tag.
+def session_metrics_of(done: Completions) -> Optional[SessionMetrics]:
+    """Per-conversation metrics over the clean completions ``done``, or
+    None if none of them carried a session tag.
 
     A session counts as *completed* when there is a clean completion
     for every one of its planned turns (``turn_count`` from the tag) - a
     referee-side reconstruction that never trusts the driver's own
     counters.
     """
-    tagged = [r for r in records if r.query.session is not None]
-    if not tagged:
+    if not done.session_at:
         return None
-    by_session: Dict[int, List[QueryRecord]] = defaultdict(list)
-    for record in tagged:
-        by_session[record.query.session.session_id].append(record)
+    latencies = done.latencies()
+    by_session: Dict[int, List[Tuple[int, object]]] = defaultdict(list)
+    for at, turn in zip(done.session_at, done.sessions):
+        by_session[turn.session_id].append((at, turn))
     completed_sessions = 0
     session_latencies = []
     for turns in by_session.values():
-        if len(turns) == turns[0].query.session.turn_count:
+        if len(turns) == turns[0][1].turn_count:
             completed_sessions += 1
-        session_latencies.append(
-            sum([r.completion_time - r.issue_time for r in turns]))
-    duration = window_of(records)
+        session_latencies.append(sum([latencies[at] for at, _ in turns]))
+    duration = window_of(done)
     latency_p50, latency_p90, latency_p99 = percentiles(
         session_latencies, _P50_P90_P99)
+    ttfts = effective_ttfts(done)
     ttft_p50, ttft_p90, ttft_p99 = percentiles(
-        effective_ttfts(tagged), _P50_P90_P99)
+        [ttfts[at] for at in done.session_at], _P50_P90_P99)
     n = len(by_session)
+    turn_count = len(done.session_at)
     return SessionMetrics(
         session_count=n,
         completed_session_count=completed_sessions,
-        turn_count=len(tagged),
-        turns_per_session_mean=len(tagged) / n,
+        turn_count=turn_count,
+        turns_per_session_mean=turn_count / n,
         session_latency_mean=sum(session_latencies) / n,
         session_latency_p50=latency_p50,
         session_latency_p90=latency_p90,
@@ -296,25 +304,20 @@ def session_metrics_of(
     )
 
 
-def sample_count_of(records: Sequence[QueryRecord]) -> int:
-    """Samples carried by the queries of ``records``."""
-    return sum(map(len, [r.query.samples for r in records]))
-
-
 def compute_metrics(log: QueryLog, settings: TestSettings) -> ScenarioMetrics:
     """Compute the Table II metric (plus latency summary) for a run."""
-    records = log.completed_records()
-    if not records:
+    done = log.completed()
+    if not done.issue_times:
         raise ValueError("run completed no queries; cannot compute metrics")
-    latencies = [r.completion_time - r.issue_time for r in records]
+    latencies = done.latencies()
     latency_p50, latency_p90, latency_p99 = percentiles(
         latencies, _P50_P90_P99)
-    duration = window_of(records)
-    sample_count = sample_count_of(records)
+    duration = window_of(done)
+    sample_count = done.sample_count
     throughput = sample_count / duration if duration > 0 else float("inf")
 
     scenario = settings.scenario
-    session = session_metrics_of(records)
+    session = session_metrics_of(done)
     if scenario is Scenario.SINGLE_STREAM:
         primary = latency_p90
     elif scenario is Scenario.MULTI_STREAM:
@@ -340,6 +343,6 @@ def compute_metrics(log: QueryLog, settings: TestSettings) -> ScenarioMetrics:
         primary_metric=primary,
         primary_metric_name=scenario_metric_name(scenario),
         throughput=throughput,
-        stream=stream_metrics_of(records, settings),
+        stream=stream_metrics_of(done, settings),
         session=session,
     )

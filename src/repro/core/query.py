@@ -61,6 +61,12 @@ class QuerySample(NamedTuple):
     index: int
 
 
+#: ``QuerySample(id, index)`` from one ``(id, index)`` pair without the
+#: namedtuple's Python-level ``__new__``: one C call per sample, which is
+#: what an Offline query of 24,576 samples multiplies.
+new_sample = partial(tuple.__new__, QuerySample)
+
+
 class _Slotted:
     """``repr`` and ``==`` over ``__slots__``, field by field in
     declaration order - what ``@dataclass`` gave :class:`Query` and

@@ -11,12 +11,11 @@ once so the accuracy script can evaluate the full benchmark data set.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import List, Sequence
 
 import numpy as np
 
-from .query import Query, QuerySample
+from .query import Query, new_sample
 
 #: How many values the seeded streams on the issue path (sample picks
 #: here, arrival gaps in ``scenarios.ArrivalGaps``) draw from numpy at a
@@ -77,12 +76,6 @@ class SampleSelector:
         return drawn
 
 
-#: ``QuerySample(id, index)`` without the namedtuple's Python-level
-#: ``__new__``: one C call per sample, which is what an Offline query of
-#: 24,576 samples multiplies.
-_new_sample = partial(tuple.__new__, QuerySample)
-
-
 class QueryFactory:
     """Assembles :class:`Query` objects with unique query and sample ids.
 
@@ -102,7 +95,7 @@ class QueryFactory:
         first = self._next_sample_id
         self._next_sample_id = end = first + len(sample_indices)
         samples = tuple(
-            map(_new_sample, zip(range(first, end), sample_indices)))
+            map(new_sample, zip(range(first, end), sample_indices)))
         return Query(query_id, samples, issue_time)
 
 

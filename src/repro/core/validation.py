@@ -33,7 +33,7 @@ from typing import Dict, List
 
 from .config import Scenario, TestMode, TestSettings
 from .logging import QueryLog
-from .metrics import sample_count_of, session_metrics_of, stream_slo_counts
+from .metrics import session_metrics_of, stream_slo_counts
 from .scenarios import DriverStats
 
 
@@ -95,16 +95,15 @@ def _check_misbehavior(
         )
         details["unsolicited_response_count"] = len(log.unsolicited_responses)
 
-    failed = log.failed_records()
-    if failed:
+    if log.failed_count:
+        failed = log.first_failures(_DETAIL_LIMIT)
+        query_id, reason = failed[0]
         reasons.append(
-            f"{len(failed)} malformed responses "
-            f"(e.g. query {failed[0].query.id}: {failed[0].failure_reason})"
+            f"{log.failed_count} malformed responses "
+            f"(e.g. query {query_id}: {reason})"
         )
-        details["malformed_response_count"] = len(failed)
-        details["failure_reasons"] = [
-            r.failure_reason for r in failed[:_DETAIL_LIMIT]
-        ]
+        details["malformed_response_count"] = log.failed_count
+        details["failure_reasons"] = [reason for _qid, reason in failed]
 
     if log.stream_chunk_anomalies:
         first = log.stream_chunk_anomalies[0]
@@ -135,17 +134,18 @@ def validate_run(
 
     _check_misbehavior(log, stats, reasons, details)
 
-    records = log.completed_records()
-    if not records:
+    done = log.completed()
+    completed = len(done.issue_times)
+    if not completed:
         reasons.append("no queries completed")
         return ValidityReport(valid=False, reasons=reasons, details=details)
 
     # Duration runs from the driver's start (the clock the 60 s rule is
     # written against) to the final completion.
-    duration = max([r.completion_time for r in records]) - stats.start_time
+    duration = max(done.completion_times) - stats.start_time
     details["duration"] = duration
     details["query_count"] = log.query_count
-    details["sample_count"] = sample_count_of(records)
+    details["sample_count"] = done.sample_count
 
     if settings.mode is TestMode.ACCURACY:
         # Accuracy runs are exempt from the performance minimums.
@@ -181,8 +181,8 @@ def validate_run(
             and settings.server_latency_bound is not None):
         bound = settings.resolved_server_latency_bound
         violations = sum(
-            [r.completion_time - r.issue_time > bound for r in records])
-        fraction = violations / len(records)
+            [latency > bound for latency in done.latencies()])
+        fraction = violations / completed
         details["latency_bound"] = bound
         details["violation_fraction"] = fraction
         budget = settings.resolved_max_violation_fraction
@@ -200,9 +200,9 @@ def validate_run(
     if ttft_target is not None or tpot_target is not None:
         budget = settings.resolved_max_violation_fraction
         ttft_violations, tpot_violations, compliant = stream_slo_counts(
-            records, settings)
+            done, settings)
         if ttft_target is not None:
-            fraction = ttft_violations / len(records)
+            fraction = ttft_violations / completed
             details["ttft_target"] = ttft_target
             details["ttft_violation_fraction"] = fraction
             if fraction > budget:
@@ -211,7 +211,7 @@ def validate_run(
                     f"{ttft_target * 1e3:.1f} ms (budget {budget:.0%})"
                 )
         if tpot_target is not None:
-            fraction = tpot_violations / len(records)
+            fraction = tpot_violations / completed
             details["tpot_target"] = tpot_target
             details["tpot_violation_fraction"] = fraction
             if fraction > budget:
@@ -252,7 +252,7 @@ def validate_run(
                 f"completed {stats.sessions_completed} sessions, minimum is "
                 f"{required}"
             )
-        session = session_metrics_of(records)
+        session = session_metrics_of(done)
         if session is not None:
             details["session_latency_p50"] = session.session_latency_p50
             details["session_latency_p90"] = session.session_latency_p90

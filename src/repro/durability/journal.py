@@ -390,6 +390,9 @@ class RunJournal:
         #: ``durability_journal_records_total{kind}``: the writer's
         #: ledger has the total, not the split (``None``: no registry).
         self._records = None
+        #: Its child per kind, resolved on the kind's first frame (a
+        #: kind never appended adds no series).
+        self._record_counts: Dict[str, object] = {}
         if registry is not None:
             export_ledger(registry, lambda: self.stats)
             self._records = registry.counter(
@@ -437,7 +440,11 @@ class RunJournal:
         assert self._writer is not None
         self._writer.append(kind, fields)
         if self._records is not None:
-            self._records.labels(kind=kind).inc()
+            count = self._record_counts.get(kind)
+            if count is None:
+                count = self._record_counts[kind] = self._records.labels(
+                    kind=kind)
+            count.inc()
 
     # -- the QueryLog observer hook --------------------------------------------
 

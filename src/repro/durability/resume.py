@@ -193,22 +193,11 @@ def run_fingerprint(result: LoadGenResult) -> tuple:
     times, failure reasons, logged response payloads, the computed
     metrics, and the validity verdict.
     """
-    records = tuple(
-        (
-            r.query.id,
-            tuple(s.id for s in r.query.samples),
-            tuple(r.query.sample_indices),
-            r.issue_time,
-            r.scheduled_time,
-            r.completion_time,
-            r.failure_time,
-            r.failure_reason,
-            (tuple((resp.sample_id, repr(resp.data))
-                   for resp in r.responses)
-             if r.responses is not None else None),
-        )
-        for r in result.log.records()
-    )
+    records = tuple([
+        row if row[8] is None else row[:8] + (
+            tuple([(resp.sample_id, repr(resp.data)) for resp in row[8]]),)
+        for row in result.log.rows()
+    ])
     return (
         records,
         result.metrics.primary_metric,

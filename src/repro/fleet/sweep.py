@@ -86,7 +86,7 @@ class SweepProbe(NamedTuple):
             qps=qps,
             valid=result.valid,
             latency_p99=result.metrics.latency_p99,
-            completed=len(result.log.completed_records()),
+            completed=result.log.completed_count,
             reasons=tuple(result.validity.reasons),
         )
 

@@ -106,13 +106,13 @@ def _is_stationary(result: LoadGenResult, bound: float) -> bool:
     in steady state they agree, under overload the last decile is far
     larger.
     """
-    records = result.log.completed_records()  # in issue order
-    if len(records) < 100:
+    latencies = result.log.latencies()  # in issue order
+    if len(latencies) < 100:
         return True
-    decile = len(records) // 10
+    decile = len(latencies) // 10
     first, last = (
-        sum([r.completion_time - r.issue_time for r in part]) / decile
-        for part in (records[:decile], records[-decile:]))
+        sum(part) / decile
+        for part in (latencies[:decile], latencies[-decile:]))
     return last <= 2.0 * first + 0.05 * bound
 
 

@@ -1,0 +1,120 @@
+"""What the query log holds: columns for the resolved, objects only for
+the tail.
+
+A finished 20,000-query Server run over ``EchoSUT`` retains at most
+120 bytes per query (``tracemalloc``, result held, stack built and a
+warm-up run made before the count starts); a log that kept every
+resolved query as a
+``QueryRecord`` with its ``Query``, samples and boxed numbers retained
+~496.  While a run goes, a ``RunService`` probe sees the unretired tail
+stay within ``SWEEP_BLOCK`` plus the queries in flight.
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from repro.core import Scenario, TestSettings, run_benchmark
+from repro.core import loadgen
+from repro.core.logging import SWEEP_BLOCK, QueryLog
+from repro.sut.echo import EchoSUT
+
+from tests.conftest import EchoQSL
+
+#: Bytes a finished run may retain per query.
+RETAINED_BYTES_PER_QUERY = 120
+
+
+def server_settings(queries):
+    return TestSettings(
+        scenario=Scenario.SERVER, server_target_qps=1000.0,
+        server_latency_bound=0.01, min_query_count=queries,
+        min_duration=0.0, seed=1)
+
+
+def test_a_finished_run_retains_its_records_as_columns():
+    queries = 20_000
+    sut, qsl, settings = EchoSUT(latency=0.5e-3), EchoQSL(), server_settings(
+        queries)
+    run_benchmark(sut, qsl, server_settings(10))  # loads what a run imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_benchmark(sut, qsl, settings)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.valid and result.log.query_count == queries
+    per_query = retained / queries
+    print(f"\nretained {retained} B: {per_query:.1f} B/query")
+    assert per_query <= RETAINED_BYTES_PER_QUERY
+
+
+class TailProbe:
+    """A RunService that samples, every virtual 0.2 ms, how many records
+    the run's log holds as objects and how many queries are in flight."""
+
+    def __init__(self, logs):
+        self.logs = logs
+        self.samples = []
+
+    def start(self, loop, keep_going):
+        def tick():
+            log = self.logs[-1]
+            self.samples.append((len(log._records), log.outstanding))
+            if keep_going():
+                loop.schedule_after(0.0002, tick)
+
+        loop.schedule_after(0.0002, tick)
+
+    def stop(self):
+        pass
+
+
+def test_the_unretired_tail_stays_within_a_block_of_the_queries_in_flight(
+        monkeypatch):
+    logs = []
+
+    class Watched(QueryLog):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            logs.append(self)
+
+    monkeypatch.setattr(loadgen, "QueryLog", Watched)
+    probe = TailProbe(logs)
+    queries = 4 * SWEEP_BLOCK + 100
+    result = run_benchmark(EchoSUT(latency=2e-3), EchoQSL(),
+                           server_settings(queries), services=[probe])
+    assert result.valid
+    assert len(probe.samples) > 5 * queries
+    assert max(tail for tail, _ in probe.samples) > SWEEP_BLOCK // 2
+    for tail, in_flight in probe.samples:
+        assert tail <= SWEEP_BLOCK + in_flight
+    assert len(result.log._records) == 0  # judged: everything retired
+    assert len(result.log.records()) == result.log.query_count
+
+
+class DropOne(EchoSUT):
+    """Echoes every query but one, which it never answers."""
+
+    def __init__(self, dropped):
+        super().__init__(latency=1e-3)
+        self.dropped = dropped
+
+    def issue_query(self, query):
+        if query.id != self.dropped:
+            super().issue_query(query)
+
+
+@pytest.mark.parametrize("dropped", [1, 2, SWEEP_BLOCK + 7])
+def test_a_stuck_query_holds_back_only_what_was_issued_after_it(dropped):
+    settings = server_settings(3 * SWEEP_BLOCK).with_overrides(
+        watchdog_timeout=4.0)
+    log = run_benchmark(DropOne(dropped), EchoQSL(), settings).log
+    assert log.outstanding == 1
+    assert len(log._ids) == dropped - 1
+    assert len(log._records) == log.query_count - (dropped - 1)
+    assert log.outstanding_records()[0].query.id == dropped

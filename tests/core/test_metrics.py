@@ -75,7 +75,7 @@ def test_latency_summary_statistics():
 
 def test_run_duration_first_issue_to_last_completion():
     log = build_log([0.05, 0.05, 0.05], gap=1.0)
-    assert window_of(log.completed_records()) == pytest.approx(2.05)
+    assert window_of(log.completed()) == pytest.approx(2.05)
 
 
 def test_empty_log_rejected():

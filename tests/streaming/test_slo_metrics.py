@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Scenario, TestSettings
-from repro.core.logging import QueryLog
+from repro.core.logging import Completions, QueryLog
 from repro.core.metrics import (
     effective_ttfts, effective_tpots, stream_metrics_of, stream_slo_counts,
 )
@@ -60,15 +60,16 @@ def test_effective_ttft_falls_back_to_full_latency():
     add_atomic(log, 1, issue=0.0, done=0.040)
     record = log.record_for(1)
     assert record.ttft is None
-    assert effective_ttfts([record]) == [pytest.approx(0.040)]
-    assert effective_tpots([record]) == [0.0]
+    done = Completions.of([record])
+    assert effective_ttfts(done) == [pytest.approx(0.040)]
+    assert effective_tpots(done) == [0.0]
 
 
 def test_slo_check_applies_both_targets():
     log = QueryLog()
     # TTFT 10 ms, TPOT (30-10)/(8-1) ~ 2.9 ms over 8 tokens.
     add_streamed(log, 1, issue=0.0, first=0.010, last=0.030, tokens=8)
-    records = [log.record_for(1)]
+    records = Completions.of([log.record_for(1)])
     # (TTFT violations, TPOT violations, compliant) over the one record.
     ok = settings(ttft_target_ns=20_000_000, tpot_target_ns=5_000_000)
     assert stream_slo_counts(records, ok) == (0, 0, 1)
@@ -83,7 +84,7 @@ def test_slo_check_applies_both_targets():
 def test_metrics_are_none_when_nothing_streamed():
     log = QueryLog()
     add_atomic(log, 1, issue=0.0, done=0.010)
-    assert stream_metrics_of(log.completed_records(), settings()) is None
+    assert stream_metrics_of(log.completed(), settings()) is None
 
 
 def test_percentiles_goodput_and_violation_counts():
@@ -95,7 +96,7 @@ def test_percentiles_goodput_and_violation_counts():
         first = issue + (i + 1) * 0.001
         add_streamed(log, i + 1, issue, first, first + 0.009, tokens=10)
     target = settings(ttft_target_ns=5_000_000)  # 5 ms: TTFTs 6..10 miss
-    metrics = stream_metrics_of(log.completed_records(), target)
+    metrics = stream_metrics_of(log.completed(), target)
     assert metrics.streamed_query_count == 10
     assert metrics.token_count == 100
     assert metrics.ttft_p50 == pytest.approx(0.0055, rel=0.1)
@@ -116,7 +117,7 @@ def test_mixed_population_judges_compliance_over_all_completions():
     # The atomic query's effective TTFT is its 80 ms latency - a miss.
     add_atomic(log, 2, issue=0.0, done=0.080)
     metrics = stream_metrics_of(
-        log.completed_records(), settings(ttft_target_ns=50_000_000))
+        log.completed(), settings(ttft_target_ns=50_000_000))
     assert metrics.streamed_query_count == 1     # percentiles: streamed only
     assert metrics.ttft_violations == 1          # compliance: all completions
     assert metrics.slo_compliant_count == 1
@@ -134,13 +135,13 @@ def test_restarts_are_counted_but_not_penalized():
     log2.record_chunk(q, 0.003, StreamChunk(1, 1, last=True))
     log2.observe_completion(
         q, 0.004, [QuerySampleResponse(10, 0)], keep_responses=False)
-    metrics = stream_metrics_of(log2.completed_records(), settings())
+    metrics = stream_metrics_of(log2.completed(), settings())
     assert metrics.restart_count == 1
     assert log2.anomaly_count == 0
 
 
 def test_effective_values_agree_with_the_record_properties():
-    """``core.metrics`` computes TTFT/TPOT for whole record lists without
+    """``core.metrics`` computes TTFT/TPOT from a log's columns without
     going through ``QueryRecord.ttft`` / ``.tpot``; the two spellings of
     the formulas must not drift apart."""
     log = QueryLog()
@@ -149,10 +150,10 @@ def test_effective_values_agree_with_the_record_properties():
                  chunks=1)
     add_atomic(log, 3, issue=0.2, done=0.240)
     records = log.completed_records()
-    assert effective_ttfts(records) == [
+    assert effective_ttfts(log.completed()) == [
         record.latency if record.ttft is None else record.ttft
         for record in records]
-    assert effective_tpots(records) == [
+    assert effective_tpots(log.completed()) == [
         record.tpot or 0.0 for record in records]
-    assert effective_tpots([log.record_for(1)]) == [
+    assert effective_tpots(Completions.of([log.record_for(1)])) == [
         pytest.approx(0.020 / 7)]
