@@ -407,13 +407,17 @@ class QueryLog:
         try:
             record = self._records[query.id]
         except KeyError:
-            if self._ids and self._position(query.id) is not None:
-                return self._late_chunk(query, time, chunk)
-            self.unsolicited_responses.append((query.id, time))
-            return "unsolicited"
-        if (record.completion_time is not None
+            if not (self._ids and self._position(query.id) is not None):
+                self.unsolicited_responses.append((query.id, time))
+                return "unsolicited"
+            record = None  # retired, so resolved
+        if (record is None or record.completion_time is not None
                 or record.failure_reason is not None):
-            return self._late_chunk(query, time, chunk)
+            self.stream_chunk_anomalies.append(
+                (query.id, time,
+                 f"chunk seq {chunk.seq} arrived after the query resolved")
+            )
+            return "late"
         if time < record.issue_time:
             self.stream_chunk_anomalies.append(
                 (query.id, time,
@@ -454,14 +458,6 @@ class QueryLog:
         if self.observer is not None:
             self.observer("chunk", query, time, chunk)
         return "restart" if restarted else "chunk"
-
-    def _late_chunk(self, query: Query, time: float,
-                    chunk: StreamChunk) -> str:
-        self.stream_chunk_anomalies.append(
-            (query.id, time,
-             f"chunk seq {chunk.seq} arrived after the query resolved")
-        )
-        return "late"
 
     def record_failure(self, query: Query, time: float, reason: str) -> str:
         """Mark an issued query as failed (it will never complete cleanly).
@@ -727,6 +723,8 @@ class QueryLog:
         offsets = self._offsets
         if self._failed is None:  # every retired record completed
             keep = rank = None
+            # Copies: a later sweep extends the log's own arrays.
+            issue, completion = issue[:], completion[:]
             sample_count = len(self._sample_ids)
         else:
             keep = list(map(eq, completion, completion))
@@ -763,7 +761,7 @@ class QueryLog:
         count of those; both None when every retired record completed)."""
         fields = side.fields[:width]
         if keep is None:
-            return [side.at, *fields]
+            return [side.at[:], *[column[:] for column in fields]]
         chosen = [found for found, at in enumerate(side.at) if keep[at]]
         return [[rank[side.at[found]] - 1 for found in chosen],
                 *[[column[found] for found in chosen] for column in fields]]
