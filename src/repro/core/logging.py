@@ -16,11 +16,14 @@ boxed numbers.  Every :data:`SWEEP_BLOCK` resolutions, and once more
 when the run is judged, the log retires the longest resolved prefix of
 its records, in issue order, into flat ``array`` columns: query id;
 issue, scheduled and completion time (NaN stands for None); sample ids
-and indices, flat, with offsets once a query carried more than one.  What only some records carry - a
-failure, kept responses, stream fields, a session tag, a ``Query`` whose
-``issue_time`` or ``contiguous`` is not the usual - goes to a sparse side
-column made on first use.  Only the unretired tail stays as objects, so
-a query stuck at the front holds back only the records issued after it.
+and indices, flat, with offsets once a query carried more than one.
+What only some records carry - a failure, kept responses, stream fields,
+a session tag - goes to a sparse side column made on first use.  Only
+the unretired tail stays as objects, so a query stuck at the front holds
+back only the records issued after it.  A log fed what only a hand-built
+log carries (ids issued out of order, a ``Query`` whose ``issue_time``
+is not the record's or whose ``contiguous`` is not True, integer times)
+stops retiring and keeps its records whole.
 :meth:`QueryLog.records` is a view that builds retired records on demand:
 equal to the records the log held, not the same objects.  The referee's
 readers (:meth:`QueryLog.completed`, :meth:`QueryLog.rows`) read the
@@ -196,29 +199,22 @@ class QueryLog:
         self._offsets: Optional[array] = None
         #: Side columns, made on first use: failure reason and time;
         #: kept responses; first / last chunk time, chunk and token
-        #: count, closed, restarts; session tag; the ``Query`` itself
-        #: when its issue time or ``contiguous`` is not the usual.
+        #: count, closed, restarts; session tag.
         self._failed: Optional[_Side] = None
         self._kept: Optional[_Side] = None
         self._streams: Optional[_Side] = None
         self._sessions: Optional[_Side] = None
-        self._odd: Optional[_Side] = None
-        #: At least the largest retired id, and id -> position once
-        #: ids retire out of order (else a retired id is found by
-        #: bisection).
-        self._top_id = 0
-        self._position_of: Optional[Dict[int, int]] = None
-        #: False once a record held a value a column cannot hand back
-        #: as given (a hand-built log's integer times, say): from then
-        #: on the log keeps its records whole.
+        #: False once the log was fed what only a hand-built log carries
+        #: (ids out of issue order, an unusual ``Query``, a value a
+        #: column cannot hand back as given): from then on the log keeps
+        #: its records whole, so the retired ids stay ascending.
         self._retiring = True
         self._next_sweep = SWEEP_BLOCK
         #: Unretired records with kept responses, and queries issued but
-        #: not yet retired that carry a session tag or an issue time or
-        #: ``contiguous`` not the usual: while none are pending, a sweep
-        #: does not look for them.
+        #: not yet retired that carry a session tag: while none are
+        #: pending, a sweep does not look for them.
         self._kept_pending = 0
-        self._unusual_pending = 0
+        self._sessions_pending = 0
         #: Records issued, and records that reached a terminal state
         #: (completed or failed), kept incrementally so
         #: :attr:`outstanding` is O(1) - it is polled per event by the
@@ -258,16 +254,17 @@ class QueryLog:
     def record_issue(self, query: Query, issue_time: float,
                      scheduled_time: Optional[float] = None) -> None:
         if query.id in self._records or (
-                self._ids and query.id <= self._top_id
+                self._ids and query.id <= self._ids[-1]
                 and self._position(query.id) is not None):
             raise ValueError(f"query {query.id} issued twice")
         self._records[query.id] = QueryRecord(
             query, issue_time, scheduled_time=scheduled_time
         )
         self._issued_count += 1
-        if (query.session is not None or query.issue_time is not issue_time
-                or query.contiguous is not True):
-            self._unusual_pending += 1
+        if query.session is not None:
+            self._sessions_pending += 1
+        if query.issue_time is not issue_time or query.contiguous is not True:
+            self._retiring = False
         self.issued_samples += len(query.samples)
         if self.observer is not None:
             self.observer("issued", query, issue_time, None)
@@ -535,15 +532,11 @@ class QueryLog:
         stream_at = (_carriers(list(map(_FIRST_CHUNK, block)))
                      if self.stream_chunks else ())
         streams = list(zip(*map(_STREAM, [block[at] for at in stream_at])))
-        if self._unusual_pending:
+        if self._sessions_pending:
             tags = list(map(_SESSION, queries))
             session_at = _carriers(tags)
-            odd_at = [at for at, query in enumerate(queries)
-                      if query.issue_time is not issue[at]
-                      or query.contiguous is not True]
-            self._unusual_pending -= len({*session_at, *odd_at})
         else:
-            session_at = odd_at = ()
+            session_at = ()
         if (set(map(type, chain(ids, sample_ids, indices, *streams[2:5])))
                 - _INT
                 or set(map(type, chain(issue, scheduled, completion,
@@ -551,7 +544,9 @@ class QueryLog:
                 - _FLOAT_OR_NONE
                 or set(map(type, queries)) != {Query}
                 or set(map(type, samples)) != {tuple}
-                or set(map(type, flat)) != {QuerySample}):
+                or set(map(type, flat)) != {QuerySample}
+                or ids != sorted(ids)
+                or (self._ids and ids[0] <= self._ids[-1])):
             self._retiring = False
             return
         base = len(self._ids)
@@ -572,13 +567,6 @@ class QueryLog:
         except OverflowError:
             self._retiring = False
             return
-        ordered = sorted(ids)
-        if self._position_of is None and (
-                ids != ordered or (base and ordered[0] <= self._top_id)):
-            self._position_of = dict(zip(self._ids, range(base)))
-        if self._position_of is not None:
-            self._position_of.update(zip(ids, range(base, base + count)))
-        self._top_id = max(self._top_id, ordered[-1])
         self._ids += columns[0]
         self._issue += columns[1]
         self._scheduled += columns[2]
@@ -609,17 +597,13 @@ class QueryLog:
                 self._sessions = _Side("O")
             self._sessions.add(base, session_at,
                                ([tags[at] for at in session_at],))
-        if odd_at:
-            if self._odd is None:
-                self._odd = _Side("O")
-            self._odd.add(base, odd_at, ([queries[at] for at in odd_at],))
+            self._sessions_pending -= len(session_at)
         # What stays is what is in flight or held behind it: a few.
         self._records = dict(zip(map(_ID, map(_QUERY, rest)), rest))
 
     def _position(self, query_id: int) -> Optional[int]:
-        """The retired position of ``query_id``, or None."""
-        if self._position_of is not None:
-            return self._position_of.get(query_id)
+        """The retired position of ``query_id``, or None (the retired
+        ids ascend)."""
         ids = self._ids
         at = bisect_left(ids, query_id)
         return at if at < len(ids) and ids[at] == query_id else None
@@ -628,17 +612,15 @@ class QueryLog:
         """The record at retired position ``at``, built from the columns:
         equal to the record the log held, not the same object."""
         issue = self._issue[at]
-        query = self._odd.value(at) if self._odd is not None else None
-        if query is None:
-            start, end = ((at, at + 1) if self._offsets is None
-                          else (self._offsets[at], self._offsets[at + 1]))
-            query = Query(
-                self._ids[at],
-                tuple(map(new_sample, zip(self._sample_ids[start:end],
-                                          self._sample_indices[start:end]))),
-                issue, True,
-                self._sessions.value(at) if self._sessions is not None
-                else None)
+        start, end = ((at, at + 1) if self._offsets is None
+                      else (self._offsets[at], self._offsets[at + 1]))
+        query = Query(
+            self._ids[at],
+            tuple(map(new_sample, zip(self._sample_ids[start:end],
+                                      self._sample_indices[start:end]))),
+            issue, True,
+            self._sessions.value(at) if self._sessions is not None
+            else None)
         record = QueryRecord(
             query, issue,
             completion_time=_none_for_nan(self._completion[at]),
