@@ -21,7 +21,9 @@ fleet, Server runs shorter and longer than ``SWEEP_BLOCK``, the other
 scenarios, kept and sampled responses, a watchdog-stopped run and a run
 whose first query answers last; and hand-built logs with duplicate,
 unsolicited and late-chunk traffic, ids issued out of order, a stuck
-query at the front, odd queries and integer times.  Each case's metrics
+query at the front, odd queries and integer times, and logs whose first
+failure, kept response, stream, session tag, query of several samples
+or odd query arrives only after records have retired.  Each case's metrics
 and verdict (``compute_metrics`` / ``validate_run``) are also pinned by
 digest in ``log_contract.json``; re-record after a deliberate change
 with ``PYTHONPATH=src python -m tests.core.test_log_contract``.
@@ -901,7 +903,73 @@ def short(log):
     yield "partly-resolved"
 
 
+def _plain_blocks(log):
+    """Two blocks of plain one-sample completions, retired by the time
+    this returns; the last id issued."""
+    queries = [_issue(log, qid, qid * 1e-3) for qid in range(1, 2 * BLOCK + 1)]
+    for query in queries:
+        log.observe_completion(query, query.issue_time + 1e-3,
+                               _answer(query), keep_responses=False)
+    return 2 * BLOCK
+
+
+def late_carriers(log):
+    """The first failure, kept response, stream (with a restart), session
+    tag and query of three samples arrive only after plain records have
+    retired."""
+    last = _plain_blocks(log)
+    yield "plain-retired"
+    queries = []
+    for qid in range(last + 1, last + 2 * BLOCK + 1):
+        at = qid * 1e-3
+        session = (SessionTurn(qid // 4, qid % 4, 4, 16 * (qid % 4), 8, 4)
+                   if qid % 5 == 0 else None)
+        query = _query(qid, [qid % 13] * (3 if qid % 7 == 0 else 1),
+                       first_sample=5 * qid, issue_time=at, session=session)
+        log.record_issue(query, at, scheduled_time=at - 1e-4)
+        queries.append(query)
+    yield "carriers-issued"
+    for count, query in enumerate(queries, 1):
+        qid, at = query.id, query.id * 1e-3
+        if qid % 4 == 0:
+            seqs = [0, 1, 0, 1, 2] if qid % 8 == 0 else [0, 1, 2]
+            for step, seq in enumerate(seqs):
+                log.record_chunk(query, at + (step + 1) * 1e-4, StreamChunk(
+                    qid, seq, 1 + seq, step == len(seqs) - 1))
+        if qid % 11 == 0:
+            log.record_failure(query, at + 8e-4, f"reason {qid}")
+        else:
+            log.observe_completion(query, at + 9e-4, _answer(query, [qid]),
+                                   keep_responses=qid % 6 == 0)
+        if count % 700 == 0:
+            yield f"carriers-{count}"
+    yield "resolved"
+
+
+def late_stop(log):
+    """A ``Query`` that stops retirement arrives after plain records have
+    retired; the log keeps what follows whole."""
+    last = _plain_blocks(log)
+    yield "plain-retired"
+    queries = [_issue(log, qid, qid * 1e-3, contiguous=qid != last + 3)
+               for qid in range(last + 1, last + BLOCK + 100)]
+    for query in queries:
+        log.observe_completion(query, query.issue_time + 1e-3,
+                               _answer(query), keep_responses=False)
+    yield "resolved"
+    for qid in (1, last, last + 3, last + 50):
+        query = _query(qid, [qid % 97], issue_time=qid * 1e-3)
+        log.observe_completion(query, 9.0, _answer(query),
+                               keep_responses=False)
+        log.record_chunk(query, 9.1, StreamChunk(qid, 0))
+        with pytest.raises(ValueError):
+            log.record_issue(query, 9.2)
+    yield "probed"
+
+
 BUILT = {
+    "late-carriers": late_carriers,
+    "late-stop": late_stop,
     "duplicates": duplicates,
     "unsolicited": unsolicited,
     "late-chunks": late_chunks,
@@ -916,6 +984,10 @@ BUILT = {
 #: The verdict settings per hand-built log: the Server tail rule with
 #: token targets, and the session rule for the log that tags sessions.
 BUILT_SETTINGS = {
+    "late-carriers": TestSettings(
+        scenario=Scenario.SESSION, server_latency_bound=1.5e-3,
+        session_count=1, min_duration=0.0, ttft_target_ns=300_000,
+        tpot_target_ns=80_000),
     "mixed": TestSettings(
         scenario=Scenario.SESSION, server_latency_bound=1.5e-3,
         session_count=1, min_duration=0.0, ttft_target_ns=300_000,

@@ -6,8 +6,10 @@ A finished 20,000-query Server run over ``EchoSUT`` retains at most
 warm-up run made before the count starts); a log that kept every
 resolved query as a
 ``QueryRecord`` with its ``Query``, samples and boxed numbers retained
-~496.  While a run goes, a ``RunService`` probe sees the unretired tail
-stay within ``SWEEP_BLOCK`` plus the queries in flight.
+~484.  A streamed run (2-6 tokens a query) retains at most 110 and a
+MultiStream run of 4 samples a query at most 120.  While a run goes, a
+``RunService`` probe sees the unretired tail stay within
+``SWEEP_BLOCK`` plus the queries in flight.
 """
 
 import gc
@@ -18,12 +20,10 @@ import pytest
 from repro.core import Scenario, TestSettings, run_benchmark
 from repro.core import loadgen
 from repro.core.logging import SWEEP_BLOCK, QueryLog
+from repro.streaming import StreamModel, StreamingSUT
 from repro.sut.echo import EchoSUT
 
 from tests.conftest import EchoQSL
-
-#: Bytes a finished run may retain per query.
-RETAINED_BYTES_PER_QUERY = 120
 
 
 def server_settings(queries):
@@ -33,11 +33,29 @@ def server_settings(queries):
         min_duration=0.0, seed=1)
 
 
-def test_a_finished_run_retains_its_records_as_columns():
+def multistream_settings(queries):
+    return TestSettings(
+        scenario=Scenario.MULTI_STREAM, multistream_samples_per_query=4,
+        multistream_interval=0.005, min_query_count=queries,
+        min_duration=0.0, seed=1)
+
+
+#: Per run: the SUT, the settings for a query count, and the bytes a
+#: finished run may retain per query.
+RUNS = {
+    "plain": (lambda: EchoSUT(latency=0.5e-3), server_settings, 120),
+    "streamed": (lambda: StreamingSUT(EchoSUT(latency=0.5e-3), StreamModel(
+        min_tokens=2, max_tokens=6, seed=1)), server_settings, 110),
+    "multistream": (lambda: EchoSUT(latency=2e-3), multistream_settings, 120),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_a_finished_run_retains_its_records_as_columns(name):
+    make_sut, settings_for, bound = RUNS[name]
     queries = 20_000
-    sut, qsl, settings = EchoSUT(latency=0.5e-3), EchoQSL(), server_settings(
-        queries)
-    run_benchmark(sut, qsl, server_settings(10))  # loads what a run imports
+    sut, qsl, settings = make_sut(), EchoQSL(), settings_for(queries)
+    run_benchmark(sut, qsl, settings_for(10))  # loads what a run imports
     gc.collect()
     tracemalloc.start()
     try:
@@ -50,7 +68,7 @@ def test_a_finished_run_retains_its_records_as_columns():
     assert result.valid and result.log.query_count == queries
     per_query = retained / queries
     print(f"\nretained {retained} B: {per_query:.1f} B/query")
-    assert per_query <= RETAINED_BYTES_PER_QUERY
+    assert per_query <= bound
 
 
 class TailProbe:
