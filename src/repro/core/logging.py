@@ -18,12 +18,14 @@ its records, in issue order, into flat ``array`` columns: query id;
 issue, scheduled and completion time (NaN stands for None); sample ids
 and indices, flat, with offsets once a query carried more than one.
 What only some records carry - a failure, kept responses, stream fields,
-a session tag - goes to a sparse side column made on first use.  Only
-the unretired tail stays as objects, so a query stuck at the front holds
-back only the records issued after it.  A log fed what only a hand-built
-log carries (ids issued out of order, a ``Query`` whose ``issue_time``
-is not the record's or whose ``contiguous`` is not True, integer times)
-stops retiring and keeps its records whole.
+a session tag - has its columns made when the first record carrying it
+retires, filled back for the records retired before, so every column
+holds one entry per retired record.  Only the unretired tail stays as
+objects, so a query stuck at the front holds back only the records
+issued after it.  A log fed what only a hand-built log carries (ids
+issued out of order, a ``Query`` whose ``issue_time`` is not the
+record's or whose ``contiguous`` is not True, integer times) stops
+retiring and keeps its records whole.
 :meth:`QueryLog.records` is a view that builds retired records on demand:
 equal to the records the log held, not the same objects.  The referee's
 readers (:meth:`QueryLog.completed`, :meth:`QueryLog.rows`) read the
@@ -35,8 +37,8 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, chain, compress, islice
-from operator import attrgetter, eq, is_, sub
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import attrgetter, eq, is_, is_not, sub
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -63,16 +65,16 @@ _ISSUE_TIME = attrgetter("issue_time")  # a record's and a query's
 _SCHEDULED = attrgetter("scheduled_time")
 _COMPLETION = attrgetter("completion_time")
 _REASON = attrgetter("failure_reason")
+_FAILURE_TIME = attrgetter("failure_time")
 _RESPONSES = attrgetter("responses")
-_FIRST_CHUNK = attrgetter("first_chunk_time")
 #: The stream fields, ``stream_closed`` (which no metric reads) last.
 _STREAM = attrgetter("first_chunk_time", "last_chunk_time", "chunk_count",
                      "token_count", "stream_restarts", "stream_closed")
 
 _NAN = float("nan")
-#: ``QueryLog.completed``'s side columns when no record carried one.
-_NO_STREAMS = ((),) * 6
-_NO_SESSIONS = ((),) * 2
+#: What a column holds for a record without its field, per typecode
+#: (``"O"``: the column is a list).
+_ABSENT = {"O": None, "d": _NAN, "q": 0, "b": 0}
 #: The exact types a column hands back as it was given.
 _INT = {int}
 _FLOAT_OR_NONE = {float, type(None)}
@@ -86,41 +88,27 @@ def _none_for_nan(value: float) -> Optional[float]:
     return None if value != value else value
 
 
-def _carriers(values: list) -> List[int]:
-    """Positions of the values that are not None."""
-    return [at for at, value in enumerate(values) if value is not None]
+def _carried(values: list) -> List[bool]:
+    """Per value, whether it is not None."""
+    return list(map(is_not, values, repeat(None)))
 
 
-class _Side:
-    """A sparse side column: the ascending retired positions of the
-    records that carry it, and one column per field (an ``array`` of the
-    field's typecode, or a list where the typecode is ``"O"``)."""
-
-    __slots__ = ("at", "fields")
-
-    def __init__(self, typecodes: str) -> None:
-        self.at = array("q")
-        self.fields = tuple([] if code == "O" else array(code)
-                            for code in typecodes)
-
-    def add(self, base: int, positions: List[int], fields) -> None:
-        self.at += array("q", map(base.__add__, positions))
-        for column, values in zip(self.fields, fields):
-            column += (values if type(column) is list
-                       else array(column.typecode, values))
-
-    def row(self, position: int) -> Optional[tuple]:
-        """The fields at retired ``position``, or None if it carries none."""
-        at = self.at
-        found = bisect_left(at, position)
-        if found == len(at) or at[found] != position:
+def _grown(columns: Optional[tuple], typecodes: str, base: int,
+           fields: tuple, carried: int) -> Optional[tuple]:
+    """``columns`` (one per typecode: an ``array``, or a list for
+    ``"O"``) extended by one block's ``fields`` (the same kinds), of
+    which ``carried`` records carry the field.  None until a block first
+    carries it; then made and filled back for the ``base`` records
+    retired before."""
+    if columns is None:
+        if not carried:
             return None
-        return tuple(column[found] for column in self.fields)
-
-    def value(self, position: int) -> object:
-        """The one field at retired ``position``, or None."""
-        row = self.row(position)
-        return None if row is None else row[0]
+        columns = tuple([None] * base if code == "O"
+                        else array(code, [_ABSENT[code]]) * base
+                        for code in typecodes)
+    for column, values in zip(columns, fields):
+        column += values
+    return columns
 
 
 class Completions(NamedTuple):
@@ -151,12 +139,13 @@ class Completions(NamedTuple):
         streams = list(zip(*map(_STREAM, [records[at] for at in stream_at])))
         first, last, chunks, tokens, restarts, _closed = streams or [()] * 6
         tags = list(map(_SESSION, map(_QUERY, records)))
-        session_at = _carriers(tags)
+        carried = _carried(tags)
         return cls(
             list(map(_ISSUE_TIME, records)), list(map(_COMPLETION, records)),
             sum(map(len, map(_SAMPLES, map(_QUERY, records)))),
             stream_at, first, last, chunks, tokens, restarts,
-            session_at, [tags[at] for at in session_at])
+            list(compress(range(len(tags)), carried)),
+            list(compress(tags, carried)))
 
     def latencies(self) -> List[float]:
         """Issue to completion, seconds, per completion."""
@@ -186,10 +175,10 @@ class QueryLog:
         #: insertion order, which is issue order.
         self._records: Dict[int, QueryRecord] = {}
         #: The retired records' columns, one entry per record in issue
-        #: order.  ``_offsets`` has one more: record ``i``'s samples are
-        #: ``_offsets[i]:_offsets[i + 1]`` of the two sample columns; it
-        #: is None while every retired query carried one sample (record
-        #: ``i``'s is sample ``i``).
+        #: order, read as ``column[i]``.  ``_offsets`` has one more:
+        #: record ``i``'s samples are ``_offsets[i]:_offsets[i + 1]`` of
+        #: the two sample columns; it is None while every retired query
+        #: carried one sample (record ``i``'s is sample ``i``).
         self._ids = array("q")
         self._issue = array("d")
         self._scheduled = array("d")
@@ -197,22 +186,27 @@ class QueryLog:
         self._sample_ids = array("q")
         self._sample_indices = array("q")
         self._offsets: Optional[array] = None
-        #: Side columns, made on first use: failure reason and time;
-        #: kept responses; first / last chunk time, chunk and token
-        #: count, closed, restarts; session tag.
-        self._failed: Optional[_Side] = None
-        self._kept: Optional[_Side] = None
-        self._streams: Optional[_Side] = None
-        self._sessions: Optional[_Side] = None
+        #: What only some records carry, a tuple of columns each, None
+        #: until the first record carrying it retires: failure reason
+        #: (None where a record did not fail) and time (NaN); kept
+        #: responses (None); first / last chunk time (NaN), chunk, token
+        #: and restart count and closed (0 where a record did not
+        #: stream); session tag (None).
+        self._failures: Optional[tuple] = None
+        self._kept: Optional[tuple] = None
+        self._streams: Optional[tuple] = None
+        self._sessions: Optional[tuple] = None
         #: False once the log was fed what only a hand-built log carries
         #: (ids out of issue order, an unusual ``Query``, a value a
         #: column cannot hand back as given): from then on the log keeps
         #: its records whole, so the retired ids stay ascending.
         self._retiring = True
         self._next_sweep = SWEEP_BLOCK
-        #: Unretired records with kept responses, and queries issued but
-        #: not yet retired that carry a session tag: while none are
-        #: pending, a sweep does not look for them.
+        #: Unretired failures and records with kept responses, and
+        #: queries issued but not yet retired that carry a session tag:
+        #: while none are pending and no column holds them, a sweep does
+        #: not look for them.
+        self._failures_pending = 0
         self._kept_pending = 0
         self._sessions_pending = 0
         #: Records issued, and records that reached a terminal state
@@ -478,6 +472,7 @@ class QueryLog:
         record.failure_time = time
         self._resolved_count += 1
         self.failed_count += 1
+        self._failures_pending += 1
         if self.observer is not None:
             self.observer("failed", query, time, reason)
         if self._resolved_count == self._next_sweep:
@@ -491,8 +486,9 @@ class QueryLog:
         columns.  The log sweeps every :data:`SWEEP_BLOCK` resolutions;
         the referee sweeps once more when it judges the run.
 
-        Every field is read in C, a block at a time, and a side column
-        is looked at only while a record that may carry it is pending.
+        Every field is read in C, a block at a time, and a field only
+        some records carry is read only while a record that may carry it
+        is pending or its columns exist.
         """
         self._next_sweep = self._resolved_count + SWEEP_BLOCK
         records = self._records
@@ -503,17 +499,13 @@ class QueryLog:
             return  # stuck at the front: nothing to retire
         tail = list(records.values())
         completion = list(map(_COMPLETION, tail))
-        retired_failures = 0 if self._failed is None else len(self._failed.at)
-        if self.failed_count == retired_failures:  # no failure in the tail
+        if not self._failures_pending:  # no failure in the tail
             # Unresolved is then no completion time, and there are
             # ``outstanding`` of those.
             count = completion.index(None) if self.outstanding else len(tail)
-            reasons = None
         else:
-            reasons = list(map(_REASON, tail))
-            unresolved = list(map(is_, completion, reasons))
+            unresolved = list(map(is_, completion, map(_REASON, tail)))
             count = unresolved.index(True) if True in unresolved else len(tail)
-            del reasons[count:]
         block, rest = tail[:count], tail[count:]
         del completion[count:]
         queries = list(map(_QUERY, block))
@@ -524,23 +516,19 @@ class QueryLog:
         indices = list(map(_INDEX, flat))
         issue = list(map(_ISSUE_TIME, block))
         scheduled = list(map(_SCHEDULED, block))
-        failed_at = _carriers(reasons) if reasons is not None else ()
-        failure_times = [block[at].failure_time for at in failed_at]
-        kept = (list(map(_RESPONSES, block)) if self._kept_pending
-                else None)
-        kept_at = _carriers(kept) if kept is not None else ()
-        stream_at = (_carriers(list(map(_FIRST_CHUNK, block)))
-                     if self.stream_chunks else ())
-        streams = list(zip(*map(_STREAM, [block[at] for at in stream_at])))
-        if self._sessions_pending:
+        reasons = failure_times = kept = tags = None
+        if self._failures_pending or self._failures is not None:
+            reasons = list(map(_REASON, block))
+            failure_times = list(map(_FAILURE_TIME, block))
+        if self._kept_pending or self._kept is not None:
+            kept = list(map(_RESPONSES, block))
+        streams = list(zip(*map(_STREAM, block))) if self.stream_chunks else ()
+        if self._sessions_pending or self._sessions is not None:
             tags = list(map(_SESSION, queries))
-            session_at = _carriers(tags)
-        else:
-            session_at = ()
         if (set(map(type, chain(ids, sample_ids, indices, *streams[2:5])))
                 - _INT
                 or set(map(type, chain(issue, scheduled, completion,
-                                       failure_times, *streams[:2])))
+                                       failure_times or (), *streams[:2])))
                 - _FLOAT_OR_NONE
                 or set(map(type, queries)) != {Query}
                 or set(map(type, samples)) != {tuple}
@@ -564,6 +552,10 @@ class QueryLog:
                         base if self._offsets is None
                         else self._offsets[-1])), 1, None)),
             )
+            streamed = streams and (
+                array("d", _nan_for_none(streams[0])),
+                array("d", _nan_for_none(streams[1])),
+                *map(array, "qqqb", streams[2:]))
         except OverflowError:
             self._retiring = False
             return
@@ -577,27 +569,23 @@ class QueryLog:
             if self._offsets is None:  # the first query of several samples
                 self._offsets = array("q", range(base + 1))
             self._offsets += columns[6]
-        if failed_at:
-            if self._failed is None:
-                self._failed = _Side("Od")
-            self._failed.add(base, failed_at, (
-                [reasons[at] for at in failed_at],
-                _nan_for_none(failure_times)))
-        if kept_at:
-            if self._kept is None:
-                self._kept = _Side("O")
-            self._kept.add(base, kept_at, ([kept[at] for at in kept_at],))
-            self._kept_pending -= len(kept_at)
-        if stream_at:
-            if self._streams is None:
-                self._streams = _Side("ddqqqb")
-            self._streams.add(base, stream_at, streams)
-        if session_at:
-            if self._sessions is None:
-                self._sessions = _Side("O")
-            self._sessions.add(base, session_at,
-                               ([tags[at] for at in session_at],))
-            self._sessions_pending -= len(session_at)
+        if reasons is not None:
+            carried = count - reasons.count(None)
+            self._failures = _grown(self._failures, "Od", base, (
+                reasons, array("d", _nan_for_none(failure_times))), carried)
+            self._failures_pending -= carried
+        if kept is not None:
+            carried = count - kept.count(None)
+            self._kept = _grown(self._kept, "O", base, (kept,), carried)
+            self._kept_pending -= carried
+        if streamed:
+            self._streams = _grown(self._streams, "ddqqqb", base, streamed,
+                                   any(streams[2]))
+        if tags is not None:
+            carried = count - tags.count(None)
+            self._sessions = _grown(self._sessions, "O", base, (tags,),
+                                    carried)
+            self._sessions_pending -= carried
         # What stays is what is in flight or held behind it: a few.
         self._records = dict(zip(map(_ID, map(_QUERY, rest)), rest))
 
@@ -619,23 +607,20 @@ class QueryLog:
             tuple(map(new_sample, zip(self._sample_ids[start:end],
                                       self._sample_indices[start:end]))),
             issue, True,
-            self._sessions.value(at) if self._sessions is not None
-            else None)
+            None if self._sessions is None else self._sessions[0][at])
         record = QueryRecord(
             query, issue,
             completion_time=_none_for_nan(self._completion[at]),
-            responses=(self._kept.value(at) if self._kept is not None
-                       else None),
+            responses=None if self._kept is None else self._kept[0][at],
             scheduled_time=_none_for_nan(self._scheduled[at]))
-        failure = self._failed.row(at) if self._failed is not None else None
-        if failure is not None:
-            record.failure_reason = failure[0]
-            record.failure_time = _none_for_nan(failure[1])
-        stream = self._streams.row(at) if self._streams is not None else None
-        if stream is not None:
+        if self._failures is not None and self._failures[0][at] is not None:
+            record.failure_reason = self._failures[0][at]
+            record.failure_time = _none_for_nan(self._failures[1][at])
+        if self._streams is not None and self._streams[2][at]:  # streamed
             (record.first_chunk_time, record.last_chunk_time,
              record.chunk_count, record.token_count,
-             record.stream_restarts, closed) = stream
+             record.stream_restarts, closed) = [
+                 column[at] for column in self._streams]
             record.stream_closed = bool(closed)
         return record
 
@@ -666,8 +651,11 @@ class QueryLog:
 
     def failed_records(self) -> List[QueryRecord]:
         """Records that resolved as failures (malformed, retries spent)."""
-        retired = ([] if self._failed is None
-                   else list(map(self._retired, self._failed.at)))
+        retired = []
+        if self._failures is not None:
+            reasons = self._failures[0]
+            retired = list(map(self._retired, compress(
+                range(len(reasons)), _carried(reasons))))
         return retired + [r for r in self._records.values()
                           if r.failure_reason is not None]
 
@@ -675,9 +663,10 @@ class QueryLog:
         """``(query id, failure reason)`` of the first ``limit`` failed
         queries, in issue order."""
         out = []
-        if self._failed is not None:
-            out = list(zip(map(self._ids.__getitem__, self._failed.at[:limit]),
-                           self._failed.fields[0][:limit]))
+        if self._failures is not None:
+            reasons = self._failures[0]
+            out = list(islice(compress(zip(self._ids, reasons),
+                                       _carried(reasons)), limit))
         for record in self._records.values():
             if len(out) == limit:
                 break
@@ -702,51 +691,48 @@ class QueryLog:
         if not self._ids:
             return Completions.of(done)
         completion, issue = self._completion, self._issue
-        offsets = self._offsets
-        if self._failed is None:  # every retired record completed
-            keep = rank = None
+        offsets, streams = self._offsets, self._streams
+        tags = None if self._sessions is None else self._sessions[0]
+        if self._failures is None:  # every retired record completed
             # Copies: a later sweep extends the log's own arrays.
             issue, completion = issue[:], completion[:]
             sample_count = len(self._sample_ids)
         else:
             keep = list(map(eq, completion, completion))
-            rank = list(accumulate(keep))  # completion position + 1
             issue = array("d", compress(issue, keep))
             completion = array("d", compress(completion, keep))
             sample_count = len(issue) if offsets is None else sum(compress(
                 map(sub, offsets[1:], offsets[:-1]), keep))
-        streams = _NO_STREAMS if self._streams is None else (
-            self._completed_side(self._streams, 5, keep, rank))
-        sessions = _NO_SESSIONS if self._sessions is None else (
-            self._completed_side(self._sessions, 1, keep, rank))
+            if streams is not None:
+                streams = list(map(list, map(compress, streams,
+                                             repeat(keep))))
+            if tags is not None:
+                tags = list(compress(tags, keep))
+        stream_at, fields = (), ((),) * 5
+        if streams is not None:
+            counts = streams[2]  # 0 where a completion did not stream
+            stream_at = list(compress(range(len(counts)), counts))
+            fields = list(map(list, map(compress, streams[:5],
+                                        repeat(counts))))
+        session_at = sessions = ()
+        if tags is not None:
+            carried = _carried(tags)
+            session_at = list(compress(range(len(tags)), carried))
+            sessions = list(compress(tags, carried))
         if not done:
-            return Completions(issue, completion, sample_count,
-                               *streams, *sessions)
+            return Completions(issue, completion, sample_count, stream_at,
+                               *fields, session_at, sessions)
         tail = Completions.of(done)
         shift = len(issue)
         return Completions(
             issue.tolist() + tail.issue_times,
             completion.tolist() + tail.completion_times,
             sample_count + tail.sample_count,
-            list(chain(streams[0], map(shift.__add__, tail.stream_at))),
+            list(chain(stream_at, map(shift.__add__, tail.stream_at))),
             *[list(chain(mine, theirs))
-              for mine, theirs in zip(streams[1:], tail[4:9])],
-            list(chain(sessions[0], map(shift.__add__, tail.session_at))),
-            list(chain(sessions[1], tail.sessions)))
-
-    @staticmethod
-    def _completed_side(side: _Side, width: int, keep: Optional[list],
-                        rank: Optional[list]) -> list:
-        """``[positions, *fields]`` of a retired side column's first
-        ``width`` fields over the clean completions (``keep``: per
-        retired position, whether it completed; ``rank``: the running
-        count of those; both None when every retired record completed)."""
-        fields = side.fields[:width]
-        if keep is None:
-            return [side.at[:], *[column[:] for column in fields]]
-        chosen = [found for found, at in enumerate(side.at) if keep[at]]
-        return [[rank[side.at[found]] - 1 for found in chosen],
-                *[[column[found] for found in chosen] for column in fields]]
+              for mine, theirs in zip(fields, tail[4:9])],
+            list(chain(session_at, map(shift.__add__, tail.session_at))),
+            list(chain(sessions, tail.sessions)))
 
     def rows(self) -> List[tuple]:
         """Every record as ``(query id, sample ids, sample indices, issue
@@ -776,16 +762,12 @@ class QueryLog:
         completion = [None if done != done else done
                       for done in self._completion]
         failure_times = failure_reasons = responses = [None] * retired
-        if self._failed is not None:
-            failure_times, failure_reasons = [None] * retired, [None] * retired
-            for at, reason, time in zip(self._failed.at,
-                                        *self._failed.fields):
-                failure_reasons[at] = reason
-                failure_times[at] = _none_for_nan(time)
+        if self._failures is not None:
+            failure_reasons = self._failures[0]
+            failure_times = [None if time != time else time
+                             for time in self._failures[1]]
         if self._kept is not None:
-            responses = [None] * retired
-            for at, kept in zip(self._kept.at, self._kept.fields[0]):
-                responses[at] = kept
+            responses = self._kept[0]
         out = list(zip(ids, id_tuples, index_tuples, issue, scheduled,
                        completion, failure_times, failure_reasons, responses))
         out += [
@@ -827,7 +809,7 @@ class QueryLog:
     def logged_responses(self) -> Dict[int, object]:
         """Map sample id -> response payload for records that kept them."""
         out: Dict[int, object] = {}
-        kept = [] if self._kept is None else self._kept.fields[0]
+        kept = () if self._kept is None else self._kept[0]
         for responses in chain(kept, map(_RESPONSES, self._records.values())):
             if responses is None:
                 continue
