@@ -48,7 +48,7 @@ from repro.faults.resilient import RetryPolicy
 from repro.faults.sut import OutageSUT
 from repro.metrics import MetricsRegistry
 from repro.network.simulated import ChannelModel, SimulatedChannelSUT
-from repro.parallel import BatchingPolicy, ParallelSUT
+from repro.parallel import ParallelSUT
 from repro.sut.echo import EchoSUT
 
 from tests.conftest import EchoQSL, FixedLatencySUT
@@ -232,7 +232,6 @@ class TestChaosSoak:
         def stack():
             inner = ParallelSUT(
                 affine_factory, qsl, workers=2, seed=9,
-                policy=BatchingPolicy(max_batch_size=8, max_wait=0.001),
                 crash_plan=FaultPlan.single(FaultType.STALL, 0.5, seed=21))
             return inner, ResilientSUT(
                 inner, RetryPolicy(max_attempts=8, backoff_base=0.001))

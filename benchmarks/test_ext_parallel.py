@@ -31,7 +31,7 @@ from repro.core import Scenario, TestMode, TestSettings, run_benchmark
 from repro.datasets import SyntheticImageNet
 from repro.datasets.qsl import DatasetQSL
 from repro.models.runtime import build_glyph_classifier
-from repro.parallel import BatchingPolicy, ParallelSUT, WorkerPool, shard_evenly
+from repro.parallel import ParallelSUT, WorkerPool, shard_evenly
 
 WORKER_COUNTS = (1, 2, 4)
 SAMPLES = 192
@@ -65,9 +65,7 @@ def run_offline(workers, mode, clock=None, **sut_kwargs):
         min_query_count=1,
     )
     sut = ParallelSUT(
-        classifier_factory, qsl, workers=workers, seed=31,
-        policy=BatchingPolicy(max_batch_size=SAMPLES, max_wait=0.0),
-        **sut_kwargs)
+        classifier_factory, qsl, workers=workers, seed=31, **sut_kwargs)
     try:
         result = run_benchmark(sut, qsl, settings, clock=clock)
     finally:

@@ -106,8 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     par = run.add_argument_group("parallel SUT (--sut parallel)")
     par.add_argument("--workers", type=int, default=2,
                      help="worker processes in the pool")
-    par.add_argument("--parallel-batch", type=int, default=64,
-                     help="dynamic-batcher cap, in samples")
     par.add_argument("--samples", type=int, default=256,
                      help="synthetic dataset size (and offline batch)")
     stream = run.add_argument_group("streaming (--stream)")
@@ -505,8 +503,7 @@ def _cmd_serve(args) -> int:
             # through a single runner, the processes provide the
             # parallelism, and the drain path releases the pool.
             backend = parallel_echo_backend(
-                workers=args.model_workers, compute_time=latency,
-                max_batch=args.max_batch)
+                workers=args.model_workers, compute_time=latency)
             description = (f"parallel echo backend ({args.model_workers} "
                            f"procs, {args.latency_ms} ms)")
         elif args.backend == "streaming-echo":
@@ -544,7 +541,7 @@ def _cmd_run_parallel(args) -> int:
     from .datasets import SyntheticImageNet
     from .datasets.qsl import DatasetQSL
     from .models.runtime import build_glyph_classifier
-    from .parallel import BatchingPolicy, ParallelSUT
+    from .parallel import ParallelSUT
 
     scenario = _SCENARIOS[args.scenario]
     if scenario not in (Scenario.OFFLINE, Scenario.SINGLE_STREAM):
@@ -567,9 +564,7 @@ def _cmd_run_parallel(args) -> int:
             min_query_count=args.queries, seed=args.seed)
     qsl = DatasetQSL(dataset)
     sut = ParallelSUT(
-        classifier_factory, qsl, workers=args.workers, seed=args.seed,
-        policy=BatchingPolicy(max_batch_size=args.parallel_batch,
-                              max_wait=0.0))
+        classifier_factory, qsl, workers=args.workers, seed=args.seed)
     try:
         result = run_benchmark(sut, qsl, settings)
     finally:

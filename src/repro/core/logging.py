@@ -278,10 +278,13 @@ class QueryLog:
         if (record.completion_time is not None
                 or record.failure_reason is not None):
             raise ValueError(f"query {query.id} completed twice")
-        if completion_time < record.issue_time:
+        if not completion_time >= record.issue_time:  # early, or NaN
             raise ValueError(
                 f"query {query.id} completed before it was issued "
                 f"({completion_time} < {record.issue_time})"
+                if completion_time < record.issue_time else
+                f"query {query.id} completed at {completion_time}, "
+                "which is not a time"
             )
         if len(responses) != query.sample_count:
             raise ValueError(
@@ -316,7 +319,8 @@ class QueryLog:
 
         * ``"completed"``   - a clean completion, recorded as usual;
         * ``"failed"``      - the query resolved, but its response set was
-          malformed (wrong count, wrong sample ids, time before issue);
+          malformed (wrong count, wrong sample ids, time before issue
+          or NaN);
         * ``"duplicate"``   - the query was already resolved; noted in
           :attr:`duplicate_completions`, record untouched;
         * ``"unsolicited"`` - no such query was ever issued; noted in
@@ -334,11 +338,13 @@ class QueryLog:
                 or record.failure_reason is not None):
             self.duplicate_completions.append((query.id, completion_time))
             return "duplicate"
-        if completion_time < record.issue_time:
+        if not completion_time >= record.issue_time:  # early, or NaN
             return self.record_failure(
                 query, completion_time,
                 f"completed at {completion_time} before issue at "
-                f"{record.issue_time}",
+                f"{record.issue_time}"
+                if completion_time < record.issue_time else
+                f"completed at {completion_time}, which is not a time",
             )
         samples = query.samples
         expected = len(samples)

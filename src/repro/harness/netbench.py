@@ -57,7 +57,6 @@ def parallel_echo_backend(
     workers: int = 2,
     seed: int = 0,
     compute_time: float = 0.0,
-    max_batch: int = 8,
 ) -> SystemUnderTest:
     """A process-parallel echo backend for network runs.
 
@@ -75,7 +74,7 @@ def parallel_echo_backend(
     """
     import time as _time
 
-    from ..parallel import BatchingPolicy, ParallelSUT
+    from ..parallel import ParallelSUT
 
     def echo_factory():
         def predict(samples):
@@ -85,8 +84,7 @@ def parallel_echo_backend(
         return predict
 
     return ParallelSUT(
-        echo_factory, SyntheticQSL(), workers=workers, seed=seed,
-        policy=BatchingPolicy(max_batch_size=max_batch, max_wait=0.0))
+        echo_factory, SyntheticQSL(), workers=workers, seed=seed)
 
 
 @dataclass

@@ -9,16 +9,14 @@ same ``SystemUnderTest`` protocol every other backend speaks.
   move as ``(offset, dtype, shape)`` descriptors, never pickles.
 * :mod:`repro.parallel.pool` -- the worker processes: deterministic
   seeding, crash detection, respawn, transfer accounting.
-* :mod:`repro.parallel.batching` -- the dynamic batcher (max batch
-  size + max wait), event-loop driven so virtual-clock runs are exact.
 * :mod:`repro.parallel.sut` -- :class:`ParallelSUT`, tying the above
-  behind ``issue_query``/``flush`` with ``parallel_*`` telemetry.
+  behind ``issue_query`` with ``parallel_*`` telemetry: each query it
+  is issued is one dispatch across the pool.
 """
 
 from .._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "batching": ("BatchingPolicy", "DynamicBatcher"),
     "pool": (
         "PoolStats", "ShardOutcome", "WorkerCrashed", "WorkerPool",
         "shard_evenly",

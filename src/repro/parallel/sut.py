@@ -1,26 +1,28 @@
-"""Process-parallel SUT: shard batches across worker processes.
+"""Process-parallel SUT: shard each query across worker processes.
 
 ``ParallelSUT`` is the execution backend the ROADMAP's
 "sharding/batching/multi-backend" item calls for: the LoadGen side of
-the Fig. 3 boundary is untouched, while the SUT side fans each dynamic
-batch out over N worker processes (``repro.parallel.pool``) with
+the Fig. 3 boundary is untouched, while the SUT side fans each query it
+is issued out over N worker processes (``repro.parallel.pool``) with
 tensors travelling through shared memory (``repro.parallel.shm``).
+Batching happens above it: an Offline query is the whole batch, and
+``repro serve --backend parallel`` merges requests in the server's
+queue before it hands the SUT one query.
 
 Timing policy follows ``repro.sut.backend``: the wall-clock cost of a
 dispatch is measured and replayed as virtual service time, or modelled
 by a ``service_time_fn`` for deterministic studies.  For the parallel
-case the model is applied *per shard* and the batch completes at the
-max over shards -- the straggler defines the batch latency, which is
+case the model is applied *per shard* and the query completes at the
+max over shards -- the straggler defines the query's latency, which is
 exactly the scaling curve the Offline benchmark measures.
 
-Determinism: the dynamic batcher groups queries identically at any
-worker count (it depends only on arrival order and the loop clock),
-shards split the sample list contiguously, and outputs are recombined
-in issue order -- so accuracy-mode results are reproducible bit-for-bit
-whether one worker or eight did the arithmetic.
+Determinism: each query is dispatched on its own when it is issued,
+shards split its sample list contiguously, and outputs are recombined
+in sample order -- so accuracy-mode results are reproducible
+bit-for-bit whether one worker or eight did the arithmetic.
 
-Crash handling: a worker killed mid-batch surfaces as ``QueryFailure``
-for every query in the batch (never a hang), the dead worker is
+Crash handling: a worker killed mid-dispatch surfaces as
+``QueryFailure`` for the query (never a hang), the dead worker is
 respawned before the next dispatch, and ``ResilientSUT`` layered on top
 turns those failures into retries -- the composition the fault-model
 section of ``docs/architecture.md`` promises.
@@ -30,14 +32,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 from ..core.query import Query, new_response, sample_id_of
 from ..core.sut import QuerySampleLibrary, Responder, SutBase
 from ..core.events import EventLoop
 from ..faults.plan import FaultInjector, FaultPlan, FaultType
 from ..metrics import MetricsRegistry, export_ledger
-from .batching import BatchingPolicy, DynamicBatcher
 from .pool import WorkerCrashed, WorkerPool, shard_evenly
 
 
@@ -55,14 +56,11 @@ class _ParallelInstruments:
         workers = pool.workers
         self.dispatches = registry.counter(
             "parallel_dispatches_total",
-            "Batches fanned out across the worker pool")
+            "Queries fanned out across the worker pool")
         self.batch_size = registry.histogram(
             "parallel_batch_size_samples",
-            "Samples in each dispatched batch",
+            "Samples in each dispatch",
             base=1.0, growth=2.0 ** 0.25, buckets=72).labels()
-        self.batch_wait = registry.histogram(
-            "parallel_batch_wait_seconds",
-            "Loop-clock time each query sat in the dynamic batcher").labels()
         self.dispatch_seconds = registry.histogram(
             "parallel_dispatch_seconds",
             "Wall seconds per dispatch (ship + compute + collect)").labels()
@@ -87,7 +85,7 @@ class _ParallelInstruments:
 
 
 class ParallelSUT(SutBase):
-    """Shard query batches across a pool of worker processes.
+    """Shard each query across a pool of worker processes.
 
     Parameters mirror the numpy backends in ``repro.sut.backend`` plus
     the pool knobs:
@@ -100,12 +98,12 @@ class ParallelSUT(SutBase):
         ``numpy`` Generator.
     ``service_time_fn``
         Optional ``f(shard_sample_count) -> seconds`` model applied per
-        shard; the batch completes at ``max`` over its non-empty
+        shard; the query completes at ``max`` over its non-empty
         shards.  Omitted, the measured wall time of the dispatch is
         replayed (virtual clock) or already elapsed (wall clock).
     ``crash_plan``
         A ``FaultPlan`` or ``FaultInjector`` whose ``STALL`` decisions
-        are interpreted as "kill one worker before this query's batch
+        are interpreted as "kill one worker before this query
         dispatches" -- decisions stay pure in (seed, query id, attempt),
         so crash schedules are reproducible and retry attempts draw
         fresh decisions.
@@ -113,7 +111,6 @@ class ParallelSUT(SutBase):
 
     def __init__(self, worker_factory: Callable, qsl: QuerySampleLibrary,
                  *, workers: int = 2,
-                 policy: Optional[BatchingPolicy] = None,
                  seed: int = 0,
                  service_time_fn: Optional[Callable[[int], float]] = None,
                  crash_plan=None,
@@ -122,11 +119,9 @@ class ParallelSUT(SutBase):
                  name: Optional[str] = None) -> None:
         super().__init__(name or f"parallel[{workers}]")
         self._qsl = qsl
-        self.policy = policy or BatchingPolicy()
         self.pool = WorkerPool(
             worker_factory, workers, seed=seed, job_timeout=job_timeout)
         self._service_time_fn = service_time_fn
-        self._batcher: Optional[DynamicBatcher] = None
         self._m = (_ParallelInstruments(registry, self.pool)
                    if registry is not None else None)
         if isinstance(crash_plan, FaultPlan):
@@ -137,23 +132,40 @@ class ParallelSUT(SutBase):
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         super().start_run(loop, responder)
         self.pool.start()
-        self._batcher = DynamicBatcher(loop, self.policy, self._dispatch)
         self._attempts.clear()
         # A run's crash schedule starts over, as FaultySUT's does.
         if self._crash_injector is not None:
             self._crash_injector.reset()
         self._victims = itertools.cycle(range(self.pool.workers))
 
-    def end_run(self) -> None:
-        self._batcher = None  # it holds this SUT's dispatch method
-        super().end_run()
-
     def issue_query(self, query: Query) -> None:
-        self._batcher.add(query)
-
-    def flush(self) -> None:
-        if self._batcher is not None:
-            self._batcher.flush()
+        samples = [self._qsl.get_sample(sample.index)
+                   for sample in query.samples]
+        self.pool.ensure_alive()
+        self._inject_crash(query)
+        shards = shard_evenly(samples, self.pool.workers)
+        started = time.perf_counter()
+        try:
+            outcomes = self.pool.run_shards(shards)
+        except WorkerCrashed as crash:
+            elapsed = time.perf_counter() - started
+            failure = str(crash)
+            self.loop.schedule_after(
+                self._duration(shards, elapsed),
+                lambda: self.fail(query, failure))
+            self._record(query, elapsed, ())
+            return
+        elapsed = time.perf_counter() - started
+        # The pool checks each shard's output count, so the outputs
+        # line up with the query's samples.
+        outputs = [output for outcome in outcomes
+                   for output in outcome.outputs]
+        responses = list(map(new_response, zip(
+            map(sample_id_of, query.samples), outputs)))
+        self.loop.schedule_after(
+            self._duration(shards, elapsed),
+            lambda: self.complete(query, responses))
+        self._record(query, elapsed, outcomes)
 
     def close(self) -> None:
         """Shut the worker pool down and release the arenas."""
@@ -167,41 +179,14 @@ class ParallelSUT(SutBase):
 
     # -- dispatch machinery -------------------------------------------
 
-    def _inject_crashes(self, queries: Sequence[Query]) -> None:
+    def _inject_crash(self, query: Query) -> None:
         if self._crash_injector is None:
             return
-        for query in queries:
-            attempt = self._attempts.get(query.id, 0)
-            self._attempts[query.id] = attempt + 1
-            decision = self._crash_injector.decide(query.id, attempt)
-            if decision is not None and decision.fault is FaultType.STALL:
-                self.pool.kill_worker(next(self._victims))
-
-    def _dispatch(self, batch: Sequence[Tuple[Query, float]]) -> None:
-        queries = [query for query, _wait in batch]
-        samples = [
-            self._qsl.get_sample(sample.index)
-            for query in queries for sample in query.samples
-        ]
-        self.pool.ensure_alive()
-        self._inject_crashes(queries)
-        shards = shard_evenly(samples, self.pool.workers)
-        started = time.perf_counter()
-        try:
-            outcomes = self.pool.run_shards(shards)
-        except WorkerCrashed as crash:
-            self._complete_batch(
-                batch, outputs=None, shards=shards,
-                elapsed=time.perf_counter() - started,
-                failure=str(crash))
-            return
-        outputs: List[object] = []
-        for outcome in outcomes:
-            outputs.extend(outcome.outputs)
-        self._complete_batch(
-            batch, outputs=outputs, shards=shards,
-            elapsed=time.perf_counter() - started,
-            failure=None, outcomes=outcomes)
+        attempt = self._attempts.get(query.id, 0)
+        self._attempts[query.id] = attempt + 1
+        decision = self._crash_injector.decide(query.id, attempt)
+        if decision is not None and decision.fault is FaultType.STALL:
+            self.pool.kill_worker(next(self._victims))
 
     def _duration(self, shards: Sequence[Sequence[object]],
                   elapsed: float) -> float:
@@ -213,42 +198,12 @@ class ParallelSUT(SutBase):
         # virtual loops replay the measurement as service time.
         return 0.0 if self.loop.realtime else elapsed
 
-    def _complete_batch(self, batch, *, outputs, shards, elapsed,
-                        failure, outcomes=()) -> None:
-        duration = self._duration(shards, elapsed)
-        position = 0
-        # Completions are scheduled query by query in issue order at one
-        # instant; the loop's FIFO-per-instant ordering keeps the
-        # QueryLog sequence identical at any worker count.
-        for query, _wait in batch:
-            if failure is not None:
-                self.loop.schedule_after(
-                    duration,
-                    lambda q=query: self.fail(q, failure))
-                continue
-            outs = outputs[position:position + query.sample_count]
-            position += query.sample_count
-            if len(outs) != query.sample_count:
-                self.loop.schedule_after(
-                    duration,
-                    lambda q=query: self.fail(
-                        q, "worker pool returned a short batch"))
-                continue
-            responses = list(map(new_response, zip(
-                map(sample_id_of, query.samples), outs)))
-            self.loop.schedule_after(
-                duration,
-                lambda q=query, r=responses: self.complete(q, r))
-        self._record(batch, elapsed, outcomes)
-
-    def _record(self, batch, elapsed, outcomes) -> None:
+    def _record(self, query: Query, elapsed: float, outcomes) -> None:
         m = self._m
         if m is None:
             return
         m.dispatches.inc()
-        m.batch_size.observe(sum(q.sample_count for q, _ in batch))
-        for _query, wait in batch:
-            m.batch_wait.observe(wait)
+        m.batch_size.observe(query.sample_count)
         m.dispatch_seconds.observe(elapsed)
         # A crashed dispatch has no outcomes: what it shipped is not
         # counted as transferred.

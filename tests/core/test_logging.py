@@ -54,13 +54,41 @@ def test_double_completion_rejected():
                               keep_responses=False)
 
 
-def test_completion_before_issue_time_rejected():
+@pytest.mark.parametrize("time, message", [
+    (1.0, "completed before it was issued"),
+    (float("nan"), "completed at nan, which is not a time"),
+])
+def test_completion_before_issue_time_rejected(time, message):
     log = QueryLog()
     query = _query(1, [4])
     log.record_issue(query, 2.0)
-    with pytest.raises(ValueError):
-        log.record_completion(query, 1.0, _responses(query),
+    with pytest.raises(ValueError, match=message):
+        log.record_completion(query, time, _responses(query),
                               keep_responses=False)
+    assert log.outstanding == 1
+
+
+def test_a_completion_at_nan_fails_its_query_in_a_retired_log():
+    """A completion at NaN passes no ``<`` check against the issue time;
+    unless it is caught, the record retires as NaN and reads back as
+    unresolved while ``completed_count`` counts it."""
+    log = QueryLog()
+    queries = [Query(qid, (QuerySample(qid, qid),), issue_time=qid * 1e-3)
+               for qid in range(1024)]
+    for query in queries:
+        log.record_issue(query, query.issue_time)
+    for query in queries:
+        time = float("nan") if query.id == 5 else query.issue_time + 0.01
+        log.observe_completion(query, time, _responses(query),
+                               keep_responses=False)
+    assert not log._records  # the whole block retired into the columns
+    record = log.record_for(5)
+    assert record.completion_time is None
+    assert record.failure_reason == "completed at nan, which is not a time"
+    assert log.failed_count == 1
+    assert len(log.completed_records()) == log.completed_count == 1023
+    assert [r.query.id for r in log.failed_records()] == [5]
+    assert log.outstanding == 0
 
 
 def test_wrong_response_count_rejected():

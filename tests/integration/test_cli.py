@@ -82,6 +82,14 @@ class TestRunParallel:
         ]) == 2
         assert "parallel" in capsys.readouterr().err
 
+    def test_the_deleted_batch_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--sut", "parallel", "--scenario", "offline",
+                  "--parallel-batch", "8"])
+        assert exit_.value.code == 2
+        assert ("unrecognized arguments: --parallel-batch 8"
+                in capsys.readouterr().err)
+
 
 @pytest.mark.socket
 class TestServeParallel:

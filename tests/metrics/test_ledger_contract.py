@@ -33,7 +33,7 @@ from repro.metrics import MetricsRegistry, capture, to_prometheus_text
 from repro.network import InferenceServer, NetworkSUT, ServerConfig, protocol
 from repro.network.protocol import FrameType
 from repro.network.simulated import ChannelModel
-from repro.parallel import BatchingPolicy, ParallelSUT
+from repro.parallel import ParallelSUT
 from repro.streaming import StreamModel, StreamingSUT
 from repro.sut.echo import EchoSUT
 
@@ -299,7 +299,6 @@ def test_a_crashing_worker_pool_exports_its_ledger():
     qsl = ArrayQSL(32)
     inner = ParallelSUT(
         affine_factory, qsl, workers=2, seed=9,
-        policy=BatchingPolicy(max_batch_size=8, max_wait=0.001),
         crash_plan=FaultPlan.single(FaultType.STALL, rate=0.5, seed=21),
         registry=registry)
     sut = ResilientSUT(

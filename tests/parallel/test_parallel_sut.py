@@ -15,7 +15,7 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.metrics import MetricsRegistry
-from repro.parallel import BatchingPolicy, ParallelSUT
+from repro.parallel import ParallelSUT
 
 
 class ArrayQSL:
@@ -59,9 +59,7 @@ def accuracy_settings(samples=48):
 def run_accuracy(workers, *, qsl=None, samples=48, **sut_kwargs):
     qsl = qsl or ArrayQSL(samples)
     sut = ParallelSUT(
-        affine_factory, qsl, workers=workers, seed=9,
-        policy=BatchingPolicy(max_batch_size=16, max_wait=0.001),
-        **sut_kwargs)
+        affine_factory, qsl, workers=workers, seed=9, **sut_kwargs)
     try:
         result = run_benchmark(sut, qsl, accuracy_settings(samples))
     finally:
@@ -112,8 +110,7 @@ class TestRealtimeLoop:
         at zero extra delay: the wall time already elapsed in-dispatch."""
         qsl = ArrayQSL(8)
         sut = ParallelSUT(
-            affine_factory, qsl, workers=2, seed=9,
-            policy=BatchingPolicy(max_batch_size=8, max_wait=0.0))
+            affine_factory, qsl, workers=2, seed=9)
         try:
             result = run_benchmark(
                 sut, qsl, accuracy_settings(8), clock=WallClock())
@@ -139,9 +136,7 @@ class TestCrashHandling:
         qsl = ArrayQSL(32)
         plan = FaultPlan.single(FaultType.STALL, rate=0.5, seed=21)
         inner = ParallelSUT(
-            affine_factory, qsl, workers=2, seed=9,
-            policy=BatchingPolicy(max_batch_size=8, max_wait=0.001),
-            crash_plan=plan)
+            affine_factory, qsl, workers=2, seed=9, crash_plan=plan)
         sut = ResilientSUT(
             inner, RetryPolicy(max_attempts=8, backoff_base=0.001))
         settings = TestSettings(
@@ -169,7 +164,6 @@ class TestCrashHandling:
                 FaultPlan.single(FaultType.STALL, rate=0.5, seed=21))
             return injector, ParallelSUT(
                 affine_factory, qsl, workers=3, seed=9,
-                policy=BatchingPolicy(max_batch_size=8, max_wait=0.001),
                 crash_plan=injector)
 
         def run(injector, inner):
@@ -191,8 +185,7 @@ class TestCrashHandling:
     def test_crashed_pool_recovers_for_the_next_run(self):
         qsl = ArrayQSL(8)
         sut = ParallelSUT(
-            affine_factory, qsl, workers=2, seed=9,
-            policy=BatchingPolicy(max_batch_size=8, max_wait=0.0))
+            affine_factory, qsl, workers=2, seed=9)
         try:
             sut.pool.start()
             sut.pool.kill_worker(0)

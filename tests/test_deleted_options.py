@@ -79,6 +79,7 @@ PASSES = {
     "ShmArena.capacity": lambda: ShmArena("arena", capacity=1 << 16),
     "ParallelSUT.transport":
         lambda: ParallelSUT(_echo, None, transport="shm"),
+    "ParallelSUT.policy": lambda: ParallelSUT(_echo, None, policy=None),
     "FaultPlan.duplicate_lag": lambda: FaultPlan(duplicate_lag=0.001),
     "RetryPolicy.backoff_factor": lambda: RetryPolicy(backoff_factor=2.0),
     "ChaosOrchestrator.period":
@@ -130,6 +131,8 @@ PASSES = {
     "run_multitenant.pool_size":
         lambda: run_multitenant(None, [], pool_size=1_024),
     "parallel_echo_backend.qsl": lambda: parallel_echo_backend(qsl=None),
+    "parallel_echo_backend.max_batch":
+        lambda: parallel_echo_backend(max_batch=8),
     "run_over_localhost.server_config":
         lambda: run_over_localhost(None, None, None, server_config=None),
     "run_over_localhost.snapshot_period":

@@ -265,7 +265,7 @@ def test_metric_catalog_matches_what_src_registers():
     this is what checks it, both ways."""
     registered = registered_metric_names()
     catalogued = catalogued_metric_names()
-    assert len(registered) >= 91, "the walk lost sight of the registrations"
+    assert len(registered) >= 90, "the walk lost sight of the registrations"
     missing = {name: where for name, where in registered.items()
                if name not in catalogued}
     assert not missing, f"registered but not in the catalog: {missing}"

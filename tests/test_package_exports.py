@@ -193,7 +193,6 @@ PACKAGES = {
         "simulated": ("ChannelModel", "ChannelStats", "SimulatedChannelSUT"),
     },
     "repro.parallel": {
-        "batching": ("BatchingPolicy", "DynamicBatcher"),
         "pool": (
             "PoolStats", "ShardOutcome", "WorkerCrashed", "WorkerPool",
             "shard_evenly",
