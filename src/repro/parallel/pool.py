@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..bounds import AT_LEAST_ONE, check_range
+from ..bounds import AT_LEAST_ONE, POSITIVE, check_range
 from ..metrics import exported
 from .shm import ArenaCache, ArraySpec, ShmArena, as_arrays, packed_size
 
@@ -213,6 +213,8 @@ class WorkerPool:
                  seed: int = 0, transport: str = "shm",
                  job_timeout: Optional[float] = None) -> None:
         check_range("workers", workers, AT_LEAST_ONE)
+        if job_timeout is not None:
+            check_range("job_timeout", job_timeout, POSITIVE)
         if transport not in ("shm", "pickle"):
             raise ValueError(f"unknown transport {transport!r}")
         self._factory = factory
@@ -395,7 +397,7 @@ class WorkerPool:
         member = self._members[index]
         assert member is not None
         deadline = (time.monotonic() + self.job_timeout
-                    if self.job_timeout else None)
+                    if self.job_timeout is not None else None)
         while True:
             try:
                 ready = member.conn.poll(_POLL)

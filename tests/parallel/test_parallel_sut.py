@@ -4,9 +4,10 @@ scaling, crash-to-QueryFailure, and composition with ResilientSUT."""
 import numpy as np
 import pytest
 
-from repro.core.events import WallClock
+from repro.core.events import EventLoop, WallClock
 from repro.core.config import Scenario, TestMode, TestSettings
 from repro.core.loadgen import run_benchmark
+from repro.core.query import Query, QueryFailure, QuerySample
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -194,6 +195,128 @@ class TestCrashHandling:
             sut.close()
         assert len(outputs_of(result)) == 8
         assert sut.pool.stats.restarts == 1
+
+
+def quarter_per_sample(n):
+    """Service model: a shard of ``n`` samples takes ``n / 4`` virtual
+    seconds, exact in binary, so completion times compare with ``==``."""
+    return 0.25 * n
+
+
+def query_of(query_id, indices):
+    return Query(id=query_id, samples=tuple(
+        QuerySample(query_id * 100 + offset, index)
+        for offset, index in enumerate(indices)))
+
+
+class HandDriven:
+    """A ``ParallelSUT`` started on a virtual loop by hand: what it
+    resolves is noted as ``(query id, loop time, responses)``."""
+
+    def __init__(self, workers, **sut_kwargs):
+        self.loop = EventLoop()
+        self.resolved = []
+        self.sut = ParallelSUT(
+            affine_factory, ArrayQSL(64), workers=workers, seed=9,
+            service_time_fn=quarter_per_sample, **sut_kwargs)
+        self.sut.start_run(self.loop, self._respond)
+
+    def _respond(self, query, responses):
+        self.resolved.append((query.id, self.loop.now, responses))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.sut.close()
+
+
+class TestDispatch:
+    """Each query the SUT is issued is fanned out on its own, inside
+    ``issue_query``: nothing waits in the SUT for a later query."""
+
+    def test_an_issued_query_is_scheduled_before_issue_query_returns(self):
+        with HandDriven(workers=4) as run:
+            run.sut.issue_query(query_of(1, range(10)))
+            # The shards have already run; only the completion is due.
+            assert run.sut.pool.stats.per_worker_jobs == {
+                0: 1, 1: 1, 2: 1, 3: 1}
+            assert run.loop.pending() == 1
+            run.sut.flush()  # nothing is held back for a flush to send
+            assert run.loop.pending() == 1
+            run.loop.run()
+        [(query_id, when, responses)] = run.resolved
+        # Shards of 3, 3, 2 and 2 samples: the query completes when the
+        # slowest shard does.
+        assert (query_id, when) == (1, 0.75)
+        assert [float(resp.data) for resp in responses] == [
+            3.0 * index + 1.0 for index in range(10)]
+
+    def test_queries_issued_together_complete_in_issue_order(self):
+        with HandDriven(workers=2) as run:
+            for query_id in (1, 2, 3):
+                run.sut.issue_query(query_of(query_id, range(4)))
+            run.loop.run()
+        assert [(query_id, when) for query_id, when, _ in run.resolved] == [
+            (1, 0.5), (2, 0.5), (3, 0.5)]
+
+    def test_a_query_smaller_than_the_pool_runs_one_job(self):
+        with HandDriven(workers=4) as run:
+            run.sut.issue_query(query_of(1, [7]))
+            run.loop.run()
+            jobs = dict(run.sut.pool.stats.per_worker_jobs)
+        assert jobs == {0: 1}
+        [(_, when, responses)] = run.resolved
+        assert when == 0.25
+        assert [float(resp.data) for resp in responses] == [22.0]
+
+    def test_a_query_larger_than_the_pool_reaches_every_worker(self):
+        registry = MetricsRegistry()
+        with HandDriven(workers=4, registry=registry) as run:
+            run.sut.issue_query(query_of(1, range(10)))
+            run.loop.run()
+            jobs = dict(run.sut.pool.stats.per_worker_jobs)
+        assert jobs == {0: 1, 1: 1, 2: 1, 3: 1}
+        per_worker = {
+            labels["worker"]: child.value
+            for labels, child in registry.get(
+                "parallel_worker_samples_total").series()}
+        assert per_worker == {"0": 3, "1": 3, "2": 2, "3": 2}
+        assert registry.get("parallel_dispatches_total").value == 1
+
+    def test_a_crashed_dispatch_fails_at_the_slowest_shard(self):
+        plan = FaultPlan.single(FaultType.STALL, rate=1.0, seed=13)
+        with HandDriven(workers=4, crash_plan=plan) as run:
+            run.sut.issue_query(query_of(1, range(10)))
+            run.loop.run()
+        [(query_id, when, failure)] = run.resolved
+        assert (query_id, when) == (1, 0.75)
+        assert isinstance(failure, QueryFailure)
+        assert "crashed" in failure.reason
+
+
+def sleeper_factory():
+    def predict(samples):
+        import time
+        time.sleep(30.0)
+        return samples
+    return predict
+
+
+class TestJobTimeout:
+    def test_a_hung_worker_fails_its_query_not_the_run(self):
+        """``job_timeout`` reaches the pool: a worker that never answers
+        is killed, and its query resolves as a failure."""
+        qsl = ArrayQSL(4)
+        sut = ParallelSUT(sleeper_factory, qsl, workers=1, seed=9,
+                          job_timeout=0.3)
+        try:
+            result = run_benchmark(sut, qsl, accuracy_settings(4))
+        finally:
+            sut.close()
+        assert not result.valid
+        [(_, reason)] = result.log.first_failures(2)
+        assert "job timeout after 0.3s" in reason
 
 
 class TestInstruments:
