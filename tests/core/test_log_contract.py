@@ -23,7 +23,8 @@ whose first query answers last; and hand-built logs with duplicate,
 unsolicited and late-chunk traffic, ids issued out of order, a stuck
 query at the front, odd queries and integer times, and logs whose first
 failure, kept response, stream, session tag, query of several samples
-or odd query arrives only after records have retired.  Each case's metrics
+or odd query arrives only after records have retired, and a log whose
+queries go from one sample to 48 and back.  Each case's metrics
 and verdict (``compute_metrics`` / ``validate_run``) are also pinned by
 digest in ``log_contract.json``; re-record after a deliberate change
 with ``PYTHONPATH=src python -m tests.core.test_log_contract``.
@@ -967,7 +968,35 @@ def late_stop(log):
     yield "probed"
 
 
+def mixed_widths(log):
+    """One-sample queries, then queries of 48 samples, then one-sample
+    queries again, each answered three issues later: a block counted in
+    samples ends inside a wide query."""
+    widths = [1] * (BLOCK + 100) + [48] * 70 + [1] * (BLOCK + 50)
+    pending = []
+    for qid, width in enumerate(widths, 1):
+        at = qid * 1e-3
+        query = _query(qid, [(qid + i) % 97 for i in range(width)],
+                       first_sample=100 * qid, issue_time=at)
+        log.record_issue(query, at, scheduled_time=at - 1e-4)
+        pending.append(query)
+        if len(pending) > 3:
+            done = pending.pop(0)
+            if done.id % 29 == 0:
+                log.record_failure(done, at, f"reason {done.id}")
+            else:
+                log.observe_completion(done, at, _answer(done),
+                                       keep_responses=done.id % 31 == 0)
+        if qid in (BLOCK + 100, BLOCK + 170):
+            yield f"widths-{qid}"
+    for done in pending:
+        log.observe_completion(done, done.issue_time + 4e-3, _answer(done),
+                               keep_responses=False)
+    yield "resolved"
+
+
 BUILT = {
+    "mixed-widths": mixed_widths,
     "late-carriers": late_carriers,
     "late-stop": late_stop,
     "duplicates": duplicates,
