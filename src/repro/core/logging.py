@@ -12,11 +12,13 @@ random payload logging via ``log_sample_probability``.
 
 The Server rule alone asks for 270,336 queries (Table IV), so a resolved
 query does not stay a ``QueryRecord`` with its ``Query``, samples and
-boxed numbers.  Every :data:`SWEEP_BLOCK` resolutions, and once more
-when the run is judged, the log retires the longest resolved prefix of
-its records, in issue order, into flat ``array`` columns: query id;
-issue, scheduled and completion time (NaN stands for None); sample ids
-and indices, flat, with offsets once a query carried more than one.
+boxed numbers.  Every :data:`SWEEP_BLOCK` resolved samples (a query of
+N samples counts N, so a MultiStream tail is as small as a Server one),
+and once more when the run is judged, the log retires the longest
+resolved prefix of its records, in issue order, into flat ``array``
+columns: query id; issue, scheduled and completion time (NaN stands for
+None); sample ids and indices, flat, with offsets once a query carried
+more than one.
 What only some records carry - a failure, kept responses, stream fields,
 a session tag - has its columns made when the first record carrying it
 retires, filled back for the records retired before, so every column
@@ -48,9 +50,9 @@ from ..bounds import UNIT, check_range
 from .query import (Query, QueryRecord, QuerySample, QuerySampleResponse,
                     SessionTurn, StreamChunk, new_sample, sample_id_of)
 
-#: Resolutions between two sweeps of the resolved prefix into the
-#: columns: the bound on the resolved records the log holds as objects
-#: beyond the queries in flight.
+#: Resolved samples between two sweeps of the resolved prefix into the
+#: columns: the bound on the resolved samples the log holds as objects
+#: beyond those in flight.
 SWEEP_BLOCK = 1024
 
 #: ``response.sample_id`` read in C, for the referee's id-set check.
@@ -188,10 +190,11 @@ class QueryLog:
         self._offsets: Optional[array] = None
         #: What only some records carry, a tuple of columns each, None
         #: until the first record carrying it retires: failure reason
-        #: (None where a record did not fail) and time (NaN); kept
-        #: responses (None); first / last chunk time (NaN), chunk, token
-        #: and restart count and closed (0 where a record did not
-        #: stream); session tag (None).
+        #: (None where a record did not fail) and time (NaN; read only
+        #: where the reason says the record failed, so a failure at NaN
+        #: reads back NaN); kept responses (None); first / last chunk
+        #: time (NaN), chunk, token and restart count and closed (0
+        #: where a record did not stream); session tag (None).
         self._failures: Optional[tuple] = None
         self._kept: Optional[tuple] = None
         self._streams: Optional[tuple] = None
@@ -216,6 +219,9 @@ class QueryLog:
         #: ``loadgen_queries_outstanding`` gauge.
         self._issued_count = 0
         self._resolved_count = 0
+        #: Samples those resolved records carried: what the sweep
+        #: block counts.
+        self._resolved_samples = 0
         #: How many of those resolved as failures.
         self.failed_count = 0
         self.log_sample_probability = log_sample_probability
@@ -286,13 +292,15 @@ class QueryLog:
                 f"query {query.id} completed at {completion_time}, "
                 "which is not a time"
             )
-        if len(responses) != query.sample_count:
+        expected = query.sample_count
+        if len(responses) != expected:
             raise ValueError(
-                f"query {query.id}: expected {query.sample_count} responses, "
+                f"query {query.id}: expected {expected} responses, "
                 f"got {len(responses)}"
             )
         record.completion_time = completion_time
         self._resolved_count += 1
+        self._resolved_samples += expected
         if keep_responses or (
             self.log_sample_probability > 0.0
             and self._rng.random() < self.log_sample_probability
@@ -301,7 +309,7 @@ class QueryLog:
             self._kept_pending += 1
         if self.observer is not None:
             self.observer("completed", query, completion_time, responses)
-        if self._resolved_count == self._next_sweep:
+        if self._resolved_samples >= self._next_sweep:
             self.sweep()
 
     # -- tolerant referee path -------------------------------------------------
@@ -372,6 +380,7 @@ class QueryLog:
             self.truncated_streams.append((query.id, completion_time))
         record.completion_time = completion_time
         self._resolved_count += 1
+        self._resolved_samples += expected
         if keep_responses or (
             self.log_sample_probability > 0.0
             and self._rng.random() < self.log_sample_probability
@@ -380,7 +389,7 @@ class QueryLog:
             self._kept_pending += 1
         if self.observer is not None:
             self.observer("completed", query, completion_time, responses)
-        if self._resolved_count == self._next_sweep:
+        if self._resolved_samples >= self._next_sweep:
             self.sweep()
         return "completed"
 
@@ -476,12 +485,15 @@ class QueryLog:
             return "duplicate"
         record.failure_reason = reason
         record.failure_time = time
+        if time is None:  # its column would read it back as NaN
+            self._retiring = False
         self._resolved_count += 1
+        self._resolved_samples += len(record.query.samples)
         self.failed_count += 1
         self._failures_pending += 1
         if self.observer is not None:
             self.observer("failed", query, time, reason)
-        if self._resolved_count == self._next_sweep:
+        if self._resolved_samples >= self._next_sweep:
             self.sweep()
         return "failed"
 
@@ -489,14 +501,14 @@ class QueryLog:
 
     def sweep(self) -> None:
         """Retire the longest resolved prefix of the tail into the
-        columns.  The log sweeps every :data:`SWEEP_BLOCK` resolutions;
-        the referee sweeps once more when it judges the run.
+        columns.  The log sweeps every :data:`SWEEP_BLOCK` resolved
+        samples; the referee sweeps once more when it judges the run.
 
         Every field is read in C, a block at a time, and a field only
         some records carry is read only while a record that may carry it
         is pending or its columns exist.
         """
-        self._next_sweep = self._resolved_count + SWEEP_BLOCK
+        self._next_sweep = self._resolved_samples + SWEEP_BLOCK
         records = self._records
         if not records or not self._retiring:
             return
@@ -621,7 +633,7 @@ class QueryLog:
             scheduled_time=_none_for_nan(self._scheduled[at]))
         if self._failures is not None and self._failures[0][at] is not None:
             record.failure_reason = self._failures[0][at]
-            record.failure_time = _none_for_nan(self._failures[1][at])
+            record.failure_time = self._failures[1][at]
         if self._streams is not None and self._streams[2][at]:  # streamed
             (record.first_chunk_time, record.last_chunk_time,
              record.chunk_count, record.token_count,
@@ -770,8 +782,9 @@ class QueryLog:
         failure_times = failure_reasons = responses = [None] * retired
         if self._failures is not None:
             failure_reasons = self._failures[0]
-            failure_times = [None if time != time else time
-                             for time in self._failures[1]]
+            failure_times = [None if reason is None else time
+                             for reason, time in zip(failure_reasons,
+                                                     self._failures[1])]
         if self._kept is not None:
             responses = self._kept[0]
         out = list(zip(ids, id_tuples, index_tuples, issue, scheduled,

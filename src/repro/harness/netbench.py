@@ -26,7 +26,6 @@ from ..core.sut import QuerySampleLibrary, SystemUnderTest
 from ..core.trace import TransportTiming
 from ..metrics import MetricsRegistry
 from ..network.client import NetworkStats
-from ..network.server import InferenceServer
 
 
 class SyntheticQSL:
@@ -136,8 +135,10 @@ def run_over_localhost(
     (queue depth, batch sizes, worker utilization; see
     ``docs/observability.md``).
     """
-    # Imported here: the stack module pulls in every wrapper layer,
-    # which importers of this module (the paper sweep) never use.
+    # Imported here: the stack module pulls in every wrapper layer, and
+    # the server its queue and workers, which importers of this module
+    # (the paper sweep) never use.
+    from ..network.server import InferenceServer
     from .stack import NetworkBackend, StackSpec, build
 
     server = InferenceServer(backend, registry=registry)

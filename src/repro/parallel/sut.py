@@ -103,8 +103,9 @@ class ParallelSUT(SutBase):
         replayed (virtual clock) or already elapsed (wall clock).
     ``crash_plan``
         A ``FaultPlan`` or ``FaultInjector`` whose ``STALL`` decisions
-        are interpreted as "kill one worker before this query
-        dispatches" -- decisions stay pure in (seed, query id, attempt),
+        are interpreted as "kill one worker holding a shard of this
+        query before it dispatches", so every such decision fails its
+        attempt -- decisions stay pure in (seed, query id, attempt),
         so crash schedules are reproducible and retry attempts draw
         fresh decisions.
     """
@@ -142,8 +143,8 @@ class ParallelSUT(SutBase):
         samples = [self._qsl.get_sample(sample.index)
                    for sample in query.samples]
         self.pool.ensure_alive()
-        self._inject_crash(query)
         shards = shard_evenly(samples, self.pool.workers)
+        self._inject_crash(query, shards)
         started = time.perf_counter()
         try:
             outcomes = self.pool.run_shards(shards)
@@ -179,14 +180,21 @@ class ParallelSUT(SutBase):
 
     # -- dispatch machinery -------------------------------------------
 
-    def _inject_crash(self, query: Query) -> None:
+    def _inject_crash(self, query: Query,
+                      shards: Sequence[Sequence[object]]) -> None:
         if self._crash_injector is None:
             return
         attempt = self._attempts.get(query.id, 0)
         self._attempts[query.id] = attempt + 1
         decision = self._crash_injector.decide(query.id, attempt)
         if decision is not None and decision.fault is FaultType.STALL:
-            self.pool.kill_worker(next(self._victims))
+            # The next worker in the cycle that holds a shard: a worker
+            # with none would cost a respawn and fail nothing.
+            for _ in shards:
+                victim = next(self._victims)
+                if shards[victim]:
+                    self.pool.kill_worker(victim)
+                    return
 
     def _duration(self, shards: Sequence[Sequence[object]],
                   elapsed: float) -> float:

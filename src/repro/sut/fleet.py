@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..core.config import Scenario, Task
-from ..models.arch.gnmt import build_gnmt
-from ..models.registry import model_info
 from .device import ComputeMotif, DeviceModel, ProcessorType
 from .simulated import WorkloadProfile
 
@@ -53,6 +51,11 @@ _TASK = {
 
 def task_workload(task: Task) -> WorkloadProfile:
     """The simulated workload profile for one Table I model."""
+    # Imported here: the model registry and architectures are read only
+    # when a plan is priced, not by importers of the fleet tables.
+    from ..models.arch.gnmt import build_gnmt
+    from ..models.registry import model_info
+
     info = model_info(task)
     if task is Task.MACHINE_TRANSLATION:
         # Table I quotes no GOPs for GNMT; use the architecture's cost at

@@ -8,8 +8,10 @@ resolved query as a
 ``QueryRecord`` with its ``Query``, samples and boxed numbers retained
 ~484.  A streamed run (2-6 tokens a query) retains at most 110 and a
 MultiStream run of 4 samples a query at most 120.  While a run goes, a
-``RunService`` probe sees the unretired tail stay within
-``SWEEP_BLOCK`` plus the queries in flight.
+``RunService`` probe sees the samples of the unretired tail stay within
+``SWEEP_BLOCK`` plus the samples in flight: the log sweeps every
+``SWEEP_BLOCK`` resolved samples, so a MultiStream run of 32 samples a
+query holds ~1,024 samples as objects, not ~1,024 queries of 32.
 """
 
 import gc
@@ -33,9 +35,9 @@ def server_settings(queries):
         min_duration=0.0, seed=1)
 
 
-def multistream_settings(queries):
+def multistream_settings(queries, width=4):
     return TestSettings(
-        scenario=Scenario.MULTI_STREAM, multistream_samples_per_query=4,
+        scenario=Scenario.MULTI_STREAM, multistream_samples_per_query=width,
         multistream_interval=0.005, min_query_count=queries,
         min_duration=0.0, seed=1)
 
@@ -71,9 +73,14 @@ def test_a_finished_run_retains_its_records_as_columns(name):
     assert per_query <= bound
 
 
+def _samples(records):
+    return sum(len(record.query.samples) for record in records)
+
+
 class TailProbe:
-    """A RunService that samples, every virtual 0.2 ms, how many records
-    the run's log holds as objects and how many queries are in flight."""
+    """A RunService that samples, every virtual 0.2 ms, how many samples
+    the records the run's log holds as objects carry, and how many of
+    them are in flight."""
 
     def __init__(self, logs):
         self.logs = logs
@@ -82,7 +89,8 @@ class TailProbe:
     def start(self, loop, keep_going):
         def tick():
             log = self.logs[-1]
-            self.samples.append((len(log._records), log.outstanding))
+            self.samples.append((_samples(log._records.values()),
+                                 _samples(log.outstanding_records())))
             if keep_going():
                 loop.schedule_after(0.0002, tick)
 
@@ -92,8 +100,17 @@ class TailProbe:
         pass
 
 
-def test_the_unretired_tail_stays_within_a_block_of_the_queries_in_flight(
-        monkeypatch):
+#: Per run: the settings.
+TAILS = {
+    "server": server_settings(4 * SWEEP_BLOCK + 100),
+    "wide-multistream": multistream_settings(SWEEP_BLOCK + 100, width=32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAILS))
+def test_the_unretired_tail_stays_within_a_block_of_the_samples_in_flight(
+        monkeypatch, name):
+    settings = TAILS[name]
     logs = []
 
     class Watched(QueryLog):
@@ -103,10 +120,10 @@ def test_the_unretired_tail_stays_within_a_block_of_the_queries_in_flight(
 
     monkeypatch.setattr(loadgen, "QueryLog", Watched)
     probe = TailProbe(logs)
-    queries = 4 * SWEEP_BLOCK + 100
-    result = run_benchmark(EchoSUT(latency=2e-3), EchoQSL(),
-                           server_settings(queries), services=[probe])
+    result = run_benchmark(EchoSUT(latency=2e-3), EchoQSL(), settings,
+                           services=[probe])
     assert result.valid
+    queries = settings.min_query_count
     assert len(probe.samples) > 5 * queries
     assert max(tail for tail, _ in probe.samples) > SWEEP_BLOCK // 2
     for tail, in_flight in probe.samples:

@@ -1,6 +1,7 @@
 """Query log bookkeeping and serialization."""
 
 import json
+import math
 
 import pytest
 
@@ -71,7 +72,8 @@ def test_completion_before_issue_time_rejected(time, message):
 def test_a_completion_at_nan_fails_its_query_in_a_retired_log():
     """A completion at NaN passes no ``<`` check against the issue time;
     unless it is caught, the record retires as NaN and reads back as
-    unresolved while ``completed_count`` counts it."""
+    unresolved while ``completed_count`` counts it.  Its failure time
+    reads NaN before the record retires, after, and in ``rows()``."""
     log = QueryLog()
     queries = [Query(qid, (QuerySample(qid, qid),), issue_time=qid * 1e-3)
                for qid in range(1024)]
@@ -81,14 +83,38 @@ def test_a_completion_at_nan_fails_its_query_in_a_retired_log():
         time = float("nan") if query.id == 5 else query.issue_time + 0.01
         log.observe_completion(query, time, _responses(query),
                                keep_responses=False)
+        if query.id == 5:
+            assert math.isnan(log.record_for(5).failure_time)
     assert not log._records  # the whole block retired into the columns
     record = log.record_for(5)
     assert record.completion_time is None
     assert record.failure_reason == "completed at nan, which is not a time"
+    assert math.isnan(record.failure_time)
+    rows = {row[0]: row for row in log.rows()}
+    assert math.isnan(rows[5][6])
+    assert rows[6][6] is None and rows[6][7] is None
     assert log.failed_count == 1
     assert len(log.completed_records()) == log.completed_count == 1023
     assert [r.query.id for r in log.failed_records()] == [5]
     assert log.outstanding == 0
+
+
+def test_a_failure_without_a_time_reads_back_none():
+    """A float column cannot tell a failure at None from one at NaN, so
+    a log given a failure without a time keeps its records whole."""
+    log = QueryLog()
+    queries = [Query(qid, (QuerySample(qid, qid),), issue_time=qid * 1e-3)
+               for qid in range(1024)]
+    for query in queries:
+        log.record_issue(query, query.issue_time)
+    for query in queries:
+        if query.id == 5:
+            log.record_failure(query, None, "no time")
+        else:
+            log.observe_completion(query, query.issue_time + 0.01,
+                                   _responses(query), keep_responses=False)
+    assert log.record_for(5).failure_time is None
+    assert {row[0]: row for row in log.rows()}[5][6] is None
 
 
 def test_wrong_response_count_rejected():

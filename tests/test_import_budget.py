@@ -4,7 +4,9 @@ Every interpreter start compiles each module it imports when bytecode
 is not cached (``PYTHONDONTWRITEBYTECODE``), so the modules a command
 loads are its start-up time.  A ``repro serve`` child echoing integers
 needs the CLI, the server and the echo SUT: no numpy, and none of the
-packages that model, fault, replicate or stream a run.
+packages that model, fault, replicate or stream a run.  The benchmark
+child's harness, ``repro.harness.experiments``, loads neither the
+inference server nor the models until a run asks for them.
 """
 
 import json
@@ -37,3 +39,11 @@ def test_the_serve_child_loads_no_numpy_and_no_unused_package():
 
 def test_the_core_package_loads_no_numpy():
     assert under(loaded_by("import repro.core"), ("numpy",)) == []
+
+
+def test_the_experiments_harness_loads_no_server_and_no_models():
+    """The benchmark child drives ``repro.harness.experiments``; the
+    inference server and the model zoo load only when a run of theirs
+    asks for them."""
+    loaded = loaded_by("import repro.harness.experiments")
+    assert under(loaded, ("repro.network.server", "repro.models")) == []
