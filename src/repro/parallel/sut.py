@@ -190,7 +190,7 @@ class ParallelSUT(SutBase):
         if decision is not None and decision.fault is FaultType.STALL:
             # The next worker in the cycle that holds a shard: a worker
             # with none would cost a respawn and fail nothing.
-            for _ in shards:
+            for _ in range(self.pool.workers):
                 victim = next(self._victims)
                 if shards[victim]:
                     self.pool.kill_worker(victim)

@@ -7,6 +7,8 @@ merges requests in its own queue before it hands the backend one query.
 Every attempt the SUT is issued is therefore fanned out across the pool
 on its own.  These cases pin that for each kind of traffic:
 
+* a crash plan's kill lands on a worker holding a shard of the
+  attempt, so every kill fails its attempt at any worker count;
 * the pool runs one set of shards per issued attempt
   (``WorkerPool.run_shards`` calls), and ``parallel_dispatches_total``
   counts the same;
@@ -68,6 +70,20 @@ def count_shard_runs(pool):
 
     pool.run_shards = counted
     return calls
+
+
+def note_kills(pool):
+    """Wrap ``pool.kill_worker``; the returned list grows by each
+    victim's index."""
+    victims = []
+    kill_worker = pool.kill_worker
+
+    def noted(index):
+        victims.append(index)
+        kill_worker(index)
+
+    pool.kill_worker = noted
+    return victims
 
 
 def pool_jobs(pool):
@@ -167,6 +183,31 @@ class TestSingleStreamUnderRetries:
             float(record.responses[0].data)
             == 3.0 * record.query.samples[0].index + 1.0
             for record in completed)
+
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_every_kill_fails_its_attempt(self, workers):
+        """A STALL decision kills a worker holding a shard of the
+        attempt, so the plan fails as many attempts at any worker count:
+        a one-sample query's only shard, and victim, is worker 0."""
+        qsl = ArrayQSL(32)
+        inner = CountingSUT(
+            affine_factory, qsl, workers=workers, seed=9,
+            crash_plan=FaultPlan.single(FaultType.STALL, rate=0.5, seed=21))
+        victims = note_kills(inner.pool)
+        sut = ResilientSUT(
+            inner, RetryPolicy(max_attempts=8, backoff_base=0.001))
+        settings = TestSettings(
+            scenario=Scenario.SINGLE_STREAM, mode=TestMode.ACCURACY,
+            min_duration=0.0, min_query_count=1)
+        try:
+            result = run_benchmark(sut, qsl, settings)
+        finally:
+            inner.close()
+        assert result.valid, result.validity.reasons
+        assert len(result.log.completed_records()) == 32
+        assert inner.failures == len(victims) > 0
+        assert set(victims) == {0}
 
 
 class TestDeterminism:

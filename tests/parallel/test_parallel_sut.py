@@ -120,27 +120,6 @@ class TestRealtimeLoop:
         assert len(outputs_of(result)) == 8
 
 
-class KillCountingSUT(ParallelSUT):
-    """A ``ParallelSUT`` that notes the workers its crash plan kills and
-    counts the attempts it fails."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.victims = []
-        self.failures = 0
-        kill_worker = self.pool.kill_worker
-
-        def noted(index):
-            self.victims.append(index)
-            kill_worker(index)
-
-        self.pool.kill_worker = noted
-
-    def fail(self, query, reason):
-        self.failures += 1
-        super().fail(query, reason)
-
-
 class TestCrashHandling:
     def test_certain_crash_fails_queries_not_harness(self):
         """Every attempt crashes a worker: the run ends INVALID with
@@ -172,29 +151,6 @@ class TestCrashHandling:
         assert len(outputs_of(result)) == 32
         # Crashes really happened; the retries papered over them.
         assert inner.pool.stats.restarts > 0
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_every_kill_fails_its_attempt(self, workers):
-        """A STALL decision kills a worker that holds a shard of the
-        attempt, so the plan fails as many attempts at any worker count:
-        a one-sample query's only shard, and victim, is worker 0."""
-        qsl = ArrayQSL(32)
-        inner = KillCountingSUT(
-            affine_factory, qsl, workers=workers, seed=9,
-            crash_plan=FaultPlan.single(FaultType.STALL, rate=0.5, seed=21))
-        sut = ResilientSUT(
-            inner, RetryPolicy(max_attempts=8, backoff_base=0.001))
-        settings = TestSettings(
-            scenario=Scenario.SINGLE_STREAM, mode=TestMode.ACCURACY,
-            min_duration=0.0, min_query_count=1)
-        try:
-            result = run_benchmark(sut, qsl, settings)
-        finally:
-            inner.close()
-        assert result.valid, result.validity
-        assert len(outputs_of(result)) == 32
-        assert inner.failures == len(inner.victims) > 0
-        assert set(inner.victims) == {0}
 
     def test_a_reused_sut_replays_its_crash_schedule(self):
         """A second run of the same instance starts its crash schedule
