@@ -184,7 +184,6 @@ class TestSingleStreamUnderRetries:
             == 3.0 * record.query.samples[0].index + 1.0
             for record in completed)
 
-
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_every_kill_fails_its_attempt(self, workers):
         """A STALL decision kills a worker holding a shard of the
