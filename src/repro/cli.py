@@ -573,7 +573,7 @@ def _cmd_run_parallel(args) -> int:
     stats = sut.pool.stats
     print(f"pool: {args.workers} workers, "
           f"{stats.shm_dispatches} shm + {stats.pickle_dispatches} pickled "
-          f"dispatches, {stats.bytes_in / 1e6:.2f} MB in / "
+          f"shard jobs, {stats.bytes_in / 1e6:.2f} MB in / "
           f"{stats.bytes_out / 1e6:.2f} MB out, {stats.restarts} restarts")
     return 0 if result.valid else 1
 

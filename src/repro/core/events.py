@@ -41,6 +41,7 @@ from __future__ import annotations
 import collections
 import functools
 import heapq
+import operator
 import threading
 import time as _time
 from typing import Callable, Deque, List, Optional, Sequence
@@ -79,20 +80,25 @@ class WallClock(Clock):
 
 
 class VirtualClock(Clock):
-    """Simulated time, advanced explicitly by an :class:`EventLoop`."""
+    """Simulated time, advanced explicitly by an :class:`EventLoop`.
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    It starts at 0.0.  The time is the one slot of a list, ``_cell``,
+    that :meth:`EventLoop.run` writes as each event fires; ``now`` is
+    the instance attribute ``partial(getitem, _cell, 0)``, so a reading
+    runs no Python frame, as :class:`WallClock`'s does not, and every
+    module reads either clock the same way: ``loop.clock.now()``."""
 
-    def now(self) -> float:
-        return self._now
+    def __init__(self) -> None:
+        self._cell = cell = [0.0]
+        self.now = functools.partial(operator.getitem, cell, 0)
 
     def advance_to(self, t: float) -> None:
         """Move the clock forward to ``t``.  Time never runs backwards."""
-        if t < self._now:
+        cell = self._cell
+        if t < cell[0]:
             raise ValueError(
-                f"clock cannot run backwards: now={self._now}, target={t}")
-        self._now = t
+                f"clock cannot run backwards: now={cell[0]}, target={t}")
+        cell[0] = t
 
 
 class EventHandle(list):
@@ -182,11 +188,11 @@ class EventLoop:
 
     @property
     def now(self) -> float:
-        return self.clock.now() if self.realtime else self.clock._now
+        return self.clock.now()
 
     def schedule(self, when: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute time ``when`` (seconds)."""
-        now = self.clock.now() if self.realtime else self.clock._now  # self.now
+        now = self.clock.now()
         if not when >= now:  # the past, or NaN (which would corrupt the heap)
             if not self.realtime:
                 raise ValueError(
@@ -245,9 +251,7 @@ class EventLoop:
         """Schedule ``callback`` ``delay`` seconds from now."""
         if not delay >= 0:  # negative or NaN
             raise ValueError(f"delay must be non-negative, got {delay}")
-        clock = self.clock  # self.now, read in place as schedule reads it
-        return self.schedule(
-            (clock.now() if self.realtime else clock._now) + delay, callback)
+        return self.schedule(self.clock.now() + delay, callback)
 
     def stop(self) -> None:
         """Stop the loop after the currently executing event returns."""
@@ -270,12 +274,13 @@ class EventLoop:
         heap, posted, wakeup = self._heap, self._posted, self._wakeup
         clock, realtime, pop = self.clock, self.realtime, heapq.heappop
         replace, train = heapq.heapreplace, _Train
+        cell = None if realtime else clock._cell  # the virtual time
         while not self._stopped:
             # Deque operations are atomic: an empty queue needs no lock.
             if posted:
                 with wakeup:
                     callback = posted.popleft()
-                when = self.now
+                when = clock.now()
             elif not heap:
                 break
             else:
@@ -307,9 +312,9 @@ class EventLoop:
                     pop(heap)
                     entry[3] = None
                 if not realtime:
-                    if when < clock._now:
+                    if when < cell[0]:
                         clock.advance_to(when)  # raises: never backwards
-                    clock._now = when
+                    cell[0] = when
             try:
                 callback()
             except RunAbortedError:
@@ -317,9 +322,9 @@ class EventLoop:
             except Exception as exc:
                 raise _aborted(callback, when, exc) from exc
         # A stopped run may leave earlier events behind: the clock stays put.
-        if until is not None and not (realtime or self._stopped) and until > clock._now:
-            clock._now = until
-        return self.now
+        if until is not None and not (realtime or self._stopped) and until > cell[0]:
+            cell[0] = until
+        return clock.now()
 
     def _compact(self) -> None:
         """Drop the cancelled entries (they outnumber the live ones), in

@@ -289,9 +289,7 @@ class ScenarioDriver:
 
     def _issue(self, indices: List[int], scheduled_time: Optional[float] = None,
                session=None) -> Query:
-        loop = self.loop
-        # loop.now, read in place as EventLoop.schedule reads it.
-        now = loop.clock.now() if loop.realtime else loop.clock._now
+        now = self.loop.clock.now()
         query = self.factory.make_query(indices, now)
         if session is not None:
             query.session = session
@@ -309,9 +307,7 @@ class ScenarioDriver:
         logged as anomalies and otherwise ignored - a misbehaving SUT
         must be able to invalidate a run, never to corrupt or crash it.
         """
-        loop = self.loop
-        # loop.now, read in place as EventLoop.schedule reads it.
-        now = loop.clock.now() if loop.realtime else loop.clock._now
+        now = self.loop.clock.now()
         # Every hot path delivers a plain list or a plain StreamChunk,
         # so the exact type settles those; subclasses, failures and any
         # other response sequence take the isinstance route.
@@ -356,7 +352,7 @@ class ScenarioDriver:
                 ).inc()
         if status in ("completed", "failed"):
             self._outstanding -= 1
-            self.on_completion(query, now)
+            self.on_completion(query)
 
     def _should_issue_more(self, now: float) -> bool:
         """A finite source stops by returning None; an endless one once
@@ -379,8 +375,8 @@ class ScenarioDriver:
         """Schedule the first query/queries.  Called once by the LoadGen."""
         raise NotImplementedError
 
-    def on_completion(self, query: Query, now: float) -> None:
-        """React to a query that resolved at ``now`` (scenario specific)."""
+    def on_completion(self, query: Query) -> None:
+        """React to a query that resolved (scenario specific)."""
         raise NotImplementedError
 
 
@@ -400,10 +396,8 @@ class SingleStreamDriver(ScenarioDriver):
             return
         self._issue(indices)
 
-    def on_completion(self, query: Query, now: float) -> None:
-        loop = self.loop
-        if loop.realtime:
-            now = loop.clock.now()  # measured time moved while it was logged
+    def on_completion(self, query: Query) -> None:
+        now = self.loop.clock.now()  # measured time moved while it was logged
         if self._should_issue_more(now):
             self._issue_next()
         else:
@@ -462,17 +456,15 @@ class ServerDriver(ScenarioDriver):
             if indices is None:
                 self._close_issue_phase()
                 return
-            query = self._issue(indices, scheduled_time=self._due)
-        loop = self.loop
-        # Virtual time stands still inside an event; measured time has
-        # moved while the SUT ran, and the minimums are judged on that.
-        now = loop.clock.now() if loop.realtime else query.issue_time
-        if self._should_issue_more(now):
+            self._issue(indices, scheduled_time=self._due)
+        # Measured time has moved while the SUT ran, and the minimums
+        # are judged on that.
+        if self._should_issue_more(self.loop.clock.now()):
             self._schedule_next_arrival()
         else:
             self._close_issue_phase()
 
-    def on_completion(self, query: Query, now: float) -> None:
+    def on_completion(self, query: Query) -> None:
         """Server queries are independent; nothing to do on completion."""
 
 
@@ -513,17 +505,15 @@ class MultiStreamDriver(ScenarioDriver):
             if indices is None:
                 self._close_issue_phase()
                 return
-            loop = self.loop
-            self._current_query = query = self._issue(
+            self._current_query = self._issue(
                 indices, scheduled_time=self._due)
-            now = loop.clock.now() if loop.realtime else query.issue_time
-            if not self._should_issue_more(now):
+            if not self._should_issue_more(self.loop.clock.now()):
                 self._close_issue_phase()
                 return
         self._due = due = self._due + self._interval
         self.loop.schedule(due, self._tick)
 
-    def on_completion(self, query: Query, now: float) -> None:
+    def on_completion(self, query: Query) -> None:
         if self._current_query is not None and query.id == self._current_query.id:
             self._current_query = None
 
@@ -561,10 +551,8 @@ class OfflineDriver(ScenarioDriver):
         self.stats.offline_queries += 1
         self.sut.flush()
 
-    def on_completion(self, query: Query, now: float) -> None:
-        loop = self.loop
-        if loop.realtime:
-            now = loop.clock.now()  # measured time moved while it was logged
+    def on_completion(self, query: Query) -> None:
+        now = self.loop.clock.now()  # measured time moved while it was logged
         if (
             not self._finite
             and now - self.stats.start_time < self._min_duration

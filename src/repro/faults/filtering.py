@@ -127,7 +127,7 @@ class AttemptSUT(SutBase):
         many seconds from ``now`` too."""
         loop = self._loop
         if now is None:
-            now = loop.clock.now() if loop.realtime else loop.clock._now
+            now = loop.clock.now()
         state.deadline = wake = now + timeout
         if hedge is not None:
             state.hedge_at = wake = now + hedge
@@ -141,7 +141,7 @@ class AttemptSUT(SutBase):
     def _tick(self) -> None:
         """Act on what has reached its instant; wait for the next one."""
         loop = self._loop
-        now = loop.clock.now() if loop.realtime else loop.clock._now
+        now = loop.clock.now()
         if not loop.realtime and self._yielded != now:
             # Once per instant, yield to what else is queued for it.
             self._yielded = now
@@ -215,16 +215,17 @@ class AttemptSUT(SutBase):
             self._absorbed(chunk)
             return
         loop = self._loop
-        if not loop.realtime and (state.deadline <= loop.clock._now
-                                  or state.hedge_at <= loop.clock._now):
-            # An instant, armed before the inner SUT was issued to, beats
-            # what lands on it; so do those armed before it.
-            now, last = loop.clock._now, state.order
-            self._lose([s for s in self._inflight.values()
-                        if (s.deadline <= now or s.hedge_at <= now)
-                        and s.order <= last], now)
-            self._deliver(source, query_id, arrival)
-            return
+        if not loop.realtime:
+            now = loop.clock.now()
+            if state.deadline <= now or state.hedge_at <= now:
+                # An instant, armed before the inner SUT was issued to,
+                # beats what lands on it; so do those armed before it.
+                last = state.order
+                self._lose([s for s in self._inflight.values()
+                            if (s.deadline <= now or s.hedge_at <= now)
+                            and s.order <= last], now)
+                self._deliver(source, query_id, arrival)
+                return
         if chunk:
             if arrival.seq == 0 and state.next_seq > 0:
                 # A layer below reissued the query: a legitimate restart.
@@ -242,7 +243,7 @@ class AttemptSUT(SutBase):
             # A later deadline is a store (the tick will find it); only
             # nothing armed, or a window the policy shortened, arms.
             timeout = self._advanced(state)
-            now = loop.clock.now() if loop.realtime else loop.clock._now
+            now = loop.clock.now()
             if state.deadline <= now + timeout:
                 state.deadline = now + timeout
             else:

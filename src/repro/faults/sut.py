@@ -275,8 +275,7 @@ class WindowedSUT(SutBase):
         self.inner.start_run(loop, self._gate)
 
     def issue_query(self, query: Query) -> None:
-        loop = self._loop
-        now = loop.clock.now() if loop.realtime else loop.clock._now
+        now = self._loop.clock.now()
         if now >= self._until:
             self._settle(now)
         if self._refuse:
@@ -295,7 +294,7 @@ class WindowedSUT(SutBase):
             since = issued_at.get(query.id)
         if self.windows:
             loop = self._loop
-            now = loop.clock.now() if loop.realtime else loop.clock._now
+            now = loop.clock.now()
             if now >= self._until:
                 self._settle(now)
             if self._drop:

@@ -329,9 +329,8 @@ class ReplicaSet(AttemptSUT):
     # -- routing ----------------------------------------------------------------
 
     def issue_query(self, query: Query) -> None:
-        loop = self._loop
         state = self._inflight[query.id] = _Routed(
-            query, loop.clock.now() if loop.realtime else loop.clock._now)
+            query, self._loop.clock.now())
         if not self._dispatch(state, exclude=None):
             self._shed(state, "no replica available: every replica is "
                               "down, draining, or shedding load")
@@ -364,8 +363,7 @@ class ReplicaSet(AttemptSUT):
             if position > 0:
                 self.stats.fallbacks += 1
             state.probe = verdict == "probe"
-            state.attempt_started = (
-                loop.clock.now() if loop.realtime else loop.clock._now)
+            state.attempt_started = loop.clock.now()
             replica.outstanding += 1
             replica.issued += 1
             self.stats.routed_queries += 1
@@ -465,10 +463,8 @@ class ReplicaSet(AttemptSUT):
         replica = self.replicas[source]
         self._settle_attempt(replica, failed=False)
         replica.breaker.record_success(probe=state.probe)
-        loop = self._loop
         replica.observe_latency(
-            (loop.clock.now() if loop.realtime else loop.clock._now)
-            - state.attempt_started)
+            self._loop.clock.now() - state.attempt_started)
         # Close the routing feedback loop: the policy learns which
         # replica *actually* served the query - through breaker
         # rejections, reroutes, and kill rescues - so its state (e.g.

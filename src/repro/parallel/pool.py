@@ -74,7 +74,10 @@ class _Worker:
 @dataclass
 class PoolStats:
     """Cumulative pool accounting; worker deaths and respawns are
-    exported by :class:`~repro.parallel.sut.ParallelSUT` as they stand."""
+    exported by :class:`~repro.parallel.sut.ParallelSUT` as they stand.
+    ``shm_dispatches`` and ``pickle_dispatches`` count shard jobs, one
+    per worker a dispatch sends a non-empty shard to, by the transport
+    that carried its inputs."""
 
     bytes_in: int = 0
     bytes_out: int = 0
@@ -171,11 +174,11 @@ def _worker_main(index: int, seed: int, restart: int, conn,
                 if payload[0] == "shm":
                     reply = _pack_outputs(outputs, arenas.get(result_name))
                     if reply is None:  # arena too small: pickle this once
-                        blob = pickle.dumps(_listify(outputs), protocol=5)
+                        blob = pickle.dumps(list(outputs), protocol=5)
                         reply = ("pickle", blob, _needed_bytes(outputs))
                 else:
                     reply = ("pickle",
-                             pickle.dumps(_listify(outputs), protocol=5), 0)
+                             pickle.dumps(list(outputs), protocol=5), 0)
                 conn.send(("ok", job_id, reply, compute))
             except Exception:
                 conn.send(("err", job_id, traceback.format_exc(limit=8)))
@@ -184,12 +187,6 @@ def _worker_main(index: int, seed: int, restart: int, conn,
     finally:
         arenas.close()
         conn.close()
-
-
-def _listify(outputs) -> list:
-    if isinstance(outputs, np.ndarray):
-        return list(outputs)
-    return list(outputs)
 
 
 def _needed_bytes(outputs) -> int:

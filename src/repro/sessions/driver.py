@@ -116,7 +116,7 @@ class SessionDriver(ScenarioDriver):
         state.next_turn += 1
         self._issue(indices, scheduled_time=scheduled_time, session=tag)
 
-    def on_completion(self, query: Query, now: float) -> None:
+    def on_completion(self, query: Query) -> None:
         turn = query.session
         if turn is None:
             return

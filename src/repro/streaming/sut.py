@@ -116,8 +116,7 @@ class StreamingSUT(SutBase):
             _chunk_tails(model.first_token_delay, model.inter_token_delay,
                          plan.token_count))))
         loop = self._loop
-        clock = loop.clock  # loop.now, read in place as schedule reads it
-        start = clock.now() if loop.realtime else clock._now
+        start = loop.clock.now()
         # One train, one firing per chunk in plan order: the firings keep
         # the sequence numbers, and so the place among same-instant
         # events, that a schedule call per chunk would give them.

@@ -174,9 +174,7 @@ class SimulatedSUT(SutBase):
     def issue_query(self, query: Query) -> None:
         host = self._host or self
         count = len(query.samples)
-        loop = self._loop
-        # loop.now, read in place as ServerDriver._issue reads it.
-        now = loop.clock.now() if loop.realtime else loop.clock._now
+        now = self._loop.clock.now()
         queue = host._queue
         max_batch = self.device.max_batch
         variability = self.workload.variability
@@ -207,9 +205,7 @@ class SimulatedSUT(SutBase):
             if window > 0.0 and self._queued < self.preferred_batch:
                 # FIFO, and the clock is monotone: the head is the oldest.
                 deadline = queue[0][4] + window
-                loop = self._loop  # loop.now, read in place
-                if (loop.clock.now() if loop.realtime
-                        else loop.clock._now) < deadline:
+                if self._loop.clock.now() < deadline:
                     self._arm_window(deadline)
                     return
             if self._window_event is not None:
@@ -278,8 +274,7 @@ class SimulatedSUT(SutBase):
             owner._efficiency)
         owner.energy_joules += joules
         loop = self._loop
-        # loop.now, read in place: the instant schedule_after would add to.
-        now = loop.clock.now() if loop.realtime else loop.clock._now
+        now = loop.clock.now()  # the instant schedule_after would add to
         if device.cold_boost != 1.0:
             # DVFS/thermal state: a cold device runs faster than
             # equilibrium (Section III-D's motivation for the 60 s

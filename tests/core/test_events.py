@@ -1,10 +1,13 @@
 """Event loop and clock behaviour."""
 
+import cProfile
 import math
+import pstats
 
 import pytest
 
-from repro.core.events import EventLoop, RunAbortedError, VirtualClock, WallClock
+from repro.core.events import (
+    Clock, EventLoop, RunAbortedError, VirtualClock, WallClock)
 
 
 def test_virtual_clock_starts_at_zero():
@@ -18,7 +21,8 @@ def test_virtual_clock_advances():
 
 
 def test_virtual_clock_rejects_backwards():
-    clock = VirtualClock(start=2.0)
+    clock = VirtualClock()
+    clock.advance_to(2.0)
     with pytest.raises(ValueError):
         clock.advance_to(1.0)
 
@@ -240,3 +244,47 @@ def test_pending_counts_live_events():
     assert loop.pending() == 2
     handle.cancel()
     assert loop.pending() == 1
+
+
+class HeldClock(Clock):
+    """A measured clock that reads what the test last set."""
+
+    def __init__(self):
+        self.reading = 0.0
+
+    def now(self):
+        return self.reading
+
+    def advance_to(self, t):
+        self.reading = t
+
+
+def test_a_virtual_clock_reading_runs_no_python_frame():
+    loop = EventLoop()
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in range(1_000):
+        loop.clock.now()
+    profile.disable()
+    calls = {name: counts[1] for (_, _, name), counts
+             in pstats.Stats(profile).stats.items()}
+    calls.pop("<method 'disable' of '_lsprof.Profiler' objects>")
+    assert calls == {}
+
+
+@pytest.mark.parametrize("make_clock", [VirtualClock, HeldClock])
+def test_the_loop_and_its_clock_read_the_same_time(make_clock):
+    loop = EventLoop(make_clock())
+    inside = []
+
+    def look():
+        inside.append((loop.now, loop.clock.now()))
+
+    loop.clock.advance_to(1.0)
+    assert loop.now == loop.clock.now() == 1.0
+    loop.schedule(1.0, look)
+    assert loop.run() == loop.now == loop.clock.now() == 1.0
+    loop.schedule(1.0, look)
+    assert loop.run(3.0) == loop.now == loop.clock.now()
+    assert loop.now == (1.0 if loop.realtime else 3.0)
+    assert inside == [(1.0, 1.0)] * 2

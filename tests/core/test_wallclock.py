@@ -96,7 +96,8 @@ class TestRealtimeLoop:
         assert len(fired) == 1
 
     def test_virtual_loop_still_rejects_past_times(self):
-        loop = EventLoop(VirtualClock(start=10.0))
+        loop = EventLoop(VirtualClock())
+        loop.clock.advance_to(10.0)
         with pytest.raises(ValueError):
             loop.schedule(1.0, lambda: None)
 

@@ -98,7 +98,7 @@ class OracleEngine:
         state.due = None
         loop = self._loop
         if now is None:
-            now = loop.clock.now() if loop.realtime else loop.clock._now
+            now = loop.clock.now()
         # A lambda, not functools.partial: RunAbortedError.origin names
         # the callback and must not carry object addresses.
         state.timer = loop.schedule(now + timeout, lambda: self._fire(state))
@@ -167,8 +167,7 @@ class OracleEngine:
             # healthy stream costs the heap nothing.
             timeout = self._advanced(state)
             loop, timer = self._loop, state.timer
-            due = (loop.clock.now() if loop.realtime
-                   else loop.clock._now) + timeout
+            due = loop.clock.now() + timeout
             if timer is not None and timer[0] <= due:
                 state.due = due
             else:  # nothing armed, or the policy shortened the window

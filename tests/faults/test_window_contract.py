@@ -179,8 +179,7 @@ class OracleDegradedSUT(SutBase):
         # partition() apply to queries already in flight, and the stretch
         # is measured from when the valve saw the query.
         loop = self._loop
-        self._issued_at[query.id] = (
-            loop.clock.now() if loop.realtime else loop.clock._now)
+        self._issued_at[query.id] = loop.clock.now()
         self.inner.issue_query(query)
 
     def _gate(self, query: Query, responses) -> None:
@@ -200,7 +199,7 @@ class OracleDegradedSUT(SutBase):
             return
         if self._factor != 1.0 and since is not None:
             loop = self._loop
-            now = loop.clock.now() if loop.realtime else loop.clock._now
+            now = loop.clock.now()
             extra = (self._factor - 1.0) * (now - since)
             if extra > 0:
                 self.slowed += 1

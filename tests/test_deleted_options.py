@@ -17,6 +17,7 @@ from repro.audit import (
     run_caching_detection,
     run_seed_test,
 )
+from repro.core.events import VirtualClock
 from repro.core.stats import (
     QueryRequirement,
     queries_for_confidence,
@@ -63,6 +64,7 @@ def _echo(*_):
 
 #: ``"Owner.option"`` -> a call that passes the deleted keyword.
 PASSES = {
+    "VirtualClock.start": lambda: VirtualClock(start=0.0),
     "StreamModel.jitter": lambda: StreamModel(jitter=0.0),
     "StreamModel.tokens_per_chunk": lambda: StreamModel(tokens_per_chunk=1),
     "ChannelModel.bandwidth": lambda: ChannelModel(bandwidth=None),
